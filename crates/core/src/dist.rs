@@ -6,9 +6,12 @@
 //! pre-pass when asked), wraps the run in an engine-tagged trace span,
 //! and dispatches to the chosen [`crate::engine::CcEngine`]. Everything a
 //! run can vary — options, trace sink, serving-rerun tagging — lives in
-//! [`RunConfig`], replacing the old `run_distributed` /
-//! `run_distributed_traced` / `run_distributed_rerun` triple (kept as
-//! thin deprecated shims for one release).
+//! [`RunConfig`].
+//!
+//! The caller thread does no per-edge work: it draws the load-balancing
+//! [`Permutation`] (O(n)) and every rank builds its own matrix block
+//! inside the SPMD region from the borrowed input graph and that
+//! relabeling — the permuted graph is never materialized.
 //!
 //! With the default LACC engine and `permute = false`, a distributed run
 //! produces a parent vector *bit-identical* to [`crate::serial`] (tested
@@ -131,9 +134,10 @@ fn run_engine_width<I: Idx + WireWord + NarrowVal>(
     kind: EngineKind,
     comm: &mut Comm,
     g: &CsrGraph,
+    perm: Option<&Permutation>,
     opts: &LaccOpts,
 ) -> EngineRun {
-    let mut ctx = EngineCtx::<I>::new(comm, g, opts);
+    let mut ctx = EngineCtx::<I>::new(comm, g, perm, opts);
     engine::engine_for::<I>(kind).run(&mut ctx)
 }
 
@@ -156,12 +160,8 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
     let mut opts = cfg.opts;
     opts.dist.kernel_threads = opts.kernel_threads_for(p);
     let opts = &opts;
-    let (work_graph, perm) = if opts.permute && n > 1 {
-        let perm = Permutation::random(n, opts.permute_seed);
-        (perm.permute_graph(g), Some(perm))
-    } else {
-        (g.clone(), None)
-    };
+    let perm = (opts.permute && n > 1).then(|| Permutation::random(n, opts.permute_seed));
+    let perm = perm.as_ref();
     // The narrow layout is validated up front against the actual graph:
     // a too-large graph is a descriptive error on the caller thread, never
     // a silent truncation inside the SPMD body.
@@ -188,11 +188,11 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
         // Resolve the engine (the Auto pre-pass is deterministic and
         // max-merged, so every rank agrees), then wrap the run in an
         // engine-tagged span for trace attribution.
-        let (kind, rationale) = engine::resolve_engine(comm, &work_graph, opts.engine);
+        let (kind, rationale) = engine::resolve_engine(comm, g, perm, opts.engine);
         let engine_span = comm.span_open(SpanKind::Engine(kind));
         let out = match opts.index_width {
-            IndexWidth::U32 => run_engine_width::<u32>(kind, comm, &work_graph, opts),
-            IndexWidth::U64 => run_engine_width::<usize>(kind, comm, &work_graph, opts),
+            IndexWidth::U32 => run_engine_width::<u32>(kind, comm, g, perm, opts),
+            IndexWidth::U64 => run_engine_width::<usize>(kind, comm, g, perm, opts),
         };
         comm.span_close(engine_span);
         if let Some(span) = rerun_span {
@@ -204,7 +204,7 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
             rationale,
         }
     };
-    let outs = run_spmd_traced(p, cfg.model, cfg.trace.as_ref(), spmd)?;
+    let mut outs = run_spmd_traced(p, cfg.model, cfg.trace.as_ref(), spmd)?;
     let wall_s = wall_start.elapsed().as_secs_f64();
     // Surface the resolved engine (and the Auto dispatcher's reasoning)
     // as run-level trace metadata so Chrome-trace viewers show *why* this
@@ -216,10 +216,10 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
         }
     }
 
-    let labels_permuted = outs[0].out.labels.clone().expect("rank 0 returns labels");
-    let labels = match &perm {
-        Some(perm) => perm.unpermute_labels(&labels_permuted),
-        None => labels_permuted,
+    let labels = outs[0].out.labels.take().expect("rank 0 returns labels");
+    let labels = match perm {
+        Some(perm) => perm.unpermute_labels(&labels),
+        None => labels,
     };
     let modeled_total_s = outs
         .iter()
@@ -266,63 +266,8 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
             wall_s,
         },
         engine: outs[0].kind,
-        rationale: outs[0].rationale.clone(),
+        rationale: outs[0].rationale.take(),
     })
-}
-
-/// Runs distributed LACC on `p` simulated ranks under `model`.
-#[deprecated(since = "0.8.0", note = "use `run(graph, &RunConfig)` instead")]
-pub fn run_distributed(
-    g: &CsrGraph,
-    p: usize,
-    model: MachineModel,
-    opts: &LaccOpts,
-) -> Result<LaccRun, DmsimError> {
-    run(g, &RunConfig::new(p, model).with_opts(*opts)).map(|o| o.run)
-}
-
-/// [`run`] with a caller-managed optional trace sink.
-#[deprecated(
-    since = "0.8.0",
-    note = "use `run(graph, &RunConfig::new(..).with_trace(sink))` instead"
-)]
-pub fn run_distributed_traced(
-    g: &CsrGraph,
-    p: usize,
-    model: MachineModel,
-    opts: &LaccOpts,
-    sink: Option<&Arc<TraceSink>>,
-) -> Result<LaccRun, DmsimError> {
-    run(
-        g,
-        &RunConfig::new(p, model)
-            .with_opts(*opts)
-            .with_trace_opt(sink),
-    )
-    .map(|o| o.run)
-}
-
-/// [`run`] invoked as a serving-layer epoch rebuild.
-#[deprecated(
-    since = "0.8.0",
-    note = "use `run(graph, &RunConfig::new(..).with_rerun(reason))` instead"
-)]
-pub fn run_distributed_rerun(
-    g: &CsrGraph,
-    p: usize,
-    model: MachineModel,
-    opts: &LaccOpts,
-    sink: Option<&Arc<TraceSink>>,
-    reason: RerunReason,
-) -> Result<LaccRun, DmsimError> {
-    run(
-        g,
-        &RunConfig::new(p, model)
-            .with_opts(*opts)
-            .with_trace_opt(sink)
-            .with_rerun(reason),
-    )
-    .map(|o| o.run)
 }
 
 #[cfg(test)]
@@ -914,21 +859,5 @@ mod tests {
         let deep = path_graph(600);
         let out = run_with(&deep, 4, &opts);
         assert_eq!(out.engine, EngineKind::Fastsv, "{:?}", out.rationale);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_forward_to_run() {
-        let g = rmat(7, 4, RmatParams::graph500(), 29);
-        let opts = LaccOpts::default();
-        let new = run_with(&g, 4, &opts);
-        let old = run_distributed(&g, 4, model(), &opts).unwrap();
-        assert_eq!(old.labels, new.run.labels);
-        assert_eq!(old.modeled_total_s, new.modeled_total_s);
-        let old_traced = run_distributed_traced(&g, 4, model(), &opts, None).unwrap();
-        assert_eq!(old_traced.labels, new.run.labels);
-        let old_rerun =
-            run_distributed_rerun(&g, 4, model(), &opts, None, RerunReason::Bootstrap).unwrap();
-        assert_eq!(old_rerun.labels, new.run.labels);
     }
 }

@@ -41,6 +41,7 @@ use gblas::dist::{
     DistVec, FusedExtract, NarrowVal, VecLayout,
 };
 use gblas::{AndBool, MinUsize};
+use lacc_graph::permute::Permutation;
 use lacc_graph::stats::{bfs_eccentricity, degree_skew, prepass_seeds, PrepassStats};
 use lacc_graph::{CsrGraph, Idx};
 
@@ -151,7 +152,9 @@ pub struct EngineRun {
 pub struct EngineCtx<'a, I: Idx> {
     /// The rank's communicator (cost model, collectives, trace spans).
     pub comm: &'a mut Comm,
-    /// The (possibly permuted) input graph, replicated per rank.
+    /// The input graph in the caller's numbering, borrowed and shared by
+    /// every rank. Engines compute on [`a`](Self::a), the rank's block of
+    /// the (optionally relabeled) matrix, and never on this.
     pub graph: &'a CsrGraph,
     /// Run options; engines read `dist`, `max_iters`, and their own knobs.
     pub opts: &'a LaccOpts,
@@ -167,8 +170,14 @@ pub struct EngineCtx<'a, I: Idx> {
 
 impl<'a, I: Idx> EngineCtx<'a, I> {
     /// Builds the context for one rank: square grid, layout per options,
-    /// and the rank's matrix block.
-    pub fn new(comm: &'a mut Comm, graph: &'a CsrGraph, opts: &'a LaccOpts) -> Self {
+    /// and the rank's matrix block — relabeled by `perm` when the run
+    /// load-balances, built straight from `graph` either way.
+    pub fn new(
+        comm: &'a mut Comm,
+        graph: &'a CsrGraph,
+        perm: Option<&Permutation>,
+        opts: &'a LaccOpts,
+    ) -> Self {
         let p = comm.size();
         let grid = Grid2d::square(p);
         let n = graph.num_vertices();
@@ -178,7 +187,10 @@ impl<'a, I: Idx> EngineCtx<'a, I> {
             VecLayout::new(n, grid)
         };
         let rank = comm.rank();
-        let a = DistMat::<I>::from_graph(graph, grid, rank);
+        let a = match perm {
+            Some(perm) => DistMat::<I>::from_graph_permuted(graph, perm, grid, rank),
+            None => DistMat::<I>::from_graph(graph, grid, rank),
+        };
         EngineCtx {
             comm,
             graph,
@@ -299,12 +311,19 @@ pub fn choose_engine(stats: &PrepassStats) -> (EngineKind, String) {
 /// rank derives the same deterministic seed list, BFSes its round-robin
 /// share, and a single max-allreduce merges the partial eccentricity and
 /// reach maxima. Degree statistics are computed locally (the graph is
-/// replicated, so they are identical on every rank and cost no
-/// communication). The result is bit-identical to the serial
-/// [`lacc_graph::stats::prepass_stats`] with the same `samples`/`seed`.
+/// shared, so they are identical on every rank and cost no
+/// communication).
+///
+/// The seeds are ids in the numbering the engines run in, so under a
+/// load-balancing `perm` each is mapped back through the inverse and the
+/// BFS runs on the unpermuted `g` — eccentricity, reach and degrees are
+/// relabeling-invariant. The result is bit-identical to the serial
+/// [`lacc_graph::stats::prepass_stats`] of the permuted graph with the
+/// same `samples`/`seed`.
 pub fn distributed_prepass(
     comm: &mut Comm,
     g: &CsrGraph,
+    perm: Option<&Permutation>,
     samples: usize,
     seed: u64,
 ) -> PrepassStats {
@@ -319,7 +338,7 @@ pub fn distributed_prepass(
         if i % p != rank {
             continue;
         }
-        let (e, r) = bfs_eccentricity(g, s);
+        let (e, r) = bfs_eccentricity(g, perm.map_or(s, |perm| perm.invert(s)));
         ecc = ecc.max(e);
         reached_max = reached_max.max(r);
         comm.charge_compute((r as f64 * (1.0 + avg_degree)) as u64 + 1);
@@ -351,6 +370,7 @@ pub fn distributed_prepass(
 pub fn resolve_engine(
     comm: &mut Comm,
     g: &CsrGraph,
+    perm: Option<&Permutation>,
     select: EngineSelect,
 ) -> (EngineKind, Option<String>) {
     match select {
@@ -359,7 +379,7 @@ pub fn resolve_engine(
         EngineSelect::LabelProp => (EngineKind::LabelProp, None),
         EngineSelect::Auto => {
             let span = comm.span_open(SpanKind::EngineSelect);
-            let stats = distributed_prepass(comm, g, AUTO_SAMPLES, AUTO_SEED);
+            let stats = distributed_prepass(comm, g, perm, AUTO_SAMPLES, AUTO_SEED);
             comm.span_close(span);
             let (kind, why) = choose_engine(&stats);
             (kind, Some(why))

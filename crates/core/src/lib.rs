@@ -44,8 +44,6 @@ pub mod stats;
 pub mod verify;
 
 pub use dist::{run, RunConfig, RunOutput};
-#[allow(deprecated)]
-pub use dist::{run_distributed, run_distributed_rerun, run_distributed_traced};
 pub use dmsim::EngineKind;
 pub use engine::{
     caps_for, choose_engine, engine_for, CcEngine, EngineCaps, EngineCtx, EngineIter, EngineRun,

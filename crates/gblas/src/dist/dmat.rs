@@ -4,6 +4,7 @@ use super::dvec::block_range;
 use crate::serial::{CsrMirror, Dcsc};
 use crate::Vid;
 use dmsim::Grid2d;
+use lacc_graph::permute::Permutation;
 use lacc_graph::{CsrGraph, Idx};
 
 /// The local view of an `n × n` symmetric pattern matrix distributed on a
@@ -13,9 +14,10 @@ use lacc_graph::{CsrGraph, Idx};
 /// parallel local multiply (the matrix is static across iterations, so the
 /// mirror is built once).
 ///
-/// Block indices are stored at width `I`; the narrowing happens per rank
-/// while slicing, so no globally narrowed copy of the graph is ever
-/// materialized. Callers must have checked `ensure_fits::<I>(n)` first.
+/// Block indices are stored at width `I`; the narrowing — like the
+/// load-balancing relabeling — happens per rank while slicing, so no
+/// globally narrowed or permuted copy of the graph is ever materialized.
+/// Callers must have checked `ensure_fits::<I>(n)` first.
 #[derive(Clone, Debug)]
 pub struct DistMat<I: Idx = Vid> {
     n: usize,
@@ -27,32 +29,77 @@ pub struct DistMat<I: Idx = Vid> {
 }
 
 impl<I: Idx> DistMat<I> {
-    /// Extracts rank `rank`'s block from a (conceptually replicated) graph.
+    /// Rank `rank`'s block of `g` in `g`'s own numbering — the
+    /// identity-relabeling case of
+    /// [`from_graph_permuted`](Self::from_graph_permuted), which is the
+    /// entry point for a load-balanced run.
     ///
     /// In a real distributed setting the graph would arrive pre-partitioned
     /// from disk; in the simulation every rank slices its block from the
-    /// shared input. The caller should apply a random symmetric permutation
-    /// first (`lacc_graph::permute`) for load balance, as CombBLAS does.
+    /// shared, borrowed input.
     pub fn from_graph(g: &CsrGraph, grid: Grid2d, rank: usize) -> Self {
-        assert_eq!(grid.rows(), grid.cols(), "LACC requires a square grid");
+        Self::build(g.num_vertices(), grid, rank, |r| g.neighbors(r), |v| v)
+    }
+
+    /// Rank `rank`'s block of `g` relabeled by `perm` (the random symmetric
+    /// permutation CombBLAS applies for load balance, §V-B), built straight
+    /// from the original graph: identical to
+    /// `from_graph(&perm.permute_graph(g), grid, rank)` without ever
+    /// materializing the permuted graph.
+    pub fn from_graph_permuted(
+        g: &CsrGraph,
+        perm: &Permutation,
+        grid: Grid2d,
+        rank: usize,
+    ) -> Self {
         let n = g.num_vertices();
+        assert_eq!(perm.len(), n, "permutation length mismatch");
+        let row = |r| g.neighbors(perm.invert(r));
+        Self::build(n, grid, rank, row, |v| perm.apply(v))
+    }
+
+    /// The one build routine: `row(r)` lists the neighbors of relabeled row
+    /// `r` in source ids and `relabel` maps a source id to its relabeled id.
+    ///
+    /// Two counting transposes and no comparison sort. Sweeping the block's
+    /// rows in ascending order and keeping the entries whose relabeled
+    /// column falls in the column block gives the block row-major, columns
+    /// unordered; transposing that into DCSC visits rows ascending, so
+    /// every column's rows come out ascending; transposing the DCSC back
+    /// visits columns ascending, so every mirror row's columns do too.
+    fn build<'g>(
+        n: usize,
+        grid: Grid2d,
+        rank: usize,
+        row: impl Fn(usize) -> &'g [Vid],
+        relabel: impl Fn(Vid) -> usize,
+    ) -> Self {
+        assert_eq!(grid.rows(), grid.cols(), "LACC requires a square grid");
         let (i, j) = grid.coords_of(rank);
         let row_range = block_range(n, grid.rows(), i);
         let col_range = block_range(n, grid.cols(), j);
-        let mut pairs: Vec<(I, I)> = Vec::new();
-        for gc in col_range.0..col_range.1 {
-            for &gr in g.neighbors(gc) {
-                if gr >= row_range.0 && gr < row_range.1 {
-                    pairs.push((
-                        I::from_usize(gr - row_range.0),
-                        I::from_usize(gc - col_range.0),
-                    ));
-                }
+        let (nrows, ncols) = (row_range.1 - row_range.0, col_range.1 - col_range.0);
+        let mut rowptr = Vec::with_capacity(nrows + 1);
+        rowptr.push(0);
+        // Whether a relabeled neighbor lands in the column block is a coin
+        // flip the branch predictor loses, so keep the filter branch-free:
+        // write every candidate at `len` and advance only past the keepers.
+        let mut colidx: Vec<I> = Vec::new();
+        let mut len = 0usize;
+        for r in row_range.0..row_range.1 {
+            let nbrs = row(r);
+            colidx.resize(len + nbrs.len(), I::zero());
+            for &v in nbrs {
+                let c = relabel(v).wrapping_sub(col_range.0);
+                let keep = c < ncols;
+                colidx[len] = I::from_usize(if keep { c } else { 0 });
+                len += usize::from(keep);
             }
+            rowptr.push(len);
         }
-        let local = Dcsc::from_pairs(row_range.1 - row_range.0, col_range.1 - col_range.0, pairs);
-        let row_mirror =
-            CsrMirror::from_col_major_pairs(local.nrows(), local.ncols(), local.pairs());
+        colidx.truncate(len);
+        let local = Dcsc::from_row_major(nrows, ncols, &rowptr, &colidx);
+        let row_mirror = CsrMirror::from_col_major_pairs(nrows, ncols, local.pairs());
         DistMat {
             n,
             grid,
@@ -106,6 +153,7 @@ mod tests {
     use super::*;
     use dmsim::run_spmd;
     use lacc_graph::generators::{erdos_renyi_gnm, path_graph};
+    use lacc_graph::EdgeList;
 
     #[test]
     fn blocks_partition_all_edges() {
@@ -149,6 +197,43 @@ mod tests {
                 .map(|(a, b)| (a.idx(), b.idx()))
                 .collect();
             assert_eq!(w, n, "rank {r}");
+        }
+    }
+
+    #[test]
+    fn fused_permuted_build_matches_slicing_a_permuted_graph() {
+        fn check<I: Idx>(g: &CsrGraph, seed: u64) {
+            let n = g.num_vertices();
+            let perm = Permutation::random(n, seed);
+            let permuted = perm.permute_graph(g);
+            for p in [1usize, 4, 9, 16] {
+                let grid = Grid2d::square(p);
+                for r in 0..p {
+                    let fused = DistMat::<I>::from_graph_permuted(g, &perm, grid, r);
+                    let sliced = DistMat::<I>::from_graph(&permuted, grid, r);
+                    let at = format!("{} n={n} p={p} rank={r}", I::NAME);
+                    assert_eq!(fused.local(), sliced.local(), "{at}");
+                    assert_eq!(fused.row_mirror(), sliced.row_mirror(), "{at}");
+                    assert_eq!(fused.row_range(), sliced.row_range(), "{at}");
+                    assert_eq!(fused.col_range(), sliced.col_range(), "{at}");
+                    // And the block is what the sort-based constructor
+                    // makes of the same entries.
+                    let pairs: Vec<(I, I)> = sliced.local().pairs().collect();
+                    let (nr, nc) = (sliced.local().nrows(), sliced.local().ncols());
+                    assert_eq!(sliced.local(), &Dcsc::from_pairs(nr, nc, pairs), "{at}");
+                }
+            }
+        }
+        // n not divisible by sqrt(p), down to the empty graph.
+        let graphs = [
+            CsrGraph::from_edges(EdgeList::new(0)),
+            CsrGraph::from_edges(EdgeList::new(1)),
+            path_graph(7),
+            erdos_renyi_gnm(50, 200, 3),
+        ];
+        for (k, g) in graphs.iter().enumerate() {
+            check::<u32>(g, 11 + k as u64);
+            check::<Vid>(g, 11 + k as u64);
         }
     }
 

@@ -54,6 +54,51 @@ impl<I: Idx> Dcsc<I> {
         }
     }
 
+    /// Counting transpose of a block given row by row: the column ids of
+    /// row `i` are `colidx[rowptr[i]..rowptr[i + 1]]`, in any order and
+    /// without duplicates. Rows are swept ascending, so every column's row
+    /// ids land ascending and the result equals
+    /// [`from_pairs`](Self::from_pairs) on the same entries — without a
+    /// comparison sort. `O(nnz + ncols)` time; the `O(ncols)` cursor array
+    /// is scratch, the stored structure stays `O(nnz)`.
+    pub fn from_row_major(nrows: usize, ncols: usize, rowptr: &[usize], colidx: &[I]) -> Self {
+        assert_eq!(rowptr.len(), nrows + 1, "rowptr length");
+        assert_eq!(rowptr[nrows], colidx.len(), "rowptr does not cover colidx");
+        let mut cursor = vec![0usize; ncols + 1];
+        for &c in colidx {
+            assert!(c.idx() < ncols, "column {c} out of range");
+            cursor[c.idx()] += 1;
+        }
+        let mut total = 0usize;
+        for slot in &mut cursor {
+            total += std::mem::replace(slot, total);
+        }
+        let mut jc: Vec<I> = Vec::new();
+        let mut colptr = vec![0usize];
+        for c in 0..ncols {
+            if cursor[c] != cursor[c + 1] {
+                jc.push(I::from_usize(c));
+                colptr.push(cursor[c + 1]);
+            }
+        }
+        let mut rowidx = vec![I::zero(); colidx.len()];
+        for i in 0..nrows {
+            let row = I::from_usize(i);
+            for &c in &colidx[rowptr[i]..rowptr[i + 1]] {
+                let at = &mut cursor[c.idx()];
+                rowidx[*at] = row;
+                *at += 1;
+            }
+        }
+        Dcsc {
+            nrows,
+            ncols,
+            jc,
+            colptr,
+            rowidx,
+        }
+    }
+
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -156,6 +201,25 @@ mod tests {
         let n: Vec<(usize, usize)> = narrow.pairs().map(|(r, c)| (r.idx(), c.idx())).collect();
         assert_eq!(w, n);
         assert_eq!(narrow.col(2), &[0u32, 3u32]);
+    }
+
+    #[test]
+    fn row_major_transpose_matches_sorted_pairs() {
+        // Columns unsorted within rows, an empty row, empty columns.
+        let rowptr = [0, 3, 3, 5, 6];
+        let colidx: [u32; 6] = [6, 2, 0, 2, 7, 6];
+        let pairs = vec![(0, 6), (0, 2), (0, 0), (2, 2), (2, 7), (3, 6)];
+        let d = Dcsc::<u32>::from_row_major(4, 9, &rowptr, &colidx);
+        assert_eq!(d, Dcsc::from_pairs(4, 9, pairs));
+        assert_eq!(d.col(2), &[0, 2]);
+        let empty = Dcsc::<u32>::from_row_major(0, 0, &[0], &[]);
+        assert_eq!(empty, Dcsc::from_pairs(0, 0, vec![]));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn row_major_rejects_out_of_range_column() {
+        let _ = Dcsc::<usize>::from_row_major(1, 2, &[0, 1], &[2]);
     }
 
     #[test]

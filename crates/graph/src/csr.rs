@@ -25,7 +25,8 @@ pub struct CsrGraph<I: Idx = Vid> {
 }
 
 impl<I: Idx> CsrGraph<I> {
-    /// Builds a CSR graph from an edge list, canonicalizing it first.
+    /// Builds a CSR graph from an edge list, canonicalizing it on the way
+    /// (see [`try_from_pairs`](Self::try_from_pairs)).
     ///
     /// Panics if the vertex count exceeds the index width `I`; use
     /// [`try_from_edges`](Self::try_from_edges) for a recoverable error.
@@ -36,20 +37,85 @@ impl<I: Idx> CsrGraph<I> {
         }
     }
 
-    /// Builds a CSR graph from an edge list, canonicalizing it first, with
-    /// a checked index-width conversion.
-    pub fn try_from_edges(mut el: EdgeList) -> Result<Self, IdxOverflow> {
-        // Check the universe *before* canonicalization allocates scratch
-        // proportional to the edge count.
-        ensure_fits::<I>(el.num_vertices(), "CSR graph")?;
-        el.canonicalize();
-        Ok(Self::from_canonical_edges(&el))
+    /// [`from_edges`](Self::from_edges) with a checked index-width
+    /// conversion.
+    pub fn try_from_edges(el: EdgeList) -> Result<Self, IdxOverflow> {
+        Self::try_from_pairs(el.num_vertices(), el.edges())
+    }
+
+    /// Builds the symmetric simple graph of an arbitrary edge multiset over
+    /// `0..n`: both orientations stored, duplicates (in either orientation)
+    /// merged, self loops dropped.
+    ///
+    /// No global sort: a counting pass sizes every row, a scatter pass
+    /// writes each edge into both endpoint rows, and each row is then
+    /// sorted and deduplicated on its own while the array is compacted in
+    /// place — `O(m + Σ d log d)` with no scratch beyond the CSR itself.
+    ///
+    /// Errs — before allocating anything — when `n` does not fit `I`.
+    ///
+    /// # Panics
+    /// If an endpoint is not in `0..n` (also before allocating).
+    pub fn try_from_pairs(n: usize, pairs: &[(Vid, Vid)]) -> Result<Self, IdxOverflow> {
+        ensure_fits::<I>(n, "CSR graph")?;
+        if let Some(&(u, v)) = pairs.iter().find(|&&(u, v)| u >= n || v >= n) {
+            panic!("edge ({u},{v}) out of range for n={n}");
+        }
+        // Count: offsets[v] = entries row v will receive, duplicates included.
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v) in pairs {
+            if u != v {
+                offsets[u] += 1;
+                offsets[v] += 1;
+            }
+        }
+        let mut total = 0usize;
+        for o in &mut offsets {
+            total += std::mem::replace(o, total);
+        }
+        // Scatter both orientations, using offsets[v] as row v's cursor:
+        // afterwards it holds the *end* of row v.
+        let mut targets = vec![I::zero(); total];
+        for &(u, v) in pairs {
+            if u != v {
+                targets[offsets[u]] = I::from_usize(v);
+                offsets[u] += 1;
+                targets[offsets[v]] = I::from_usize(u);
+                offsets[v] += 1;
+            }
+        }
+        // Sort and dedup each row, compacting forward (write <= start always
+        // holds, so no row is overwritten before it is read).
+        let (mut start, mut write) = (0usize, 0usize);
+        for row_start in &mut offsets[..n] {
+            let end = std::mem::replace(row_start, write);
+            targets[start..end].sort_unstable();
+            for k in start..end {
+                let t = targets[k];
+                if k == start || t != targets[write - 1] {
+                    targets[write] = t;
+                    write += 1;
+                }
+            }
+            start = end;
+        }
+        offsets[n] = write;
+        targets.truncate(write);
+        targets.shrink_to_fit();
+        let g = CsrGraph {
+            n,
+            offsets,
+            targets,
+        };
+        debug_assert_eq!(g.validate(), Ok(()));
+        Ok(g)
     }
 
     /// Builds a CSR graph from an edge list already in canonical form
-    /// (symmetric, deduplicated, loop-free). This is cheaper than
-    /// [`from_edges`](Self::from_edges) but panics in debug builds if the
-    /// input is not canonical. Panics if the vertex count exceeds `I`; use
+    /// (symmetric, deduplicated, loop-free); panics in debug builds if the
+    /// input is not canonical. With [`EdgeList::canonicalize`] this is the
+    /// sort-based reference [`try_from_pairs`](Self::try_from_pairs) is
+    /// tested against. Panics if the vertex count exceeds `I`; use
     /// [`try_from_canonical_edges`](Self::try_from_canonical_edges) to
     /// recover.
     pub fn from_canonical_edges(el: &EdgeList) -> Self {
@@ -241,6 +307,40 @@ mod tests {
         assert!(g.has_edge(1, 3));
         assert!(!g.has_edge(2, 2));
         assert!(g.is_symmetric());
+    }
+
+    /// The sort-based reference: canonicalize the whole list, then the
+    /// canonical-input constructor.
+    fn oracle<I: Idx>(n: usize, pairs: &[(Vid, Vid)]) -> CsrGraph<I> {
+        let mut el = EdgeList::from_pairs(n, pairs.iter().copied());
+        el.canonicalize();
+        CsrGraph::from_canonical_edges(&el)
+    }
+
+    #[test]
+    fn counting_build_matches_sorting_oracle_on_edge_cases() {
+        let cases: [(usize, &[(Vid, Vid)]); 5] = [
+            (0, &[]),
+            (5, &[]),
+            (3, &[(0, 0), (1, 1), (2, 2), (1, 1)]),
+            // Duplicates in both orientations around an isolated vertex 2.
+            (5, &[(3, 1), (1, 3), (3, 1), (0, 4), (4, 0), (4, 4), (1, 0)]),
+            // A hub whose row shrinks under dedup, shifting every later row.
+            (4, &[(0, 1), (0, 1), (1, 0), (0, 2), (2, 3), (3, 2), (0, 3)]),
+        ];
+        for (n, pairs) in cases {
+            let g = CsrGraph::<Vid>::try_from_pairs(n, pairs).unwrap();
+            assert_eq!(g, oracle(n, pairs), "n={n} {pairs:?}");
+            assert_eq!(g.validate(), Ok(()));
+            let narrow = CsrGraph::<u32>::try_from_pairs(n, pairs).unwrap();
+            assert_eq!(narrow, oracle(n, pairs), "u32 n={n} {pairs:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_endpoint_panics() {
+        let _ = CsrGraph::<Vid>::try_from_pairs(2, &[(0, 1), (0, 2)]);
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! CombBLAS randomly permutes the rows and columns of the adjacency matrix
 //! before distributing it on the 2D grid (§V-B): this load-balances both
-//! nonzeros and vector segments. We reproduce that step before building
-//! distributed matrices.
+//! nonzeros and vector segments. A distributed run applies the relabeling
+//! while each rank builds its matrix block; [`Permutation::permute_graph`]
+//! materializes the relabeled graph and is the reference that build is
+//! tested against.
 
 use crate::{CsrGraph, Vid};
 use rand::Rng;

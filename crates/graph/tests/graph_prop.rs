@@ -14,8 +14,40 @@ fn arb_edgelist() -> impl Strategy<Value = EdgeList> {
     })
 }
 
+/// Edge multisets built to hit every cleanup rule at once: endpoints come
+/// from a prefix `0..k` of the universe (so `k..n` stay isolated and
+/// duplicates are dense), a stretch of the list is repeated reversed, and
+/// self loops are mixed in.
+fn arb_messy_multiset() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
+    (1usize..60).prop_flat_map(|n| {
+        (1..=n).prop_flat_map(move |k| {
+            (
+                proptest::collection::vec((0..k, 0..k), 0..150),
+                proptest::collection::vec(0..k, 0..8),
+            )
+                .prop_map(move |(mut pairs, loops)| {
+                    let reversed: Vec<_> = pairs.iter().step_by(2).map(|&(u, v)| (v, u)).collect();
+                    pairs.extend(reversed);
+                    pairs.extend(loops.into_iter().map(|v| (v, v)));
+                    (n, pairs)
+                })
+        })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn counting_build_matches_canonicalize_oracle((n, pairs) in arb_messy_multiset()) {
+        let mut el = EdgeList::from_pairs(n, pairs.iter().copied());
+        let built: CsrGraph = CsrGraph::from_edges(el.clone());
+        let narrow: CsrGraph<u32> = CsrGraph::from_edges(el.clone());
+        el.canonicalize();
+        prop_assert_eq!(&built, &CsrGraph::from_canonical_edges(&el));
+        prop_assert_eq!(&narrow, &CsrGraph::<u32>::from_canonical_edges(&el));
+        prop_assert!(built.validate().is_ok());
+    }
 
     #[test]
     fn csr_from_arbitrary_edges_validates(el in arb_edgelist()) {

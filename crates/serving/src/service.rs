@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use dmsim::{MachineModel, RerunReason, TraceSink, EDISON};
-use lacc_graph::{CsrGraph, EdgeList};
+use lacc_graph::CsrGraph;
 
 use crate::batch::{Update, UpdateBatch};
 use crate::policy::RerunPolicy;
@@ -128,7 +128,8 @@ impl CcService {
                 }
             }
         }
-        svc.rebuild(RerunReason::Bootstrap)?;
+        // The caller's CSR *is* the graph of the multiset just extracted.
+        svc.rebuild_on(g, RerunReason::Bootstrap)?;
         Ok(svc)
     }
 
@@ -257,16 +258,20 @@ impl CcService {
     /// Full LACC recompute over the current edge multiset; installs the
     /// converged labels as a new epoch.
     fn rebuild(&mut self, reason: RerunReason) -> Result<(), dmsim::DmsimError> {
-        let n = self.num_vertices();
-        let el = EdgeList::from_pairs(n, self.edges.iter().copied());
-        let g = CsrGraph::from_edges(el);
+        let g = CsrGraph::try_from_pairs(self.num_vertices(), &self.edges)
+            .expect("every vertex count fits the usize index width");
+        self.rebuild_on(&g, reason)
+    }
+
+    /// [`rebuild`](Self::rebuild) given the CSR of the current multiset.
+    fn rebuild_on(&mut self, g: &CsrGraph, reason: RerunReason) -> Result<(), dmsim::DmsimError> {
         let mut opts = self.opts.lacc;
         opts.engine = self.opts.policy.engine;
         let cfg = lacc::RunConfig::new(self.opts.ranks, self.opts.model)
             .with_opts(opts)
             .with_trace_opt(self.sink.as_ref())
             .with_rerun(reason);
-        let out = lacc::run(&g, &cfg)?;
+        let out = lacc::run(g, &cfg)?;
         self.last_engine = Some(out.engine);
         self.last_rationale = out.rationale.clone();
         let run = &out.run;
