@@ -1,62 +1,52 @@
-//! Sender-side compaction benchmark: wire volume with and without the
-//! `DistOpts` compaction flags.
+//! Wire-format benchmark: wire volume and modeled time of the two
+//! `DistOpts::wire` levels and of the levers layered on the compact one.
 //!
 //! Runs distributed LACC on a Graph500 RMAT graph (default scale 16 at
-//! p = 16) under a matrix of compaction configurations, all traced at
-//! collectives level, and writes `BENCH_comm.json` at the workspace root
-//! with per-configuration wire-volume metrics:
+//! p = 16) under five configurations, all traced at collectives level,
+//! and writes `BENCH_comm.json` at the workspace root with
+//! per-configuration metrics:
 //!
 //! * `words_sent` — 8-byte words sent over the whole run (summed final
 //!   cost snapshots).
 //! * `alltoall_words` — words moved (sent + received) inside `alltoallv`
-//!   spans only, the traffic the compaction layer targets. Under the
-//!   sparse all-to-all this includes its nested metadata exchange, which
-//!   makes the compacted numbers *conservative*.
-//! * `words_saved` — the observational counter summed over ranks.
-//!
+//!   spans only, the traffic the compact wire targets. Under the sparse
+//!   all-to-all this includes its nested metadata exchange, which makes
+//!   the compact numbers *conservative*.
+//! * `words_saved` — the sender-side dedup/pre-combining counter summed
+//!   over ranks.
 //! * `combined_words` — raw-word equivalent of entries merged *in
-//!   flight* at combining-hypercube hops (cross-sender duplicates the
-//!   sender-side flags cannot see).
+//!   flight* at combining-hypercube hops (cross-sender duplicates).
 //! * `bytes_sent` — exact payload bytes on the wire, which (unlike the
-//!   word counters) see the narrow index layout; an extra
-//!   `optimized+u32` row runs the optimized stack at 32-bit indices so
+//!   word counters) see the narrow index layout.
+//!
+//! The rows:
+//!
+//! * `legacy` — `DistOpts::naive()`: pairwise all-to-all, no hot-rank
+//!   broadcast, legacy wire, blocking, native-width labels.
+//! * `compact` — `DistOpts::default()` with `overlap` and
+//!   `narrow_labels` pinned off, at the default `u32` index width; the
+//!   baseline the single-lever rows below are measured against.
+//!   `alltoall_reduction_vs_naive` is `legacy` over this row.
+//! * `compact+u64` — the same at 64-bit indices;
 //!   `bytes_reduction_u32_vs_u64` reports what the narrow word saves.
+//! * `compact+overlap` (u64) re-enables non-blocking exchanges at the
+//!   wide word and must cut `modeled_s` against `compact+u64` — by at
+//!   least 8% at the reference scale-16/p-16 configuration, strictly at
+//!   smaller smoke sizes — while moving exactly the same words
+//!   (`modeled_reduction_overlap`).
+//! * `compact+narrow` re-enables dynamic label-range narrowing and must
+//!   cut `bytes_sent` against `compact` — the `bytes_reduction_narrow`
+//!   headline — while moving exactly the same words over the same
+//!   iteration count; its `narrow_saved_bytes` counter must be positive,
+//!   and must be exactly zero on every other row.
 //!
-//! The §V-B comparison matrix runs at the default `u32` index width
-//! (the historical `u64` pin predated width-generic combining key
-//! streams and is gone); an `optimized` row keeps `u64` so the
-//! `optimized+u32` delta still reports what the narrow word saves.
-//!
-//! Every matrix row pins `overlap: false` and `narrow_labels: false` so
-//! the wire-volume deltas isolate the compaction flags; the closing rows
-//! switch one lever each back on at the `optimized+u32` point:
-//!
-//! * `optimized+overlap` (u64) re-enables non-blocking exchanges at the
-//!   wide word and must cut `modeled_s` against the blocking `optimized`
-//!   row — by at least 8% at the reference scale-16/p-16 configuration,
-//!   strictly at smaller smoke sizes — while moving exactly the same
-//!   words (`modeled_reduction_overlap`). `optimized+u32+overlap` runs
-//!   the same lever at u32, where thinner exchanges leave less time to
-//!   hide: same-words plus strict modeled-time improvement.
-//! * `optimized+u32+narrow` re-enables dynamic label-range narrowing
-//!   and must cut `bytes_sent` against `optimized+u32` — the
-//!   `bytes_reduction_narrow` headline — while moving exactly the same
-//!   words over the same iteration count; its `narrow_saved_bytes`
-//!   counter must be positive, and must be exactly zero on every other
-//!   row (the flag-off guarantee).
-//!
-//! The headline ratio compares `DistOpts::naive()` against the same
-//! pairwise stack with only the three compaction flags turned on, so
-//! nothing but sender-side compaction differs; a second ratio stacks
-//! the in-flight combining collectives (+ fused starcheck + value RLE)
-//! on top, which must strictly beat sender-only compaction. Labels are
-//! asserted bit-identical across every configuration.
+//! Labels are asserted bit-identical across every configuration.
 //!
 //! Environment overrides: `LACC_COMM_SCALE` (RMAT scale, default 16),
 //! `LACC_COMM_RANKS` (default 16), `LACC_COMM_EF` (edge factor, 16).
 
 use dmsim::{TraceLevel, TraceSink};
-use gblas::dist::DistOpts;
+use gblas::dist::{DistOpts, Wire};
 use lacc::{IndexWidth, LaccOpts};
 use lacc_graph::generators::{rmat, RmatParams};
 use std::io::Write;
@@ -83,10 +73,7 @@ fn workspace_root() -> std::path::PathBuf {
 struct Row {
     label: &'static str,
     width: IndexWidth,
-    dedup: bool,
-    combine: bool,
-    compress: bool,
-    in_flight: bool,
+    wire: Wire,
     overlap: bool,
     narrow: bool,
     words_sent: u64,
@@ -112,109 +99,37 @@ fn main() {
     );
     let model = lacc_bench::default_model();
 
-    // The naive §V-B stack, varying only the compaction flags, plus the
-    // fully optimized configuration for reference. The whole matrix runs
-    // blocking (`overlap: false`, which `naive()` already is) so the wire
-    // and modeled-time deltas isolate the flag under test; the closing
-    // row re-enables overlap on the optimized stack.
-    let naive = DistOpts::naive();
-    // Blocking, narrowing off: the baseline the single-lever closing rows
-    // are measured against.
-    let opt_blocking = DistOpts {
+    // Blocking, narrowing off: the baseline the single-lever rows are
+    // measured against (`naive()` already pins both off).
+    let compact = DistOpts {
         overlap: false,
         narrow_labels: false,
-        ..DistOpts::optimized()
+        ..DistOpts::default()
     };
     let configs: Vec<(&'static str, DistOpts, IndexWidth)> = vec![
-        ("naive", naive, IndexWidth::U32),
-        (
-            "naive+dedup",
-            DistOpts {
-                dedup_requests: true,
-                ..naive
-            },
-            IndexWidth::U32,
-        ),
-        (
-            "naive+combine",
-            DistOpts {
-                combine_assigns: true,
-                ..naive
-            },
-            IndexWidth::U32,
-        ),
-        (
-            "naive+compress",
-            DistOpts {
-                compress_ids: true,
-                ..naive
-            },
-            IndexWidth::U32,
-        ),
-        (
-            "naive+compaction",
-            DistOpts {
-                dedup_requests: true,
-                combine_assigns: true,
-                compress_ids: true,
-                ..naive
-            },
-            IndexWidth::U32,
-        ),
-        (
-            "naive+combining",
-            DistOpts {
-                combine_in_flight: true,
-                ..naive
-            },
-            IndexWidth::U32,
-        ),
-        (
-            "naive+compaction+combining",
-            DistOpts {
-                dedup_requests: true,
-                combine_assigns: true,
-                compress_ids: true,
-                combine_in_flight: true,
-                fuse_starcheck: true,
-                compress_values: true,
-                ..naive
-            },
-            IndexWidth::U32,
-        ),
+        ("legacy", DistOpts::naive(), IndexWidth::U32),
+        ("compact", compact, IndexWidth::U32),
         // The wide-word reference point: the bytes delta between this row
-        // and "optimized+u32" is what the narrow index layout saves.
-        ("optimized", opt_blocking, IndexWidth::U64),
-        ("optimized+u32", opt_blocking, IndexWidth::U32),
+        // and "compact" is what the narrow index layout saves.
+        ("compact+u64", compact, IndexWidth::U64),
         // Non-blocking exchanges at the wide word, where exchange time
         // dominates enough for the 8% modeled-time bar that headline was
         // established at.
         (
-            "optimized+overlap",
+            "compact+overlap",
             DistOpts {
-                narrow_labels: false,
-                ..DistOpts::optimized()
+                overlap: true,
+                ..compact
             },
             IndexWidth::U64,
         ),
-        // Non-blocking exchanges on top of the optimized u32 stack:
-        // identical traffic, strictly lower modeled time (the narrow word
-        // leaves less exchange time to hide, so no fixed percentage bar).
+        // Dynamic label-range narrowing on top of the compact u32 stack:
+        // identical words and iterations, strictly fewer bytes.
         (
-            "optimized+u32+overlap",
+            "compact+narrow",
             DistOpts {
-                narrow_labels: false,
-                ..DistOpts::optimized()
-            },
-            IndexWidth::U32,
-        ),
-        // Dynamic label-range narrowing on top of the optimized u32
-        // stack: identical words and iterations, strictly fewer bytes.
-        (
-            "optimized+u32+narrow",
-            DistOpts {
-                overlap: false,
-                ..DistOpts::optimized()
+                narrow_labels: true,
+                ..compact
             },
             IndexWidth::U32,
         ),
@@ -274,7 +189,7 @@ fn main() {
             .map(|k| k.words)
             .sum();
         eprintln!(
-            "  {label:>26} [{width}]: words_sent={words_sent} bytes_sent={bytes_sent} \
+            "  {label:>15} [{width}]: words_sent={words_sent} bytes_sent={bytes_sent} \
              alltoall={alltoall_words} saved={} narrow_saved={narrow_saved} \
              combined={combined_words} hidden={:.2}ms modeled={:.2}ms",
             report.words_saved,
@@ -284,10 +199,7 @@ fn main() {
         rows.push(Row {
             label,
             width,
-            dedup: dist.dedup_requests,
-            combine: dist.combine_assigns,
-            compress: dist.compress_ids,
-            in_flight: dist.combine_in_flight,
+            wire: dist.wire,
             overlap: dist.overlap,
             narrow: dist.narrow_labels,
             words_sent,
@@ -302,65 +214,38 @@ fn main() {
         });
     }
 
-    let naive_row = rows.iter().find(|r| r.label == "naive").expect("naive row");
-    let compacted = rows
-        .iter()
-        .find(|r| r.label == "naive+compaction")
-        .expect("compaction row");
-    let ratio = naive_row.alltoall_words as f64 / compacted.alltoall_words.max(1) as f64;
-    let sent_ratio = naive_row.words_sent as f64 / compacted.words_sent.max(1) as f64;
+    let row = |label: &str| {
+        rows.iter()
+            .find(|r| r.label == label)
+            .unwrap_or_else(|| panic!("{label} row"))
+    };
+    let legacy = row("legacy");
+    let opt32 = row("compact");
+    let ratio = legacy.alltoall_words as f64 / opt32.alltoall_words.max(1) as f64;
+    let sent_ratio = legacy.words_sent as f64 / opt32.words_sent.max(1) as f64;
     println!(
-        "all-to-all words: naive {} vs compacted {} ({ratio:.2}x); \
+        "all-to-all words: legacy {} vs compact {} ({ratio:.2}x, {} words merged in flight); \
          total sent {sent_ratio:.2}x",
-        naive_row.alltoall_words, compacted.alltoall_words
+        legacy.alltoall_words, opt32.alltoall_words, opt32.combined_words
     );
     assert!(
         ratio > 1.0,
-        "compaction must reduce all-to-all wire volume (got {ratio:.3}x)"
+        "the compact wire must reduce all-to-all volume (got {ratio:.3}x)"
     );
-    let combining = rows
-        .iter()
-        .find(|r| r.label == "naive+compaction+combining")
-        .expect("combining row");
-    let combining_ratio = compacted.alltoall_words as f64 / combining.alltoall_words.max(1) as f64;
-    println!(
-        "combining + fused starcheck: {} words vs sender-only {} \
-         ({combining_ratio:.2}x further reduction, {} words merged in flight)",
-        combining.alltoall_words, compacted.alltoall_words, combining.combined_words
-    );
-    // At the u64 word the combining route strictly beat sender-only
-    // compaction on alltoall words. At the default u32 word the payload
-    // halves while the hypercube's fixed per-hop pooling headers (charged
-    // conservatively, count phase included) do not, so at larger p the
-    // span-local margin can flip by a few percent even though duplicates
-    // still merge in flight and modeled time still improves. The gate is
-    // therefore strict improvement or near-parity (≤ 5%) with a nonzero
-    // in-flight merge volume.
-    assert!(
-        combining.alltoall_words < compacted.alltoall_words
-            || (combining.combined_words > 0
-                && (combining.alltoall_words as f64) < compacted.alltoall_words as f64 * 1.05),
-        "in-flight combining regressed sender-only compaction by > 5% \
-         ({} vs {})",
-        combining.alltoall_words,
-        compacted.alltoall_words
+    assert_eq!(
+        (legacy.words_saved, legacy.combined_words),
+        (0, 0),
+        "the legacy wire neither dedups nor combines"
     );
     assert!(
-        combining.combined_words > 0,
-        "cross-sender duplicates must merge at the hypercube hops"
+        opt32.words_saved > 0 && opt32.combined_words > 0,
+        "the compact wire must dedup at the sender and merge at the hops"
     );
 
-    // Narrow-word payoff: the same optimized run at u32 indices must
-    // put strictly fewer bytes on the wire than at u64 (word counts and
+    // Narrow-word payoff: the same compact run at u32 indices must put
+    // strictly fewer bytes on the wire than at u64 (word counts and
     // labels are identical by construction).
-    let opt64 = rows
-        .iter()
-        .find(|r| r.label == "optimized")
-        .expect("optimized row");
-    let opt32 = rows
-        .iter()
-        .find(|r| r.label == "optimized+u32")
-        .expect("optimized+u32 row");
+    let opt64 = row("compact+u64");
     let bytes_ratio = opt64.bytes_sent as f64 / opt32.bytes_sent.max(1) as f64;
     println!(
         "index width: u64 {} bytes vs u32 {} bytes ({bytes_ratio:.2}x reduction)",
@@ -374,10 +259,7 @@ fn main() {
     // Overlap payoff: non-blocking exchanges are a pure scheduling change
     // — same traffic, same trajectory, strictly (≥ 8%) lower modeled time
     // at the wide word where the bar was established.
-    let opt_overlap = rows
-        .iter()
-        .find(|r| r.label == "optimized+overlap")
-        .expect("optimized+overlap row");
+    let opt_overlap = row("compact+overlap");
     assert_eq!(
         opt_overlap.words_sent, opt64.words_sent,
         "overlap must not change the words on the wire"
@@ -397,28 +279,6 @@ fn main() {
         opt64.modeled_s * 1e3,
         opt_overlap.modeled_s * 1e3,
         overlap_reduction * 1e2
-    );
-    // The same lever at the narrow u32 word: identical traffic and
-    // strictly lower modeled time, but u32 exchanges leave less time to
-    // hide, so the bar is strict improvement rather than a percentage.
-    let opt_overlap32 = rows
-        .iter()
-        .find(|r| r.label == "optimized+u32+overlap")
-        .expect("optimized+u32+overlap row");
-    assert_eq!(
-        opt_overlap32.words_sent, opt32.words_sent,
-        "u32 overlap must not change the words on the wire"
-    );
-    assert_eq!(
-        opt_overlap32.iterations, opt32.iterations,
-        "u32 overlap must not change the iteration count"
-    );
-    assert!(
-        opt_overlap32.overlap_hidden_s > 0.0 && opt_overlap32.modeled_s < opt32.modeled_s,
-        "u32 overlap must hide exchange time and reduce modeled time \
-         ({:.3} ms vs {:.3} ms)",
-        opt_overlap32.modeled_s * 1e3,
-        opt32.modeled_s * 1e3
     );
     // The 8% bar is the acceptance criterion at the reference
     // configuration (scale >= 16, p >= 16); smaller smoke runs have
@@ -440,10 +300,7 @@ fn main() {
 
     // Narrowing payoff: probe-selected wire tiers change only the byte
     // encoding — same words, same iterations, strictly fewer bytes.
-    let opt_narrow = rows
-        .iter()
-        .find(|r| r.label == "optimized+u32+narrow")
-        .expect("optimized+u32+narrow row");
+    let opt_narrow = row("compact+narrow");
     assert_eq!(
         opt_narrow.words_sent, opt32.words_sent,
         "narrowing must not change the words on the wire"
@@ -480,9 +337,6 @@ fn main() {
         "  \"words_sent_reduction_vs_naive\": {sent_ratio:.3},\n"
     ));
     json.push_str(&format!(
-        "  \"alltoall_reduction_combining_vs_sender_only\": {combining_ratio:.3},\n"
-    ));
-    json.push_str(&format!(
         "  \"bytes_reduction_u32_vs_u64\": {bytes_ratio:.3},\n"
     ));
     json.push_str(&format!(
@@ -494,10 +348,8 @@ fn main() {
     json.push_str("  \"configs\": [\n");
     for (k, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"label\": \"{}\", \"width\": \"{}\", \"dedup_requests\": {}, \
-             \"combine_assigns\": {}, \
-             \"compress_ids\": {}, \"combine_in_flight\": {}, \"overlap\": {}, \
-             \"narrow_labels\": {}, \
+            "    {{\"label\": \"{}\", \"width\": \"{}\", \"wire\": \"{}\", \
+             \"overlap\": {}, \"narrow_labels\": {}, \
              \"words_sent\": {}, \"bytes_sent\": {}, \
              \"alltoall_words\": {}, \"words_saved\": {}, \"narrow_saved_bytes\": {}, \
              \"combined_words\": {}, \
@@ -505,10 +357,10 @@ fn main() {
              \"modeled_s\": {:.6}, \"iterations\": {}}}{}\n",
             r.label,
             r.width,
-            r.dedup,
-            r.combine,
-            r.compress,
-            r.in_flight,
+            match r.wire {
+                Wire::Legacy => "legacy",
+                Wire::Compact => "compact",
+            },
             r.overlap,
             r.narrow,
             r.words_sent,

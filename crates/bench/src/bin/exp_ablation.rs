@@ -7,12 +7,12 @@
 //! 2. **All-to-all algorithm**: pairwise-exchange vs hypercube vs sparse.
 //! 3. **Hot-rank broadcast**: on vs off, plus a sweep of the threshold h.
 //!
-//! Two comm-layer extensions are ablated the same way: sender-side
-//! compaction (dedup / combine / compress, each alone) and the in-flight
-//! combining stack (combining hypercube, fused starcheck, value RLE).
+//! The comm-layer extension on top — the compact wire format — is ablated
+//! the same way: one row runs the otherwise-default stack on the legacy
+//! wire.
 
 use dmsim::{AllToAll, EDISON};
-use gblas::dist::DistOpts;
+use gblas::dist::{DistOpts, Wire};
 use lacc::LaccOpts;
 use lacc_bench::*;
 use lacc_graph::generators::suite::by_name;
@@ -81,7 +81,7 @@ fn main() {
         "hot-rank broadcast off",
         LaccOpts {
             dist: DistOpts {
-                hot_bcast: false,
+                hot_threshold: f64::INFINITY,
                 ..DistOpts::default()
             },
             ..LaccOpts::default()
@@ -98,59 +98,20 @@ fn main() {
         run_cfg(&format!("hot threshold h = {h}"), opts);
     }
 
-    // 4. Sender-side compaction: all off, then each mechanism alone.
+    // 4. Wire format: the default stack on the legacy wire (no request
+    // dedup, no pre-combining, no in-flight combining, unfused starcheck).
     run_cfg(
-        "compaction off",
+        "wire = legacy",
         LaccOpts {
             dist: DistOpts {
-                dedup_requests: false,
-                combine_assigns: false,
-                compress_ids: false,
+                wire: Wire::Legacy,
                 ..DistOpts::default()
             },
             ..LaccOpts::default()
         },
     );
-    for (name, dedup, combine, compress) in [
-        ("compaction = dedup only", true, false, false),
-        ("compaction = combine only", false, true, false),
-        ("compaction = compress only", false, false, true),
-    ] {
-        let opts = LaccOpts {
-            dist: DistOpts {
-                dedup_requests: dedup,
-                combine_assigns: combine,
-                compress_ids: compress,
-                ..DistOpts::default()
-            },
-            ..LaccOpts::default()
-        };
-        run_cfg(name, opts);
-    }
 
-    // 5. In-flight combining: all off (sender-side compaction retained),
-    // then the combining stack layered back in. Fused starcheck rides on
-    // the combining route, so it only exists with `combine_in_flight`;
-    // value RLE also applies to the plain reply path and is ablated alone.
-    for (name, in_flight, fuse, rle) in [
-        ("combining off (sender-side only)", false, false, false),
-        ("combining = in-flight only", true, false, false),
-        ("combining = fused starcheck", true, true, false),
-        ("combining = value RLE only", false, false, true),
-    ] {
-        let opts = LaccOpts {
-            dist: DistOpts {
-                combine_in_flight: in_flight,
-                fuse_starcheck: fuse,
-                compress_values: rle,
-                ..DistOpts::default()
-            },
-            ..LaccOpts::default()
-        };
-        run_cfg(name, opts);
-    }
-
-    // 6. Index width at the fully optimized point: the modeled time is
+    // 5. Index width at the fully optimized point: the modeled time is
     // word-based and so identical; the rows make the iteration/label
     // equivalence visible next to every other knob.
     for (name, width) in [

@@ -78,7 +78,7 @@ fn main() {
                 permute: false,
                 cyclic_vectors: cyclic,
                 dist: gblas::dist::DistOpts {
-                    hot_bcast: hot,
+                    hot_threshold: if hot { 4.0 } else { f64::INFINITY },
                     ..gblas::dist::DistOpts::default()
                 },
                 ..LaccOpts::default()

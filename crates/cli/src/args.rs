@@ -54,6 +54,30 @@ impl Args {
     pub fn has_flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
     }
+
+    /// Rejects anything the subcommand does not understand: every
+    /// `--key value` must name one of `options` and every bare `--flag` one
+    /// of `flags`. The error names the offending token, so a typo or a
+    /// removed flag fails loudly instead of silently running the defaults.
+    pub fn expect_only(&self, options: &[&str], flags: &[&str]) -> Result<(), String> {
+        for key in self.options.keys() {
+            if flags.contains(&key.as_str()) {
+                return Err(format!("flag --{key} takes no value"));
+            }
+            if !options.contains(&key.as_str()) {
+                return Err(format!("unknown option --{key}"));
+            }
+        }
+        for flag in &self.flags {
+            if options.contains(&flag.as_str()) {
+                return Err(format!("option --{flag} needs a value"));
+            }
+            if !flags.contains(&flag.as_str()) {
+                return Err(format!("unknown option --{flag}"));
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -80,6 +104,24 @@ mod tests {
         assert!(a.get_or::<usize>("ranks", 0).is_ok());
         let bad = parse(&argv(&["--ranks", "xyz"]));
         assert!(bad.get_or::<usize>("ranks", 0).is_err());
+    }
+
+    #[test]
+    fn expect_only_names_the_offending_token() {
+        let a = parse(&argv(&["cc-dist", "g.mtx", "--ranks", "4", "--flat"]));
+        assert!(a.expect_only(&["ranks"], &["flat"]).is_ok());
+        let err = a.expect_only(&["rank"], &["flat"]).unwrap_err();
+        assert!(err.contains("--ranks"), "{err}");
+        let err = a.expect_only(&["ranks"], &[]).unwrap_err();
+        assert!(err.contains("--flat"), "{err}");
+        // A value-taking option with its value missing, and a bare flag
+        // that swallowed the next token, are errors too.
+        let a = parse(&argv(&["cc-dist", "g.mtx", "--ranks"]));
+        let err = a.expect_only(&["ranks"], &["flat"]).unwrap_err();
+        assert!(err.contains("--ranks needs a value"), "{err}");
+        let a = parse(&argv(&["cc-dist", "--flat", "g.mtx"]));
+        let err = a.expect_only(&["ranks"], &["flat"]).unwrap_err();
+        assert!(err.contains("--flat takes no value"), "{err}");
     }
 
     #[test]

@@ -15,10 +15,7 @@ pub const USAGE: &str = "usage:
   lacc cc       <graph> [--algo lacc|unionfind|bfs|sv|labelprop|fastsv|multistep] [--out labels.txt]
   lacc cc-dist  <graph> --ranks P [--machine edison|cori] [--flat]
                 [--kernel-threads T] [--spmv-threshold F]
-                [--dedup-requests true|false] [--combine-assigns true|false]
-                [--compress-ids true|false] [--bitmap-density F]
-                [--combine-in-flight true|false] [--fuse-starcheck true|false]
-                [--compress-values true|false] [--overlap true|false]
+                [--wire legacy|compact] [--overlap true|false]
                 [--narrow-labels true|false] [--index-width u32|u64]
                 [--engine lacc|fastsv|labelprop|auto] [--canonical]
                 [--out labels.txt]
@@ -40,15 +37,67 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         .positional
         .first()
         .ok_or_else(|| "no subcommand given".to_string())?;
-    match cmd.as_str() {
-        "stats" => cmd_stats(&args),
-        "cc" => cmd_cc(&args),
-        "cc-dist" => cmd_cc_dist(&args),
-        "serve" => cmd_serve(&args),
-        "generate" => cmd_generate(&args),
-        "convert" => cmd_convert(&args),
-        other => Err(format!("unknown subcommand: {other}")),
-    }
+    // Per-subcommand allow-lists (value-taking options, bare flags):
+    // anything else is an error rather than a silently ignored token.
+    type Cmd = fn(&Args) -> Result<(), String>;
+    let (run, options, flags): (Cmd, &[&str], &[&str]) = match cmd.as_str() {
+        "stats" => (cmd_stats, &[], &[]),
+        "cc" => (cmd_cc, &["algo", "out"], &[]),
+        "cc-dist" => (
+            cmd_cc_dist,
+            &[
+                "ranks",
+                "machine",
+                "kernel-threads",
+                "spmv-threshold",
+                "wire",
+                "overlap",
+                "narrow-labels",
+                "index-width",
+                "engine",
+                "out",
+                "trace",
+                "trace-level",
+            ],
+            &["flat", "canonical"],
+        ),
+        "serve" => (
+            cmd_serve,
+            &[
+                "ranks",
+                "machine",
+                "batches",
+                "batch-size",
+                "queries-per-batch",
+                "delete-every",
+                "staleness",
+                "engine",
+                "seed",
+                "report",
+                "trace",
+                "trace-level",
+            ],
+            &[],
+        ),
+        "generate" => (
+            cmd_generate,
+            &[
+                "n",
+                "seed",
+                "out",
+                "components",
+                "degree",
+                "scale",
+                "edge-factor",
+                "m",
+            ],
+            &[],
+        ),
+        "convert" => (cmd_convert, &[], &[]),
+        other => return Err(format!("unknown subcommand: {other}")),
+    };
+    args.expect_only(options, flags)?;
+    run(&args)
 }
 
 /// Loads an edge list from a path, choosing the format by extension.
@@ -174,16 +223,15 @@ fn cmd_cc_dist(args: &Args) -> Result<(), String> {
         // Input fill fraction above which mxv runs its SpMV-style kernel.
         .spmv_threshold(args.get_or("spmv-threshold", defaults.dist.spmv_threshold)?)
         .map_err(|e| e.to_string())?
-        // Sender-side compaction toggles (all on by default).
-        .dedup_requests(args.get_or("dedup-requests", defaults.dist.dedup_requests)?)
-        .combine_assigns(args.get_or("combine-assigns", defaults.dist.combine_assigns)?)
-        .compress_ids(args.get_or("compress-ids", defaults.dist.compress_ids)?)
-        .bitmap_density(args.get_or("bitmap-density", defaults.dist.compress_bitmap_density)?)
-        .map_err(|e| e.to_string())?
-        // In-flight combining stack (all on by default).
-        .combine_in_flight(args.get_or("combine-in-flight", defaults.dist.combine_in_flight)?)
-        .fuse_starcheck(args.get_or("fuse-starcheck", defaults.dist.fuse_starcheck)?)
-        .compress_values(args.get_or("compress-values", defaults.dist.compress_values)?)
+        // Wire format of the extract/assign exchanges: compact (default)
+        // or the unoptimized legacy format — bit-identical labels.
+        .wire(
+            args.options
+                .get("wire")
+                .map(|s| s.parse())
+                .transpose()?
+                .unwrap_or(defaults.dist.wire),
+        )
         // Non-blocking hot-path exchanges with compute/comm overlap credit
         // (bit-identical labels and traffic either way).
         .overlap(args.get_or("overlap", defaults.dist.overlap)?)
@@ -556,38 +604,7 @@ mod tests {
         ]))
         .unwrap();
         dispatch(&argv(&[
-            "cc-dist",
-            &bin,
-            "--ranks",
-            "4",
-            "--dedup-requests",
-            "false",
-            "--combine-assigns",
-            "false",
-            "--compress-ids",
-            "false",
-        ]))
-        .unwrap();
-        dispatch(&argv(&[
-            "cc-dist",
-            &bin,
-            "--ranks",
-            "4",
-            "--bitmap-density",
-            "0.5",
-        ]))
-        .unwrap();
-        dispatch(&argv(&[
-            "cc-dist",
-            &bin,
-            "--ranks",
-            "4",
-            "--combine-in-flight",
-            "false",
-            "--fuse-starcheck",
-            "false",
-            "--compress-values",
-            "false",
+            "cc-dist", &bin, "--ranks", "4", "--wire", "legacy",
         ]))
         .unwrap();
 
@@ -607,9 +624,7 @@ mod tests {
         assert!(dispatch(&argv(&["cc-dist", &p, "--kernel-threads", "zig"])).is_err());
         assert!(dispatch(&argv(&["cc-dist", &p, "--kernel-threads", "0"])).is_err());
         assert!(dispatch(&argv(&["cc-dist", &p, "--trace-level", "verbose"])).is_err());
-        assert!(dispatch(&argv(&["cc-dist", &p, "--bitmap-density", "1.5"])).is_err());
-        assert!(dispatch(&argv(&["cc-dist", &p, "--dedup-requests", "maybe"])).is_err());
-        assert!(dispatch(&argv(&["cc-dist", &p, "--combine-in-flight", "maybe"])).is_err());
+        assert!(dispatch(&argv(&["cc-dist", &p, "--wire", "zip"])).is_err());
         assert!(dispatch(&argv(&["cc-dist", &p, "--index-width", "u16"])).is_err());
     }
 
@@ -651,36 +666,42 @@ mod tests {
     }
 
     #[test]
-    fn cc_dist_labels_identical_with_combining_on_and_off() {
-        // The CI smoke check in miniature: the combining stack must not
-        // change a single output byte.
+    fn cc_dist_rejects_removed_and_misspelled_flags() {
+        let dir = std::env::temp_dir().join("lacc-cli-test13");
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = dir.join("t.el").display().to_string();
+        std::fs::write(&p, "0 1\n1 2\n").unwrap();
+        // A flag of the old lever lattice must not quietly run the defaults.
+        let err = dispatch(&argv(&["cc-dist", &p, "--combine-in-flight", "false"])).unwrap_err();
+        assert!(err.contains("--combine-in-flight"), "{err}");
+        // A typo of a live flag, with and without a value.
+        let err = dispatch(&argv(&["cc-dist", &p, "--rank", "4"])).unwrap_err();
+        assert!(err.contains("--rank"), "{err}");
+        let err = dispatch(&argv(&["cc-dist", &p, "--cannonical"])).unwrap_err();
+        assert!(err.contains("--cannonical"), "{err}");
+        // Other subcommands check too.
+        assert!(dispatch(&argv(&["cc", &p, "--algos", "lacc"])).is_err());
+        assert!(dispatch(&argv(&["stats", &p, "--verbose"])).is_err());
+    }
+
+    #[test]
+    fn cc_dist_labels_identical_across_wire_formats() {
+        // The CI smoke check in miniature: the wire format must not change
+        // a single output byte.
         let dir = std::env::temp_dir().join("lacc-cli-test6");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("t.el").display().to_string();
         std::fs::write(&p, "0 1\n1 2\n3 4\n5 6\n6 7\n").unwrap();
-        let on = dir.join("on.txt").display().to_string();
-        let off = dir.join("off.txt").display().to_string();
-        dispatch(&argv(&["cc-dist", &p, "--ranks", "4", "--out", &on])).unwrap();
-        dispatch(&argv(&[
-            "cc-dist",
-            &p,
-            "--ranks",
-            "4",
-            "--combine-in-flight",
-            "false",
-            "--fuse-starcheck",
-            "false",
-            "--compress-values",
-            "false",
-            "--out",
-            &off,
-        ]))
-        .unwrap();
-        assert_eq!(
-            std::fs::read(&on).unwrap(),
-            std::fs::read(&off).unwrap(),
-            "combining changed the labels"
-        );
+        let mut files = Vec::new();
+        for wire in ["legacy", "compact"] {
+            let out = dir.join(format!("{wire}.txt")).display().to_string();
+            dispatch(&argv(&[
+                "cc-dist", &p, "--ranks", "4", "--wire", wire, "--out", &out,
+            ]))
+            .unwrap();
+            files.push(std::fs::read(&out).unwrap());
+        }
+        assert_eq!(files[0], files[1], "the wire format changed the labels");
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! LACC is one point in a family of linear-algebraic CC algorithms. This
 //! module makes the algorithm a runtime choice over a shared SPMD context
 //! ([`EngineCtx`]: grid, vector layout, distributed matrix, [`LaccOpts`])
-//! so every engine inherits the full optimized `gblas::dist` stack —
-//! sender-side compaction, in-flight combining, tracing, narrow `Idx`
-//! indices — for free:
+//! so every engine inherits the full optimized `gblas::dist` stack — the
+//! compact wire format, overlap, tracing, narrow `Idx` indices — for free:
 //!
 //! * [`LaccEngine`] — the paper's Awerbuch–Shiloach formulation with
 //!   Lemma-1 converged-component retirement; fastest when the graph has
@@ -38,7 +37,7 @@ use dmsim::{Comm, EngineKind, Grid2d, SpanKind, WireWord};
 use gblas::dist::{
     dist_assign, dist_extract, dist_extract_planned, dist_mxv, dist_mxv_dense,
     dist_mxv_dense_start, dist_mxv_start, plan_requests, DistMask, DistMat, DistOpts, DistSpVec,
-    DistVec, FusedExtract, NarrowVal, VecLayout,
+    DistVec, FusedExtract, NarrowVal, VecLayout, Wire,
 };
 use gblas::{AndBool, MinUsize};
 use lacc_graph::permute::Permutation;
@@ -421,13 +420,13 @@ fn starcheck_dist<I: Idx + WireWord + NarrowVal>(
     // the owner bucketing (and dedup) is planned once and reused.
     let reqs: Vec<I> = local_active.iter().map(|&o| f.local()[o]).collect();
     let plan = plan_requests(comm, f.layout(), &reqs, dist_opts);
-    if dist_opts.combine_in_flight && dist_opts.fuse_starcheck {
+    if dist_opts.wire == Wire::Compact {
         // Fused: one combining request exchange serves both reply phases
         // (the route is replayed). The parent-star phase reads `star`
         // *after* the demote assign, exactly as the unfused pair does.
         let (fx, gfs) = comm.overlap_from(win, dist_opts.overlap, |c| {
-            let fx = FusedExtract::begin_narrow(c, &plan, dist_opts.narrow);
-            let gfs = fx.extract(c, f, &plan, dist_opts);
+            let fx = FusedExtract::begin(c, &plan);
+            let gfs = fx.extract(c, f, &plan);
             (fx, gfs)
         });
         let mut demote: Vec<(I, bool)> = Vec::new();
@@ -439,7 +438,7 @@ fn starcheck_dist<I: Idx + WireWord + NarrowVal>(
         }
         comm.charge_compute(local_active.len() as u64 + 1);
         dist_assign(comm, star, &demote, AndBool, dist_opts);
-        let parent_star = fx.extract(comm, star, &plan, dist_opts);
+        let parent_star = fx.extract(comm, star, &plan);
         for (&o, &ps) in local_active.iter().zip(&parent_star) {
             star.local_mut()[o] = star.local_mut()[o] && ps;
         }
@@ -498,15 +497,14 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
         // zero-change iteration proves a fixpoint only if the previous
         // shortcut changed nothing (the star vector was fresh).
         let mut prev_shortcut_changed = 0u64;
-        // Label-range narrowing: `dopts.narrow` carries the wire tier the
-        // planner picked for the upcoming iteration's exchanges. Iteration
-        // 1 is seeded for free from the identity labeling; later
-        // iterations re-plan from the probe piggybacked on the
-        // convergence allreduce.
-        let planner = NarrowPlanner::new(&opts.dist);
-        let mut dopts = opts.dist;
+        // Label-range narrowing: the planner installs on the communicator
+        // the wire tier for the upcoming iteration's exchanges. Iteration 1
+        // is seeded for free from the identity labeling; later iterations
+        // re-plan from the probe piggybacked on the convergence allreduce.
+        let dopts = &opts.dist;
+        let planner = NarrowPlanner::new(dopts);
         let seed = planner.seed_probe(n);
-        dopts.narrow = planner.plan(ctx.comm, &world, seed[0], seed[1], false, f.local());
+        planner.plan(ctx.comm, &world, seed[0], seed[1], false, f.local());
 
         for _iteration in 1..=opts.max_iters {
             let mut rec = EngineIter {
@@ -546,7 +544,7 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
                     &pairs,
                     DistMask::Keep(&mask_vec),
                     gblas::MinMaxUsize,
-                    &dopts,
+                    dopts,
                 )
             } else {
                 let entries: Vec<(I, (I, I))> = active
@@ -565,7 +563,7 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
                     &x,
                     DistMask::Keep(&mask_vec),
                     gblas::MinMaxUsize,
-                    &dopts,
+                    dopts,
                 )
             };
             // Lemma-1 candidates (active stars) and their extract plan
@@ -577,7 +575,7 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
                     .collect();
                 let reqs: Vec<I> = candidates.iter().map(|&o| f.local()[o]).collect();
                 ctx.comm.charge_compute(chunk_len as u64 + 1);
-                let plan = plan_requests(ctx.comm, layout, &reqs, &dopts);
+                let plan = plan_requests(ctx.comm, layout, &reqs, dopts);
                 (candidates, plan)
             });
             let q: DistSpVec<(I, I), I> = qh.wait(ctx.comm);
@@ -597,8 +595,8 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
                     })
                     .map(|&(v, _)| (f.get_local(v.idx()), false))
                     .collect();
-                dist_assign(ctx.comm, &mut root_quiet, &demote, AndBool, &dopts);
-                let (flags, st) = dist_extract_planned(ctx.comm, &root_quiet, plan, &dopts);
+                dist_assign(ctx.comm, &mut root_quiet, &demote, AndBool, dopts);
+                let (flags, st) = dist_extract_planned(ctx.comm, &root_quiet, plan, dopts);
                 rec.extract_received += st.received_requests;
                 for (&o, &quiet) in candidates.iter().zip(&flags) {
                     if quiet {
@@ -620,11 +618,11 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
                     (fv, lo.min(fv))
                 })
                 .collect();
-            rec.cond_changed = dist_assign(ctx.comm, &mut f, &updates, MinUsize, &dopts).0 as u64;
+            rec.cond_changed = dist_assign(ctx.comm, &mut f, &updates, MinUsize, dopts).0 as u64;
             rec.modeled.cond_s += ctx.comm.span_close(span);
 
             let span = ctx.comm.span_open(SpanKind::Starcheck);
-            rec.extract_received += starcheck_dist(ctx.comm, &f, &mut star, &active, &dopts);
+            rec.extract_received += starcheck_dist(ctx.comm, &f, &mut star, &active, dopts);
             rec.modeled.starcheck_s += ctx.comm.span_close(span);
 
             // --- Step 2: unconditional hooking ---
@@ -649,19 +647,18 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
             };
             ctx.comm.charge_compute(2 * chunk_len as u64 + 1);
             let fn2 = ctx.comm.overlap_from(win, dopts.overlap, |c| {
-                dist_mxv(c, &ctx.a, &x, DistMask::Keep(&mask_vec2), MinUsize, &dopts)
+                dist_mxv(c, &ctx.a, &x, DistMask::Keep(&mask_vec2), MinUsize, dopts)
             });
             let updates2: Vec<(I, I)> = fn2
                 .entries()
                 .iter()
                 .map(|&(v, m)| (f.get_local(v.idx()), m))
                 .collect();
-            rec.uncond_changed =
-                dist_assign(ctx.comm, &mut f, &updates2, MinUsize, &dopts).0 as u64;
+            rec.uncond_changed = dist_assign(ctx.comm, &mut f, &updates2, MinUsize, dopts).0 as u64;
             rec.modeled.uncond_s += ctx.comm.span_close(span);
 
             let span = ctx.comm.span_open(SpanKind::Starcheck);
-            rec.extract_received += starcheck_dist(ctx.comm, &f, &mut star, &active, &dopts);
+            rec.extract_received += starcheck_dist(ctx.comm, &f, &mut star, &active, dopts);
             rec.modeled.starcheck_s += ctx.comm.span_close(span);
 
             // --- Step 3: shortcutting (active nonstars) ---
@@ -676,7 +673,7 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
             ctx.comm.charge_compute(chunk_len as u64 + 1);
             let (gfs, st) = ctx
                 .comm
-                .overlap_from(win, dopts.overlap, |c| dist_extract(c, &f, &reqs, &dopts));
+                .overlap_from(win, dopts.overlap, |c| dist_extract(c, &f, &reqs, dopts));
             rec.extract_received += st.received_requests;
             for (&o, &gf) in targets.iter().zip(&gfs) {
                 if f.local()[o] != gf {
@@ -727,7 +724,7 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
             // Plan the next iteration's wire tier; a shortcut that moved
             // labels invalidates the dictionary (stale dense ranks still
             // decode, they just stop being tight).
-            dopts.narrow = planner.plan(
+            planner.plan(
                 ctx.comm,
                 &world,
                 global[4],
@@ -795,10 +792,10 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for FastsvEngine {
         // labeling and refreshed off the convergence allreduce (see the
         // LACC engine). `gf` values are always current-or-earlier `f`
         // values, so one f-probe covers both exchanged vectors.
-        let planner = NarrowPlanner::new(&opts.dist);
-        let mut dopts = opts.dist;
+        let dopts = &opts.dist;
+        let planner = NarrowPlanner::new(dopts);
         let seed = planner.seed_probe(n);
-        dopts.narrow = planner.plan(ctx.comm, &world, seed[0], seed[1], false, f.local());
+        planner.plan(ctx.comm, &world, seed[0], seed[1], false, f.local());
         loop {
             assert!(iters.len() < max_rounds, "FastSV did not converge");
             let mut rec = EngineIter {
@@ -811,7 +808,7 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for FastsvEngine {
             // hooking f[f[u]] ← min(f[f[u]], fn[u]).
             let span = ctx.comm.span_open(SpanKind::CondHook);
             let fn_vec: DistSpVec<I, I> =
-                dist_mxv_dense(ctx.comm, &ctx.a, &gf, DistMask::None, MinUsize, &dopts);
+                dist_mxv_dense(ctx.comm, &ctx.a, &gf, DistMask::None, MinUsize, dopts);
             let hooks: Vec<(I, I)> = fn_vec
                 .entries()
                 .iter()
@@ -820,7 +817,7 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for FastsvEngine {
                     (fu, m.min(fu))
                 })
                 .collect();
-            rec.cond_changed = dist_assign(ctx.comm, &mut f, &hooks, MinUsize, &dopts).0 as u64;
+            rec.cond_changed = dist_assign(ctx.comm, &mut f, &hooks, MinUsize, dopts).0 as u64;
             rec.modeled.cond_s += ctx.comm.span_close(span);
 
             // The grandparent-refresh exchange below pipelines behind the
@@ -857,9 +854,9 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for FastsvEngine {
             // extract (requests dedup + combine like every other gather).
             let span = ctx.comm.span_open(SpanKind::Starcheck);
             let reqs: Vec<I> = f.local().to_vec();
-            let plan = plan_requests(ctx.comm, f.layout(), &reqs, &dopts);
+            let plan = plan_requests(ctx.comm, f.layout(), &reqs, dopts);
             let (new_gf, st) = ctx.comm.overlap_from(win, dopts.overlap, |c| {
-                dist_extract_planned(c, &f, &plan, &dopts)
+                dist_extract_planned(c, &f, &plan, dopts)
             });
             rec.extract_received += st.received_requests;
             let mut gf_changed = 0u64;
@@ -904,7 +901,7 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for FastsvEngine {
             if done {
                 break;
             }
-            dopts.narrow = planner.plan(
+            planner.plan(
                 ctx.comm,
                 &world,
                 global[4],
@@ -961,10 +958,10 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LabelPropEngine {
         // Narrowing plan for the upcoming round (seed free from identity
         // labels, refreshed off the scalar convergence allreduce widened
         // to three words — on and off alike, so words stay identical).
-        let planner = NarrowPlanner::new(&opts.dist);
-        let mut dopts = opts.dist;
+        let dopts = &opts.dist;
+        let planner = NarrowPlanner::new(dopts);
         let seed = planner.seed_probe(n);
-        dopts.narrow = planner.plan(ctx.comm, &world, seed[0], seed[1], false, f.local());
+        planner.plan(ctx.comm, &world, seed[0], seed[1], false, f.local());
         loop {
             // The true bound is the diameter (< n); `max_iters` is a
             // safety knob for LACC's O(log n) trajectory and would be a
@@ -977,7 +974,7 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LabelPropEngine {
             };
             let span = ctx.comm.span_open(SpanKind::CondHook);
             let fn_vec: DistSpVec<I, I> =
-                dist_mxv_dense(ctx.comm, &ctx.a, &f, DistMask::None, MinUsize, &dopts);
+                dist_mxv_dense(ctx.comm, &ctx.a, &f, DistMask::None, MinUsize, dopts);
             let mut changed = 0u64;
             for &(u, m) in fn_vec.entries() {
                 if m < f.get_local(u.idx()) {
@@ -1004,8 +1001,7 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LabelPropEngine {
             // Any label movement invalidates the dictionary for tightness
             // (the new minima are still contained, so a stale dictionary
             // would decode fine — it just stops being dense-ranked).
-            dopts.narrow =
-                planner.plan(ctx.comm, &world, merged[1], merged[2], total > 0, f.local());
+            planner.plan(ctx.comm, &world, merged[1], merged[2], total > 0, f.local());
         }
         let labels: Vec<Vid> = f.to_global(ctx.comm).into_iter().map(|l| l.idx()).collect();
         EngineRun {

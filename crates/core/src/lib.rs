@@ -49,6 +49,7 @@ pub use engine::{
     caps_for, choose_engine, engine_for, CcEngine, EngineCaps, EngineCtx, EngineIter, EngineRun,
     EngineSelect, FastsvEngine, LabelPropEngine, LaccEngine,
 };
+pub use gblas::dist::Wire;
 pub use narrow::NarrowPlanner;
 pub use options::{IndexWidth, LaccOpts, LaccOptsBuilder, OptsError};
 pub use serial::lacc_serial;

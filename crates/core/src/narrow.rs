@@ -6,7 +6,8 @@
 //! (max-merged) and the local distinct-label count (sum-merged, an upper
 //! bound on the global survivor count) — so the range measurement costs
 //! **no extra collective**. From the merged probe, [`NarrowPlanner::plan`]
-//! picks the wire tier for the *next* iteration's exchanges:
+//! picks the wire tier for the *next* iteration's exchanges and installs
+//! it on the rank's [`Comm`], where every `gblas::dist` primitive reads it:
 //!
 //! * every label word below [`DistOpts::narrow_u16_max`] → raw
 //!   [`NarrowTier::U16`] (2 bytes per label, no setup);
@@ -37,9 +38,9 @@ use lacc_graph::Idx;
 
 /// Per-run narrowing state: the knobs copied out of [`DistOpts`] plus
 /// the probe/plan methods the engine loops call. The planner itself is
-/// stateless across iterations — the installed dictionary lives on the
-/// [`Comm`] (so the wire codecs can reach it) and the tier rides
-/// `DistOpts::narrow` into the primitives.
+/// stateless across iterations — the installed dictionary and the active
+/// tier both live on the [`Comm`], where the wire codecs and the
+/// primitives reach them.
 #[derive(Clone, Copy, Debug)]
 pub struct NarrowPlanner {
     enabled: bool,
@@ -57,8 +58,8 @@ impl NarrowPlanner {
         }
     }
 
-    /// Whether narrowing is on at all (`[0, 0]` probes and
-    /// [`NarrowSpec::NATIVE`] plans otherwise).
+    /// Whether narrowing is on at all (`[0, 0]` probes otherwise, and
+    /// [`NarrowPlanner::plan`] leaves the `Comm` at [`NarrowSpec::NATIVE`]).
     pub fn enabled(&self) -> bool {
         self.enabled
     }
@@ -86,8 +87,9 @@ impl NarrowPlanner {
         [words.last().copied().unwrap_or(0), words.len() as u64]
     }
 
-    /// Picks the wire tier for the next iteration from the merged probe
-    /// and maintains the dictionary lifetime: `invalidate_dict` (the
+    /// Picks the wire tier for the next iteration from the merged probe,
+    /// installs it on `comm` ([`Comm::set_narrow_spec`]) and maintains the
+    /// dictionary lifetime: `invalidate_dict` (the
     /// global shortcut-moved-labels signal) drops the installed
     /// dictionary first, and entering the dictionary tier without one
     /// installed builds it from everyone's surviving labels via a
@@ -103,9 +105,9 @@ impl NarrowPlanner {
         global_distinct: u64,
         invalidate_dict: bool,
         labels: &[I],
-    ) -> NarrowSpec {
+    ) {
         if !self.enabled {
-            return NarrowSpec::NATIVE;
+            return;
         }
         if invalidate_dict {
             comm.invalidate_narrow_dict();
@@ -125,7 +127,7 @@ impl NarrowPlanner {
         };
         let span = comm.span_open(SpanKind::Narrow(tier));
         comm.span_close(span);
-        NarrowSpec { tier }
+        comm.set_narrow_spec(NarrowSpec { tier });
     }
 }
 
@@ -199,7 +201,8 @@ mod tests {
             let labels: Vec<usize> = vec![1, 2, 3];
             let probe = planner.local_probe(c, &labels);
             assert_eq!(probe, [0, 0]);
-            planner.plan(c, &world, 7, 3, false, &labels).tier
+            planner.plan(c, &world, 7, 3, false, &labels);
+            c.narrow_spec().tier
         })
         .unwrap();
         assert!(specs.iter().all(|&t| t == NarrowTier::Native));
@@ -216,17 +219,20 @@ mod tests {
         let tiers = run_spmd(2, move |c| {
             let world = c.world();
             let labels: Vec<usize> = vec![100, 200, 300];
+            let mut plan = |max, distinct, invalidate| {
+                planner.plan(c, &world, max, distinct, invalidate, &labels);
+                (c.narrow_spec().tier, c.narrow_dict())
+            };
             // Max below the u16 bound: raw u16, no dictionary needed.
-            let a = planner.plan(c, &world, 15, 3, false, &labels).tier;
-            assert!(c.narrow_dict().is_none());
+            let (a, dict) = plan(15, 3, false);
+            assert!(dict.is_none());
             // Max too wide but few survivors: builds + installs the dict.
-            let b = planner.plan(c, &world, 300, 3, false, &labels).tier;
-            let dict = c.narrow_dict().expect("dictionary installed");
-            assert_eq!(dict.len(), 3);
+            let (b, dict) = plan(300, 3, false);
+            assert_eq!(dict.expect("dictionary installed").len(), 3);
             // Reused while valid (no rebuild even at higher distinct).
-            let b2 = planner.plan(c, &world, 300, 100, false, &labels).tier;
+            let (b2, _) = plan(300, 100, false);
             // Shortcut invalidation + too many survivors: back to native.
-            let d = planner.plan(c, &world, 300, 100, true, &labels).tier;
+            let (d, _) = plan(300, 100, true);
             assert!(c.narrow_dict().is_none());
             (a, b, b2, d)
         })

@@ -8,7 +8,7 @@
 
 use crate::engine::EngineSelect;
 use dmsim::AllToAll;
-use gblas::dist::DistOpts;
+use gblas::dist::{DistOpts, Wire};
 
 /// Storage width for vertex indices and parent labels across the
 /// distributed stack: graph blocks, parent/star vectors, and every wire
@@ -288,12 +288,6 @@ impl LaccOptsBuilder {
         self
     }
 
-    /// Enables or disables the hot-rank broadcast fallback.
-    pub fn hot_bcast(mut self, on: bool) -> Self {
-        self.opts.dist.hot_bcast = on;
-        self
-    }
-
     /// Applies (or skips) the load-balancing random permutation.
     pub fn permute(mut self, on: bool) -> Self {
         self.opts.permute = on;
@@ -326,41 +320,10 @@ impl LaccOptsBuilder {
         self
     }
 
-    /// Enables or disables sender-side request dedup in `extract`.
-    pub fn dedup_requests(mut self, on: bool) -> Self {
-        self.opts.dist.dedup_requests = on;
-        self
-    }
-
-    /// Enables or disables sender-side monoid pre-combining in `assign`.
-    pub fn combine_assigns(mut self, on: bool) -> Self {
-        self.opts.dist.combine_assigns = on;
-        self
-    }
-
-    /// Enables or disables delta/bitmap compression of exchanged id lists.
-    pub fn compress_ids(mut self, on: bool) -> Self {
-        self.opts.dist.compress_ids = on;
-        self
-    }
-
-    /// Enables or disables in-flight combining: `extract`/`assign`
-    /// traffic merges cross-rank duplicates at the hypercube hops.
-    pub fn combine_in_flight(mut self, on: bool) -> Self {
-        self.opts.dist.combine_in_flight = on;
-        self
-    }
-
-    /// Enables or disables fusing starcheck's two extracts into one
-    /// combining exchange (effective only with `combine_in_flight`).
-    pub fn fuse_starcheck(mut self, on: bool) -> Self {
-        self.opts.dist.fuse_starcheck = on;
-        self
-    }
-
-    /// Enables or disables run-length encoding of exchanged value streams.
-    pub fn compress_values(mut self, on: bool) -> Self {
-        self.opts.dist.compress_values = on;
+    /// Selects the wire format of the `extract`/`assign` exchanges (see
+    /// [`gblas::dist::Wire`]).
+    pub fn wire(mut self, wire: Wire) -> Self {
+        self.opts.dist.wire = wire;
         self
     }
 
@@ -385,31 +348,6 @@ impl LaccOptsBuilder {
         self
     }
 
-    /// Unique-offsets-per-span density at or above which a compressed
-    /// bucket may use the bitmap encoding. Must be a finite value in
-    /// `0.0..=1.0` (`0.0` always allows the bitmap, `1.0` effectively
-    /// forces delta encoding except for fully contiguous buckets).
-    pub fn bitmap_density(mut self, d: f64) -> Result<Self, OptsError> {
-        if !d.is_finite() || !(0.0..=1.0).contains(&d) {
-            return Err(OptsError::new(
-                "bitmap-density",
-                format!("{d} is not in 0.0..=1.0"),
-            ));
-        }
-        self.opts.dist.compress_bitmap_density = d;
-        Ok(self)
-    }
-
-    /// Request-bucket length at or above which dedup switches from
-    /// sort-and-dedup to the hash-set path. Must be at least 1.
-    pub fn dedup_hash_threshold(mut self, k: usize) -> Result<Self, OptsError> {
-        if k == 0 {
-            return Err(OptsError::new("dedup-hash-threshold", "must be at least 1"));
-        }
-        self.opts.dist.dedup_hash_threshold = k;
-        Ok(self)
-    }
-
     /// Finishes the builder. Infallible: every fallible setter already
     /// validated its value.
     pub fn build(self) -> LaccOpts {
@@ -425,7 +363,8 @@ mod tests {
     fn default_is_fully_optimized() {
         let o = LaccOpts::default();
         assert!(o.use_sparsity);
-        assert!(o.dist.hot_bcast);
+        assert_eq!(o.dist.wire, Wire::Compact);
+        assert!(o.dist.hot_threshold.is_finite());
     }
 
     #[test]
@@ -439,7 +378,7 @@ mod tests {
     fn naive_comm_keeps_sparsity() {
         let o = LaccOpts::naive_comm();
         assert!(o.use_sparsity);
-        assert!(!o.dist.hot_bcast);
+        assert_eq!(o.dist.hot_threshold, f64::INFINITY);
     }
 
     #[test]
@@ -472,23 +411,13 @@ mod tests {
             .hot_threshold(2.0)
             .unwrap()
             .alltoall(AllToAll::Pairwise)
-            .hot_bcast(false)
             .permute(false)
             .permute_seed(7)
             .cyclic_vectors(true)
             .engine(EngineSelect::Fastsv)
-            .dedup_requests(false)
-            .combine_assigns(false)
-            .compress_ids(false)
-            .combine_in_flight(false)
-            .fuse_starcheck(false)
-            .compress_values(false)
+            .wire(Wire::Legacy)
             .overlap(false)
             .narrow_labels(false)
-            .bitmap_density(0.125)
-            .unwrap()
-            .dedup_hash_threshold(512)
-            .unwrap()
             .build();
         assert!(!o.use_sparsity);
         assert_eq!(o.dense_threshold, 0.25);
@@ -497,21 +426,13 @@ mod tests {
         assert_eq!(o.max_iters, 10);
         assert_eq!(o.dist.hot_threshold, 2.0);
         assert_eq!(o.dist.alltoall, AllToAll::Pairwise);
-        assert!(!o.dist.hot_bcast);
         assert!(!o.permute);
         assert_eq!(o.permute_seed, 7);
         assert!(o.cyclic_vectors);
         assert_eq!(o.engine, EngineSelect::Fastsv);
-        assert!(!o.dist.dedup_requests);
-        assert!(!o.dist.combine_assigns);
-        assert!(!o.dist.compress_ids);
-        assert!(!o.dist.combine_in_flight);
-        assert!(!o.dist.fuse_starcheck);
-        assert!(!o.dist.compress_values);
+        assert_eq!(o.dist.wire, Wire::Legacy);
         assert!(!o.dist.overlap);
         assert!(!o.dist.narrow_labels);
-        assert_eq!(o.dist.compress_bitmap_density, 0.125);
-        assert_eq!(o.dist.dedup_hash_threshold, 512);
     }
 
     #[test]
@@ -531,19 +452,6 @@ mod tests {
         assert!(LaccOpts::builder().hot_threshold(f64::INFINITY).is_ok());
         let err = LaccOpts::builder().max_iters(0).unwrap_err();
         assert_eq!(err.to_string(), "invalid max-iters: must be at least 1");
-        assert_eq!(
-            LaccOpts::builder().bitmap_density(1.5).unwrap_err().field(),
-            "bitmap-density"
-        );
-        assert!(LaccOpts::builder().bitmap_density(-0.1).is_err());
-        assert!(LaccOpts::builder().bitmap_density(f64::NAN).is_err());
-        assert_eq!(
-            LaccOpts::builder()
-                .dedup_hash_threshold(0)
-                .unwrap_err()
-                .field(),
-            "dedup-hash-threshold"
-        );
     }
 
     #[test]
@@ -566,22 +474,15 @@ mod tests {
     }
 
     #[test]
-    fn naive_comm_disables_compaction() {
+    fn naive_comm_is_legacy_blocking_and_native_width() {
         let o = LaccOpts::naive_comm();
-        assert!(!o.dist.dedup_requests);
-        assert!(!o.dist.combine_assigns);
-        assert!(!o.dist.compress_ids);
-        assert!(!o.dist.combine_in_flight);
-        assert!(!o.dist.fuse_starcheck);
-        assert!(!o.dist.compress_values);
+        assert_eq!(o.dist.wire, Wire::Legacy);
         assert!(!o.dist.overlap, "naive baseline runs strictly blocking");
         assert!(
             !o.dist.narrow_labels,
             "naive baseline ships native-width labels"
         );
         let d = LaccOpts::default();
-        assert!(d.dist.dedup_requests && d.dist.combine_assigns && d.dist.compress_ids);
-        assert!(d.dist.combine_in_flight && d.dist.fuse_starcheck && d.dist.compress_values);
         assert!(d.dist.overlap, "overlap is part of the optimized default");
         assert!(
             d.dist.narrow_labels,

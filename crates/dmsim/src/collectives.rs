@@ -26,7 +26,7 @@
 
 use crate::comm::{bytes_of, words_of, Comm, CommHandle, Group, PooledBuf};
 use crate::trace::SpanKind;
-use crate::wire::{self, NarrowSpec, WireWord};
+use crate::wire::{self, WireWord};
 
 /// Algorithm choice for [`Comm::alltoallv`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,6 +69,30 @@ pub struct FramedBlock {
     pub items: u64,
     /// The encoded stream actually shipped (counted in `bytes_sent`).
     pub bytes: Vec<u8>,
+}
+
+/// What the all-to-all algorithms need to know about a bucket: typed
+/// vectors and [`FramedBlock`]s run the same message pattern and differ
+/// only in what a bucket counts as and how it is charged.
+trait Bucket: Default + Send + 'static {
+    /// `(logical items, words charged to β, bytes shipped)`.
+    fn load(&self) -> (u64, u64, u64);
+}
+
+impl<T: Send + 'static> Bucket for Vec<T> {
+    fn load(&self) -> (u64, u64, u64) {
+        (
+            self.len() as u64,
+            words_of::<T>(self.len()),
+            bytes_of::<T>(self.len()),
+        )
+    }
+}
+
+impl Bucket for FramedBlock {
+    fn load(&self) -> (u64, u64, u64) {
+        (self.items, self.legacy_words, self.bytes.len() as u64)
+    }
 }
 
 impl Comm {
@@ -333,6 +357,28 @@ impl Comm {
         bufs: Vec<Vec<T>>,
         algo: AllToAll,
     ) -> Vec<Vec<T>> {
+        self.alltoallv_buckets(g, bufs, algo)
+    }
+
+    /// [`Comm::alltoallv`] over pre-encoded byte buckets: the same
+    /// algorithm, message for message, but each bucket ships its encoded
+    /// stream while charging β at [`FramedBlock::legacy_words`], and the
+    /// sparse variant's count phase and empty-bucket gates run on
+    /// [`FramedBlock::items`], matching the legacy element-count gates.
+    pub fn alltoallv_framed(
+        &mut self,
+        g: &Group,
+        bufs: Vec<FramedBlock>,
+        algo: AllToAll,
+    ) -> Vec<Vec<u8>> {
+        let out = self.alltoallv_buckets(g, bufs, algo);
+        out.into_iter().map(|b| b.bytes).collect()
+    }
+
+    /// The one all-to-all implementation behind [`Comm::alltoallv`] and
+    /// [`Comm::alltoallv_framed`]; every charge and gate goes through
+    /// [`Bucket::load`].
+    fn alltoallv_buckets<B: Bucket>(&mut self, g: &Group, bufs: Vec<B>, algo: AllToAll) -> Vec<B> {
         let q = g.size();
         assert_eq!(bufs.len(), q, "one bucket per group member");
         if q == 1 {
@@ -365,19 +411,19 @@ impl Comm {
         out
     }
 
-    fn alltoallv_direct<T: Send + 'static>(
-        &mut self,
-        g: &Group,
-        mut bufs: Vec<Vec<T>>,
-    ) -> Vec<Vec<T>> {
+    /// Sends one bucket, charged per its [`Bucket::load`].
+    fn send_bucket<B: Bucket>(&mut self, dest: usize, bucket: B) {
+        let (_, w, b) = bucket.load();
+        self.send_counted_bytes(dest, bucket, w, b);
+    }
+
+    fn alltoallv_direct<B: Bucket>(&mut self, g: &Group, mut bufs: Vec<B>) -> Vec<B> {
         let q = g.size();
         let me = g.my_index();
         for k in 0..q {
             if k != me {
-                let buf = std::mem::take(&mut bufs[k]);
-                let w = words_of::<T>(buf.len());
-                let b = bytes_of::<T>(buf.len());
-                self.send_counted_bytes(g.member(k), buf, w, b);
+                let bucket = std::mem::take(&mut bufs[k]);
+                self.send_bucket(g.member(k), bucket);
             }
         }
         (0..q)
@@ -385,29 +431,23 @@ impl Comm {
                 if k == me {
                     std::mem::take(&mut bufs[me])
                 } else {
-                    self.recv::<Vec<T>>(g.member(k))
+                    self.recv::<B>(g.member(k))
                 }
             })
             .collect()
     }
 
-    fn alltoallv_pairwise<T: Send + 'static>(
-        &mut self,
-        g: &Group,
-        mut bufs: Vec<Vec<T>>,
-    ) -> Vec<Vec<T>> {
+    fn alltoallv_pairwise<B: Bucket>(&mut self, g: &Group, mut bufs: Vec<B>) -> Vec<B> {
         let q = g.size();
         let me = g.my_index();
-        let mut result: Vec<Option<Vec<T>>> = (0..q).map(|_| None).collect();
+        let mut result: Vec<Option<B>> = (0..q).map(|_| None).collect();
         result[me] = Some(std::mem::take(&mut bufs[me]));
         for round in 1..q {
             let to = (me + round) % q;
             let from = (me + q - round) % q;
-            let buf = std::mem::take(&mut bufs[to]);
-            let w = words_of::<T>(buf.len());
-            let b = bytes_of::<T>(buf.len());
-            self.send_counted_bytes(g.member(to), buf, w, b);
-            result[from] = Some(self.recv::<Vec<T>>(g.member(from)));
+            let bucket = std::mem::take(&mut bufs[to]);
+            self.send_bucket(g.member(to), bucket);
+            result[from] = Some(self.recv::<B>(g.member(from)));
         }
         result
             .into_iter()
@@ -415,22 +455,18 @@ impl Comm {
             .collect()
     }
 
-    fn alltoallv_hypercube<T: Send + 'static>(
-        &mut self,
-        g: &Group,
-        mut bufs: Vec<Vec<T>>,
-    ) -> Vec<Vec<T>> {
+    fn alltoallv_hypercube<B: Bucket>(&mut self, g: &Group, mut bufs: Vec<B>) -> Vec<B> {
         let q = g.size();
         let me = g.my_index();
         debug_assert!(q.is_power_of_two());
-        let mut result: Vec<Option<Vec<T>>> = (0..q).map(|_| None).collect();
+        let mut result: Vec<Option<B>> = (0..q).map(|_| None).collect();
         result[me] = Some(std::mem::take(&mut bufs[me]));
-        // Pool of in-flight buckets: (origin, destination, items).
-        let mut pool: Vec<(u32, u32, Vec<T>)> = bufs
+        // Pool of in-flight buckets: (origin, destination, bucket).
+        let mut pool: Vec<(u32, u32, B)> = bufs
             .into_iter()
             .enumerate()
             .filter(|(k, _)| *k != me)
-            .map(|(k, items)| (me as u32, k as u32, items))
+            .map(|(k, bucket)| (me as u32, k as u32, bucket))
             .collect();
         let rounds = q.trailing_zeros();
         for bit_idx in 0..rounds {
@@ -441,23 +477,22 @@ impl Comm {
             let (send_pool, keep): (Vec<_>, Vec<_>) = pool
                 .into_iter()
                 .partition(|&(_, dest, _)| (dest as usize) & bit != me & bit);
-            let w: u64 = send_pool
-                .iter()
-                .map(|(_, _, items)| 2 + words_of::<T>(items.len()))
-                .sum();
-            let b: u64 = send_pool
-                .iter()
-                .map(|(_, _, items)| 16 + bytes_of::<T>(items.len()))
-                .sum();
+            // Each forwarded bucket pays a 2-word / 16-byte routing header.
+            let (mut w, mut b) = (0u64, 0u64);
+            for (_, _, bucket) in &send_pool {
+                let (_, bw, bb) = bucket.load();
+                w += 2 + bw;
+                b += 16 + bb;
+            }
             self.send_counted_bytes(g.member(partner), send_pool, w, b);
             pool = keep;
-            let incoming: Vec<(u32, u32, Vec<T>)> = self.recv(g.member(partner));
-            for (origin, dest, items) in incoming {
+            let incoming: Vec<(u32, u32, B)> = self.recv(g.member(partner));
+            for (origin, dest, bucket) in incoming {
                 if dest as usize == me {
                     debug_assert!(result[origin as usize].is_none());
-                    result[origin as usize] = Some(items);
+                    result[origin as usize] = Some(bucket);
                 } else {
-                    pool.push((origin, dest, items));
+                    pool.push((origin, dest, bucket));
                 }
             }
         }
@@ -465,34 +500,32 @@ impl Comm {
         result.into_iter().map(|r| r.unwrap_or_default()).collect()
     }
 
-    fn alltoallv_sparse<T: Send + 'static>(
+    fn alltoallv_sparse<B: Bucket>(
         &mut self,
         g: &Group,
-        mut bufs: Vec<Vec<T>>,
+        mut bufs: Vec<B>,
         count_algo: AllToAll,
-    ) -> Vec<Vec<T>> {
+    ) -> Vec<B> {
         let q = g.size();
         let me = g.my_index();
-        // Phase 1: exchange per-destination counts so each member learns
-        // who will contact it. The count matrix transpose is itself a tiny
-        // all-to-all, run with the caller-chosen `count_algo`. Count
+        // Phase 1: exchange per-destination item counts so each member
+        // learns who will contact it. The count matrix transpose is itself
+        // a tiny all-to-all, run with the caller-chosen `count_algo`. Count
         // vectors come from the buffer pool — this phase runs every
         // superstep, so avoiding its `q` tiny allocations matters.
         let counts: Vec<Vec<u64>> = (0..q)
             .map(|k| {
                 let mut c: PooledBuf<u64> = self.pooled_buf();
-                c.push(bufs[k].len() as u64);
+                c.push(bufs[k].load().0);
                 c.detach()
             })
             .collect();
         let incoming_counts = self.alltoallv(g, counts, count_algo);
         // Phase 2: only nonempty pairs exchange.
         for k in 0..q {
-            if k != me && !bufs[k].is_empty() {
-                let buf = std::mem::take(&mut bufs[k]);
-                let w = words_of::<T>(buf.len());
-                let b = bytes_of::<T>(buf.len());
-                self.send_counted_bytes(g.member(k), buf, w, b);
+            if k != me && bufs[k].load().0 > 0 {
+                let bucket = std::mem::take(&mut bufs[k]);
+                self.send_bucket(g.member(k), bucket);
             }
         }
         let out = (0..q)
@@ -500,9 +533,9 @@ impl Comm {
                 if k == me {
                     std::mem::take(&mut bufs[me])
                 } else if incoming_counts[k].first().copied().unwrap_or(0) > 0 {
-                    self.recv::<Vec<T>>(g.member(k))
+                    self.recv::<B>(g.member(k))
                 } else {
-                    Vec::new()
+                    B::default()
                 }
             })
             .collect();
@@ -546,175 +579,6 @@ impl Comm {
             .into_iter()
             .map(|r| r.expect("ring delivered all blocks"))
             .collect()
-    }
-
-    /// [`Comm::alltoallv`] over pre-encoded byte buckets: the same
-    /// algorithm selection (including the hypercube → pairwise fallback
-    /// on non-power-of-two groups), the same per-algorithm message
-    /// pattern and header charges, but each bucket ships its encoded
-    /// stream while charging β at [`FramedBlock::legacy_words`]. The
-    /// sparse variant's count phase and empty-bucket gates run on
-    /// [`FramedBlock::items`], matching the legacy element-count gates.
-    pub fn alltoallv_framed(
-        &mut self,
-        g: &Group,
-        bufs: Vec<FramedBlock>,
-        algo: AllToAll,
-    ) -> Vec<Vec<u8>> {
-        let q = g.size();
-        assert_eq!(bufs.len(), q, "one framed bucket per group member");
-        if q == 1 {
-            return bufs.into_iter().map(|b| b.bytes).collect();
-        }
-        let effective = match algo {
-            AllToAll::Hypercube if !q.is_power_of_two() => AllToAll::Pairwise,
-            other => other,
-        };
-        let span = self.span_open(SpanKind::Alltoallv(effective));
-        let out = match effective {
-            AllToAll::Direct => self.alltoallv_framed_direct(g, bufs),
-            AllToAll::Pairwise => self.alltoallv_framed_pairwise(g, bufs),
-            AllToAll::Hypercube => self.alltoallv_framed_hypercube(g, bufs),
-            AllToAll::Sparse => {
-                let count_algo = if q.is_power_of_two() {
-                    AllToAll::Hypercube
-                } else {
-                    AllToAll::Pairwise
-                };
-                self.alltoallv_framed_sparse(g, bufs, count_algo)
-            }
-        };
-        self.span_close(span);
-        out
-    }
-
-    fn alltoallv_framed_direct(&mut self, g: &Group, mut bufs: Vec<FramedBlock>) -> Vec<Vec<u8>> {
-        let q = g.size();
-        let me = g.my_index();
-        for k in 0..q {
-            if k != me {
-                let blk = std::mem::take(&mut bufs[k]);
-                let (w, b) = (blk.legacy_words, blk.bytes.len() as u64);
-                self.send_counted_bytes(g.member(k), blk.bytes, w, b);
-            }
-        }
-        (0..q)
-            .map(|k| {
-                if k == me {
-                    std::mem::take(&mut bufs[me]).bytes
-                } else {
-                    self.recv::<Vec<u8>>(g.member(k))
-                }
-            })
-            .collect()
-    }
-
-    fn alltoallv_framed_pairwise(&mut self, g: &Group, mut bufs: Vec<FramedBlock>) -> Vec<Vec<u8>> {
-        let q = g.size();
-        let me = g.my_index();
-        let mut result: Vec<Option<Vec<u8>>> = (0..q).map(|_| None).collect();
-        result[me] = Some(std::mem::take(&mut bufs[me]).bytes);
-        for round in 1..q {
-            let to = (me + round) % q;
-            let from = (me + q - round) % q;
-            let blk = std::mem::take(&mut bufs[to]);
-            let (w, b) = (blk.legacy_words, blk.bytes.len() as u64);
-            self.send_counted_bytes(g.member(to), blk.bytes, w, b);
-            result[from] = Some(self.recv::<Vec<u8>>(g.member(from)));
-        }
-        result
-            .into_iter()
-            .map(|r| r.expect("pairwise covered all"))
-            .collect()
-    }
-
-    fn alltoallv_framed_hypercube(
-        &mut self,
-        g: &Group,
-        mut bufs: Vec<FramedBlock>,
-    ) -> Vec<Vec<u8>> {
-        let q = g.size();
-        let me = g.my_index();
-        debug_assert!(q.is_power_of_two());
-        let mut result: Vec<Option<Vec<u8>>> = (0..q).map(|_| None).collect();
-        result[me] = Some(std::mem::take(&mut bufs[me]).bytes);
-        // In-flight buckets: (origin, destination, legacy_words, bytes).
-        let mut pool: Vec<(u32, u32, u64, Vec<u8>)> = bufs
-            .into_iter()
-            .enumerate()
-            .filter(|(k, _)| *k != me)
-            .map(|(k, blk)| (me as u32, k as u32, blk.legacy_words, blk.bytes))
-            .collect();
-        let rounds = q.trailing_zeros();
-        for bit_idx in 0..rounds {
-            let bit = 1usize << bit_idx;
-            let partner = me ^ bit;
-            let (send_pool, keep): (Vec<_>, Vec<_>) = pool
-                .into_iter()
-                .partition(|&(_, dest, _, _)| (dest as usize) & bit != me & bit);
-            // Same per-bucket routing-header charges as the typed
-            // hypercube: 2 words / 16 bytes per forwarded bucket.
-            let w: u64 = send_pool.iter().map(|&(_, _, lw, _)| 2 + lw).sum();
-            let b: u64 = send_pool
-                .iter()
-                .map(|(_, _, _, bytes)| 16 + bytes.len() as u64)
-                .sum();
-            self.send_counted_bytes(g.member(partner), send_pool, w, b);
-            pool = keep;
-            let incoming: Vec<(u32, u32, u64, Vec<u8>)> = self.recv(g.member(partner));
-            for (origin, dest, lw, bytes) in incoming {
-                if dest as usize == me {
-                    debug_assert!(result[origin as usize].is_none());
-                    result[origin as usize] = Some(bytes);
-                } else {
-                    pool.push((origin, dest, lw, bytes));
-                }
-            }
-        }
-        debug_assert!(pool.is_empty(), "all buckets routed after log q rounds");
-        result.into_iter().map(|r| r.unwrap_or_default()).collect()
-    }
-
-    fn alltoallv_framed_sparse(
-        &mut self,
-        g: &Group,
-        mut bufs: Vec<FramedBlock>,
-        count_algo: AllToAll,
-    ) -> Vec<Vec<u8>> {
-        let q = g.size();
-        let me = g.my_index();
-        // Count phase on logical items, so the gating (and hence the α
-        // pattern) matches the legacy sparse exchange element-for-element.
-        let counts: Vec<Vec<u64>> = (0..q)
-            .map(|k| {
-                let mut c: PooledBuf<u64> = self.pooled_buf();
-                c.push(bufs[k].items);
-                c.detach()
-            })
-            .collect();
-        let incoming_counts = self.alltoallv(g, counts, count_algo);
-        for k in 0..q {
-            if k != me && bufs[k].items > 0 {
-                let blk = std::mem::take(&mut bufs[k]);
-                let (w, b) = (blk.legacy_words, blk.bytes.len() as u64);
-                self.send_counted_bytes(g.member(k), blk.bytes, w, b);
-            }
-        }
-        let out = (0..q)
-            .map(|k| {
-                if k == me {
-                    std::mem::take(&mut bufs[me]).bytes
-                } else if incoming_counts[k].first().copied().unwrap_or(0) > 0 {
-                    self.recv::<Vec<u8>>(g.member(k))
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        for c in incoming_counts {
-            drop(self.adopt_buf(c));
-        }
-        out
     }
 
     /// Gather to group index `root_idx`: root returns all contributions
@@ -896,35 +760,18 @@ impl Comm {
     /// Words merged away after the first receive are credited to
     /// [`crate::cost::CostSnapshot::combined_words`] (observational: the
     /// clock already reflects the smaller forwarded payloads).
+    ///
+    /// The hop key streams honour the installed [`Comm::narrow_spec`]: an
+    /// active tier may re-encode each stream below its legacy width (never
+    /// above — the legacy stream stays a candidate), crediting the delta
+    /// to [`crate::cost::CostSnapshot::narrow_saved_bytes`]; β is charged
+    /// at the legacy length either way.
     pub fn alltoallv_combining<T, K, KF, M>(
         &mut self,
         g: &Group,
         bufs: Vec<Vec<T>>,
         key_of: KF,
-        merge: M,
-    ) -> Vec<T>
-    where
-        T: Send + 'static,
-        K: WireWord + Ord + Copy + Send + 'static,
-        KF: Fn(&T) -> K,
-        M: FnMut(&mut T, T),
-    {
-        self.alltoallv_combining_narrow(g, bufs, key_of, merge, NarrowSpec::NATIVE)
-    }
-
-    /// [`Comm::alltoallv_combining`] with a dynamic narrowing tier for the
-    /// hop key streams (see [`crate::wire::NarrowSpec`]). With
-    /// [`NarrowSpec::NATIVE`] the wire bytes are identical to the plain
-    /// call; an active tier may re-encode each key stream below its legacy
-    /// width (never above — the legacy stream stays a candidate), crediting
-    /// the delta to [`crate::cost::CostSnapshot::narrow_saved_bytes`].
-    pub fn alltoallv_combining_narrow<T, K, KF, M>(
-        &mut self,
-        g: &Group,
-        bufs: Vec<Vec<T>>,
-        key_of: KF,
         mut merge: M,
-        spec: NarrowSpec,
     ) -> Vec<T>
     where
         T: Send + 'static,
@@ -937,7 +784,7 @@ impl Comm {
             .map(|b| b.into_iter().map(|t| (key_of(&t), t)).collect())
             .collect();
         let span = self.span_open(SpanKind::AlltoallvCombining);
-        let out = self.combining_exchange(g, keyed, &mut merge, spec);
+        let out = self.combining_exchange(g, keyed, &mut merge);
         self.span_close(span);
         out.into_iter().map(|(_, t)| t).collect()
     }
@@ -951,24 +798,7 @@ impl Comm {
         &mut self,
         g: &Group,
         bufs: Vec<Vec<(K, T)>>,
-        merge: M,
-    ) -> Vec<(K, T)>
-    where
-        K: WireWord + Ord + Copy + Send + 'static,
-        T: Send + 'static,
-        M: FnMut(&mut T, T),
-    {
-        self.reduce_scatter_by_key_narrow(g, bufs, merge, NarrowSpec::NATIVE)
-    }
-
-    /// [`Comm::reduce_scatter_by_key`] with a dynamic narrowing tier for
-    /// the hop key streams; see [`Comm::alltoallv_combining_narrow`].
-    pub fn reduce_scatter_by_key_narrow<K, T, M>(
-        &mut self,
-        g: &Group,
-        bufs: Vec<Vec<(K, T)>>,
         mut merge: M,
-        spec: NarrowSpec,
     ) -> Vec<(K, T)>
     where
         K: WireWord + Ord + Copy + Send + 'static,
@@ -976,7 +806,7 @@ impl Comm {
         M: FnMut(&mut T, T),
     {
         let span = self.span_open(SpanKind::AlltoallvCombining);
-        let out = self.combining_exchange(g, bufs, &mut merge, spec);
+        let out = self.combining_exchange(g, bufs, &mut merge);
         self.span_close(span);
         out
     }
@@ -986,13 +816,13 @@ impl Comm {
         g: &Group,
         mut bufs: Vec<Vec<(K, P)>>,
         merge: &mut M,
-        spec: NarrowSpec,
     ) -> Vec<(K, P)>
     where
         K: WireWord + Ord + Copy + Send + 'static,
         P: Send + 'static,
         M: FnMut(&mut P, P),
     {
+        let spec = self.narrow_spec();
         let dict = self.narrow_dict();
         let mut narrow_saved = 0u64;
         let q = g.size();
@@ -1094,26 +924,13 @@ impl Comm {
     /// branches each surviving entry came from. Returns the route; this
     /// rank must answer `route.delivered_keys()` and can then scatter any
     /// number of reply phases back over the same route with
-    /// [`Comm::combining_replies`].
-    pub fn combining_requests<K>(&mut self, g: &Group, bufs: Vec<Vec<K>>) -> CombineRoute<K>
+    /// [`Comm::combining_replies`]. Hop key streams honour the installed
+    /// [`Comm::narrow_spec`] exactly as in [`Comm::alltoallv_combining`].
+    pub fn combining_requests<K>(&mut self, g: &Group, mut bufs: Vec<Vec<K>>) -> CombineRoute<K>
     where
         K: WireWord + Ord + Copy + Send + 'static,
     {
-        self.combining_requests_narrow(g, bufs, NarrowSpec::NATIVE)
-    }
-
-    /// [`Comm::combining_requests`] with a dynamic narrowing tier for the
-    /// hop key streams; see [`Comm::alltoallv_combining_narrow`] for the
-    /// tier semantics and accounting.
-    pub fn combining_requests_narrow<K>(
-        &mut self,
-        g: &Group,
-        mut bufs: Vec<Vec<K>>,
-        spec: NarrowSpec,
-    ) -> CombineRoute<K>
-    where
-        K: WireWord + Ord + Copy + Send + 'static,
-    {
+        let spec = self.narrow_spec();
         let dict = self.narrow_dict();
         let mut narrow_saved = 0u64;
         let q = g.size();
@@ -1231,8 +1048,10 @@ impl Comm {
     /// reverse — at every recorded merge fork the value is duplicated to
     /// both branches, and reply streams travel as bare value vectors
     /// because both endpoints can reconstruct the (destination, key)
-    /// order from the route. With `compress` the streams are additionally
-    /// run-length encoded ([`crate::wire::encode_words`]).
+    /// order from the route. The streams are run-length encoded
+    /// ([`crate::wire::encode_words_for`]) and, under an installed
+    /// [`Comm::narrow_spec`], re-tiered below that when strictly smaller
+    /// (β stays charged at the run-length-encoded length).
     ///
     /// Returns, per destination `k`, the pairs `(key, value)` answering
     /// exactly this rank's original `bufs[k]` keys (sorted, deduped). Can
@@ -1244,32 +1063,13 @@ impl Comm {
         g: &Group,
         route: &CombineRoute<K>,
         values: &[T],
-        compress: bool,
     ) -> Vec<Vec<(K, T)>>
     where
         K: WireWord + Ord + Copy + Send + 'static,
         T: WireWord + Send + 'static,
     {
-        self.combining_replies_narrow(g, route, values, compress, NarrowSpec::NATIVE)
-    }
-
-    /// [`Comm::combining_replies`] with a dynamic narrowing tier for the
-    /// compressed reply value streams (see [`crate::wire::NarrowSpec`]).
-    /// Only `compress`ed streams are re-encoded — a raw `Vec<T>` reply has
-    /// no codec stage to narrow — and with [`NarrowSpec::NATIVE`] the
-    /// wire bytes are identical to the plain call.
-    pub fn combining_replies_narrow<K, T>(
-        &mut self,
-        g: &Group,
-        route: &CombineRoute<K>,
-        values: &[T],
-        compress: bool,
-        spec: NarrowSpec,
-    ) -> Vec<Vec<(K, T)>>
-    where
-        K: WireWord + Ord + Copy + Send + 'static,
-        T: WireWord + Send + 'static,
-    {
+        let spec = self.narrow_spec();
+        let dict = self.narrow_dict();
         let q = g.size();
         assert_eq!(q, route.q, "route belongs to a different group");
         assert_eq!(
@@ -1326,8 +1126,19 @@ impl Comm {
                 // shared order that lets keys stay off the reply wire.
                 send.sort_unstable_by_key(|&(d, k, _)| (d, k));
                 let vals: Vec<T> = send.into_iter().map(|(_, _, v)| v).collect();
-                self.send_values(partner, vals, compress, spec);
-                let incoming: Vec<T> = self.recv_values(partner, compress, spec);
+                let words: Vec<u64> = vals.iter().map(|v| v.to_word()).collect();
+                let (bytes, saved) = wire::encode_words_narrow::<T>(&words, spec, dict.as_deref());
+                self.note_narrow_saved(saved);
+                // Charge β at the legacy stream length (bytes + saved) so the
+                // word clock is identical with narrowing on or off.
+                let w = words_of::<u8>(bytes.len() + saved as usize);
+                let b = bytes_of::<u8>(bytes.len());
+                self.send_counted_bytes(partner, bytes, w, b);
+                let bytes: Vec<u8> = self.recv(partner);
+                let incoming: Vec<T> = wire::decode_words_narrow::<T>(&bytes, dict.as_deref())
+                    .into_iter()
+                    .map(T::from_word)
+                    .collect();
                 assert_eq!(
                     incoming.len(),
                     hop.sent.len(),
@@ -1357,58 +1168,43 @@ impl Comm {
                 .iter()
                 .map(|keys| keys.iter().map(|&k| value_of(k)).collect())
                 .collect();
-            let replies: Vec<Vec<T>> = if compress && spec.active() {
-                let dict = self.narrow_dict();
-                let mut narrow_saved = 0u64;
-                let enc: Vec<FramedBlock> = bufs
-                    .iter()
-                    .map(|vals| {
-                        let words: Vec<u64> = vals.iter().map(|v| v.to_word()).collect();
-                        // Savings (and the β word charge) are measured
-                        // against what this branch ships with narrowing off
-                        // (the width-free legacy codec), so words_sent is
-                        // identical on/off and only bytes_sent shrinks.
-                        let legacy_len = wire::encode_words(&words).len();
-                        let (bytes, _) =
-                            wire::encode_words_narrow::<T>(&words, spec, dict.as_deref());
-                        narrow_saved += (legacy_len.saturating_sub(bytes.len())) as u64;
-                        FramedBlock {
-                            legacy_words: words_of::<u8>(legacy_len),
-                            items: vals.len() as u64,
-                            bytes,
-                        }
-                    })
-                    .collect();
-                self.note_narrow_saved(narrow_saved);
-                self.alltoallv_framed(g, enc, AllToAll::Pairwise)
-                    .into_iter()
-                    .map(|bytes| {
+            // The fallback's legacy codec is the width-free
+            // `encode_words`; savings and the β word charge are measured
+            // against it, so words_sent is identical with narrowing on or
+            // off and only bytes_sent shrinks.
+            let mut narrow_saved = 0u64;
+            let enc: Vec<FramedBlock> = bufs
+                .iter()
+                .map(|vals| {
+                    let words: Vec<u64> = vals.iter().map(|v| v.to_word()).collect();
+                    let legacy = wire::encode_words(&words);
+                    let legacy_len = legacy.len();
+                    let bytes = if spec.active() {
+                        wire::encode_words_narrow::<T>(&words, spec, dict.as_deref()).0
+                    } else {
+                        legacy
+                    };
+                    narrow_saved += (legacy_len.saturating_sub(bytes.len())) as u64;
+                    FramedBlock {
+                        legacy_words: words_of::<u8>(legacy_len),
+                        items: vals.len() as u64,
+                        bytes,
+                    }
+                })
+                .collect();
+            self.note_narrow_saved(narrow_saved);
+            let replies: Vec<Vec<T>> = self
+                .alltoallv_framed(g, enc, AllToAll::Pairwise)
+                .into_iter()
+                .map(|bytes| {
+                    let words = if spec.active() {
                         wire::decode_words_narrow::<T>(&bytes, dict.as_deref())
-                            .into_iter()
-                            .map(T::from_word)
-                            .collect()
-                    })
-                    .collect()
-            } else if compress {
-                let enc: Vec<Vec<u8>> = bufs
-                    .iter()
-                    .map(|vals| {
-                        let words: Vec<u64> = vals.iter().map(|v| v.to_word()).collect();
-                        wire::encode_words(&words)
-                    })
-                    .collect();
-                self.alltoallv(g, enc, AllToAll::Pairwise)
-                    .into_iter()
-                    .map(|bytes| {
+                    } else {
                         wire::decode_words(&bytes)
-                            .into_iter()
-                            .map(T::from_word)
-                            .collect()
-                    })
-                    .collect()
-            } else {
-                self.alltoallv(g, bufs, AllToAll::Pairwise)
-            };
+                    };
+                    words.into_iter().map(T::from_word).collect()
+                })
+                .collect();
             for (d, vals) in replies.into_iter().enumerate() {
                 debug_assert_eq!(vals.len(), route.my_keys[d].len());
                 out[d] = route.my_keys[d].iter().copied().zip(vals).collect();
@@ -1427,54 +1223,6 @@ impl Comm {
             );
         }
         out
-    }
-
-    fn send_values<T: WireWord + Send + 'static>(
-        &mut self,
-        dest: usize,
-        vals: Vec<T>,
-        compress: bool,
-        spec: NarrowSpec,
-    ) {
-        if compress {
-            let words: Vec<u64> = vals.iter().map(|v| v.to_word()).collect();
-            let (bytes, saved) = if spec.active() {
-                let dict = self.narrow_dict();
-                wire::encode_words_narrow::<T>(&words, spec, dict.as_deref())
-            } else {
-                (wire::encode_words_for::<T>(&words), 0)
-            };
-            self.note_narrow_saved(saved);
-            // Charge β at the legacy stream length (bytes + saved) so the
-            // word clock is identical with narrowing on or off.
-            let w = words_of::<u8>(bytes.len() + saved as usize);
-            let b = bytes_of::<u8>(bytes.len());
-            self.send_counted_bytes(dest, bytes, w, b);
-        } else {
-            let w = words_of::<T>(vals.len());
-            let b = bytes_of::<T>(vals.len());
-            self.send_counted_bytes(dest, vals, w, b);
-        }
-    }
-
-    fn recv_values<T: WireWord + Send + 'static>(
-        &mut self,
-        src: usize,
-        compress: bool,
-        spec: NarrowSpec,
-    ) -> Vec<T> {
-        if compress {
-            let bytes: Vec<u8> = self.recv(src);
-            let words = if spec.active() {
-                let dict = self.narrow_dict();
-                wire::decode_words_narrow::<T>(&bytes, dict.as_deref())
-            } else {
-                wire::decode_words_for::<T>(&bytes)
-            };
-            words.into_iter().map(T::from_word).collect()
-        } else {
-            self.recv(src)
-        }
     }
 
     /// Non-blocking [`Comm::alltoallv`]: posts the exchange and returns a
@@ -1523,21 +1271,6 @@ impl Comm {
         K: WireWord + Ord + Copy + Send + 'static,
     {
         self.post(on, |c| c.combining_requests(g, bufs))
-    }
-
-    /// Non-blocking [`Comm::combining_requests_narrow`]; see
-    /// [`Comm::combining_requests_start`] for the handle semantics.
-    pub fn combining_requests_start_narrow<K>(
-        &mut self,
-        g: &Group,
-        bufs: Vec<Vec<K>>,
-        on: bool,
-        spec: NarrowSpec,
-    ) -> CommHandle<CombineRoute<K>>
-    where
-        K: WireWord + Ord + Copy + Send + 'static,
-    {
-        self.post(on, move |c| c.combining_requests_narrow(g, bufs, spec))
     }
 }
 
@@ -1877,42 +1610,40 @@ mod tests {
     fn combining_requests_replies_roundtrip() {
         // Every rank requests an overlapping window of keys from every
         // destination; the destination answers key*7 + dest. Replies must
-        // come back aligned with each origin's own (deduped) requests,
-        // compressed or not, for hypercube and fallback group sizes.
+        // come back aligned with each origin's own (deduped) requests, for
+        // hypercube and fallback group sizes.
         for p in [1, 2, 3, 4, 8, 16] {
-            for compress in [false, true] {
-                let out = run_spmd(p, move |c| {
-                    let w = c.world();
-                    let me = c.rank();
-                    // Duplicates within a bucket exercise the dedup; the
-                    // shared low keys exercise cross-sender merging.
-                    let bufs: Vec<Vec<u64>> = (0..p)
-                        .map(|d| {
-                            (0..=me + 2)
-                                .map(|j| (d * 100 + j % (me + 2)) as u64)
-                                .collect()
-                        })
-                        .collect();
-                    let route = c.combining_requests(&w, bufs);
-                    let values: Vec<u64> = route
-                        .delivered_keys()
-                        .iter()
-                        .map(|&k| k * 7 + me as u64)
-                        .collect();
-                    c.combining_replies(&w, &route, &values, compress)
-                })
-                .unwrap();
-                for (me, replies) in out.into_iter().enumerate() {
-                    for (d, pairs) in replies.into_iter().enumerate() {
-                        let mut want: Vec<u64> = (0..=me + 2)
+            let out = run_spmd(p, move |c| {
+                let w = c.world();
+                let me = c.rank();
+                // Duplicates within a bucket exercise the dedup; the
+                // shared low keys exercise cross-sender merging.
+                let bufs: Vec<Vec<u64>> = (0..p)
+                    .map(|d| {
+                        (0..=me + 2)
                             .map(|j| (d * 100 + j % (me + 2)) as u64)
-                            .collect();
-                        want.sort_unstable();
-                        want.dedup();
-                        let want: Vec<(u64, u64)> =
-                            want.into_iter().map(|k| (k, k * 7 + d as u64)).collect();
-                        assert_eq!(pairs, want, "p={p} me={me} d={d} compress={compress}");
-                    }
+                            .collect()
+                    })
+                    .collect();
+                let route = c.combining_requests(&w, bufs);
+                let values: Vec<u64> = route
+                    .delivered_keys()
+                    .iter()
+                    .map(|&k| k * 7 + me as u64)
+                    .collect();
+                c.combining_replies(&w, &route, &values)
+            })
+            .unwrap();
+            for (me, replies) in out.into_iter().enumerate() {
+                for (d, pairs) in replies.into_iter().enumerate() {
+                    let mut want: Vec<u64> = (0..=me + 2)
+                        .map(|j| (d * 100 + j % (me + 2)) as u64)
+                        .collect();
+                    want.sort_unstable();
+                    want.dedup();
+                    let want: Vec<(u64, u64)> =
+                        want.into_iter().map(|k| (k, k * 7 + d as u64)).collect();
+                    assert_eq!(pairs, want, "p={p} me={me} d={d}");
                 }
             }
         }
@@ -1931,14 +1662,14 @@ mod tests {
                 .collect();
             let route = c.combining_requests(&w, bufs);
             let first: Vec<u64> = route.delivered_keys().iter().map(|&k| k + 1).collect();
-            let r1 = c.combining_replies(&w, &route, &first, false);
+            let r1 = c.combining_replies(&w, &route, &first);
             // "Mutate" owner state between the phases.
             let second: Vec<bool> = route
                 .delivered_keys()
                 .iter()
                 .map(|&k| k % 20 == 0)
                 .collect();
-            let r2 = c.combining_replies(&w, &route, &second, true);
+            let r2 = c.combining_replies(&w, &route, &second);
             (me, r1, r2)
         })
         .unwrap();
@@ -1973,7 +1704,7 @@ mod tests {
                     .collect();
                 let route = c.combining_requests(&w, bufs);
                 let values: Vec<u64> = route.delivered_keys().to_vec();
-                c.combining_replies(&w, &route, &values, false);
+                c.combining_replies(&w, &route, &values);
                 c.snapshot().combined_words
             })
             .unwrap();
@@ -2003,7 +1734,7 @@ mod tests {
                 if combining {
                     let route = c.combining_requests(&w, bufs);
                     let values: Vec<u64> = route.delivered_keys().to_vec();
-                    c.combining_replies(&w, &route, &values, false);
+                    c.combining_replies(&w, &route, &values);
                 } else {
                     let sent = c.alltoallv(&w, bufs, AllToAll::Hypercube);
                     // Direct replies, one word per request.
@@ -2035,7 +1766,7 @@ mod tests {
                 let w = c.world();
                 let route = c.combining_requests(&w, bufs_wide(p));
                 let values: Vec<u64> = route.delivered_keys().iter().map(|&k| k * 3).collect();
-                c.combining_replies(&w, &route, &values, false)
+                c.combining_replies(&w, &route, &values)
             })
             .unwrap();
             let narrow = run_spmd(p, move |c| {
@@ -2046,7 +1777,7 @@ mod tests {
                     .collect();
                 let route = c.combining_requests(&w, bufs);
                 let values: Vec<u32> = route.delivered_keys().iter().map(|&k| k * 3).collect();
-                c.combining_replies(&w, &route, &values, false)
+                c.combining_replies(&w, &route, &values)
             })
             .unwrap();
             for (me, (w64, w32)) in wide.into_iter().zip(narrow).enumerate() {
@@ -2079,14 +1810,14 @@ mod tests {
                         .collect();
                     let route = c.combining_requests(&w, bufs);
                     let values: Vec<u64> = route.delivered_keys().to_vec();
-                    c.combining_replies(&w, &route, &values, false);
+                    c.combining_replies(&w, &route, &values);
                 } else {
                     let bufs: Vec<Vec<u32>> = (0..3)
                         .map(|d| (0..64).map(|j| (d * 1000 + j) as u32).collect())
                         .collect();
                     let route = c.combining_requests(&w, bufs);
                     let values: Vec<u32> = route.delivered_keys().to_vec();
-                    c.combining_replies(&w, &route, &values, false);
+                    c.combining_replies(&w, &route, &values);
                 }
                 c.snapshot().words_sent
             })
@@ -2114,7 +1845,7 @@ mod tests {
             c.charge_compute(50);
             let route = h.wait(c);
             let values: Vec<u64> = route.delivered_keys().iter().map(|&k| k + 1).collect();
-            let replies = c.combining_replies(&w, &route, &values, false);
+            let replies = c.combining_replies(&w, &route, &values);
             (a2a, sum, replies)
         })
         .unwrap();

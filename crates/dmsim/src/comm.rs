@@ -315,6 +315,10 @@ pub struct Comm {
     /// Monotone count of dictionary installs on this rank; used as the
     /// epoch of the next installed dictionary so stale decodes are caught.
     narrow_epoch: u64,
+    /// Wire tier the narrowing planner selected for the upcoming
+    /// exchanges' label-valued streams; [`crate::wire::NarrowSpec::NATIVE`]
+    /// until a planner installs one.
+    narrow_spec: crate::wire::NarrowSpec,
     trace: TraceLocal,
     sink: Option<Arc<TraceSink>>,
 }
@@ -383,8 +387,7 @@ impl Comm {
     }
 
     /// Records `words` of communication volume that sender-side compaction
-    /// (request dedup, monoid pre-combining, id compression) kept off the
-    /// wire. Purely observational: it feeds [`CostSnapshot::words_saved`]
+    /// (request dedup, monoid pre-combining) kept off the wire. Purely observational: it feeds [`CostSnapshot::words_saved`]
     /// and the trace report, never the clock — the savings themselves are
     /// already realized by the smaller payloads actually sent.
     pub fn note_words_saved(&mut self, words: u64) {
@@ -442,6 +445,19 @@ impl Comm {
     /// tightness even though the value set only shrinks).
     pub fn invalidate_narrow_dict(&mut self) {
         self.narrow_dict = None;
+    }
+
+    /// Installs the wire tier every narrowing-aware exchange on this rank
+    /// uses until the next call. Callers install the same spec on every
+    /// rank in the same superstep (a stale or mismatched spec costs bytes,
+    /// never bits: every stream self-describes its encoding).
+    pub fn set_narrow_spec(&mut self, spec: crate::wire::NarrowSpec) {
+        self.narrow_spec = spec;
+    }
+
+    /// The currently installed narrowing tier.
+    pub fn narrow_spec(&self) -> crate::wire::NarrowSpec {
+        self.narrow_spec
     }
 
     /// Takes a recycled scratch buffer (empty `Vec<T>`, capacity
@@ -809,6 +825,7 @@ where
                         pool: Rc::new(RefCell::new(BufferPool::default())),
                         narrow_dict: None,
                         narrow_epoch: 0,
+                        narrow_spec: crate::wire::NarrowSpec::NATIVE,
                         trace: TraceLocal::new(level),
                         sink,
                     };

@@ -145,7 +145,7 @@ pub struct CostSnapshot {
     /// Exact payload bytes this rank received.
     pub bytes_received: u64,
     /// 8-byte words this rank *avoided* sending through sender-side
-    /// compaction (request dedup, monoid pre-combining, id compression).
+    /// compaction (request dedup, monoid pre-combining).
     /// Observational only — never contributes to the clock.
     pub words_saved: u64,
     /// 8-byte words eliminated *in flight* by combining collectives:

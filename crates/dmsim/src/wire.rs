@@ -1,12 +1,12 @@
 //! Wire-format helpers shared by the combining collectives and (via
-//! re-export) the gblas sender-side compaction layer.
+//! re-export) the gblas value-stream codecs.
 //!
 //! Everything the simulator puts "on the wire" in compressed form goes
 //! through these encoders, so the α-β cost model charges the *encoded*
 //! byte counts with no special-casing:
 //!
 //! * **LEB128 varints** ([`push_varint`] / [`read_varint`]) — the base
-//!   machinery, also reused by `gblas`'s id-list compaction.
+//!   machinery, also reused by `gblas`'s entry frames.
 //! * **delta key streams** ([`encode_keys`] / [`decode_keys`]) — a sorted
 //!   `u64` key list as LEB128 of the first key then consecutive deltas;
 //!   the per-hop request format of the combining hypercube.
@@ -50,12 +50,6 @@ pub fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
         }
         shift += 7;
     }
-}
-
-/// Encoded length of `x` as a varint, in bytes.
-pub fn varint_len(x: u64) -> usize {
-    let bits = (64 - x.leading_zeros()).max(1);
-    bits.div_ceil(7) as usize
 }
 
 /// Encodes a sorted (non-decreasing) `u64` key list as count + first key
@@ -123,8 +117,9 @@ pub enum NarrowTier {
     Dict,
 }
 
-/// Per-iteration narrowing decision, threaded from the engine loop's
-/// range probe down to every exchange site via `DistOpts`.
+/// Per-iteration narrowing decision: the engine loop's range probe
+/// installs it on the rank's `Comm` (`Comm::set_narrow_spec`), where every
+/// narrowing-aware exchange reads it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NarrowSpec {
     /// Selected tier for this iteration's exchanges.
@@ -473,7 +468,10 @@ mod tests {
         ] {
             let mut buf = Vec::new();
             push_varint(&mut buf, x);
-            assert_eq!(buf.len(), varint_len(x));
+            assert_eq!(
+                buf.len(),
+                (64 - x.leading_zeros()).max(1).div_ceil(7) as usize
+            );
             let mut pos = 0;
             assert_eq!(read_varint(&buf, &mut pos), x);
             assert_eq!(pos, buf.len());

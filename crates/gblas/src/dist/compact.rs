@@ -1,142 +1,23 @@
-//! Compressed id-list encodings for the sender-side compaction layer.
+//! Value-stream codecs for the narrowing-aware exchanges.
 //!
-//! When [`super::DistOpts::compress_ids`] is on, `dist_extract` /
-//! `dist_assign` exchange lists of local *offsets* (the destination
-//! owner's view of each index, which is dense even under the cyclic
-//! layout) as byte streams instead of one 8-byte word per id:
-//!
-//! * **delta-varint** — LEB128 of the first offset, then of consecutive
-//!   deltas. A sorted list of `k` offsets spanning `s` slots costs about
-//!   `k · (1 + log₁₂₈(s/k))` bytes instead of `8k`.
-//! * **bitmap** — base + span + one bit per slot. Chosen only for
-//!   duplicate-free lists whose density within the spanned range reaches
-//!   [`super::DistOpts::compress_bitmap_density`] *and* whose bitmap is
-//!   actually smaller than the delta stream.
-//!
-//! The simulated exchange sends the encoded bytes themselves, so the
-//! dmsim cost model charges the *compressed* word counts with no
-//! special-casing — modeled time honestly reflects the savings.
-//!
-//! The varint machinery lives in [`dmsim::wire`], shared with the
-//! combining collectives; this module adds the offset-list modes on top
-//! plus the [`encode_values`] value-stream wrappers.
+//! The `mxv` gather/reduce phases ship label-valued streams — dense
+//! chunks, sparse `(id, value)` entries, `(parent, value)` pairs — as
+//! byte frames whenever a narrowing tier is installed on the rank's
+//! [`dmsim::Comm`]. This module is the typed front of the word-stream
+//! codecs in [`dmsim::wire`]: [`encode_values`] / [`decode_values`] for
+//! one scalar stream, and the [`NarrowVal`] trait that frames whole
+//! (possibly tuple-valued) chunks self-delimitingly.
 
-use dmsim::wire::{push_varint, read_varint, varint_len};
+use dmsim::wire::{push_varint, read_varint};
 use dmsim::WireWord;
 
-const MODE_DELTA: u8 = 0;
-const MODE_BITMAP: u8 = 1;
-
-/// Encodes a sorted (non-decreasing) offset list. `unique` asserts the
-/// list is duplicate-free, unlocking the bitmap representation; the
-/// encoder picks whichever of delta-varint and bitmap is smaller, with
-/// the bitmap additionally gated behind `bitmap_density`.
-pub fn encode_offsets(offs: &[usize], unique: bool, bitmap_density: f64) -> Vec<u8> {
-    debug_assert!(
-        offs.windows(2).all(|w| w[0] <= w[1]),
-        "offsets must be sorted"
-    );
-    if offs.is_empty() {
-        return Vec::new();
-    }
-    let mut delta = Vec::with_capacity(offs.len() + 10);
-    delta.push(MODE_DELTA);
-    push_varint(&mut delta, offs.len() as u64);
-    let mut prev = 0u64;
-    for (k, &o) in offs.iter().enumerate() {
-        let o = o as u64;
-        push_varint(&mut delta, if k == 0 { o } else { o - prev });
-        prev = o;
-    }
-    if unique {
-        let (min, max) = (offs[0], *offs.last().expect("nonempty"));
-        let span = max - min + 1;
-        let density = offs.len() as f64 / span as f64;
-        let bitmap_len = 1 + varint_len(min as u64) + varint_len(span as u64) + span.div_ceil(8);
-        if density >= bitmap_density && bitmap_len < delta.len() {
-            let mut bm = Vec::with_capacity(bitmap_len);
-            bm.push(MODE_BITMAP);
-            push_varint(&mut bm, min as u64);
-            push_varint(&mut bm, span as u64);
-            let bits_at = bm.len();
-            bm.resize(bits_at + span.div_ceil(8), 0u8);
-            for &o in offs {
-                let b = o - min;
-                bm[bits_at + b / 8] |= 1 << (b % 8);
-            }
-            return bm;
-        }
-    }
-    delta
-}
-
-/// Decodes a stream produced by [`encode_offsets`] back into the sorted
-/// offset list.
-pub fn decode_offsets(bytes: &[u8]) -> Vec<usize> {
-    if bytes.is_empty() {
-        return Vec::new();
-    }
-    let mut pos = 0usize;
-    let mode = bytes[pos];
-    pos += 1;
-    match mode {
-        MODE_DELTA => {
-            let k = read_varint(bytes, &mut pos) as usize;
-            let mut out = Vec::with_capacity(k);
-            let mut cur = 0u64;
-            for i in 0..k {
-                let d = read_varint(bytes, &mut pos);
-                cur = if i == 0 { d } else { cur + d };
-                out.push(cur as usize);
-            }
-            out
-        }
-        MODE_BITMAP => {
-            let min = read_varint(bytes, &mut pos) as usize;
-            let span = read_varint(bytes, &mut pos) as usize;
-            let mut out = Vec::new();
-            for b in 0..span {
-                if bytes[pos + b / 8] & (1 << (b % 8)) != 0 {
-                    out.push(min + b);
-                }
-            }
-            out
-        }
-        other => panic!("bad id-list encoding mode {other}"),
-    }
-}
-
-/// Encodes a value stream (the non-id half of an extract reply or assign
-/// payload) with run-length encoding and a raw fallback at `T`'s native
-/// width ([`dmsim::wire::encode_words_for`]), so narrow label types pay
-/// 4 bytes per element instead of 8 when RLE loses. Empty streams encode
+/// Encodes a value stream with run-length encoding and a raw fallback at
+/// `T`'s native width, re-tiered under an active `spec` as raw `u16` or
+/// dictionary codes when that is strictly smaller
+/// ([`dmsim::wire::encode_words_narrow`]). Returns the bytes and the saving
+/// against the [`dmsim::NarrowSpec::NATIVE`] stream. Empty streams encode
 /// to zero bytes.
-pub fn encode_values<T: WireWord>(vals: &[T]) -> Vec<u8> {
-    if vals.is_empty() {
-        return Vec::new();
-    }
-    let words: Vec<u64> = vals.iter().map(|v| v.to_word()).collect();
-    dmsim::wire::encode_words_for::<T>(&words)
-}
-
-/// Decodes a stream produced by [`encode_values`].
-pub fn decode_values<T: WireWord>(bytes: &[u8]) -> Vec<T> {
-    if bytes.is_empty() {
-        return Vec::new();
-    }
-    dmsim::wire::decode_words_for::<T>(bytes)
-        .into_iter()
-        .map(T::from_word)
-        .collect()
-}
-
-/// [`encode_values`] with a dynamic narrowing tier
-/// ([`dmsim::wire::encode_words_narrow`]): under an active spec the
-/// stream may additionally ship as raw `u16` or dictionary codes when
-/// that is strictly smaller than the legacy encoding. Returns the bytes
-/// and the saving vs [`encode_values`] (0 under
-/// [`dmsim::NarrowSpec::NATIVE`], where the bytes are identical).
-pub fn encode_values_narrow<T: WireWord>(
+pub fn encode_values<T: WireWord>(
     vals: &[T],
     spec: dmsim::NarrowSpec,
     dict: Option<&dmsim::NarrowDict>,
@@ -148,8 +29,8 @@ pub fn encode_values_narrow<T: WireWord>(
     dmsim::wire::encode_words_narrow::<T>(&words, spec, dict)
 }
 
-/// Decodes a stream produced by [`encode_values_narrow`] (any tier).
-pub fn decode_values_narrow<T: WireWord>(bytes: &[u8], dict: Option<&dmsim::NarrowDict>) -> Vec<T> {
+/// Decodes a stream produced by [`encode_values`] (any tier).
+pub fn decode_values<T: WireWord>(bytes: &[u8], dict: Option<&dmsim::NarrowDict>) -> Vec<T> {
     if bytes.is_empty() {
         return Vec::new();
     }
@@ -165,7 +46,7 @@ pub fn decode_values_narrow<T: WireWord>(bytes: &[u8], dict: Option<&dmsim::Narr
 /// LACC's conditional hook ships `(parent, value)` pairs — so the codec
 /// is chunk-level: a whole value slice encodes to one self-delimiting
 /// byte frame and decodes back without external length information.
-/// Scalar wire types delegate to [`encode_values_narrow`]; pairs split
+/// Scalar wire types delegate to [`encode_values`]; pairs split
 /// into two component planes with a varint length prefix on the first.
 ///
 /// Contract: `decode_chunk(&encode_chunk(v, spec, dict), dict) == v` for
@@ -190,10 +71,10 @@ macro_rules! narrow_val_scalar {
                 spec: dmsim::NarrowSpec,
                 dict: Option<&dmsim::NarrowDict>,
             ) -> Vec<u8> {
-                encode_values_narrow::<$t>(vals, spec, dict).0
+                encode_values::<$t>(vals, spec, dict).0
             }
             fn decode_chunk(bytes: &[u8], dict: Option<&dmsim::NarrowDict>) -> Vec<Self> {
-                decode_values_narrow::<$t>(bytes, dict)
+                decode_values::<$t>(bytes, dict)
             }
         }
     )*};
@@ -236,11 +117,7 @@ impl<A: NarrowVal, B: NarrowVal> NarrowVal for (A, B) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn roundtrip(offs: &[usize], unique: bool, density: f64) {
-        let enc = encode_offsets(offs, unique, density);
-        assert_eq!(decode_offsets(&enc), offs, "unique={unique}");
-    }
+    use dmsim::NarrowSpec;
 
     #[test]
     fn tuple_chunks_roundtrip_across_tiers() {
@@ -265,79 +142,22 @@ mod tests {
 
     #[test]
     fn value_stream_roundtrips() {
+        let native = |v: &[usize]| encode_values(v, NarrowSpec::NATIVE, None).0;
         let labels: Vec<usize> = vec![3, 3, 3, 3, 9, 9, 3, 3];
-        assert_eq!(decode_values::<usize>(&encode_values(&labels)), labels);
+        assert_eq!(decode_values::<usize>(&native(&labels), None), labels);
         let flags = vec![true, true, false, true];
-        assert_eq!(decode_values::<bool>(&encode_values(&flags)), flags);
-        assert!(encode_values::<usize>(&[]).is_empty());
-        assert!(decode_values::<usize>(&[]).is_empty());
+        let enc = encode_values(&flags, NarrowSpec::NATIVE, None).0;
+        assert_eq!(decode_values::<bool>(&enc, None), flags);
+        assert!(native(&[]).is_empty());
+        assert!(decode_values::<usize>(&[], None).is_empty());
     }
 
     #[test]
     fn repeated_labels_collapse() {
         // Near convergence most replies carry the same label.
         let labels = vec![7usize; 4096];
-        let enc = encode_values(&labels);
+        let (enc, saved) = encode_values(&labels, NarrowSpec::NATIVE, None);
         assert!(enc.len() < 16, "got {} bytes", enc.len());
-    }
-
-    #[test]
-    fn empty_list_is_empty_stream() {
-        assert!(encode_offsets(&[], true, 0.0625).is_empty());
-        assert!(decode_offsets(&[]).is_empty());
-    }
-
-    #[test]
-    fn delta_roundtrips_with_duplicates() {
-        roundtrip(&[0, 0, 0, 5, 5, 900, 900, 1_000_000], false, 0.0625);
-        roundtrip(&[42], false, 0.0625);
-    }
-
-    #[test]
-    fn dense_unique_list_takes_the_bitmap() {
-        let offs: Vec<usize> = (100..400).collect();
-        let enc = encode_offsets(&offs, true, 0.0625);
-        assert_eq!(enc[0], MODE_BITMAP);
-        // 300 contiguous offsets: ~38 bitmap bytes vs ~300 delta bytes.
-        assert!(
-            enc.len() < 50,
-            "bitmap should be compact, got {}",
-            enc.len()
-        );
-        assert_eq!(decode_offsets(&enc), offs);
-    }
-
-    #[test]
-    fn sparse_unique_list_takes_delta() {
-        let offs: Vec<usize> = (0..50).map(|k| k * 1000).collect();
-        let enc = encode_offsets(&offs, true, 0.0625);
-        assert_eq!(enc[0], MODE_DELTA);
-        assert_eq!(decode_offsets(&enc), offs);
-    }
-
-    #[test]
-    fn density_threshold_gates_the_bitmap() {
-        // Density 0.5: a threshold above it forces delta even though the
-        // bitmap would be smaller.
-        let offs: Vec<usize> = (0..200).map(|k| k * 2).collect();
-        let delta = encode_offsets(&offs, true, 0.9);
-        assert_eq!(delta[0], MODE_DELTA);
-        let bm = encode_offsets(&offs, true, 0.25);
-        assert_eq!(bm[0], MODE_BITMAP);
-        assert_eq!(decode_offsets(&delta), offs);
-        assert_eq!(decode_offsets(&bm), offs);
-    }
-
-    #[test]
-    fn compression_beats_raw_words_on_typical_buckets() {
-        // A skewed request bucket: many small offsets. Raw cost is 8 bytes
-        // per id; the encoded stream must be several times smaller.
-        let offs: Vec<usize> = (0..1000).map(|k| k / 3).collect();
-        let enc = encode_offsets(&offs, false, 0.0625);
-        assert!(
-            enc.len() * 4 < offs.len() * 8,
-            "encoded {} bytes",
-            enc.len()
-        );
+        assert_eq!(saved, 0, "the native stream is the savings baseline");
     }
 }

@@ -21,6 +21,6 @@ pub use dmat::DistMat;
 pub use dvec::{DistSpVec, DistVec, Distribution, VecLayout};
 pub use ops::{
     dist_assign, dist_extract, dist_extract_planned, dist_extract_start, dist_mxv, dist_mxv_dense,
-    dist_mxv_dense_start, dist_mxv_sparse, dist_mxv_start, plan_requests, spmv_wins, AssignStats,
-    DistMask, DistOpts, ExtractStats, FusedExtract, RequestPlan,
+    dist_mxv_dense_start, dist_mxv_sparse, dist_mxv_start, plan_requests, AssignStats, DistMask,
+    DistOpts, ExtractStats, FusedExtract, RequestPlan, Wire,
 };

@@ -16,7 +16,7 @@
 //! All primitives are bit-identical to their serial counterparts in
 //! [`crate::serial`]; the test module checks this across grid sizes.
 
-use super::compact::{self, NarrowVal};
+use super::compact::NarrowVal;
 use super::dmat::DistMat;
 use super::dvec::{block_range, DistSpVec, DistVec, Distribution, VecLayout};
 use crate::serial::{kernel_pool, CsrMirror, Dcsc};
@@ -29,17 +29,50 @@ use dmsim::{
 use lacc_graph::Idx;
 use std::collections::HashMap;
 
+/// Wire format of the `extract`/`assign` exchanges: the only two points
+/// of the old lever lattice any caller constructs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Wire {
+    /// The unoptimized format: every request id and update crosses the
+    /// all-to-all as issued, duplicates included, and replies come back
+    /// raw.
+    Legacy,
+    /// The optimized format. Requests are deduped per destination, updates
+    /// are pre-combined through the op's monoid, and both ride the
+    /// combining hypercube ([`Comm::combining_requests`] /
+    /// [`Comm::reduce_scatter_by_key`]) so duplicates issued by *different*
+    /// ranks merge at the hop where their routes meet; replies retrace the
+    /// route run-length encoded, and starcheck's two extracts share one
+    /// request route ([`FusedExtract`]). Bit-identical to [`Wire::Legacy`]
+    /// for the commutative, associative monoids the engines use.
+    Compact,
+}
+
+impl std::str::FromStr for Wire {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "legacy" => Ok(Wire::Legacy),
+            "compact" => Ok(Wire::Compact),
+            other => Err(format!(
+                "invalid wire: {other:?} is not one of legacy, compact"
+            )),
+        }
+    }
+}
+
 /// Tuning knobs for the distributed primitives (the paper's §V-B levers
 /// plus the intra-rank threading added on top).
 #[derive(Clone, Copy, Debug)]
 pub struct DistOpts {
     /// All-to-all algorithm for irregular exchanges.
     pub alltoall: AllToAll,
-    /// Enables the hot-rank broadcast fallback in [`dist_extract`].
-    pub hot_bcast: bool,
-    /// A rank broadcasts its chunk instead of answering requests when it
-    /// would receive more than `hot_threshold ×` its chunk length in
-    /// requests (the paper's system-dependent `h`).
+    /// Hot-rank broadcast fallback in [`dist_extract`]: a rank broadcasts
+    /// its chunk instead of answering requests when it would receive more
+    /// than `hot_threshold ×` its chunk length in requests (the paper's
+    /// system-dependent `h`). `f64::INFINITY` turns the fallback off and
+    /// skips the request-count allreduce that detects hot ranks.
     pub hot_threshold: f64,
     /// Worker threads for the local multiply inside the `mxv` paths
     /// (`<= 1` runs the serial kernels). Callers should budget
@@ -52,51 +85,8 @@ pub struct DistOpts {
     /// below it, the SpMSpV per-entry kernel. Mirrors the internal dispatch
     /// of the paper's `GrB_mxv`.
     pub spmv_threshold: f64,
-    /// Sender-side request dedup in [`dist_extract`]: each per-destination
-    /// bucket carries every unique id once, and each unique reply is
-    /// scattered back to all originating request positions. Bit-identical
-    /// to the naive exchange (grandparent lookups `f[f[v]]` repeat the
-    /// same parent once per child, so this collapses most of LACC's
-    /// extract traffic).
-    pub dedup_requests: bool,
-    /// Sender-side pre-combining in [`dist_assign`]: per-destination
-    /// `(id, value)` updates folded through the op's monoid before the
-    /// exchange, so each target index crosses the wire at most once.
-    /// Bit-identical for associative monoids (pre-combining one sender's
-    /// bucket only re-associates — never reorders — the receiver's fold).
-    pub combine_assigns: bool,
-    /// Compressed id streams: sorted per-bucket id lists cross the wire
-    /// delta-varint- or bitmap-encoded ([`super::compact`]) as local
-    /// offsets on the destination rank. The exchange sends the encoded
-    /// bytes themselves, so modeled time reflects the compressed size.
-    pub compress_ids: bool,
-    /// Unique-offsets-per-span density at or above which a compressed
-    /// bucket may switch from delta-varint to bitmap encoding (the encoder
-    /// still requires the bitmap to actually be smaller).
-    pub compress_bitmap_density: f64,
-    /// Request buckets at least this long dedup through a hash set (one
-    /// linear pass plus a sort of the unique ids); shorter buckets
-    /// sort-and-dedup in place.
-    pub dedup_hash_threshold: usize,
-    /// In-flight combining: [`dist_extract`] routes request ids through
-    /// [`Comm::combining_requests`] (replies scattered back along the
-    /// recorded reverse route) and [`dist_assign`] merges updates through
-    /// [`Comm::reduce_scatter_by_key`], so duplicates issued by
-    /// *different* ranks collapse at the hypercube hop where their routes
-    /// meet — traffic sender-side compaction cannot see. Bit-identical
-    /// for the commutative monoids LACC uses (in-flight merging may
-    /// reorder the fold across origins).
-    pub combine_in_flight: bool,
-    /// Fuses starcheck's two planned extracts (grandparent, then parent
-    /// starness) into one combining exchange: the request route is paid
-    /// for once and replayed for both reply phases. Requires
-    /// `combine_in_flight`; ignored without it.
-    pub fuse_starcheck: bool,
-    /// Run-length encoding for the *value* halves of extract replies and
-    /// assign payloads ([`super::compact::encode_values`]) — labels near
-    /// convergence are heavily repeated, so reply streams collapse to a
-    /// few runs. Applies to both the plain and the combining reply paths.
-    pub compress_values: bool,
+    /// Wire format of the `extract`/`assign` exchanges.
+    pub wire: Wire,
     /// Non-blocking execution of the hot-path exchanges. Engines post
     /// `mxv` through [`dist_mxv_start`] / [`dist_mxv_dense_start`] (or an
     /// extract through [`dist_extract_start`]) and collect the result with
@@ -108,23 +98,14 @@ pub struct DistOpts {
     /// independent local compute — so labels, iteration counts and
     /// `words_sent` are bit-identical with the flag on or off.
     pub overlap: bool,
-    /// Lets the adaptive [`dist_mxv`] dispatch account for overlap credit
-    /// when choosing SpMV vs SpMSpV: with `overlap` on, SpMV's bulk
-    /// column allgather is largely hideable behind its streaming local
-    /// multiply (`hideable_s`), so the effective fill threshold drops (see
-    /// [`spmv_wins`]). Off by default — unlike every other lever this one
-    /// changes the *message pattern* with `overlap`, which would break the
-    /// overlap-invariance contract (`words_sent` identical on/off) the
-    /// proptests and bench assert; opt in where that contract is not
-    /// relied on.
-    pub overlap_dispatch: bool,
     /// Dynamic label-range narrowing: each engine iteration probes the
     /// active label range/cardinality (piggybacked on the convergence
-    /// allreduce) and, when the labels fit, re-encodes the exchange
-    /// streams as raw `u16` or dictionary codes ([`dmsim::NarrowTier`]).
-    /// Decode always widens back to the index type, so labels and
-    /// iteration counts are bit-identical on/off; only bytes shrink
-    /// ([`dmsim::CostSnapshot::narrow_saved_bytes`]).
+    /// allreduce), installs the tier that fits on the rank's [`Comm`]
+    /// ([`dmsim::Comm::set_narrow_spec`]), and the primitives re-encode
+    /// their exchange streams as raw `u16` or dictionary codes
+    /// ([`dmsim::NarrowTier`]). Decode always widens back to the index
+    /// type, so labels and iteration counts are bit-identical on/off; only
+    /// bytes shrink ([`dmsim::CostSnapshot::narrow_saved_bytes`]).
     pub narrow_labels: bool,
     /// The raw-`u16` tier activates when every live label word is below
     /// this bound (default `2^16`, the widest the tier can represent;
@@ -135,38 +116,23 @@ pub struct DistOpts {
     /// a build-cost heuristic — dictionary codes themselves are varint,
     /// not limited to 16 bits).
     pub narrow_dict_max: u64,
-    /// The tier selected for the *current* iteration's exchanges. Runtime
-    /// state set by the engine's probe (see `lacc_core`'s narrow planner),
-    /// not a user-facing knob: leave it at the default
-    /// ([`dmsim::NarrowSpec::NATIVE`]) when calling primitives directly.
-    pub narrow: dmsim::NarrowSpec,
 }
 
 impl Default for DistOpts {
     fn default() -> Self {
         // The optimized LACC configuration: sparse all-to-all (hypercube
-        // metadata exchange), hot-rank broadcasts, and the full
-        // sender-side compaction stack.
+        // metadata exchange), hot-rank broadcasts, the compact wire
+        // format, overlap and narrowing.
         DistOpts {
             alltoall: AllToAll::Sparse,
-            hot_bcast: true,
             hot_threshold: 4.0,
             kernel_threads: 1,
             spmv_threshold: 0.5,
-            dedup_requests: true,
-            combine_assigns: true,
-            compress_ids: true,
-            compress_bitmap_density: 1.0 / 16.0,
-            dedup_hash_threshold: 2048,
-            combine_in_flight: true,
-            fuse_starcheck: true,
-            compress_values: true,
+            wire: Wire::Compact,
             overlap: true,
-            overlap_dispatch: false,
             narrow_labels: true,
             narrow_u16_max: 1 << 16,
             narrow_dict_max: 1 << 16,
-            narrow: dmsim::NarrowSpec::NATIVE,
         }
     }
 }
@@ -174,60 +140,39 @@ impl Default for DistOpts {
 impl DistOpts {
     /// The unoptimized baseline: MPI_Alltoallv-style pairwise exchange, no
     /// broadcast fallback — what §V-B says stopped scaling past 1024
-    /// ranks — and no sender-side compaction.
+    /// ranks — on the legacy wire format, strictly blocking.
     pub fn naive() -> Self {
         DistOpts {
             alltoall: AllToAll::Pairwise,
-            hot_bcast: false,
             hot_threshold: f64::INFINITY,
-            dedup_requests: false,
-            combine_assigns: false,
-            compress_ids: false,
-            combine_in_flight: false,
-            fuse_starcheck: false,
-            compress_values: false,
+            wire: Wire::Legacy,
             overlap: false,
             narrow_labels: false,
             ..DistOpts::default()
         }
     }
 
-    /// The fully optimized configuration (an explicit alias of `Default`):
-    /// sparse all-to-all, hot-rank broadcasts, all sender-side compaction
-    /// flags, and compute/communication overlap on.
+    /// The fully optimized configuration (an explicit alias of `Default`).
     pub fn optimized() -> Self {
         DistOpts::default()
     }
 }
 
-/// Whether the adaptive [`dist_mxv`] dispatch takes the SpMV (dense,
-/// column-scan) execution at this measured global fill.
-///
-/// The base rule is the paper's: SpMV at `fill ≥ spmv_threshold`. With
-/// both [`DistOpts::overlap`] and [`DistOpts::overlap_dispatch`] on, the
-/// effective threshold is halved: SpMV's one bulk column allgather is
-/// posted ahead of a long streaming multiply, so most of its exchange
-/// cost is hideable (`hideable_s` ≈ the β transfer), while SpMSpV's
-/// smaller, irregular exchanges leave little compute to hide behind —
-/// overlap credit shifts the break-even point toward SpMV.
-pub fn spmv_wins(fill: f64, opts: &DistOpts) -> bool {
-    let threshold = if opts.overlap && opts.overlap_dispatch {
-        opts.spmv_threshold * 0.5
-    } else {
-        opts.spmv_threshold
-    };
-    fill >= threshold
-}
+/// Size at which a request bucket switches dedup strategy in
+/// [`plan_requests`]: at least this long, a hash set (one linear pass plus
+/// a sort of the unique ids); shorter, sort-and-dedup in place. Both
+/// produce the same plan; their compute charges differ.
+const DEDUP_HASH_THRESHOLD: usize = 2048;
 
-/// Allgathers each rank's value chunk, re-encoding the stream under an
-/// active narrowing spec (raw `Vec<T>` otherwise — byte-identical to the
-/// legacy exchange). The framed ring charges β at the legacy chunk word
-/// count, so `words_sent` and the modeled clock are identical with
-/// narrowing on or off; savings (charged against the raw chunk bytes,
+/// Allgathers each rank's value chunk, re-encoding the stream under the
+/// narrowing spec installed on `comm` (raw `Vec<T>` when none is active —
+/// byte-identical to the legacy exchange). The framed ring charges β at
+/// the legacy chunk word count, so `words_sent` and the modeled clock are
+/// identical with narrowing on or off; savings (charged against the raw chunk bytes,
 /// once per ring hop the block travels) show up only in `bytes_sent`.
 /// Decoding happens inside the posted operation, so the handle yields
 /// per-rank chunks either way.
-fn allgather_chunks_narrow<T>(
+fn allgather_chunks<T>(
     comm: &mut Comm,
     group: &Group,
     local: Vec<T>,
@@ -236,7 +181,7 @@ fn allgather_chunks_narrow<T>(
 where
     T: NarrowVal,
 {
-    let spec = opts.narrow;
+    let spec = comm.narrow_spec();
     if !spec.active() {
         return comm.post(opts.overlap, move |c| c.allgatherv(group, local));
     }
@@ -261,12 +206,12 @@ where
     })
 }
 
-/// [`allgather_chunks_narrow`] over sorted sparse entries: each rank's
+/// [`allgather_chunks`] over sorted sparse entries: each rank's
 /// `(id, value)` list ships as one frame — varint count, delta-encoded id
 /// stream, narrowed value stream — under an active spec, or as the legacy
 /// raw tuple vector otherwise. Same framed-ring charging contract as
-/// [`allgather_chunks_narrow`].
-fn allgather_entries_narrow<T, I>(
+/// [`allgather_chunks`].
+fn allgather_entries<T, I>(
     comm: &mut Comm,
     group: &Group,
     entries: Vec<(I, T)>,
@@ -276,7 +221,7 @@ where
     T: NarrowVal,
     I: Idx + WireWord,
 {
-    let spec = opts.narrow;
+    let spec = comm.narrow_spec();
     if !spec.active() {
         return comm.post(opts.overlap, move |c| c.allgatherv(group, entries));
     }
@@ -370,37 +315,25 @@ impl DistMask<'_> {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExtractStats {
     /// Requests this rank received and answered point-to-point (after
-    /// senders deduped, when [`DistOpts::dedup_requests`] is on).
+    /// senders deduped, under [`Wire::Compact`]).
     pub received_requests: u64,
     /// Whether this rank took the broadcast fallback.
     pub did_broadcast: bool,
     /// 8-byte words this rank kept off the wire by request dedup (ids out
-    /// plus replies back, relative to the naive all-to-all; hot-broadcast
-    /// buckets excluded). Zero when `dedup_requests` is off.
+    /// plus replies back, relative to the legacy all-to-all; hot-broadcast
+    /// buckets excluded). Zero under [`Wire::Legacy`].
     pub dedup_saved_words: u64,
-    /// Words saved by delta/bitmap encoding of the request id streams.
-    /// Zero when `compress_ids` is off.
-    pub compress_saved_words: u64,
-    /// Words saved by run-length encoding the reply value streams. Zero
-    /// when `compress_values` is off.
-    pub value_saved_words: u64,
 }
 
 /// Statistics from one [`dist_assign`] call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AssignStats {
-    /// Updates this rank received (after senders pre-combined, when
-    /// [`DistOpts::combine_assigns`] is on).
+    /// Updates this rank received (after senders pre-combined and routes
+    /// merged, under [`Wire::Compact`]).
     pub received_updates: u64,
     /// 8-byte words this rank kept off the wire by monoid pre-combining.
-    /// Zero when `combine_assigns` is off.
+    /// Zero under [`Wire::Legacy`].
     pub combine_saved_words: u64,
-    /// Words saved by id compression of the update exchange. Zero when
-    /// `compress_ids` is off.
-    pub compress_saved_words: u64,
-    /// Words saved by run-length encoding the update value streams. Zero
-    /// when `compress_values` is off.
-    pub value_saved_words: u64,
 }
 
 /// Scatters locally produced `(global row, value)` results to their layout
@@ -769,11 +702,12 @@ where
     // stays raw: its HashMap-order entries have no sorted id stream.)
     let mut merged: HashMap<I, T> = HashMap::new();
     let mut merge_ops = 0u64;
-    if opts.narrow.active() {
+    let spec = comm.narrow_spec();
+    if spec.active() {
         let dict = comm.narrow_dict();
         let mut frames: Vec<FramedBlock> = Vec::with_capacity(pc);
         for b in &buckets {
-            let frame = encode_entry_frame(b, opts.narrow, dict.as_deref());
+            let frame = encode_entry_frame(b, spec, dict.as_deref());
             comm.note_narrow_saved(bytes_of::<(I, T)>(b.len()).saturating_sub(frame.len() as u64));
             frames.push(FramedBlock {
                 legacy_words: words_of::<(I, T)>(b.len()),
@@ -900,7 +834,7 @@ where
     // between the post and the wait and hides the transfer tail. Under an
     // active narrowing spec the chunks ship re-encoded (u16/dictionary).
     let col_group = grid.col_group(comm);
-    let gh = allgather_chunks_narrow(comm, &col_group, x.local().to_vec(), opts);
+    let gh = allgather_chunks(comm, &col_group, x.local().to_vec(), opts);
     let x_block: Vec<T> = gh.peek().concat();
     debug_assert_eq!(x_block.len(), a.col_range().1 - a.col_range().0);
 
@@ -1011,7 +945,7 @@ where
     // Under an active narrowing spec each rank's entries ship as one
     // id-stream + narrowed-value frame.
     let col_group = grid.col_group(comm);
-    let gh = allgather_entries_narrow(comm, &col_group, x.entries().to_vec(), opts);
+    let gh = allgather_entries(comm, &col_group, x.entries().to_vec(), opts);
     let gathered: Vec<(I, T)> = gh.peek().iter().flatten().copied().collect();
 
     // Phase 2: local multiply through the DCSC block (owner-partitioned
@@ -1117,7 +1051,7 @@ where
     } else {
         x.global_nvals(comm) as f64 / n as f64
     };
-    if layout.distribution() == Distribution::Cyclic || !spmv_wins(fill, opts) {
+    if layout.distribution() == Distribution::Cyclic || fill < opts.spmv_threshold {
         return mxv_sparse_impl(comm, a, x, mask, monoid, opts);
     }
 
@@ -1125,7 +1059,7 @@ where
     // and block multiply stream behind the transfer), then densify.
     let grid = a.grid();
     let col_group = grid.col_group(comm);
-    let gh = allgather_entries_narrow(comm, &col_group, x.entries().to_vec(), opts);
+    let gh = allgather_entries(comm, &col_group, x.entries().to_vec(), opts);
     let gathered: Vec<(I, T)> = gh.peek().iter().flatten().copied().collect();
     let (cs, ce) = a.col_range();
     let w = ce - cs;
@@ -1160,12 +1094,11 @@ where
 /// back-to-back extracts with the identical grandparent request slice, so
 /// the plan is built once).
 ///
-/// With [`DistOpts::dedup_requests`] each per-owner wire list carries
-/// every unique id once (sorted); `scatter` routes each reply back to all
-/// of its originating request positions. With only
-/// [`DistOpts::compress_ids`] the lists are sorted but keep duplicates;
-/// with neither flag they preserve request order — every combination is
-/// bit-identical to the unplanned exchange.
+/// Under [`Wire::Compact`] each per-owner wire list carries every unique
+/// id once (sorted) and `scatter` routes each reply back to all of its
+/// originating request positions; under [`Wire::Legacy`] the lists
+/// preserve request order, duplicates included. Both are bit-identical to
+/// the unplanned exchange.
 pub struct RequestPlan<I: Idx = Vid> {
     layout: VecLayout,
     n_requests: usize,
@@ -1173,10 +1106,6 @@ pub struct RequestPlan<I: Idx = Vid> {
     wire_ids: Vec<Vec<I>>,
     /// Per-owner `(index into wire_ids[o], original request position)`.
     scatter: Vec<Vec<(u32, u32)>>,
-    /// Wire lists are sorted (dedup or compression was requested).
-    sorted: bool,
-    /// Wire lists are duplicate-free.
-    deduped: bool,
 }
 
 impl<I: Idx> RequestPlan<I> {
@@ -1201,10 +1130,9 @@ impl<I: Idx> RequestPlan<I> {
     }
 }
 
-/// Buckets `requests` by owning rank under `layout` and (per
-/// [`DistOpts::dedup_requests`] / [`DistOpts::compress_ids`]) sorts and
-/// dedups each bucket, recording the reply scatter. Charged as local
-/// compute; no communication happens here.
+/// Buckets `requests` by owning rank under `layout` and, under
+/// [`Wire::Compact`], sorts and dedups each bucket, recording the reply
+/// scatter. Charged as local compute; no communication happens here.
 pub fn plan_requests<I: Idx>(
     comm: &mut Comm,
     layout: VecLayout,
@@ -1216,7 +1144,6 @@ pub fn plan_requests<I: Idx>(
         requests.len() < u32::MAX as usize,
         "request list too long for the plan's u32 positions"
     );
-    let sorted = opts.dedup_requests || opts.compress_ids;
     let mut pairs = layout.bucket_by_owner(
         comm,
         requests.iter().enumerate().map(|(pos, &g)| (g, pos as u32)),
@@ -1226,8 +1153,8 @@ pub fn plan_requests<I: Idx>(
     let mut ops = requests.len() as u64 + 1;
     for bucket in pairs.iter_mut() {
         let k = bucket.len();
-        if !sorted {
-            // Naive path: request order on the wire, sequential scatter.
+        if opts.wire == Wire::Legacy {
+            // Request order on the wire, sequential scatter.
             wire_ids.push(bucket.iter().map(|&(g, _)| g).collect());
             scatter.push(
                 bucket
@@ -1238,7 +1165,7 @@ pub fn plan_requests<I: Idx>(
             );
             continue;
         }
-        if opts.dedup_requests && k >= opts.dedup_hash_threshold {
+        if k >= DEDUP_HASH_THRESHOLD {
             // Hash path: one linear pass collects unique ids, then only
             // those are sorted — wins when duplication is heavy.
             let mut uniq: HashMap<I, u32> = HashMap::with_capacity(k / 4);
@@ -1255,16 +1182,14 @@ pub fn plan_requests<I: Idx>(
             wire_ids.push(ids);
             scatter.push(sc);
         } else {
-            // Sort path: sort the (id, position) pairs and walk the runs,
-            // collapsing equal ids only when dedup is on (compression
-            // alone needs sorted order but keeps duplicates).
+            // Sort path: sort the (id, position) pairs and collapse the
+            // runs of equal ids.
             let mut b: Vec<(I, u32)> = bucket.to_vec();
             b.sort_unstable_by_key(|&(g, _)| g);
             let mut ids: Vec<I> = Vec::with_capacity(k);
             let mut sc: Vec<(u32, u32)> = Vec::with_capacity(k);
             for (g, pos) in b {
-                let collapse = opts.dedup_requests && ids.last() == Some(&g);
-                if !collapse {
+                if ids.last() != Some(&g) {
                     ids.push(g);
                 }
                 sc.push((ids.len() as u32 - 1, pos));
@@ -1280,8 +1205,6 @@ pub fn plan_requests<I: Idx>(
         n_requests: requests.len(),
         wire_ids,
         scatter,
-        sorted,
-        deduped: opts.dedup_requests,
     }
 }
 
@@ -1292,8 +1215,7 @@ pub fn plan_requests<I: Idx>(
 /// allreduced; owners whose incoming load exceeds `hot_threshold ×` their
 /// chunk size broadcast their chunk instead of answering point-to-point
 /// (then drop out of the all-to-all, which the sparse algorithm exploits).
-/// On top of that, the sender-side compaction flags in [`DistOpts`] dedup
-/// and compress what the all-to-all carries.
+/// [`DistOpts::wire`] picks what the remaining requests travel as.
 pub fn dist_extract<T, I>(
     comm: &mut Comm,
     src: &DistVec<T>,
@@ -1375,7 +1297,7 @@ where
 
     // Detect hot owners by global request totals — counted post-dedup,
     // i.e. by the traffic actually offered to each owner.
-    let hot: Vec<bool> = if opts.hot_bcast && p > 1 {
+    let hot: Vec<bool> = if opts.hot_threshold.is_finite() && p > 1 {
         let my_counts: Vec<u64> = plan.wire_ids.iter().map(|v| v.len() as u64).collect();
         let totals = comm.allreduce_counted(&world, my_counts, p as u64, |a, b| {
             a.iter().zip(&b).map(|(x, y)| x + y).collect()
@@ -1403,7 +1325,7 @@ where
         comm.charge_compute(plan.scatter[o].len() as u64 + 1);
     }
 
-    // Dedup savings relative to the naive exchange: every collapsed
+    // Dedup savings relative to the legacy exchange: every collapsed
     // duplicate would have crossed the wire twice (id out, reply back) —
     // charged at the narrow id width actually on the wire.
     for (o, &is_hot) in hot.iter().enumerate() {
@@ -1414,156 +1336,72 @@ where
         stats.dedup_saved_words += words_of::<I>(removed) + words_of::<T>(removed);
     }
 
-    // In-flight combining: request ids ride the combining hypercube as
-    // delta-encoded key streams, merging cross-rank duplicates at the hop
-    // where their routes first meet; replies scatter back along the
-    // recorded reverse route. Keys stay at the narrow index width `I` —
-    // the delta streams encode identically, but the pairwise fallbacks
-    // and reply tuples are charged at `I`'s true size. Hot owners keep
-    // the broadcast fallback and contribute empty key buckets.
-    if opts.combine_in_flight {
-        let key_bufs: Vec<Vec<I>> = (0..p)
-            .map(|o| {
-                if hot[o] {
-                    Vec::new()
-                } else {
-                    plan.wire_ids[o].clone()
-                }
-            })
-            .collect();
-        let route = comm.combining_requests_narrow(&world, key_bufs, opts.narrow);
-        stats.received_requests = route.delivered_keys().len() as u64;
-        let values: Vec<T> = route
-            .delivered_keys()
-            .iter()
-            .map(|&k| src.get_local(k.idx()))
-            .collect();
-        comm.charge_compute(stats.received_requests + 1);
-        comm.note_words_saved(stats.dedup_saved_words);
-        let reply = comm.combining_replies_narrow(
-            &world,
-            &route,
-            &values,
-            opts.compress_values,
-            opts.narrow,
-        );
-        for (o, pairs) in reply.iter().enumerate() {
+    // Remaining requests go to their owners; hot owners keep the broadcast
+    // fallback and contribute empty buckets.
+    let send: Vec<Vec<I>> = (0..p)
+        .map(|o| {
             if hot[o] {
-                continue;
+                Vec::new()
+            } else {
+                plan.wire_ids[o].clone()
             }
-            for &(w, pos) in &plan.scatter[o] {
-                let key = plan.wire_ids[o][w as usize];
-                let i = pairs
-                    .binary_search_by_key(&key, |&(k, _)| k)
-                    .expect("reply for every requested id");
-                results[pos as usize] = Some(pairs[i].1);
-            }
-            comm.charge_compute(plan.scatter[o].len() as u64 + 1);
-        }
-        return (
-            results
-                .into_iter()
-                .map(|r| r.expect("every request answered"))
-                .collect(),
-            stats,
-        );
-    }
-
-    // Remaining requests go through the all-to-all — as raw id words, or
-    // as delta/bitmap-encoded local offsets when compression is on (the
-    // owner's offsets are monotone in the global id under both layouts,
-    // and serving replies indexes the local slice directly).
-    let compress = opts.compress_ids && plan.sorted;
-    let replies: Vec<Vec<T>> = if compress {
-        let mut send: Vec<Vec<u8>> = Vec::with_capacity(p);
-        for (o, &is_hot) in hot.iter().enumerate() {
-            if is_hot || plan.wire_ids[o].is_empty() {
-                send.push(Vec::new());
-                continue;
-            }
-            let offs: Vec<usize> = plan.wire_ids[o]
+        })
+        .collect();
+    match opts.wire {
+        // In-flight combining: request ids ride the combining hypercube as
+        // delta-encoded key streams, merging cross-rank duplicates at the
+        // hop where their routes first meet; replies scatter back along
+        // the recorded reverse route. Keys stay at the narrow index width
+        // `I` — the delta streams encode identically, but the pairwise
+        // fallbacks and reply tuples are charged at `I`'s true size.
+        Wire::Compact => {
+            let route = comm.combining_requests(&world, send);
+            stats.received_requests = route.delivered_keys().len() as u64;
+            let values: Vec<T> = route
+                .delivered_keys()
                 .iter()
-                .map(|&g| layout.offset_of(o, g.idx()))
+                .map(|&k| src.get_local(k.idx()))
                 .collect();
-            let enc = compact::encode_offsets(&offs, plan.deduped, opts.compress_bitmap_density);
-            stats.compress_saved_words +=
-                words_of::<I>(offs.len()).saturating_sub(words_of::<u8>(enc.len()));
-            send.push(enc);
-        }
-        comm.charge_compute(plan.wire_ids.iter().map(|v| v.len() as u64).sum::<u64>() + 1);
-        let incoming = comm.alltoallv(&world, send, opts.alltoall);
-        incoming
-            .into_iter()
-            .map(|bytes| {
-                let bytes = comm.adopt_buf(bytes);
-                let offs = compact::decode_offsets(&bytes);
-                stats.received_requests += offs.len() as u64;
-                offs.iter().map(|&off| src.local()[off]).collect()
-            })
-            .collect()
-    } else {
-        let send: Vec<Vec<I>> = (0..p)
-            .map(|o| {
+            comm.charge_compute(stats.received_requests + 1);
+            comm.note_words_saved(stats.dedup_saved_words);
+            let reply = comm.combining_replies(&world, &route, &values);
+            for (o, pairs) in reply.iter().enumerate() {
                 if hot[o] {
-                    Vec::new()
-                } else {
-                    plan.wire_ids[o].clone()
+                    continue;
                 }
-            })
-            .collect();
-        let incoming = comm.alltoallv(&world, send, opts.alltoall);
-        incoming
-            .into_iter()
-            .map(|ids| {
-                // Adopt the id list so its allocation recycles after the
-                // reply is built.
-                let ids = comm.adopt_buf(ids);
-                stats.received_requests += ids.len() as u64;
-                ids.iter().map(|&g| src.get_local(g.idx())).collect()
-            })
-            .collect()
-    };
-    comm.charge_compute(stats.received_requests + 1);
-    // Reply values go back raw, or run-length encoded when value
-    // compression is on (near convergence most replies repeat the same
-    // few labels, so the streams collapse to a handful of runs).
-    let reply_back: Vec<Vec<T>> = if opts.compress_values {
-        let dict = comm.narrow_dict();
-        let mut enc: Vec<FramedBlock> = Vec::with_capacity(p);
-        let mut narrow_saved = 0u64;
-        for r in &replies {
-            let (e, saved) = compact::encode_values_narrow(r, opts.narrow, dict.as_deref());
-            narrow_saved += saved;
-            // Both the β charge and the value-compression stat are taken
-            // at the legacy stream length (e.len() + saved), so neither
-            // words_sent nor ExtractStats depends on the narrowing tier.
-            let legacy_len = e.len() + saved as usize;
-            stats.value_saved_words +=
-                words_of::<T>(r.len()).saturating_sub(words_of::<u8>(legacy_len));
-            enc.push(FramedBlock {
-                legacy_words: words_of::<u8>(legacy_len),
-                items: r.len() as u64,
-                bytes: e,
-            });
+                for &(w, pos) in &plan.scatter[o] {
+                    let key = plan.wire_ids[o][w as usize];
+                    let i = pairs
+                        .binary_search_by_key(&key, |&(k, _)| k)
+                        .expect("reply for every requested id");
+                    results[pos as usize] = Some(pairs[i].1);
+                }
+                comm.charge_compute(plan.scatter[o].len() as u64 + 1);
+            }
         }
-        comm.note_narrow_saved(narrow_saved);
-        comm.note_words_saved(
-            stats.dedup_saved_words + stats.compress_saved_words + stats.value_saved_words,
-        );
-        let back = comm.alltoallv_framed(&world, enc, opts.alltoall);
-        back.into_iter()
-            .map(|bytes| compact::decode_values_narrow(&bytes, dict.as_deref()))
-            .collect()
-    } else {
-        comm.note_words_saved(stats.dedup_saved_words + stats.compress_saved_words);
-        comm.alltoallv(&world, replies, opts.alltoall)
-    };
-    for o in 0..p {
-        if hot[o] {
-            continue;
-        }
-        for &(w, pos) in &plan.scatter[o] {
-            results[pos as usize] = Some(reply_back[o][w as usize]);
+        // Raw id words out through the all-to-all, raw values back.
+        Wire::Legacy => {
+            let incoming = comm.alltoallv(&world, send, opts.alltoall);
+            let replies: Vec<Vec<T>> = incoming
+                .into_iter()
+                .map(|ids| {
+                    // Adopt the id list so its allocation recycles after
+                    // the reply is built.
+                    let ids = comm.adopt_buf(ids);
+                    stats.received_requests += ids.len() as u64;
+                    ids.iter().map(|&g| src.get_local(g.idx())).collect()
+                })
+                .collect();
+            comm.charge_compute(stats.received_requests + 1);
+            let reply_back = comm.alltoallv(&world, replies, opts.alltoall);
+            for o in 0..p {
+                if hot[o] {
+                    continue;
+                }
+                for &(w, pos) in &plan.scatter[o] {
+                    results[pos as usize] = Some(reply_back[o][w as usize]);
+                }
+            }
         }
     }
     (
@@ -1595,19 +1433,9 @@ impl<I: Idx + WireWord> FusedExtract<I> {
     /// Sends the plan's per-owner request ids through the combining
     /// hypercube and records the route for later reply phases.
     pub fn begin(comm: &mut Comm, plan: &RequestPlan<I>) -> FusedExtract<I> {
-        Self::begin_narrow(comm, plan, NarrowSpec::NATIVE)
-    }
-
-    /// [`FusedExtract::begin`] with a dynamic narrowing tier for the
-    /// forward key streams (see [`DistOpts::narrow_labels`]).
-    pub fn begin_narrow(
-        comm: &mut Comm,
-        plan: &RequestPlan<I>,
-        spec: NarrowSpec,
-    ) -> FusedExtract<I> {
         let world = comm.world();
         let key_bufs: Vec<Vec<I>> = plan.wire_ids.to_vec();
-        let route = comm.combining_requests_narrow(&world, key_bufs, spec);
+        let route = comm.combining_requests(&world, key_bufs);
         FusedExtract { route }
     }
 
@@ -1619,13 +1447,7 @@ impl<I: Idx + WireWord> FusedExtract<I> {
 
     /// One reply phase: serves the delivered ids from `src` as of *now*
     /// and returns `src[requests[k]]` for each planned request, in order.
-    pub fn extract<T>(
-        &self,
-        comm: &mut Comm,
-        src: &DistVec<T>,
-        plan: &RequestPlan<I>,
-        opts: &DistOpts,
-    ) -> Vec<T>
+    pub fn extract<T>(&self, comm: &mut Comm, src: &DistVec<T>, plan: &RequestPlan<I>) -> Vec<T>
     where
         T: Copy + Send + WireWord + 'static,
     {
@@ -1643,13 +1465,7 @@ impl<I: Idx + WireWord> FusedExtract<I> {
             .map(|&k| src.get_local(k.idx()))
             .collect();
         comm.charge_compute(values.len() as u64 + 1);
-        let reply = comm.combining_replies_narrow(
-            &world,
-            &self.route,
-            &values,
-            opts.compress_values,
-            opts.narrow,
-        );
+        let reply = comm.combining_replies(&world, &self.route, &values);
         let mut results: Vec<Option<T>> = vec![None; plan.n_requests];
         for (o, pairs) in reply.iter().enumerate() {
             for &(w, pos) in &plan.scatter[o] {
@@ -1708,157 +1524,75 @@ where
     I: Idx + WireWord,
 {
     let layout = dst.layout();
-    let me = comm.rank();
     let world = comm.world();
     let mut stats = AssignStats::default();
     let raw = layout.bucket_by_owner(comm, updates.iter().copied());
     comm.charge_compute(updates.len() as u64 + 1);
 
-    // Sender-side pre-combining: fold duplicate targets through the
-    // monoid in arrival order — re-associating, never reordering, the
-    // receiver's fold, so the result is bit-identical for associative
-    // monoids — then sort by id. Compression alone sorts *stably*
-    // (preserving per-target arrival order) so the offset stream is
-    // monotone without changing what the receiver folds.
+    // Sender-side pre-combining (compact wire only): fold duplicate
+    // targets through the monoid in arrival order — re-associating, never
+    // reordering, the receiver's fold, so the result is bit-identical for
+    // associative monoids — then sort by id.
     let mut ops = 1u64;
     let buckets: Vec<Vec<(I, T)>> = raw
         .into_iter()
         .map(|b| {
             let b = b.detach();
-            if opts.combine_assigns {
-                let before = b.len();
-                let mut m: HashMap<I, T> = HashMap::with_capacity(before.min(1024));
-                for (g, v) in b {
-                    m.entry(g)
-                        .and_modify(|acc| *acc = monoid.combine(*acc, v))
-                        .or_insert(v);
-                }
-                let mut c: Vec<(I, T)> = m.into_iter().collect();
-                c.sort_unstable_by_key(|&(g, _)| g);
-                ops += before as u64 + c.len() as u64;
-                stats.combine_saved_words += words_of::<(I, T)>(before - c.len());
-                c
-            } else if opts.compress_ids {
-                let mut b = b;
-                b.sort_by_key(|&(g, _)| g);
-                ops += b.len() as u64;
-                b
-            } else {
-                b
+            if opts.wire == Wire::Legacy {
+                return b;
             }
+            let before = b.len();
+            let mut m: HashMap<I, T> = HashMap::with_capacity(before.min(1024));
+            for (g, v) in b {
+                m.entry(g)
+                    .and_modify(|acc| *acc = monoid.combine(*acc, v))
+                    .or_insert(v);
+            }
+            let mut c: Vec<(I, T)> = m.into_iter().collect();
+            c.sort_unstable_by_key(|&(g, _)| g);
+            ops += before as u64 + c.len() as u64;
+            stats.combine_saved_words += words_of::<(I, T)>(before - c.len());
+            c
         })
         .collect();
     comm.charge_compute(ops);
 
-    // In-flight combining: updates ride the combining hypercube keyed by
-    // target id, folding through the monoid wherever two origins' routes
-    // meet — each target reaches its owner at most once per arrival
-    // branch instead of once per sender. LACC's monoids (min-hook,
-    // and-fold) are commutative, so the merge-tree order is immaterial.
-    // Keys ride at the narrow index width `I`, so the per-entry tuples
-    // are charged at their true size.
-    if opts.combine_in_flight {
-        let merged = comm.reduce_scatter_by_key_narrow(
-            &world,
-            buckets,
-            |acc: &mut T, v| *acc = monoid.combine(*acc, v),
-            opts.narrow,
-        );
-        stats.received_updates = merged.len() as u64;
-        comm.charge_compute(stats.received_updates + 1);
-        comm.note_words_saved(stats.combine_saved_words);
-        let mut changed = 0;
-        for (k, v) in merged {
-            let g = k.idx();
-            if dst.get_local(g) != v {
-                dst.set_local(g, v);
-                changed += 1;
-            }
+    let merged: Vec<(I, T)> = match opts.wire {
+        // In-flight combining: updates ride the combining hypercube keyed
+        // by target id, folding through the monoid wherever two origins'
+        // routes meet — each target reaches its owner at most once per
+        // arrival branch instead of once per sender. LACC's monoids
+        // (min-hook, and-fold) are commutative, so the merge-tree order is
+        // immaterial. Keys ride at the narrow index width `I`, so the
+        // per-entry tuples are charged at their true size.
+        Wire::Compact => {
+            let merged = comm.reduce_scatter_by_key(&world, buckets, |acc: &mut T, v| {
+                *acc = monoid.combine(*acc, v)
+            });
+            stats.received_updates = merged.len() as u64;
+            merged
         }
-        return (changed, stats);
-    }
-
-    let mut combined: HashMap<Vid, T> = HashMap::new();
-    let mut nops = 0u64;
-    if opts.compress_ids {
-        // Ids cross the wire as encoded local offsets; values ride in a
-        // parallel (position-aligned) exchange.
-        let mut id_bufs: Vec<Vec<u8>> = Vec::with_capacity(buckets.len());
-        let mut val_bufs: Vec<Vec<T>> = Vec::with_capacity(buckets.len());
-        for (o, b) in buckets.iter().enumerate() {
-            let offs: Vec<usize> = b
-                .iter()
-                .map(|&(g, _)| layout.offset_of(o, g.idx()))
-                .collect();
-            let enc =
-                compact::encode_offsets(&offs, opts.combine_assigns, opts.compress_bitmap_density);
-            let raw_words = words_of::<(I, T)>(b.len());
-            let sent_words = words_of::<u8>(enc.len()) + words_of::<T>(b.len());
-            stats.compress_saved_words += raw_words.saturating_sub(sent_words);
-            id_bufs.push(enc);
-            val_bufs.push(b.iter().map(|&(_, v)| v).collect());
-        }
-        let in_ids = comm.alltoallv(&world, id_bufs, opts.alltoall);
-        // Values ride raw or run-length encoded per compress_values.
-        let in_vals: Vec<Vec<T>> = if opts.compress_values {
-            let dict = comm.narrow_dict();
-            let mut enc_vals: Vec<FramedBlock> = Vec::with_capacity(val_bufs.len());
-            let mut narrow_saved = 0u64;
-            for v in &val_bufs {
-                let (e, saved) = compact::encode_values_narrow(v, opts.narrow, dict.as_deref());
-                narrow_saved += saved;
-                // β and the compression stat are charged at the legacy
-                // stream length (e.len() + saved), so words_sent and
-                // AssignStats are identical with narrowing on or off.
-                let legacy_len = e.len() + saved as usize;
-                stats.value_saved_words +=
-                    words_of::<T>(v.len()).saturating_sub(words_of::<u8>(legacy_len));
-                enc_vals.push(FramedBlock {
-                    legacy_words: words_of::<u8>(legacy_len),
-                    items: v.len() as u64,
-                    bytes: e,
-                });
+        // Every update crosses the all-to-all; the owner folds.
+        Wire::Legacy => {
+            let mut combined: HashMap<I, T> = HashMap::new();
+            for part in comm.alltoallv(&world, buckets, opts.alltoall) {
+                let part = comm.adopt_buf(part);
+                stats.received_updates += part.len() as u64;
+                for &(g, v) in part.iter() {
+                    combined
+                        .entry(g)
+                        .and_modify(|acc| *acc = monoid.combine(*acc, v))
+                        .or_insert(v);
+                }
             }
-            comm.note_narrow_saved(narrow_saved);
-            comm.alltoallv_framed(&world, enc_vals, opts.alltoall)
-                .into_iter()
-                .map(|bytes| compact::decode_values_narrow(&bytes, dict.as_deref()))
-                .collect()
-        } else {
-            comm.alltoallv(&world, val_bufs, opts.alltoall)
-        };
-        for (bytes, vals) in in_ids.into_iter().zip(in_vals) {
-            let bytes = comm.adopt_buf(bytes);
-            let offs = compact::decode_offsets(&bytes);
-            debug_assert_eq!(offs.len(), vals.len(), "id/value streams misaligned");
-            nops += offs.len() as u64;
-            for (&off, &v) in offs.iter().zip(vals.iter()) {
-                combined
-                    .entry(layout.global_of(me, off))
-                    .and_modify(|acc| *acc = monoid.combine(*acc, v))
-                    .or_insert(v);
-            }
+            combined.into_iter().collect()
         }
-    } else {
-        let incoming = comm.alltoallv(&world, buckets, opts.alltoall);
-        for part in incoming {
-            let part = comm.adopt_buf(part);
-            nops += part.len() as u64;
-            for &(g, v) in part.iter() {
-                combined
-                    .entry(g.idx())
-                    .and_modify(|acc| *acc = monoid.combine(*acc, v))
-                    .or_insert(v);
-            }
-        }
-    }
-    stats.received_updates = nops;
-    comm.charge_compute(nops + 1);
-    comm.note_words_saved(
-        stats.combine_saved_words + stats.compress_saved_words + stats.value_saved_words,
-    );
+    };
+    comm.charge_compute(stats.received_updates + 1);
+    comm.note_words_saved(stats.combine_saved_words);
     let mut changed = 0;
-    for (g, v) in combined {
+    for (k, v) in merged {
+        let g = k.idx();
         if dst.get_local(g) != v {
             dst.set_local(g, v);
             changed += 1;
@@ -1879,26 +1613,6 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     const GRIDS: [usize; 4] = [1, 4, 9, 16];
-
-    #[test]
-    fn overlap_dispatch_halves_the_spmv_threshold() {
-        let mut opts = DistOpts {
-            spmv_threshold: 0.5,
-            overlap: true,
-            overlap_dispatch: false,
-            ..DistOpts::optimized()
-        };
-        // Without the opt-in the base threshold applies regardless of overlap.
-        assert!(!spmv_wins(0.3, &opts));
-        assert!(spmv_wins(0.6, &opts));
-        opts.overlap_dispatch = true;
-        // Overlap credit halves the bar: a 0.3 fill now picks SpMV.
-        assert!(spmv_wins(0.3, &opts));
-        assert!(!spmv_wins(0.2, &opts));
-        // No overlap means no hideable allgather, so no credit.
-        opts.overlap = false;
-        assert!(!spmv_wins(0.3, &opts));
-    }
 
     #[test]
     fn narrow_entry_frames_roundtrip_and_shrink() {
@@ -2199,8 +1913,8 @@ mod tests {
 
     /// Issues `copies` duplicates of every request/update on each rank and
     /// returns the per-rank (extract stats, assign stats, snapshot
-    /// words_saved) under the given options.
-    fn compaction_savings(copies: usize, opts: DistOpts) -> Vec<(ExtractStats, AssignStats, u64)> {
+    /// words_saved, snapshot combined_words) under the given options.
+    fn wire_savings(copies: usize, opts: DistOpts) -> Vec<(ExtractStats, AssignStats, u64, u64)> {
         let n = 64;
         let p = 4;
         run_spmd(p, move |c| {
@@ -2215,53 +1929,49 @@ mod tests {
                 }
             }
             let opts = DistOpts {
-                hot_bcast: false,
+                hot_threshold: f64::INFINITY,
                 ..opts
             };
             let (_, es) = dist_extract(c, &src, &reqs, &opts);
             let mut dst = DistVec::from_fn(layout, c.rank(), |_| usize::MAX);
             let (_, asgn) = dist_assign(c, &mut dst, &upds, MinUsize, &opts);
-            (es, asgn, c.snapshot().words_saved)
+            let snap = c.snapshot();
+            (es, asgn, snap.words_saved, snap.combined_words)
         })
         .unwrap()
     }
 
     #[test]
-    fn savings_counters_zero_when_flags_off() {
-        for (es, asgn, noted) in compaction_savings(4, DistOpts::naive()) {
+    fn legacy_wire_reports_no_savings() {
+        for (es, asgn, noted, combined) in wire_savings(4, DistOpts::naive()) {
             assert_eq!(es.dedup_saved_words, 0);
-            assert_eq!(es.compress_saved_words, 0);
             assert_eq!(asgn.combine_saved_words, 0);
-            assert_eq!(asgn.compress_saved_words, 0);
             assert_eq!(noted, 0);
+            assert_eq!(combined, 0, "the legacy wire never combines in flight");
         }
     }
 
     #[test]
-    fn savings_counters_positive_and_monotone_in_duplication() {
-        // With duplicated traffic and the sender-side stack on (combining
-        // disabled so the classic exchange runs), every mechanism must
-        // report savings, and quadrupling the duplication can only save
-        // more words.
-        let sender_side = DistOpts {
-            combine_in_flight: false,
-            fuse_starcheck: false,
-            ..DistOpts::optimized()
-        };
-        let twice = compaction_savings(2, sender_side);
-        let eight = compaction_savings(8, sender_side);
-        for ((es2, as2, noted2), (es8, as8, noted8)) in twice.iter().zip(&eight) {
+    fn compact_wire_savings_positive_and_monotone_in_duplication() {
+        // With duplicated traffic every compact mechanism must report
+        // savings, and quadrupling the duplication can only save more
+        // words. Every rank asks for the same ids, so the hypercube hops
+        // merge cross-rank duplicates even without local copies.
+        let once = wire_savings(1, DistOpts::optimized());
+        let twice = wire_savings(2, DistOpts::optimized());
+        let eight = wire_savings(8, DistOpts::optimized());
+        for (rank, (_, _, _, combined)) in once.iter().enumerate() {
+            assert!(
+                *combined > 0,
+                "rank {rank}: identical cross-rank requests merge"
+            );
+        }
+        for ((es2, as2, noted2, _), (es8, as8, noted8, _)) in twice.iter().zip(&eight) {
             assert!(es2.dedup_saved_words > 0, "dedup saves on duplicates");
-            assert!(es2.compress_saved_words > 0, "ids compress");
             assert!(as2.combine_saved_words > 0, "combine collapses updates");
             assert_eq!(
                 *noted2,
-                es2.dedup_saved_words
-                    + es2.compress_saved_words
-                    + es2.value_saved_words
-                    + as2.combine_saved_words
-                    + as2.compress_saved_words
-                    + as2.value_saved_words,
+                es2.dedup_saved_words + as2.combine_saved_words,
                 "comm counter matches the per-op stats"
             );
             assert!(es8.dedup_saved_words >= es2.dedup_saved_words);
@@ -2271,46 +1981,36 @@ mod tests {
     }
 
     #[test]
-    fn combined_words_zero_when_off_and_monotone_when_on() {
-        // The in-flight counter stays zero on every non-combining path
-        // and grows with cross-rank duplication when combining is on:
-        // every rank requesting the same ids gives the hypercube hops
-        // more to merge.
-        let combined = |copies: usize, opts: DistOpts| -> Vec<u64> {
-            let n = 64;
-            let p = 4;
-            run_spmd(p, move |c| {
-                let layout = VecLayout::new(n, Grid2d::square(p));
-                let src = DistVec::from_fn(layout, c.rank(), |g| g * 3 % n);
-                let reqs: Vec<usize> = (0..n)
-                    .step_by(2)
-                    .flat_map(|g| std::iter::repeat_n(g, copies))
-                    .collect();
-                let opts = DistOpts {
-                    hot_bcast: false,
-                    ..opts
-                };
-                let _ = dist_extract(c, &src, &reqs, &opts);
-                let mut dst = DistVec::from_fn(layout, c.rank(), |_| usize::MAX);
-                let upds: Vec<(usize, usize)> = reqs.iter().map(|&g| (g, g + c.rank())).collect();
-                dist_assign(c, &mut dst, &upds, MinUsize, &opts);
-                c.snapshot().combined_words
-            })
-            .unwrap()
-        };
-        for w in combined(4, DistOpts::naive()) {
-            assert_eq!(w, 0, "naive path never combines");
-        }
-        let off = DistOpts {
-            combine_in_flight: false,
-            ..DistOpts::optimized()
-        };
-        for w in combined(4, off) {
-            assert_eq!(w, 0, "flag off pins the counter at zero");
-        }
-        let once = combined(1, DistOpts::optimized());
-        for (rank, &w) in once.iter().enumerate() {
-            assert!(w > 0, "rank {rank}: identical cross-rank requests merge");
+    fn dedup_strategies_agree_across_the_hash_threshold() {
+        // One owner, one set of unique ids, two request lists: a short one
+        // (sort-and-dedup) and one duplicated past DEDUP_HASH_THRESHOLD
+        // (hash set). Both strategies must plan the same wire ids and
+        // fetch the same replies.
+        let n = 256;
+        let p = 4;
+        let out = run_spmd(p, move |c| {
+            let layout = VecLayout::new(n, Grid2d::square(p));
+            let src = DistVec::from_fn(layout, c.rank(), |g| g * 7 % n);
+            let (lo, hi) = layout.range_of_rank(0);
+            let short: Vec<usize> = (lo..hi).rev().step_by(3).collect();
+            let copies = DEDUP_HASH_THRESHOLD.div_ceil(short.len());
+            let long: Vec<usize> = short.iter().flat_map(|&g| vec![g; copies]).collect();
+            assert!(short.len() < DEDUP_HASH_THRESHOLD && long.len() >= DEDUP_HASH_THRESHOLD);
+            let opts = DistOpts::optimized();
+            let plan_s = plan_requests(c, layout, &short, &opts);
+            let plan_l = plan_requests(c, layout, &long, &opts);
+            assert_eq!(plan_s.wire_ids, plan_l.wire_ids);
+            assert_eq!(plan_l.duplicates_removed(), long.len() - short.len());
+            let (vals_s, _) = dist_extract_planned(c, &src, &plan_s, &opts);
+            let (vals_l, _) = dist_extract_planned(c, &src, &plan_l, &opts);
+            (short, vals_s, vals_l, copies)
+        })
+        .unwrap();
+        for (short, vals_s, vals_l, copies) in out {
+            let expect: Vec<usize> = short.iter().map(|&g| g * 7 % n).collect();
+            assert_eq!(vals_s, expect);
+            let expect_l: Vec<usize> = expect.iter().flat_map(|&v| vec![v; copies]).collect();
+            assert_eq!(vals_l, expect_l);
         }
     }
 

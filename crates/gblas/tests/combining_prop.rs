@@ -8,15 +8,14 @@
 //! * With colliding keys and a commutative-associative merge (min, sum),
 //!   the folded result must be bit-identical to a destination-side fold
 //!   of the plain exchange.
-//! * At the `dist_extract` / `dist_assign` level, flipping
-//!   `combine_in_flight` (and `compress_values`, and the fused route
-//!   replay) must not change a single output bit across blocked/cyclic
-//!   layouts and power-of-two / fallback group sizes.
+//! * At the `dist_extract` / `dist_assign` level, the compact wire (and
+//!   the fused route replay) must not change a single output bit against
+//!   the legacy wire across blocked/cyclic layouts and power-of-two /
+//!   fallback group sizes.
 
 use dmsim::{run_spmd, AllToAll, Grid2d};
 use gblas::dist::{
-    dist_assign, dist_extract, dist_extract_planned, plan_requests, DistOpts, DistVec,
-    FusedExtract, VecLayout,
+    dist_assign, dist_extract, plan_requests, DistOpts, DistVec, FusedExtract, VecLayout, Wire,
 };
 use gblas::{AndBool, MinUsize};
 use proptest::prelude::*;
@@ -120,21 +119,19 @@ proptest! {
         }
     }
 
-    /// `combine_in_flight`, `compress_values`, and the fused route replay
-    /// are wire encodings: extract and assign results must be
-    /// bit-identical to the naive exchange on every layout and grid.
+    /// The compact wire and the fused route replay are wire encodings:
+    /// extract and assign results must be bit-identical to the naive
+    /// exchange on every layout and grid.
     #[test]
     fn combining_ops_bit_identical_to_naive(
         n in 4usize..80,
         (p, cyclic) in arb_grid().prop_flat_map(|p| (Just(p), proptest::bool::ANY)),
         reqs in proptest::collection::vec(0usize..1000, 0..60),
         raw in proptest::collection::vec((0usize..1000, 0usize..400), 0..60),
-        compress_values in proptest::bool::ANY,
     ) {
         let naive = DistOpts::naive();
         let combining = DistOpts {
-            combine_in_flight: true,
-            compress_values,
+            wire: Wire::Compact,
             ..naive
         };
         let (rr, ur) = (&reqs, &raw);
@@ -161,15 +158,15 @@ proptest! {
 
             // Fused replay: one request route serves a usize phase, then —
             // after an interleaved assign, as in starcheck — a bool phase.
-            let plan = plan_requests(c, layout, &requests, &naive);
+            let plan = plan_requests(c, layout, &requests, &combining);
             let fx = FusedExtract::begin(c, &plan);
-            let fused_vals = fx.extract(c, &src, &plan, &combining);
+            let fused_vals = fx.extract(c, &src, &plan);
             let mut star = DistVec::from_fn(layout, c.rank(), |_| true);
             let demote: Vec<(usize, bool)> =
                 requests.iter().map(|&g| (g, g % 3 != 0)).collect();
             dist_assign(c, &mut star, &demote, AndBool, &naive);
-            let fused_star = fx.extract(c, &star, &plan, &combining);
-            let (base_star, _) = dist_extract_planned(c, &star, &plan, &naive);
+            let fused_star = fx.extract(c, &star, &plan);
+            let (base_star, _) = dist_extract(c, &star, &requests, &naive);
 
             (
                 (base_vals, vals, fused_vals),

@@ -4,7 +4,7 @@
 use dmsim::{run_spmd, AllToAll, Grid2d};
 use gblas::dist::{
     dist_assign, dist_extract, dist_mxv, dist_mxv_dense, dist_mxv_sparse, DistMask, DistMat,
-    DistOpts, DistSpVec, DistVec, VecLayout,
+    DistOpts, DistSpVec, DistVec, VecLayout, Wire,
 };
 use gblas::serial::{self, Pattern, SparseVec};
 use gblas::{Mask, MinUsize};
@@ -104,7 +104,8 @@ proptest! {
         let expect = serial::extract(&src_global, &requests);
         let sr = &src_global;
         let rr = &requests;
-        let opts = DistOpts { hot_bcast: hot, hot_threshold: 1.5, ..DistOpts::default() };
+        let hot_threshold = if hot { 1.5 } else { f64::INFINITY };
+        let opts = DistOpts { hot_threshold, ..DistOpts::default() };
         let out = run_spmd(p, move |c| {
             let src = DistVec::from_global(layout, c.rank(), sr);
             // Every rank issues the same request list; all must get the
@@ -230,89 +231,99 @@ proptest! {
         }
     }
 
-    /// Sender-side compaction is an encoding of the same traffic: for every
-    /// flag combination, all-to-all algorithm, and layout, `dist_extract`
-    /// and `dist_assign` must be bit-identical to the naive wire format.
-    /// Each rank issues a *different* request/update list so the test also
-    /// covers asymmetric bucket shapes.
+    /// The closed lever lattice at the primitive layer: both wire formats ×
+    /// every all-to-all algorithm × blocked/cyclic layouts × group sizes
+    /// (3 and 9 take the non-power-of-two fallbacks), each checked against
+    /// the serial kernels. Each rank issues a *different* request/update
+    /// list so the sweep also covers asymmetric bucket shapes, and the
+    /// default hot threshold lets small chunks take the broadcast path.
+    /// `mxv` needs a square grid, so it skips q = 3.
     #[test]
-    fn compaction_bit_identical_to_naive(
-        n in 4usize..80,
-        (p, cyclic) in arb_grid().prop_flat_map(|p| (Just(p), proptest::bool::ANY)),
+    fn wire_lattice_eq_serial(
+        g in arb_graph(),
         reqs in proptest::collection::vec(0usize..1000, 0..60),
         raw in proptest::collection::vec((0usize..1000, 0usize..1000), 0..60),
-        algo in prop_oneof![
-            Just(AllToAll::Pairwise),
-            Just(AllToAll::Hypercube),
-            Just(AllToAll::Sparse),
-        ],
-        dedup in proptest::bool::ANY,
-        combine in proptest::bool::ANY,
-        compress in proptest::bool::ANY,
-        density in prop_oneof![Just(0.0f64), Just(0.0625), Just(1.0)],
-        hash in proptest::bool::ANY,
     ) {
-        let naive = DistOpts {
-            alltoall: algo,
-            hot_bcast: false,
-            ..DistOpts::naive()
+        let n = g.num_vertices();
+        let src_global: Vec<usize> = (0..n).map(|v| v * 13 % n).collect();
+        let entries: Vec<(usize, usize)> = (0..n).step_by(2).map(|v| (v, v % 17)).collect();
+        let a_serial = Pattern::from_graph(&g);
+        let expect_dense = serial::mxv_dense(&a_serial, &src_global, Mask::None, MinUsize);
+        let expect_sparse = serial::mxv_sparse(
+            &a_serial,
+            &SparseVec::from_entries(n, entries.clone()),
+            Mask::None,
+            MinUsize,
+        );
+        let requests_of = |rank: usize| -> Vec<usize> {
+            reqs.iter().map(|&r| (r + rank) % n).collect()
         };
-        let variant = DistOpts {
-            dedup_requests: dedup,
-            combine_assigns: combine,
-            compress_ids: compress,
-            compress_bitmap_density: density,
-            // threshold 1 forces the hash dedup path, the default the
-            // sort path
-            dedup_hash_threshold: if hash { 1 } else { 2048 },
-            ..naive
+        let updates_of = |rank: usize| -> Vec<(usize, usize)> {
+            raw.iter().map(|&(i, v)| ((i + rank) % n, v % 991)).collect()
         };
-        let (rr, ur) = (&reqs, &raw);
-        let out = run_spmd(p, move |c| {
-            let grid = Grid2d::square(p);
-            let layout = if cyclic {
-                VecLayout::cyclic(n, grid)
-            } else {
-                VecLayout::new(n, grid)
-            };
-            let src = DistVec::from_fn(layout, c.rank(), |g| g * 13 % n);
-            let requests: Vec<usize> =
-                rr.iter().map(|&r| (r + c.rank()) % n).collect();
-            let updates: Vec<(usize, usize)> = ur
-                .iter()
-                .map(|&(i, v)| ((i + c.rank()) % n, v % 991))
-                .collect();
-            let (base_vals, base_stats) = dist_extract(c, &src, &requests, &naive);
-            let (vals, stats) = dist_extract(c, &src, &requests, &variant);
-            let mut base_dst = DistVec::from_fn(layout, c.rank(), |_| usize::MAX);
-            let (base_chg, base_astats) =
-                dist_assign(c, &mut base_dst, &updates, MinUsize, &naive);
-            let mut dst = DistVec::from_fn(layout, c.rank(), |_| usize::MAX);
-            let (chg, astats) = dist_assign(c, &mut dst, &updates, MinUsize, &variant);
-            (
-                (base_vals, vals, base_dst.to_global(c), dst.to_global(c)),
-                (base_chg, chg),
-                (base_stats, stats, base_astats, astats),
-            )
-        })
-        .unwrap();
-        for ((base_vals, vals, base_dst, dst), (base_chg, chg), stats) in out {
-            prop_assert_eq!(&vals, &base_vals);
-            prop_assert_eq!(&dst, &base_dst);
-            prop_assert_eq!(chg, base_chg);
-            let (base_es, es, base_as, as_) = stats;
-            // The naive wire format never reports savings; compaction may.
-            prop_assert_eq!(base_es.dedup_saved_words + base_es.compress_saved_words, 0);
-            prop_assert_eq!(base_as.combine_saved_words + base_as.compress_saved_words, 0);
-            if !dedup {
-                prop_assert_eq!(es.dedup_saved_words, 0);
-            }
-            if !compress {
-                prop_assert_eq!(es.compress_saved_words, 0);
-                prop_assert_eq!(as_.compress_saved_words, 0);
-            }
-            if !combine {
-                prop_assert_eq!(as_.combine_saved_words, 0);
+        let (gref, sr, er) = (&g, &src_global, &entries);
+        for q in [1usize, 3, 4, 9, 16] {
+            let square = [1, 4, 9, 16].contains(&q);
+            let grid = if square { Grid2d::square(q) } else { Grid2d::new(1, q) };
+            let mut expect_dst = vec![usize::MAX; n];
+            let all_updates: Vec<(usize, usize)> = (0..q).flat_map(updates_of).collect();
+            serial::assign(&mut expect_dst, &all_updates, MinUsize);
+            for wire in [Wire::Legacy, Wire::Compact] {
+                for alltoall in [AllToAll::Pairwise, AllToAll::Hypercube, AllToAll::Sparse] {
+                    for cyclic in [false, true] {
+                        let opts = DistOpts { wire, alltoall, ..DistOpts::default() };
+                        let out = run_spmd(q, move |c| {
+                            let layout = if cyclic {
+                                VecLayout::cyclic(n, grid)
+                            } else {
+                                VecLayout::new(n, grid)
+                            };
+                            let src = DistVec::from_global(layout, c.rank(), sr);
+                            let (vals, es) = dist_extract(c, &src, &requests_of(c.rank()), &opts);
+                            let mut dst = DistVec::from_fn(layout, c.rank(), |_| usize::MAX);
+                            let (_, asgn) =
+                                dist_assign(c, &mut dst, &updates_of(c.rank()), MinUsize, &opts);
+                            let dst = dst.to_global(c);
+                            let snap = c.snapshot();
+                            let saved = es.dedup_saved_words
+                                + asgn.combine_saved_words
+                                + snap.words_saved
+                                + snap.combined_words;
+                            let mxv = square.then(|| {
+                                let a = DistMat::from_graph(gref, grid, c.rank());
+                                let dense =
+                                    dist_mxv_dense(c, &a, &src, DistMask::None, MinUsize, &opts)
+                                        .to_serial(c);
+                                let local: Vec<(usize, usize)> = er
+                                    .iter()
+                                    .copied()
+                                    .filter(|&(g, _)| layout.owner_of(g) == c.rank())
+                                    .collect();
+                                let xs = DistSpVec::from_local_entries(layout, c.rank(), local);
+                                let sparse =
+                                    dist_mxv_sparse(c, &a, &xs, DistMask::None, MinUsize, &opts)
+                                        .to_serial(c);
+                                (dense, sparse)
+                            });
+                            (vals, dst, saved, mxv)
+                        })
+                        .unwrap();
+                        for (rank, (vals, dst, saved, mxv)) in out.into_iter().enumerate() {
+                            let at = format!("q={q} {wire:?} {alltoall:?} cyclic={cyclic}");
+                            prop_assert_eq!(
+                                &vals, &serial::extract(sr, &requests_of(rank)), "extract {}", at
+                            );
+                            prop_assert_eq!(&dst, &expect_dst, "assign {}", at);
+                            if let Some((dense, sparse)) = mxv {
+                                prop_assert_eq!(&dense, &expect_dense, "mxv dense {}", at);
+                                prop_assert_eq!(&sparse, &expect_sparse, "mxv sparse {}", at);
+                            }
+                            if wire == Wire::Legacy {
+                                prop_assert_eq!(saved, 0, "legacy saves nothing: {}", at);
+                            }
+                        }
+                    }
+                }
             }
         }
     }

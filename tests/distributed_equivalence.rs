@@ -3,14 +3,16 @@
 //! The strongest correctness statement in the workspace: with the
 //! load-balancing permutation disabled, distributed LACC must produce a
 //! parent vector *bit-identical* to serial LACC — for every grid size,
-//! every all-to-all algorithm, and with the hot-rank broadcast on or off.
+//! every all-to-all algorithm, with the hot-rank broadcast on or off, and
+//! on both wire formats.
 
 use dmsim::AllToAll;
-use gblas::dist::DistOpts;
+use gblas::dist::{DistOpts, Wire};
 use lacc_suite::dmsim::{CORI_KNL, EDISON};
 use lacc_suite::graph::generators::*;
+use lacc_suite::graph::unionfind::canonicalize_labels;
 use lacc_suite::graph::CsrGraph;
-use lacc_suite::lacc::{lacc_serial, LaccOpts, RunConfig, RunOutput};
+use lacc_suite::lacc::{lacc_serial, EngineSelect, IndexWidth, LaccOpts, RunConfig, RunOutput};
 
 /// `lacc::run` in the positional shape the configuration matrix below
 /// reads naturally in.
@@ -38,18 +40,65 @@ fn bit_identical_across_comm_configs() {
             AllToAll::Hypercube,
             AllToAll::Sparse,
         ] {
-            for hot in [false, true] {
+            for hot_threshold in [f64::INFINITY, 2.0] {
                 let opts = LaccOpts {
                     dist: DistOpts {
                         alltoall: algo,
-                        hot_bcast: hot,
-                        hot_threshold: 2.0,
+                        hot_threshold,
                         ..DistOpts::default()
                     },
                     ..base
                 };
                 let run = run_with(&g, p, EDISON.lacc_model(), &opts).unwrap();
-                assert_eq!(run.labels, serial.labels, "p={p} algo={algo:?} hot={hot}");
+                assert_eq!(
+                    run.labels, serial.labels,
+                    "p={p} algo={algo:?} h={hot_threshold}"
+                );
+            }
+        }
+    }
+}
+
+/// The lever lattice, closed: every engine on both wire formats, both
+/// vector layouts and both index widths finds the union-find partition,
+/// and LACC's parent vector is bit-identical to serial LACC throughout.
+#[test]
+fn engines_agree_across_wire_layout_and_width() {
+    let g = community_graph(600, 30, 3.0, 1.4, 5);
+    let truth = canonicalize_labels(&lacc_suite::baselines::union_find_cc(&g));
+    let serial = lacc_serial(
+        &g,
+        &LaccOpts {
+            permute: false,
+            ..LaccOpts::default()
+        },
+    );
+    for engine in [
+        EngineSelect::Lacc,
+        EngineSelect::Fastsv,
+        EngineSelect::LabelProp,
+    ] {
+        for wire in [Wire::Legacy, Wire::Compact] {
+            for cyclic_vectors in [false, true] {
+                for index_width in [IndexWidth::U32, IndexWidth::U64] {
+                    let opts = LaccOpts {
+                        engine,
+                        cyclic_vectors,
+                        index_width,
+                        permute: false,
+                        dist: DistOpts {
+                            wire,
+                            ..DistOpts::default()
+                        },
+                        ..LaccOpts::default()
+                    };
+                    let run = run_with(&g, 4, EDISON.lacc_model(), &opts).unwrap();
+                    let at = format!("{engine} {wire:?} cyclic={cyclic_vectors} {index_width}");
+                    assert_eq!(canonicalize_labels(&run.labels), truth, "{at}");
+                    if engine == EngineSelect::Lacc {
+                        assert_eq!(run.labels, serial.labels, "{at}");
+                    }
+                }
             }
         }
     }
@@ -83,7 +132,6 @@ fn permutation_changes_work_not_answer() {
         },
     )
     .unwrap();
-    use lacc_suite::graph::unionfind::canonicalize_labels;
     assert_eq!(
         canonicalize_labels(&with.labels),
         canonicalize_labels(&without.labels)
@@ -95,23 +143,16 @@ fn dense_as_and_lacc_agree_distributed() {
     let g = erdos_renyi_gnm(700, 900, 17);
     let a = run_with(&g, 4, EDISON.lacc_model(), &LaccOpts::default()).unwrap();
     let d = run_with(&g, 4, EDISON.lacc_model(), &LaccOpts::dense_as()).unwrap();
-    use lacc_suite::graph::unionfind::canonicalize_labels;
     assert_eq!(
         canonicalize_labels(&a.labels),
         canonicalize_labels(&d.labels)
     );
     // Sparsity must reduce modeled work on a many-component graph. The
-    // comparison runs with sender-side compaction and in-flight combining
-    // off: the dense active set's extra traffic is so redundant that
-    // dedup/compression/combining erases most of the gap, and this
-    // assertion is about active-set sparsity.
+    // comparison runs on the legacy wire: the dense active set's extra
+    // traffic is so redundant that dedup and combining erase most of the
+    // gap, and this assertion is about active-set sparsity.
     let no_compaction = DistOpts {
-        dedup_requests: false,
-        combine_assigns: false,
-        compress_ids: false,
-        combine_in_flight: false,
-        fuse_starcheck: false,
-        compress_values: false,
+        wire: Wire::Legacy,
         ..DistOpts::default()
     };
     let g = community_graph(4000, 200, 3.0, 1.4, 3);
