@@ -612,7 +612,7 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
             let updates: Vec<(I, I)> = q
                 .entries()
                 .iter()
-                .filter(|&&(v, _)| active[layout.offset_of(rank, v.idx())])
+                .filter(|&&(v, _)| active[f.local_offset(v.idx())])
                 .map(|&(v, (lo, _))| {
                     let fv = f.get_local(v.idx());
                     (fv, lo.min(fv))

@@ -33,7 +33,7 @@
 //! [`dmsim::CostSnapshot::narrow_saved_bytes`].
 
 use dmsim::{Comm, FramedBlock, Group, NarrowSpec, NarrowTier, SpanKind, WireWord};
-use gblas::dist::DistOpts;
+use gblas::dist::{DistOpts, RankBitmap};
 use lacc_graph::Idx;
 
 /// Per-run narrowing state: the knobs copied out of [`DistOpts`] plus
@@ -82,9 +82,12 @@ impl NarrowPlanner {
         if !self.enabled {
             return [0, 0];
         }
-        let words = sorted_unique_words(labels);
+        let distinct = distinct_words(labels);
         comm.charge_compute(labels.len() as u64 + 1);
-        [words.last().copied().unwrap_or(0), words.len() as u64]
+        [
+            distinct.ones().last().unwrap_or(0) as u64,
+            distinct.count() as u64,
+        ]
     }
 
     /// Picks the wire tier for the next iteration from the merged probe,
@@ -131,11 +134,11 @@ impl NarrowPlanner {
     }
 }
 
-fn sorted_unique_words<I: Idx + WireWord>(labels: &[I]) -> Vec<u64> {
-    let mut words: Vec<u64> = labels.iter().map(|l| l.to_word()).collect();
-    words.sort_unstable();
-    words.dedup();
-    words
+/// The distinct label words, as a presence bitmap over `0..=max word`:
+/// labels are vertex ids, so the universe is dense and no sort is needed.
+fn distinct_words<I: Idx + WireWord>(labels: &[I]) -> RankBitmap {
+    let universe = labels.iter().map(|l| l.idx() + 1).max().unwrap_or(0);
+    RankBitmap::from_positions(universe, labels.iter().map(|l| l.idx()))
 }
 
 /// Builds and installs the dense-rank dictionary: every rank contributes
@@ -150,7 +153,7 @@ fn sorted_unique_words<I: Idx + WireWord>(labels: &[I]) -> Vec<u64> {
 /// `bytes_sent` — the dictionary build is amortized real traffic, and
 /// the tier gate (`global_distinct < narrow_dict_max`) bounds it.
 fn build_dict<I: Idx + WireWord>(comm: &mut Comm, world: &Group, labels: &[I]) {
-    let words = sorted_unique_words(labels);
+    let words: Vec<u64> = distinct_words(labels).ones().map(|w| w as u64).collect();
     comm.charge_compute(labels.len() as u64 + 1);
     let mut bytes = Vec::with_capacity(2 * words.len() + 8);
     dmsim::wire::push_varint(&mut bytes, words.len() as u64);

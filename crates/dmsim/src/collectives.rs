@@ -638,19 +638,33 @@ const FROM_SELF: u8 = 1;
 /// Origin flag: the entry arrived from the round's hypercube partner.
 const FROM_PARTNER: u8 = 2;
 
-/// One forward round of a recorded [`Comm::combining_requests`] route.
-struct CombineHop<K> {
-    /// In-flight entries held here after the round, sorted by
-    /// (destination, key) and flagged with where each copy came from.
-    /// Both flags set marks a merge fork: the reply duplicates there.
-    table: Vec<(u32, K, u8)>,
-    /// Sorted (destination, key) entries forwarded to the partner this
-    /// round; the partner's reply stream aligns with this list.
-    sent: Vec<(u32, K)>,
-    /// Keys that reached their destination (this rank) this round. The
-    /// same key can arrive in several rounds via unmerged branches; each
-    /// arrival gets its own reply.
-    delivered: Vec<K>,
+/// One forward round of a recorded [`Comm::combining_requests`] route —
+/// what the reverse round needs to put every reply value back where its
+/// request came from, by position alone. Both directions of a round walk
+/// the same (destination, key)-sorted lists, so the route keeps their
+/// *shapes* (flags, run lengths, indices) and no keys.
+struct CombineHop {
+    /// Destination runs `(destination, entries)` of the in-flight pool
+    /// before the round. The round splits the pool by destination — whole
+    /// runs go to the partner or stay — and the reverse round re-interleaves
+    /// the two reply streams along the same runs.
+    pool_runs: Vec<(u32, usize)>,
+    /// Entries forwarded to the partner this round; the partner's reply
+    /// stream has exactly this many values, in the order they were sent.
+    sent: usize,
+    /// Per in-flight entry held here after the round, in (destination,
+    /// key) order: where its copies came from. Both flags set marks a merge
+    /// fork: the reply duplicates there.
+    table: Vec<u8>,
+    /// How many `table` entries head to destinations below this rank. The
+    /// partner's forward stream carried them, then the keys delivered
+    /// here, then the rest — the reply stream is spliced the same way.
+    below: usize,
+    /// Keys that reached their destination (this rank) this round, as
+    /// indices into the route's `delivered_keys`. The same key can arrive
+    /// in several rounds via unmerged branches; each arrival gets its own
+    /// reply.
+    delivered_at: Vec<u32>,
 }
 
 /// Recorded forward route of a [`Comm::combining_requests`] exchange.
@@ -669,17 +683,19 @@ struct CombineHop<K> {
 pub struct CombineRoute<K = u64> {
     q: usize,
     /// Power-of-two groups route through the hypercube; otherwise the
-    /// exchange fell back to pairwise and `incoming` drives replies.
+    /// exchange fell back to pairwise and `incoming_at` drives replies.
     hypercube: bool,
-    hops: Vec<CombineHop<K>>,
-    /// Keys this rank requested of itself (never wired).
-    self_keys: Vec<K>,
+    hops: Vec<CombineHop>,
+    /// Keys this rank requested of itself (never wired), as indices into
+    /// `delivered_keys`.
+    self_at: Vec<u32>,
     /// Per-destination sorted unique keys this rank requested.
     my_keys: Vec<Vec<K>>,
     /// Sorted unique keys delivered to this rank (it owns the answers).
     delivered_keys: Vec<K>,
-    /// Pairwise fallback only: per-source sorted unique keys received.
-    incoming: Vec<Vec<K>>,
+    /// Pairwise fallback only: per-source keys received, as indices into
+    /// `delivered_keys`.
+    incoming_at: Vec<Vec<u32>>,
 }
 
 impl<K> CombineRoute<K> {
@@ -694,6 +710,63 @@ impl<K> CombineRoute<K> {
     pub fn my_keys(&self) -> &[Vec<K>] {
         &self.my_keys
     }
+}
+
+/// Merges two sorted, duplicate-free lists into one.
+fn merge_dedup<K: Ord + Copy>(a: &[K], b: &[K]) -> Vec<K> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+/// Merges sorted, duplicate-free lists by recursive halving, so no
+/// element is copied more than `log₂(lists) + 1` times.
+fn merge_all_dedup<K: Ord + Copy>(lists: &[Vec<K>]) -> Vec<K> {
+    match lists {
+        [] => Vec::new(),
+        [only] => only.clone(),
+        _ => {
+            let (left, right) = lists.split_at(lists.len() / 2);
+            merge_dedup(&merge_all_dedup(left), &merge_all_dedup(right))
+        }
+    }
+}
+
+/// Indices of the sorted list `sub` in the sorted list `all`, by one
+/// forward walk over both.
+///
+/// # Panics
+/// If a key of `sub` is missing from `all`.
+fn indices_in<K: Ord + Copy>(all: &[K], sub: &[K]) -> Vec<u32> {
+    let mut i = 0usize;
+    sub.iter()
+        .map(|k| {
+            while all[i] < *k {
+                i += 1;
+            }
+            assert!(all[i] == *k, "delivered key missing from the route");
+            i as u32
+        })
+        .collect()
 }
 
 /// Sorts a `(key, payload)` bucket by key (stable, so earlier entries
@@ -939,14 +1012,18 @@ impl Comm {
         let span = self.span_open(SpanKind::AlltoallvCombining);
         for b in bufs.iter_mut() {
             self.charge_compute(b.len() as u64 + 1);
-            b.sort_unstable();
-            b.dedup();
+            // Planned request lists arrive sorted and unique already.
+            if !b.windows(2).all(|w| w[0] < w[1]) {
+                b.sort_unstable();
+                b.dedup();
+            }
         }
         let my_keys = bufs;
-        let self_keys = my_keys[me].clone();
-        let mut delivered_keys = self_keys.clone();
-        let mut hops: Vec<CombineHop<K>> = Vec::new();
-        let mut incoming_lists: Vec<Vec<K>> = Vec::new();
+        // Everything delivered here, one sorted unique list per arrival
+        // (own requests first, then one per round or per source).
+        let mut arrivals: Vec<Vec<K>> = vec![my_keys[me].clone()];
+        // `delivered_at` is filled in once `delivered_keys` is final.
+        let mut hops: Vec<CombineHop> = Vec::new();
         let hypercube = q > 1 && q.is_power_of_two();
         if hypercube {
             // Built in destination order from sorted buckets, so the pool
@@ -962,16 +1039,25 @@ impl Comm {
             for bit_idx in 0..rounds {
                 let bit = 1usize << bit_idx;
                 let partner = g.member(me ^ bit);
-                let (sent, keep): (Vec<(u32, K)>, Vec<_>) = pool
-                    .into_iter()
-                    .partition(|&(dest, _)| (dest as usize) & bit != me & bit);
+                // Whole destination runs go to the partner or stay.
+                let mut pool_runs: Vec<(u32, usize)> = Vec::new();
                 let mut buckets: Vec<(u32, Vec<K>)> = Vec::new();
-                for &(dest, key) in &sent {
+                let mut keep: Vec<(u32, K)> = Vec::new();
+                for &(dest, key) in &pool {
+                    match pool_runs.last_mut() {
+                        Some(run) if run.0 == dest => run.1 += 1,
+                        _ => pool_runs.push((dest, 1)),
+                    }
+                    if (dest as usize) & bit == me & bit {
+                        keep.push((dest, key));
+                        continue;
+                    }
                     match buckets.last_mut() {
                         Some(b) if b.0 == dest => b.1.push(key),
                         _ => buckets.push((dest, vec![key])),
                     }
                 }
+                let sent = pool.len() - keep.len();
                 let mut w = 0u64;
                 let mut b = 0u64;
                 let wire_msg: Vec<(u32, Vec<u8>)> = buckets
@@ -989,57 +1075,82 @@ impl Comm {
                 self.send_counted_bytes(partner, wire_msg, w, b);
                 let incoming: Vec<(u32, Vec<u8>)> = self.recv(partner);
                 let mut delivered_round: Vec<K> = Vec::new();
-                let mut merged: Vec<(u32, K, u8)> =
-                    keep.iter().map(|&(d, k)| (d, k, FROM_SELF)).collect();
+                let mut from_partner: Vec<(u32, K)> = Vec::new();
                 for (dest, bytes) in incoming {
                     let keys = wire::decode_keys_narrow::<K>(&bytes, dict.as_deref());
                     if dest as usize == me {
                         delivered_round = keys;
                     } else {
-                        merged.extend(keys.into_iter().map(|k| (dest, k, FROM_PARTNER)));
+                        from_partner.extend(keys.into_iter().map(|k| (dest, k)));
                     }
                 }
-                merged.sort_unstable_by_key(|&(d, k, _)| (d, k));
-                let before = merged.len();
-                let mut table: Vec<(u32, K, u8)> = Vec::with_capacity(merged.len());
-                for (d, k, f) in merged {
-                    match table.last_mut() {
-                        Some(last) if last.0 == d && last.1 == k => last.2 |= f,
-                        _ => table.push((d, k, f)),
-                    }
+                // Both lists are sorted by (destination, key): one linear
+                // two-way merge builds the table, OR-ing the origin flags
+                // where a kept and an arriving request coincide.
+                let before = keep.len() + from_partner.len();
+                let mut table: Vec<u8> = Vec::with_capacity(before);
+                pool = Vec::with_capacity(before);
+                let (mut i, mut j) = (0, 0);
+                while i < keep.len() || j < from_partner.len() {
+                    let order = match (keep.get(i), from_partner.get(j)) {
+                        (Some(a), Some(b)) => a.cmp(b),
+                        (Some(_), None) => std::cmp::Ordering::Less,
+                        _ => std::cmp::Ordering::Greater,
+                    };
+                    let (entry, flags) = match order {
+                        std::cmp::Ordering::Less => (keep[i], FROM_SELF),
+                        std::cmp::Ordering::Greater => (from_partner[j], FROM_PARTNER),
+                        std::cmp::Ordering::Equal => (keep[i], FROM_SELF | FROM_PARTNER),
+                    };
+                    i += (flags & FROM_SELF != 0) as usize;
+                    j += (flags & FROM_PARTNER != 0) as usize;
+                    debug_assert!(pool.last().is_none_or(|last| *last < entry));
+                    pool.push(entry);
+                    table.push(flags);
                 }
                 saved += (before - table.len()) as u64;
                 self.charge_compute(before as u64 + 1);
-                pool = table.iter().map(|&(d, k, _)| (d, k)).collect();
-                delivered_keys.extend_from_slice(&delivered_round);
+                let below = pool.partition_point(|&(d, _)| (d as usize) < me);
+                arrivals.push(delivered_round);
                 hops.push(CombineHop {
-                    table,
+                    pool_runs,
                     sent,
-                    delivered: delivered_round,
+                    table,
+                    below,
+                    delivered_at: Vec::new(),
                 });
             }
             debug_assert!(pool.is_empty(), "all requests routed after log q rounds");
             self.note_combined_words(saved);
             self.note_narrow_saved(narrow_saved);
         } else if q > 1 {
-            let incoming = self.alltoallv(g, my_keys.clone(), AllToAll::Pairwise);
-            for keys in &incoming {
-                delivered_keys.extend_from_slice(keys);
-            }
-            incoming_lists = incoming;
+            arrivals.extend(self.alltoallv(g, my_keys.clone(), AllToAll::Pairwise));
         }
-        delivered_keys.sort_unstable();
-        delivered_keys.dedup();
+        let delivered_keys = merge_all_dedup(&arrivals);
+        assert!(
+            delivered_keys.len() <= u32::MAX as usize,
+            "too many delivered keys for the route's u32 indices"
+        );
         self.charge_compute(delivered_keys.len() as u64 + 1);
         self.span_close(span);
+        let mut at: Vec<Vec<u32>> = arrivals
+            .iter()
+            .map(|keys| indices_in(&delivered_keys, keys))
+            .collect();
+        let incoming_at = at.split_off(1 + hops.len());
+        let mut at = at.into_iter();
+        let self_at = at.next().expect("own requests are the first arrival");
+        for (hop, delivered_at) in hops.iter_mut().zip(at) {
+            hop.delivered_at = delivered_at;
+        }
         CombineRoute {
             q,
             hypercube,
             hops,
-            self_keys,
+            self_at,
             my_keys,
             delivered_keys,
-            incoming: incoming_lists,
+            incoming_at,
         }
     }
 
@@ -1053,17 +1164,23 @@ impl Comm {
     /// [`Comm::narrow_spec`], re-tiered below that when strictly smaller
     /// (β stays charged at the run-length-encoded length).
     ///
-    /// Returns, per destination `k`, the pairs `(key, value)` answering
-    /// exactly this rank's original `bufs[k]` keys (sorted, deduped). Can
-    /// be called repeatedly on one route — later phases reuse the paid-for
-    /// forward exchange, which is how the fused starcheck serves two
-    /// vectors for one request scatter.
+    /// Returns, per destination `k`, the values answering this rank's
+    /// original `bufs[k]` keys (sorted, deduped — `route.my_keys()[k]`),
+    /// in that order. Can be called repeatedly on one route — later phases
+    /// reuse the paid-for forward exchange, which is how the fused
+    /// starcheck serves two vectors for one request scatter.
+    ///
+    /// No key is compared on the way back: every reverse round walks its
+    /// reply values in lockstep with the shapes the forward round
+    /// recorded, and panics if a stream is shorter or longer than its
+    /// shape (a corrupt route must not hand a request its neighbour's
+    /// value).
     pub fn combining_replies<K, T>(
         &mut self,
         g: &Group,
         route: &CombineRoute<K>,
         values: &[T],
-    ) -> Vec<Vec<(K, T)>>
+    ) -> Vec<Vec<T>>
     where
         K: WireWord + Ord + Copy + Send + 'static,
         T: WireWord + Send + 'static,
@@ -1079,53 +1196,43 @@ impl Comm {
         );
         let me = g.my_index();
         let span = self.span_open(SpanKind::AlltoallvCombining);
-        let value_of = |k: K| -> T {
-            let i = route
-                .delivered_keys
-                .binary_search(&k)
-                .expect("replied key was delivered here");
-            values[i]
-        };
-        let mut out: Vec<Vec<(K, T)>> = (0..q).map(|_| Vec::new()).collect();
+        // The values answering a recorded list of delivered-key indices.
+        let served = |at: &[u32]| -> Vec<T> { at.iter().map(|&i| values[i as usize]).collect() };
+        let mut out: Vec<Vec<T>> = (0..q).map(|_| Vec::new()).collect();
         if route.hypercube {
             // Invariant: entering reverse round i, `cur` holds the replies
             // for exactly the entries this rank held in flight after
-            // forward round i (hops[i].table) — empty at the last round,
-            // since every request had reached its destination by then.
-            let mut output: Vec<(u32, K, T)> = Vec::new();
-            let mut cur: Vec<(u32, K, T)> = Vec::new();
+            // forward round i (hops[i].table), in table order — empty at
+            // the last round, since every request had reached its
+            // destination by then.
+            let mut cur: Vec<T> = Vec::new();
             for (i, hop) in route.hops.iter().enumerate().rev() {
-                let bit = 1usize << i;
-                let partner = g.member(me ^ bit);
-                let mut send: Vec<(u32, K, T)> = Vec::new();
-                let mut next: Vec<(u32, K, T)> = Vec::new();
-                for &(d, k, v) in &cur {
-                    let idx = hop
-                        .table
-                        .binary_search_by_key(&(d, k), |&(td, tk, _)| (td, tk))
-                        .expect("in-flight reply matches the forward route");
-                    let flags = hop.table[idx].2;
-                    if flags & FROM_PARTNER != 0 {
-                        send.push((d, k, v));
-                    }
-                    if flags & FROM_SELF != 0 {
-                        if i == 0 {
-                            output.push((d, k, v));
-                        } else {
-                            next.push((d, k, v));
+                let partner = g.member(me ^ (1usize << i));
+                assert_eq!(
+                    cur.len(),
+                    hop.table.len(),
+                    "in-flight replies align with the forward route"
+                );
+                // The partner expects values for exactly its forward-round
+                // sent list, sorted by (destination, key): the entries it
+                // forwarded through here, with the requests delivered here
+                // in forward round i (starting their reply journey now)
+                // spliced in at this rank's own destination.
+                let mut vals: Vec<T> = Vec::with_capacity(cur.len() + hop.delivered_at.len());
+                let mut kept: Vec<T> = Vec::with_capacity(cur.len());
+                let mut fork = |entries: std::ops::Range<usize>, vals: &mut Vec<T>| {
+                    for j in entries {
+                        if hop.table[j] & FROM_PARTNER != 0 {
+                            vals.push(cur[j]);
+                        }
+                        if hop.table[j] & FROM_SELF != 0 {
+                            kept.push(cur[j]);
                         }
                     }
-                }
-                // Requests delivered here in forward round i start their
-                // reply journey now.
-                for &k in &hop.delivered {
-                    send.push((me as u32, k, value_of(k)));
-                }
-                // The partner expects values for exactly its forward-round
-                // `sent` list, which is sorted by (destination, key) — the
-                // shared order that lets keys stay off the reply wire.
-                send.sort_unstable_by_key(|&(d, k, _)| (d, k));
-                let vals: Vec<T> = send.into_iter().map(|(_, _, v)| v).collect();
+                };
+                fork(0..hop.below, &mut vals);
+                vals.extend(served(&hop.delivered_at));
+                fork(hop.below..cur.len(), &mut vals);
                 let words: Vec<u64> = vals.iter().map(|v| v.to_word()).collect();
                 let (bytes, saved) = wire::encode_words_narrow::<T>(&words, spec, dict.as_deref());
                 self.note_narrow_saved(saved);
@@ -1141,33 +1248,41 @@ impl Comm {
                     .collect();
                 assert_eq!(
                     incoming.len(),
-                    hop.sent.len(),
+                    hop.sent,
                     "reply stream aligns with the forward route"
                 );
-                for (&(d, k), v) in hop.sent.iter().zip(incoming) {
-                    if i == 0 {
-                        output.push((d, k, v));
+                // Undo the forward round's split: the pool it started from
+                // was one (destination, key)-sorted list whose destination
+                // runs went whole to the partner or stayed, so the two
+                // reply streams re-interleave run by run.
+                let bit = 1usize << i;
+                let (mut from_partner, mut from_kept) = (incoming.as_slice(), kept.as_slice());
+                let mut next: Vec<T> = Vec::new();
+                for &(dest, len) in &hop.pool_runs {
+                    let stream = if (dest as usize) & bit != me & bit {
+                        &mut from_partner
                     } else {
-                        next.push((d, k, v));
+                        &mut from_kept
+                    };
+                    assert!(len <= stream.len(), "reply stream shorter than its route");
+                    let (run, rest) = stream.split_at(len);
+                    *stream = rest;
+                    if i == 0 {
+                        out[dest as usize] = run.to_vec();
+                    } else {
+                        next.extend_from_slice(run);
                     }
                 }
-                next.sort_unstable_by_key(|&(d, k, _)| (d, k));
+                assert!(
+                    from_partner.is_empty() && from_kept.is_empty(),
+                    "reply stream longer than its route"
+                );
                 self.charge_compute(next.len() as u64 + 1);
                 cur = next;
             }
-            for &k in &route.self_keys {
-                output.push((me as u32, k, value_of(k)));
-            }
-            output.sort_unstable_by_key(|&(d, k, _)| (d, k));
-            for (d, k, v) in output {
-                out[d as usize].push((k, v));
-            }
+            out[me] = served(&route.self_at);
         } else if q > 1 {
-            let bufs: Vec<Vec<T>> = route
-                .incoming
-                .iter()
-                .map(|keys| keys.iter().map(|&k| value_of(k)).collect())
-                .collect();
+            let bufs: Vec<Vec<T>> = route.incoming_at.iter().map(|at| served(at)).collect();
             // The fallback's legacy codec is the width-free
             // `encode_words`; savings and the β word charge are measured
             // against it, so words_sent is identical with narrowing on or
@@ -1193,7 +1308,7 @@ impl Comm {
                 })
                 .collect();
             self.note_narrow_saved(narrow_saved);
-            let replies: Vec<Vec<T>> = self
+            out = self
                 .alltoallv_framed(g, enc, AllToAll::Pairwise)
                 .into_iter()
                 .map(|bytes| {
@@ -1205,20 +1320,14 @@ impl Comm {
                     words.into_iter().map(T::from_word).collect()
                 })
                 .collect();
-            for (d, vals) in replies.into_iter().enumerate() {
-                debug_assert_eq!(vals.len(), route.my_keys[d].len());
-                out[d] = route.my_keys[d].iter().copied().zip(vals).collect();
-            }
         } else {
-            out[0] = route.self_keys.iter().map(|&k| (k, value_of(k))).collect();
+            out[0] = served(&route.self_at);
         }
         self.span_close(span);
-        for (d, pairs) in out.iter().enumerate() {
-            debug_assert!(
-                pairs
-                    .iter()
-                    .map(|&(k, _)| k)
-                    .eq(route.my_keys[d].iter().copied()),
+        for (d, vals) in out.iter().enumerate() {
+            assert_eq!(
+                vals.len(),
+                route.my_keys[d].len(),
                 "replies cover exactly the original requests"
             );
         }
@@ -1631,19 +1740,20 @@ mod tests {
                     .iter()
                     .map(|&k| k * 7 + me as u64)
                     .collect();
-                c.combining_replies(&w, &route, &values)
+                let replies = c.combining_replies(&w, &route, &values);
+                (route.my_keys().to_vec(), replies)
             })
             .unwrap();
-            for (me, replies) in out.into_iter().enumerate() {
-                for (d, pairs) in replies.into_iter().enumerate() {
+            for (me, (my_keys, replies)) in out.into_iter().enumerate() {
+                for (d, vals) in replies.into_iter().enumerate() {
                     let mut want: Vec<u64> = (0..=me + 2)
                         .map(|j| (d * 100 + j % (me + 2)) as u64)
                         .collect();
                     want.sort_unstable();
                     want.dedup();
-                    let want: Vec<(u64, u64)> =
-                        want.into_iter().map(|k| (k, k * 7 + d as u64)).collect();
-                    assert_eq!(pairs, want, "p={p} me={me} d={d}");
+                    assert_eq!(my_keys[d], want, "p={p} me={me} d={d}");
+                    let want: Vec<u64> = want.into_iter().map(|k| k * 7 + d as u64).collect();
+                    assert_eq!(vals, want, "p={p} me={me} d={d}");
                 }
             }
         }
@@ -1653,41 +1763,62 @@ mod tests {
     fn replayed_route_serves_a_second_reply_phase() {
         // The fused-starcheck mechanism: one forward exchange, two reply
         // scatters over the same route (different value types, and the
-        // second phase sees owner-side state mutated in between).
-        let out = run_spmd(8, |c| {
-            let w = c.world();
-            let me = c.rank();
-            let bufs: Vec<Vec<u64>> = (0..8)
-                .map(|d| vec![(d * 10) as u64, (d * 10 + 1) as u64])
-                .collect();
-            let route = c.combining_requests(&w, bufs);
-            let first: Vec<u64> = route.delivered_keys().iter().map(|&k| k + 1).collect();
-            let r1 = c.combining_replies(&w, &route, &first);
-            // "Mutate" owner state between the phases.
-            let second: Vec<bool> = route
-                .delivered_keys()
-                .iter()
-                .map(|&k| k % 20 == 0)
-                .collect();
-            let r2 = c.combining_replies(&w, &route, &second);
-            (me, r1, r2)
-        })
-        .unwrap();
-        for (me, r1, r2) in out {
-            for d in 0..8 {
-                let base = (d * 10) as u64;
-                assert_eq!(
-                    r1[d],
-                    vec![(base, base + 1), (base + 1, base + 2)],
-                    "me={me}"
-                );
-                assert_eq!(
-                    r2[d],
-                    vec![(base, base.is_multiple_of(20)), (base + 1, false)],
-                    "me={me}"
-                );
+        // second phase sees owner-side state mutated in between) — through
+        // the hypercube's merge walk (p = 4, 8) and the pairwise fallback
+        // (p = 9). Ranks ask for overlapping keys, so hypercube requests
+        // merge in flight and replies fork on the way back.
+        for p in [4usize, 8, 9] {
+            let out = run_spmd(p, move |c| {
+                let w = c.world();
+                let me = c.rank();
+                let bufs: Vec<Vec<u64>> = (0..p)
+                    .map(|d| vec![(d * 10) as u64, (d * 10 + 1 + me % 2) as u64])
+                    .collect();
+                let route = c.combining_requests(&w, bufs);
+                let first: Vec<u64> = route.delivered_keys().iter().map(|&k| k + 1).collect();
+                let r1 = c.combining_replies(&w, &route, &first);
+                // "Mutate" owner state between the phases.
+                let second: Vec<bool> = route
+                    .delivered_keys()
+                    .iter()
+                    .map(|&k| k % 20 == 0)
+                    .collect();
+                let r2 = c.combining_replies(&w, &route, &second);
+                (me, r1, r2)
+            })
+            .unwrap();
+            for (me, r1, r2) in out {
+                for d in 0..p {
+                    let (a, b) = ((d * 10) as u64, (d * 10 + 1 + me % 2) as u64);
+                    assert_eq!(r1[d], vec![a + 1, b + 1], "p={p} me={me}");
+                    assert_eq!(r2[d], vec![a.is_multiple_of(20), false], "p={p} me={me}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn corrupt_route_fails_loudly_instead_of_misrouting() {
+        // Replies walk in lockstep with the recorded route, so a route
+        // that does not match its replies must stop the run, not shift
+        // values onto other requests. Every rank gets the same corruption,
+        // so every rank stops at the check before exchanging anything.
+        let err = run_spmd(4, |c| {
+            let w = c.world();
+            let bufs: Vec<Vec<u64>> = (0..4).map(|d| vec![(d * 10) as u64]).collect();
+            let mut route = c.combining_requests(&w, bufs);
+            let last = route.hops.last_mut().expect("two hypercube rounds");
+            last.table.push(FROM_SELF);
+            let values = route.delivered_keys().to_vec();
+            c.combining_replies(&w, &route, &values)
+        })
+        .unwrap_err();
+        assert!(
+            err.message()
+                .contains("in-flight replies align with the forward route"),
+            "{}",
+            err.message()
+        );
     }
 
     #[test]
@@ -1781,14 +1912,9 @@ mod tests {
             })
             .unwrap();
             for (me, (w64, w32)) in wide.into_iter().zip(narrow).enumerate() {
-                let widened: Vec<Vec<(u64, u64)>> = w32
+                let widened: Vec<Vec<u64>> = w32
                     .into_iter()
-                    .map(|pairs| {
-                        pairs
-                            .into_iter()
-                            .map(|(k, v)| (u64::from(k), u64::from(v)))
-                            .collect()
-                    })
+                    .map(|vals| vals.into_iter().map(u64::from).collect())
                     .collect();
                 assert_eq!(widened, w64, "p={p} me={me}");
             }
@@ -1852,9 +1978,8 @@ mod tests {
         for (me, (a2a, sum, replies)) in out.into_iter().enumerate() {
             assert_eq!(a2a, expected_alltoall(4, me));
             assert_eq!(sum, 6);
-            for (d, pairs) in replies.into_iter().enumerate() {
-                let k = (d * 10) as u64;
-                assert_eq!(pairs, vec![(k, k + 1)]);
+            for (d, vals) in replies.into_iter().enumerate() {
+                assert_eq!(vals, vec![(d * 10) as u64 + 1]);
             }
         }
     }

@@ -147,7 +147,18 @@ impl NarrowSpec {
 pub struct NarrowDict {
     epoch: u64,
     values: Vec<u64>,
+    /// Dense reverse table over `values[0]..=values[last]`, built at
+    /// install time: `code + 1` at `word - values[0]`, `0` where the word
+    /// is not in the dictionary. Label words are vertex ids, so the span is
+    /// at most `n`; a span above [`REVERSE_SPAN_MAX`] leaves the table
+    /// empty and lookups search `values` instead.
+    reverse: Vec<u32>,
 }
+
+/// Widest value span [`NarrowDict`] builds its reverse table over: 2²⁴
+/// words, a 64 MiB zeroed allocation of which only the pages holding
+/// dictionary values are ever touched.
+const REVERSE_SPAN_MAX: u64 = 1 << 24;
 
 impl NarrowDict {
     /// Builds a dictionary from a sorted, deduplicated word list.
@@ -156,7 +167,20 @@ impl NarrowDict {
             values.windows(2).all(|w| w[0] < w[1]),
             "dictionary values must be sorted and unique"
         );
-        NarrowDict { epoch, values }
+        let mut reverse = Vec::new();
+        if let (Some(&lo), Some(&hi)) = (values.first(), values.last()) {
+            if hi - lo < REVERSE_SPAN_MAX && values.len() < u32::MAX as usize {
+                reverse = vec![0u32; (hi - lo) as usize + 1];
+                for (code, &w) in values.iter().enumerate() {
+                    reverse[(w - lo) as usize] = code as u32 + 1;
+                }
+            }
+        }
+        NarrowDict {
+            epoch,
+            values,
+            reverse,
+        }
     }
 
     /// The install epoch stamped into every dictionary-coded stream.
@@ -176,9 +200,16 @@ impl NarrowDict {
 
     /// Dense rank of `w`, or `None` when `w` is not in the dictionary
     /// (encoders fall back to the legacy stream — correctness never
-    /// depends on the probe being tight).
+    /// depends on the probe being tight). One table load per word.
     pub fn code_of(&self, w: u64) -> Option<u64> {
-        self.values.binary_search(&w).ok().map(|i| i as u64)
+        if self.reverse.is_empty() {
+            return self.values.binary_search(&w).ok().map(|i| i as u64);
+        }
+        let slot = usize::try_from(w.checked_sub(self.values[0])?).ok()?;
+        match self.reverse.get(slot) {
+            Some(&code) if code != 0 => Some(u64::from(code) - 1),
+            _ => None,
+        }
     }
 
     /// The word a code stands for.
@@ -678,6 +709,15 @@ mod tests {
         assert!(!d.is_empty());
         assert_eq!(d.code_of(200), Some(1));
         assert_eq!(d.code_of(150), None);
+        assert_eq!(
+            (d.code_of(99), d.code_of(301), d.code_of(u64::MAX)),
+            (None, None, None)
+        );
+        assert_eq!(NarrowDict::new(0, Vec::new()).code_of(0), None);
+        // A span too wide for the reverse table answers the same way.
+        let wide = NarrowDict::new(0, vec![7, 1 << 40, u64::MAX]);
+        assert_eq!((wide.code_of(7), wide.code_of(1 << 40)), (Some(0), Some(1)));
+        assert_eq!((wide.code_of(u64::MAX), wide.code_of(8)), (Some(2), None));
         assert_eq!(d.value_of(2), 300);
         assert_eq!(d.epoch(), 0);
     }

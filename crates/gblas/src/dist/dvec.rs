@@ -13,6 +13,7 @@
 //!   gather in `mxv` — the trade-off the `exp_cyclic` experiment
 //!   quantifies.
 
+use super::dense::OwnerLocator;
 use crate::serial::SparseVec;
 use crate::Vid;
 use dmsim::{Comm, Grid2d, PooledBuf};
@@ -125,6 +126,16 @@ impl VecLayout {
         }
     }
 
+    /// `(origin, stride)` of `rank`'s chunk: its element at local offset
+    /// `o` is global index `origin + o·stride`.
+    pub fn origin_stride(&self, rank: usize) -> (usize, usize) {
+        let c = self.chunk_of_rank(rank);
+        match self.dist {
+            Distribution::Blocked => (block_range(self.n, self.grid.size(), c).0, 1),
+            Distribution::Cyclic => (c, self.grid.size()),
+        }
+    }
+
     /// Local offset of global index `g` on its owner.
     ///
     /// # Panics (debug)
@@ -202,10 +213,17 @@ impl VecLayout {
     ) -> Vec<PooledBuf<(I, P)>> {
         let mut buckets: Vec<PooledBuf<(I, P)>> =
             (0..self.grid.size()).map(|_| comm.pooled_buf()).collect();
+        let locator = self.locator();
         for (g, it) in items {
-            buckets[self.owner_of(g.idx())].push((g, it));
+            buckets[locator.locate(g.idx()).0].push((g, it));
         }
         buckets
+    }
+
+    /// The chunk boundaries of this layout, precomputed for loops that
+    /// route many ids (see [`OwnerLocator`]).
+    pub fn locator(&self) -> OwnerLocator {
+        OwnerLocator::new(self)
     }
 }
 
@@ -215,17 +233,33 @@ impl VecLayout {
 pub struct DistVec<T> {
     layout: VecLayout,
     rank: usize,
+    /// Global index of the local chunk's first element (blocked: the chunk
+    /// start; cyclic: the chunk index), cached so a local lookup does not
+    /// re-derive the chunk boundaries.
+    origin: usize,
     local: Vec<T>,
 }
 
 impl<T: Copy + Send + 'static> DistVec<T> {
     /// Builds this rank's elements from a function of the global index.
     pub fn from_fn(layout: VecLayout, rank: usize, f: impl Fn(Vid) -> T) -> Self {
-        let len = layout.local_len(rank);
+        let (origin, stride) = layout.origin_stride(rank);
         DistVec {
             layout,
             rank,
-            local: (0..len).map(|o| f(layout.global_of(rank, o))).collect(),
+            origin,
+            local: (0..layout.local_len(rank))
+                .map(|o| f(origin + o * stride))
+                .collect(),
+        }
+    }
+
+    /// Local offset of the locally owned global index `g`.
+    pub fn local_offset(&self, g: Vid) -> usize {
+        debug_assert!(self.owns(g), "index {g} not owned by rank {}", self.rank);
+        match self.layout.dist {
+            Distribution::Blocked => g - self.origin,
+            Distribution::Cyclic => (g - self.origin) / self.layout.grid.size(),
         }
     }
 
@@ -268,12 +302,13 @@ impl<T: Copy + Send + 'static> DistVec<T> {
 
     /// Value at a locally owned global index.
     pub fn get_local(&self, g: Vid) -> T {
-        self.local[self.layout.offset_of(self.rank, g)]
+        self.local[self.local_offset(g)]
     }
 
     /// Sets a locally owned global index.
     pub fn set_local(&mut self, g: Vid, v: T) {
-        self.local[self.layout.offset_of(self.rank, g)] = v;
+        let o = self.local_offset(g);
+        self.local[o] = v;
     }
 
     /// True if this rank owns global index `g`.
@@ -288,16 +323,20 @@ impl<T: Copy + Send + 'static> DistVec<T> {
     {
         let world = comm.world();
         let by_rank = comm.allgatherv(&world, self.local.clone());
-        let n = self.layout.n;
-        let mut pairs: Vec<(Vid, T)> = Vec::with_capacity(n);
-        for (r, block) in by_rank.into_iter().enumerate() {
-            for (o, v) in block.into_iter().enumerate() {
-                pairs.push((self.layout.global_of(r, o), v));
-            }
-        }
-        debug_assert_eq!(pairs.len(), n);
-        pairs.sort_unstable_by_key(|&(g, _)| g);
-        pairs.into_iter().map(|(_, v)| v).collect()
+        let p = self.layout.grid.size();
+        let chunks: Vec<&[T]> = (0..p)
+            .map(|c| by_rank[self.layout.rank_of_chunk(c)].as_slice())
+            .collect();
+        let global = match self.layout.dist {
+            Distribution::Blocked => chunks.concat(),
+            // Element `o` of chunk `c` is global index `c + o·p`: one
+            // round over the chunks per offset.
+            Distribution::Cyclic => (0..self.layout.n.div_ceil(p))
+                .flat_map(|o| chunks.iter().filter_map(move |chunk| chunk.get(o).copied()))
+                .collect(),
+        };
+        assert_eq!(global.len(), self.layout.n, "gathered chunks cover 0..n");
+        global
     }
 }
 

@@ -12,11 +12,13 @@
 //!   bit-for-bit, with the paper's §V-B communication optimizations.
 
 pub mod compact;
+pub mod dense;
 pub mod dmat;
 pub mod dvec;
 pub mod ops;
 
 pub use compact::NarrowVal;
+pub use dense::{OwnerLocator, RankBitmap};
 pub use dmat::DistMat;
 pub use dvec::{DistSpVec, DistVec, Distribution, VecLayout};
 pub use ops::{

@@ -17,6 +17,7 @@
 //! [`crate::serial`]; the test module checks this across grid sizes.
 
 use super::compact::NarrowVal;
+use super::dense::{group_fold, RankBitmap};
 use super::dmat::DistMat;
 use super::dvec::{block_range, DistSpVec, DistVec, Distribution, VecLayout};
 use crate::serial::{kernel_pool, CsrMirror, Dcsc};
@@ -27,7 +28,6 @@ use dmsim::{
     PooledBuf, SpanKind, WireWord,
 };
 use lacc_graph::Idx;
-use std::collections::HashMap;
 
 /// Wire format of the `extract`/`assign` exchanges: the only two points
 /// of the old lever lattice any caller constructs.
@@ -158,11 +158,12 @@ impl DistOpts {
     }
 }
 
-/// Size at which a request bucket switches dedup strategy in
-/// [`plan_requests`]: at least this long, a hash set (one linear pass plus
-/// a sort of the unique ids); shorter, sort-and-dedup in place. Both
-/// produce the same plan; their compute charges differ.
-const DEDUP_HASH_THRESHOLD: usize = 2048;
+/// A constant of the *charge model* only: [`plan_requests`] charges a
+/// request bucket at least this long one extra op per unique id. (The host
+/// once switched dedup strategy here; it now runs one bitmap pass at every
+/// size, and the split stays in the charge so the modeled clock does not
+/// move.)
+const DEDUP_CHARGE_SPLIT: usize = 2048;
 
 /// Allgathers each rank's value chunk, re-encoding the stream under the
 /// narrowing spec installed on `comm` (raw `Vec<T>` when none is active —
@@ -356,26 +357,76 @@ where
     let world = comm.world();
     let buckets = layout.bucket_by_owner(comm, produced.into_iter());
     let buckets = buckets.into_iter().map(PooledBuf::detach).collect();
-    let incoming = comm.alltoallv(&world, buckets, opts.alltoall);
-    let mut merged: HashMap<I, T> = HashMap::new();
-    let mut nops = 1u64;
-    for part in incoming {
-        // Adopt each incoming part so its allocation recycles on drop.
-        let part = comm.adopt_buf(part);
-        nops += part.len() as u64;
-        for &(g, v) in part.iter() {
-            merged
-                .entry(g)
-                .and_modify(|acc| *acc = monoid.combine(*acc, v))
-                .or_insert(v);
-        }
-    }
-    comm.charge_compute(nops);
-    let entries: Vec<(I, T)> = merged
+    // Adopt each incoming part so its allocation recycles on drop.
+    let parts: Vec<PooledBuf<(I, T)>> = comm
+        .alltoallv(&world, buckets, opts.alltoall)
+        .into_iter()
+        .map(|part| comm.adopt_buf(part))
+        .collect();
+    comm.charge_compute(1 + parts.iter().map(|part| part.len() as u64).sum::<u64>());
+    let entries: Vec<(I, T)> = fold_owned_arrivals(layout, comm.rank(), &parts, monoid)
         .into_iter()
         .filter(|&(g, _)| mask.allows(g.idx()))
         .collect();
     DistSpVec::from_local_entries(layout, comm.rank(), entries)
+}
+
+/// Folds `(id, value)` arrivals that all fall in one chunk of `len`
+/// elements through the monoid, part by part in arrival order, into one
+/// entry per distinct id, ascending. `offset_of`/`global_of` convert
+/// between a global id and its offset in the chunk; an id outside the
+/// chunk panics.
+fn fold_chunk_arrivals<T, M, I>(
+    len: usize,
+    parts: &[PooledBuf<(I, T)>],
+    offset_of: impl Fn(Vid) -> usize,
+    global_of: impl Fn(usize) -> Vid,
+    monoid: M,
+) -> Vec<(I, T)>
+where
+    T: Copy + Send + 'static,
+    M: Monoid<T>,
+    I: Idx,
+{
+    let arrivals = parts
+        .iter()
+        .flat_map(|part| part.iter())
+        .map(|&(g, v)| (offset_of(g.idx()), v));
+    let groups = group_fold(len, arrivals, monoid);
+    groups
+        .present
+        .ones()
+        .zip(groups.folded)
+        .map(|(o, v)| (I::from_usize(global_of(o)), v))
+        .collect()
+}
+
+/// [`fold_chunk_arrivals`] over the chunk `rank` owns under `layout`.
+fn fold_owned_arrivals<T, M, I>(
+    layout: VecLayout,
+    rank: usize,
+    parts: &[PooledBuf<(I, T)>],
+    monoid: M,
+) -> Vec<(I, T)>
+where
+    T: Copy + Send + 'static,
+    M: Monoid<T>,
+    I: Idx,
+{
+    let (origin, stride) = layout.origin_stride(rank);
+    fold_chunk_arrivals(
+        layout.local_len(rank),
+        parts,
+        |g| {
+            assert!(
+                g >= origin && (g - origin) % stride == 0,
+                "index {g} not owned here"
+            );
+            (g - origin) / stride
+        },
+        |o| origin + o * stride,
+        monoid,
+    )
 }
 
 /// Cyclic-layout SpMV/SpMSpV: the vector is not grid-aligned, so the
@@ -416,9 +467,10 @@ where
         (Some(x), None) => {
             let gh = comm.post(opts.overlap, |c| c.allgatherv(&world, x.local().to_vec()));
             let chunks = gh.peek();
+            let locator = layout.locator();
             for g in cs..ce {
-                let o = layout.owner_of(g);
-                let xv = chunks[o][layout.offset_of(o, g)];
+                let (o, off) = locator.locate(g);
+                let xv = chunks[o][off];
                 let rows = a.local().col(g - cs);
                 for &lr in rows {
                     let lr = lr.idx();
@@ -688,22 +740,26 @@ where
     let row_group = grid.row_group(comm);
     let mut buckets: Vec<PooledBuf<(I, T)>> = (0..pc).map(|_| comm.pooled_buf()).collect();
     touched.sort_unstable();
+    // Subchunk k of this row block is global chunk i·pc + k; the rows are
+    // ascending, so the subchunk boundaries are walked, not searched.
+    let (n, p) = (layout.len(), grid.size());
+    let ends: Vec<usize> = (0..pc).map(|k| block_range(n, p, i * pc + k).1).collect();
+    let mut k = 0usize;
     for &lr in &touched {
         let g = rs + lr;
-        let c = layout.chunk_containing(g);
-        debug_assert!(c >= i * pc && c < (i + 1) * pc);
-        buckets[c - i * pc].push((I::from_usize(g), acc[lr]));
+        while g >= ends[k] {
+            k += 1;
+        }
+        buckets[k].push((I::from_usize(g), acc[lr]));
     }
     let buckets: Vec<Vec<(I, T)>> = buckets.into_iter().map(PooledBuf::detach).collect();
     // Under an active narrowing spec the per-destination buckets ship as
     // entry frames (ids are pushed in sorted `touched` order, so each
     // bucket's id stream is monotone); the legacy tuple exchange is
     // byte-identical with narrowing off. (The later transpose exchange
-    // stays raw: its HashMap-order entries have no sorted id stream.)
-    let mut merged: HashMap<I, T> = HashMap::new();
-    let mut merge_ops = 0u64;
+    // stays a raw tuple vector.)
     let spec = comm.narrow_spec();
-    if spec.active() {
+    let parts: Vec<PooledBuf<(I, T)>> = if spec.active() {
         let dict = comm.narrow_dict();
         let mut frames: Vec<FramedBlock> = Vec::with_capacity(pc);
         for b in &buckets {
@@ -716,36 +772,34 @@ where
             });
         }
         comm.charge_compute(buckets.iter().map(|b| b.len() as u64).sum::<u64>() + 1);
-        for bytes in comm.alltoallv_framed(&row_group, frames, opts.alltoall) {
-            let part = decode_entry_frame::<T, I>(&bytes, dict.as_deref());
-            merge_ops += part.len() as u64;
-            for (g, v) in part {
-                merged
-                    .entry(g)
-                    .and_modify(|acc| *acc = monoid.combine(*acc, v))
-                    .or_insert(v);
-            }
-        }
+        comm.alltoallv_framed(&row_group, frames, opts.alltoall)
+            .into_iter()
+            .map(|bytes| comm.adopt_buf(decode_entry_frame::<T, I>(&bytes, dict.as_deref())))
+            .collect()
     } else {
-        let incoming = comm.alltoallv(&row_group, buckets, opts.alltoall);
-        for part in incoming {
-            let part = comm.adopt_buf(part);
-            merge_ops += part.len() as u64;
-            for &(g, v) in part.iter() {
-                merged
-                    .entry(g)
-                    .and_modify(|acc| *acc = monoid.combine(*acc, v))
-                    .or_insert(v);
-            }
-        }
-    }
-    comm.charge_compute(merge_ops);
+        comm.alltoallv(&row_group, buckets, opts.alltoall)
+            .into_iter()
+            .map(|part| comm.adopt_buf(part))
+            .collect()
+    };
+    comm.charge_compute(parts.iter().map(|part| part.len() as u64).sum());
 
+    // Every arrival lies in the subchunk this rank holds for its row.
     let held_chunk = i * pc + j;
+    let (lo, hi) = block_range(n, p, held_chunk);
+    let to_send: Vec<(I, T)> = fold_chunk_arrivals(
+        hi - lo,
+        &parts,
+        |g| {
+            assert!(g >= lo, "index {g} below the held subchunk");
+            g - lo
+        },
+        |o| lo + o,
+        monoid,
+    );
     let owner = layout.rank_of_chunk(held_chunk);
     let my_chunk = layout.chunk_of_rank(me);
     let holder = grid.rank_of(my_chunk / pc, my_chunk % pc);
-    let to_send: Vec<(I, T)> = merged.into_iter().collect();
     let mine: Vec<(I, T)> = if owner == me {
         to_send
     } else {
@@ -1095,17 +1149,20 @@ where
 /// the plan is built once).
 ///
 /// Under [`Wire::Compact`] each per-owner wire list carries every unique
-/// id once (sorted) and `scatter` routes each reply back to all of its
-/// originating request positions; under [`Wire::Legacy`] the lists
-/// preserve request order, duplicates included. Both are bit-identical to
-/// the unplanned exchange.
+/// id once (sorted); under [`Wire::Legacy`] the lists preserve request
+/// order, duplicates included. Either way a request's reply is found by
+/// index, never by search: the per-owner reply vectors, concatenated in
+/// chunk order, are addressed by the request's `slot`. Both are
+/// bit-identical to the unplanned exchange.
 pub struct RequestPlan<I: Idx = Vid> {
     layout: VecLayout,
-    n_requests: usize,
     /// Per-owner ids as they will cross the wire, at index width `I`.
     wire_ids: Vec<Vec<I>>,
-    /// Per-owner `(index into wire_ids[o], original request position)`.
-    scatter: Vec<Vec<(u32, u32)>>,
+    /// Per-owner number of requests (duplicates included).
+    requests_to: Vec<usize>,
+    /// Per request, the index of its reply in the chunk-order
+    /// concatenation of the per-owner reply vectors.
+    slot: Vec<u32>,
 }
 
 impl<I: Idx> RequestPlan<I> {
@@ -1116,23 +1173,46 @@ impl<I: Idx> RequestPlan<I> {
 
     /// Number of local requests the plan answers.
     pub fn n_requests(&self) -> usize {
-        self.n_requests
+        self.slot.len()
     }
 
     /// Duplicate request ids this rank will *not* send, per owner.
     fn removed(&self, o: usize) -> usize {
-        self.scatter[o].len() - self.wire_ids[o].len()
+        self.requests_to[o] - self.wire_ids[o].len()
     }
 
     /// Total duplicate request ids collapsed by dedup on this rank.
     pub fn duplicates_removed(&self) -> usize {
         (0..self.wire_ids.len()).map(|o| self.removed(o)).sum()
     }
+
+    /// Answers every request from the per-owner reply vectors
+    /// (`replies[o][w]` answers `wire_ids[o][w]`).
+    ///
+    /// # Panics
+    /// If an owner's reply vector and wire list differ in length: the
+    /// replies are addressed by index, so a short or long reply would
+    /// otherwise hand requests their neighbours' values.
+    fn scatter<T: Copy>(&self, replies: &[Vec<T>]) -> Vec<T> {
+        let mut flat: Vec<T> = Vec::with_capacity(replies.iter().map(Vec::len).sum());
+        for c in 0..replies.len() {
+            let o = self.layout.rank_of_chunk(c);
+            assert_eq!(
+                replies[o].len(),
+                self.wire_ids[o].len(),
+                "owner {o} answered a different number of ids than were requested"
+            );
+            flat.extend_from_slice(&replies[o]);
+        }
+        self.slot.iter().map(|&s| flat[s as usize]).collect()
+    }
 }
 
 /// Buckets `requests` by owning rank under `layout` and, under
-/// [`Wire::Compact`], sorts and dedups each bucket, recording the reply
-/// scatter. Charged as local compute; no communication happens here.
+/// [`Wire::Compact`], sorts and dedups each bucket — one presence-bitmap
+/// and prefix-popcount pass over the dense id universe, no hashing or
+/// sorting — recording where each request's reply will land. Charged as
+/// local compute; no communication happens here.
 pub fn plan_requests<I: Idx>(
     comm: &mut Comm,
     layout: VecLayout,
@@ -1142,70 +1222,64 @@ pub fn plan_requests<I: Idx>(
     let p = comm.size();
     assert!(
         requests.len() < u32::MAX as usize,
-        "request list too long for the plan's u32 positions"
+        "request list too long for the plan's u32 slots"
     );
-    let mut pairs = layout.bucket_by_owner(
-        comm,
-        requests.iter().enumerate().map(|(pos, &g)| (g, pos as u32)),
-    );
-    let mut wire_ids: Vec<Vec<I>> = Vec::with_capacity(p);
-    let mut scatter: Vec<Vec<(u32, u32)>> = Vec::with_capacity(p);
     let mut ops = requests.len() as u64 + 1;
-    for bucket in pairs.iter_mut() {
-        let k = bucket.len();
-        if opts.wire == Wire::Legacy {
-            // Request order on the wire, sequential scatter.
-            wire_ids.push(bucket.iter().map(|&(g, _)| g).collect());
-            scatter.push(
-                bucket
-                    .iter()
-                    .enumerate()
-                    .map(|(w, &(_, pos))| (w as u32, pos))
-                    .collect(),
+    let plan = match opts.wire {
+        Wire::Legacy => {
+            // Request order on the wire, sequential slots.
+            let buckets = layout.bucket_by_owner(
+                comm,
+                requests.iter().enumerate().map(|(k, &g)| (g, k as u32)),
             );
-            continue;
-        }
-        if k >= DEDUP_HASH_THRESHOLD {
-            // Hash path: one linear pass collects unique ids, then only
-            // those are sorted — wins when duplication is heavy.
-            let mut uniq: HashMap<I, u32> = HashMap::with_capacity(k / 4);
-            for &(g, _) in bucket.iter() {
-                uniq.entry(g).or_insert(0);
-            }
-            let mut ids: Vec<I> = uniq.keys().copied().collect();
-            ids.sort_unstable();
-            for (w, &g) in ids.iter().enumerate() {
-                *uniq.get_mut(&g).expect("id just inserted") = w as u32;
-            }
-            let sc: Vec<(u32, u32)> = bucket.iter().map(|&(g, pos)| (uniq[&g], pos)).collect();
-            ops += 2 * k as u64 + ids.len() as u64;
-            wire_ids.push(ids);
-            scatter.push(sc);
-        } else {
-            // Sort path: sort the (id, position) pairs and collapse the
-            // runs of equal ids.
-            let mut b: Vec<(I, u32)> = bucket.to_vec();
-            b.sort_unstable_by_key(|&(g, _)| g);
-            let mut ids: Vec<I> = Vec::with_capacity(k);
-            let mut sc: Vec<(u32, u32)> = Vec::with_capacity(k);
-            for (g, pos) in b {
-                if ids.last() != Some(&g) {
-                    ids.push(g);
+            let mut slot = vec![0u32; requests.len()];
+            let mut next = 0u32;
+            for c in 0..p {
+                for &(_, k) in buckets[layout.rank_of_chunk(c)].iter() {
+                    slot[k as usize] = next;
+                    next += 1;
                 }
-                sc.push((ids.len() as u32 - 1, pos));
             }
-            ops += 2 * k as u64;
-            wire_ids.push(ids);
-            scatter.push(sc);
+            RequestPlan {
+                layout,
+                wire_ids: buckets
+                    .iter()
+                    .map(|b| b.iter().map(|&(g, _)| g).collect())
+                    .collect(),
+                requests_to: buckets.iter().map(|b| b.len()).collect(),
+                slot,
+            }
         }
-    }
+        Wire::Compact => {
+            // A request's slot is the rank of its owner-major position
+            // among the distinct positions; an owner's wire list is the
+            // distinct ids on the positions it owns, in position order.
+            let locator = layout.locator();
+            let positions = requests.iter().map(|g| locator.position(g.idx()));
+            let present = RankBitmap::from_positions(layout.len(), positions.clone());
+            let slot: Vec<u32> = positions.map(|pos| present.rank(pos) as u32).collect();
+            let mut multiplicity = vec![0usize; present.count()];
+            for &s in &slot {
+                multiplicity[s as usize] += 1;
+            }
+            let wire_ids = locator.split_by_owner(&present, |_, g| I::from_usize(g));
+            let requests_to = locator.owner_sums(&present, &multiplicity);
+            for (&k, ids) in requests_to.iter().zip(&wire_ids) {
+                ops += 2 * k as u64;
+                if k >= DEDUP_CHARGE_SPLIT {
+                    ops += ids.len() as u64;
+                }
+            }
+            RequestPlan {
+                layout,
+                wire_ids,
+                requests_to,
+                slot,
+            }
+        }
+    };
     comm.charge_compute(ops);
-    RequestPlan {
-        layout,
-        n_requests: requests.len(),
-        wire_ids,
-        scatter,
-    }
+    plan
 }
 
 /// Distributed gather (`GrB_extract` by index list): returns
@@ -1292,7 +1366,8 @@ where
     let me = comm.rank();
     let world = comm.world();
 
-    let mut results: Vec<Option<T>> = vec![None; plan.n_requests];
+    // Per owner, the values answering `plan.wire_ids[o]`, in order.
+    let mut replies: Vec<Vec<T>> = vec![Vec::new(); p];
     let mut stats = ExtractStats::default();
 
     // Detect hot owners by global request totals — counted post-dedup,
@@ -1318,11 +1393,11 @@ where
         if me == o {
             stats.did_broadcast = true;
         }
-        for &(w, pos) in &plan.scatter[o] {
-            results[pos as usize] =
-                Some(chunk[layout.offset_of(o, plan.wire_ids[o][w as usize].idx())]);
-        }
-        comm.charge_compute(plan.scatter[o].len() as u64 + 1);
+        replies[o] = plan.wire_ids[o]
+            .iter()
+            .map(|g| chunk[layout.offset_of(o, g.idx())])
+            .collect();
+        comm.charge_compute(plan.requests_to[o] as u64 + 1);
     }
 
     // Dedup savings relative to the legacy exchange: every collapsed
@@ -1365,24 +1440,18 @@ where
             comm.charge_compute(stats.received_requests + 1);
             comm.note_words_saved(stats.dedup_saved_words);
             let reply = comm.combining_replies(&world, &route, &values);
-            for (o, pairs) in reply.iter().enumerate() {
+            for (o, vals) in reply.into_iter().enumerate() {
                 if hot[o] {
                     continue;
                 }
-                for &(w, pos) in &plan.scatter[o] {
-                    let key = plan.wire_ids[o][w as usize];
-                    let i = pairs
-                        .binary_search_by_key(&key, |&(k, _)| k)
-                        .expect("reply for every requested id");
-                    results[pos as usize] = Some(pairs[i].1);
-                }
-                comm.charge_compute(plan.scatter[o].len() as u64 + 1);
+                replies[o] = vals;
+                comm.charge_compute(plan.requests_to[o] as u64 + 1);
             }
         }
         // Raw id words out through the all-to-all, raw values back.
         Wire::Legacy => {
             let incoming = comm.alltoallv(&world, send, opts.alltoall);
-            let replies: Vec<Vec<T>> = incoming
+            let served: Vec<Vec<T>> = incoming
                 .into_iter()
                 .map(|ids| {
                     // Adopt the id list so its allocation recycles after
@@ -1393,24 +1462,15 @@ where
                 })
                 .collect();
             comm.charge_compute(stats.received_requests + 1);
-            let reply_back = comm.alltoallv(&world, replies, opts.alltoall);
-            for o in 0..p {
-                if hot[o] {
-                    continue;
-                }
-                for &(w, pos) in &plan.scatter[o] {
-                    results[pos as usize] = Some(reply_back[o][w as usize]);
+            let reply_back = comm.alltoallv(&world, served, opts.alltoall);
+            for (o, vals) in reply_back.into_iter().enumerate() {
+                if !hot[o] {
+                    replies[o] = vals;
                 }
             }
         }
     }
-    (
-        results
-            .into_iter()
-            .map(|r| r.expect("every request answered"))
-            .collect(),
-        stats,
-    )
+    (plan.scatter(&replies), stats)
 }
 
 /// A combining request route paid for once and replayed for several
@@ -1466,22 +1526,10 @@ impl<I: Idx + WireWord> FusedExtract<I> {
             .collect();
         comm.charge_compute(values.len() as u64 + 1);
         let reply = comm.combining_replies(&world, &self.route, &values);
-        let mut results: Vec<Option<T>> = vec![None; plan.n_requests];
-        for (o, pairs) in reply.iter().enumerate() {
-            for &(w, pos) in &plan.scatter[o] {
-                let key = plan.wire_ids[o][w as usize];
-                let i = pairs
-                    .binary_search_by_key(&key, |&(k, _)| k)
-                    .expect("reply for every requested id");
-                results[pos as usize] = Some(pairs[i].1);
-            }
-        }
-        comm.charge_compute(plan.n_requests as u64 + 1);
+        let results = plan.scatter(&reply);
+        comm.charge_compute(plan.n_requests() as u64 + 1);
         comm.span_close(span);
         results
-            .into_iter()
-            .map(|r| r.expect("every request answered"))
-            .collect()
     }
 }
 
@@ -1511,6 +1559,35 @@ where
     out
 }
 
+/// Sender-side pre-combining of one update list: folds duplicate targets
+/// through the monoid in arrival order — re-associating, never reordering,
+/// the receiver's fold, so the result is bit-identical for associative
+/// monoids — into one dense value slot per distinct target. Returns, per
+/// owner, the combined `(id, value)` list in ascending id order and the
+/// number of updates it had before combining.
+fn precombine_updates<T, M, I>(
+    layout: VecLayout,
+    updates: &[(I, T)],
+    monoid: M,
+) -> (Vec<Vec<(I, T)>>, Vec<usize>)
+where
+    T: Copy,
+    M: Monoid<T>,
+    I: Idx,
+{
+    let locator = layout.locator();
+    let groups = group_fold(
+        layout.len(),
+        updates.iter().map(|&(g, v)| (locator.position(g.idx()), v)),
+        monoid,
+    );
+    let buckets = locator.split_by_owner(&groups.present, |slot, g| {
+        (I::from_usize(g), groups.folded[slot])
+    });
+    let before = locator.owner_sums(&groups.present, &groups.multiplicity);
+    (buckets, before)
+}
+
 fn assign_impl<T, M, I>(
     comm: &mut Comm,
     dst: &mut DistVec<T>,
@@ -1526,35 +1603,23 @@ where
     let layout = dst.layout();
     let world = comm.world();
     let mut stats = AssignStats::default();
-    let raw = layout.bucket_by_owner(comm, updates.iter().copied());
-    comm.charge_compute(updates.len() as u64 + 1);
-
-    // Sender-side pre-combining (compact wire only): fold duplicate
-    // targets through the monoid in arrival order — re-associating, never
-    // reordering, the receiver's fold, so the result is bit-identical for
-    // associative monoids — then sort by id.
     let mut ops = 1u64;
-    let buckets: Vec<Vec<(I, T)>> = raw
-        .into_iter()
-        .map(|b| {
-            let b = b.detach();
-            if opts.wire == Wire::Legacy {
-                return b;
+    let buckets: Vec<Vec<(I, T)>> = match opts.wire {
+        Wire::Legacy => layout
+            .bucket_by_owner(comm, updates.iter().copied())
+            .into_iter()
+            .map(PooledBuf::detach)
+            .collect(),
+        Wire::Compact => {
+            let (buckets, before) = precombine_updates(layout, updates, monoid);
+            for (b, before) in buckets.iter().zip(before) {
+                ops += (before + b.len()) as u64;
+                stats.combine_saved_words += words_of::<(I, T)>(before - b.len());
             }
-            let before = b.len();
-            let mut m: HashMap<I, T> = HashMap::with_capacity(before.min(1024));
-            for (g, v) in b {
-                m.entry(g)
-                    .and_modify(|acc| *acc = monoid.combine(*acc, v))
-                    .or_insert(v);
-            }
-            let mut c: Vec<(I, T)> = m.into_iter().collect();
-            c.sort_unstable_by_key(|&(g, _)| g);
-            ops += before as u64 + c.len() as u64;
-            stats.combine_saved_words += words_of::<(I, T)>(before - c.len());
-            c
-        })
-        .collect();
+            buckets
+        }
+    };
+    comm.charge_compute(updates.len() as u64 + 1);
     comm.charge_compute(ops);
 
     let merged: Vec<(I, T)> = match opts.wire {
@@ -1574,18 +1639,13 @@ where
         }
         // Every update crosses the all-to-all; the owner folds.
         Wire::Legacy => {
-            let mut combined: HashMap<I, T> = HashMap::new();
-            for part in comm.alltoallv(&world, buckets, opts.alltoall) {
-                let part = comm.adopt_buf(part);
-                stats.received_updates += part.len() as u64;
-                for &(g, v) in part.iter() {
-                    combined
-                        .entry(g)
-                        .and_modify(|acc| *acc = monoid.combine(*acc, v))
-                        .or_insert(v);
-                }
-            }
-            combined.into_iter().collect()
+            let parts: Vec<PooledBuf<(I, T)>> = comm
+                .alltoallv(&world, buckets, opts.alltoall)
+                .into_iter()
+                .map(|part| comm.adopt_buf(part))
+                .collect();
+            stats.received_updates = parts.iter().map(|part| part.len() as u64).sum();
+            fold_owned_arrivals(layout, comm.rank(), &parts, monoid)
         }
     };
     comm.charge_compute(stats.received_updates + 1);
@@ -1980,38 +2040,127 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dedup_strategies_agree_across_the_hash_threshold() {
-        // One owner, one set of unique ids, two request lists: a short one
-        // (sort-and-dedup) and one duplicated past DEDUP_HASH_THRESHOLD
-        // (hash set). Both strategies must plan the same wire ids and
-        // fetch the same replies.
-        let n = 256;
-        let p = 4;
-        let out = run_spmd(p, move |c| {
-            let layout = VecLayout::new(n, Grid2d::square(p));
-            let src = DistVec::from_fn(layout, c.rank(), |g| g * 7 % n);
-            let (lo, hi) = layout.range_of_rank(0);
-            let short: Vec<usize> = (lo..hi).rev().step_by(3).collect();
-            let copies = DEDUP_HASH_THRESHOLD.div_ceil(short.len());
-            let long: Vec<usize> = short.iter().flat_map(|&g| vec![g; copies]).collect();
-            assert!(short.len() < DEDUP_HASH_THRESHOLD && long.len() >= DEDUP_HASH_THRESHOLD);
-            let opts = DistOpts::optimized();
-            let plan_s = plan_requests(c, layout, &short, &opts);
-            let plan_l = plan_requests(c, layout, &long, &opts);
-            assert_eq!(plan_s.wire_ids, plan_l.wire_ids);
-            assert_eq!(plan_l.duplicates_removed(), long.len() - short.len());
-            let (vals_s, _) = dist_extract_planned(c, &src, &plan_s, &opts);
-            let (vals_l, _) = dist_extract_planned(c, &src, &plan_l, &opts);
-            (short, vals_s, vals_l, copies)
-        })
-        .unwrap();
-        for (short, vals_s, vals_l, copies) in out {
-            let expect: Vec<usize> = short.iter().map(|&g| g * 7 % n).collect();
-            assert_eq!(vals_s, expect);
-            let expect_l: Vec<usize> = expect.iter().flat_map(|&v| vec![v; copies]).collect();
-            assert_eq!(vals_l, expect_l);
+    /// A left fold that is neither commutative nor associative, so the
+    /// oracle comparison pins the *arrival order* of every group's fold.
+    #[derive(Clone, Copy)]
+    struct Horner;
+
+    impl Monoid<usize> for Horner {
+        fn identity(&self) -> usize {
+            0
         }
+        fn combine(&self, a: usize, b: usize) -> usize {
+            a.wrapping_mul(31).wrapping_add(b)
+        }
+    }
+
+    /// Checks the compact request plan and the assign pre-combiner of one
+    /// id list against a `BTreeMap` group-and-fold.
+    fn check_against_btreemap_oracle<I: Idx>(c: &mut Comm, layout: VecLayout, ids: &[usize]) {
+        use std::collections::BTreeMap;
+        let p = c.size();
+        let ctx = format!(
+            "{layout:?} rank {} ids {:?}",
+            c.rank(),
+            &ids[..ids.len().min(8)]
+        );
+        let reqs: Vec<I> = ids.iter().map(|&g| I::from_usize(g)).collect();
+        let updates: Vec<(I, usize)> = reqs
+            .iter()
+            .enumerate()
+            .map(|(k, &g)| (g, k * 7 + 1))
+            .collect();
+        let mut oracle: Vec<BTreeMap<I, (usize, usize)>> = vec![BTreeMap::new(); p];
+        for &(g, v) in &updates {
+            oracle[layout.owner_of(g.idx())]
+                .entry(g)
+                .and_modify(|(count, acc)| (*count, *acc) = (*count + 1, Horner.combine(*acc, v)))
+                .or_insert((1, v));
+        }
+        let requests_to: Vec<usize> = oracle
+            .iter()
+            .map(|m| m.values().map(|&(count, _)| count).sum())
+            .collect();
+
+        let plan = plan_requests(c, layout, &reqs, &DistOpts::optimized());
+        assert_eq!(plan.n_requests(), reqs.len(), "{ctx}");
+        assert_eq!(plan.requests_to, requests_to, "{ctx}");
+        for (o, group) in oracle.iter().enumerate() {
+            let want: Vec<I> = group.keys().copied().collect();
+            assert_eq!(plan.wire_ids[o], want, "{ctx}: wire ids of owner {o}");
+        }
+        let unique: usize = oracle.iter().map(BTreeMap::len).sum();
+        assert_eq!(plan.duplicates_removed(), reqs.len() - unique, "{ctx}");
+        let value_of = |g: I| g.idx() * 3 + 1;
+        let replies: Vec<Vec<usize>> = plan
+            .wire_ids
+            .iter()
+            .map(|ids| ids.iter().map(|&g| value_of(g)).collect())
+            .collect();
+        let want: Vec<usize> = reqs.iter().map(|&g| value_of(g)).collect();
+        assert_eq!(plan.scatter(&replies), want, "{ctx}: reply scatter");
+
+        let (buckets, before) = precombine_updates(layout, &updates, Horner);
+        assert_eq!(before, requests_to, "{ctx}");
+        for (o, group) in oracle.iter().enumerate() {
+            let want: Vec<(I, usize)> = group.iter().map(|(&g, &(_, v))| (g, v)).collect();
+            assert_eq!(buckets[o], want, "{ctx}: combined updates of owner {o}");
+        }
+    }
+
+    #[test]
+    fn planner_and_precombiner_match_a_btreemap_oracle() {
+        // Blocked and cyclic layouts; n below p (ranks owning nothing), not
+        // divisible by p, and large enough that a duplicated list crosses
+        // DEDUP_CHARGE_SPLIT; empty, all-duplicate, random-with-repeats and
+        // reverse-sorted lists; both index widths.
+        for p in [1usize, 4, 9] {
+            for n in [p - 1, 10 * p + 3, 701] {
+                run_spmd(p, move |c| {
+                    let grid = Grid2d::square(p);
+                    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64((p * 1000 + n) as u64);
+                    let mut lists: Vec<Vec<usize>> = vec![Vec::new()];
+                    if n > 0 {
+                        lists.push(vec![(c.rank() * 5) % n; 40]);
+                        lists.push((0..300).map(|_| rng.random_range(0..n)).collect());
+                        lists.push((0..n).rev().collect());
+                        let long = DEDUP_CHARGE_SPLIT + 100;
+                        lists.push((0..long).map(|k| (k * k + c.rank()) % n).collect());
+                    }
+                    for layout in [VecLayout::new(n, grid), VecLayout::cyclic(n, grid)] {
+                        for ids in &lists {
+                            check_against_btreemap_oracle::<usize>(c, layout, ids);
+                            check_against_btreemap_oracle::<u32>(c, layout, ids);
+                        }
+                    }
+                })
+                .unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn short_reply_fails_loudly_instead_of_misrouting() {
+        // Replies are addressed by index, so a reply vector that does not
+        // match its wire list must surface as an error, not as a
+        // neighbour's value.
+        let err = run_spmd(4, |c| {
+            let layout = VecLayout::new(40, Grid2d::square(4));
+            let plan = plan_requests(c, layout, &[3usize, 17, 3, 39], &DistOpts::optimized());
+            let mut replies: Vec<Vec<usize>> = plan
+                .wire_ids
+                .iter()
+                .map(|ids| ids.iter().map(|g| g * 2).collect())
+                .collect();
+            replies[layout.owner_of(17)].clear();
+            plan.scatter(&replies)
+        })
+        .unwrap_err();
+        assert!(
+            err.message().contains("answered a different number of ids"),
+            "{}",
+            err.message()
+        );
     }
 
     #[test]

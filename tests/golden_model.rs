@@ -1,0 +1,89 @@
+//! Golden values of the cost model: one fixed graph per engine at p = 4
+//! and p = 9, pinning the modeled makespan and the summed wire traffic.
+//!
+//! The modeled clock is a function of every `charge_compute` amount and
+//! every message's size and order, so a host-side rewrite that is meant to
+//! leave the model alone (a faster dedup, a different merge) cannot move
+//! these numbers. When a change moves them on purpose, run
+//! `cargo test --test golden_model -- --nocapture`, check the printed table
+//! against what the change intended, and paste it over `GOLDEN`.
+
+use lacc_suite::dmsim::{TraceLevel, TraceSink, EDISON};
+use lacc_suite::graph::generators::{community_graph, rmat, RmatParams};
+use lacc_suite::graph::CsrGraph;
+use lacc_suite::lacc::{self, EngineSelect, IndexWidth, LaccOpts, RunConfig};
+use std::sync::Arc;
+
+/// `(engine, ranks, modeled_total_s, Σ words_sent, Σ bytes_sent)`.
+type Row = (EngineSelect, usize, f64, u64, u64);
+
+const GOLDEN: [Row; 6] = [
+    (EngineSelect::Lacc, 4, 0.0013368109333333298, 15297, 92784),
+    (EngineSelect::Lacc, 9, 0.0030025231999999498, 30845, 176060),
+    (EngineSelect::Fastsv, 4, 0.0003646357777777776, 5534, 38534),
+    (EngineSelect::Fastsv, 9, 0.0005779311555555573, 10968, 74645),
+    (
+        EngineSelect::LabelProp,
+        4,
+        0.00038682955555555576,
+        13140,
+        92560,
+    ),
+    (
+        EngineSelect::LabelProp,
+        9,
+        0.0004495859111111112,
+        24964,
+        174066,
+    ),
+];
+
+/// Skewed degrees for the hooking engines (duplicate-heavy requests, hot
+/// owners), many small components for label propagation.
+fn graph_for(engine: EngineSelect) -> CsrGraph {
+    match engine {
+        EngineSelect::LabelProp => community_graph(600, 40, 3.0, 1.4, 9),
+        _ => rmat(9, 6, RmatParams::graph500(), 5),
+    }
+}
+
+fn measure(engine: EngineSelect, ranks: usize) -> Row {
+    let sink: Arc<TraceSink> = TraceSink::new(TraceLevel::Steps);
+    let cfg = RunConfig::new(ranks, EDISON.lacc_model())
+        .with_opts(LaccOpts {
+            engine,
+            // Pinned: the default follows the `wide-index` feature.
+            index_width: IndexWidth::U32,
+            ..LaccOpts::default()
+        })
+        .with_trace(&sink);
+    let out = lacc::run(&graph_for(engine), &cfg).expect("no rank panicked");
+    let traces = sink.rank_traces();
+    (
+        engine,
+        ranks,
+        out.modeled_total_s,
+        traces.iter().map(|rt| rt.snapshot.words_sent).sum(),
+        traces.iter().map(|rt| rt.snapshot.bytes_sent).sum(),
+    )
+}
+
+#[test]
+fn modeled_clock_and_wire_traffic_match_golden_values() {
+    let measured: Vec<Row> = GOLDEN
+        .iter()
+        .map(|&(engine, ranks, ..)| measure(engine, ranks))
+        .collect();
+    for (engine, ranks, modeled_s, words, bytes) in &measured {
+        println!("    (EngineSelect::{engine:?}, {ranks}, {modeled_s:?}, {words}, {bytes}),");
+    }
+    for (got, want) in measured.iter().zip(&GOLDEN) {
+        assert_eq!(
+            (got.2.to_bits(), got.3, got.4),
+            (want.2.to_bits(), want.3, want.4),
+            "{:?} at p = {}: measured {got:?}, golden {want:?}",
+            want.0,
+            want.1
+        );
+    }
+}
