@@ -1052,6 +1052,24 @@ mod tests {
     }
 
     #[test]
+    fn only_engines_that_run_spmspv_hold_the_block_column_major() {
+        // FastSV's every `mxv` is dense, so no rank ever transposes its
+        // block; LACC retires converged communities and finishes on SpMSpV.
+        let g = lacc_graph::generators::community_graph(600, 30, 3.0, 1.4, 1);
+        let opts = LaccOpts::default();
+        let built = |kind: EngineKind| {
+            dmsim::run_spmd(4, |c| {
+                let mut ctx = EngineCtx::<u32>::new(c, &g, None, &opts);
+                engine_for::<u32>(kind).run(&mut ctx);
+                ctx.a.has_column_major()
+            })
+            .unwrap()
+        };
+        assert_eq!(built(EngineKind::Fastsv), vec![false; 4]);
+        assert_eq!(built(EngineKind::Lacc), vec![true; 4]);
+    }
+
+    #[test]
     fn choose_engine_covers_the_space() {
         // Low diameter + giant component → label propagation.
         let lp = PrepassStats {

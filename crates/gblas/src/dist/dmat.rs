@@ -6,13 +6,17 @@ use crate::Vid;
 use dmsim::Grid2d;
 use lacc_graph::permute::Permutation;
 use lacc_graph::{CsrGraph, Idx};
+use std::cell::OnceCell;
 
 /// The local view of an `n × n` symmetric pattern matrix distributed on a
-/// square process grid: rank `(i, j)` stores block `A_ij` (rows in row
-/// block `i`, columns in column block `j`) as a DCSC with block-local
-/// indices, plus a row-major mirror of the same block for the row-split
-/// parallel local multiply (the matrix is static across iterations, so the
-/// mirror is built once).
+/// square process grid: rank `(i, j)` holds block `A_ij` (rows in row
+/// block `i`, columns in column block `j`) with block-local indices.
+///
+/// The block is stored **row-major, once** — all the dense multiply reads.
+/// The DCSC that SpMSpV looks columns up in is derived state:
+/// [`local`](Self::local) transposes the stored rows on its first call, so
+/// a run that never dispatches to SpMSpV (every FastSV run) never builds
+/// or holds a second copy of its block.
 ///
 /// Block indices are stored at width `I`; the narrowing — like the
 /// load-balancing relabeling — happens per rank while slicing, so no
@@ -24,8 +28,8 @@ pub struct DistMat<I: Idx = Vid> {
     grid: Grid2d,
     row_range: (usize, usize),
     col_range: (usize, usize),
-    local: Dcsc<I>,
-    row_mirror: CsrMirror<I>,
+    rows: CsrMirror<I>,
+    cols: OnceCell<Dcsc<I>>,
 }
 
 impl<I: Idx> DistMat<I> {
@@ -61,12 +65,10 @@ impl<I: Idx> DistMat<I> {
     /// The one build routine: `row(r)` lists the neighbors of relabeled row
     /// `r` in source ids and `relabel` maps a source id to its relabeled id.
     ///
-    /// Two counting transposes and no comparison sort. Sweeping the block's
-    /// rows in ascending order and keeping the entries whose relabeled
-    /// column falls in the column block gives the block row-major, columns
-    /// unordered; transposing that into DCSC visits rows ascending, so
-    /// every column's rows come out ascending; transposing the DCSC back
-    /// visits columns ascending, so every mirror row's columns do too.
+    /// One pass, no sort, no transpose: the block's rows, swept ascending
+    /// and filtered to the column block, *are* the stored structure. A
+    /// row's columns stay in source order ([`row_mirror`](Self::row_mirror)
+    /// says why no reader cares).
     fn build<'g>(
         n: usize,
         grid: Grid2d,
@@ -98,15 +100,13 @@ impl<I: Idx> DistMat<I> {
             rowptr.push(len);
         }
         colidx.truncate(len);
-        let local = Dcsc::from_row_major(nrows, ncols, &rowptr, &colidx);
-        let row_mirror = CsrMirror::from_col_major_pairs(nrows, ncols, local.pairs());
         DistMat {
             n,
             grid,
             row_range,
             col_range,
-            local,
-            row_mirror,
+            rows: CsrMirror::from_parts(nrows, ncols, rowptr, colidx),
+            cols: OnceCell::new(),
         }
     }
 
@@ -130,21 +130,30 @@ impl<I: Idx> DistMat<I> {
         self.col_range
     }
 
-    /// The local DCSC block (block-local indices).
+    /// The local block as a DCSC (block-local indices, each column's rows
+    /// ascending): one counting transpose of the stored rows on the first
+    /// call, kept. Only SpMSpV and the cyclic-layout `mxv` ask for it.
     pub fn local(&self) -> &Dcsc<I> {
-        &self.local
+        self.cols.get_or_init(|| self.rows.to_dcsc())
     }
 
-    /// Row-major mirror of the local block (block-local indices); each
-    /// row's columns are ascending, matching the DCSC column-sweep combine
-    /// order.
+    /// Whether [`local`](Self::local) has run: the block is held twice.
+    pub fn has_column_major(&self) -> bool {
+        self.cols.get().is_some()
+    }
+
+    /// The stored row-major block (block-local indices). A row's columns
+    /// are in source order, **not ascending**: [`crate::Monoid`] is
+    /// commutative and associative and the distributed `mxv` only admits
+    /// [`super::NarrowVal`] values — unsigned integers, `bool`, pairs of
+    /// them — so no combine order can change a result.
     pub fn row_mirror(&self) -> &CsrMirror<I> {
-        &self.row_mirror
+        &self.rows
     }
 
     /// Local nonzero count.
     pub fn local_nnz(&self) -> usize {
-        self.local.nnz()
+        self.rows.nnz()
     }
 }
 
@@ -213,7 +222,16 @@ mod tests {
                     let sliced = DistMat::<I>::from_graph(&permuted, grid, r);
                     let at = format!("{} n={n} p={p} rank={r}", I::NAME);
                     assert_eq!(fused.local(), sliced.local(), "{at}");
-                    assert_eq!(fused.row_mirror(), sliced.row_mirror(), "{at}");
+                    // Stored rows keep source order, which the relabeling
+                    // changes: the two builds agree row by row as sets.
+                    let (fr, sr) = (fused.row_mirror(), sliced.row_mirror());
+                    assert_eq!(fr.nrows(), sr.nrows(), "{at}");
+                    for i in 0..fr.nrows() {
+                        let (mut f, mut s) = (fr.row(i).to_vec(), sr.row(i).to_vec());
+                        f.sort_unstable();
+                        s.sort_unstable();
+                        assert_eq!(f, s, "{at} row {i}");
+                    }
                     assert_eq!(fused.row_range(), sliced.row_range(), "{at}");
                     assert_eq!(fused.col_range(), sliced.col_range(), "{at}");
                     // And the block is what the sort-based constructor
@@ -234,6 +252,25 @@ mod tests {
         for (k, g) in graphs.iter().enumerate() {
             check::<u32>(g, 11 + k as u64);
             check::<Vid>(g, 11 + k as u64);
+        }
+    }
+
+    #[test]
+    fn column_major_block_is_built_on_first_use_and_cloned_with_the_matrix() {
+        let g = erdos_renyi_gnm(50, 200, 3);
+        let grid = Grid2d::square(4);
+        for r in 0..4 {
+            let blk = DistMat::<u32>::from_graph(&g, grid, r);
+            assert_eq!(blk.local_nnz(), blk.row_mirror().nnz());
+            assert!(!blk.has_column_major(), "local_nnz() must not transpose");
+            assert!(!blk.clone().has_column_major());
+            let first: *const Dcsc<u32> = blk.local();
+            assert!(blk.has_column_major());
+            assert_eq!(blk.local().nnz(), blk.local_nnz());
+            assert!(std::ptr::eq(first, blk.local()), "transposed twice");
+            let copy = blk.clone();
+            assert!(copy.has_column_major());
+            assert_eq!(copy.local(), blk.local());
         }
     }
 

@@ -1,7 +1,8 @@
 //! Distributed GraphBLAS layer over [`dmsim`] — the CombBLAS role.
 //!
 //! * Matrices are 2D-partitioned on a square `√p × √p` grid
-//!   ([`DistMat`]), with each local block stored in DCSC.
+//!   ([`DistMat`]), with each local block stored row-major and its DCSC
+//!   derived the first time SpMSpV asks for it.
 //! * Vectors ([`DistVec`], [`DistSpVec`]) are block-distributed in
 //!   *column-major chunk order* so that the chunks owned by processor
 //!   column `j` concatenate into exactly the vector segment matching the

@@ -460,6 +460,7 @@ where
     let mut is_touched = vec![false; h];
     let mut touched: Vec<usize> = Vec::new();
     let mut ops = 1u64;
+    let local = a.local();
     // Both gathers are posted non-blocking: the column sweep consumes
     // chunks as they stream in, so its charge hides the transfer tail
     // exactly as in the blocked-layout paths.
@@ -471,7 +472,7 @@ where
             for g in cs..ce {
                 let (o, off) = locator.locate(g);
                 let xv = chunks[o][off];
-                let rows = a.local().col(g - cs);
+                let rows = local.col(g - cs);
                 for &lr in rows {
                     let lr = lr.idx();
                     if !is_touched[lr] {
@@ -492,7 +493,7 @@ where
                 if g < cs || g >= ce {
                     continue;
                 }
-                let rows = a.local().col(g - cs);
+                let rows = local.col(g - cs);
                 for &lr in rows {
                     let lr = lr.idx();
                     if !is_touched[lr] {
@@ -516,17 +517,17 @@ where
     scatter_merge_to_owners(comm, layout, produced, mask, monoid, opts)
 }
 
-/// Phase-2 local multiply for the SpMV-style paths: folds `x_block[j]`
-/// into every stored row of the local block. With `threads <= 1` this is
-/// the serial DCSC column sweep; otherwise rows are split across the
-/// kernel pool via the row mirror. A mirror row's columns are ascending —
-/// the same order the column sweep combines them in — so the two are
-/// bit-identical for any associative monoid. When `present` is given,
-/// only columns flagged there contribute (the densified-sparse-input case
-/// of [`dist_mxv`]).
+/// Phase-2 local multiply for the SpMV-style paths: a row gather over the
+/// stored row-major block. Row `r` folds `x_block[j]` over its columns `j`
+/// — one random read per nonzero, `acc[r]` and `touched[r]` written once —
+/// and `threads` only picks how many contiguous row chunks the kernel pool
+/// shares (one, run inline, for `threads <= 1`). Rows hold their columns in
+/// source order; [`Monoid`] is commutative and [`NarrowVal`] admits no
+/// floats, so that order cannot show in `acc`. With `present`, only columns
+/// flagged there contribute (the densified-sparse-input case of
+/// [`dist_mxv`]) and only they count toward `ops`, the nonzeros folded.
 fn local_multiply_block<T, M, I>(
-    local: &Dcsc<I>,
-    mirror: &CsrMirror<I>,
+    rows: &CsrMirror<I>,
     x_block: &[T],
     present: Option<&[bool]>,
     monoid: M,
@@ -537,30 +538,32 @@ where
     M: Monoid<T>,
     I: Idx,
 {
-    let h = local.nrows();
+    let h = rows.nrows();
     let mut acc = vec![monoid.identity(); h];
     let mut touched = vec![false; h];
-    if threads <= 1 {
-        let mut ops: u64 = 0;
-        for (lc, rows) in local.nonempty_cols() {
-            if let Some(pr) = present {
-                if !pr[lc] {
-                    continue;
+    let gather = |lo: usize, ac: &mut [T], tc: &mut [bool]| -> u64 {
+        let mut ops = 0u64;
+        for (o, (a_slot, t_slot)) in ac.iter_mut().zip(tc).enumerate() {
+            let (mut v, mut hits) = (*a_slot, 0u64);
+            for j in rows.row(lo + o).iter().map(|j| j.idx()) {
+                if present.is_none_or(|pr| pr[j]) {
+                    v = monoid.combine(v, x_block[j]);
+                    hits += 1;
                 }
             }
-            let xv = x_block[lc];
-            for &lr in rows {
-                let lr = lr.idx();
-                acc[lr] = monoid.combine(acc[lr], xv);
-                touched[lr] = true;
-            }
-            ops += rows.len() as u64;
+            (*a_slot, *t_slot) = (v, hits > 0);
+            ops += hits;
         }
+        ops
+    };
+    if threads <= 1 {
+        let ops = gather(0, &mut acc, &mut touched);
         return (acc, touched, ops);
     }
     let pool = kernel_pool(threads);
     let chunk = h.div_ceil(pool.current_num_threads()).max(1);
     let mut chunk_ops = vec![0u64; h.div_ceil(chunk)];
+    let gather = &gather;
     pool.scope(|s| {
         for (((k, ac), tc), co) in acc
             .chunks_mut(chunk)
@@ -568,31 +571,15 @@ where
             .zip(touched.chunks_mut(chunk))
             .zip(chunk_ops.iter_mut())
         {
-            let lo = k * chunk;
-            s.spawn(move || {
-                let mut ops = 0u64;
-                for (o, (a_slot, t_slot)) in ac.iter_mut().zip(tc.iter_mut()).enumerate() {
-                    for &j in mirror.row(lo + o) {
-                        let j = j.idx();
-                        if let Some(pr) = present {
-                            if !pr[j] {
-                                continue;
-                            }
-                        }
-                        *a_slot = monoid.combine(*a_slot, x_block[j]);
-                        *t_slot = true;
-                        ops += 1;
-                    }
-                }
-                *co = ops;
-            });
+            s.spawn(move || *co = gather(k * chunk, ac, tc));
         }
     });
     (acc, touched, chunk_ops.iter().sum())
 }
 
 /// Phase-2 local multiply for the SpMSpV-style paths: per-entry scatter of
-/// the gathered input through DCSC column lookups.
+/// the gathered input through DCSC column lookups, each resumed from the
+/// last ([`Dcsc::cursor`]): the gathered entries ascend by column.
 ///
 /// With `threads > 1` this uses the same merge-free owner-partitioned
 /// scheme as [`crate::serial::mxv_sparse_par`]: the block's row space is
@@ -627,8 +614,9 @@ where
         let mut acc = vec![monoid.identity(); h];
         let mut is_touched = vec![false; h];
         let mut touched: Vec<Vid> = Vec::new();
+        let mut cols = local.cursor();
         for &(gc, xv) in gathered {
-            let rows = local.col(gc.idx() - cs);
+            let rows = cols.seek(gc.idx() - cs);
             for &lr in rows {
                 let lr = lr.idx();
                 if !is_touched[lr] {
@@ -661,8 +649,9 @@ where
         {
             s.spawn(move || {
                 let mut ops = 0u64;
+                let mut cols = local.cursor();
                 for &(gc, xv) in es {
-                    let rows = local.col(gc.idx() - cs);
+                    let rows = cols.seek(gc.idx() - cs);
                     for &lr in rows {
                         b[lr.idx() / part].push((lr, xv));
                     }
@@ -892,17 +881,12 @@ where
     let x_block: Vec<T> = gh.peek().concat();
     debug_assert_eq!(x_block.len(), a.col_range().1 - a.col_range().0);
 
-    // Phase 2: local block multiply into a row-block accumulator
-    // (row-split across the kernel pool when `opts.kernel_threads > 1`).
+    // Phase 2: row gather over the local block into a row-block
+    // accumulator (row-split across the kernel pool when
+    // `opts.kernel_threads > 1`).
     let (rs, _re) = a.row_range();
-    let (acc, touched, ops) = local_multiply_block(
-        a.local(),
-        a.row_mirror(),
-        &x_block,
-        None,
-        monoid,
-        opts.kernel_threads,
-    );
+    let (acc, touched, ops) =
+        local_multiply_block(a.row_mirror(), &x_block, None, monoid, opts.kernel_threads);
     comm.charge_compute(ops + x_block.len() as u64);
     gh.wait(comm);
 
@@ -1002,8 +986,9 @@ where
     let gh = allgather_entries(comm, &col_group, x.entries().to_vec(), opts);
     let gathered: Vec<(I, T)> = gh.peek().iter().flatten().copied().collect();
 
-    // Phase 2: local multiply through the DCSC block (owner-partitioned
-    // across the kernel pool when `opts.kernel_threads > 1`).
+    // Phase 2: local multiply through the DCSC block — transposed out of
+    // the stored rows on this rank's first SpMSpV — owner-partitioned
+    // across the kernel pool when `opts.kernel_threads > 1`.
     let (cs, _ce) = a.col_range();
     let (acc, touched, ops) =
         local_multiply_entries(a.local(), cs, &gathered, monoid, opts.kernel_threads);
@@ -1023,14 +1008,15 @@ where
 ///
 /// * fill ≥ [`DistOpts::spmv_threshold`] — the gathered entries are
 ///   densified into the column-block segment plus a presence bitmap, and
-///   the local multiply scans the block's stored columns linearly (or
-///   row-splits over the mirror when threaded) instead of binary-searching
-///   the DCSC once per input entry.
+///   the local multiply is the dense row gather over the stored block
+///   instead of a DCSC column lookup per input entry.
 /// * fill below the threshold — [`dist_mxv_sparse`]'s per-entry kernel.
 ///
 /// Both branches produce **bit-identical** results (same gather, same
-/// per-row combine order, same reduce/transpose phases), so the dispatch
-/// is purely a performance choice; the proptests pin this down.
+/// reduce/transpose phases; the per-row combine order differs, which a
+/// commutative, associative [`Monoid`] over [`NarrowVal`] values cannot
+/// show), so the dispatch is purely a performance choice; the proptests
+/// pin this down.
 pub fn dist_mxv<T, M, I>(
     comm: &mut Comm,
     a: &DistMat<I>,
@@ -1124,7 +1110,6 @@ where
         present[g.idx() - cs] = true;
     }
     let (acc, touched_flags, ops) = local_multiply_block(
-        a.local(),
         a.row_mirror(),
         &x_block,
         Some(&present),
@@ -1666,7 +1651,7 @@ mod tests {
     use super::*;
     use crate::dist::dvec::VecLayout;
     use crate::serial::{self, Pattern, SparseVec};
-    use crate::types::{Mask, MinUsize};
+    use crate::types::{AddUsize, AndBool, Mask, MaxUsize, MinMaxUsize, MinUsize, OrBool};
     use dmsim::{run_spmd, Grid2d};
     use lacc_graph::generators::{erdos_renyi_gnm, path_graph, rmat, RmatParams};
     use lacc_graph::CsrGraph;
@@ -1850,6 +1835,115 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The dense kernel this crate used to run at `kernel_threads <= 1`:
+    /// a sweep of the DCSC's nonempty columns, scattering into `acc`.
+    fn column_sweep_oracle<T: Copy, M: Monoid<T>>(
+        local: &Dcsc<u32>,
+        x_block: &[T],
+        present: Option<&[bool]>,
+        monoid: M,
+    ) -> (Vec<T>, Vec<bool>, u64) {
+        let mut acc = vec![monoid.identity(); local.nrows()];
+        let mut touched = vec![false; local.nrows()];
+        let mut ops = 0u64;
+        for (lc, rows) in local.nonempty_cols() {
+            if present.is_some_and(|pr| !pr[lc]) {
+                continue;
+            }
+            for &lr in rows {
+                acc[lr.idx()] = monoid.combine(acc[lr.idx()], x_block[lc]);
+                touched[lr.idx()] = true;
+            }
+            ops += rows.len() as u64;
+        }
+        (acc, touched, ops)
+    }
+
+    #[test]
+    fn row_gather_matches_the_column_sweep_oracle() {
+        fn check<T, M>(rows: &CsrMirror<u32>, present: &[bool], monoid: M, val: impl Fn(u64) -> T)
+        where
+            T: Copy + Send + Sync + PartialEq + std::fmt::Debug,
+            M: Monoid<T>,
+        {
+            let local = rows.to_dcsc();
+            let x: Vec<T> = (0..rows.ncols() as u64).map(val).collect();
+            for pr in [None, Some(present)] {
+                let expected = column_sweep_oracle(&local, &x, pr, monoid);
+                for threads in [1usize, 2] {
+                    let got = local_multiply_block(rows, &x, pr, monoid, threads);
+                    assert_eq!(got, expected, "threads={threads} present={}", pr.is_some());
+                }
+            }
+        }
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
+        let mut blocks: Vec<CsrMirror<u32>> = Vec::new();
+        // Random rectangular blocks: rows in random column order, empty
+        // rows, empty columns, down to 0 × 0.
+        for (nrows, ncols, density) in [(0, 0, 0.0), (1, 7, 0.5), (13, 9, 0.3), (40, 64, 0.05)] {
+            let mut rowptr = vec![0usize];
+            let mut colidx: Vec<u32> = Vec::new();
+            for r in 0..nrows {
+                let mut cols: Vec<u32> = (0..ncols as u32)
+                    .filter(|_| r % 5 != 3 && rng.random_bool(density))
+                    .collect();
+                for k in (1..cols.len()).rev() {
+                    cols.swap(k, rng.random_range(0..=k));
+                }
+                colidx.extend(cols);
+                rowptr.push(colidx.len());
+            }
+            blocks.push(CsrMirror::from_parts(nrows, ncols, rowptr, colidx));
+        }
+        // Blocks as the build leaves them, permuted and not, n = 50 not
+        // divisible by sqrt(p) = 3.
+        let g = erdos_renyi_gnm(50, 160, 31);
+        let perm = lacc_graph::permute::Permutation::random(50, 37);
+        for r in 0..9 {
+            let grid = Grid2d::square(9);
+            blocks.push(DistMat::<u32>::from_graph(&g, grid, r).row_mirror().clone());
+            let permuted = DistMat::<u32>::from_graph_permuted(&g, &perm, grid, r);
+            blocks.push(permuted.row_mirror().clone());
+        }
+        for rows in &blocks {
+            let present: Vec<bool> = (0..rows.ncols()).map(|_| rng.random_bool(0.6)).collect();
+            let word = |j: u64| (j.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize;
+            check(rows, &present, MinUsize, word);
+            check(rows, &present, MaxUsize, word);
+            check(rows, &present, AddUsize, word);
+            check(rows, &present, MinMaxUsize, |j| (word(j), word(j + 1)));
+            check(rows, &present, AndBool, |j| word(j) % 3 != 0);
+            check(rows, &present, OrBool, |j| word(j) % 3 == 0);
+        }
+    }
+
+    #[test]
+    fn only_spmspv_builds_the_column_major_block() {
+        let g = erdos_renyi_gnm(60, 150, 41);
+        let n = g.num_vertices();
+        let built = run_spmd(4, |c| {
+            let grid = Grid2d::square(4);
+            let layout = VecLayout::new(n, grid);
+            let a = DistMat::<u32>::from_graph(&g, grid, c.rank());
+            let x: DistVec<u32> = DistVec::from_fn(layout, c.rank(), |v| v as u32);
+            let (s, e) = layout.range_of_rank(c.rank());
+            let xs = DistSpVec::from_local_entries(
+                layout,
+                c.rank(),
+                (s..e).map(|v| (v as u32, v as u32)).collect(),
+            );
+            // Dense input, and a full sparse input dispatched dense.
+            let opts = DistOpts::default();
+            dist_mxv_dense(c, &a, &x, DistMask::None, MinUsize, &opts);
+            dist_mxv(c, &a, &xs, DistMask::None, MinUsize, &opts);
+            let after_dense = a.has_column_major();
+            dist_mxv_sparse(c, &a, &xs, DistMask::None, MinUsize, &opts);
+            (after_dense, a.has_column_major())
+        })
+        .unwrap();
+        assert_eq!(built, vec![(false, true); 4]);
     }
 
     #[test]

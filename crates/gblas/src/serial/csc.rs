@@ -1,5 +1,6 @@
 //! Compressed sparse column matrices.
 
+use super::dcsc::Dcsc;
 use crate::Vid;
 use lacc_graph::{CsrGraph, Idx};
 
@@ -105,17 +106,19 @@ impl<I: Idx> Pattern<I> {
     }
 }
 
-/// Row-major mirror of a pattern: for each row, its column indices in
-/// ascending order.
+/// Row-major storage of a pattern: for each row, its column indices.
 ///
-/// The parallel SpMV ([`crate::serial::mxv_dense_par`]) splits work by
-/// *rows* so each thread owns a disjoint slice of the accumulator; the
-/// CSC storage above only supports column sweeps. Iterating a mirror row
-/// visits columns in the same ascending-`j` order the serial column sweep
-/// combines them in, which is what keeps the row-split result bit-identical
-/// to [`crate::serial::mxv_dense`] for any associative monoid.
+/// Two producers, two orderings. [`CsrMirror::from_csc`] transposes a CSC
+/// and leaves every row's columns **ascending** — the order the serial
+/// column sweep combines them in, which is what keeps the row-split
+/// [`crate::serial::mxv_dense_par`] bit-identical to
+/// [`crate::serial::mxv_dense`] for any associative monoid, `AddF64`
+/// included. [`CsrMirror::from_parts`] adopts rows **in the order given**:
+/// the distributed block build stores its filter output as is, and the
+/// kernels that read it rely on [`crate::Monoid`] being commutative as
+/// well as associative instead of on a column order.
 ///
-/// Build it once per matrix (`O(nnz)`) and reuse it across iterations; the
+/// Built once per matrix (`O(nnz)`) and reused across iterations; the
 /// matrix is static for the lifetime of a connected-components run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CsrMirror<I: Idx = Vid> {
@@ -152,35 +155,43 @@ impl<I: Idx> CsrMirror<I> {
         }
     }
 
-    /// Builds a mirror from `(row, col)` pairs that arrive in **column-major
-    /// order** (ascending column, e.g. [`super::Dcsc::pairs`]), so each
-    /// row's `colidx` fills in ascending `j` — the same invariant
-    /// [`CsrMirror::from_csc`] establishes.
-    pub fn from_col_major_pairs<It>(nrows: usize, ncols: usize, pairs: It) -> CsrMirror<I>
-    where
-        It: Iterator<Item = (I, I)> + Clone,
-    {
-        let mut rowptr = vec![0usize; nrows + 1];
-        for (r, _) in pairs.clone() {
-            rowptr[r.idx() + 1] += 1;
-        }
-        for i in 0..nrows {
-            rowptr[i + 1] += rowptr[i];
-        }
-        let nnz = rowptr[nrows];
-        let mut colidx = vec![I::zero(); nnz];
-        let mut cursor = rowptr.clone();
-        for (r, c) in pairs {
-            debug_assert!(c.idx() < ncols);
-            colidx[cursor[r.idx()]] = c;
-            cursor[r.idx()] += 1;
-        }
+    /// Adopts a block already laid out row by row: the column ids of row
+    /// `i` are `colidx[rowptr[i]..rowptr[i + 1]]`, in any order and without
+    /// duplicates. Nothing is copied or reordered; `colidx` is trimmed to
+    /// exact capacity, since it stays resident for the life of the matrix.
+    ///
+    /// Panics unless `rowptr` has `nrows + 1` nondecreasing offsets from 0
+    /// to `colidx.len()`. Column ids are range-checked in debug builds only
+    /// — every reader indexes with a bounds check, so a bad id panics there
+    /// rather than corrupting anything.
+    pub fn from_parts(
+        nrows: usize,
+        ncols: usize,
+        rowptr: Vec<usize>,
+        mut colidx: Vec<I>,
+    ) -> CsrMirror<I> {
+        assert_eq!(rowptr.len(), nrows + 1, "rowptr length");
+        assert_eq!(rowptr[0], 0, "rowptr must start at 0");
+        assert!(rowptr.windows(2).all(|w| w[0] <= w[1]), "rowptr decreases");
+        assert_eq!(rowptr[nrows], colidx.len(), "rowptr does not cover colidx");
+        debug_assert!(
+            colidx.iter().all(|c| c.idx() < ncols),
+            "column out of range"
+        );
+        colidx.shrink_to_fit();
         CsrMirror {
             nrows,
             ncols,
             rowptr,
             colidx,
         }
+    }
+
+    /// The same block column-major: a counting transpose
+    /// ([`Dcsc::from_row_major`]), so every column's rows come out
+    /// ascending whatever order the rows here hold their columns in.
+    pub fn to_dcsc(&self) -> Dcsc<I> {
+        Dcsc::from_row_major(self.nrows, self.ncols, &self.rowptr, &self.colidx)
     }
 
     /// Number of rows.
@@ -198,7 +209,8 @@ impl<I: Idx> CsrMirror<I> {
         self.colidx.len()
     }
 
-    /// Column indices of row `i`, ascending.
+    /// Column indices of row `i` (ascending if built by
+    /// [`from_csc`](Self::from_csc), as given otherwise).
     pub fn row(&self, i: usize) -> &[I] {
         &self.colidx[self.rowptr[i]..self.rowptr[i + 1]]
     }
@@ -266,6 +278,35 @@ mod tests {
         assert_eq!(r.row(0), &[1, 3]);
         assert_eq!(r.row(1), &[3]);
         assert_eq!(r.row(2), &[1]);
+    }
+
+    #[test]
+    fn from_parts_keeps_row_order_and_drops_growth_slack() {
+        // Unsorted row, empty row, empty columns; a vector with slack.
+        let mut colidx: Vec<u32> = Vec::with_capacity(64);
+        colidx.extend([6, 2, 0, 2, 7, 6]);
+        let m = CsrMirror::from_parts(4, 9, vec![0, 3, 3, 5, 6], colidx);
+        assert_eq!((m.nrows(), m.ncols(), m.nnz()), (4, 9, 6));
+        assert_eq!(m.row(0), &[6, 2, 0]);
+        assert_eq!(m.row(1), &[] as &[u32]);
+        assert_eq!(m.row(3), &[6]);
+        assert_eq!(m.colidx.capacity(), m.colidx.len());
+        let pairs = vec![(0, 6), (0, 2), (0, 0), (2, 2), (2, 7), (3, 6)];
+        assert_eq!(m.to_dcsc(), Dcsc::from_pairs(4, 9, pairs));
+        let empty = CsrMirror::<u32>::from_parts(0, 0, vec![0], Vec::new());
+        assert_eq!((empty.nnz(), empty.to_dcsc().nnz()), (0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "rowptr does not cover colidx")]
+    fn from_parts_rejects_short_rowptr() {
+        let _ = CsrMirror::<u32>::from_parts(2, 4, vec![0, 1, 2], vec![0, 1, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "rowptr decreases")]
+    fn from_parts_rejects_decreasing_rowptr() {
+        let _ = CsrMirror::<u32>::from_parts(2, 4, vec![0, 3, 2], vec![0, 1]);
     }
 
     #[test]

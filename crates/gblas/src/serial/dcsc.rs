@@ -73,8 +73,11 @@ impl<I: Idx> Dcsc<I> {
         for slot in &mut cursor {
             total += std::mem::replace(slot, total);
         }
-        let mut jc: Vec<I> = Vec::new();
-        let mut colptr = vec![0usize];
+        // Exact capacity: the block outlives the run's other allocations.
+        let nonempty = cursor.windows(2).filter(|w| w[0] != w[1]).count();
+        let mut jc: Vec<I> = Vec::with_capacity(nonempty);
+        let mut colptr = Vec::with_capacity(nonempty + 1);
+        colptr.push(0usize);
         for c in 0..ncols {
             if cursor[c] != cursor[c + 1] {
                 jc.push(I::from_usize(c));
@@ -130,6 +133,12 @@ impl<I: Idx> Dcsc<I> {
         }
     }
 
+    /// A column lookup for callers whose queries ascend (the SpMSpV kernel:
+    /// gathered input entries are sorted by column). See [`ColCursor`].
+    pub fn cursor(&self) -> ColCursor<'_, I> {
+        ColCursor { m: self, k: 0 }
+    }
+
     /// Iterates over `(column id, row indices)` for nonempty columns.
     pub fn nonempty_cols(&self) -> impl Iterator<Item = (usize, &[I])> + Clone + '_ {
         self.jc
@@ -145,6 +154,47 @@ impl<I: Idx> Dcsc<I> {
                 .iter()
                 .map(move |&r| (r, c))
         })
+    }
+}
+
+/// A position in a [`Dcsc`]'s nonempty-column list that only moves
+/// forward while the queried columns ascend: each [`seek`](Self::seek)
+/// gallops from the previous hit (1, 2, 4, … steps, then a bisection of the
+/// last stride), so a sweep of `k` ascending queries costs
+/// `O(k · log(gap))` rather than `k` full-height searches. A query that
+/// goes backwards is still answered: one full-height search, as in
+/// [`Dcsc::col`], re-anchors the cursor there.
+#[derive(Clone, Debug)]
+pub struct ColCursor<'a, I: Idx> {
+    m: &'a Dcsc<I>,
+    /// Every nonempty column before `jc[k]` is below the last query.
+    k: usize,
+}
+
+impl<'a, I: Idx> ColCursor<'a, I> {
+    /// Row indices of column `c` (empty slice if the column is empty).
+    pub fn seek(&mut self, c: usize) -> &'a [I] {
+        let m = self.m;
+        let jc = &m.jc;
+        if self.k > 0 && jc[self.k - 1].idx() >= c {
+            self.k = jc.partition_point(|j| j.idx() < c);
+        }
+        let mut step = 1usize;
+        while self.k < jc.len() && jc[self.k].idx() < c {
+            let far = (self.k + step).min(jc.len());
+            if far < jc.len() && jc[far].idx() < c {
+                self.k = far;
+                step *= 2;
+            } else {
+                // jc[k] < c ≤ jc[far] (or far is the end): bisect (k, far].
+                self.k += 1 + jc[self.k + 1..far].partition_point(|j| j.idx() < c);
+                break;
+            }
+        }
+        match jc.get(self.k) {
+            Some(j) if j.idx() == c => &m.rowidx[m.colptr[self.k]..m.colptr[self.k + 1]],
+            _ => &[],
+        }
     }
 }
 
@@ -212,8 +262,38 @@ mod tests {
         let d = Dcsc::<u32>::from_row_major(4, 9, &rowptr, &colidx);
         assert_eq!(d, Dcsc::from_pairs(4, 9, pairs));
         assert_eq!(d.col(2), &[0, 2]);
+        assert_eq!(
+            (d.jc.capacity(), d.colptr.capacity()),
+            (4, 5),
+            "growth slack"
+        );
         let empty = Dcsc::<u32>::from_row_major(0, 0, &[0], &[]);
         assert_eq!(empty, Dcsc::from_pairs(0, 0, vec![]));
+    }
+
+    #[test]
+    fn cursor_agrees_with_col_on_ascending_repeated_and_backward_queries() {
+        // Nonempty columns 0, 3, 4, 10, 11, …, 40 and 90 of 100.
+        let mut pairs: Vec<(u32, u32)> = vec![(1, 0), (2, 3), (0, 4), (5, 4), (7, 90)];
+        pairs.extend((10..=40).map(|c| (c % 8, c)));
+        let d = Dcsc::<u32>::from_pairs(8, 100, pairs);
+        let sweeps: [Vec<usize>; 5] = [
+            (0..100).collect(),
+            (0..100).step_by(7).collect(),
+            vec![4, 4, 5, 39, 39, 40, 41, 89, 90, 91, 99],
+            vec![90, 3, 3, 2, 50, 10, 99, 0],
+            vec![99, 98, 0],
+        ];
+        for sweep in &sweeps {
+            let mut cur = d.cursor();
+            for &c in sweep {
+                assert_eq!(cur.seek(c), d.col(c), "column {c} in {sweep:?}");
+            }
+        }
+        let empty = Dcsc::<u32>::from_pairs(4, 4, vec![]);
+        let mut cur = empty.cursor();
+        assert_eq!(cur.seek(2), &[] as &[u32]);
+        assert_eq!(cur.seek(0), &[] as &[u32]);
     }
 
     #[test]

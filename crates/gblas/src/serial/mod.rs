@@ -14,7 +14,7 @@ mod spgemm;
 mod vector;
 
 pub use csc::{Csc, CsrMirror, Pattern};
-pub use dcsc::Dcsc;
+pub use dcsc::{ColCursor, Dcsc};
 pub use ewise_add::ewise_add;
 pub use matrix_ops::{column_reduce, map_values, max_abs_diff, normalize_columns, transpose};
 pub(crate) use ops::kernel_pool;
