@@ -14,7 +14,7 @@ pub const USAGE: &str = "usage:
   lacc stats    <graph>
   lacc cc       <graph> [--algo lacc|unionfind|bfs|sv|labelprop|fastsv|multistep] [--out labels.txt]
   lacc cc-dist  <graph> --ranks P [--machine edison|cori] [--flat]
-                [--kernel-threads T] [--spmv-threshold F]
+                [--spmv-threshold F]
                 [--wire legacy|compact] [--overlap true|false]
                 [--narrow-labels true|false] [--index-width u32|u64]
                 [--engine lacc|fastsv|labelprop|auto] [--canonical]
@@ -48,7 +48,6 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
             &[
                 "ranks",
                 "machine",
-                "kernel-threads",
                 "spmv-threshold",
                 "wire",
                 "overlap",
@@ -215,11 +214,7 @@ fn cmd_cc_dist(args: &Args) -> Result<(), String> {
     let defaults = LaccOpts::default();
     // Range validation lives in the core builder (`lacc::options`), not
     // here: the CLI just forwards the raw values and surfaces OptsError.
-    // `lacc::run` still clamps kernel-threads so ranks × threads never
-    // exceeds the host's cores.
     let opts = LaccOpts::builder()
-        .kernel_threads(args.get_or("kernel-threads", defaults.dist.kernel_threads)?)
-        .map_err(|e| e.to_string())?
         // Input fill fraction above which mxv runs its SpMV-style kernel.
         .spmv_threshold(args.get_or("spmv-threshold", defaults.dist.spmv_threshold)?)
         .map_err(|e| e.to_string())?
@@ -597,8 +592,6 @@ mod tests {
             &bin,
             "--ranks",
             "4",
-            "--kernel-threads",
-            "2",
             "--spmv-threshold",
             "0.25",
         ]))
@@ -621,8 +614,6 @@ mod tests {
         let p = dir.join("t.el").display().to_string();
         std::fs::write(&p, "0 1\n1 2\n").unwrap();
         assert!(dispatch(&argv(&["cc-dist", &p, "--spmv-threshold", "7.0"])).is_err());
-        assert!(dispatch(&argv(&["cc-dist", &p, "--kernel-threads", "zig"])).is_err());
-        assert!(dispatch(&argv(&["cc-dist", &p, "--kernel-threads", "0"])).is_err());
         assert!(dispatch(&argv(&["cc-dist", &p, "--trace-level", "verbose"])).is_err());
         assert!(dispatch(&argv(&["cc-dist", &p, "--wire", "zip"])).is_err());
         assert!(dispatch(&argv(&["cc-dist", &p, "--index-width", "u16"])).is_err());
@@ -674,6 +665,8 @@ mod tests {
         // A flag of the old lever lattice must not quietly run the defaults.
         let err = dispatch(&argv(&["cc-dist", &p, "--combine-in-flight", "false"])).unwrap_err();
         assert!(err.contains("--combine-in-flight"), "{err}");
+        let err = dispatch(&argv(&["cc-dist", &p, "--kernel-threads", "2"])).unwrap_err();
+        assert!(err.contains("--kernel-threads"), "{err}");
         // A typo of a live flag, with and without a value.
         let err = dispatch(&argv(&["cc-dist", &p, "--rank", "4"])).unwrap_err();
         assert!(err.contains("--rank"), "{err}");
@@ -786,8 +779,8 @@ mod tests {
 
     #[test]
     fn cc_dist_canonical_labels_identical_across_engines() {
-        // The engine-matrix CI smoke in miniature: every engine (and auto)
-        // must produce byte-identical --canonical label files.
+        // `--engine` end to end: every engine (and auto) must produce
+        // byte-identical --canonical label files.
         let dir = std::env::temp_dir().join("lacc-cli-test10");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("t.el").display().to_string();

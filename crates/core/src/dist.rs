@@ -4,9 +4,9 @@
 //! [`run`] executes one SPMD program on `p` simulated ranks: it resolves
 //! the configured [`crate::engine::EngineSelect`] (running the distributed `Auto`
 //! pre-pass when asked), wraps the run in an engine-tagged trace span,
-//! and dispatches to the chosen [`crate::engine::CcEngine`]. Everything a
-//! run can vary — options, trace sink, serving-rerun tagging — lives in
-//! [`RunConfig`].
+//! and runs the chosen engine's rule set under the iteration driver
+//! ([`crate::engine`]). Everything a run can vary — options, trace sink,
+//! serving-rerun tagging — lives in [`RunConfig`].
 //!
 //! The caller thread does no per-edge work: it draws the load-balancing
 //! [`Permutation`] (O(n)) and every rank builds its own matrix block
@@ -18,7 +18,8 @@
 //! below) — the strongest possible correctness statement for the
 //! communication layer.
 
-use crate::engine::{self, EngineCtx, EngineRun};
+use crate::engine::driver::drive;
+use crate::engine::{self, EngineCtx, EngineRun, Fastsv, LabelProp, Lacc};
 use crate::options::{IndexWidth, LaccOpts};
 use crate::stats::{IterStats, LaccRun, StepBreakdown};
 use dmsim::{
@@ -136,9 +137,14 @@ fn run_engine_width<I: Idx + WireWord + NarrowVal>(
     g: &CsrGraph,
     perm: Option<&Permutation>,
     opts: &LaccOpts,
-) -> EngineRun {
+) -> Result<EngineRun, String> {
     let mut ctx = EngineCtx::<I>::new(comm, g, perm, opts);
-    engine::engine_for::<I>(kind).run(&mut ctx)
+    match kind {
+        EngineKind::Lacc => drive(Lacc::new(&ctx), &mut ctx),
+        EngineKind::Fastsv => drive(Fastsv::new(&ctx), &mut ctx),
+        EngineKind::LabelProp => drive(LabelProp, &mut ctx),
+    }
+    .map_err(|bound| format!("engine {kind} did not converge within its bound of {bound} rounds"))
 }
 
 /// Runs the configured engine on `cfg.ranks` simulated ranks.
@@ -146,7 +152,10 @@ fn run_engine_width<I: Idx + WireWord + NarrowVal>(
 /// `ranks` must be a perfect square (CombBLAS' square-grid restriction,
 /// §VI-A). Returns labels in the *original* vertex numbering even when
 /// `opts.permute` applies a load-balancing relabeling internally. Errs
-/// with the failing rank and panic payload if any rank panics.
+/// with the failing rank and panic payload if any rank panics, and with
+/// the engine and its round bound if the engine runs out of rounds before
+/// converging (LACC: `opts.max_iters`) — never `Ok` with unconverged
+/// labels.
 ///
 /// Engine caveat: LACC labels are tree-root ids, while FastSV and label
 /// propagation converge to component *minima* — cross-engine comparisons
@@ -155,11 +164,7 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
     let n = g.num_vertices();
     let p = cfg.ranks;
     let _ = Grid2d::square(p); // validate early
-                               // Clamp the per-rank kernel thread request so p ranks × T threads never
-                               // oversubscribe the host (all simulated ranks run concurrently).
-    let mut opts = cfg.opts;
-    opts.dist.kernel_threads = opts.kernel_threads_for(p);
-    let opts = &opts;
+    let opts = &cfg.opts;
     let perm = (opts.permute && n > 1).then(|| Permutation::random(n, opts.permute_seed));
     let perm = perm.as_ref();
     // The narrow layout is validated up front against the actual graph:
@@ -198,13 +203,21 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
         if let Some(span) = rerun_span {
             comm.span_close(span);
         }
-        RankResult {
+        out.map(|out| RankResult {
             out,
             kind,
             rationale,
-        }
+        })
     };
-    let mut outs = run_spmd_traced(p, cfg.model, cfg.trace.as_ref(), spmd)?;
+    // Every rank counts the same rounds, so an exhausted round bound
+    // fails all of them together; rank 0 is the lowest.
+    let mut outs = run_spmd_traced(p, cfg.model, cfg.trace.as_ref(), spmd)?
+        .into_iter()
+        .collect::<Result<Vec<RankResult>, String>>()
+        .map_err(|unconverged| DmsimError {
+            rank: 0,
+            payload: Box::new(unconverged),
+        })?;
     let wall_s = wall_start.elapsed().as_secs_f64();
     // Surface the resolved engine (and the Auto dispatcher's reasoning)
     // as run-level trace metadata so Chrome-trace viewers show *why* this
@@ -356,6 +369,30 @@ mod tests {
         let run = check(&g, 16, &LaccOpts::default());
         assert_eq!(run.num_components(), 1);
         assert!(run.modeled_total_s > 0.0);
+    }
+
+    #[test]
+    fn exhausted_round_bound_is_an_error_not_unconverged_labels() {
+        // One LACC round cannot finish a 1000-vertex path; the run must say
+        // so instead of returning the 297 partial trees it has by then.
+        let g = path_graph(1000);
+        let one_round = |engine| {
+            let opts = LaccOpts::builder()
+                .max_iters(1)
+                .unwrap()
+                .engine(engine)
+                .build();
+            run(&g, &RunConfig::new(4, model()).with_opts(opts))
+        };
+        let err = one_round(EngineSelect::Lacc).unwrap_err();
+        assert_eq!(
+            err.message(),
+            "engine lacc did not converge within its bound of 1 rounds"
+        );
+        // FastSV's bound is its own 8·⌈log₂ n⌉ + 32; `max_iters` is LACC's.
+        let out = one_round(EngineSelect::Fastsv).unwrap();
+        assert_eq!(out.num_components(), 1);
+        assert!(out.num_iterations() > 1);
     }
 
     #[test]

@@ -1,21 +1,27 @@
-//! The engine portfolio: pluggable distributed connected-components
-//! algorithms behind one [`CcEngine`] trait.
+//! The engine portfolio: distributed connected-components algorithms as
+//! rule sets over one iteration driver.
 //!
-//! LACC is one point in a family of linear-algebraic CC algorithms. This
-//! module makes the algorithm a runtime choice over a shared SPMD context
-//! ([`EngineCtx`]: grid, vector layout, distributed matrix, [`LaccOpts`])
-//! so every engine inherits the full optimized `gblas::dist` stack — the
-//! compact wire format, overlap, tracing, narrow `Idx` indices — for free:
+//! LACC is one point in a family of linear-algebraic CC algorithms. An
+//! engine here is its state plus one `round` of `gblas::dist` primitive
+//! calls — connect (hook), starcheck, shortcut — that reads against its
+//! published pseudocode; the loop around the rounds is written once, in
+//! the `driver` module: label initialization, the narrowing plan, the
+//! convergence allreduce, per-step spans, the round bound and the final
+//! label gather.
+//! Every engine runs over the shared SPMD context ([`EngineCtx`]: vector
+//! layout, distributed matrix, [`LaccOpts`]) and so inherits the whole
+//! `gblas::dist` stack — the compact wire format, overlap, tracing,
+//! narrow `Idx` indices — for free:
 //!
-//! * [`LaccEngine`] — the paper's Awerbuch–Shiloach formulation with
-//!   Lemma-1 converged-component retirement; fastest when the graph has
-//!   many components to retire.
-//! * [`FastsvEngine`] — FastSV (Zhang, Azad & Hu): stochastic hooking,
+//! * `Lacc` — the paper's Awerbuch–Shiloach formulation with Lemma-1
+//!   converged-component retirement; fastest when the graph has many
+//!   components to retire.
+//! * `Fastsv` — FastSV (Zhang, Azad & Hu): stochastic hooking,
 //!   aggressive hooking, and shortcutting on a grandparent vector; no
 //!   star machinery, so fewer and cheaper supersteps per round on graphs
 //!   dominated by one giant component.
-//! * [`LabelPropEngine`] — one closed-neighborhood min per round;
-//!   converges in O(diameter) rounds, unbeatable on low-diameter graphs.
+//! * `LabelProp` — one closed-neighborhood min per round; converges in
+//!   O(diameter) rounds, unbeatable on low-diameter graphs.
 //!
 //! [`EngineSelect::Auto`] picks between them from a cheap pre-pass
 //! ([`lacc_graph::stats::PrepassStats`]) computed *distributed* in one
@@ -29,17 +35,19 @@
 //! first (`lacc_graph::unionfind::canonicalize_labels`) — the engine
 //! matrix tests do exactly that.
 
-use crate::narrow::NarrowPlanner;
+pub(crate) mod driver;
+
 use crate::options::{LaccOpts, OptsError};
 use crate::stats::StepBreakdown;
 use crate::Vid;
-use dmsim::{Comm, EngineKind, Grid2d, SpanKind, WireWord};
+use dmsim::{Comm, CommHandle, EngineKind, Grid2d, SpanKind, WireWord};
+use driver::{overlapped, Rules};
 use gblas::dist::{
     dist_assign, dist_extract, dist_extract_planned, dist_mxv, dist_mxv_dense,
     dist_mxv_dense_start, dist_mxv_start, plan_requests, DistMask, DistMat, DistOpts, DistSpVec,
-    DistVec, FusedExtract, NarrowVal, VecLayout, Wire,
+    DistVec, FusedExtract, NarrowVal, VecLayout,
 };
-use gblas::{AndBool, MinUsize};
+use gblas::{AndBool, MinMaxUsize, MinUsize};
 use lacc_graph::permute::Permutation;
 use lacc_graph::stats::{bfs_eccentricity, degree_skew, prepass_seeds, PrepassStats};
 use lacc_graph::{CsrGraph, Idx};
@@ -88,23 +96,6 @@ impl std::str::FromStr for EngineSelect {
             )),
         }
     }
-}
-
-/// Static properties of an engine, for dispatch decisions and docs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EngineCaps {
-    /// Retires converged components mid-run (Lemma 1), shrinking the
-    /// active set — the win on many-component graphs.
-    pub sparsifies_active_set: bool,
-    /// Maintains star membership (Algorithm 6) — extra supersteps per
-    /// iteration.
-    pub uses_starcheck: bool,
-    /// Labels converge to the component *minimum* id (LACC's tree roots
-    /// are arbitrary representatives instead).
-    pub monotone_min_labels: bool,
-    /// Round count is bounded by the graph diameter rather than
-    /// O(log n) — only acceptable on low-diameter graphs.
-    pub rounds_bounded_by_diameter: bool,
 }
 
 /// Per-rank, per-iteration record produced inside an engine's SPMD body.
@@ -165,6 +156,10 @@ pub struct EngineCtx<'a, I: Idx> {
     pub rank: usize,
     /// This rank's block of the adjacency matrix.
     pub a: DistMat<I>,
+    /// The record of the round in flight: [`EngineCtx::step`] adds each
+    /// step's modeled seconds, rule sets note what else the round saw,
+    /// and the driver completes and files it.
+    pub(crate) round: EngineIter,
 }
 
 impl<'a, I: Idx> EngineCtx<'a, I> {
@@ -198,6 +193,7 @@ impl<'a, I: Idx> EngineCtx<'a, I> {
             layout,
             rank,
             a,
+            round: EngineIter::default(),
         }
     }
 
@@ -205,45 +201,6 @@ impl<'a, I: Idx> EngineCtx<'a, I> {
     pub fn n(&self) -> usize {
         self.graph.num_vertices()
     }
-}
-
-/// A distributed connected-components engine over the shared context.
-///
-/// Contract: `run` executes one rank's share of an SPMD program; all
-/// ranks execute the same iteration count (engines agree via allreduce),
-/// rank 0 returns the full widened label vector, and the labels induce
-/// the true component partition (property-tested in
-/// `tests/engine_matrix.rs` across engines × comm configs × layouts ×
-/// index widths).
-pub trait CcEngine<I: Idx + WireWord + NarrowVal> {
-    /// Which engine this is (tags the run's trace span).
-    fn kind(&self) -> EngineKind;
-
-    /// Stable lowercase name (`lacc`, `fastsv`, `labelprop`).
-    fn name(&self) -> &'static str {
-        self.kind().name()
-    }
-
-    /// Static capability flags.
-    fn caps(&self) -> EngineCaps;
-
-    /// One rank's share of the run.
-    fn run(&self, ctx: &mut EngineCtx<'_, I>) -> EngineRun;
-}
-
-/// The engine implementation for a resolved [`EngineKind`].
-pub fn engine_for<I: Idx + WireWord + NarrowVal>(kind: EngineKind) -> &'static dyn CcEngine<I> {
-    match kind {
-        EngineKind::Lacc => &LaccEngine,
-        EngineKind::Fastsv => &FastsvEngine,
-        EngineKind::LabelProp => &LabelPropEngine,
-    }
-}
-
-/// Capability flags for a resolved [`EngineKind`] without monomorphizing
-/// a trait object (the flags are width-independent).
-pub fn caps_for(kind: EngineKind) -> EngineCaps {
-    engine_for::<usize>(kind).caps()
 }
 
 // --------------------------------------------------------------------------
@@ -387,6 +344,39 @@ pub fn resolve_engine(
 }
 
 // --------------------------------------------------------------------------
+// Rules the engines share
+// --------------------------------------------------------------------------
+
+/// The connect rule: `f[f[v]] ← m` for every local edge `(v, m)`,
+/// proposals to one root combining by minimum. Returns the number of local
+/// roots whose parent changed.
+fn connect<I: Idx + WireWord + NarrowVal>(
+    comm: &mut Comm,
+    f: &mut DistVec<I>,
+    mut edges: Vec<(I, I)>,
+    dopts: &DistOpts,
+) -> u64 {
+    for (v, _) in &mut edges {
+        *v = f.get_local(v.idx());
+    }
+    dist_assign(comm, f, &edges, MinUsize, dopts).0 as u64
+}
+
+/// `f[u] ← min(f[u], m[u])` over the local entries of `m`. Returns the
+/// number of labels lowered.
+fn lower<I: Idx>(comm: &mut Comm, f: &mut DistVec<I>, m: &DistSpVec<I, I>) -> u64 {
+    let mut lowered = 0u64;
+    for &(u, m) in m.entries() {
+        if m < f.get_local(u.idx()) {
+            f.set_local(u.idx(), m);
+            lowered += 1;
+        }
+    }
+    comm.charge_compute(m.local_nvals() as u64 + 1);
+    lowered
+}
+
+// --------------------------------------------------------------------------
 // LACC
 // --------------------------------------------------------------------------
 
@@ -394,21 +384,64 @@ pub fn resolve_engine(
 /// exploitation (Lemmas 1–2) — conditional hooking fused with the
 /// convergence detector, unconditional hooking, shortcutting, and star
 /// maintenance after every forest mutation.
-pub struct LaccEngine;
+pub(crate) struct Lacc {
+    /// Star membership (Algorithm 6), refreshed after every hooking step.
+    star: DistVec<bool>,
+    /// Local vertices not yet retired by Lemma 1.
+    active: Vec<bool>,
+    /// Global count of active vertices, identical on every rank.
+    active_global: usize,
+    /// Star staleness bookkeeping, mirroring `crate::serial`: a
+    /// zero-change round proves a fixpoint only if the previous shortcut
+    /// changed nothing (the star vector was fresh).
+    prev_shortcut_changed: u64,
+}
 
-/// Star recomputation (Algorithm 6) over distributed vectors.
+impl Lacc {
+    /// Every vertex an active singleton star.
+    pub(crate) fn new<I: Idx>(cx: &EngineCtx<'_, I>) -> Self {
+        let star = DistVec::from_fn(cx.layout, cx.rank, |_| true);
+        Lacc {
+            active: vec![true; star.local().len()],
+            star,
+            active_global: cx.n(),
+            prev_shortcut_changed: 0,
+        }
+    }
+}
+
+/// The mask `star ∧ active`: the trees still hooking.
+fn active_stars(star: &DistVec<bool>, active: &[bool]) -> DistVec<bool> {
+    let mut mask = star.clone();
+    for (m, &act) in mask.local_mut().iter_mut().zip(active) {
+        *m = *m && act;
+    }
+    mask
+}
+
+/// The local offsets of the active vertices that are (`want_star`) or are
+/// not in stars.
+fn active_where(active: &[bool], star: &DistVec<bool>, want_star: bool) -> Vec<usize> {
+    (0..active.len())
+        .filter(|&o| active[o] && star.local()[o] == want_star)
+        .collect()
+}
+
+/// Star recomputation (Algorithm 6) over the active vertices:
+/// `star[v] ← (f[v] = f[f[v]]) ∧ star[f[v]]`, with the grandparents of
+/// non-star vertices demoted in between.
 ///
 /// Returns the number of extract requests this rank received (Figure 3).
-fn starcheck_dist<I: Idx + WireWord + NarrowVal>(
+fn starcheck<I: Idx + WireWord + NarrowVal>(
     comm: &mut Comm,
     f: &DistVec<I>,
     star: &mut DistVec<bool>,
     active: &[bool],
-    dist_opts: &DistOpts,
+    dopts: &DistOpts,
 ) -> u64 {
     // The active scan, star reset and request build produce the
     // grandparent extract's inputs elementwise, so the first exchange is
-    // window-credited for streaming behind them (see `DistOpts::overlap`).
+    // window-credited for streaming behind them.
     let win = comm.overlap_window();
     let local_active: Vec<usize> = (0..active.len()).filter(|&o| active[o]).collect();
     for &o in &local_active {
@@ -417,37 +450,14 @@ fn starcheck_dist<I: Idx + WireWord + NarrowVal>(
     comm.charge_compute(local_active.len() as u64 + 1);
     // Grandparents of active vertices: gf[v] = f[f[v]]. Both extracts
     // below use the identical request list over same-layout vectors, so
-    // the owner bucketing (and dedup) is planned once and reused.
+    // the owner bucketing (and, on the compact wire, the request route)
+    // is paid for once.
     let reqs: Vec<I> = local_active.iter().map(|&o| f.local()[o]).collect();
-    let plan = plan_requests(comm, f.layout(), &reqs, dist_opts);
-    if dist_opts.wire == Wire::Compact {
-        // Fused: one combining request exchange serves both reply phases
-        // (the route is replayed). The parent-star phase reads `star`
-        // *after* the demote assign, exactly as the unfused pair does.
-        let (fx, gfs) = comm.overlap_from(win, dist_opts.overlap, |c| {
-            let fx = FusedExtract::begin(c, &plan);
-            let gfs = fx.extract(c, f, &plan);
-            (fx, gfs)
-        });
-        let mut demote: Vec<(I, bool)> = Vec::new();
-        for (&o, &gf) in local_active.iter().zip(&gfs) {
-            if f.local()[o] != gf {
-                star.local_mut()[o] = false;
-                demote.push((gf, false));
-            }
-        }
-        comm.charge_compute(local_active.len() as u64 + 1);
-        dist_assign(comm, star, &demote, AndBool, dist_opts);
-        let parent_star = fx.extract(comm, star, &plan);
-        for (&o, &ps) in local_active.iter().zip(&parent_star) {
-            star.local_mut()[o] = star.local_mut()[o] && ps;
-        }
-        comm.charge_compute(local_active.len() as u64 + 1);
-        // Requests arrive once on this path; count them once.
-        return fx.received();
-    }
-    let (gfs, st1) = comm.overlap_from(win, dist_opts.overlap, |c| {
-        dist_extract_planned(c, f, &plan, dist_opts)
+    let plan = plan_requests(comm, f.layout(), &reqs, dopts);
+    let (mut fx, gfs) = overlapped(comm, win, dopts, |c| {
+        let mut fx = FusedExtract::begin(c, &plan, dopts);
+        let gfs = fx.extract(c, f);
+        (fx, gfs)
     });
     let mut demote: Vec<(I, bool)> = Vec::new();
     for (&o, &gf) in local_active.iter().zip(&gfs) {
@@ -457,291 +467,170 @@ fn starcheck_dist<I: Idx + WireWord + NarrowVal>(
         }
     }
     comm.charge_compute(local_active.len() as u64 + 1);
-    dist_assign(comm, star, &demote, AndBool, dist_opts);
-    // star[v] ← star[v] ∧ star[f[v]].
-    let (parent_star, st2) = dist_extract_planned(comm, star, &plan, dist_opts);
+    dist_assign(comm, star, &demote, AndBool, dopts);
+    // star[v] ← star[v] ∧ star[f[v]], read *after* the demote assign.
+    let parent_star = fx.extract(comm, star);
     for (&o, &ps) in local_active.iter().zip(&parent_star) {
-        star.local_mut()[o] = star.local_mut()[o] && ps;
+        star.local_mut()[o] = star.local()[o] && ps;
     }
     comm.charge_compute(local_active.len() as u64 + 1);
-    st1.received_requests + st2.received_requests
+    fx.received()
 }
 
-impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Lacc
-    }
+/// Lemma 1, strengthened (same rule as `crate::serial`, evaluated on the
+/// start-of-round state): a star none of whose vertices saw a label other
+/// than its root's is a converged component, and its vertices retire from
+/// every later step.
+///
+/// Takes the posted fused sweep `qh`, `q[v] = (min, max)` neighbor label:
+/// the candidate scan and the plan of the extract that will ask the
+/// candidates' roots whether they stayed quiet read only start-of-round
+/// state, so they run (and are charged) while the sweep is in flight.
+/// Clears `active` on the converged stars and returns `q`, the number of
+/// vertices retired and the extract requests this rank received.
+fn lemma1_retire<I: Idx + WireWord + NarrowVal>(
+    comm: &mut Comm,
+    f: &DistVec<I>,
+    star: &DistVec<bool>,
+    active: &mut [bool],
+    qh: CommHandle<DistSpVec<(I, I), I>>,
+    dopts: &DistOpts,
+) -> (DistSpVec<(I, I), I>, u64, u64) {
+    let candidates = active_where(active, star, true);
+    let reqs: Vec<I> = candidates.iter().map(|&o| f.local()[o]).collect();
+    comm.charge_compute(active.len() as u64 + 1);
+    let plan = plan_requests(comm, f.layout(), &reqs, dopts);
+    let q = qh.wait(comm);
 
-    fn caps(&self) -> EngineCaps {
-        EngineCaps {
-            sparsifies_active_set: true,
-            uses_starcheck: true,
-            monotone_min_labels: false,
-            rounds_bounded_by_diameter: false,
+    let mut root_quiet: DistVec<bool> = DistVec::from_fn(f.layout(), comm.rank(), |_| true);
+    let noisy: Vec<(I, bool)> = q
+        .entries()
+        .iter()
+        .filter(|&&(v, (lo, hi))| {
+            let fv = f.get_local(v.idx());
+            !(lo == fv && hi == fv)
+        })
+        .map(|&(v, _)| (f.get_local(v.idx()), false))
+        .collect();
+    dist_assign(comm, &mut root_quiet, &noisy, AndBool, dopts);
+    let (quiet, st) = dist_extract_planned(comm, &root_quiet, &plan, dopts);
+    let mut retired = 0u64;
+    for (&o, &quiet) in candidates.iter().zip(&quiet) {
+        if quiet {
+            active[o] = false;
+            retired += 1;
         }
     }
+    comm.charge_compute(active.len() as u64 + 1);
+    (q, retired, st.received_requests)
+}
 
-    fn run(&self, ctx: &mut EngineCtx<'_, I>) -> EngineRun {
-        let n = ctx.n();
-        let opts = ctx.opts;
-        let layout = ctx.layout;
-        let rank = ctx.rank;
-        let mut f: DistVec<I> = DistVec::from_fn(layout, rank, I::from_usize);
-        let mut star: DistVec<bool> = DistVec::from_fn(layout, rank, |_| true);
-        let chunk_len = f.local().len();
-        let mut active = vec![true; chunk_len];
-        let mut active_count_global = n;
-        let world = ctx.comm.world();
-        let mut iters: Vec<EngineIter> = Vec::new();
-        // Star staleness bookkeeping, mirroring `crate::serial`: a
-        // zero-change iteration proves a fixpoint only if the previous
-        // shortcut changed nothing (the star vector was fresh).
-        let mut prev_shortcut_changed = 0u64;
-        // Label-range narrowing: the planner installs on the communicator
-        // the wire tier for the upcoming iteration's exchanges. Iteration 1
-        // is seeded for free from the identity labeling; later iterations
-        // re-plan from the probe piggybacked on the convergence allreduce.
-        let dopts = &opts.dist;
-        let planner = NarrowPlanner::new(dopts);
-        let seed = planner.seed_probe(n);
-        planner.plan(ctx.comm, &world, seed[0], seed[1], false, f.local());
+impl<I: Idx + WireWord + NarrowVal> Rules<I, 6> for Lacc {
+    fn max_rounds(_n: usize, opts: &LaccOpts) -> usize {
+        opts.max_iters
+    }
 
-        for _iteration in 1..=opts.max_iters {
-            let mut rec = EngineIter {
-                active_before: active_count_global,
-                ..Default::default()
-            };
-            // --- Step 1: conditional hooking, fused with the convergence
-            // detector (one (min, max)-monoid mxv; see `crate::serial`) ---
-            // Each step opens a trace span; the close returns the modeled
-            // duration, so StepBreakdown is a thin view over span timings.
-            let span = ctx.comm.span_open(SpanKind::CondHook);
-            let mask_vec: DistVec<bool> = {
-                let mut m = star.clone();
-                for (o, ml) in m.local_mut().iter_mut().enumerate() {
-                    *ml = *ml && active[o];
-                }
-                m
-            };
-            let density = if n == 0 {
-                0.0
+    fn round(&mut self, cx: &mut EngineCtx<'_, I>, f: &mut DistVec<I>) -> [u64; 4] {
+        let (star, active) = (&mut self.star, &mut self.active);
+        let (layout, rank, n) = (cx.layout, cx.rank, cx.n());
+        let density = if n == 0 {
+            0.0
+        } else {
+            self.active_global as f64 / n as f64
+        };
+        let spmv_dense = density >= cx.opts.dense_threshold;
+        (cx.round.active_before, cx.round.spmv_dense) = (self.active_global, spmv_dense);
+
+        // Step 1 — conditional hooking, fused with the convergence
+        // detector: q = A ⊗ f on the (min, max) monoid over the active
+        // stars (see `crate::serial`), then f[f[v]] ← min(f[v], q[v].min).
+        let (cond, retired) = cx.step(SpanKind::CondHook, |cx| {
+            let (comm, a, dopts) = (&mut *cx.comm, &cx.a, &cx.opts.dist);
+            let mask = DistMask::Keep(&active_stars(star, active));
+            // The mxv is *posted*: it runs now with identical messages and
+            // charges, and the handle refunds its hideable exchange time
+            // against the Lemma-1 planning done before the wait. Below
+            // `dense_threshold` the input is sparse and its measured fill
+            // picks SpMV- or SpMSpV-style execution (§V-A).
+            let qh = if spmv_dense {
+                let x = DistVec::from_fn(layout, rank, |g| (f.get_local(g), f.get_local(g)));
+                dist_mxv_dense_start(comm, a, &x, mask, MinMaxUsize, dopts)
             } else {
-                active_count_global as f64 / n as f64
-            };
-            let use_dense = density >= opts.dense_threshold;
-            rec.spmv_dense = use_dense;
-            // The hooking mxv is *posted* (non-blocking): it runs now with
-            // identical messages and charges, and the handle refunds its
-            // hideable exchange time against the Lemma-1 candidate scan and
-            // request planning below, which read only start-of-iteration
-            // state and so genuinely overlap the exchange.
-            let qh = if use_dense {
-                let pairs: DistVec<(I, I)> =
-                    DistVec::from_fn(layout, rank, |g| (f.get_local(g), f.get_local(g)));
-                dist_mxv_dense_start(
-                    ctx.comm,
-                    &ctx.a,
-                    &pairs,
-                    DistMask::Keep(&mask_vec),
-                    gblas::MinMaxUsize,
-                    dopts,
-                )
-            } else {
-                let entries: Vec<(I, (I, I))> = active
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &act)| act)
-                    .map(|(o, _)| (I::from_usize(f.global_of(o)), (f.local()[o], f.local()[o])))
+                let entries = (0..active.len())
+                    .filter(|&o| active[o])
+                    .map(|o| (I::from_usize(f.global_of(o)), (f.local()[o], f.local()[o])))
                     .collect();
                 let x = DistSpVec::from_local_entries(layout, rank, entries);
-                // Adaptive dispatch (§V-A): even when the active fraction is
-                // below `dense_threshold`, the measured fill decides whether
-                // the local multiply runs SpMV- or SpMSpV-style.
-                dist_mxv_start(
-                    ctx.comm,
-                    &ctx.a,
-                    &x,
-                    DistMask::Keep(&mask_vec),
-                    gblas::MinMaxUsize,
-                    dopts,
-                )
+                dist_mxv_start(comm, a, &x, mask, MinMaxUsize, dopts)
             };
-            // Lemma-1 candidates (active stars) and their extract plan
-            // depend only on `active`/`star`/`f` as of iteration start —
-            // computed while the posted mxv is in flight.
-            let lemma1 = opts.use_sparsity.then(|| {
-                let candidates: Vec<usize> = (0..chunk_len)
-                    .filter(|&o| active[o] && star.local()[o])
-                    .collect();
-                let reqs: Vec<I> = candidates.iter().map(|&o| f.local()[o]).collect();
-                ctx.comm.charge_compute(chunk_len as u64 + 1);
-                let plan = plan_requests(ctx.comm, layout, &reqs, dopts);
-                (candidates, plan)
-            });
-            let q: DistSpVec<(I, I), I> = qh.wait(ctx.comm);
-
-            // Converged-component tracking (Lemma 1, strengthened;
-            // evaluated on the start-of-iteration state, same rule as
-            // `crate::serial`).
-            let mut newly_converged = 0u64;
-            if let Some((candidates, plan)) = &lemma1 {
-                let mut root_quiet: DistVec<bool> = DistVec::from_fn(layout, rank, |_| true);
-                let demote: Vec<(I, bool)> = q
-                    .entries()
-                    .iter()
-                    .filter(|&&(v, (lo, hi))| {
-                        let fv = f.get_local(v.idx());
-                        !(lo == fv && hi == fv)
-                    })
-                    .map(|&(v, _)| (f.get_local(v.idx()), false))
-                    .collect();
-                dist_assign(ctx.comm, &mut root_quiet, &demote, AndBool, dopts);
-                let (flags, st) = dist_extract_planned(ctx.comm, &root_quiet, plan, dopts);
-                rec.extract_received += st.received_requests;
-                for (&o, &quiet) in candidates.iter().zip(&flags) {
-                    if quiet {
-                        active[o] = false;
-                        newly_converged += 1;
-                    }
-                }
-                ctx.comm.charge_compute(chunk_len as u64 + 1);
-            }
-
-            // Conditional hooks from the fused sweep (skip just-deactivated
-            // vertices; their hooks are no-ops).
-            let updates: Vec<(I, I)> = q
+            let (q, retired, received) = if cx.opts.use_sparsity {
+                lemma1_retire(comm, f, star, active, qh, dopts)
+            } else {
+                (qh.wait(comm), 0, 0)
+            };
+            cx.round.extract_received += received;
+            // Hooks of just-retired vertices would be no-ops; skip them.
+            let edges = q
                 .entries()
                 .iter()
                 .filter(|&&(v, _)| active[f.local_offset(v.idx())])
-                .map(|&(v, (lo, _))| {
-                    let fv = f.get_local(v.idx());
-                    (fv, lo.min(fv))
-                })
+                .map(|&(v, (lo, _))| (v, lo.min(f.get_local(v.idx()))))
                 .collect();
-            rec.cond_changed = dist_assign(ctx.comm, &mut f, &updates, MinUsize, dopts).0 as u64;
-            rec.modeled.cond_s += ctx.comm.span_close(span);
+            (connect(comm, f, edges, dopts), retired)
+        });
+        cx.step(SpanKind::Starcheck, |cx| {
+            cx.round.extract_received += starcheck(cx.comm, f, star, active, &cx.opts.dist);
+        });
 
-            let span = ctx.comm.span_open(SpanKind::Starcheck);
-            rec.extract_received += starcheck_dist(ctx.comm, &f, &mut star, &active, dopts);
-            rec.modeled.starcheck_s += ctx.comm.span_close(span);
-
-            // --- Step 2: unconditional hooking ---
-            let span = ctx.comm.span_open(SpanKind::UncondHook);
-            // The mxv input and mask are produced elementwise, so a real
-            // implementation streams the gather sends while this loop runs;
-            // the window credits the exchange for that pipelining.
-            let win = ctx.comm.overlap_window();
-            let entries: Vec<(I, I)> = active
-                .iter()
-                .enumerate()
-                .filter(|&(o, &act)| act && !star.local()[o])
-                .map(|(o, _)| (I::from_usize(f.global_of(o)), f.local()[o]))
+        // Step 2 — unconditional hooking: f[f[v]] ← the minimum parent
+        // among v's *nonstar* neighbors, for v in a star, whatever the id
+        // order.
+        let uncond = cx.step(SpanKind::UncondHook, |cx| {
+            let (comm, a, dopts) = (&mut *cx.comm, &cx.a, &cx.opts.dist);
+            let win = comm.overlap_window();
+            let entries = active_where(active, star, false)
+                .into_iter()
+                .map(|o| (I::from_usize(f.global_of(o)), f.local()[o]))
                 .collect();
             let x = DistSpVec::from_local_entries(layout, rank, entries);
-            let mask_vec2: DistVec<bool> = {
-                let mut m = star.clone();
-                for (o, ml) in m.local_mut().iter_mut().enumerate() {
-                    *ml = *ml && active[o];
-                }
-                m
-            };
-            ctx.comm.charge_compute(2 * chunk_len as u64 + 1);
-            let fn2 = ctx.comm.overlap_from(win, dopts.overlap, |c| {
-                dist_mxv(c, &ctx.a, &x, DistMask::Keep(&mask_vec2), MinUsize, dopts)
+            let mask = active_stars(star, active);
+            comm.charge_compute(2 * active.len() as u64 + 1);
+            let fnb = overlapped(comm, win, dopts, |c| {
+                dist_mxv(c, a, &x, DistMask::Keep(&mask), MinUsize, dopts)
             });
-            let updates2: Vec<(I, I)> = fn2
-                .entries()
-                .iter()
-                .map(|&(v, m)| (f.get_local(v.idx()), m))
-                .collect();
-            rec.uncond_changed = dist_assign(ctx.comm, &mut f, &updates2, MinUsize, dopts).0 as u64;
-            rec.modeled.uncond_s += ctx.comm.span_close(span);
+            connect(comm, f, fnb.entries().to_vec(), dopts)
+        });
+        cx.step(SpanKind::Starcheck, |cx| {
+            cx.round.extract_received += starcheck(cx.comm, f, star, active, &cx.opts.dist);
+        });
 
-            let span = ctx.comm.span_open(SpanKind::Starcheck);
-            rec.extract_received += starcheck_dist(ctx.comm, &f, &mut star, &active, dopts);
-            rec.modeled.starcheck_s += ctx.comm.span_close(span);
-
-            // --- Step 3: shortcutting (active nonstars) ---
-            let span = ctx.comm.span_open(SpanKind::Shortcut);
-            // The target scan produces the extract's requests elementwise —
-            // window-credited streaming, as in step 2.
-            let win = ctx.comm.overlap_window();
-            let targets: Vec<usize> = (0..chunk_len)
-                .filter(|&o| active[o] && !star.local()[o])
-                .collect();
+        // Step 3 — shortcutting: f[v] ← f[f[v]] on the active nonstars.
+        let shortcut = cx.step(SpanKind::Shortcut, |cx| {
+            let (comm, dopts) = (&mut *cx.comm, &cx.opts.dist);
+            let win = comm.overlap_window();
+            let targets = active_where(active, star, false);
             let reqs: Vec<I> = targets.iter().map(|&o| f.local()[o]).collect();
-            ctx.comm.charge_compute(chunk_len as u64 + 1);
-            let (gfs, st) = ctx
-                .comm
-                .overlap_from(win, dopts.overlap, |c| dist_extract(c, &f, &reqs, dopts));
-            rec.extract_received += st.received_requests;
+            comm.charge_compute(active.len() as u64 + 1);
+            let (gfs, st) = overlapped(comm, win, dopts, |c| dist_extract(c, f, &reqs, dopts));
+            cx.round.extract_received += st.received_requests;
+            let mut moved = 0u64;
             for (&o, &gf) in targets.iter().zip(&gfs) {
                 if f.local()[o] != gf {
                     f.local_mut()[o] = gf;
-                    rec.shortcut_changed += 1;
+                    moved += 1;
                 }
             }
-            ctx.comm.charge_compute(targets.len() as u64 + 1);
-            rec.modeled.shortcut_s += ctx.comm.span_close(span);
+            comm.charge_compute(targets.len() as u64 + 1);
+            moved
+        });
+        [cond, uncond, shortcut, retired]
+    }
 
-            // --- Global convergence test, with the narrowing probe
-            // piggybacked (elements 4–5: max label word max-merged, local
-            // distinct count summed). The payload is six words whether
-            // narrowing is on or off, so `words_sent` cannot depend on the
-            // flag; the probe compute is charged only when enabled.
-            let probe = planner.local_probe(ctx.comm, f.local());
-            let local = [
-                rec.cond_changed,
-                rec.uncond_changed,
-                rec.shortcut_changed,
-                newly_converged,
-                probe[0],
-                probe[1],
-            ];
-            let global = ctx.comm.allreduce(&world, local, |a, b| {
-                [
-                    a[0] + b[0],
-                    a[1] + b[1],
-                    a[2] + b[2],
-                    a[3] + b[3],
-                    a[4].max(b[4]),
-                    a[5] + b[5],
-                ]
-            });
-            rec.cond_changed = global[0];
-            rec.uncond_changed = global[1];
-            rec.shortcut_changed = global[2];
-            active_count_global -= global[3] as usize;
-            rec.converged_after = n - active_count_global;
-            // Fixpoint only counts with a fresh star vector (see the serial
-            // implementation's staleness note).
-            let done = global[0] + global[1] + global[2] == 0 && prev_shortcut_changed == 0;
-            prev_shortcut_changed = global[2];
-            iters.push(rec);
-            if done {
-                break;
-            }
-            // Plan the next iteration's wire tier; a shortcut that moved
-            // labels invalidates the dictionary (stale dense ranks still
-            // decode, they just stop being tight).
-            planner.plan(
-                ctx.comm,
-                &world,
-                global[4],
-                global[5],
-                global[2] > 0,
-                f.local(),
-            );
-        }
-
-        // Widen back to `Vid` at the boundary: callers always see
-        // full-width labels regardless of the in-run storage width.
-        let labels: Vec<Vid> = f.to_global(ctx.comm).into_iter().map(|l| l.idx()).collect();
-        EngineRun {
-            labels: (rank == 0).then_some(labels),
-            iters,
-            final_clock_s: ctx.comm.clock_s(),
-        }
+    fn settle(&mut self, n: usize, changed: &[u64; 4]) -> (bool, usize) {
+        self.active_global -= changed[3] as usize;
+        let done = changed[..3].iter().sum::<u64>() == 0 && self.prev_shortcut_changed == 0;
+        self.prev_shortcut_changed = changed[2];
+        (done, n - self.active_global)
     }
 }
 
@@ -761,161 +650,80 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LaccEngine {
 /// = shortcutting, `starcheck` = grandparent maintenance (the structural
 /// analogue of LACC's star upkeep — the state that must be refreshed
 /// after the forest mutates).
-pub struct FastsvEngine;
+pub(crate) struct Fastsv<I: Idx> {
+    /// Grandparents `f[f[u]]` as of the end of the previous round. Its
+    /// values are always current-or-earlier `f` values, so the driver's
+    /// one narrowing probe over `f` covers both exchanged vectors.
+    gf: DistVec<I>,
+}
 
-impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for FastsvEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Fastsv
-    }
-
-    fn caps(&self) -> EngineCaps {
-        EngineCaps {
-            sparsifies_active_set: false,
-            uses_starcheck: false,
-            monotone_min_labels: true,
-            rounds_bounded_by_diameter: false,
+impl<I: Idx> Fastsv<I> {
+    /// Every vertex its own grandparent.
+    pub(crate) fn new(cx: &EngineCtx<'_, I>) -> Self {
+        Fastsv {
+            gf: DistVec::from_fn(cx.layout, cx.rank, I::from_usize),
         }
     }
+}
 
-    fn run(&self, ctx: &mut EngineCtx<'_, I>) -> EngineRun {
-        let n = ctx.n();
-        let opts = ctx.opts;
-        let layout = ctx.layout;
-        let rank = ctx.rank;
-        let mut f: DistVec<I> = DistVec::from_fn(layout, rank, I::from_usize);
-        let mut gf: DistVec<I> = DistVec::from_fn(layout, rank, I::from_usize);
-        let nlocal = f.local().len();
-        let world = ctx.comm.world();
-        let max_rounds = 8 * (usize::BITS - n.leading_zeros()) as usize + 32;
-        let mut iters: Vec<EngineIter> = Vec::new();
-        // Narrowing plan for the upcoming round, seeded from the identity
-        // labeling and refreshed off the convergence allreduce (see the
-        // LACC engine). `gf` values are always current-or-earlier `f`
-        // values, so one f-probe covers both exchanged vectors.
-        let dopts = &opts.dist;
-        let planner = NarrowPlanner::new(dopts);
-        let seed = planner.seed_probe(n);
-        planner.plan(ctx.comm, &world, seed[0], seed[1], false, f.local());
-        loop {
-            assert!(iters.len() < max_rounds, "FastSV did not converge");
-            let mut rec = EngineIter {
-                active_before: n,
-                spmv_dense: true,
-                ..Default::default()
-            };
+impl<I: Idx + WireWord + NarrowVal> Rules<I, 6> for Fastsv<I> {
+    fn max_rounds(n: usize, _opts: &LaccOpts) -> usize {
+        8 * (usize::BITS - n.leading_zeros()) as usize + 32
+    }
 
-            // fn[u] = min over neighbors v of gf[v], then stochastic
-            // hooking f[f[u]] ← min(f[f[u]], fn[u]).
-            let span = ctx.comm.span_open(SpanKind::CondHook);
-            let fn_vec: DistSpVec<I, I> =
-                dist_mxv_dense(ctx.comm, &ctx.a, &gf, DistMask::None, MinUsize, dopts);
-            let hooks: Vec<(I, I)> = fn_vec
+    fn round(&mut self, cx: &mut EngineCtx<'_, I>, f: &mut DistVec<I>) -> [u64; 4] {
+        let gf = &mut self.gf;
+        // fn[u] = min over neighbors v of gf[v], then stochastic hooking
+        // f[f[u]] ← min(f[u], fn[u]). The grandparent refresh at the end
+        // of the round pipelines behind the two local loops in between:
+        // both are elementwise over f, so the refresh requests for early
+        // elements stream while later elements still compute.
+        let (fnb, cond, win) = cx.step(SpanKind::CondHook, |cx| {
+            let (comm, dopts) = (&mut *cx.comm, &cx.opts.dist);
+            let fnb: DistSpVec<I, I> =
+                dist_mxv_dense(comm, &cx.a, gf, DistMask::None, MinUsize, dopts);
+            let edges = fnb
                 .entries()
                 .iter()
-                .map(|&(u, m)| {
-                    let fu = f.get_local(u.idx());
-                    (fu, m.min(fu))
-                })
+                .map(|&(u, m)| (u, m.min(f.get_local(u.idx()))))
                 .collect();
-            rec.cond_changed = dist_assign(ctx.comm, &mut f, &hooks, MinUsize, dopts).0 as u64;
-            rec.modeled.cond_s += ctx.comm.span_close(span);
-
-            // The grandparent-refresh exchange below pipelines behind the
-            // aggressive-hooking and shortcutting loops: both are
-            // elementwise over f, so a real implementation streams the
-            // refresh requests for early elements while later elements
-            // still compute. The window measures that compute and credits
-            // the exchange for it (when `DistOpts::overlap` is on).
-            let win = ctx.comm.overlap_window();
-
-            // Aggressive hooking: f[u] ← min(f[u], fn[u]) (local).
-            let span = ctx.comm.span_open(SpanKind::UncondHook);
-            for &(u, m) in fn_vec.entries() {
-                if m < f.get_local(u.idx()) {
-                    f.set_local(u.idx(), m);
-                    rec.uncond_changed += 1;
+            let cond = connect(comm, f, edges, dopts);
+            (fnb, cond, comm.overlap_window())
+        });
+        // Aggressive hooking: f[u] ← min(f[u], fn[u]) (local).
+        let uncond = cx.step(SpanKind::UncondHook, |cx| lower(cx.comm, f, &fnb));
+        // Shortcutting: f[u] ← min(f[u], gf[u]) (local).
+        let shortcut = cx.step(SpanKind::Shortcut, |cx| {
+            let mut moved = 0u64;
+            for (fu, &gfu) in f.local_mut().iter_mut().zip(gf.local()) {
+                if gfu < *fu {
+                    *fu = gfu;
+                    moved += 1;
                 }
             }
-            ctx.comm.charge_compute(fn_vec.local_nvals() as u64 + 1);
-            rec.modeled.uncond_s += ctx.comm.span_close(span);
-
-            // Shortcutting: f[u] ← min(f[u], gf[u]) (local).
-            let span = ctx.comm.span_open(SpanKind::Shortcut);
-            for o in 0..nlocal {
-                if gf.local()[o] < f.local()[o] {
-                    f.local_mut()[o] = gf.local()[o];
-                    rec.shortcut_changed += 1;
-                }
-            }
-            ctx.comm.charge_compute(nlocal as u64 + 1);
-            rec.modeled.shortcut_s += ctx.comm.span_close(span);
-
-            // Grandparent maintenance: gf[u] ← f[f[u]] via a planned
-            // extract (requests dedup + combine like every other gather).
-            let span = ctx.comm.span_open(SpanKind::Starcheck);
-            let reqs: Vec<I> = f.local().to_vec();
-            let plan = plan_requests(ctx.comm, f.layout(), &reqs, dopts);
-            let (new_gf, st) = ctx.comm.overlap_from(win, dopts.overlap, |c| {
-                dist_extract_planned(c, &f, &plan, dopts)
+            cx.comm.charge_compute(gf.local().len() as u64 + 1);
+            moved
+        });
+        // Grandparent maintenance: gf[u] ← f[f[u]] via a planned extract
+        // (requests dedup + combine like every other gather).
+        let refreshed = cx.step(SpanKind::Starcheck, |cx| {
+            let (comm, dopts) = (&mut *cx.comm, &cx.opts.dist);
+            let plan = plan_requests(comm, f.layout(), f.local(), dopts);
+            let (new_gf, st) = overlapped(comm, win, dopts, |c| {
+                dist_extract_planned(c, f, &plan, dopts)
             });
-            rec.extract_received += st.received_requests;
-            let mut gf_changed = 0u64;
-            for (o, &val) in new_gf.iter().enumerate() {
-                if gf.local()[o] != val {
-                    gf.local_mut()[o] = val;
-                    gf_changed += 1;
+            cx.round.extract_received += st.received_requests;
+            let mut refreshed = 0u64;
+            for (old, &new) in gf.local_mut().iter_mut().zip(&new_gf) {
+                if *old != new {
+                    *old = new;
+                    refreshed += 1;
                 }
             }
-            ctx.comm.charge_compute(nlocal as u64 + 1);
-            rec.modeled.starcheck_s += ctx.comm.span_close(span);
-
-            // Converged when a full round (hooks + shortcut + grandparent
-            // refresh) changed nothing anywhere. Elements 4–5 piggyback
-            // the narrowing probe (max-merged word, summed distinct
-            // count); the payload is six words with narrowing on or off.
-            let probe = planner.local_probe(ctx.comm, f.local());
-            let local = [
-                rec.cond_changed,
-                rec.uncond_changed,
-                rec.shortcut_changed,
-                gf_changed,
-                probe[0],
-                probe[1],
-            ];
-            let global = ctx.comm.allreduce(&world, local, |a, b| {
-                [
-                    a[0] + b[0],
-                    a[1] + b[1],
-                    a[2] + b[2],
-                    a[3] + b[3],
-                    a[4].max(b[4]),
-                    a[5] + b[5],
-                ]
-            });
-            rec.cond_changed = global[0];
-            rec.uncond_changed = global[1];
-            rec.shortcut_changed = global[2];
-            let done = global[..4].iter().sum::<u64>() == 0;
-            rec.converged_after = if done { n } else { 0 };
-            iters.push(rec);
-            if done {
-                break;
-            }
-            planner.plan(
-                ctx.comm,
-                &world,
-                global[4],
-                global[5],
-                global[2] > 0,
-                f.local(),
-            );
-        }
-        let labels: Vec<Vid> = f.to_global(ctx.comm).into_iter().map(|l| l.idx()).collect();
-        EngineRun {
-            labels: (rank == 0).then_some(labels),
-            iters,
-            final_clock_s: ctx.comm.clock_s(),
-        }
+            comm.charge_compute(new_gf.len() as u64 + 1);
+            refreshed
+        });
+        [cond, uncond, shortcut, refreshed]
     }
 }
 
@@ -930,85 +738,27 @@ impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for FastsvEngine {
 /// forest, no hooks, and exactly one exchange per round, which makes it
 /// the cheapest engine on low-diameter graphs and hopeless on paths.
 ///
-/// All work lands in the `cond` step bucket (one phase per round).
-pub struct LabelPropEngine;
+/// All work lands in the `cond` step bucket (one phase per round), and
+/// the convergence payload is the one changed count plus the probe.
+pub(crate) struct LabelProp;
 
-impl<I: Idx + WireWord + NarrowVal> CcEngine<I> for LabelPropEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::LabelProp
+impl<I: Idx + WireWord + NarrowVal> Rules<I, 3> for LabelProp {
+    /// Every round that is not the last moved labels at their vertices.
+    const REWRITES: usize = 0;
+
+    /// The true bound is the diameter (< n); `max_iters` is sized for
+    /// LACC's O(log n) trajectory and does not apply.
+    fn max_rounds(n: usize, _opts: &LaccOpts) -> usize {
+        n + 2
     }
 
-    fn caps(&self) -> EngineCaps {
-        EngineCaps {
-            sparsifies_active_set: false,
-            uses_starcheck: false,
-            monotone_min_labels: true,
-            rounds_bounded_by_diameter: true,
-        }
-    }
-
-    fn run(&self, ctx: &mut EngineCtx<'_, I>) -> EngineRun {
-        let n = ctx.n();
-        let opts = ctx.opts;
-        let layout = ctx.layout;
-        let rank = ctx.rank;
-        let mut f: DistVec<I> = DistVec::from_fn(layout, rank, I::from_usize);
-        let world = ctx.comm.world();
-        let mut iters: Vec<EngineIter> = Vec::new();
-        // Narrowing plan for the upcoming round (seed free from identity
-        // labels, refreshed off the scalar convergence allreduce widened
-        // to three words — on and off alike, so words stay identical).
-        let dopts = &opts.dist;
-        let planner = NarrowPlanner::new(dopts);
-        let seed = planner.seed_probe(n);
-        planner.plan(ctx.comm, &world, seed[0], seed[1], false, f.local());
-        loop {
-            // The true bound is the diameter (< n); `max_iters` is a
-            // safety knob for LACC's O(log n) trajectory and would be a
-            // silent wrong-answer cap here, so it is deliberately ignored.
-            assert!(iters.len() < n + 2, "label propagation did not converge");
-            let mut rec = EngineIter {
-                active_before: n,
-                spmv_dense: true,
-                ..Default::default()
-            };
-            let span = ctx.comm.span_open(SpanKind::CondHook);
-            let fn_vec: DistSpVec<I, I> =
-                dist_mxv_dense(ctx.comm, &ctx.a, &f, DistMask::None, MinUsize, dopts);
-            let mut changed = 0u64;
-            for &(u, m) in fn_vec.entries() {
-                if m < f.get_local(u.idx()) {
-                    f.set_local(u.idx(), m);
-                    changed += 1;
-                }
-            }
-            ctx.comm.charge_compute(fn_vec.local_nvals() as u64 + 1);
-            rec.modeled.cond_s += ctx.comm.span_close(span);
-            let probe = planner.local_probe(ctx.comm, f.local());
-            let merged = ctx
-                .comm
-                .allreduce(&world, [changed, probe[0], probe[1]], |a, b| {
-                    [a[0] + b[0], a[1].max(b[1]), a[2] + b[2]]
-                });
-            let total = merged[0];
-            rec.cond_changed = total;
-            let done = total == 0;
-            rec.converged_after = if done { n } else { 0 };
-            iters.push(rec);
-            if done {
-                break;
-            }
-            // Any label movement invalidates the dictionary for tightness
-            // (the new minima are still contained, so a stale dictionary
-            // would decode fine — it just stops being dense-ranked).
-            planner.plan(ctx.comm, &world, merged[1], merged[2], total > 0, f.local());
-        }
-        let labels: Vec<Vid> = f.to_global(ctx.comm).into_iter().map(|l| l.idx()).collect();
-        EngineRun {
-            labels: (rank == 0).then_some(labels),
-            iters,
-            final_clock_s: ctx.comm.clock_s(),
-        }
+    fn round(&mut self, cx: &mut EngineCtx<'_, I>, f: &mut DistVec<I>) -> [u64; 4] {
+        // f[u] ← min(f[u], min over neighbors v of f[v]).
+        let changed = cx.step(SpanKind::CondHook, |cx| {
+            let fnb = dist_mxv_dense(cx.comm, &cx.a, f, DistMask::None, MinUsize, &cx.opts.dist);
+            lower(cx.comm, f, &fnb)
+        });
+        [changed, 0, 0, 0]
     }
 }
 
@@ -1033,40 +783,25 @@ mod tests {
     }
 
     #[test]
-    fn caps_distinguish_engines() {
-        let lacc = caps_for(EngineKind::Lacc);
-        assert!(lacc.sparsifies_active_set && lacc.uses_starcheck);
-        assert!(!lacc.monotone_min_labels);
-        let fastsv = caps_for(EngineKind::Fastsv);
-        assert!(!fastsv.uses_starcheck && fastsv.monotone_min_labels);
-        assert!(!fastsv.rounds_bounded_by_diameter);
-        let lp = caps_for(EngineKind::LabelProp);
-        assert!(lp.rounds_bounded_by_diameter && lp.monotone_min_labels);
-        // Names round-trip through the trait objects.
-        assert_eq!(engine_for::<usize>(EngineKind::Lacc).name(), "lacc");
-        assert_eq!(engine_for::<u32>(EngineKind::Fastsv).name(), "fastsv");
-        assert_eq!(
-            engine_for::<usize>(EngineKind::LabelProp).name(),
-            "labelprop"
-        );
-    }
-
-    #[test]
     fn only_engines_that_run_spmspv_hold_the_block_column_major() {
         // FastSV's every `mxv` is dense, so no rank ever transposes its
         // block; LACC retires converged communities and finishes on SpMSpV.
         let g = lacc_graph::generators::community_graph(600, 30, 3.0, 1.4, 1);
         let opts = LaccOpts::default();
-        let built = |kind: EngineKind| {
+        let built = |lacc: bool| {
             dmsim::run_spmd(4, |c| {
                 let mut ctx = EngineCtx::<u32>::new(c, &g, None, &opts);
-                engine_for::<u32>(kind).run(&mut ctx);
+                if lacc {
+                    driver::drive(Lacc::new(&ctx), &mut ctx).unwrap();
+                } else {
+                    driver::drive(Fastsv::new(&ctx), &mut ctx).unwrap();
+                }
                 ctx.a.has_column_major()
             })
             .unwrap()
         };
-        assert_eq!(built(EngineKind::Fastsv), vec![false; 4]);
-        assert_eq!(built(EngineKind::Lacc), vec![true; 4]);
+        assert_eq!(built(false), vec![false; 4]);
+        assert_eq!(built(true), vec![true; 4]);
     }
 
     #[test]

@@ -45,10 +45,7 @@ pub mod verify;
 
 pub use dist::{run, RunConfig, RunOutput};
 pub use dmsim::EngineKind;
-pub use engine::{
-    caps_for, choose_engine, engine_for, CcEngine, EngineCaps, EngineCtx, EngineIter, EngineRun,
-    EngineSelect, FastsvEngine, LabelPropEngine, LaccEngine,
-};
+pub use engine::{choose_engine, EngineCtx, EngineIter, EngineRun, EngineSelect};
 pub use gblas::dist::Wire;
 pub use narrow::NarrowPlanner;
 pub use options::{IndexWidth, LaccOpts, LaccOptsBuilder, OptsError};

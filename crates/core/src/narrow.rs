@@ -9,10 +9,10 @@
 //! picks the wire tier for the *next* iteration's exchanges and installs
 //! it on the rank's [`Comm`], where every `gblas::dist` primitive reads it:
 //!
-//! * every label word below [`DistOpts::narrow_u16_max`] → raw
-//!   [`NarrowTier::U16`] (2 bytes per label, no setup);
-//! * otherwise, a surviving-label count below
-//!   [`DistOpts::narrow_dict_max`] → [`NarrowTier::Dict`]: a dense-rank
+//! * every label word below [`U16_MAX`] → raw [`NarrowTier::U16`]
+//!   (2 bytes per label, no setup);
+//! * otherwise, a surviving-label count below [`DICT_MAX`] →
+//!   [`NarrowTier::Dict`]: a dense-rank
 //!   dictionary of the surviving roots, built once by a zero-word framed
 //!   allgather and reused across iterations until a shortcut step moves
 //!   labels (the engine then invalidates it for tightness — the value
@@ -36,32 +36,32 @@ use dmsim::{Comm, FramedBlock, Group, NarrowSpec, NarrowTier, SpanKind, WireWord
 use gblas::dist::{DistOpts, RankBitmap};
 use lacc_graph::Idx;
 
-/// Per-run narrowing state: the knobs copied out of [`DistOpts`] plus
-/// the probe/plan methods the engine loops call. The planner itself is
-/// stateless across iterations — the installed dictionary and the active
-/// tier both live on the [`Comm`], where the wire codecs and the
-/// primitives reach them.
+/// The raw-`u16` tier activates when every live label word is below this
+/// bound: the widest range the tier can represent.
+pub const U16_MAX: u64 = 1 << 16;
+
+/// The dictionary tier builds a dense-rank dictionary when the global
+/// surviving-label count is below this bound (a build-cost heuristic —
+/// dictionary codes themselves are varint, not limited to 16 bits).
+pub const DICT_MAX: u64 = 1 << 16;
+
+/// Per-run narrowing switch plus the probe/plan methods the iteration
+/// driver calls; with narrowing off the probes are `[0, 0]` and
+/// [`NarrowPlanner::plan`] leaves the `Comm` at [`NarrowSpec::NATIVE`].
+/// The planner is stateless across iterations — the installed dictionary
+/// and the active tier both live on the [`Comm`], where the wire codecs
+/// and the primitives reach them.
 #[derive(Clone, Copy, Debug)]
 pub struct NarrowPlanner {
     enabled: bool,
-    u16_max: u64,
-    dict_max: u64,
 }
 
 impl NarrowPlanner {
-    /// Captures the narrowing knobs for one engine run.
+    /// Reads [`DistOpts::narrow_labels`] for one engine run.
     pub fn new(opts: &DistOpts) -> Self {
         NarrowPlanner {
             enabled: opts.narrow_labels,
-            u16_max: opts.narrow_u16_max,
-            dict_max: opts.narrow_dict_max,
         }
-    }
-
-    /// Whether narrowing is on at all (`[0, 0]` probes otherwise, and
-    /// [`NarrowPlanner::plan`] leaves the `Comm` at [`NarrowSpec::NATIVE`]).
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// The iteration-1 probe, free of charge: every engine starts from
@@ -115,14 +115,14 @@ impl NarrowPlanner {
         if invalidate_dict {
             comm.invalidate_narrow_dict();
         }
-        let tier = if global_max < self.u16_max {
+        let tier = if global_max < U16_MAX {
             NarrowTier::U16
         } else if comm.narrow_dict().is_some() {
             // A still-valid dictionary from an earlier iteration: labels
             // only ever collapse onto existing values, so containment
             // holds until the next invalidation.
             NarrowTier::Dict
-        } else if global_distinct < self.dict_max {
+        } else if global_distinct < DICT_MAX {
             build_dict(comm, world, labels);
             NarrowTier::Dict
         } else {
@@ -151,7 +151,7 @@ fn distinct_words<I: Idx + WireWord>(labels: &[I]) -> RankBitmap {
 /// this collective does not exist, so charging words for it would break
 /// the words-identical contract. Its bytes are counted honestly in
 /// `bytes_sent` — the dictionary build is amortized real traffic, and
-/// the tier gate (`global_distinct < narrow_dict_max`) bounds it.
+/// the tier gate (`global_distinct < DICT_MAX`) bounds it.
 fn build_dict<I: Idx + WireWord>(comm: &mut Comm, world: &Group, labels: &[I]) {
     let words: Vec<u64> = distinct_words(labels).ones().map(|w| w as u64).collect();
     comm.charge_compute(labels.len() as u64 + 1);
@@ -197,7 +197,6 @@ mod tests {
     fn disabled_planner_always_plans_native() {
         let opts = DistOpts::naive();
         let planner = NarrowPlanner::new(&opts);
-        assert!(!planner.enabled());
         assert_eq!(planner.seed_probe(100), [0, 0]);
         let specs = run_spmd(2, move |c| {
             let world = c.world();
@@ -213,29 +212,25 @@ mod tests {
 
     #[test]
     fn tier_rule_prefers_u16_then_dict_then_native() {
-        let opts = DistOpts {
-            narrow_u16_max: 16,
-            narrow_dict_max: 8,
-            ..DistOpts::optimized()
-        };
-        let planner = NarrowPlanner::new(&opts);
+        let planner = NarrowPlanner::new(&DistOpts::optimized());
+        let wide = U16_MAX + 300;
         let tiers = run_spmd(2, move |c| {
             let world = c.world();
-            let labels: Vec<usize> = vec![100, 200, 300];
+            let labels: Vec<usize> = vec![100, 200, wide as usize];
             let mut plan = |max, distinct, invalidate| {
                 planner.plan(c, &world, max, distinct, invalidate, &labels);
                 (c.narrow_spec().tier, c.narrow_dict())
             };
             // Max below the u16 bound: raw u16, no dictionary needed.
-            let (a, dict) = plan(15, 3, false);
+            let (a, dict) = plan(U16_MAX - 1, 3, false);
             assert!(dict.is_none());
             // Max too wide but few survivors: builds + installs the dict.
-            let (b, dict) = plan(300, 3, false);
+            let (b, dict) = plan(wide, 3, false);
             assert_eq!(dict.expect("dictionary installed").len(), 3);
             // Reused while valid (no rebuild even at higher distinct).
-            let (b2, _) = plan(300, 100, false);
+            let (b2, _) = plan(wide, DICT_MAX, false);
             // Shortcut invalidation + too many survivors: back to native.
-            let (d, _) = plan(300, 100, true);
+            let (d, _) = plan(wide, DICT_MAX, true);
             assert!(c.narrow_dict().is_none());
             (a, b, b2, d)
         })
@@ -250,17 +245,12 @@ mod tests {
 
     #[test]
     fn dict_build_charges_zero_words() {
-        let opts = DistOpts {
-            narrow_u16_max: 1,
-            narrow_dict_max: 1 << 20,
-            ..DistOpts::optimized()
-        };
-        let planner = NarrowPlanner::new(&opts);
+        let planner = NarrowPlanner::new(&DistOpts::optimized());
         let snaps = run_spmd(4, move |c| {
             let world = c.world();
             let labels: Vec<usize> = (0..64).map(|k| (c.rank() * 64 + k) * 3).collect();
             let before = c.snapshot().words_sent;
-            planner.plan(c, &world, u64::MAX - 1, 256, false, &labels);
+            planner.plan(c, &world, U16_MAX, 256, false, &labels);
             let dict = c.narrow_dict().expect("dictionary installed");
             (c.snapshot().words_sent - before, dict.len())
         })

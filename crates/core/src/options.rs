@@ -81,7 +81,10 @@ pub struct LaccOpts {
     pub permute: bool,
     /// Seed for the load-balancing permutation.
     pub permute_seed: u64,
-    /// Safety bound on iterations (AS converges in ≤ ~2·log₂ n).
+    /// Bound on LACC rounds (AS converges in ≤ ~2·log₂ n). A run that
+    /// has not converged after this many fails with an error naming the
+    /// bound; FastSV and label propagation carry their own bounds
+    /// (`8·⌈log₂ n⌉ + 32` and `n + 2`) and ignore this one.
     pub max_iters: usize,
     /// Distribute vectors cyclically instead of in blocks — the paper's
     /// §VII future-work layout. Balances the skewed `extract`/`assign`
@@ -120,7 +123,7 @@ impl LaccOpts {
     ///
     /// let opts = LaccOpts::builder()
     ///     .spmv_threshold(0.7)?
-    ///     .kernel_threads(2)?
+    ///     .max_iters(64)?
     ///     .permute(false)
     ///     .build();
     /// assert_eq!(opts.dist.spmv_threshold, 0.7);
@@ -158,20 +161,6 @@ impl LaccOpts {
             cyclic_vectors: true,
             ..Default::default()
         }
-    }
-
-    /// The per-rank kernel thread count actually granted when `p` simulated
-    /// ranks share this host: the configured
-    /// [`DistOpts::kernel_threads`] request, clamped to
-    /// `max(1, host_cores / p)` so the `p × threads` product never
-    /// oversubscribes the machine (the simulator runs every rank
-    /// concurrently).
-    pub fn kernel_threads_for(&self, p: usize) -> usize {
-        let cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1);
-        let cap = (cores / p.max(1)).max(1);
-        self.dist.kernel_threads.max(1).min(cap)
     }
 }
 
@@ -248,18 +237,8 @@ impl LaccOptsBuilder {
         Ok(self)
     }
 
-    /// Worker threads for the local multiply kernels. Must be at least 1
-    /// ([`crate::run`] additionally clamps to the host core budget via
-    /// [`LaccOpts::kernel_threads_for`]).
-    pub fn kernel_threads(mut self, t: usize) -> Result<Self, OptsError> {
-        if t == 0 {
-            return Err(OptsError::new("kernel-threads", "must be at least 1"));
-        }
-        self.opts.dist.kernel_threads = t;
-        Ok(self)
-    }
-
-    /// Safety bound on AS iterations. Must be at least 1.
+    /// Bound on LACC rounds. Must be at least 1; a run that exhausts it
+    /// fails (see [`LaccOpts::max_iters`]).
     pub fn max_iters(mut self, n: usize) -> Result<Self, OptsError> {
         if n == 0 {
             return Err(OptsError::new("max-iters", "must be at least 1"));
@@ -382,29 +361,12 @@ mod tests {
     }
 
     #[test]
-    fn thread_budget_never_oversubscribes() {
-        let cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1);
-        let mut o = LaccOpts::default();
-        o.dist.kernel_threads = 1024;
-        assert!(o.kernel_threads_for(1) <= cores);
-        // With more ranks than cores every rank degrades to one thread.
-        assert_eq!(o.kernel_threads_for(cores * 2), 1);
-        // A serial request stays serial regardless of the host.
-        o.dist.kernel_threads = 1;
-        assert_eq!(o.kernel_threads_for(1), 1);
-    }
-
-    #[test]
     fn builder_accepts_in_range_values() {
         let o = LaccOpts::builder()
             .use_sparsity(false)
             .dense_threshold(0.25)
             .unwrap()
             .spmv_threshold(1.5)
-            .unwrap()
-            .kernel_threads(4)
             .unwrap()
             .max_iters(10)
             .unwrap()
@@ -422,7 +384,6 @@ mod tests {
         assert!(!o.use_sparsity);
         assert_eq!(o.dense_threshold, 0.25);
         assert_eq!(o.dist.spmv_threshold, 1.5);
-        assert_eq!(o.dist.kernel_threads, 4);
         assert_eq!(o.max_iters, 10);
         assert_eq!(o.dist.hot_threshold, 2.0);
         assert_eq!(o.dist.alltoall, AllToAll::Pairwise);
@@ -444,7 +405,6 @@ mod tests {
         assert!(LaccOpts::builder().spmv_threshold(-0.1).is_err());
         assert!(LaccOpts::builder().spmv_threshold(f64::NAN).is_err());
         assert!(LaccOpts::builder().dense_threshold(1.01).is_err());
-        assert!(LaccOpts::builder().kernel_threads(0).is_err());
         assert!(LaccOpts::builder().max_iters(0).is_err());
         assert!(LaccOpts::builder().hot_threshold(0.0).is_err());
         assert!(LaccOpts::builder().hot_threshold(f64::NAN).is_err());

@@ -23,7 +23,7 @@ pub use dense::{OwnerLocator, RankBitmap};
 pub use dmat::DistMat;
 pub use dvec::{DistSpVec, DistVec, Distribution, VecLayout};
 pub use ops::{
-    dist_assign, dist_extract, dist_extract_planned, dist_extract_start, dist_mxv, dist_mxv_dense,
+    dist_assign, dist_extract, dist_extract_planned, dist_mxv, dist_mxv_dense,
     dist_mxv_dense_start, dist_mxv_sparse, dist_mxv_start, plan_requests, AssignStats, DistMask,
     DistOpts, ExtractStats, FusedExtract, RequestPlan, Wire,
 };

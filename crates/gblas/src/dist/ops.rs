@@ -20,7 +20,7 @@ use super::compact::NarrowVal;
 use super::dense::{group_fold, RankBitmap};
 use super::dmat::DistMat;
 use super::dvec::{block_range, DistSpVec, DistVec, Distribution, VecLayout};
-use crate::serial::{kernel_pool, CsrMirror, Dcsc};
+use crate::serial::{CsrMirror, Dcsc};
 use crate::types::Monoid;
 use crate::Vid;
 use dmsim::{
@@ -62,8 +62,7 @@ impl std::str::FromStr for Wire {
     }
 }
 
-/// Tuning knobs for the distributed primitives (the paper's §V-B levers
-/// plus the intra-rank threading added on top).
+/// Tuning knobs for the distributed primitives (the paper's §V-B levers).
 #[derive(Clone, Copy, Debug)]
 pub struct DistOpts {
     /// All-to-all algorithm for irregular exchanges.
@@ -74,12 +73,6 @@ pub struct DistOpts {
     /// system-dependent `h`). `f64::INFINITY` turns the fallback off and
     /// skips the request-count allreduce that detects hot ranks.
     pub hot_threshold: f64,
-    /// Worker threads for the local multiply inside the `mxv` paths
-    /// (`<= 1` runs the serial kernels). Callers should budget
-    /// `ranks × kernel_threads ≤ cores`; the shared pool in the `rayon`
-    /// shim additionally guarantees `P` ranks asking for `T` threads share
-    /// one `T`-worker pool rather than spawning `P×T` OS threads.
-    pub kernel_threads: usize,
     /// [`dist_mxv`] takes the SpMV-style (dense, column-scan) local kernel
     /// when the input's measured global fill `nvals/n` is at least this;
     /// below it, the SpMSpV per-entry kernel. Mirrors the internal dispatch
@@ -88,15 +81,15 @@ pub struct DistOpts {
     /// Wire format of the `extract`/`assign` exchanges.
     pub wire: Wire,
     /// Non-blocking execution of the hot-path exchanges. Engines post
-    /// `mxv` through [`dist_mxv_start`] / [`dist_mxv_dense_start`] (or an
-    /// extract through [`dist_extract_start`]) and collect the result with
-    /// [`dmsim::CommHandle::wait`], or credit an exchange against a
-    /// preceding compute window ([`dmsim::Comm::overlap_from`]). The
-    /// operation still runs eagerly with an identical message pattern and
-    /// identical charges — this flag only controls whether the modeled
-    /// clock is *refunded* at completion for exchange time that overlapped
-    /// independent local compute — so labels, iteration counts and
-    /// `words_sent` are bit-identical with the flag on or off.
+    /// `mxv` through [`dist_mxv_start`] / [`dist_mxv_dense_start`] and
+    /// collect the result with [`dmsim::CommHandle::wait`], or credit an
+    /// exchange against a preceding compute window
+    /// ([`dmsim::Comm::overlap_from`]). The operation still runs eagerly
+    /// with an identical message pattern and identical charges — this
+    /// flag only controls whether the modeled clock is *refunded* at
+    /// completion for exchange time that overlapped independent local
+    /// compute — so labels, iteration counts and `words_sent` are
+    /// bit-identical with the flag on or off.
     pub overlap: bool,
     /// Dynamic label-range narrowing: each engine iteration probes the
     /// active label range/cardinality (piggybacked on the convergence
@@ -107,15 +100,6 @@ pub struct DistOpts {
     /// type, so labels and iteration counts are bit-identical on/off; only
     /// bytes shrink ([`dmsim::CostSnapshot::narrow_saved_bytes`]).
     pub narrow_labels: bool,
-    /// The raw-`u16` tier activates when every live label word is below
-    /// this bound (default `2^16`, the widest the tier can represent;
-    /// tests lower it to force the dictionary tier on small graphs).
-    pub narrow_u16_max: u64,
-    /// The dictionary tier builds/keeps a dense-rank dictionary when the
-    /// global surviving-label count is below this bound (default `2^16`;
-    /// a build-cost heuristic — dictionary codes themselves are varint,
-    /// not limited to 16 bits).
-    pub narrow_dict_max: u64,
 }
 
 impl Default for DistOpts {
@@ -126,13 +110,10 @@ impl Default for DistOpts {
         DistOpts {
             alltoall: AllToAll::Sparse,
             hot_threshold: 4.0,
-            kernel_threads: 1,
             spmv_threshold: 0.5,
             wire: Wire::Compact,
             overlap: true,
             narrow_labels: true,
-            narrow_u16_max: 1 << 16,
-            narrow_dict_max: 1 << 16,
         }
     }
 }
@@ -519,184 +500,76 @@ where
 
 /// Phase-2 local multiply for the SpMV-style paths: a row gather over the
 /// stored row-major block. Row `r` folds `x_block[j]` over its columns `j`
-/// — one random read per nonzero, `acc[r]` and `touched[r]` written once —
-/// and `threads` only picks how many contiguous row chunks the kernel pool
-/// shares (one, run inline, for `threads <= 1`). Rows hold their columns in
-/// source order; [`Monoid`] is commutative and [`NarrowVal`] admits no
-/// floats, so that order cannot show in `acc`. With `present`, only columns
-/// flagged there contribute (the densified-sparse-input case of
-/// [`dist_mxv`]) and only they count toward `ops`, the nonzeros folded.
+/// — one random read per nonzero, `acc[r]` and `touched[r]` written once.
+/// Rows hold their columns in source order; [`Monoid`] is commutative and
+/// [`NarrowVal`] admits no floats, so that order cannot show in `acc`.
+/// With `present`, only columns flagged there contribute (the
+/// densified-sparse-input case of [`dist_mxv`]) and only they count toward
+/// `ops`, the nonzeros folded.
 fn local_multiply_block<T, M, I>(
     rows: &CsrMirror<I>,
     x_block: &[T],
     present: Option<&[bool]>,
     monoid: M,
-    threads: usize,
 ) -> (Vec<T>, Vec<bool>, u64)
 where
-    T: Copy + Send + Sync,
+    T: Copy,
     M: Monoid<T>,
     I: Idx,
 {
     let h = rows.nrows();
     let mut acc = vec![monoid.identity(); h];
     let mut touched = vec![false; h];
-    let gather = |lo: usize, ac: &mut [T], tc: &mut [bool]| -> u64 {
-        let mut ops = 0u64;
-        for (o, (a_slot, t_slot)) in ac.iter_mut().zip(tc).enumerate() {
-            let (mut v, mut hits) = (*a_slot, 0u64);
-            for j in rows.row(lo + o).iter().map(|j| j.idx()) {
-                if present.is_none_or(|pr| pr[j]) {
-                    v = monoid.combine(v, x_block[j]);
-                    hits += 1;
-                }
+    let mut ops = 0u64;
+    for (r, (a_slot, t_slot)) in acc.iter_mut().zip(&mut touched).enumerate() {
+        let (mut v, mut hits) = (*a_slot, 0u64);
+        for j in rows.row(r).iter().map(|j| j.idx()) {
+            if present.is_none_or(|pr| pr[j]) {
+                v = monoid.combine(v, x_block[j]);
+                hits += 1;
             }
-            (*a_slot, *t_slot) = (v, hits > 0);
-            ops += hits;
         }
-        ops
-    };
-    if threads <= 1 {
-        let ops = gather(0, &mut acc, &mut touched);
-        return (acc, touched, ops);
+        (*a_slot, *t_slot) = (v, hits > 0);
+        ops += hits;
     }
-    let pool = kernel_pool(threads);
-    let chunk = h.div_ceil(pool.current_num_threads()).max(1);
-    let mut chunk_ops = vec![0u64; h.div_ceil(chunk)];
-    let gather = &gather;
-    pool.scope(|s| {
-        for (((k, ac), tc), co) in acc
-            .chunks_mut(chunk)
-            .enumerate()
-            .zip(touched.chunks_mut(chunk))
-            .zip(chunk_ops.iter_mut())
-        {
-            s.spawn(move || *co = gather(k * chunk, ac, tc));
-        }
-    });
-    (acc, touched, chunk_ops.iter().sum())
+    (acc, touched, ops)
 }
 
 /// Phase-2 local multiply for the SpMSpV-style paths: per-entry scatter of
 /// the gathered input through DCSC column lookups, each resumed from the
 /// last ([`Dcsc::cursor`]): the gathered entries ascend by column.
 ///
-/// With `threads > 1` this uses the same merge-free owner-partitioned
-/// scheme as [`crate::serial::mxv_sparse_par`]: the block's row space is
-/// split into one contiguous partition per worker, scanners expand their
-/// contiguous slice of the gathered entries into `(row, value)`
-/// contributions binned by owning partition, and each owner folds its bins
-/// in scanner order into a disjoint slice of one shared accumulator. No
-/// cross-thread merge phase ever re-reads the full row space — the step
-/// that made the old chunk-then-merge scheme memory-bound. Per row the
-/// contributions arrive in gathered order (scanner slices are contiguous),
-/// so the fold is the serial fold verbatim: bit-identical for any monoid.
-///
-/// Returns `(acc, touched rows, op count)`; the serial path reports
-/// `touched` in first-touch order and the partitioned path in ascending
-/// order — callers sort. The op count charges the expansion exactly as the
-/// serial sweep does, so the modeled cost is thread-count-independent.
+/// Returns `(acc, touched rows in first-touch order, op count)`; callers
+/// sort the touched list.
 fn local_multiply_entries<T, M, I>(
     local: &Dcsc<I>,
     cs: usize,
     gathered: &[(I, T)],
     monoid: M,
-    threads: usize,
 ) -> (Vec<T>, Vec<Vid>, u64)
 where
-    T: Copy + Send + Sync,
+    T: Copy,
     M: Monoid<T>,
     I: Idx,
 {
     let h = local.nrows();
     let mut ops: u64 = 1;
-    if threads <= 1 || gathered.len() < 2 || h == 0 {
-        let mut acc = vec![monoid.identity(); h];
-        let mut is_touched = vec![false; h];
-        let mut touched: Vec<Vid> = Vec::new();
-        let mut cols = local.cursor();
-        for &(gc, xv) in gathered {
-            let rows = cols.seek(gc.idx() - cs);
-            for &lr in rows {
-                let lr = lr.idx();
-                if !is_touched[lr] {
-                    is_touched[lr] = true;
-                    touched.push(lr);
-                }
-                acc[lr] = monoid.combine(acc[lr], xv);
-            }
-            ops += rows.len() as u64 + 1;
-        }
-        return (acc, touched, ops);
-    }
-    let pool = kernel_pool(threads);
-    let nt = pool.current_num_threads().max(1);
-    let part = h.div_ceil(nt).max(1);
-    let nparts = h.div_ceil(part);
-    let chunk = gathered.len().div_ceil(nt).max(1);
-    let nscan = gathered.chunks(chunk).len();
-
-    // Phase 1: scanners expand contiguous entry slices, binning row
-    // contributions by owning partition. `bins[s][k]` holds scanner s's
-    // contributions to partition k, in gathered order.
-    let mut bins: Vec<Vec<Vec<(I, T)>>> = (0..nscan).map(|_| vec![Vec::new(); nparts]).collect();
-    let mut scan_ops = vec![0u64; nscan];
-    pool.scope(|s| {
-        for ((b, es), so) in bins
-            .iter_mut()
-            .zip(gathered.chunks(chunk))
-            .zip(scan_ops.iter_mut())
-        {
-            s.spawn(move || {
-                let mut ops = 0u64;
-                let mut cols = local.cursor();
-                for &(gc, xv) in es {
-                    let rows = cols.seek(gc.idx() - cs);
-                    for &lr in rows {
-                        b[lr.idx() / part].push((lr, xv));
-                    }
-                    ops += rows.len() as u64 + 1;
-                }
-                *so = ops;
-            });
-        }
-    });
-    ops += scan_ops.iter().sum::<u64>();
-
-    // Phase 2: each owner folds its bins — scanner order restores gathered
-    // order per row — into its disjoint accumulator slice, then sorts its
-    // own touched list.
     let mut acc = vec![monoid.identity(); h];
     let mut is_touched = vec![false; h];
-    let mut owner_touched: Vec<Vec<Vid>> = vec![Vec::new(); nparts];
-    let bins = &bins;
-    pool.scope(|s| {
-        for (((k, ac), tc), tk) in acc
-            .chunks_mut(part)
-            .enumerate()
-            .zip(is_touched.chunks_mut(part))
-            .zip(owner_touched.iter_mut())
-        {
-            let lo = k * part;
-            s.spawn(move || {
-                for sb in bins {
-                    for &(lr, xv) in &sb[k] {
-                        let li = lr.idx() - lo;
-                        if !tc[li] {
-                            tc[li] = true;
-                            tk.push(lr.idx());
-                        }
-                        ac[li] = monoid.combine(ac[li], xv);
-                    }
-                }
-                tk.sort_unstable();
-            });
+    let mut touched: Vec<Vid> = Vec::new();
+    let mut cols = local.cursor();
+    for &(gc, xv) in gathered {
+        let rows = cols.seek(gc.idx() - cs);
+        for &lr in rows {
+            let lr = lr.idx();
+            if !is_touched[lr] {
+                is_touched[lr] = true;
+                touched.push(lr);
+            }
+            acc[lr] = monoid.combine(acc[lr], xv);
         }
-    });
-
-    // Phase 3: partitions cover ascending row ranges, so concatenation is
-    // globally sorted.
-    let touched: Vec<Vid> = owner_touched.concat();
+        ops += rows.len() as u64 + 1;
+    }
     (acc, touched, ops)
 }
 
@@ -882,11 +755,9 @@ where
     debug_assert_eq!(x_block.len(), a.col_range().1 - a.col_range().0);
 
     // Phase 2: row gather over the local block into a row-block
-    // accumulator (row-split across the kernel pool when
-    // `opts.kernel_threads > 1`).
+    // accumulator.
     let (rs, _re) = a.row_range();
-    let (acc, touched, ops) =
-        local_multiply_block(a.row_mirror(), &x_block, None, monoid, opts.kernel_threads);
+    let (acc, touched, ops) = local_multiply_block(a.row_mirror(), &x_block, None, monoid);
     comm.charge_compute(ops + x_block.len() as u64);
     gh.wait(comm);
 
@@ -987,11 +858,9 @@ where
     let gathered: Vec<(I, T)> = gh.peek().iter().flatten().copied().collect();
 
     // Phase 2: local multiply through the DCSC block — transposed out of
-    // the stored rows on this rank's first SpMSpV — owner-partitioned
-    // across the kernel pool when `opts.kernel_threads > 1`.
+    // the stored rows on this rank's first SpMSpV.
     let (cs, _ce) = a.col_range();
-    let (acc, touched, ops) =
-        local_multiply_entries(a.local(), cs, &gathered, monoid, opts.kernel_threads);
+    let (acc, touched, ops) = local_multiply_entries(a.local(), cs, &gathered, monoid);
     comm.charge_compute(ops);
     gh.wait(comm);
 
@@ -1109,13 +978,8 @@ where
         x_block[g.idx() - cs] = v;
         present[g.idx() - cs] = true;
     }
-    let (acc, touched_flags, ops) = local_multiply_block(
-        a.row_mirror(),
-        &x_block,
-        Some(&present),
-        monoid,
-        opts.kernel_threads,
-    );
+    let (acc, touched_flags, ops) =
+        local_multiply_block(a.row_mirror(), &x_block, Some(&present), monoid);
     comm.charge_compute(ops + w as u64 + gathered.len() as u64);
     gh.wait(comm);
     let touched: Vec<Vid> = touched_flags
@@ -1292,30 +1156,6 @@ where
     out
 }
 
-/// [`dist_extract`] posted as a non-blocking operation: plans and runs
-/// the exchange *now* (identical messages, charges and results), and the
-/// returned handle refunds hideable exchange time against local compute
-/// charged before [`dmsim::CommHandle::wait`] when [`DistOpts::overlap`]
-/// is on. See [`dist_mxv_start`] for the full contract.
-pub fn dist_extract_start<T, I>(
-    comm: &mut Comm,
-    src: &DistVec<T>,
-    requests: &[I],
-    opts: &DistOpts,
-) -> CommHandle<(Vec<T>, ExtractStats)>
-where
-    T: Copy + Send + WireWord + 'static,
-    I: Idx + WireWord,
-{
-    comm.post(opts.overlap, |c| {
-        let span = c.span_open(SpanKind::Extract);
-        let plan = plan_requests(c, src.layout(), requests, opts);
-        let out = extract_impl(c, src, &plan, opts);
-        c.span_close(span);
-        out
-    })
-}
-
 /// [`dist_extract`] against a request plan built once with
 /// [`plan_requests`] — callers issuing several extracts with the same
 /// request list over same-layout vectors skip the repeated bucketing.
@@ -1458,61 +1298,80 @@ where
     (plan.scatter(&replies), stats)
 }
 
-/// A combining request route paid for once and replayed for several
-/// extract phases against the same request list.
+/// Several extract phases against one request plan — starcheck's two
+/// extracts with identical requests (grandparent, then parent starness)
+/// separated by an assign.
 ///
-/// Starcheck issues two extracts with identical requests (grandparent,
-/// then parent starness) separated by an assign. `FusedExtract` sends the
-/// ids through the combining hypercube once ([`FusedExtract::begin`]) and
-/// scatters each phase's replies back along the recorded reverse route
-/// ([`FusedExtract::extract`]). Values are read at reply time, so a phase
-/// observes assigns applied after `begin` — exactly the ordering the
-/// unfused pair of extracts had. This path never takes the hot-rank
-/// broadcast: the combining tree already collapses the duplicate traffic
-/// that made owners hot. Keys stay at the plan's index width `I`.
-pub struct FusedExtract<I: Idx = Vid> {
-    route: CombineRoute<I>,
+/// Under [`Wire::Compact`] the ids cross the combining hypercube once
+/// ([`FusedExtract::begin`]) and each phase scatters its replies back
+/// along the recorded reverse route ([`FusedExtract::extract`]). Values
+/// are read at reply time, so a phase observes assigns applied after
+/// `begin` — exactly the ordering the unfused pair of extracts had. This
+/// path never takes the hot-rank broadcast: the combining tree already
+/// collapses the duplicate traffic that made owners hot. Keys stay at the
+/// plan's index width `I`. Under [`Wire::Legacy`] there is no route to
+/// share: `begin` sends nothing and every phase is one
+/// [`dist_extract_planned`].
+pub struct FusedExtract<'a, I: Idx = Vid> {
+    plan: &'a RequestPlan<I>,
+    opts: &'a DistOpts,
+    route: Option<CombineRoute<I>>,
+    received: u64,
 }
 
-impl<I: Idx + WireWord> FusedExtract<I> {
-    /// Sends the plan's per-owner request ids through the combining
-    /// hypercube and records the route for later reply phases.
-    pub fn begin(comm: &mut Comm, plan: &RequestPlan<I>) -> FusedExtract<I> {
-        let world = comm.world();
-        let key_bufs: Vec<Vec<I>> = plan.wire_ids.to_vec();
-        let route = comm.combining_requests(&world, key_bufs);
-        FusedExtract { route }
+impl<'a, I: Idx + WireWord> FusedExtract<'a, I> {
+    /// Under [`Wire::Compact`], sends the plan's per-owner request ids
+    /// through the combining hypercube and records the route for the
+    /// reply phases.
+    pub fn begin(comm: &mut Comm, plan: &'a RequestPlan<I>, opts: &'a DistOpts) -> Self {
+        let route = (opts.wire == Wire::Compact).then(|| {
+            let world = comm.world();
+            comm.combining_requests(&world, plan.wire_ids.to_vec())
+        });
+        FusedExtract {
+            plan,
+            opts,
+            received: route
+                .as_ref()
+                .map_or(0, |r| r.delivered_keys().len() as u64),
+            route,
+        }
     }
 
-    /// Unique request ids the route delivered to this rank — what this
-    /// rank serves per reply phase.
+    /// Requests this rank has been sent so far: the route's unique
+    /// delivered ids (they arrive once, whatever the number of phases), or
+    /// the sum over the phases run under [`Wire::Legacy`].
     pub fn received(&self) -> u64 {
-        self.route.delivered_keys().len() as u64
+        self.received
     }
 
-    /// One reply phase: serves the delivered ids from `src` as of *now*
+    /// One reply phase: serves the requested ids from `src` as of *now*
     /// and returns `src[requests[k]]` for each planned request, in order.
-    pub fn extract<T>(&self, comm: &mut Comm, src: &DistVec<T>, plan: &RequestPlan<I>) -> Vec<T>
+    pub fn extract<T>(&mut self, comm: &mut Comm, src: &DistVec<T>) -> Vec<T>
     where
         T: Copy + Send + WireWord + 'static,
     {
+        let Some(route) = &self.route else {
+            let (values, stats) = dist_extract_planned(comm, src, self.plan, self.opts);
+            self.received += stats.received_requests;
+            return values;
+        };
         let span = comm.span_open(SpanKind::Extract);
         let world = comm.world();
         assert_eq!(
             src.layout(),
-            plan.layout,
+            self.plan.layout,
             "plan built for a different layout"
         );
-        let values: Vec<T> = self
-            .route
+        let values: Vec<T> = route
             .delivered_keys()
             .iter()
             .map(|&k| src.get_local(k.idx()))
             .collect();
         comm.charge_compute(values.len() as u64 + 1);
-        let reply = comm.combining_replies(&world, &self.route, &values);
-        let results = plan.scatter(&reply);
-        comm.charge_compute(plan.n_requests() as u64 + 1);
+        let reply = comm.combining_replies(&world, route, &values);
+        let results = self.plan.scatter(&reply);
+        comm.charge_compute(self.plan.n_requests() as u64 + 1);
         comm.span_close(span);
         results
     }
@@ -1792,7 +1651,7 @@ mod tests {
     fn adaptive_mxv_both_branches_match_sparse_bitwise() {
         // A ~60% fill input: threshold 0.9 forces the SpMSpV branch,
         // threshold 0.1 forces the SpMV-style branch. Both must equal the
-        // pure sparse path bit-for-bit, threaded or not.
+        // pure sparse path bit-for-bit.
         let g = erdos_renyi_gnm(48, 140, 17);
         let n = g.num_vertices();
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(19);
@@ -1807,38 +1666,35 @@ mod tests {
         let expected = serial::mxv_sparse(&a_serial, &x_serial, Mask::None, MinUsize);
         for p in [1usize, 4, 9] {
             for threshold in [0.1f64, 0.9] {
-                for threads in [1usize, 4] {
-                    let opts = DistOpts {
-                        spmv_threshold: threshold,
-                        kernel_threads: threads,
-                        ..DistOpts::default()
-                    };
-                    let out = run_spmd(p, |c| {
-                        let grid = Grid2d::square(p);
-                        let layout = VecLayout::new(n, grid);
-                        let a = DistMat::from_graph(&g, grid, c.rank());
-                        let (s, e) = layout.range_of_rank(c.rank());
-                        let local: Vec<(usize, usize)> = x_serial
-                            .entries()
-                            .iter()
-                            .copied()
-                            .filter(|&(g, _)| g >= s && g < e)
-                            .collect();
-                        let x = DistSpVec::from_local_entries(layout, c.rank(), local);
-                        let y = dist_mxv(c, &a, &x, DistMask::None, MinUsize, &opts);
-                        y.to_serial(c)
-                    })
-                    .unwrap();
-                    for y in out {
-                        assert_eq!(y, expected, "p={p} threshold={threshold} threads={threads}");
-                    }
+                let opts = DistOpts {
+                    spmv_threshold: threshold,
+                    ..DistOpts::default()
+                };
+                let out = run_spmd(p, |c| {
+                    let grid = Grid2d::square(p);
+                    let layout = VecLayout::new(n, grid);
+                    let a = DistMat::from_graph(&g, grid, c.rank());
+                    let (s, e) = layout.range_of_rank(c.rank());
+                    let local: Vec<(usize, usize)> = x_serial
+                        .entries()
+                        .iter()
+                        .copied()
+                        .filter(|&(g, _)| g >= s && g < e)
+                        .collect();
+                    let x = DistSpVec::from_local_entries(layout, c.rank(), local);
+                    let y = dist_mxv(c, &a, &x, DistMask::None, MinUsize, &opts);
+                    y.to_serial(c)
+                })
+                .unwrap();
+                for y in out {
+                    assert_eq!(y, expected, "p={p} threshold={threshold}");
                 }
             }
         }
     }
 
-    /// The dense kernel this crate used to run at `kernel_threads <= 1`:
-    /// a sweep of the DCSC's nonempty columns, scattering into `acc`.
+    /// The dense kernel this crate used to run: a sweep of the DCSC's
+    /// nonempty columns, scattering into `acc`.
     fn column_sweep_oracle<T: Copy, M: Monoid<T>>(
         local: &Dcsc<u32>,
         x_block: &[T],
@@ -1865,17 +1721,15 @@ mod tests {
     fn row_gather_matches_the_column_sweep_oracle() {
         fn check<T, M>(rows: &CsrMirror<u32>, present: &[bool], monoid: M, val: impl Fn(u64) -> T)
         where
-            T: Copy + Send + Sync + PartialEq + std::fmt::Debug,
+            T: Copy + PartialEq + std::fmt::Debug,
             M: Monoid<T>,
         {
             let local = rows.to_dcsc();
             let x: Vec<T> = (0..rows.ncols() as u64).map(val).collect();
             for pr in [None, Some(present)] {
                 let expected = column_sweep_oracle(&local, &x, pr, monoid);
-                for threads in [1usize, 2] {
-                    let got = local_multiply_block(rows, &x, pr, monoid, threads);
-                    assert_eq!(got, expected, "threads={threads} present={}", pr.is_some());
-                }
+                let got = local_multiply_block(rows, &x, pr, monoid);
+                assert_eq!(got, expected, "present={}", pr.is_some());
             }
         }
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
@@ -2258,67 +2112,37 @@ mod tests {
     }
 
     #[test]
-    fn posted_ops_match_blocking_and_refund_overlap() {
-        // dist_mxv_start / dist_extract_start run eagerly: bit-identical
-        // results to the blocking calls, and with overlap on the compute
-        // charged between post and wait earns a positive clock refund.
+    fn posted_mxv_matches_blocking_and_refunds_only_under_overlap() {
+        // dist_mxv_start runs eagerly: bit-identical results to the
+        // blocking call; with overlap on, the compute charged between post
+        // and wait earns a positive clock refund, with it off none.
         let g = erdos_renyi_gnm(48, 140, 23);
         let n = g.num_vertices();
         let p = 4;
-        let out = dmsim::run_spmd_with_model(p, dmsim::EDISON.lacc_model(), |c| {
-            let grid = Grid2d::square(p);
-            let layout = VecLayout::new(n, grid);
-            let a = DistMat::from_graph(&g, grid, c.rank());
-            let (s, e) = layout.range_of_rank(c.rank());
-            let local: Vec<(usize, usize)> =
-                (s..e).filter(|v| v % 2 == 0).map(|v| (v, v)).collect();
-            let x = DistSpVec::from_local_entries(layout, c.rank(), local);
-            let opts = DistOpts::optimized();
-            let blocking = dist_mxv(c, &a, &x, DistMask::None, MinUsize, &opts);
-            let h = dist_mxv_start(c, &a, &x, DistMask::None, MinUsize, &opts);
-            c.charge_compute(10_000_000);
-            let posted = h.wait(c);
-            assert_eq!(posted.entries(), blocking.entries());
-
-            let src = DistVec::from_fn(layout, c.rank(), |g| g * 3 % n);
-            let reqs: Vec<usize> = (s..e).map(|v| v * 7 % n).collect();
-            let (vb, _) = dist_extract(c, &src, &reqs, &opts);
-            let h2 = dist_extract_start(c, &src, &reqs, &opts);
-            c.charge_compute(10_000_000);
-            let (vp, _) = h2.wait(c);
-            assert_eq!(vp, vb);
-            c.snapshot().overlap_hidden_s
-        })
-        .unwrap();
-        for hidden in out {
-            assert!(hidden > 0.0, "posted exchanges refund against compute");
-        }
-    }
-
-    #[test]
-    fn posted_ops_inert_when_overlap_off() {
-        // With DistOpts::overlap off the handles still deliver identical
-        // values but never refund the clock.
-        let p = 4;
-        let n = 64;
-        let out = dmsim::run_spmd_with_model(p, dmsim::EDISON.lacc_model(), |c| {
-            let layout = VecLayout::new(n, Grid2d::square(p));
-            let opts = DistOpts {
-                overlap: false,
-                ..DistOpts::optimized()
-            };
-            let src = DistVec::from_fn(layout, c.rank(), |g| g * 3 % n);
-            let reqs: Vec<usize> = (0..32).map(|k| (k * 5 + c.rank()) % n).collect();
-            let (vb, _) = dist_extract(c, &src, &reqs, &opts);
-            let h = dist_extract_start(c, &src, &reqs, &opts);
-            c.charge_compute(10_000_000);
-            let (vp, _) = h.wait(c);
-            assert_eq!(vp, vb);
-            c.snapshot().overlap_hidden_s
-        })
-        .unwrap();
-        for hidden in out {
-            assert_eq!(hidden, 0.0, "flag off keeps the clock uncredited");
+        for overlap in [true, false] {
+            let out = dmsim::run_spmd_with_model(p, dmsim::EDISON.lacc_model(), |c| {
+                let grid = Grid2d::square(p);
+                let layout = VecLayout::new(n, grid);
+                let a = DistMat::from_graph(&g, grid, c.rank());
+                let (s, e) = layout.range_of_rank(c.rank());
+                let local: Vec<(usize, usize)> =
+                    (s..e).filter(|v| v % 2 == 0).map(|v| (v, v)).collect();
+                let x = DistSpVec::from_local_entries(layout, c.rank(), local);
+                let opts = DistOpts {
+                    overlap,
+                    ..DistOpts::optimized()
+                };
+                let blocking = dist_mxv(c, &a, &x, DistMask::None, MinUsize, &opts);
+                let h = dist_mxv_start(c, &a, &x, DistMask::None, MinUsize, &opts);
+                c.charge_compute(10_000_000);
+                let posted = h.wait(c);
+                assert_eq!(posted.entries(), blocking.entries());
+                c.snapshot().overlap_hidden_s
+            })
+            .unwrap();
+            for hidden in out {
+                assert_eq!(hidden > 0.0, overlap, "refund iff the flag is on");
+            }
         }
     }
 

@@ -17,7 +17,6 @@ pub use csc::{Csc, CsrMirror, Pattern};
 pub use dcsc::{ColCursor, Dcsc};
 pub use ewise_add::ewise_add;
 pub use matrix_ops::{column_reduce, map_values, max_abs_diff, normalize_columns, transpose};
-pub(crate) use ops::kernel_pool;
 pub use ops::{
     apply, apply_par, assign, assign_par, ewise_mult, ewise_mult_dense, extract, extract_par,
     mxv_dense, mxv_dense_par, mxv_sparse, mxv_sparse_par, reduce, select,

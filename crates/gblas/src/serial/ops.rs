@@ -54,7 +54,7 @@ use lacc_graph::Idx;
 use rayon::{ThreadPool, ThreadPoolBuilder};
 
 /// The shared kernel pool for `threads` workers (`<= 1` ⇒ inline).
-pub(crate) fn kernel_pool(threads: usize) -> ThreadPool {
+fn kernel_pool(threads: usize) -> ThreadPool {
     ThreadPoolBuilder::new()
         .num_threads(threads.max(1))
         .build()

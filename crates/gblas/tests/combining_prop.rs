@@ -156,33 +156,44 @@ proptest! {
             let mut dst = DistVec::from_fn(layout, c.rank(), |_| usize::MAX);
             let (chg, _) = dist_assign(c, &mut dst, &updates, MinUsize, &combining);
 
-            // Fused replay: one request route serves a usize phase, then —
-            // after an interleaved assign, as in starcheck — a bool phase.
-            let plan = plan_requests(c, layout, &requests, &combining);
-            let fx = FusedExtract::begin(c, &plan);
-            let fused_vals = fx.extract(c, &src, &plan);
-            let mut star = DistVec::from_fn(layout, c.rank(), |_| true);
-            let demote: Vec<(usize, bool)> =
-                requests.iter().map(|&g| (g, g % 3 != 0)).collect();
-            dist_assign(c, &mut star, &demote, AndBool, &naive);
-            let fused_star = fx.extract(c, &star, &plan);
-            let (base_star, _) = dist_extract(c, &star, &requests, &naive);
+            // Fused phases: a usize phase, then — after an interleaved
+            // assign, as in starcheck — a bool phase; one replayed request
+            // route on the compact wire, two planned extracts on the
+            // legacy one.
+            let mut fused = Vec::new();
+            for opts in [&combining, &naive] {
+                let plan = plan_requests(c, layout, &requests, opts);
+                let mut fx = FusedExtract::begin(c, &plan, opts);
+                let fused_vals = fx.extract(c, &src);
+                let mut star = DistVec::from_fn(layout, c.rank(), |_| true);
+                let demote: Vec<(usize, bool)> =
+                    requests.iter().map(|&g| (g, g % 3 != 0)).collect();
+                dist_assign(c, &mut star, &demote, AndBool, &naive);
+                let fused_star = fx.extract(c, &star);
+                let (base_star, st) = dist_extract(c, &star, &requests, opts);
+                // The route delivers each id once; the legacy phases each
+                // receive the full request lists.
+                let phases = if opts.wire == Wire::Compact { 1 } else { 2 };
+                assert_eq!(fx.received(), phases * st.received_requests);
+                fused.push((fused_vals, fused_star, base_star));
+            }
 
             (
-                (base_vals, vals, fused_vals),
+                (base_vals, vals),
                 (base_dst.to_global(c), dst.to_global(c)),
                 (base_chg, chg),
-                (base_star, fused_star),
+                fused,
             )
         })
         .unwrap();
-        for ((base_vals, vals, fused_vals), (base_dst, dst), (base_chg, chg), stars) in out {
+        for ((base_vals, vals), (base_dst, dst), (base_chg, chg), fused) in out {
             prop_assert_eq!(&vals, &base_vals);
-            prop_assert_eq!(&fused_vals, &base_vals, "fused phase 1 matches");
             prop_assert_eq!(&dst, &base_dst);
             prop_assert_eq!(chg, base_chg);
-            let (base_star, fused_star) = stars;
-            prop_assert_eq!(&fused_star, &base_star, "fused phase 2 sees the assign");
+            for (fused_vals, fused_star, base_star) in fused {
+                prop_assert_eq!(&fused_vals, &base_vals, "fused phase 1 matches");
+                prop_assert_eq!(&fused_star, &base_star, "fused phase 2 sees the assign");
+            }
         }
     }
 }

@@ -152,18 +152,16 @@ proptest! {
     }
 
     #[test]
-    fn mxv_parallel_and_adaptive_eq_serial(
+    fn mxv_adaptive_eq_serial(
         g in arb_graph(),
         p in arb_grid(),
-        threads in prop_oneof![Just(1usize), Just(2), Just(4)],
         threshold in prop_oneof![Just(0.0f64), Just(0.5), Just(1.1)],
         stride in 1usize..4,
         masked in proptest::bool::ANY,
     ) {
         // Dense SpMV, SpMSpV, and the adaptive dispatcher must all be
-        // bit-identical to serial for every kernel-thread count and every
-        // dispatch threshold (0.0 forces the dense-style branch, 1.1 the
-        // sparse branch).
+        // bit-identical to serial for every dispatch threshold (0.0 forces
+        // the dense-style branch, 1.1 the sparse branch).
         let n = g.num_vertices();
         let x_global: Vec<usize> = (0..n).map(|v| v.wrapping_mul(31) % n).collect();
         let entries: Vec<(usize, usize)> = (0..n).step_by(stride).map(|v| (v, v % 23)).collect();
@@ -175,7 +173,6 @@ proptest! {
         let expect_sparse =
             serial::mxv_sparse(&a_serial, &x_serial, Mask::Keep(&mask_global), MinUsize);
         let opts = DistOpts {
-            kernel_threads: threads,
             spmv_threshold: threshold,
             ..DistOpts::default()
         };

@@ -1,5 +1,8 @@
 //! Golden values of the cost model: one fixed graph per engine at p = 4
-//! and p = 9, pinning the modeled makespan and the summed wire traffic.
+//! and p = 9, pinning the modeled makespan and the summed wire traffic —
+//! under the default options and, for the hooking engines at p = 4, under
+//! `LaccOpts::naive_comm()` (legacy wire, blocking, no narrowing), the
+//! opposite corner of the lever lattice.
 //!
 //! The modeled clock is a function of every `charge_compute` amount and
 //! every message's size and order, so a host-side rewrite that is meant to
@@ -38,6 +41,12 @@ const GOLDEN: [Row; 6] = [
     ),
 ];
 
+/// The same pins under [`LaccOpts::naive_comm`].
+const GOLDEN_NAIVE_COMM: [Row; 2] = [
+    (EngineSelect::Lacc, 4, 0.001695385755555547, 21753, 173665),
+    (EngineSelect::Fastsv, 4, 0.00036588402222222235, 7174, 57312),
+];
+
 /// Skewed degrees for the hooking engines (duplicate-heavy requests, hot
 /// owners), many small components for label propagation.
 fn graph_for(engine: EngineSelect) -> CsrGraph {
@@ -47,14 +56,14 @@ fn graph_for(engine: EngineSelect) -> CsrGraph {
     }
 }
 
-fn measure(engine: EngineSelect, ranks: usize) -> Row {
+fn measure(base: LaccOpts, engine: EngineSelect, ranks: usize) -> Row {
     let sink: Arc<TraceSink> = TraceSink::new(TraceLevel::Steps);
     let cfg = RunConfig::new(ranks, EDISON.lacc_model())
         .with_opts(LaccOpts {
             engine,
             // Pinned: the default follows the `wide-index` feature.
             index_width: IndexWidth::U32,
-            ..LaccOpts::default()
+            ..base
         })
         .with_trace(&sink);
     let out = lacc::run(&graph_for(engine), &cfg).expect("no rank panicked");
@@ -70,20 +79,30 @@ fn measure(engine: EngineSelect, ranks: usize) -> Row {
 
 #[test]
 fn modeled_clock_and_wire_traffic_match_golden_values() {
-    let measured: Vec<Row> = GOLDEN
-        .iter()
-        .map(|&(engine, ranks, ..)| measure(engine, ranks))
-        .collect();
-    for (engine, ranks, modeled_s, words, bytes) in &measured {
-        println!("    (EngineSelect::{engine:?}, {ranks}, {modeled_s:?}, {words}, {bytes}),");
-    }
-    for (got, want) in measured.iter().zip(&GOLDEN) {
-        assert_eq!(
-            (got.2.to_bits(), got.3, got.4),
-            (want.2.to_bits(), want.3, want.4),
-            "{:?} at p = {}: measured {got:?}, golden {want:?}",
-            want.0,
-            want.1
-        );
+    for (name, base, golden) in [
+        ("GOLDEN", LaccOpts::default(), &GOLDEN[..]),
+        (
+            "GOLDEN_NAIVE_COMM",
+            LaccOpts::naive_comm(),
+            &GOLDEN_NAIVE_COMM[..],
+        ),
+    ] {
+        let measured: Vec<Row> = golden
+            .iter()
+            .map(|&(engine, ranks, ..)| measure(base, engine, ranks))
+            .collect();
+        println!("{name}:");
+        for (engine, ranks, modeled_s, words, bytes) in &measured {
+            println!("    (EngineSelect::{engine:?}, {ranks}, {modeled_s:?}, {words}, {bytes}),");
+        }
+        for (got, want) in measured.iter().zip(golden) {
+            assert_eq!(
+                (got.2.to_bits(), got.3, got.4),
+                (want.2.to_bits(), want.3, want.4),
+                "{name}: {:?} at p = {}: measured {got:?}, golden {want:?}",
+                want.0,
+                want.1
+            );
+        }
     }
 }

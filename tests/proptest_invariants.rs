@@ -80,17 +80,14 @@ proptest! {
     }
 
     #[test]
-    fn threaded_and_adaptive_runs_match_serial_bitwise(
+    fn adaptive_dispatch_matches_serial_bitwise(
         g in arb_graph(80, 200),
-        threads in prop_oneof![Just(1usize), Just(2), Just(4)],
         threshold in prop_oneof![Just(0.0f64), Just(0.5), Just(1.1)],
     ) {
-        // End-to-end: intra-rank kernel threading and the adaptive
-        // SpMV/SpMSpV dispatch threshold are pure performance knobs — the
-        // parent vector must stay bit-identical to the serial run for any
-        // setting of either.
+        // End-to-end: the adaptive SpMV/SpMSpV dispatch threshold is a
+        // pure performance knob — the parent vector must stay
+        // bit-identical to the serial run for any setting of it.
         let mut opts = LaccOpts { permute: false, ..LaccOpts::default() };
-        opts.dist.kernel_threads = threads;
         opts.dist.spmv_threshold = threshold;
         let serial = lacc::lacc_serial(&g, &opts);
         let dist = run_with(&g, 4, lacc_suite::dmsim::EDISON.lacc_model(), &opts).unwrap();
