@@ -280,7 +280,7 @@ fn main() {
         opt_overlap.modeled_s * 1e3,
         overlap_reduction * 1e2
     );
-    // The 8% bar is the acceptance criterion at the reference
+    // The 8% bar is the acceptance threshold at the reference
     // configuration (scale >= 16, p >= 16); smaller smoke runs have
     // proportionally less multiply compute to hide behind, so there the
     // bar is strict improvement.

@@ -303,7 +303,7 @@ fn cmd_cc_dist(args: &Args) -> Result<(), String> {
     }
     if let Some(path) = args.options.get("out") {
         // Raw parent labels by default, one `vertex label` line each — the
-        // CI smoke step byte-diffs these across flag configurations.
+        // tests below byte-diff these across flag configurations.
         // `--canonical` renumbers components by first appearance instead:
         // LACC labels are tree-root ids while FastSV/labelprop converge to
         // component minima, so only canonical labels byte-diff *across*
@@ -679,8 +679,7 @@ mod tests {
 
     #[test]
     fn cc_dist_labels_identical_across_wire_formats() {
-        // The CI smoke check in miniature: the wire format must not change
-        // a single output byte.
+        // The wire format must not change a single output byte.
         let dir = std::env::temp_dir().join("lacc-cli-test6");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("t.el").display().to_string();
@@ -699,8 +698,7 @@ mod tests {
 
     #[test]
     fn cc_dist_labels_identical_with_overlap_on_and_off() {
-        // The overlap CI smoke in miniature: non-blocking execution must
-        // not change a single output byte.
+        // Non-blocking execution must not change a single output byte.
         let dir = std::env::temp_dir().join("lacc-cli-test11");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("t.el").display().to_string();
@@ -739,8 +737,7 @@ mod tests {
 
     #[test]
     fn cc_dist_labels_identical_with_narrowing_on_and_off() {
-        // The narrowing CI smoke in miniature: probe-selected wire tiers
-        // must not change a single output byte.
+        // Probe-selected wire tiers must not change a single output byte.
         let dir = std::env::temp_dir().join("lacc-cli-test12");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("t.el").display().to_string();
@@ -888,6 +885,21 @@ mod tests {
         assert!(dispatch(&argv(&["serve", &p, "--batches", "many"])).is_err());
         assert!(dispatch(&argv(&["serve", &p, "--machine", "summit"])).is_err());
         assert!(dispatch(&argv(&["serve", &p, "--engine", "quantum"])).is_err());
+    }
+
+    #[test]
+    fn non_square_or_zero_ranks_is_an_error_not_a_panic() {
+        let dir = std::env::temp_dir().join("lacc-cli-test14");
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = dir.join("t.el").display().to_string();
+        std::fs::write(&p, "0 1\n1 2\n").unwrap();
+        for (cmd, ranks) in [("cc-dist", "3"), ("cc-dist", "0"), ("serve", "5")] {
+            let msg = dispatch(&argv(&[cmd, &p, "--ranks", ranks])).unwrap_err();
+            assert!(
+                msg.contains(&format!("invalid ranks: {ranks} ")) && !msg.contains('\n'),
+                "{cmd} --ranks {ranks}: {msg}"
+            );
+        }
     }
 
     #[test]

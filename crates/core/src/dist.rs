@@ -23,8 +23,8 @@ use crate::engine::{self, EngineCtx, EngineRun, Fastsv, LabelProp, Lacc};
 use crate::options::{IndexWidth, LaccOpts};
 use crate::stats::{IterStats, LaccRun, StepBreakdown};
 use dmsim::{
-    run_spmd_traced, Comm, DmsimError, EngineKind, Grid2d, MachineModel, RerunReason, SpanKind,
-    TraceSink, WireWord,
+    run_spmd_traced, Comm, DmsimError, EngineKind, MachineModel, RerunReason, SpanKind, TraceSink,
+    WireWord,
 };
 use gblas::dist::NarrowVal;
 use lacc_graph::permute::Permutation;
@@ -147,15 +147,30 @@ fn run_engine_width<I: Idx + WireWord + NarrowVal>(
     .map_err(|bound| format!("engine {kind} did not converge within its bound of {bound} rounds"))
 }
 
+/// Checks that `ranks` simulated ranks form the square process grid every
+/// run is laid out on (CombBLAS' restriction, §VI-A): a positive perfect
+/// square. The rank count is user input (`--ranks`), so a bad one is an
+/// error naming the value, not [`dmsim::Grid2d::square`]'s panic.
+pub fn check_ranks(ranks: usize) -> Result<(), DmsimError> {
+    if ranks > 0 && ranks.isqrt().pow(2) == ranks {
+        return Ok(());
+    }
+    Err(DmsimError {
+        rank: 0,
+        payload: Box::new(format!(
+            "invalid ranks: {ranks} is not a positive perfect square (1, 4, 9, 16, ...)"
+        )),
+    })
+}
+
 /// Runs the configured engine on `cfg.ranks` simulated ranks.
 ///
-/// `ranks` must be a perfect square (CombBLAS' square-grid restriction,
-/// §VI-A). Returns labels in the *original* vertex numbering even when
+/// Returns labels in the *original* vertex numbering even when
 /// `opts.permute` applies a load-balancing relabeling internally. Errs
-/// with the failing rank and panic payload if any rank panics, and with
-/// the engine and its round bound if the engine runs out of rounds before
-/// converging (LACC: `opts.max_iters`) — never `Ok` with unconverged
-/// labels.
+/// if `ranks` is not a positive perfect square ([`check_ranks`]), with the
+/// failing rank and panic payload if any rank panics, and with the engine
+/// and its round bound if the engine runs out of rounds before converging
+/// (LACC: `opts.max_iters`) — never `Ok` with unconverged labels.
 ///
 /// Engine caveat: LACC labels are tree-root ids, while FastSV and label
 /// propagation converge to component *minima* — cross-engine comparisons
@@ -163,7 +178,7 @@ fn run_engine_width<I: Idx + WireWord + NarrowVal>(
 pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
     let n = g.num_vertices();
     let p = cfg.ranks;
-    let _ = Grid2d::square(p); // validate early
+    check_ranks(p)?;
     let opts = &cfg.opts;
     let perm = (opts.permute && n > 1).then(|| Permutation::random(n, opts.permute_seed));
     let perm = perm.as_ref();
@@ -428,49 +443,13 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_vectors_match_blocked_bitwise() {
-        // §VII future-work layout: a different distribution must change
-        // communication, never results — with permutation disabled the
-        // parent vectors are bit-identical.
-        for seed in 0..2 {
-            let g = community_graph(700, 35, 3.0, 1.4, seed);
-            let blocked = LaccOpts {
-                permute: false,
-                ..LaccOpts::default()
-            };
-            let cyclic = LaccOpts {
-                permute: false,
-                cyclic_vectors: true,
-                ..LaccOpts::default()
-            };
-            for p in [4, 9, 16] {
-                let a = run_with(&g, p, &blocked);
-                let b = run_with(&g, p, &cyclic);
-                assert_eq!(a.labels, b.labels, "seed={seed} p={p}");
-            }
-        }
-    }
-
-    #[test]
-    fn cyclic_correct_on_families() {
-        let opts = LaccOpts::cyclic();
-        check(&path_graph(300), 4, &opts);
-        check(&rmat(7, 4, RmatParams::graph500(), 2), 9, &opts);
-        check(&metagenome_graph(600, 6, 0.01, 3), 16, &opts);
-    }
-
-    #[test]
     fn index_widths_produce_identical_labels() {
         // The tentpole guarantee of the narrow layout: storage width is
         // invisible in the results — u32 and u64 runs agree bit for bit
-        // (after widening) on every comm config and vector layout.
+        // (after widening) on every comm config.
         for seed in 0..2 {
             let g = community_graph(500, 25, 3.0, 1.4, seed);
-            for base in [
-                LaccOpts::default(),
-                LaccOpts::naive_comm(),
-                LaccOpts::cyclic(),
-            ] {
+            for base in [LaccOpts::default(), LaccOpts::naive_comm()] {
                 let narrow = LaccOpts {
                     index_width: IndexWidth::U32,
                     ..base
@@ -586,52 +565,27 @@ mod tests {
 
     #[test]
     fn panicking_rank_surfaces_as_error() {
-        // p = 2 is not a perfect square; the grid assertion fires inside
-        // every rank and must come back as a typed error, not a crash.
+        // p = 2 is not a perfect square. It is rejected on the caller
+        // thread before any rank is spawned, so the grid assertion never
+        // gets to fire: a typed error, not a crash.
         let g = path_graph(10);
-        let err = std::panic::catch_unwind(|| {
-            let _ = run(&g, &RunConfig::new(2, model()));
-        });
-        // Grid validation happens eagerly on the caller thread.
-        assert!(err.is_err());
+        assert!(run(&g, &RunConfig::new(2, model())).is_err());
     }
 
     #[test]
-    fn cyclic_balances_extract_requests() {
-        // The point of the layout: after min-hooking concentrates parents
-        // at low ids, the blocked layout funnels extract requests to low
-        // ranks; cyclic spreads them. Compare the max/avg imbalance of
-        // per-rank received requests summed over the run.
-        let g = rmat(10, 8, RmatParams::graph500(), 5);
-        let p = 16;
-        let imbalance = |opts: &LaccOpts| {
-            let run = run_with(&g, p, opts);
-            let mut per_rank = vec![0u64; p];
-            for it in &run.iters {
-                for (r, &x) in it.extract_received.iter().enumerate() {
-                    per_rank[r] += x;
-                }
-            }
-            let max = *per_rank.iter().max().unwrap() as f64;
-            let avg = per_rank.iter().sum::<u64>() as f64 / p as f64;
-            max / avg.max(1.0)
-        };
-        // Disable the hot-rank broadcast so the raw skew is measured, and
-        // the permutation so ids stay adversarial.
-        let blocked = LaccOpts {
-            permute: false,
-            ..LaccOpts::naive_comm()
-        };
-        let cyclic = LaccOpts {
-            permute: false,
-            cyclic_vectors: true,
-            ..LaccOpts::naive_comm()
-        };
-        let (ib, ic) = (imbalance(&blocked), imbalance(&cyclic));
-        assert!(
-            ic < ib,
-            "cyclic should balance extract traffic: blocked {ib:.2}x vs cyclic {ic:.2}x"
-        );
+    fn non_square_or_zero_ranks_is_a_typed_error_naming_the_value() {
+        let g = path_graph(10);
+        for ranks in [0usize, 2, 3, 5, 8] {
+            let err = run(&g, &RunConfig::new(ranks, model())).unwrap_err();
+            assert!(
+                err.message().contains(&format!("invalid ranks: {ranks} ")),
+                "{}",
+                err.message()
+            );
+        }
+        for ranks in [1usize, 4, 9, 16] {
+            assert!(check_ranks(ranks).is_ok(), "{ranks}");
+        }
     }
 
     // ---------------- engine portfolio ----------------
@@ -823,7 +777,7 @@ mod tests {
 
     #[test]
     fn fastsv_uses_the_optimized_stack() {
-        // Acceptance criterion: with optimized DistOpts the FastSV engine
+        // With the optimized DistOpts the FastSV engine
         // reports nonzero words-saved (compaction active on its planned
         // extracts / combining assigns); with naive() it reports none.
         use dmsim::TraceLevel;
@@ -862,21 +816,18 @@ mod tests {
                 ..LaccOpts::default()
             };
             let mut labels: Option<Vec<crate::Vid>> = None;
-            for cyclic in [false, true] {
-                for width in [IndexWidth::U32, IndexWidth::U64] {
-                    let opts = LaccOpts {
-                        cyclic_vectors: cyclic,
-                        index_width: width,
-                        ..base
-                    };
-                    let out = run_with(&g, 4, &opts);
-                    assert_eq!(canonicalize_labels(&out.labels), truth, "{select}");
-                    // Min-monotone engines are bit-identical across
-                    // widths and layouts (labels are component minima).
-                    match &labels {
-                        Some(prev) => assert_eq!(&out.run.labels, prev, "{select}"),
-                        None => labels = Some(out.run.labels.clone()),
-                    }
+            for width in [IndexWidth::U32, IndexWidth::U64] {
+                let opts = LaccOpts {
+                    index_width: width,
+                    ..base
+                };
+                let out = run_with(&g, 4, &opts);
+                assert_eq!(canonicalize_labels(&out.labels), truth, "{select}");
+                // Min-monotone engines are bit-identical across widths
+                // (labels are component minima).
+                match &labels {
+                    Some(prev) => assert_eq!(&out.run.labels, prev, "{select}"),
+                    None => labels = Some(out.run.labels.clone()),
                 }
             }
         }

@@ -41,11 +41,10 @@ use crate::options::{LaccOpts, OptsError};
 use crate::stats::StepBreakdown;
 use crate::Vid;
 use dmsim::{Comm, CommHandle, EngineKind, Grid2d, SpanKind, WireWord};
-use driver::{overlapped, Rules};
+use driver::{overlapped, posted, Rules};
 use gblas::dist::{
-    dist_assign, dist_extract, dist_extract_planned, dist_mxv, dist_mxv_dense,
-    dist_mxv_dense_start, dist_mxv_start, plan_requests, DistMask, DistMat, DistOpts, DistSpVec,
-    DistVec, FusedExtract, NarrowVal, VecLayout,
+    dist_assign, dist_extract, dist_extract_planned, dist_mxv, dist_mxv_dense, plan_requests,
+    DistMask, DistMat, DistOpts, DistSpVec, DistVec, FusedExtract, NarrowVal, VecLayout,
 };
 use gblas::{AndBool, MinMaxUsize, MinUsize};
 use lacc_graph::permute::Permutation;
@@ -150,7 +149,7 @@ pub struct EngineCtx<'a, I: Idx> {
     pub opts: &'a LaccOpts,
     /// The 2D process grid.
     pub grid: Grid2d,
-    /// Vector layout (blocked or cyclic per `opts.cyclic_vectors`).
+    /// The layout every vector of the run shares.
     pub layout: VecLayout,
     /// This rank's id.
     pub rank: usize,
@@ -163,8 +162,8 @@ pub struct EngineCtx<'a, I: Idx> {
 }
 
 impl<'a, I: Idx> EngineCtx<'a, I> {
-    /// Builds the context for one rank: square grid, layout per options,
-    /// and the rank's matrix block — relabeled by `perm` when the run
+    /// Builds the context for one rank: square grid, vector layout, and
+    /// the rank's matrix block — relabeled by `perm` when the run
     /// load-balances, built straight from `graph` either way.
     pub fn new(
         comm: &'a mut Comm,
@@ -175,11 +174,7 @@ impl<'a, I: Idx> EngineCtx<'a, I> {
         let p = comm.size();
         let grid = Grid2d::square(p);
         let n = graph.num_vertices();
-        let layout = if opts.cyclic_vectors {
-            VecLayout::cyclic(n, grid)
-        } else {
-            VecLayout::new(n, grid)
-        };
+        let layout = VecLayout::new(n, grid);
         let rank = comm.rank();
         let a = match perm {
             Some(perm) => DistMat::<I>::from_graph_permuted(graph, perm, grid, rank),
@@ -554,14 +549,18 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 6> for Lacc {
             // picks SpMV- or SpMSpV-style execution (§V-A).
             let qh = if spmv_dense {
                 let x = DistVec::from_fn(layout, rank, |g| (f.get_local(g), f.get_local(g)));
-                dist_mxv_dense_start(comm, a, &x, mask, MinMaxUsize, dopts)
+                posted(comm, dopts, |c| {
+                    dist_mxv_dense(c, a, &x, mask, MinMaxUsize, dopts)
+                })
             } else {
                 let entries = (0..active.len())
                     .filter(|&o| active[o])
                     .map(|o| (I::from_usize(f.global_of(o)), (f.local()[o], f.local()[o])))
                     .collect();
                 let x = DistSpVec::from_local_entries(layout, rank, entries);
-                dist_mxv_start(comm, a, &x, mask, MinMaxUsize, dopts)
+                posted(comm, dopts, |c| {
+                    dist_mxv(c, a, &x, mask, MinMaxUsize, dopts)
+                })
             };
             let (q, retired, received) = if cx.opts.use_sparsity {
                 lemma1_retire(comm, f, star, active, qh, dopts)

@@ -11,7 +11,7 @@
 use super::{EngineCtx, EngineIter, EngineRun};
 use crate::narrow::NarrowPlanner;
 use crate::options::LaccOpts;
-use dmsim::{Comm, OverlapWindow, SpanKind, WireWord};
+use dmsim::{Comm, CommHandle, OverlapWindow, SpanKind, WireWord};
 use gblas::dist::{DistOpts, DistVec, NarrowVal};
 use lacc_graph::Idx;
 
@@ -80,6 +80,18 @@ pub(crate) fn overlapped<T>(
     exchange: impl FnOnce(&mut Comm) -> T,
 ) -> T {
     comm.overlap_from(win, dopts.overlap, exchange)
+}
+
+/// Posts `op` as a non-blocking operation: it runs now, with the messages
+/// and charges of the blocking call, and local compute charged before
+/// [`CommHandle::wait`] is refunded against the operation's hideable
+/// exchange time when [`DistOpts::overlap`] is on.
+pub(crate) fn posted<T>(
+    comm: &mut Comm,
+    dopts: &DistOpts,
+    op: impl FnOnce(&mut Comm) -> T,
+) -> CommHandle<T> {
+    comm.post(dopts.overlap, op)
 }
 
 /// Runs `rules` to convergence on one rank of the SPMD program. All ranks

@@ -43,7 +43,7 @@ pub mod serial;
 pub mod stats;
 pub mod verify;
 
-pub use dist::{run, RunConfig, RunOutput};
+pub use dist::{check_ranks, run, RunConfig, RunOutput};
 pub use dmsim::EngineKind;
 pub use engine::{choose_engine, EngineCtx, EngineIter, EngineRun, EngineSelect};
 pub use gblas::dist::Wire;

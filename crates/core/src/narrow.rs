@@ -212,7 +212,7 @@ mod tests {
 
     #[test]
     fn tier_rule_prefers_u16_then_dict_then_native() {
-        let planner = NarrowPlanner::new(&DistOpts::optimized());
+        let planner = NarrowPlanner::new(&DistOpts::default());
         let wide = U16_MAX + 300;
         let tiers = run_spmd(2, move |c| {
             let world = c.world();
@@ -245,7 +245,7 @@ mod tests {
 
     #[test]
     fn dict_build_charges_zero_words() {
-        let planner = NarrowPlanner::new(&DistOpts::optimized());
+        let planner = NarrowPlanner::new(&DistOpts::default());
         let snaps = run_spmd(4, move |c| {
             let world = c.world();
             let labels: Vec<usize> = (0..64).map(|k| (c.rank() * 64 + k) * 3).collect();

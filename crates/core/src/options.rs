@@ -16,26 +16,14 @@ use gblas::dist::{DistOpts, Wire};
 ///
 /// The narrow layout halves index memory traffic and wire bytes; it
 /// requires the graph to fit in `u32` (checked up front — a too-large
-/// graph is a descriptive error, never a silent truncation). The default
-/// is `U32` unless the `wide-index` Cargo feature is enabled, which
-/// flips the default to `U64` for deployments that routinely exceed
-/// 4.29 billion vertices.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// graph is a descriptive error, never a silent truncation).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum IndexWidth {
     /// 32-bit indices and labels (graphs up to `u32::MAX` vertices).
+    #[default]
     U32,
     /// 64-bit indices and labels (no practical size limit).
     U64,
-}
-
-impl Default for IndexWidth {
-    fn default() -> Self {
-        if cfg!(feature = "wide-index") {
-            IndexWidth::U64
-        } else {
-            IndexWidth::U32
-        }
-    }
 }
 
 impl std::fmt::Display for IndexWidth {
@@ -86,10 +74,6 @@ pub struct LaccOpts {
     /// bound; FastSV and label propagation carry their own bounds
     /// (`8·⌈log₂ n⌉ + 32` and `n + 2`) and ignore this one.
     pub max_iters: usize,
-    /// Distribute vectors cyclically instead of in blocks — the paper's
-    /// §VII future-work layout. Balances the skewed `extract`/`assign`
-    /// traffic at the price of world-wide gathers in `mxv`.
-    pub cyclic_vectors: bool,
     /// Storage width of indices and labels (see [`IndexWidth`]).
     pub index_width: IndexWidth,
     /// Which connected-components engine runs (see
@@ -108,7 +92,6 @@ impl Default for LaccOpts {
             permute: true,
             permute_seed: 0xC0_FFEE,
             max_iters: 200,
-            cyclic_vectors: false,
             index_width: IndexWidth::default(),
             engine: EngineSelect::default(),
         }
@@ -151,14 +134,6 @@ impl LaccOpts {
     pub fn naive_comm() -> Self {
         LaccOpts {
             dist: DistOpts::naive(),
-            ..Default::default()
-        }
-    }
-
-    /// LACC with cyclically distributed vectors (§VII future work).
-    pub fn cyclic() -> Self {
-        LaccOpts {
-            cyclic_vectors: true,
             ..Default::default()
         }
     }
@@ -279,12 +254,6 @@ impl LaccOptsBuilder {
         self
     }
 
-    /// Distributes vectors cyclically instead of in blocks.
-    pub fn cyclic_vectors(mut self, on: bool) -> Self {
-        self.opts.cyclic_vectors = on;
-        self
-    }
-
     /// Selects the index/label storage width. Width validation happens at
     /// run time against the actual graph (`u32` rejects graphs with more
     /// than `u32::MAX` vertices with a descriptive error).
@@ -375,7 +344,6 @@ mod tests {
             .alltoall(AllToAll::Pairwise)
             .permute(false)
             .permute_seed(7)
-            .cyclic_vectors(true)
             .engine(EngineSelect::Fastsv)
             .wire(Wire::Legacy)
             .overlap(false)
@@ -389,7 +357,6 @@ mod tests {
         assert_eq!(o.dist.alltoall, AllToAll::Pairwise);
         assert!(!o.permute);
         assert_eq!(o.permute_seed, 7);
-        assert!(o.cyclic_vectors);
         assert_eq!(o.engine, EngineSelect::Fastsv);
         assert_eq!(o.dist.wire, Wire::Legacy);
         assert!(!o.dist.overlap);
@@ -422,13 +389,7 @@ mod tests {
         assert_eq!(IndexWidth::U64.to_string(), "u64");
         let err = "u16".parse::<IndexWidth>().unwrap_err();
         assert_eq!(err.field(), "index-width");
-        // The default follows the `wide-index` feature.
-        let expect = if cfg!(feature = "wide-index") {
-            IndexWidth::U64
-        } else {
-            IndexWidth::U32
-        };
-        assert_eq!(LaccOpts::default().index_width, expect);
+        assert_eq!(LaccOpts::default().index_width, IndexWidth::U32);
         let o = LaccOpts::builder().index_width(IndexWidth::U64).build();
         assert_eq!(o.index_width, IndexWidth::U64);
     }

@@ -3,7 +3,7 @@
 //!
 //! With `narrow_labels` on vs off, a run must produce identical labels,
 //! identical iteration counts, and identical per-rank `words_sent` —
-//! across every engine, both vector layouts, and both index widths. The
+//! across every engine and both index widths. The
 //! property's graphs are small enough to stay on the raw-u16 tier; the
 //! dictionary tier is reached by a graph with more than 2^16 vertices,
 //! which walks native → dictionary build → reuse → invalidation by a
@@ -38,7 +38,6 @@ type Profile = ((Vec<usize>, usize, Vec<u64>), RunOutput, Vec<NarrowTier>);
 fn profile(
     g: &CsrGraph,
     engine: EngineSelect,
-    cyclic: bool,
     width: IndexWidth,
     narrow: bool,
     permute: bool,
@@ -46,7 +45,6 @@ fn profile(
     let opts = LaccOpts::builder()
         .engine(engine)
         .permute(permute)
-        .cyclic_vectors(cyclic)
         .index_width(width)
         .narrow_labels(narrow)
         .build();
@@ -83,17 +81,16 @@ proptest! {
     #[test]
     fn narrowing_is_bit_identical_across_the_matrix(
         g in arb_graph(),
-        cyclic in proptest::bool::ANY,
         wide in proptest::bool::ANY,
     ) {
         let width = if wide { IndexWidth::U64 } else { IndexWidth::U32 };
         for engine in ENGINES {
-            let (base, ..) = profile(&g, engine, cyclic, width, false, true);
-            let (narrowed, ..) = profile(&g, engine, cyclic, width, true, true);
+            let (base, ..) = profile(&g, engine, width, false, true);
+            let (narrowed, ..) = profile(&g, engine, width, true, true);
             prop_assert_eq!(
                 &base.0, &narrowed.0,
-                "labels diverged (engine {}, cyclic {}, width {})",
-                engine, cyclic, width
+                "labels diverged (engine {}, width {})",
+                engine, width
             );
             prop_assert_eq!(
                 base.1, narrowed.1,
@@ -102,8 +99,8 @@ proptest! {
             );
             prop_assert_eq!(
                 &base.2, &narrowed.2,
-                "per-rank words_sent diverged (engine {}, cyclic {}, width {})",
-                engine, cyclic, width
+                "per-rank words_sent diverged (engine {}, width {})",
+                engine, width
             );
         }
     }
@@ -119,8 +116,8 @@ fn dictionary_tier_is_bit_identical_and_rebuilt_after_invalidation() {
     let g = community_graph(70_000, 3_000, 3.0, 1.4, 5);
     assert!(g.num_vertices() as u64 > lacc::narrow::U16_MAX);
     for engine in ENGINES {
-        let (base, ..) = profile(&g, engine, false, IndexWidth::U32, false, false);
-        let (narrowed, out, tiers) = profile(&g, engine, false, IndexWidth::U32, true, false);
+        let (base, ..) = profile(&g, engine, IndexWidth::U32, false, false);
+        let (narrowed, out, tiers) = profile(&g, engine, IndexWidth::U32, true, false);
         assert_eq!(base, narrowed, "narrowing is visible (engine {engine})");
         // One plan per round: the seed, then one after every round but
         // the last.

@@ -24,7 +24,7 @@
 
 #![allow(clippy::needless_range_loop)] // index loops double as rank ids here
 
-use crate::comm::{bytes_of, words_of, Comm, CommHandle, Group, PooledBuf};
+use crate::comm::{bytes_of, words_of, Comm, Group, PooledBuf};
 use crate::trace::SpanKind;
 use crate::wire::{self, WireWord};
 
@@ -815,20 +815,20 @@ where
 }
 
 impl Comm {
-    /// All-to-all with in-flight reduce-by-key: `bufs[k]` goes to member
-    /// `k`, and at every hypercube hop entries sharing (destination,
-    /// `key_of`) merge through `merge` before being forwarded — q senders
-    /// shipping the same key to the same destination pay one wire entry
-    /// past their meeting hop instead of q.
+    /// Reduce-scatter over explicit (key, value) pairs — an all-to-all
+    /// with in-flight reduce-by-key: `bufs[k]` goes to member `k`, and at
+    /// every hypercube hop pairs sharing (destination, key) merge through
+    /// `merge` before being forwarded — q senders shipping the same key to
+    /// the same destination pay one wire entry past their meeting hop
+    /// instead of q.
     ///
-    /// Returns the entries destined to this rank, fully merged, sorted by
+    /// Returns the pairs destined to this rank, fully merged, sorted by
     /// key. With a commutative, associative `merge` the result is
     /// bit-identical to exchanging everything and folding at the
-    /// destination; when no two entries share a key, no merge fires and
-    /// the result is exactly the plain all-to-all payload multiset
-    /// (sorted by key). Non-power-of-two groups fall back to a pairwise
-    /// exchange with a destination-side fold — same result, no in-flight
-    /// savings.
+    /// destination; when no two pairs share a key, no merge fires and the
+    /// result is exactly the plain all-to-all payload multiset (sorted by
+    /// key). Non-power-of-two groups fall back to a pairwise exchange with
+    /// a destination-side fold — same result, no in-flight savings.
     ///
     /// Words merged away after the first receive are credited to
     /// [`crate::cost::CostSnapshot::combined_words`] (observational: the
@@ -839,34 +839,6 @@ impl Comm {
     /// above — the legacy stream stays a candidate), crediting the delta
     /// to [`crate::cost::CostSnapshot::narrow_saved_bytes`]; β is charged
     /// at the legacy length either way.
-    pub fn alltoallv_combining<T, K, KF, M>(
-        &mut self,
-        g: &Group,
-        bufs: Vec<Vec<T>>,
-        key_of: KF,
-        mut merge: M,
-    ) -> Vec<T>
-    where
-        T: Send + 'static,
-        K: WireWord + Ord + Copy + Send + 'static,
-        KF: Fn(&T) -> K,
-        M: FnMut(&mut T, T),
-    {
-        let keyed: Vec<Vec<(K, T)>> = bufs
-            .into_iter()
-            .map(|b| b.into_iter().map(|t| (key_of(&t), t)).collect())
-            .collect();
-        let span = self.span_open(SpanKind::AlltoallvCombining);
-        let out = self.combining_exchange(g, keyed, &mut merge);
-        self.span_close(span);
-        out.into_iter().map(|(_, t)| t).collect()
-    }
-
-    /// Reduce-scatter over explicit (key, value) pairs: member `k`
-    /// receives every pair whose bucket index is `k`, with values sharing
-    /// a key merged through `merge` — in flight on power-of-two groups
-    /// (see [`Comm::alltoallv_combining`]). Returns the merged pairs
-    /// sorted by key.
     pub fn reduce_scatter_by_key<K, T, M>(
         &mut self,
         g: &Group,
@@ -992,13 +964,13 @@ impl Comm {
 
     /// Forward half of a combining *request* exchange: `bufs[k]` holds
     /// the keys this rank wants answered by member `k`. Requests merge in
-    /// flight like [`Comm::alltoallv_combining`] entries (with unit
+    /// flight like [`Comm::reduce_scatter_by_key`] pairs (with unit
     /// payloads — merging is pure dedup), and every hop records which
     /// branches each surviving entry came from. Returns the route; this
     /// rank must answer `route.delivered_keys()` and can then scatter any
     /// number of reply phases back over the same route with
     /// [`Comm::combining_replies`]. Hop key streams honour the installed
-    /// [`Comm::narrow_spec`] exactly as in [`Comm::alltoallv_combining`].
+    /// [`Comm::narrow_spec`] exactly as in [`Comm::reduce_scatter_by_key`].
     pub fn combining_requests<K>(&mut self, g: &Group, mut bufs: Vec<Vec<K>>) -> CombineRoute<K>
     where
         K: WireWord + Ord + Copy + Send + 'static,
@@ -1333,54 +1305,6 @@ impl Comm {
         }
         out
     }
-
-    /// Non-blocking [`Comm::alltoallv`]: posts the exchange and returns a
-    /// [`CommHandle`] whose [`CommHandle::wait`] yields the received
-    /// buckets. Charges are identical to the blocking call; with `on` the
-    /// handle's hideable exchange time can be credited against local
-    /// compute charged between post and wait (see [`Comm::post`]).
-    pub fn ialltoallv<T: Send + 'static>(
-        &mut self,
-        g: &Group,
-        bufs: Vec<Vec<T>>,
-        algo: AllToAll,
-        on: bool,
-    ) -> CommHandle<Vec<Vec<T>>> {
-        self.post(on, |c| c.alltoallv(g, bufs, algo))
-    }
-
-    /// Non-blocking [`Comm::allreduce_counted`]; see [`Comm::ialltoallv`]
-    /// for the handle semantics.
-    pub fn iallreduce<T, F>(
-        &mut self,
-        g: &Group,
-        val: T,
-        words: u64,
-        op: F,
-        on: bool,
-    ) -> CommHandle<T>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(T, T) -> T,
-    {
-        self.post(on, |c| c.allreduce_counted(g, val, words, op))
-    }
-
-    /// Non-blocking [`Comm::combining_requests`]: posts the forward
-    /// request exchange; [`CommHandle::wait`] yields the recorded
-    /// [`CombineRoute`] for the reply phases. See [`Comm::ialltoallv`]
-    /// for the handle semantics.
-    pub fn combining_requests_start<K>(
-        &mut self,
-        g: &Group,
-        bufs: Vec<Vec<K>>,
-        on: bool,
-    ) -> CommHandle<CombineRoute<K>>
-    where
-        K: WireWord + Ord + Copy + Send + 'static,
-    {
-        self.post(on, |c| c.combining_requests(g, bufs))
-    }
 }
 
 #[cfg(test)]
@@ -1644,12 +1568,9 @@ mod tests {
             };
             let combined = run_spmd(p, move |c| {
                 let w = c.world();
-                let merged = c.alltoallv_combining(
-                    &w,
-                    inputs(c.rank()),
-                    |e: &(u64, u64)| e.0,
-                    |_, _| panic!("no merge may fire on unique keys"),
-                );
+                let merged = c.reduce_scatter_by_key(&w, inputs(c.rank()), |_: &mut u64, _| {
+                    panic!("no merge may fire on unique keys")
+                });
                 (merged, c.snapshot().combined_words)
             })
             .unwrap();
@@ -1953,35 +1874,6 @@ mod tests {
         let wide = words(true);
         let narrow = words(false);
         assert!(narrow < wide, "narrow={narrow} wide={wide}");
-    }
-
-    #[test]
-    fn icollectives_match_blocking_results() {
-        let out = run_spmd(4, |c| {
-            let w = c.world();
-            let me = c.rank();
-            let h = c.ialltoallv(&w, alltoall_inputs(4, me), AllToAll::Sparse, true);
-            c.charge_compute(50);
-            let a2a = h.wait(c);
-            let h = c.iallreduce(&w, me as u64, 1, |a, b| a + b, true);
-            c.charge_compute(50);
-            let sum = h.wait(c);
-            let bufs: Vec<Vec<u64>> = (0..4).map(|d| vec![(d * 10) as u64]).collect();
-            let h = c.combining_requests_start(&w, bufs, true);
-            c.charge_compute(50);
-            let route = h.wait(c);
-            let values: Vec<u64> = route.delivered_keys().iter().map(|&k| k + 1).collect();
-            let replies = c.combining_replies(&w, &route, &values);
-            (a2a, sum, replies)
-        })
-        .unwrap();
-        for (me, (a2a, sum, replies)) in out.into_iter().enumerate() {
-            assert_eq!(a2a, expected_alltoall(4, me));
-            assert_eq!(sum, 6);
-            for (d, vals) in replies.into_iter().enumerate() {
-                assert_eq!(vals, vec![(d * 10) as u64 + 1]);
-            }
-        }
     }
 
     #[test]

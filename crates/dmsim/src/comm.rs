@@ -238,13 +238,6 @@ pub struct CommHandle<T> {
 }
 
 impl<T> CommHandle<T> {
-    /// Whether enough local work has elapsed since the post for the whole
-    /// hideable portion to be hidden — i.e. `wait` would apply the full
-    /// credit and return immediately in a real implementation.
-    pub fn test(&self, comm: &Comm) -> bool {
-        comm.clock_s() - self.post_clock_s >= self.hideable_s
-    }
-
     /// The hideable exchange seconds recorded at post time (0 when the
     /// operation was posted with overlap disabled).
     pub fn hideable_s(&self) -> f64 {
@@ -1118,22 +1111,6 @@ mod tests {
             "the credit must shorten the clock"
         );
         assert!((off.clock_s - on.clock_s - on.overlap_hidden_s).abs() < 1e-12);
-    }
-
-    #[test]
-    fn handle_test_tracks_elapsed_progress() {
-        run_spmd_with_model(2, EDISON.lacc_model(), |c| {
-            let peer = 1 - c.rank();
-            let h = c.post(true, |c| {
-                c.send_vec(peer, vec![0u64; 4096]);
-                c.recv::<Vec<u64>>(peer)
-            });
-            assert!(!h.test(c), "no local work elapsed yet");
-            c.charge_compute(100_000_000);
-            assert!(h.test(c), "ample compute elapsed: fully hidden");
-            let _ = h.wait(c);
-        })
-        .unwrap();
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Dense-id grouping for the request path.
 //!
 //! Every id the `extract`/`assign`/`mxv` exchanges route is a vertex id in
-//! `0..n`, so deduplicating, grouping by owner and sorting them needs no
-//! hash table, comparison sort or search: an [`OwnerLocator`] maps an id to
-//! its *owner-major position* (each owner's ids contiguous, ascending), a
-//! [`RankBitmap`] over those positions records which are present, and the
-//! prefix popcount of a position is its index in the sorted, deduplicated
-//! list — `O(k + n/64)` for `k` ids, in two sequential passes.
+//! `0..n`, and each owner's ids are one contiguous range, so deduplicating,
+//! grouping by owner and sorting them needs no hash table, comparison sort
+//! or search: a [`RankBitmap`] over `0..n` records which ids are present,
+//! the prefix popcount of an id is its index in the sorted, deduplicated
+//! list, and an [`OwnerLocator`] cuts that list at the chunk boundaries —
+//! `O(k + n/64)` for `k` ids, in two sequential passes.
 
-use super::dvec::{Distribution, VecLayout};
+use super::dvec::VecLayout;
 use crate::types::Monoid;
 use crate::Vid;
 
@@ -16,15 +16,9 @@ use crate::Vid;
 /// the per-element routing loops pay a compare and a subtract per id (at
 /// most one division, for the first chunk guess) instead of re-deriving
 /// `block_range` each time.
-///
-/// Positions are chunk-major: chunk `c` owns positions
-/// `base[c]..base[c + 1]`, in ascending id order. Under the blocked layout
-/// that makes an id its own position.
 pub struct OwnerLocator {
     n: usize,
-    dist: Distribution,
-    /// `base[c]` is the position of chunk `c`'s first element; `p + 1`
-    /// entries (blocked: the chunk's first global id).
+    /// `base[c]` is the first global id of chunk `c`; `p + 1` entries.
     base: Vec<usize>,
     /// Rank owning chunk `c`.
     chunk_rank: Vec<usize>,
@@ -44,7 +38,6 @@ impl OwnerLocator {
         debug_assert_eq!(base[p], n);
         OwnerLocator {
             n,
-            dist: layout.distribution(),
             base,
             chunk_rank,
             rank_chunk: (0..p).map(|r| layout.chunk_of_rank(r)).collect(),
@@ -56,65 +49,40 @@ impl OwnerLocator {
         self.chunk_rank.len()
     }
 
-    /// `(chunk, local offset)` of global index `g`.
-    fn chunk_offset(&self, g: Vid) -> (usize, usize) {
-        assert!(g < self.n, "index {g} outside a vector of {}", self.n);
-        let p = self.ranks();
-        match self.dist {
-            Distribution::Blocked => {
-                // First guess by proportion, then correct for flooring.
-                let mut c = g * p / self.n;
-                while self.base[c] > g {
-                    c -= 1;
-                }
-                while self.base[c + 1] <= g {
-                    c += 1;
-                }
-                (c, g - self.base[c])
-            }
-            Distribution::Cyclic => (g % p, g / p),
-        }
-    }
-
     /// `(owning rank, local offset on it)` of global index `g`.
     pub fn locate(&self, g: Vid) -> (usize, usize) {
-        let (c, off) = self.chunk_offset(g);
-        (self.chunk_rank[c], off)
-    }
-
-    /// Owner-major position of global index `g`. Not range-checked under
-    /// the blocked layout, where it is the identity: [`RankBitmap`] checks
-    /// every position it is given.
-    pub fn position(&self, g: Vid) -> usize {
-        match self.dist {
-            Distribution::Blocked => g,
-            Distribution::Cyclic => {
-                let (c, off) = self.chunk_offset(g);
-                self.base[c] + off
-            }
+        assert!(g < self.n, "index {g} outside a vector of {}", self.n);
+        // First guess by proportion, then correct for flooring.
+        let mut c = g * self.ranks() / self.n;
+        while self.base[c] > g {
+            c -= 1;
         }
+        while self.base[c + 1] <= g {
+            c += 1;
+        }
+        (self.chunk_rank[c], g - self.base[c])
     }
 
-    /// The positions `rank` owns, as a half-open range.
-    pub fn positions_of(&self, rank: usize) -> (usize, usize) {
+    /// The ids `rank` owns, as a half-open range.
+    fn range_of(&self, rank: usize) -> (usize, usize) {
         let c = self.rank_chunk[rank];
         (self.base[c], self.base[c + 1])
     }
 
     /// Per rank, the half-open range of slots (indices among `present`'s
-    /// positions, ascending) that fall on positions the rank owns.
+    /// ids, ascending) that fall on ids the rank owns.
     fn slot_ranges(&self, present: &RankBitmap) -> Vec<(usize, usize)> {
         (0..self.ranks())
             .map(|r| {
-                let (lo, hi) = self.positions_of(r);
+                let (lo, hi) = self.range_of(r);
                 (present.rank(lo), present.rank(hi))
             })
             .collect()
     }
 
-    /// Splits the present positions into one list per owning rank, each in
-    /// ascending id order: `entry(slot, global index)` per position, where
-    /// `slot` is the position's index among the present ones.
+    /// Splits the present ids into one list per owning rank, each in
+    /// ascending id order: `entry(slot, global index)` per id, where `slot`
+    /// is the id's index among the present ones.
     pub fn split_by_owner<E>(
         &self,
         present: &RankBitmap,
@@ -131,8 +99,8 @@ impl OwnerLocator {
         lists
     }
 
-    /// Per owning rank, the sum of `per_slot` over the present positions
-    /// it owns.
+    /// Per owning rank, the sum of `per_slot` over the present ids it
+    /// owns.
     pub fn owner_sums(&self, present: &RankBitmap, per_slot: &[usize]) -> Vec<usize> {
         self.slot_ranges(present)
             .iter()
@@ -140,23 +108,17 @@ impl OwnerLocator {
             .collect()
     }
 
-    /// Maps ascending positions back to `(owning rank, global index)`,
-    /// advancing through the chunk boundaries instead of searching them.
+    /// Pairs ascending ids with their owning rank, advancing through the
+    /// chunk boundaries instead of searching them.
     pub fn owners<'a>(
         &'a self,
-        positions: impl Iterator<Item = usize> + 'a,
+        ids: impl Iterator<Item = Vid> + 'a,
     ) -> impl Iterator<Item = (usize, Vid)> + 'a {
-        let p = self.ranks();
         let mut c = 0usize;
-        positions.map(move |pos| {
-            while pos >= self.base[c + 1] {
+        ids.map(move |g| {
+            while g >= self.base[c + 1] {
                 c += 1;
             }
-            let off = pos - self.base[c];
-            let g = match self.dist {
-                Distribution::Blocked => pos,
-                Distribution::Cyclic => c + off * p,
-            };
             (self.chunk_rank[c], g)
         })
     }
@@ -281,28 +243,19 @@ mod tests {
     #[test]
     fn locator_agrees_with_the_layout_on_every_index() {
         for (n, p) in [(103, 9), (37, 4), (3, 4), (64, 16), (1, 1), (0, 4)] {
-            for layout in [
-                VecLayout::new(n, Grid2d::square(p)),
-                VecLayout::cyclic(n, Grid2d::square(p)),
-            ] {
-                let loc = layout.locator();
-                let mut positions = Vec::new();
-                for g in 0..n {
-                    let r = layout.owner_of(g);
-                    assert_eq!(loc.locate(g), (r, layout.offset_of(r, g)), "{layout:?}");
-                    let (lo, hi) = loc.positions_of(r);
-                    let pos = loc.position(g);
-                    assert_eq!(pos - lo, layout.offset_of(r, g));
-                    assert!(pos < hi);
-                    positions.push(pos);
-                }
-                positions.sort_unstable();
-                assert!(positions.iter().copied().eq(0..n), "positions permute 0..n");
-                let back: Vec<(usize, Vid)> = loc.owners(0..n).collect();
-                for (pos, &(r, g)) in back.iter().enumerate() {
-                    assert_eq!((loc.position(g), layout.owner_of(g)), (pos, r));
-                }
+            let layout = VecLayout::new(n, Grid2d::square(p));
+            let loc = layout.locator();
+            for g in 0..n {
+                let r = layout.owner_of(g);
+                assert_eq!(loc.locate(g), (r, layout.offset_of(r, g)), "{layout:?}");
             }
+            for r in 0..p {
+                assert_eq!(loc.range_of(r), layout.range_of_rank(r), "{layout:?}");
+            }
+            let owners: Vec<(usize, Vid)> = loc.owners(0..n).collect();
+            assert!(owners
+                .into_iter()
+                .eq((0..n).map(|g| (layout.owner_of(g), g))));
         }
     }
 

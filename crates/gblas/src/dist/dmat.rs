@@ -132,7 +132,7 @@ impl<I: Idx> DistMat<I> {
 
     /// The local block as a DCSC (block-local indices, each column's rows
     /// ascending): one counting transpose of the stored rows on the first
-    /// call, kept. Only SpMSpV and the cyclic-layout `mxv` ask for it.
+    /// call, kept. Only SpMSpV asks for it.
     pub fn local(&self) -> &Dcsc<I> {
         self.cols.get_or_init(|| self.rows.to_dcsc())
     }

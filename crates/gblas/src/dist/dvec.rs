@@ -1,17 +1,12 @@
-//! Distributed dense and sparse vectors: block or cyclic layout.
+//! Distributed dense and sparse vectors in the blocked CombBLAS layout.
 //!
-//! The paper's CombBLAS substrate block-distributes vectors; §VII proposes
-//! **cyclic distribution** as future work to spread the hot low-id parents
-//! across ranks. Both layouts are implemented here behind [`VecLayout`]:
-//!
-//! * [`Distribution::Blocked`] — contiguous chunks in column-major grid
-//!   order, aligned with the matrix column blocks so the `mxv` gather
-//!   stays inside processor columns (CombBLAS `FullyDistVec`).
-//! * [`Distribution::Cyclic`] — element `g` lives on the rank of chunk
-//!   `g mod p`. `extract`/`assign` load-balance perfectly under skewed
-//!   access, at the price of a world-wide (instead of grid-aligned)
-//!   gather in `mxv` — the trade-off the `exp_cyclic` experiment
-//!   quantifies.
+//! Vectors are block-distributed as in the paper's CombBLAS substrate
+//! (`FullyDistVec`, §V-A): contiguous chunks in column-major grid order,
+//! aligned with the matrix column blocks so the `mxv` gather stays inside
+//! processor columns. [`VecLayout`] is that one layout: the round-robin
+//! distribution §VII speculates about does not flatten the Figure-3 hot
+//! spots and costs `mxv` a world-wide gather (EXPERIMENTS.md has the
+//! measurement).
 
 use super::dense::OwnerLocator;
 use crate::serial::SparseVec;
@@ -25,46 +20,21 @@ pub fn block_range(n: usize, parts: usize, k: usize) -> (usize, usize) {
     (k * n / parts, (k + 1) * n / parts)
 }
 
-/// How vector elements map to ranks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Distribution {
-    /// Contiguous chunks (CombBLAS default; matrix-aligned).
-    Blocked,
-    /// Round-robin by index (the paper's §VII future-work layout).
-    Cyclic,
-}
-
 /// The common distribution of all vectors in a computation: `n` elements
-/// over the grid's `p` ranks, where the chunk of grid rank `(i, j)` has
-/// *chunk index* `j·pr + i` (column-major).
-///
-/// In the blocked layout that ordering aligns vector chunks with matrix
-/// column blocks; in the cyclic layout chunk `c` owns every index `g` with
-/// `g ≡ c (mod p)`.
+/// over the grid's `p` ranks in contiguous chunks ([`block_range`]), where
+/// the chunk of grid rank `(i, j)` has *chunk index* `j·pr + i`
+/// (column-major) — the ordering that aligns vector chunks with matrix
+/// column blocks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct VecLayout {
     n: usize,
     grid: Grid2d,
-    dist: Distribution,
 }
 
 impl VecLayout {
-    /// Blocked layout for `n` elements on `grid` (the paper's default).
+    /// The layout of `n` elements on `grid`.
     pub fn new(n: usize, grid: Grid2d) -> Self {
-        VecLayout {
-            n,
-            grid,
-            dist: Distribution::Blocked,
-        }
-    }
-
-    /// Cyclic layout for `n` elements on `grid` (§VII future work).
-    pub fn cyclic(n: usize, grid: Grid2d) -> Self {
-        VecLayout {
-            n,
-            grid,
-            dist: Distribution::Cyclic,
-        }
+        VecLayout { n, grid }
     }
 
     /// Vector length.
@@ -82,11 +52,6 @@ impl VecLayout {
         self.grid
     }
 
-    /// The distribution kind.
-    pub fn distribution(&self) -> Distribution {
-        self.dist
-    }
-
     /// Chunk index owned by `rank` (column-major grid order).
     pub fn chunk_of_rank(&self, rank: usize) -> usize {
         let (i, j) = self.grid.coords_of(rank);
@@ -99,41 +64,20 @@ impl VecLayout {
         self.grid.rank_of(i, j)
     }
 
+    /// Global index range `[start, end)` owned by `rank`.
+    pub fn range_of_rank(&self, rank: usize) -> (usize, usize) {
+        block_range(self.n, self.grid.size(), self.chunk_of_rank(rank))
+    }
+
     /// Number of elements stored by `rank`.
     pub fn local_len(&self, rank: usize) -> usize {
-        let c = self.chunk_of_rank(rank);
-        match self.dist {
-            Distribution::Blocked => {
-                let (s, e) = block_range(self.n, self.grid.size(), c);
-                e - s
-            }
-            Distribution::Cyclic => {
-                if self.n > c {
-                    (self.n - c - 1) / self.grid.size() + 1
-                } else {
-                    0
-                }
-            }
-        }
+        let (s, e) = self.range_of_rank(rank);
+        e - s
     }
 
     /// Global index of `rank`'s element at local `offset`.
     pub fn global_of(&self, rank: usize, offset: usize) -> Vid {
-        let c = self.chunk_of_rank(rank);
-        match self.dist {
-            Distribution::Blocked => block_range(self.n, self.grid.size(), c).0 + offset,
-            Distribution::Cyclic => c + offset * self.grid.size(),
-        }
-    }
-
-    /// `(origin, stride)` of `rank`'s chunk: its element at local offset
-    /// `o` is global index `origin + o·stride`.
-    pub fn origin_stride(&self, rank: usize) -> (usize, usize) {
-        let c = self.chunk_of_rank(rank);
-        match self.dist {
-            Distribution::Blocked => (block_range(self.n, self.grid.size(), c).0, 1),
-            Distribution::Cyclic => (c, self.grid.size()),
-        }
+        self.range_of_rank(rank).0 + offset
     }
 
     /// Local offset of global index `g` on its owner.
@@ -141,42 +85,14 @@ impl VecLayout {
     /// # Panics (debug)
     /// If `g` is not owned by `rank`.
     pub fn offset_of(&self, rank: usize, g: Vid) -> usize {
-        let c = self.chunk_of_rank(rank);
-        match self.dist {
-            Distribution::Blocked => {
-                let (s, e) = block_range(self.n, self.grid.size(), c);
-                debug_assert!(g >= s && g < e, "index {g} not owned by rank {rank}");
-                g - s
-            }
-            Distribution::Cyclic => {
-                debug_assert_eq!(
-                    g % self.grid.size(),
-                    c,
-                    "index {g} not owned by rank {rank}"
-                );
-                (g - c) / self.grid.size()
-            }
-        }
+        let (s, e) = self.range_of_rank(rank);
+        debug_assert!(g >= s && g < e, "index {g} not owned by rank {rank}");
+        g - s
     }
 
-    /// Global index range owned by `rank` (blocked layout only).
-    pub fn range_of_rank(&self, rank: usize) -> (usize, usize) {
-        assert_eq!(
-            self.dist,
-            Distribution::Blocked,
-            "range_of_rank requires a blocked layout"
-        );
-        block_range(self.n, self.grid.size(), self.chunk_of_rank(rank))
-    }
-
-    /// Chunk index containing global index `g` (blocked layout only; used
-    /// by the grid-aligned `mxv` routing).
+    /// Chunk index containing global index `g` (the grid-aligned `mxv`
+    /// routing goes by chunk).
     pub fn chunk_containing(&self, g: Vid) -> usize {
-        assert_eq!(
-            self.dist,
-            Distribution::Blocked,
-            "chunk_containing requires a blocked layout"
-        );
         debug_assert!(g < self.n);
         let p = self.grid.size();
         // First guess by proportion, then correct for flooring.
@@ -192,13 +108,7 @@ impl VecLayout {
 
     /// Rank owning global index `g`.
     pub fn owner_of(&self, g: Vid) -> usize {
-        match self.dist {
-            Distribution::Blocked => self.rank_of_chunk(self.chunk_containing(g)),
-            Distribution::Cyclic => {
-                debug_assert!(g < self.n);
-                self.rank_of_chunk(g % self.grid.size())
-            }
-        }
+        self.rank_of_chunk(self.chunk_containing(g))
     }
 
     /// Buckets `(global id, payload)` items by owning rank in one pass,
@@ -233,9 +143,8 @@ impl VecLayout {
 pub struct DistVec<T> {
     layout: VecLayout,
     rank: usize,
-    /// Global index of the local chunk's first element (blocked: the chunk
-    /// start; cyclic: the chunk index), cached so a local lookup does not
-    /// re-derive the chunk boundaries.
+    /// Global index of the local chunk's first element, cached so a local
+    /// lookup does not re-derive the chunk boundaries.
     origin: usize,
     local: Vec<T>,
 }
@@ -243,24 +152,19 @@ pub struct DistVec<T> {
 impl<T: Copy + Send + 'static> DistVec<T> {
     /// Builds this rank's elements from a function of the global index.
     pub fn from_fn(layout: VecLayout, rank: usize, f: impl Fn(Vid) -> T) -> Self {
-        let (origin, stride) = layout.origin_stride(rank);
+        let (origin, end) = layout.range_of_rank(rank);
         DistVec {
             layout,
             rank,
             origin,
-            local: (0..layout.local_len(rank))
-                .map(|o| f(origin + o * stride))
-                .collect(),
+            local: (origin..end).map(f).collect(),
         }
     }
 
     /// Local offset of the locally owned global index `g`.
     pub fn local_offset(&self, g: Vid) -> usize {
         debug_assert!(self.owns(g), "index {g} not owned by rank {}", self.rank);
-        match self.layout.dist {
-            Distribution::Blocked => g - self.origin,
-            Distribution::Cyclic => (g - self.origin) / self.layout.grid.size(),
-        }
+        g - self.origin
     }
 
     /// Slices this rank's elements out of a replicated global vector (test
@@ -280,7 +184,7 @@ impl<T: Copy + Send + 'static> DistVec<T> {
         self.rank
     }
 
-    /// Global range `[start, end)` of the local chunk (blocked only).
+    /// Global range `[start, end)` of the local chunk.
     pub fn range(&self) -> (usize, usize) {
         self.layout.range_of_rank(self.rank)
     }
@@ -323,18 +227,10 @@ impl<T: Copy + Send + 'static> DistVec<T> {
     {
         let world = comm.world();
         let by_rank = comm.allgatherv(&world, self.local.clone());
-        let p = self.layout.grid.size();
-        let chunks: Vec<&[T]> = (0..p)
+        let chunks: Vec<&[T]> = (0..self.layout.grid.size())
             .map(|c| by_rank[self.layout.rank_of_chunk(c)].as_slice())
             .collect();
-        let global = match self.layout.dist {
-            Distribution::Blocked => chunks.concat(),
-            // Element `o` of chunk `c` is global index `c + o·p`: one
-            // round over the chunks per offset.
-            Distribution::Cyclic => (0..self.layout.n.div_ceil(p))
-                .flat_map(|o| chunks.iter().filter_map(move |chunk| chunk.get(o).copied()))
-                .collect(),
-        };
+        let global = chunks.concat();
         assert_eq!(global.len(), self.layout.n, "gathered chunks cover 0..n");
         global
     }
@@ -386,7 +282,7 @@ impl<T: Copy + Send + 'static, I: Idx> DistSpVec<T, I> {
         self.layout
     }
 
-    /// Global range of the local chunk (blocked only).
+    /// Global range of the local chunk.
     pub fn range(&self) -> (usize, usize) {
         self.layout.range_of_rank(self.rank)
     }
@@ -438,36 +334,21 @@ mod tests {
 
     #[test]
     fn layout_owner_matches_offsets_both_distributions() {
-        for layout in [
-            VecLayout::new(103, Grid2d::square(9)),
-            VecLayout::cyclic(103, Grid2d::square(9)),
-        ] {
+        // n not divisible by p, and n below p (ranks owning nothing).
+        for n in [103, 5] {
+            let layout = VecLayout::new(n, Grid2d::square(9));
             let mut seen = 0usize;
             for r in 0..9 {
                 for o in 0..layout.local_len(r) {
                     let g = layout.global_of(r, o);
-                    assert!(g < 103);
+                    assert!(g < n);
                     assert_eq!(layout.owner_of(g), r);
                     assert_eq!(layout.offset_of(r, g), o);
                     seen += 1;
                 }
             }
-            assert_eq!(seen, 103, "every index owned exactly once");
+            assert_eq!(seen, n, "every index owned exactly once");
         }
-    }
-
-    #[test]
-    fn cyclic_spreads_low_indices() {
-        let layout = VecLayout::cyclic(64, Grid2d::square(16));
-        // Indices 0..16 all land on distinct ranks.
-        let owners: std::collections::BTreeSet<usize> =
-            (0..16).map(|g| layout.owner_of(g)).collect();
-        assert_eq!(owners.len(), 16);
-        // Blocked puts them all on one rank.
-        let blocked = VecLayout::new(64, Grid2d::square(16));
-        let owners_b: std::collections::BTreeSet<usize> =
-            (0..4).map(|g| blocked.owner_of(g)).collect();
-        assert_eq!(owners_b.len(), 1);
     }
 
     #[test]
@@ -495,29 +376,21 @@ mod tests {
     #[test]
     fn distvec_to_global_roundtrip_both_layouts() {
         let global: Vec<u64> = (0..37).map(|g| g * 3).collect();
-        for cyclic in [false, true] {
-            let gref = &global;
-            let out = run_spmd(4, move |c| {
-                let grid = Grid2d::square(4);
-                let layout = if cyclic {
-                    VecLayout::cyclic(37, grid)
-                } else {
-                    VecLayout::new(37, grid)
-                };
-                let v = DistVec::from_global(layout, c.rank(), gref);
-                v.to_global(c)
-            })
-            .unwrap();
-            for got in out {
-                assert_eq!(got, global, "cyclic={cyclic}");
-            }
+        let out = run_spmd(4, |c| {
+            let layout = VecLayout::new(37, Grid2d::square(4));
+            let v = DistVec::from_global(layout, c.rank(), &global);
+            v.to_global(c)
+        })
+        .unwrap();
+        for got in out {
+            assert_eq!(got, global);
         }
     }
 
     #[test]
     fn distvec_local_accessors() {
         run_spmd(4, |c| {
-            let layout = VecLayout::cyclic(20, Grid2d::square(4));
+            let layout = VecLayout::new(20, Grid2d::square(4));
             let mut v = DistVec::from_fn(layout, c.rank(), |g| g as u64);
             for o in 0..v.local().len() {
                 let g = v.global_of(o);

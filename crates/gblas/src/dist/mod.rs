@@ -21,9 +21,8 @@ pub mod ops;
 pub use compact::NarrowVal;
 pub use dense::{OwnerLocator, RankBitmap};
 pub use dmat::DistMat;
-pub use dvec::{DistSpVec, DistVec, Distribution, VecLayout};
+pub use dvec::{DistSpVec, DistVec, VecLayout};
 pub use ops::{
-    dist_assign, dist_extract, dist_extract_planned, dist_mxv, dist_mxv_dense,
-    dist_mxv_dense_start, dist_mxv_sparse, dist_mxv_start, plan_requests, AssignStats, DistMask,
-    DistOpts, ExtractStats, FusedExtract, RequestPlan, Wire,
+    dist_assign, dist_extract, dist_extract_planned, dist_mxv, dist_mxv_dense, dist_mxv_sparse,
+    plan_requests, AssignStats, DistMask, DistOpts, ExtractStats, FusedExtract, RequestPlan, Wire,
 };

@@ -10,8 +10,7 @@
 //!   of the plain exchange.
 //! * At the `dist_extract` / `dist_assign` level, the compact wire (and
 //!   the fused route replay) must not change a single output bit against
-//!   the legacy wire across blocked/cyclic layouts and power-of-two /
-//!   fallback group sizes.
+//!   the legacy wire across power-of-two / fallback group sizes.
 
 use dmsim::{run_spmd, AllToAll, Grid2d};
 use gblas::dist::{
@@ -54,7 +53,7 @@ proptest! {
                 .collect();
             let pw = c.alltoallv(&world, bufs.clone(), AllToAll::Pairwise);
             let hc = c.alltoallv(&world, bufs.clone(), AllToAll::Hypercube);
-            let combined = c.alltoallv_combining(&world, bufs, |e: &(u64, u64)| e.0, |_, _| {
+            let combined = c.reduce_scatter_by_key(&world, bufs, |_: &mut u64, _| {
                 panic!("merge fired on globally unique keys")
             });
             let mut pw: Vec<(u64, u64)> = pw.into_iter().flatten().collect();
@@ -121,11 +120,11 @@ proptest! {
 
     /// The compact wire and the fused route replay are wire encodings:
     /// extract and assign results must be bit-identical to the naive
-    /// exchange on every layout and grid.
+    /// exchange on every grid.
     #[test]
     fn combining_ops_bit_identical_to_naive(
         n in 4usize..80,
-        (p, cyclic) in arb_grid().prop_flat_map(|p| (Just(p), proptest::bool::ANY)),
+        p in arb_grid(),
         reqs in proptest::collection::vec(0usize..1000, 0..60),
         raw in proptest::collection::vec((0usize..1000, 0usize..400), 0..60),
     ) {
@@ -136,12 +135,7 @@ proptest! {
         };
         let (rr, ur) = (&reqs, &raw);
         let out = run_spmd(p, move |c| {
-            let grid = Grid2d::square(p);
-            let layout = if cyclic {
-                VecLayout::cyclic(n, grid)
-            } else {
-                VecLayout::new(n, grid)
-            };
+            let layout = VecLayout::new(n, Grid2d::square(p));
             let src = DistVec::from_fn(layout, c.rank(), |g| g * 13 % n);
             // Different lists per rank: asymmetric buckets.
             let requests: Vec<usize> = rr.iter().map(|&r| (r + c.rank()) % n).collect();

@@ -22,17 +22,6 @@ fn arb_grid() -> impl Strategy<Value = usize> {
     prop_oneof![Just(1usize), Just(4), Just(9), Just(16)]
 }
 
-fn arb_layout(n: usize, p: usize) -> impl Strategy<Value = VecLayout> {
-    proptest::bool::ANY.prop_map(move |cyclic| {
-        let grid = Grid2d::square(p);
-        if cyclic {
-            VecLayout::cyclic(n, grid)
-        } else {
-            VecLayout::new(n, grid)
-        }
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -89,16 +78,11 @@ proptest! {
     #[test]
     fn extract_dist_eq_serial(
         n in 4usize..80,
-        (p, layout) in arb_grid().prop_flat_map(|p| (Just(p), arb_layout(80, p))),
+        p in arb_grid(),
         reqs in proptest::collection::vec(0usize..1000, 0..60),
         hot in proptest::bool::ANY,
     ) {
-        // Rebuild the layout at the right size (arb_layout used a cap).
-        let layout = if layout.distribution() == gblas::dist::Distribution::Cyclic {
-            VecLayout::cyclic(n, Grid2d::square(p))
-        } else {
-            VecLayout::new(n, Grid2d::square(p))
-        };
+        let layout = VecLayout::new(n, Grid2d::square(p));
         let src_global: Vec<usize> = (0..n).map(|v| v * 13 % n).collect();
         let requests: Vec<usize> = reqs.iter().map(|&r| r % n).collect();
         let expect = serial::extract(&src_global, &requests);
@@ -115,39 +99,6 @@ proptest! {
         .unwrap();
         for got in out {
             prop_assert_eq!(&got, &expect);
-        }
-    }
-
-    #[test]
-    fn mxv_cyclic_eq_serial(g in arb_graph(), p in arb_grid(), seed in 0u64..1000) {
-        let n = g.num_vertices();
-        let x_global: Vec<usize> = (0..n).map(|v| (v.wrapping_mul(seed as usize + 3)) % n).collect();
-        let a_serial = Pattern::from_graph(&g);
-        let expect = serial::mxv_dense(&a_serial, &x_global, Mask::None, MinUsize);
-        let gref = &g;
-        let xr = &x_global;
-        let out = run_spmd(p, move |c| {
-            let grid = Grid2d::square(p);
-            let layout = VecLayout::cyclic(n, grid);
-            let a = DistMat::from_graph(gref, grid, c.rank());
-            let x = DistVec::from_global(layout, c.rank(), xr);
-            let dense = dist_mxv_dense(c, &a, &x, DistMask::None, MinUsize, &DistOpts::default())
-                .to_serial(c);
-            // Sparse input with the same support as the dense vector.
-            let entries: Vec<(usize, usize)> = (0..n)
-                .filter(|&g| layout.owner_of(g) == c.rank())
-                .map(|g| (g, xr[g]))
-                .collect();
-            let xs = DistSpVec::from_local_entries(layout, c.rank(), entries);
-            let sparse =
-                dist_mxv_sparse(c, &a, &xs, DistMask::None, MinUsize, &DistOpts::default())
-                    .to_serial(c);
-            (dense, sparse)
-        })
-        .unwrap();
-        for (dense, sparse) in out {
-            prop_assert_eq!(&dense, &expect);
-            prop_assert_eq!(&sparse, &expect);
         }
     }
 
@@ -229,8 +180,8 @@ proptest! {
     }
 
     /// The closed lever lattice at the primitive layer: both wire formats ×
-    /// every all-to-all algorithm × blocked/cyclic layouts × group sizes
-    /// (3 and 9 take the non-power-of-two fallbacks), each checked against
+    /// every all-to-all algorithm × group sizes (3 and 9 take the
+    /// non-power-of-two fallbacks), each checked against
     /// the serial kernels. Each rank issues a *different* request/update
     /// list so the sweep also covers asymmetric bucket shapes, and the
     /// default hot threshold lets small chunks take the broadcast path.
@@ -267,57 +218,51 @@ proptest! {
             serial::assign(&mut expect_dst, &all_updates, MinUsize);
             for wire in [Wire::Legacy, Wire::Compact] {
                 for alltoall in [AllToAll::Pairwise, AllToAll::Hypercube, AllToAll::Sparse] {
-                    for cyclic in [false, true] {
-                        let opts = DistOpts { wire, alltoall, ..DistOpts::default() };
-                        let out = run_spmd(q, move |c| {
-                            let layout = if cyclic {
-                                VecLayout::cyclic(n, grid)
-                            } else {
-                                VecLayout::new(n, grid)
-                            };
-                            let src = DistVec::from_global(layout, c.rank(), sr);
-                            let (vals, es) = dist_extract(c, &src, &requests_of(c.rank()), &opts);
-                            let mut dst = DistVec::from_fn(layout, c.rank(), |_| usize::MAX);
-                            let (_, asgn) =
-                                dist_assign(c, &mut dst, &updates_of(c.rank()), MinUsize, &opts);
-                            let dst = dst.to_global(c);
-                            let snap = c.snapshot();
-                            let saved = es.dedup_saved_words
-                                + asgn.combine_saved_words
-                                + snap.words_saved
-                                + snap.combined_words;
-                            let mxv = square.then(|| {
-                                let a = DistMat::from_graph(gref, grid, c.rank());
-                                let dense =
-                                    dist_mxv_dense(c, &a, &src, DistMask::None, MinUsize, &opts)
-                                        .to_serial(c);
-                                let local: Vec<(usize, usize)> = er
-                                    .iter()
-                                    .copied()
-                                    .filter(|&(g, _)| layout.owner_of(g) == c.rank())
-                                    .collect();
-                                let xs = DistSpVec::from_local_entries(layout, c.rank(), local);
-                                let sparse =
-                                    dist_mxv_sparse(c, &a, &xs, DistMask::None, MinUsize, &opts)
-                                        .to_serial(c);
-                                (dense, sparse)
-                            });
-                            (vals, dst, saved, mxv)
-                        })
-                        .unwrap();
-                        for (rank, (vals, dst, saved, mxv)) in out.into_iter().enumerate() {
-                            let at = format!("q={q} {wire:?} {alltoall:?} cyclic={cyclic}");
-                            prop_assert_eq!(
-                                &vals, &serial::extract(sr, &requests_of(rank)), "extract {}", at
-                            );
-                            prop_assert_eq!(&dst, &expect_dst, "assign {}", at);
-                            if let Some((dense, sparse)) = mxv {
-                                prop_assert_eq!(&dense, &expect_dense, "mxv dense {}", at);
-                                prop_assert_eq!(&sparse, &expect_sparse, "mxv sparse {}", at);
-                            }
-                            if wire == Wire::Legacy {
-                                prop_assert_eq!(saved, 0, "legacy saves nothing: {}", at);
-                            }
+                    let opts = DistOpts { wire, alltoall, ..DistOpts::default() };
+                    let out = run_spmd(q, move |c| {
+                        let layout = VecLayout::new(n, grid);
+                        let src = DistVec::from_global(layout, c.rank(), sr);
+                        let (vals, es) = dist_extract(c, &src, &requests_of(c.rank()), &opts);
+                        let mut dst = DistVec::from_fn(layout, c.rank(), |_| usize::MAX);
+                        let (_, asgn) =
+                            dist_assign(c, &mut dst, &updates_of(c.rank()), MinUsize, &opts);
+                        let dst = dst.to_global(c);
+                        let snap = c.snapshot();
+                        let saved = es.dedup_saved_words
+                            + asgn.combine_saved_words
+                            + snap.words_saved
+                            + snap.combined_words;
+                        let mxv = square.then(|| {
+                            let a = DistMat::from_graph(gref, grid, c.rank());
+                            let dense =
+                                dist_mxv_dense(c, &a, &src, DistMask::None, MinUsize, &opts)
+                                    .to_serial(c);
+                            let local: Vec<(usize, usize)> = er
+                                .iter()
+                                .copied()
+                                .filter(|&(g, _)| layout.owner_of(g) == c.rank())
+                                .collect();
+                            let xs = DistSpVec::from_local_entries(layout, c.rank(), local);
+                            let sparse =
+                                dist_mxv_sparse(c, &a, &xs, DistMask::None, MinUsize, &opts)
+                                    .to_serial(c);
+                            (dense, sparse)
+                        });
+                        (vals, dst, saved, mxv)
+                    })
+                    .unwrap();
+                    for (rank, (vals, dst, saved, mxv)) in out.into_iter().enumerate() {
+                        let at = format!("q={q} {wire:?} {alltoall:?}");
+                        prop_assert_eq!(
+                            &vals, &serial::extract(sr, &requests_of(rank)), "extract {}", at
+                        );
+                        prop_assert_eq!(&dst, &expect_dst, "assign {}", at);
+                        if let Some((dense, sparse)) = mxv {
+                            prop_assert_eq!(&dense, &expect_dense, "mxv dense {}", at);
+                            prop_assert_eq!(&sparse, &expect_sparse, "mxv sparse {}", at);
+                        }
+                        if wire == Wire::Legacy {
+                            prop_assert_eq!(saved, 0, "legacy saves nothing: {}", at);
                         }
                     }
                 }

@@ -141,7 +141,7 @@ impl fmt::Display for IdxOverflow {
         write!(
             f,
             "{} needs {} distinct vertex indices, but the {} index width holds at most {}; \
-             rerun with the wide index layout (--index-width u64 or the `wide-index` feature)",
+             rerun with the wide index layout (--index-width u64)",
             self.what, self.required, self.width, self.max
         )
     }

@@ -119,6 +119,9 @@ impl CcService {
         opts: ServeOpts,
         sink: Option<Arc<TraceSink>>,
     ) -> Result<Self, dmsim::DmsimError> {
+        // The shards below are laid out on the same square grid as the
+        // rebuild runs; reject a rank count that has none before building.
+        lacc::check_ranks(opts.ranks)?;
         let mut svc = CcService::new(g.num_vertices(), opts);
         svc.sink = sink;
         for u in 0..g.num_vertices() {

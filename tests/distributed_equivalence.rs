@@ -59,9 +59,9 @@ fn bit_identical_across_comm_configs() {
     }
 }
 
-/// The lever lattice, closed: every engine on both wire formats, both
-/// vector layouts and both index widths finds the union-find partition,
-/// and LACC's parent vector is bit-identical to serial LACC throughout.
+/// The lever lattice, closed: every engine on both wire formats and both
+/// index widths finds the union-find partition, and LACC's parent vector
+/// is bit-identical to serial LACC throughout.
 #[test]
 fn engines_agree_across_wire_layout_and_width() {
     let g = community_graph(600, 30, 3.0, 1.4, 5);
@@ -79,29 +79,63 @@ fn engines_agree_across_wire_layout_and_width() {
         EngineSelect::LabelProp,
     ] {
         for wire in [Wire::Legacy, Wire::Compact] {
-            for cyclic_vectors in [false, true] {
-                for index_width in [IndexWidth::U32, IndexWidth::U64] {
-                    let opts = LaccOpts {
-                        engine,
-                        cyclic_vectors,
-                        index_width,
-                        permute: false,
-                        dist: DistOpts {
-                            wire,
-                            ..DistOpts::default()
-                        },
-                        ..LaccOpts::default()
-                    };
-                    let run = run_with(&g, 4, EDISON.lacc_model(), &opts).unwrap();
-                    let at = format!("{engine} {wire:?} cyclic={cyclic_vectors} {index_width}");
-                    assert_eq!(canonicalize_labels(&run.labels), truth, "{at}");
-                    if engine == EngineSelect::Lacc {
-                        assert_eq!(run.labels, serial.labels, "{at}");
-                    }
+            for index_width in [IndexWidth::U32, IndexWidth::U64] {
+                let opts = LaccOpts {
+                    engine,
+                    index_width,
+                    permute: false,
+                    dist: DistOpts {
+                        wire,
+                        ..DistOpts::default()
+                    },
+                    ..LaccOpts::default()
+                };
+                let run = run_with(&g, 4, EDISON.lacc_model(), &opts).unwrap();
+                let at = format!("{engine} {wire:?} {index_width}");
+                assert_eq!(canonicalize_labels(&run.labels), truth, "{at}");
+                if engine == EngineSelect::Lacc {
+                    assert_eq!(run.labels, serial.labels, "{at}");
                 }
             }
         }
     }
+}
+
+/// On a p = 4 RMAT scale-10 run, overlap hides a non-zero amount of
+/// exchange time and narrowing keeps a non-zero number of bytes off the
+/// wire; with its lever off each counter is exactly zero, and neither
+/// lever moves a label or a charged word.
+#[test]
+fn overlap_hides_time_and_narrowing_saves_bytes_at_equal_words() {
+    use lacc_suite::dmsim::{TraceLevel, TraceSink};
+    let g = rmat(10, 16, RmatParams::graph500(), 23);
+    let profile = |overlap: bool, narrow_labels: bool| {
+        let opts = LaccOpts {
+            dist: DistOpts {
+                overlap,
+                narrow_labels,
+                ..DistOpts::default()
+            },
+            ..LaccOpts::default()
+        };
+        let sink = TraceSink::new(TraceLevel::Steps);
+        let cfg = RunConfig::new(4, EDISON.lacc_model())
+            .with_opts(opts)
+            .with_trace(&sink);
+        let run = lacc_suite::lacc::run(&g, &cfg).unwrap();
+        (run.run.labels, sink.report())
+    };
+    let (labels, on) = profile(true, true);
+    let (labels_blocking, blocking) = profile(false, true);
+    let (labels_native, native) = profile(true, false);
+    assert!(on.overlap_hidden_s > 0.0, "overlap hid nothing");
+    assert_eq!(blocking.overlap_hidden_s, 0.0);
+    assert!(on.narrow_saved_bytes > 0, "narrowing saved no bytes");
+    assert_eq!(native.narrow_saved_bytes, 0);
+    assert_eq!(labels_blocking, labels);
+    assert_eq!(labels_native, labels);
+    assert_eq!(blocking.rank_words, on.rank_words);
+    assert_eq!(native.rank_words, on.rank_words);
 }
 
 #[test]

@@ -2,13 +2,13 @@
 //! partition through every configuration of the distributed stack.
 //!
 //! For each generated graph, runs all three engines (LACC, FastSV, label
-//! propagation) across naive vs optimized communication, blocked vs
-//! cyclic vector layout, and u32 vs u64 index width, and requires
-//! identical *canonical* labels everywhere (LACC's raw labels are
-//! tree-root ids while FastSV/labelprop converge to component minima, so
-//! raw bit-equality across engines is not expected — canonical equality
-//! is the cross-engine contract). `Auto` must route to a valid engine,
-//! report a rationale, and agree with the ground truth too.
+//! propagation) across naive vs optimized communication and u32 vs u64
+//! index width, and requires identical *canonical* labels everywhere
+//! (LACC's raw labels are tree-root ids while FastSV/labelprop converge to
+//! component minima, so raw bit-equality across engines is not expected —
+//! canonical equality is the cross-engine contract). `Auto` must route to
+//! a valid engine, report a rationale, and agree with the ground truth
+//! too.
 
 use lacc_suite::baselines as b;
 use lacc_suite::gblas::dist::DistOpts;
@@ -23,8 +23,8 @@ fn run_engine(g: &CsrGraph, opts: LaccOpts) -> lacc::RunOutput {
     lacc::run(g, &cfg).expect("engine rank panicked")
 }
 
-/// The full engine × comm × layout × width sweep on one graph: every
-/// cell's canonical labels must equal serial union-find's.
+/// The full engine × comm × width sweep on one graph: every cell's
+/// canonical labels must equal serial union-find's.
 fn assert_matrix_agrees(name: &str, g: &CsrGraph) {
     let truth = b::union_find_cc(g);
     for engine in [
@@ -33,26 +33,23 @@ fn assert_matrix_agrees(name: &str, g: &CsrGraph) {
         EngineSelect::LabelProp,
     ] {
         for naive in [false, true] {
-            for cyclic in [false, true] {
-                for width in [IndexWidth::U32, IndexWidth::U64] {
-                    let opts = LaccOpts {
-                        engine,
-                        cyclic_vectors: cyclic,
-                        index_width: width,
-                        dist: if naive {
-                            DistOpts::naive()
-                        } else {
-                            DistOpts::default()
-                        },
-                        ..LaccOpts::default()
-                    };
-                    let out = run_engine(g, opts);
-                    assert_eq!(
-                        canonicalize_labels(&out.labels),
-                        truth,
-                        "{engine} naive={naive} cyclic={cyclic} {width} on {name}"
-                    );
-                }
+            for width in [IndexWidth::U32, IndexWidth::U64] {
+                let opts = LaccOpts {
+                    engine,
+                    index_width: width,
+                    dist: if naive {
+                        DistOpts::naive()
+                    } else {
+                        DistOpts::default()
+                    },
+                    ..LaccOpts::default()
+                };
+                let out = run_engine(g, opts);
+                assert_eq!(
+                    canonicalize_labels(&out.labels),
+                    truth,
+                    "{engine} naive={naive} {width} on {name}"
+                );
             }
         }
     }

@@ -61,7 +61,7 @@ fn measure(base: LaccOpts, engine: EngineSelect, ranks: usize) -> Row {
     let cfg = RunConfig::new(ranks, EDISON.lacc_model())
         .with_opts(LaccOpts {
             engine,
-            // Pinned: the default follows the `wide-index` feature.
+            // Pinned: the table holds u32-width numbers.
             index_width: IndexWidth::U32,
             ..base
         })

@@ -42,15 +42,9 @@ fn fused_ingest_matches_running_on_a_prepermuted_graph() {
     for g in &graphs {
         let n = g.num_vertices();
         for p in [1usize, 4, 9, 16] {
-            for (index_width, cyclic_vectors) in [
-                (IndexWidth::U32, false),
-                (IndexWidth::U64, false),
-                (IndexWidth::U32, true),
-                (IndexWidth::U64, true),
-            ] {
+            for index_width in [IndexWidth::U32, IndexWidth::U64] {
                 let fused_opts = LaccOpts {
                     index_width,
-                    cyclic_vectors,
                     permute: true,
                     permute_seed: 0xFEED + p as u64,
                     ..LaccOpts::default()
@@ -63,7 +57,7 @@ fn fused_ingest_matches_running_on_a_prepermuted_graph() {
                 let (fused, fused_traffic) = traced(g, p, fused_opts);
                 let (reference, reference_traffic) =
                     traced(&perm.permute_graph(g), p, reference_opts);
-                let at = format!("n={n} p={p} {index_width:?} cyclic={cyclic_vectors}");
+                let at = format!("n={n} p={p} {index_width:?}");
                 assert_eq!(
                     fused.labels,
                     perm.unpermute_labels(&reference.labels),

@@ -97,18 +97,15 @@ proptest! {
     #[test]
     fn index_widths_agree_distributed(
         g in arb_graph(80, 200),
-        cyclic in prop_oneof![Just(false), Just(true)],
         naive in prop_oneof![Just(false), Just(true)],
     ) {
         // The index width is a storage/wire layout knob: for any comm
-        // stack (optimized or naive) and either vector distribution
-        // (blocked or cyclic), the u32 run must match the u64 run in
-        // labels and iteration count.
+        // stack (optimized or naive), the u32 run must match the u64 run
+        // in labels and iteration count.
         use lacc_suite::gblas::dist::DistOpts;
         use lacc_suite::lacc::IndexWidth;
         let base = LaccOpts {
             permute: false,
-            cyclic_vectors: cyclic,
             dist: if naive { DistOpts::naive() } else { DistOpts::default() },
             ..LaccOpts::default()
         };
@@ -129,20 +126,18 @@ proptest! {
             Just(lacc::EngineSelect::Fastsv),
             Just(lacc::EngineSelect::LabelProp),
         ],
-        cyclic in prop_oneof![Just(false), Just(true)],
         narrow in prop_oneof![Just(false), Just(true)],
     ) {
         // Non-blocking execution is a pure scheduling change: for every
-        // engine, vector layout, and index width, overlap on and off must
-        // produce bit-identical labels, the same iteration trajectory, and
-        // move exactly the same words per rank — only the modeled clock
-        // (and the hidden-seconds counter) may differ.
+        // engine and index width, overlap on and off must produce
+        // bit-identical labels, the same iteration trajectory, and move
+        // exactly the same words per rank — only the modeled clock (and
+        // the hidden-seconds counter) may differ.
         use lacc_suite::dmsim::{TraceLevel, TraceSink};
         use lacc_suite::lacc::IndexWidth;
         let model = lacc_suite::dmsim::EDISON.lacc_model();
         let base = LaccOpts {
             permute: false,
-            cyclic_vectors: cyclic,
             engine,
             index_width: if narrow { IndexWidth::U32 } else { IndexWidth::U64 },
             ..LaccOpts::default()
