@@ -16,7 +16,7 @@ pub const USAGE: &str = "usage:
   lacc cc-dist  <graph> --ranks P [--machine edison|cori] [--flat]
                 [--spmv-threshold F]
                 [--wire legacy|compact] [--overlap true|false]
-                [--narrow-labels true|false] [--index-width u32|u64]
+                [--index-width u32|u64]
                 [--engine lacc|fastsv|labelprop|auto] [--canonical]
                 [--out labels.txt]
                 [--trace out.json] [--trace-level off|steps|ops|collectives]
@@ -51,7 +51,6 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
                 "spmv-threshold",
                 "wire",
                 "overlap",
-                "narrow-labels",
                 "index-width",
                 "engine",
                 "out",
@@ -218,8 +217,8 @@ fn cmd_cc_dist(args: &Args) -> Result<(), String> {
         // Input fill fraction above which mxv runs its SpMV-style kernel.
         .spmv_threshold(args.get_or("spmv-threshold", defaults.dist.spmv_threshold)?)
         .map_err(|e| e.to_string())?
-        // Wire format of the extract/assign exchanges: compact (default)
-        // or the unoptimized legacy format — bit-identical labels.
+        // Wire format of every exchange: compact (default) or the
+        // unoptimized legacy format — bit-identical labels.
         .wire(
             args.options
                 .get("wire")
@@ -230,10 +229,6 @@ fn cmd_cc_dist(args: &Args) -> Result<(), String> {
         // Non-blocking hot-path exchanges with compute/comm overlap credit
         // (bit-identical labels and traffic either way).
         .overlap(args.get_or("overlap", defaults.dist.overlap)?)
-        // Dynamic label-range narrowing: probe-selected u16/dictionary
-        // wire tiers (bit-identical labels and word counts either way;
-        // only bytes_sent shrinks).
-        .narrow_labels(args.get_or("narrow-labels", defaults.dist.narrow_labels)?)
         // Index/label storage width: u32 (default) halves index memory and
         // wire bytes, u64 lifts the 2^32-vertex limit.
         .index_width(
@@ -667,6 +662,8 @@ mod tests {
         assert!(err.contains("--combine-in-flight"), "{err}");
         let err = dispatch(&argv(&["cc-dist", &p, "--kernel-threads", "2"])).unwrap_err();
         assert!(err.contains("--kernel-threads"), "{err}");
+        let err = dispatch(&argv(&["cc-dist", &p, "--narrow-labels", "true"])).unwrap_err();
+        assert!(err.contains("--narrow-labels"), "{err}");
         // A typo of a live flag, with and without a value.
         let err = dispatch(&argv(&["cc-dist", &p, "--rank", "4"])).unwrap_err();
         assert!(err.contains("--rank"), "{err}");
@@ -733,45 +730,6 @@ mod tests {
             "overlap changed the labels"
         );
         assert!(dispatch(&argv(&["cc-dist", &p, "--overlap", "maybe"])).is_err());
-    }
-
-    #[test]
-    fn cc_dist_labels_identical_with_narrowing_on_and_off() {
-        // Probe-selected wire tiers must not change a single output byte.
-        let dir = std::env::temp_dir().join("lacc-cli-test12");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("t.el").display().to_string();
-        std::fs::write(&p, "0 1\n1 2\n3 4\n5 6\n6 7\n").unwrap();
-        let on = dir.join("on.txt").display().to_string();
-        let off = dir.join("off.txt").display().to_string();
-        dispatch(&argv(&[
-            "cc-dist",
-            &p,
-            "--ranks",
-            "4",
-            "--narrow-labels",
-            "true",
-            "--out",
-            &on,
-        ]))
-        .unwrap();
-        dispatch(&argv(&[
-            "cc-dist",
-            &p,
-            "--ranks",
-            "4",
-            "--narrow-labels",
-            "false",
-            "--out",
-            &off,
-        ]))
-        .unwrap();
-        assert_eq!(
-            std::fs::read(&on).unwrap(),
-            std::fs::read(&off).unwrap(),
-            "narrowing changed the labels"
-        );
-        assert!(dispatch(&argv(&["cc-dist", &p, "--narrow-labels", "maybe"])).is_err());
     }
 
     #[test]

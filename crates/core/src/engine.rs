@@ -5,9 +5,8 @@
 //! engine here is its state plus one `round` of `gblas::dist` primitive
 //! calls — connect (hook), starcheck, shortcut — that reads against its
 //! published pseudocode; the loop around the rounds is written once, in
-//! the `driver` module: label initialization, the narrowing plan, the
-//! convergence allreduce, per-step spans, the round bound and the final
-//! label gather.
+//! the `driver` module: label initialization, the convergence allreduce,
+//! per-step spans, the round bound and the final label gather.
 //! Every engine runs over the shared SPMD context ([`EngineCtx`]: vector
 //! layout, distributed matrix, [`LaccOpts`]) and so inherits the whole
 //! `gblas::dist` stack — the compact wire format, overlap, tracing,
@@ -520,7 +519,7 @@ fn lemma1_retire<I: Idx + WireWord + NarrowVal>(
     (q, retired, st.received_requests)
 }
 
-impl<I: Idx + WireWord + NarrowVal> Rules<I, 6> for Lacc {
+impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Lacc {
     fn max_rounds(_n: usize, opts: &LaccOpts) -> usize {
         opts.max_iters
     }
@@ -650,9 +649,7 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 6> for Lacc {
 /// analogue of LACC's star upkeep — the state that must be refreshed
 /// after the forest mutates).
 pub(crate) struct Fastsv<I: Idx> {
-    /// Grandparents `f[f[u]]` as of the end of the previous round. Its
-    /// values are always current-or-earlier `f` values, so the driver's
-    /// one narrowing probe over `f` covers both exchanged vectors.
+    /// Grandparents `f[f[u]]` as of the end of the previous round.
     gf: DistVec<I>,
 }
 
@@ -665,7 +662,7 @@ impl<I: Idx> Fastsv<I> {
     }
 }
 
-impl<I: Idx + WireWord + NarrowVal> Rules<I, 6> for Fastsv<I> {
+impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Fastsv<I> {
     fn max_rounds(n: usize, _opts: &LaccOpts) -> usize {
         8 * (usize::BITS - n.leading_zeros()) as usize + 32
     }
@@ -738,13 +735,10 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 6> for Fastsv<I> {
 /// the cheapest engine on low-diameter graphs and hopeless on paths.
 ///
 /// All work lands in the `cond` step bucket (one phase per round), and
-/// the convergence payload is the one changed count plus the probe.
+/// the convergence payload is the one changed count.
 pub(crate) struct LabelProp;
 
-impl<I: Idx + WireWord + NarrowVal> Rules<I, 3> for LabelProp {
-    /// Every round that is not the last moved labels at their vertices.
-    const REWRITES: usize = 0;
-
+impl<I: Idx + WireWord + NarrowVal> Rules<I, 1> for LabelProp {
     /// The true bound is the diameter (< n); `max_iters` is sized for
     /// LACC's O(log n) trajectory and does not apply.
     fn max_rounds(n: usize, _opts: &LaccOpts) -> usize {

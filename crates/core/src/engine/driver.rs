@@ -2,14 +2,12 @@
 //!
 //! A rule set ([`Rules`]) supplies its state and one `round` of
 //! `gblas::dist` primitive calls; [`drive`] owns everything the rounds
-//! share: the identity labeling, the [`NarrowPlanner`] lifecycle, the
-//! single convergence allreduce with the narrowing probe piggybacked on
-//! it, the per-step spans and their `StepBreakdown` buckets
-//! ([`EngineCtx::step`]), the [`EngineIter`] record, the round bound and
-//! the final gather of the labels into an [`EngineRun`].
+//! share: the identity labeling, the single convergence allreduce, the
+//! per-step spans and their `StepBreakdown` buckets ([`EngineCtx::step`]),
+//! the [`EngineIter`] record, the round bound and the final gather of the
+//! labels into an [`EngineRun`].
 
 use super::{EngineCtx, EngineIter, EngineRun};
-use crate::narrow::NarrowPlanner;
 use crate::options::LaccOpts;
 use dmsim::{Comm, CommHandle, OverlapWindow, SpanKind, WireWord};
 use gblas::dist::{DistOpts, DistVec, NarrowVal};
@@ -17,16 +15,9 @@ use lacc_graph::Idx;
 
 /// An engine as the driver sees it: state plus one round of primitive
 /// calls. `W` is the width of the convergence allreduce payload: the
-/// first `W − 2` of the round's four change counters (the engine leaves
-/// the rest zero), then the two words of the narrowing probe.
+/// first `W` of the round's four change counters (the engine leaves the
+/// rest zero).
 pub(crate) trait Rules<I: Idx, const W: usize> {
-    /// Which of the change counters, when nonzero, means the round
-    /// overwrote labels wholesale, so an installed narrowing dictionary
-    /// stops being tight and is rebuilt (stale dense ranks still decode:
-    /// the label set only ever shrinks). A shortcut does that; hooks move
-    /// a few roots.
-    const REWRITES: usize = 2;
-
     /// Rounds the engine may take on `n` vertices before the run fails.
     fn max_rounds(n: usize, opts: &LaccOpts) -> usize;
 
@@ -110,13 +101,6 @@ where
     let n = cx.n();
     let world = cx.comm.world();
     let mut f: DistVec<I> = DistVec::from_fn(cx.layout, cx.rank, I::from_usize);
-    // The planner installs on the communicator the wire tier for the
-    // upcoming round's exchanges: round 1 is seeded for free from the
-    // identity labeling, later rounds re-plan from the probe below.
-    let planner = NarrowPlanner::new(&cx.opts.dist);
-    let [max_word, distinct] = planner.seed_probe(n);
-    planner.plan(cx.comm, &world, max_word, distinct, false, f.local());
-
     let bound = R::max_rounds(n, cx.opts);
     let mut iters: Vec<EngineIter> = Vec::new();
     loop {
@@ -130,26 +114,13 @@ where
         };
         let local = rules.round(cx, &mut f);
 
-        // The convergence test, with the narrowing probe piggybacked: the
-        // change counters are summed, the max label word is max-merged
-        // and the local distinct counts are summed. The payload is `W`
-        // words whether narrowing is on or off, so `words_sent` cannot
-        // depend on the flag; the probe compute is charged only when on.
-        let probe = planner.local_probe(cx.comm, f.local());
-        let mut payload = [0u64; W];
-        payload[..W - 2].copy_from_slice(&local[..W - 2]);
-        payload[W - 2..].copy_from_slice(&probe);
-        let merged = cx.comm.allreduce(&world, payload, |x, y| {
-            std::array::from_fn(|k| {
-                if k == W - 2 {
-                    x[k].max(y[k])
-                } else {
-                    x[k] + y[k]
-                }
-            })
-        });
+        // The convergence test: the change counters, summed over ranks.
+        let payload: [u64; W] = std::array::from_fn(|k| local[k]);
+        let merged = cx
+            .comm
+            .allreduce(&world, payload, |x, y| std::array::from_fn(|k| x[k] + y[k]));
         let mut changed = [0u64; 4];
-        changed[..W - 2].copy_from_slice(&merged[..W - 2]);
+        changed[..W].copy_from_slice(&merged);
         let (done, converged_after) = rules.settle(n, &changed);
         iters.push(EngineIter {
             converged_after,
@@ -161,9 +132,6 @@ where
         if done {
             break;
         }
-        let rewrote = changed[R::REWRITES] > 0;
-        let (max_word, distinct) = (merged[W - 2], merged[W - 1]);
-        planner.plan(cx.comm, &world, max_word, distinct, rewrote, f.local());
     }
 
     // Widen back to `Vid` at the boundary: callers always see full-width

@@ -37,7 +37,6 @@
 pub mod asref;
 pub mod dist;
 pub mod engine;
-pub mod narrow;
 pub mod options;
 pub mod serial;
 pub mod stats;
@@ -47,7 +46,6 @@ pub use dist::{check_ranks, run, RunConfig, RunOutput};
 pub use dmsim::EngineKind;
 pub use engine::{choose_engine, EngineCtx, EngineIter, EngineRun, EngineSelect};
 pub use gblas::dist::Wire;
-pub use narrow::NarrowPlanner;
 pub use options::{IndexWidth, LaccOpts, LaccOptsBuilder, OptsError};
 pub use serial::lacc_serial;
 pub use stats::{IterStats, LaccRun, StepBreakdown};

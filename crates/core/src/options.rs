@@ -268,8 +268,8 @@ impl LaccOptsBuilder {
         self
     }
 
-    /// Selects the wire format of the `extract`/`assign` exchanges (see
-    /// [`gblas::dist::Wire`]).
+    /// Selects the wire format of the distributed primitives' exchanges
+    /// (see [`gblas::dist::Wire`]).
     pub fn wire(mut self, wire: Wire) -> Self {
         self.opts.dist.wire = wire;
         self
@@ -282,17 +282,6 @@ impl LaccOptsBuilder {
     /// [`gblas::dist::DistOpts::overlap`]).
     pub fn overlap(mut self, on: bool) -> Self {
         self.opts.dist.overlap = on;
-        self
-    }
-
-    /// Enables or disables dynamic label-range narrowing: a probe
-    /// piggybacked on the convergence allreduce picks a narrower wire
-    /// encoding (raw u16 or dictionary codes) per iteration once the
-    /// live label range or survivor count permits. Labels, iteration
-    /// counts, and per-rank word counts are bit-identical either way;
-    /// only `bytes_sent` shrinks (see [`crate::narrow`]).
-    pub fn narrow_labels(mut self, on: bool) -> Self {
-        self.opts.dist.narrow_labels = on;
         self
     }
 
@@ -347,7 +336,6 @@ mod tests {
             .engine(EngineSelect::Fastsv)
             .wire(Wire::Legacy)
             .overlap(false)
-            .narrow_labels(false)
             .build();
         assert!(!o.use_sparsity);
         assert_eq!(o.dense_threshold, 0.25);
@@ -360,7 +348,6 @@ mod tests {
         assert_eq!(o.engine, EngineSelect::Fastsv);
         assert_eq!(o.dist.wire, Wire::Legacy);
         assert!(!o.dist.overlap);
-        assert!(!o.dist.narrow_labels);
     }
 
     #[test]
@@ -399,15 +386,16 @@ mod tests {
         let o = LaccOpts::naive_comm();
         assert_eq!(o.dist.wire, Wire::Legacy);
         assert!(!o.dist.overlap, "naive baseline runs strictly blocking");
-        assert!(
-            !o.dist.narrow_labels,
-            "naive baseline ships native-width labels"
-        );
         let d = LaccOpts::default();
+        assert_eq!(d.dist.wire, Wire::Compact, "frames ride the compact wire");
         assert!(d.dist.overlap, "overlap is part of the optimized default");
-        assert!(
-            d.dist.narrow_labels,
-            "narrowing is part of the optimized default"
-        );
+        // The five levers, spelled out: a sixth field fails to compile here.
+        let DistOpts {
+            alltoall: _,
+            hot_threshold: _,
+            spmv_threshold: _,
+            wire: _,
+            overlap: _,
+        } = d.dist;
     }
 }

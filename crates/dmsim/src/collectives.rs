@@ -15,6 +15,12 @@
 //!   store-and-forward algorithm; [`AllToAll::Sparse`] exchanges counts
 //!   first and then contacts only nonempty partners.
 //!
+//! There is one gather and one all-to-all entry point. A caller with an
+//! encoded stream ([`crate::wire`]) passes its `Vec<u8>` through them like
+//! any other vector, so every message is charged for exactly what it
+//! carries — `⌈len/8⌉` words and `len` bytes — and an empty frame is an
+//! empty bucket to the sparse all-to-all's gate.
+//!
 //! Each collective opens a [`SpanKind`] trace span (recorded only at
 //! [`crate::trace::TraceLevel::Collectives`]); `alltoallv` spans are
 //! tagged with the algorithm actually executed, so a hypercube call that
@@ -45,54 +51,6 @@ pub enum AllToAll {
     /// communicate. Ideal when most buckets are empty (late LACC
     /// iterations, Figure 3's "processes 7–15 have no data").
     Sparse,
-}
-
-/// A pre-encoded byte bucket for the framed collectives
-/// ([`Comm::allgatherv_framed`], [`Comm::alltoallv_framed`]).
-///
-/// Framed collectives execute the *same message pattern* as their typed
-/// counterparts but ship caller-encoded byte streams, with β charged at
-/// `legacy_words` — the word count the matching typed exchange pays with
-/// narrowing off. That split keeps `words_sent` and the modeled clock
-/// bit-identical whether a narrowing tier is active or not, while
-/// [`crate::cost::CostSnapshot::bytes_sent`] honestly reflects the
-/// narrow stream (the delta is what
-/// [`crate::cost::CostSnapshot::narrow_saved_bytes`] accounts).
-#[derive(Clone, Debug, Default)]
-pub struct FramedBlock {
-    /// Words charged to the β clock when this block is sent: the legacy
-    /// charge of the typed exchange this block replaces.
-    pub legacy_words: u64,
-    /// Logical element count of the block. Drives the sparse all-to-all
-    /// count phase and empty-bucket gating exactly like the element
-    /// count of the legacy typed exchange, so the α pattern matches.
-    pub items: u64,
-    /// The encoded stream actually shipped (counted in `bytes_sent`).
-    pub bytes: Vec<u8>,
-}
-
-/// What the all-to-all algorithms need to know about a bucket: typed
-/// vectors and [`FramedBlock`]s run the same message pattern and differ
-/// only in what a bucket counts as and how it is charged.
-trait Bucket: Default + Send + 'static {
-    /// `(logical items, words charged to β, bytes shipped)`.
-    fn load(&self) -> (u64, u64, u64);
-}
-
-impl<T: Send + 'static> Bucket for Vec<T> {
-    fn load(&self) -> (u64, u64, u64) {
-        (
-            self.len() as u64,
-            words_of::<T>(self.len()),
-            bytes_of::<T>(self.len()),
-        )
-    }
-}
-
-impl Bucket for FramedBlock {
-    fn load(&self) -> (u64, u64, u64) {
-        (self.items, self.legacy_words, self.bytes.len() as u64)
-    }
 }
 
 impl Comm {
@@ -357,28 +315,6 @@ impl Comm {
         bufs: Vec<Vec<T>>,
         algo: AllToAll,
     ) -> Vec<Vec<T>> {
-        self.alltoallv_buckets(g, bufs, algo)
-    }
-
-    /// [`Comm::alltoallv`] over pre-encoded byte buckets: the same
-    /// algorithm, message for message, but each bucket ships its encoded
-    /// stream while charging β at [`FramedBlock::legacy_words`], and the
-    /// sparse variant's count phase and empty-bucket gates run on
-    /// [`FramedBlock::items`], matching the legacy element-count gates.
-    pub fn alltoallv_framed(
-        &mut self,
-        g: &Group,
-        bufs: Vec<FramedBlock>,
-        algo: AllToAll,
-    ) -> Vec<Vec<u8>> {
-        let out = self.alltoallv_buckets(g, bufs, algo);
-        out.into_iter().map(|b| b.bytes).collect()
-    }
-
-    /// The one all-to-all implementation behind [`Comm::alltoallv`] and
-    /// [`Comm::alltoallv_framed`]; every charge and gate goes through
-    /// [`Bucket::load`].
-    fn alltoallv_buckets<B: Bucket>(&mut self, g: &Group, bufs: Vec<B>, algo: AllToAll) -> Vec<B> {
         let q = g.size();
         assert_eq!(bufs.len(), q, "one bucket per group member");
         if q == 1 {
@@ -411,19 +347,17 @@ impl Comm {
         out
     }
 
-    /// Sends one bucket, charged per its [`Bucket::load`].
-    fn send_bucket<B: Bucket>(&mut self, dest: usize, bucket: B) {
-        let (_, w, b) = bucket.load();
-        self.send_counted_bytes(dest, bucket, w, b);
-    }
-
-    fn alltoallv_direct<B: Bucket>(&mut self, g: &Group, mut bufs: Vec<B>) -> Vec<B> {
+    fn alltoallv_direct<T: Send + 'static>(
+        &mut self,
+        g: &Group,
+        mut bufs: Vec<Vec<T>>,
+    ) -> Vec<Vec<T>> {
         let q = g.size();
         let me = g.my_index();
         for k in 0..q {
             if k != me {
                 let bucket = std::mem::take(&mut bufs[k]);
-                self.send_bucket(g.member(k), bucket);
+                self.send_vec(g.member(k), bucket);
             }
         }
         (0..q)
@@ -431,23 +365,27 @@ impl Comm {
                 if k == me {
                     std::mem::take(&mut bufs[me])
                 } else {
-                    self.recv::<B>(g.member(k))
+                    self.recv::<Vec<T>>(g.member(k))
                 }
             })
             .collect()
     }
 
-    fn alltoallv_pairwise<B: Bucket>(&mut self, g: &Group, mut bufs: Vec<B>) -> Vec<B> {
+    fn alltoallv_pairwise<T: Send + 'static>(
+        &mut self,
+        g: &Group,
+        mut bufs: Vec<Vec<T>>,
+    ) -> Vec<Vec<T>> {
         let q = g.size();
         let me = g.my_index();
-        let mut result: Vec<Option<B>> = (0..q).map(|_| None).collect();
+        let mut result: Vec<Option<Vec<T>>> = (0..q).map(|_| None).collect();
         result[me] = Some(std::mem::take(&mut bufs[me]));
         for round in 1..q {
             let to = (me + round) % q;
             let from = (me + q - round) % q;
             let bucket = std::mem::take(&mut bufs[to]);
-            self.send_bucket(g.member(to), bucket);
-            result[from] = Some(self.recv::<B>(g.member(from)));
+            self.send_vec(g.member(to), bucket);
+            result[from] = Some(self.recv::<Vec<T>>(g.member(from)));
         }
         result
             .into_iter()
@@ -455,14 +393,18 @@ impl Comm {
             .collect()
     }
 
-    fn alltoallv_hypercube<B: Bucket>(&mut self, g: &Group, mut bufs: Vec<B>) -> Vec<B> {
+    fn alltoallv_hypercube<T: Send + 'static>(
+        &mut self,
+        g: &Group,
+        mut bufs: Vec<Vec<T>>,
+    ) -> Vec<Vec<T>> {
         let q = g.size();
         let me = g.my_index();
         debug_assert!(q.is_power_of_two());
-        let mut result: Vec<Option<B>> = (0..q).map(|_| None).collect();
+        let mut result: Vec<Option<Vec<T>>> = (0..q).map(|_| None).collect();
         result[me] = Some(std::mem::take(&mut bufs[me]));
         // Pool of in-flight buckets: (origin, destination, bucket).
-        let mut pool: Vec<(u32, u32, B)> = bufs
+        let mut pool: Vec<(u32, u32, Vec<T>)> = bufs
             .into_iter()
             .enumerate()
             .filter(|(k, _)| *k != me)
@@ -480,13 +422,12 @@ impl Comm {
             // Each forwarded bucket pays a 2-word / 16-byte routing header.
             let (mut w, mut b) = (0u64, 0u64);
             for (_, _, bucket) in &send_pool {
-                let (_, bw, bb) = bucket.load();
-                w += 2 + bw;
-                b += 16 + bb;
+                w += 2 + words_of::<T>(bucket.len());
+                b += 16 + bytes_of::<T>(bucket.len());
             }
             self.send_counted_bytes(g.member(partner), send_pool, w, b);
             pool = keep;
-            let incoming: Vec<(u32, u32, B)> = self.recv(g.member(partner));
+            let incoming: Vec<(u32, u32, Vec<T>)> = self.recv(g.member(partner));
             for (origin, dest, bucket) in incoming {
                 if dest as usize == me {
                     debug_assert!(result[origin as usize].is_none());
@@ -500,12 +441,12 @@ impl Comm {
         result.into_iter().map(|r| r.unwrap_or_default()).collect()
     }
 
-    fn alltoallv_sparse<B: Bucket>(
+    fn alltoallv_sparse<T: Send + 'static>(
         &mut self,
         g: &Group,
-        mut bufs: Vec<B>,
+        mut bufs: Vec<Vec<T>>,
         count_algo: AllToAll,
-    ) -> Vec<B> {
+    ) -> Vec<Vec<T>> {
         let q = g.size();
         let me = g.my_index();
         // Phase 1: exchange per-destination item counts so each member
@@ -516,16 +457,16 @@ impl Comm {
         let counts: Vec<Vec<u64>> = (0..q)
             .map(|k| {
                 let mut c: PooledBuf<u64> = self.pooled_buf();
-                c.push(bufs[k].load().0);
+                c.push(bufs[k].len() as u64);
                 c.detach()
             })
             .collect();
         let incoming_counts = self.alltoallv(g, counts, count_algo);
         // Phase 2: only nonempty pairs exchange.
         for k in 0..q {
-            if k != me && bufs[k].load().0 > 0 {
+            if k != me && !bufs[k].is_empty() {
                 let bucket = std::mem::take(&mut bufs[k]);
-                self.send_bucket(g.member(k), bucket);
+                self.send_vec(g.member(k), bucket);
             }
         }
         let out = (0..q)
@@ -533,9 +474,9 @@ impl Comm {
                 if k == me {
                     std::mem::take(&mut bufs[me])
                 } else if incoming_counts[k].first().copied().unwrap_or(0) > 0 {
-                    self.recv::<B>(g.member(k))
+                    self.recv::<Vec<T>>(g.member(k))
                 } else {
-                    B::default()
+                    Vec::new()
                 }
             })
             .collect();
@@ -544,41 +485,6 @@ impl Comm {
             drop(self.adopt_buf(c));
         }
         out
-    }
-
-    /// [`Comm::allgatherv`] over a pre-encoded byte block: the same ring,
-    /// message for message, but each hop charges β at the block's
-    /// [`FramedBlock::legacy_words`] while shipping (and byte-counting)
-    /// its encoded stream. Returns every member's bytes by group index.
-    pub fn allgatherv_framed(&mut self, g: &Group, mine: FramedBlock) -> Vec<Vec<u8>> {
-        let span = self.span_open(SpanKind::Allgatherv);
-        let q = g.size();
-        let me = g.my_index();
-        let mut result: Vec<Option<Vec<u8>>> = (0..q).map(|_| None).collect();
-        let right = g.member((me + 1) % q);
-        let left = g.member((me + q - 1) % q);
-        // The carry rides the ring as (legacy_words, bytes) so every
-        // forwarder knows the legacy charge without re-deriving it.
-        let mut carry: (u64, Vec<u8>) = (mine.legacy_words, mine.bytes.clone());
-        result[me] = Some(mine.bytes);
-        for step in 1..q {
-            let w = carry.0;
-            let b = carry.1.len() as u64;
-            self.send_counted_bytes(right, carry, w, b);
-            let (in_words, in_bytes): (u64, Vec<u8>) = self.recv(left);
-            let origin = (me + q - step) % q;
-            carry = if step + 1 < q {
-                (in_words, in_bytes.clone())
-            } else {
-                (0, Vec::new())
-            };
-            result[origin] = Some(in_bytes);
-        }
-        self.span_close(span);
-        result
-            .into_iter()
-            .map(|r| r.expect("ring delivered all blocks"))
-            .collect()
     }
 
     /// Gather to group index `root_idx`: root returns all contributions
@@ -833,12 +739,6 @@ impl Comm {
     /// Words merged away after the first receive are credited to
     /// [`crate::cost::CostSnapshot::combined_words`] (observational: the
     /// clock already reflects the smaller forwarded payloads).
-    ///
-    /// The hop key streams honour the installed [`Comm::narrow_spec`]: an
-    /// active tier may re-encode each stream below its legacy width (never
-    /// above — the legacy stream stays a candidate), crediting the delta
-    /// to [`crate::cost::CostSnapshot::narrow_saved_bytes`]; β is charged
-    /// at the legacy length either way.
     pub fn reduce_scatter_by_key<K, T, M>(
         &mut self,
         g: &Group,
@@ -867,9 +767,6 @@ impl Comm {
         P: Send + 'static,
         M: FnMut(&mut P, P),
     {
-        let spec = self.narrow_spec();
-        let dict = self.narrow_dict();
-        let mut narrow_saved = 0u64;
         let q = g.size();
         assert_eq!(bufs.len(), q, "one bucket per group member");
         let me = g.my_index();
@@ -910,16 +807,8 @@ impl Comm {
                 let wire_msg: Vec<(u32, Vec<u8>, Vec<P>)> = buckets
                     .into_iter()
                     .map(|(dest, keys, ps)| {
-                        let (bytes, saved) =
-                            wire::encode_keys_narrow::<K>(&keys, spec, dict.as_deref());
-                        narrow_saved += saved;
-                        // β is charged by the legacy stream length
-                        // (bytes + saved), so words_sent and the modeled
-                        // clock are identical with narrowing on or off;
-                        // only bytes_sent reflects the narrow stream.
-                        w += 2
-                            + words_of::<u8>(bytes.len() + saved as usize)
-                            + words_of::<P>(ps.len());
+                        let bytes = wire::encode_keys_for(&keys);
+                        w += 2 + words_of::<u8>(bytes.len()) + words_of::<P>(ps.len());
                         b += 16 + bytes_of::<u8>(bytes.len()) + bytes_of::<P>(ps.len());
                         (dest, bytes, ps)
                     })
@@ -928,7 +817,7 @@ impl Comm {
                 pool = keep;
                 let incoming: Vec<(u32, Vec<u8>, Vec<P>)> = self.recv(partner);
                 for (dest, bytes, ps) in incoming {
-                    let keys = wire::decode_keys_narrow::<K>(&bytes, dict.as_deref());
+                    let keys = wire::decode_keys_for::<K>(&bytes);
                     debug_assert_eq!(keys.len(), ps.len());
                     if dest as usize == me {
                         mine.extend(keys.into_iter().zip(ps));
@@ -942,7 +831,6 @@ impl Comm {
             }
             debug_assert!(pool.is_empty(), "all entries routed after log q rounds");
             self.note_combined_words(saved);
-            self.note_narrow_saved(narrow_saved);
         } else if q > 1 {
             // Non-power-of-two fallback: merge each bucket sender-side,
             // exchange pairwise, fold at the destination. Cross-sender
@@ -969,15 +857,11 @@ impl Comm {
     /// branches each surviving entry came from. Returns the route; this
     /// rank must answer `route.delivered_keys()` and can then scatter any
     /// number of reply phases back over the same route with
-    /// [`Comm::combining_replies`]. Hop key streams honour the installed
-    /// [`Comm::narrow_spec`] exactly as in [`Comm::reduce_scatter_by_key`].
+    /// [`Comm::combining_replies`].
     pub fn combining_requests<K>(&mut self, g: &Group, mut bufs: Vec<Vec<K>>) -> CombineRoute<K>
     where
         K: WireWord + Ord + Copy + Send + 'static,
     {
-        let spec = self.narrow_spec();
-        let dict = self.narrow_dict();
-        let mut narrow_saved = 0u64;
         let q = g.size();
         assert_eq!(bufs.len(), q, "one key bucket per group member");
         let me = g.my_index();
@@ -1035,11 +919,8 @@ impl Comm {
                 let wire_msg: Vec<(u32, Vec<u8>)> = buckets
                     .into_iter()
                     .map(|(dest, keys)| {
-                        let (bytes, saved) =
-                            wire::encode_keys_narrow::<K>(&keys, spec, dict.as_deref());
-                        narrow_saved += saved;
-                        // Legacy-width β charge; see combining_exchange.
-                        w += 2 + words_of::<u8>(bytes.len() + saved as usize);
+                        let bytes = wire::encode_keys_for(&keys);
+                        w += 2 + words_of::<u8>(bytes.len());
                         b += 16 + bytes_of::<u8>(bytes.len());
                         (dest, bytes)
                     })
@@ -1049,7 +930,7 @@ impl Comm {
                 let mut delivered_round: Vec<K> = Vec::new();
                 let mut from_partner: Vec<(u32, K)> = Vec::new();
                 for (dest, bytes) in incoming {
-                    let keys = wire::decode_keys_narrow::<K>(&bytes, dict.as_deref());
+                    let keys = wire::decode_keys_for::<K>(&bytes);
                     if dest as usize == me {
                         delivered_round = keys;
                     } else {
@@ -1094,7 +975,6 @@ impl Comm {
             }
             debug_assert!(pool.is_empty(), "all requests routed after log q rounds");
             self.note_combined_words(saved);
-            self.note_narrow_saved(narrow_saved);
         } else if q > 1 {
             arrivals.extend(self.alltoallv(g, my_keys.clone(), AllToAll::Pairwise));
         }
@@ -1131,10 +1011,8 @@ impl Comm {
     /// reverse — at every recorded merge fork the value is duplicated to
     /// both branches, and reply streams travel as bare value vectors
     /// because both endpoints can reconstruct the (destination, key)
-    /// order from the route. The streams are run-length encoded
-    /// ([`crate::wire::encode_words_for`]) and, under an installed
-    /// [`Comm::narrow_spec`], re-tiered below that when strictly smaller
-    /// (β stays charged at the run-length-encoded length).
+    /// order from the route. Every stream goes through the one word codec
+    /// ([`crate::wire::encode_words_for`]) and is charged as shipped.
     ///
     /// Returns, per destination `k`, the values answering this rank's
     /// original `bufs[k]` keys (sorted, deduped — `route.my_keys()[k]`),
@@ -1157,8 +1035,6 @@ impl Comm {
         K: WireWord + Ord + Copy + Send + 'static,
         T: WireWord + Send + 'static,
     {
-        let spec = self.narrow_spec();
-        let dict = self.narrow_dict();
         let q = g.size();
         assert_eq!(q, route.q, "route belongs to a different group");
         assert_eq!(
@@ -1205,19 +1081,9 @@ impl Comm {
                 fork(0..hop.below, &mut vals);
                 vals.extend(served(&hop.delivered_at));
                 fork(hop.below..cur.len(), &mut vals);
-                let words: Vec<u64> = vals.iter().map(|v| v.to_word()).collect();
-                let (bytes, saved) = wire::encode_words_narrow::<T>(&words, spec, dict.as_deref());
-                self.note_narrow_saved(saved);
-                // Charge β at the legacy stream length (bytes + saved) so the
-                // word clock is identical with narrowing on or off.
-                let w = words_of::<u8>(bytes.len() + saved as usize);
-                let b = bytes_of::<u8>(bytes.len());
-                self.send_counted_bytes(partner, bytes, w, b);
+                self.send_vec(partner, wire::encode_words_for(&vals));
                 let bytes: Vec<u8> = self.recv(partner);
-                let incoming: Vec<T> = wire::decode_words_narrow::<T>(&bytes, dict.as_deref())
-                    .into_iter()
-                    .map(T::from_word)
-                    .collect();
+                let incoming: Vec<T> = wire::decode_words_for(&bytes);
                 assert_eq!(
                     incoming.len(),
                     hop.sent,
@@ -1254,43 +1120,15 @@ impl Comm {
             }
             out[me] = served(&route.self_at);
         } else if q > 1 {
-            let bufs: Vec<Vec<T>> = route.incoming_at.iter().map(|at| served(at)).collect();
-            // The fallback's legacy codec is the width-free
-            // `encode_words`; savings and the β word charge are measured
-            // against it, so words_sent is identical with narrowing on or
-            // off and only bytes_sent shrinks.
-            let mut narrow_saved = 0u64;
-            let enc: Vec<FramedBlock> = bufs
+            let enc: Vec<Vec<u8>> = route
+                .incoming_at
                 .iter()
-                .map(|vals| {
-                    let words: Vec<u64> = vals.iter().map(|v| v.to_word()).collect();
-                    let legacy = wire::encode_words(&words);
-                    let legacy_len = legacy.len();
-                    let bytes = if spec.active() {
-                        wire::encode_words_narrow::<T>(&words, spec, dict.as_deref()).0
-                    } else {
-                        legacy
-                    };
-                    narrow_saved += (legacy_len.saturating_sub(bytes.len())) as u64;
-                    FramedBlock {
-                        legacy_words: words_of::<u8>(legacy_len),
-                        items: vals.len() as u64,
-                        bytes,
-                    }
-                })
+                .map(|at| wire::encode_words_for(&served(at)))
                 .collect();
-            self.note_narrow_saved(narrow_saved);
             out = self
-                .alltoallv_framed(g, enc, AllToAll::Pairwise)
+                .alltoallv(g, enc, AllToAll::Pairwise)
                 .into_iter()
-                .map(|bytes| {
-                    let words = if spec.active() {
-                        wire::decode_words_narrow::<T>(&bytes, dict.as_deref())
-                    } else {
-                        wire::decode_words(&bytes)
-                    };
-                    words.into_iter().map(T::from_word).collect()
-                })
+                .map(|bytes| wire::decode_words_for(&bytes))
                 .collect();
         } else {
             out[0] = served(&route.self_at);

@@ -12,8 +12,10 @@
 //!
 //! Rank panics are captured: [`run_spmd`] and friends return
 //! `Result<Vec<R>, DmsimError>` where the error carries the failing rank
-//! and its panic payload. Tracing (see [`crate::trace`]) hangs off the
-//! same launchers via [`run_spmd_traced`].
+//! and its panic payload. A rank that unwinds leaves a poison envelope in
+//! every other inbox, so peers blocked on it stop too instead of waiting
+//! forever, and the error names the rank that failed first. Tracing (see
+//! [`crate::trace`]) hangs off the same launchers via [`run_spmd_traced`].
 
 use crate::cost::{CostSnapshot, MachineModel};
 use crate::trace::{RankTrace, Span, SpanKind, TraceLevel, TraceLocal, TraceSink};
@@ -150,6 +152,8 @@ impl DmsimError {
             s
         } else if let Some(s) = self.payload.downcast_ref::<String>() {
             s
+        } else if self.payload.is::<PeerFailed>() {
+            "a peer rank exited before this rank was done with it"
         } else {
             "<non-string panic payload>"
         }
@@ -172,6 +176,41 @@ impl std::fmt::Display for DmsimError {
 }
 
 impl std::error::Error for DmsimError {}
+
+/// "The rank named here has failed": the payload of the poison envelope a
+/// rank posts to every other inbox when it unwinds ([`PoisonOnUnwind`]), and
+/// the panic payload of each rank that stops on receiving one. The launcher
+/// reports the named rank's own panic, not these echoes of it.
+struct PeerFailed(usize);
+
+/// Held by a rank thread for the length of its body. Every surviving rank
+/// keeps all senders alive, so a blocked [`Comm::recv`] can never see a
+/// disconnect; a rank that panics therefore says so explicitly.
+struct PoisonOnUnwind {
+    rank: usize,
+    senders: Arc<Vec<Sender<Envelope>>>,
+}
+
+impl Drop for PoisonOnUnwind {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        for (dest, tx) in self.senders.iter().enumerate() {
+            if dest != self.rank {
+                // A peer that has already returned dropped its inbox:
+                // there is nobody left to wake.
+                let _ = tx.send(Envelope {
+                    src: self.rank as u32,
+                    arrival: 0.0,
+                    words: 0,
+                    bytes: 0,
+                    payload: Box::new(PeerFailed(self.rank)),
+                });
+            }
+        }
+    }
+}
 
 struct Envelope {
     src: u32,
@@ -301,17 +340,6 @@ pub struct Comm {
     /// to `snap.compute_s`; reported in trace spans).
     ops_charged: u64,
     pool: Rc<RefCell<BufferPool>>,
-    /// Installed label dictionary for the dictionary narrowing tier (see
-    /// [`crate::wire::NarrowDict`]); `None` until the probe layer installs
-    /// one and after invalidation.
-    narrow_dict: Option<Arc<crate::wire::NarrowDict>>,
-    /// Monotone count of dictionary installs on this rank; used as the
-    /// epoch of the next installed dictionary so stale decodes are caught.
-    narrow_epoch: u64,
-    /// Wire tier the narrowing planner selected for the upcoming
-    /// exchanges' label-valued streams; [`crate::wire::NarrowSpec::NATIVE`]
-    /// until a planner installs one.
-    narrow_spec: crate::wire::NarrowSpec,
     trace: TraceLocal,
     sink: Option<Arc<TraceSink>>,
 }
@@ -404,53 +432,6 @@ impl Comm {
     /// exactly once.
     pub fn note_rerun(&mut self) {
         self.snap.reruns += 1;
-    }
-
-    /// Records `bytes` of payload kept off the wire by a dynamic narrowing
-    /// tier (raw-`u16` or dictionary codes; see [`crate::wire::NarrowTier`]).
-    /// Purely observational — it feeds [`CostSnapshot::narrow_saved_bytes`]
-    /// and the trace report, never the clock, which already reflects the
-    /// narrower payloads actually sent.
-    pub fn note_narrow_saved(&mut self, bytes: u64) {
-        self.snap.narrow_saved_bytes += bytes;
-    }
-
-    /// Installs a narrowing dictionary for the dictionary wire tier,
-    /// stamping it with the next epoch on this rank. Callers install the
-    /// *same* value set on every rank in the same superstep, so epochs
-    /// (install counts) agree across ranks and a stale dictionary is
-    /// caught by the decode-side epoch assert. Returns the installed
-    /// dictionary.
-    pub fn install_narrow_dict(&mut self, values: Vec<u64>) -> Arc<crate::wire::NarrowDict> {
-        self.narrow_epoch += 1;
-        let d = Arc::new(crate::wire::NarrowDict::new(self.narrow_epoch, values));
-        self.narrow_dict = Some(Arc::clone(&d));
-        d
-    }
-
-    /// The currently installed narrowing dictionary, if any.
-    pub fn narrow_dict(&self) -> Option<Arc<crate::wire::NarrowDict>> {
-        self.narrow_dict.clone()
-    }
-
-    /// Drops the installed narrowing dictionary (e.g. after a shortcut
-    /// step rewrites labels, making the dense-rank remap stale for
-    /// tightness even though the value set only shrinks).
-    pub fn invalidate_narrow_dict(&mut self) {
-        self.narrow_dict = None;
-    }
-
-    /// Installs the wire tier every narrowing-aware exchange on this rank
-    /// uses until the next call. Callers install the same spec on every
-    /// rank in the same superstep (a stale or mismatched spec costs bytes,
-    /// never bits: every stream self-describes its encoding).
-    pub fn set_narrow_spec(&mut self, spec: crate::wire::NarrowSpec) {
-        self.narrow_spec = spec;
-    }
-
-    /// The currently installed narrowing tier.
-    pub fn narrow_spec(&self) -> crate::wire::NarrowSpec {
-        self.narrow_spec
     }
 
     /// Takes a recycled scratch buffer (empty `Vec<T>`, capacity
@@ -579,11 +560,11 @@ impl Comm {
             bytes,
             payload: Box::new(msg),
         };
-        // Receiver threads outlive all sends within `run_spmd`, so the
-        // channel cannot be disconnected here.
-        self.senders[dest]
-            .send(env)
-            .expect("rank inbox disconnected");
+        // An inbox is gone only when its rank's thread has ended, and in a
+        // correct program that is a rank that failed.
+        if self.senders[dest].send(env).is_err() {
+            std::panic::panic_any(PeerFailed(dest));
+        }
     }
 
     /// Sends a sized value (scalars, small structs): the word count is
@@ -608,7 +589,8 @@ impl Comm {
     /// # Panics
     /// If the next message from `src` has a different payload type — that
     /// is a protocol bug in the SPMD program (surfaced to the caller as a
-    /// [`DmsimError`] by the launcher).
+    /// [`DmsimError`] by the launcher) — and on the first poison envelope
+    /// dequeued while waiting, whichever rank posted it.
     pub fn recv<T: Send + 'static>(&mut self, src: usize) -> T {
         loop {
             if let Some((arrival, words, bytes, payload)) = self.pending[src].pop_front() {
@@ -627,6 +609,9 @@ impl Comm {
                 });
             }
             let env = self.rx.recv().expect("all senders dropped while receiving");
+            if let Some(&PeerFailed(rank)) = env.payload.downcast_ref() {
+                std::panic::panic_any(PeerFailed(rank));
+            }
             self.pending[env.src as usize].push_back((
                 env.arrival,
                 env.words,
@@ -772,8 +757,9 @@ where
 ///
 /// Each rank executes `f` on its own OS thread with a 4 MiB stack (ranks
 /// are numerous; large default stacks would exhaust memory at high `p`).
-/// If any rank panics, the lowest panicked rank and its payload are
-/// returned as a [`DmsimError`] after all ranks have been joined.
+/// If any rank panics, every rank still waiting on it stops as well, and
+/// after all ranks have been joined the lowest rank that failed on its own
+/// is returned with its payload as a [`DmsimError`].
 pub fn run_spmd_traced<R, F>(
     p: usize,
     model: MachineModel,
@@ -796,7 +782,7 @@ where
     let f = &f;
     let level = sink.map_or(TraceLevel::Off, |s| s.level());
     let mut results: Vec<Option<R>> = (0..p).map(|_| None).collect();
-    let mut first_err: Option<DmsimError> = None;
+    let mut errs: Vec<DmsimError> = Vec::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(p);
         for (rank, rx) in rxs.into_iter().enumerate() {
@@ -806,6 +792,10 @@ where
                 .name(format!("dmsim-rank-{rank}"))
                 .stack_size(4 << 20)
                 .spawn_scoped(scope, move || {
+                    let _poison = PoisonOnUnwind {
+                        rank,
+                        senders: Arc::clone(&senders),
+                    };
                     let mut comm = Comm {
                         rank,
                         size: p,
@@ -816,9 +806,6 @@ where
                         snap: CostSnapshot::default(),
                         ops_charged: 0,
                         pool: Rc::new(RefCell::new(BufferPool::default())),
-                        narrow_dict: None,
-                        narrow_epoch: 0,
-                        narrow_spec: crate::wire::NarrowSpec::NATIVE,
                         trace: TraceLocal::new(level),
                         sink,
                     };
@@ -832,21 +819,19 @@ where
         for (rank, h) in handles.into_iter().enumerate() {
             match h.join() {
                 Ok(r) => results[rank] = Some(r),
-                Err(payload) => {
-                    if first_err.is_none() {
-                        first_err = Some(DmsimError { rank, payload });
-                    }
-                }
+                Err(payload) => errs.push(DmsimError { rank, payload }),
             }
         }
     });
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(results
+    if errs.is_empty() {
+        return Ok(results
             .into_iter()
             .map(|r| r.expect("every rank joined without error"))
-            .collect()),
+            .collect());
     }
+    // The lowest rank that failed on its own, not a peer's echo of it.
+    let own = errs.iter().position(|e| !e.payload.is::<PeerFailed>());
+    Err(errs.swap_remove(own.unwrap_or(0)))
 }
 
 #[cfg(test)]
@@ -1009,6 +994,46 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.rank, 2);
         assert_eq!(err.message(), "boom on rank 2");
+    }
+
+    /// Runs `body` on four ranks, on a helper thread so that a rank left
+    /// waiting forever fails the test instead of hanging the suite, and
+    /// expects rank 1's "boom" back within a second.
+    fn rank_1_boom_fails_the_run<R: Send + 'static>(body: fn(&mut Comm) -> R) {
+        let (tx, rx) = channel();
+        std::thread::spawn(move || tx.send(run_spmd(4, body).map(drop)));
+        let err = rx
+            .recv_timeout(std::time::Duration::from_secs(1))
+            .expect("the run was still blocked after one second")
+            .unwrap_err();
+        assert_eq!((err.rank, err.message()), (1, "boom"));
+    }
+
+    #[test]
+    fn rank_killed_before_a_barrier_fails_the_run_instead_of_hanging_it() {
+        rank_1_boom_fails_the_run(|c| {
+            if c.rank() == 1 {
+                panic!("boom");
+            }
+            let w = c.world();
+            c.barrier(&w);
+        });
+    }
+
+    #[test]
+    fn rank_killed_mid_alltoallv_fails_the_run_instead_of_hanging_it() {
+        // Rank 1 gets as far as the first send of the pairwise schedule and
+        // dies before its first receive: rank 2 has its bucket, ranks 3 and
+        // 0 wait for theirs in rounds 2 and 3.
+        rank_1_boom_fails_the_run(|c| {
+            if c.rank() == 1 {
+                c.send_vec(2, vec![1u64]);
+                panic!("boom");
+            }
+            let w = c.world();
+            let bufs = vec![vec![c.rank() as u64]; 4];
+            c.alltoallv(&w, bufs, crate::AllToAll::Pairwise)
+        });
     }
 
     #[test]

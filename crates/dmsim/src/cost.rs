@@ -153,15 +153,6 @@ pub struct CostSnapshot {
     /// this rank before being forwarded. Observational only — the clock
     /// already reflects the smaller forwarded payloads.
     pub combined_words: u64,
-    /// Exact payload bytes this rank avoided sending because a dynamic
-    /// narrowing tier (raw-`u16` or dictionary codes; see
-    /// [`crate::wire::NarrowTier`]) encoded a label stream below its
-    /// legacy width. `bytes_sent` already reflects the narrowed streams;
-    /// this counter records the delta against what the same exchange
-    /// would have cost with `narrow_labels` off. Zero when narrowing is
-    /// disabled, monotone-nonnegative when on (narrow encoders never
-    /// pick a candidate larger than the legacy stream).
-    pub narrow_saved_bytes: u64,
     /// Full LACC recomputes noted on this rank (the serving layer's epoch
     /// rebuilds; see [`crate::trace::RerunReason`]). The rerun entry point
     /// notes each rebuild on rank 0 only, so summing snapshots over ranks
@@ -191,7 +182,6 @@ impl CostSnapshot {
             bytes_received: self.bytes_received - earlier.bytes_received,
             words_saved: self.words_saved - earlier.words_saved,
             combined_words: self.combined_words - earlier.combined_words,
-            narrow_saved_bytes: self.narrow_saved_bytes - earlier.narrow_saved_bytes,
             reruns: self.reruns - earlier.reruns,
             overlap_hidden_s: self.overlap_hidden_s - earlier.overlap_hidden_s,
         }
@@ -243,7 +233,6 @@ mod tests {
             bytes_received: 400,
             words_saved: 0,
             combined_words: 1,
-            narrow_saved_bytes: 10,
             reruns: 1,
             overlap_hidden_s: 0.25,
         };
@@ -258,7 +247,6 @@ mod tests {
             bytes_received: 1800,
             words_saved: 7,
             combined_words: 4,
-            narrow_saved_bytes: 25,
             reruns: 3,
             overlap_hidden_s: 1.0,
         };
@@ -268,7 +256,6 @@ mod tests {
         assert_eq!(d.bytes_received, 1400);
         assert_eq!(d.words_saved, 7);
         assert_eq!(d.combined_words, 3);
-        assert_eq!(d.narrow_saved_bytes, 15);
         assert_eq!(d.reruns, 2);
         assert!((d.clock_s - 2.0).abs() < 1e-12);
         assert!((d.overlap_hidden_s - 0.75).abs() < 1e-12);

@@ -25,6 +25,11 @@
 //! Chrome-trace JSON or an aggregated per-rank report. See
 //! [`run_spmd_traced`].
 //!
+//! [`wire`] holds the stream codecs a caller uses to ship an encoded
+//! vector: the result is a `Vec<u8>` that goes through the ordinary
+//! collectives and is charged for the bytes it carries. The simulator keeps
+//! no codec state and attaches no meaning to a payload.
+//!
 //! Execution is bulk-synchronous by default, but operations can be posted
 //! as *non-blocking* through [`Comm::post`] (returning a [`CommHandle`])
 //! or credited against a preceding compute window ([`OverlapWindow`]):
@@ -56,7 +61,7 @@ pub mod topology;
 pub mod trace;
 pub mod wire;
 
-pub use collectives::{AllToAll, CombineRoute, FramedBlock};
+pub use collectives::{AllToAll, CombineRoute};
 pub use comm::{
     bytes_of, run_spmd, run_spmd_traced, run_spmd_with_model, words_of, BufferPool, Comm,
     CommHandle, DmsimError, Group, OverlapWindow, PooledBuf,
@@ -67,4 +72,4 @@ pub use trace::{
     EngineKind, RankTrace, RerunReason, Span, SpanKind, SpanRecord, TraceLevel, TraceReport,
     TraceSink,
 };
-pub use wire::{NarrowDict, NarrowSpec, NarrowTier, WireWord};
+pub use wire::WireWord;

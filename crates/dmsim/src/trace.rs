@@ -23,7 +23,6 @@
 
 use crate::collectives::AllToAll;
 use crate::cost::CostSnapshot;
-use crate::wire::NarrowTier;
 use std::sync::{Arc, Mutex};
 
 /// How much detail to record. Each level includes everything the previous
@@ -128,10 +127,6 @@ pub enum SpanKind {
     /// retroactively when a non-blocking handle or overlap window applies
     /// its clock credit (step-level; see [`crate::CommHandle`]).
     Overlap,
-    /// One iteration's exchanges ran under a dynamic narrowing tier
-    /// (step-level point span, tagged with the tier the range probe
-    /// selected; see [`crate::wire::NarrowTier`]).
-    Narrow(NarrowTier),
     /// Distributed matrix-vector multiply (op).
     Mxv,
     /// Distributed `assign` scatter (op).
@@ -164,7 +159,7 @@ impl SpanKind {
         use SpanKind::*;
         match self {
             Rerun(_) | Engine(_) | EngineSelect | CondHook | UncondHook | Shortcut | Starcheck
-            | Overlap | Narrow(_) => TraceLevel::Steps,
+            | Overlap => TraceLevel::Steps,
             Mxv | Assign | Extract => TraceLevel::Ops,
             _ => TraceLevel::Collectives,
         }
@@ -186,9 +181,6 @@ impl SpanKind {
             Shortcut => "shortcut",
             Starcheck => "starcheck",
             Overlap => "overlap",
-            Narrow(NarrowTier::Native) => "narrow(native)",
-            Narrow(NarrowTier::U16) => "narrow(u16)",
-            Narrow(NarrowTier::Dict) => "narrow(dict)",
             Mxv => "mxv",
             Assign => "assign",
             Extract => "extract",
@@ -456,7 +448,6 @@ impl TraceSink {
         let mut rank_words = vec![0u64; p];
         let mut words_saved = 0u64;
         let mut combined_words = 0u64;
-        let mut narrow_saved_bytes = 0u64;
         let mut reruns = 0u64;
         let mut overlap_hidden_s = 0.0f64;
         for (i, rt) in ranks.iter().enumerate() {
@@ -464,7 +455,6 @@ impl TraceSink {
             rank_words[i] = rt.snapshot.words_sent + rt.snapshot.words_received;
             words_saved += rt.snapshot.words_saved;
             combined_words += rt.snapshot.combined_words;
-            narrow_saved_bytes += rt.snapshot.narrow_saved_bytes;
             reruns += rt.snapshot.reruns;
             overlap_hidden_s += rt.snapshot.overlap_hidden_s;
             for sp in &rt.spans {
@@ -502,7 +492,6 @@ impl TraceSink {
             rank_words,
             words_saved,
             combined_words,
-            narrow_saved_bytes,
             reruns,
             overlap_hidden_s,
             load_imbalance: if mean_t > 0.0 { max_t / mean_t } else { 1.0 },
@@ -566,9 +555,6 @@ pub struct TraceReport {
     /// Total words eliminated in flight by combining collectives, summed
     /// over all ranks (see [`CostSnapshot::combined_words`]).
     pub combined_words: u64,
-    /// Total payload bytes kept off the wire by dynamic narrowing tiers,
-    /// summed over all ranks (see [`CostSnapshot::narrow_saved_bytes`]).
-    pub narrow_saved_bytes: u64,
     /// Full LACC recomputes observed (summed over snapshots; each rebuild
     /// is noted on rank 0 only, so a p-rank rebuild counts once — see
     /// [`CostSnapshot::reruns`]). The per-cause split is visible in the
@@ -615,13 +601,6 @@ impl TraceReport {
                 s,
                 "  in-flight combining merged {} words at hypercube hops",
                 self.combined_words
-            );
-        }
-        if self.narrow_saved_bytes > 0 {
-            let _ = writeln!(
-                s,
-                "  narrow_saved_bytes: {} kept off the wire by dynamic narrowing tiers",
-                self.narrow_saved_bytes
             );
         }
         if self.reruns > 0 {

@@ -1,80 +1,46 @@
-//! Value-stream codecs for the narrowing-aware exchanges.
+//! Chunk frames: the typed front of [`dmsim::wire`]'s word-stream codec.
 //!
-//! The `mxv` gather/reduce phases ship label-valued streams — dense
-//! chunks, sparse `(id, value)` entries, `(parent, value)` pairs — as
-//! byte frames whenever a narrowing tier is installed on the rank's
-//! [`dmsim::Comm`]. This module is the typed front of the word-stream
-//! codecs in [`dmsim::wire`]: [`encode_values`] / [`decode_values`] for
-//! one scalar stream, and the [`NarrowVal`] trait that frames whole
-//! (possibly tuple-valued) chunks self-delimitingly.
+//! Under [`super::Wire::Compact`] the `mxv` gather and exchange phases
+//! ship their value streams — dense chunks, the value half of sparse
+//! `(id, value)` entries, `(parent, value)` pairs — as byte frames.
+//! [`NarrowVal`] frames a whole (possibly tuple-valued) chunk
+//! self-delimitingly; nothing outside the frame is needed to decode it.
 
-use dmsim::wire::{push_varint, read_varint};
-use dmsim::WireWord;
+use dmsim::wire::{decode_words_for, encode_words_for, push_varint, read_varint};
 
-/// Encodes a value stream with run-length encoding and a raw fallback at
-/// `T`'s native width, re-tiered under an active `spec` as raw `u16` or
-/// dictionary codes when that is strictly smaller
-/// ([`dmsim::wire::encode_words_narrow`]). Returns the bytes and the saving
-/// against the [`dmsim::NarrowSpec::NATIVE`] stream. Empty streams encode
-/// to zero bytes.
-pub fn encode_values<T: WireWord>(
-    vals: &[T],
-    spec: dmsim::NarrowSpec,
-    dict: Option<&dmsim::NarrowDict>,
-) -> (Vec<u8>, u64) {
-    if vals.is_empty() {
-        return (Vec::new(), 0);
-    }
-    let words: Vec<u64> = vals.iter().map(|v| v.to_word()).collect();
-    dmsim::wire::encode_words_narrow::<T>(&words, spec, dict)
-}
-
-/// Decodes a stream produced by [`encode_values`] (any tier).
-pub fn decode_values<T: WireWord>(bytes: &[u8], dict: Option<&dmsim::NarrowDict>) -> Vec<T> {
-    if bytes.is_empty() {
-        return Vec::new();
-    }
-    dmsim::wire::decode_words_narrow::<T>(bytes, dict)
-        .into_iter()
-        .map(T::from_word)
-        .collect()
-}
-
-/// A value type whose streams can ride a narrow-framed exchange.
+/// A value type whose chunks can ride the compact wire as byte frames.
 ///
-/// The mxv gather/exchange payloads are not always scalar wire words —
-/// LACC's conditional hook ships `(parent, value)` pairs — so the codec
-/// is chunk-level: a whole value slice encodes to one self-delimiting
-/// byte frame and decodes back without external length information.
-/// Scalar wire types delegate to [`encode_values`]; pairs split
-/// into two component planes with a varint length prefix on the first.
+/// The `mxv` payloads are not always scalar wire words — LACC's
+/// conditional hook ships `(parent, value)` pairs — so the codec is
+/// chunk-level: a whole value slice encodes to one self-delimiting frame
+/// and decodes back without external length information. Scalar wire
+/// types are one [`dmsim::wire::encode_words_for`] stream, whose mode byte
+/// says how it was encoded; pairs split into two component planes with a
+/// varint length prefix on the first.
 ///
-/// Contract: `decode_chunk(&encode_chunk(v, spec, dict), dict) == v` for
-/// any `spec` the encoder saw and the same `dict` epoch, and the empty
-/// slice encodes to the empty frame.
+/// Contract: `decode_chunk(&encode_chunk(v)) == v`, and the empty slice
+/// encodes to the empty frame (which a sparse all-to-all does not send).
 pub trait NarrowVal: Copy + Send + Sync + 'static {
     /// Encodes a value slice as one self-delimiting frame.
-    fn encode_chunk(
-        vals: &[Self],
-        spec: dmsim::NarrowSpec,
-        dict: Option<&dmsim::NarrowDict>,
-    ) -> Vec<u8>;
+    fn encode_chunk(vals: &[Self]) -> Vec<u8>;
     /// Decodes a frame produced by [`NarrowVal::encode_chunk`].
-    fn decode_chunk(bytes: &[u8], dict: Option<&dmsim::NarrowDict>) -> Vec<Self>;
+    fn decode_chunk(bytes: &[u8]) -> Vec<Self>;
 }
 
 macro_rules! narrow_val_scalar {
     ($($t:ty),*) => {$(
         impl NarrowVal for $t {
-            fn encode_chunk(
-                vals: &[Self],
-                spec: dmsim::NarrowSpec,
-                dict: Option<&dmsim::NarrowDict>,
-            ) -> Vec<u8> {
-                encode_values::<$t>(vals, spec, dict).0
+            fn encode_chunk(vals: &[Self]) -> Vec<u8> {
+                if vals.is_empty() {
+                    return Vec::new();
+                }
+                encode_words_for(vals)
             }
-            fn decode_chunk(bytes: &[u8], dict: Option<&dmsim::NarrowDict>) -> Vec<Self> {
-                decode_values::<$t>(bytes, dict)
+            fn decode_chunk(bytes: &[u8]) -> Vec<Self> {
+                if bytes.is_empty() {
+                    return Vec::new();
+                }
+                decode_words_for(bytes)
             }
         }
     )*};
@@ -83,32 +49,28 @@ macro_rules! narrow_val_scalar {
 narrow_val_scalar!(u16, u32, u64, usize, bool);
 
 impl<A: NarrowVal, B: NarrowVal> NarrowVal for (A, B) {
-    fn encode_chunk(
-        vals: &[Self],
-        spec: dmsim::NarrowSpec,
-        dict: Option<&dmsim::NarrowDict>,
-    ) -> Vec<u8> {
+    fn encode_chunk(vals: &[Self]) -> Vec<u8> {
         if vals.is_empty() {
             return Vec::new();
         }
         let a_plane: Vec<A> = vals.iter().map(|&(a, _)| a).collect();
         let b_plane: Vec<B> = vals.iter().map(|&(_, b)| b).collect();
-        let a_bytes = A::encode_chunk(&a_plane, spec, dict);
-        let b_bytes = B::encode_chunk(&b_plane, spec, dict);
+        let a_bytes = A::encode_chunk(&a_plane);
+        let b_bytes = B::encode_chunk(&b_plane);
         let mut out = Vec::with_capacity(a_bytes.len() + b_bytes.len() + 4);
         push_varint(&mut out, a_bytes.len() as u64);
         out.extend_from_slice(&a_bytes);
         out.extend_from_slice(&b_bytes);
         out
     }
-    fn decode_chunk(bytes: &[u8], dict: Option<&dmsim::NarrowDict>) -> Vec<Self> {
+    fn decode_chunk(bytes: &[u8]) -> Vec<Self> {
         if bytes.is_empty() {
             return Vec::new();
         }
         let mut pos = 0usize;
         let a_len = read_varint(bytes, &mut pos) as usize;
-        let a_plane = A::decode_chunk(&bytes[pos..pos + a_len], dict);
-        let b_plane = B::decode_chunk(&bytes[pos + a_len..], dict);
+        let a_plane = A::decode_chunk(&bytes[pos..pos + a_len]);
+        let b_plane = B::decode_chunk(&bytes[pos + a_len..]);
         debug_assert_eq!(a_plane.len(), b_plane.len(), "tuple planes align");
         a_plane.into_iter().zip(b_plane).collect()
     }
@@ -117,47 +79,41 @@ impl<A: NarrowVal, B: NarrowVal> NarrowVal for (A, B) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dmsim::NarrowSpec;
+    use proptest::prelude::*;
 
-    #[test]
-    fn tuple_chunks_roundtrip_across_tiers() {
-        let pairs: Vec<(u32, usize)> = (0..300u32)
-            .map(|k| (k * 5 % 97, (k % 11) as usize))
-            .collect();
-        for tier in [dmsim::NarrowTier::Native, dmsim::NarrowTier::U16] {
-            let spec = dmsim::NarrowSpec { tier };
-            let frame = <(u32, usize)>::encode_chunk(&pairs, spec, None);
-            assert_eq!(
-                <(u32, usize)>::decode_chunk(&frame, None),
-                pairs,
-                "{tier:?}"
-            );
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn tuple_chunks_roundtrip_across_tiers(
+            pairs in proptest::collection::vec((0u32..200_000, 0usize..5), 0..80),
+            nested in proptest::collection::vec(((0u64..70_000, 0u32..9), 0u16..3), 0..40),
+        ) {
+            // The first plane straddles 2^16, so chunks take every mode;
+            // length 0 is the empty frame.
+            let frame = <(u32, usize)>::encode_chunk(&pairs);
+            prop_assert_eq!(frame.is_empty(), pairs.is_empty());
+            prop_assert_eq!(<(u32, usize)>::decode_chunk(&frame), pairs);
+            let frame = <((u64, u32), u16)>::encode_chunk(&nested);
+            prop_assert_eq!(<((u64, u32), u16)>::decode_chunk(&frame), nested);
         }
-        let spec = dmsim::NarrowSpec {
-            tier: dmsim::NarrowTier::U16,
-        };
-        assert!(<(u32, usize)>::encode_chunk(&[], spec, None).is_empty());
-        assert!(<(u32, usize)>::decode_chunk(&[], None).is_empty());
     }
 
     #[test]
     fn value_stream_roundtrips() {
-        let native = |v: &[usize]| encode_values(v, NarrowSpec::NATIVE, None).0;
         let labels: Vec<usize> = vec![3, 3, 3, 3, 9, 9, 3, 3];
-        assert_eq!(decode_values::<usize>(&native(&labels), None), labels);
+        assert_eq!(usize::decode_chunk(&usize::encode_chunk(&labels)), labels);
         let flags = vec![true, true, false, true];
-        let enc = encode_values(&flags, NarrowSpec::NATIVE, None).0;
-        assert_eq!(decode_values::<bool>(&enc, None), flags);
-        assert!(native(&[]).is_empty());
-        assert!(decode_values::<usize>(&[], None).is_empty());
+        assert_eq!(bool::decode_chunk(&bool::encode_chunk(&flags)), flags);
+        assert!(usize::encode_chunk(&[]).is_empty());
+        assert!(usize::decode_chunk(&[]).is_empty());
     }
 
     #[test]
     fn repeated_labels_collapse() {
         // Near convergence most replies carry the same label.
         let labels = vec![7usize; 4096];
-        let (enc, saved) = encode_values(&labels, NarrowSpec::NATIVE, None);
+        let enc = usize::encode_chunk(&labels);
         assert!(enc.len() < 16, "got {} bytes", enc.len());
-        assert_eq!(saved, 0, "the native stream is the savings baseline");
     }
 }

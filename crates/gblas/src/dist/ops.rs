@@ -23,28 +23,32 @@ use super::dvec::{block_range, DistSpVec, DistVec, VecLayout};
 use crate::serial::{CsrMirror, Dcsc};
 use crate::types::Monoid;
 use crate::Vid;
+use dmsim::wire::{decode_keys_for, encode_keys_for, push_varint, read_varint};
 use dmsim::{
-    bytes_of, words_of, AllToAll, CombineRoute, Comm, CommHandle, FramedBlock, Group, NarrowSpec,
-    PooledBuf, SpanKind, WireWord,
+    words_of, AllToAll, CombineRoute, Comm, CommHandle, Group, PooledBuf, SpanKind, WireWord,
 };
 use lacc_graph::Idx;
 
-/// Wire format of the `extract`/`assign` exchanges: the only two points
-/// of the old lever lattice any caller constructs.
+/// Wire format of every exchange the primitives run: the only two points
+/// of the old lever lattice any caller constructs. No function here or in
+/// [`dmsim`] looks at anything else to decide how a stream is shipped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Wire {
     /// The unoptimized format: every request id and update crosses the
-    /// all-to-all as issued, duplicates included, and replies come back
-    /// raw.
+    /// all-to-all as issued, duplicates included, replies come back raw,
+    /// and the `mxv` phases ship raw typed vectors.
     Legacy,
     /// The optimized format. Requests are deduped per destination, updates
     /// are pre-combined through the op's monoid, and both ride the
     /// combining hypercube ([`Comm::combining_requests`] /
     /// [`Comm::reduce_scatter_by_key`]) so duplicates issued by *different*
     /// ranks merge at the hop where their routes meet; replies retrace the
-    /// route run-length encoded, and starcheck's two extracts share one
-    /// request route ([`FusedExtract`]). Bit-identical to [`Wire::Legacy`]
-    /// for the commutative, associative monoids the engines use.
+    /// route through the word-stream codec, and starcheck's two extracts
+    /// share one request route ([`FusedExtract`]). The `mxv` column gather
+    /// and the SpMSpV row exchange ship [`NarrowVal`] frames through the
+    /// ordinary collectives, charged as shipped. Bit-identical to
+    /// [`Wire::Legacy`] for the commutative, associative monoids the
+    /// engines use.
     Compact,
 }
 
@@ -78,7 +82,7 @@ pub struct DistOpts {
     /// below it, the SpMSpV per-entry kernel. Mirrors the internal dispatch
     /// of the paper's `GrB_mxv`.
     pub spmv_threshold: f64,
-    /// Wire format of the `extract`/`assign` exchanges.
+    /// Wire format of every exchange (see [`Wire`]).
     pub wire: Wire,
     /// Non-blocking execution of the hot-path exchanges. Engines post
     /// `mxv` through [`dmsim::Comm::post`] and collect the result with
@@ -90,29 +94,19 @@ pub struct DistOpts {
     /// independent local compute — so labels, iteration counts and
     /// `words_sent` are bit-identical with the flag on or off.
     pub overlap: bool,
-    /// Dynamic label-range narrowing: each engine iteration probes the
-    /// active label range/cardinality (piggybacked on the convergence
-    /// allreduce), installs the tier that fits on the rank's [`Comm`]
-    /// ([`dmsim::Comm::set_narrow_spec`]), and the primitives re-encode
-    /// their exchange streams as raw `u16` or dictionary codes
-    /// ([`dmsim::NarrowTier`]). Decode always widens back to the index
-    /// type, so labels and iteration counts are bit-identical on/off; only
-    /// bytes shrink ([`dmsim::CostSnapshot::narrow_saved_bytes`]).
-    pub narrow_labels: bool,
 }
 
 impl Default for DistOpts {
     fn default() -> Self {
         // The optimized LACC configuration: sparse all-to-all (hypercube
         // metadata exchange), hot-rank broadcasts, the compact wire
-        // format, overlap and narrowing.
+        // format and overlap.
         DistOpts {
             alltoall: AllToAll::Sparse,
             hot_threshold: 4.0,
             spmv_threshold: 0.5,
             wire: Wire::Compact,
             overlap: true,
-            narrow_labels: true,
         }
     }
 }
@@ -127,27 +121,16 @@ impl DistOpts {
             hot_threshold: f64::INFINITY,
             wire: Wire::Legacy,
             overlap: false,
-            narrow_labels: false,
             ..DistOpts::default()
         }
     }
 }
 
-/// A constant of the *charge model* only: [`plan_requests`] charges a
-/// request bucket at least this long one extra op per unique id. (The host
-/// once switched dedup strategy here; it now runs one bitmap pass at every
-/// size, and the split stays in the charge so the modeled clock does not
-/// move.)
-const DEDUP_CHARGE_SPLIT: usize = 2048;
-
-/// Allgathers each rank's value chunk, re-encoding the stream under the
-/// narrowing spec installed on `comm` (raw `Vec<T>` when none is active —
-/// byte-identical to the legacy exchange). The framed ring charges β at
-/// the legacy chunk word count, so `words_sent` and the modeled clock are
-/// identical with narrowing on or off; savings (charged against the raw chunk bytes,
-/// once per ring hop the block travels) show up only in `bytes_sent`.
-/// Decoding happens inside the posted operation, so the handle yields
-/// per-rank chunks either way.
+/// Allgathers each rank's value chunk. Under [`Wire::Compact`] a chunk
+/// rides the ordinary ring as one [`NarrowVal`] frame, charged as shipped,
+/// and is decoded inside the posted operation, so the handle yields
+/// per-rank chunks at either wire level; [`Wire::Legacy`] ships the raw
+/// typed vector.
 fn allgather_chunks<T>(
     comm: &mut Comm,
     group: &Group,
@@ -157,36 +140,20 @@ fn allgather_chunks<T>(
 where
     T: NarrowVal,
 {
-    let spec = comm.narrow_spec();
-    if !spec.active() {
-        return comm.post(opts.overlap, move |c| c.allgatherv(group, local));
-    }
-    let hops = group.size().saturating_sub(1) as u64;
-    comm.post(opts.overlap, move |c| {
-        let dict = c.narrow_dict();
-        let bytes = T::encode_chunk(&local, spec, dict.as_deref());
-        c.note_narrow_saved(bytes_of::<T>(local.len()).saturating_sub(bytes.len() as u64) * hops);
-        c.charge_compute(local.len() as u64 + 1);
-        let gathered = c.allgatherv_framed(
-            group,
-            FramedBlock {
-                legacy_words: words_of::<T>(local.len()),
-                items: local.len() as u64,
-                bytes,
-            },
-        );
-        gathered
-            .into_iter()
-            .map(|b| T::decode_chunk(&b, dict.as_deref()))
-            .collect()
+    let wire = opts.wire;
+    comm.post(opts.overlap, move |c| match wire {
+        Wire::Legacy => c.allgatherv(group, local),
+        Wire::Compact => {
+            c.charge_compute(local.len() as u64 + 1);
+            let gathered = c.allgatherv(group, T::encode_chunk(&local));
+            gathered.iter().map(|b| T::decode_chunk(b)).collect()
+        }
     })
 }
 
-/// [`allgather_chunks`] over sorted sparse entries: each rank's
-/// `(id, value)` list ships as one frame — varint count, delta-encoded id
-/// stream, narrowed value stream — under an active spec, or as the legacy
-/// raw tuple vector otherwise. Same framed-ring charging contract as
-/// [`allgather_chunks`].
+/// [`allgather_chunks`] over sorted sparse entries: under
+/// [`Wire::Compact`] each rank's `(id, value)` list ships as one entry
+/// frame ([`encode_entry_frame`]).
 fn allgather_entries<T, I>(
     comm: &mut Comm,
     group: &Group,
@@ -197,71 +164,53 @@ where
     T: NarrowVal,
     I: Idx + WireWord,
 {
-    let spec = comm.narrow_spec();
-    if !spec.active() {
-        return comm.post(opts.overlap, move |c| c.allgatherv(group, entries));
-    }
-    let hops = group.size().saturating_sub(1) as u64;
-    comm.post(opts.overlap, move |c| {
-        let dict = c.narrow_dict();
-        let frame = encode_entry_frame(&entries, spec, dict.as_deref());
-        c.note_narrow_saved(
-            bytes_of::<(I, T)>(entries.len()).saturating_sub(frame.len() as u64) * hops,
-        );
-        c.charge_compute(entries.len() as u64 + 1);
-        let gathered = c.allgatherv_framed(
-            group,
-            FramedBlock {
-                legacy_words: words_of::<(I, T)>(entries.len()),
-                items: entries.len() as u64,
-                bytes: frame,
-            },
-        );
-        gathered
-            .into_iter()
-            .map(|b| decode_entry_frame::<T, I>(&b, dict.as_deref()))
-            .collect()
+    let wire = opts.wire;
+    comm.post(opts.overlap, move |c| match wire {
+        Wire::Legacy => c.allgatherv(group, entries),
+        Wire::Compact => {
+            c.charge_compute(entries.len() as u64 + 1);
+            let gathered = c.allgatherv(group, encode_entry_frame(&entries));
+            gathered.iter().map(|b| decode_entry_frame(b)).collect()
+        }
     })
 }
 
-/// One narrowed sparse-entry frame: varint id-stream length, the
-/// delta-encoded (possibly dictionary-ranked) id stream, then the
-/// narrowed value stream. Requires ids sorted ascending.
-fn encode_entry_frame<T, I>(
-    entries: &[(I, T)],
-    spec: NarrowSpec,
-    dict: Option<&dmsim::NarrowDict>,
-) -> Vec<u8>
+/// One sparse-entry frame: varint id-stream length, the delta-encoded id
+/// stream, then the value chunk. Requires ids sorted ascending. No entries
+/// is the empty frame, which a sparse all-to-all does not send.
+fn encode_entry_frame<T, I>(entries: &[(I, T)]) -> Vec<u8>
 where
     T: NarrowVal,
     I: Idx + WireWord,
 {
+    if entries.is_empty() {
+        return Vec::new();
+    }
     debug_assert!(entries.windows(2).all(|w| w[0].0 <= w[1].0), "ids sorted");
     let ids: Vec<I> = entries.iter().map(|&(g, _)| g).collect();
-    let (id_bytes, _) = dmsim::wire::encode_keys_narrow::<I>(&ids, spec, dict);
+    let id_bytes = encode_keys_for(&ids);
     let vals: Vec<T> = entries.iter().map(|&(_, v)| v).collect();
-    let val_bytes = T::encode_chunk(&vals, spec, dict);
+    let val_bytes = T::encode_chunk(&vals);
     let mut frame = Vec::with_capacity(10 + id_bytes.len() + val_bytes.len());
-    dmsim::wire::push_varint(&mut frame, id_bytes.len() as u64);
+    push_varint(&mut frame, id_bytes.len() as u64);
     frame.extend_from_slice(&id_bytes);
     frame.extend_from_slice(&val_bytes);
     frame
 }
 
 /// Decodes a frame produced by [`encode_entry_frame`].
-fn decode_entry_frame<T, I>(bytes: &[u8], dict: Option<&dmsim::NarrowDict>) -> Vec<(I, T)>
+fn decode_entry_frame<T, I>(bytes: &[u8]) -> Vec<(I, T)>
 where
     T: NarrowVal,
     I: Idx + WireWord,
 {
     if bytes.is_empty() {
-        // A sparse exchange slot whose sender was gated off (items == 0).
         return Vec::new();
     }
     let mut pos = 0usize;
-    let id_len = dmsim::wire::read_varint(bytes, &mut pos) as usize;
-    let ids = dmsim::wire::decode_keys_narrow::<I>(&bytes[pos..pos + id_len], dict);
-    let vals = T::decode_chunk(&bytes[pos + id_len..], dict);
+    let id_len = read_varint(bytes, &mut pos) as usize;
+    let ids = decode_keys_for::<I>(&bytes[pos..pos + id_len]);
+    let vals = T::decode_chunk(&bytes[pos + id_len..]);
     debug_assert_eq!(ids.len(), vals.len(), "id/value frame halves misaligned");
     ids.into_iter().zip(vals).collect()
 }
@@ -455,34 +404,23 @@ where
         buckets[k].push((I::from_usize(g), acc[lr]));
     }
     let buckets: Vec<Vec<(I, T)>> = buckets.into_iter().map(PooledBuf::detach).collect();
-    // Under an active narrowing spec the per-destination buckets ship as
-    // entry frames (ids are pushed in sorted `touched` order, so each
-    // bucket's id stream is monotone); the legacy tuple exchange is
-    // byte-identical with narrowing off. (The later transpose exchange
-    // stays a raw tuple vector.)
-    let spec = comm.narrow_spec();
-    let parts: Vec<PooledBuf<(I, T)>> = if spec.active() {
-        let dict = comm.narrow_dict();
-        let mut frames: Vec<FramedBlock> = Vec::with_capacity(pc);
-        for b in &buckets {
-            let frame = encode_entry_frame(b, spec, dict.as_deref());
-            comm.note_narrow_saved(bytes_of::<(I, T)>(b.len()).saturating_sub(frame.len() as u64));
-            frames.push(FramedBlock {
-                legacy_words: words_of::<(I, T)>(b.len()),
-                items: b.len() as u64,
-                bytes: frame,
-            });
+    let parts: Vec<PooledBuf<(I, T)>> = match opts.wire {
+        // Each bucket's ids were pushed in sorted `touched` order, so it
+        // ships as one entry frame. (The later transpose exchange stays a
+        // raw tuple vector.)
+        Wire::Compact => {
+            let frames: Vec<Vec<u8>> = buckets.iter().map(|b| encode_entry_frame(b)).collect();
+            comm.charge_compute(buckets.iter().map(|b| b.len() as u64).sum::<u64>() + 1);
+            comm.alltoallv(&row_group, frames, opts.alltoall)
+                .into_iter()
+                .map(|bytes| comm.adopt_buf(decode_entry_frame(&bytes)))
+                .collect()
         }
-        comm.charge_compute(buckets.iter().map(|b| b.len() as u64).sum::<u64>() + 1);
-        comm.alltoallv_framed(&row_group, frames, opts.alltoall)
-            .into_iter()
-            .map(|bytes| comm.adopt_buf(decode_entry_frame::<T, I>(&bytes, dict.as_deref())))
-            .collect()
-    } else {
-        comm.alltoallv(&row_group, buckets, opts.alltoall)
+        Wire::Legacy => comm
+            .alltoallv(&row_group, buckets, opts.alltoall)
             .into_iter()
             .map(|part| comm.adopt_buf(part))
-            .collect()
+            .collect(),
     };
     comm.charge_compute(parts.iter().map(|part| part.len() as u64).sum());
 
@@ -533,8 +471,7 @@ where
     // column (group index within col_group equals grid row, so blocks
     // concatenate in global order). Posted non-blocking: the multiply
     // consumes gathered chunks as they stream in, so its charge lands
-    // between the post and the wait and hides the transfer tail. Under an
-    // active narrowing spec the chunks ship re-encoded (u16/dictionary).
+    // between the post and the wait and hides the transfer tail.
     let col_group = grid.col_group(comm);
     let gh = allgather_chunks(comm, &col_group, x.local().to_vec(), opts);
     let x_block: Vec<T> = gh.peek().concat();
@@ -636,8 +573,6 @@ where
 
     // Phase 1: sparse allgather of x entries within the processor column,
     // posted non-blocking so the per-entry multiply streams behind it.
-    // Under an active narrowing spec each rank's entries ship as one
-    // id-stream + narrowed-value frame.
     let col_group = grid.col_group(comm);
     let gh = allgather_entries(comm, &col_group, x.entries().to_vec(), opts);
     let gathered: Vec<(I, T)> = gh.peek().iter().flatten().copied().collect();
@@ -867,12 +802,8 @@ pub fn plan_requests<I: Idx>(
             }
             let wire_ids = locator.split_by_owner(&present, |_, g| I::from_usize(g));
             let requests_to = locator.owner_sums(&present, &multiplicity);
-            for (&k, ids) in requests_to.iter().zip(&wire_ids) {
-                ops += 2 * k as u64;
-                if k >= DEDUP_CHARGE_SPLIT {
-                    ops += ids.len() as u64;
-                }
-            }
+            // Two passes over the requests: the bitmap, then the slots.
+            ops += 2 * requests.len() as u64;
             RequestPlan {
                 layout,
                 wire_ids,
@@ -1272,21 +1203,31 @@ mod tests {
 
     const GRIDS: [usize; 4] = [1, 4, 9, 16];
 
-    #[test]
-    fn narrow_entry_frames_roundtrip_and_shrink() {
-        let entries: Vec<(u32, usize)> = (0..200u32).map(|k| (k * 3, (k % 7) as usize)).collect();
-        let spec = dmsim::NarrowSpec {
-            tier: dmsim::NarrowTier::U16,
-        };
-        let frame = encode_entry_frame(&entries, spec, None);
-        assert_eq!(decode_entry_frame::<usize, u32>(&frame, None), entries);
-        // 200 ids + 200 u16 values must land well under the raw wire cost.
-        assert!(
-            (frame.len() as u64) < bytes_of::<(u32, usize)>(entries.len()),
-            "frame is {} bytes",
-            frame.len()
-        );
-        assert!(encode_entry_frame::<usize, u32>(&[], spec, None).len() <= 4);
+    proptest::proptest! {
+        #[test]
+        fn narrow_entry_frames_roundtrip_and_shrink(
+            steps in proptest::collection::vec((0u32..2_000, 0usize..70_000), 0..120),
+        ) {
+            // Ascending ids with arbitrary gaps (repeats allowed), values on
+            // both sides of 2^16; no entries is the empty frame.
+            let mut id = 0u32;
+            let entries: Vec<(u32, usize)> = steps
+                .into_iter()
+                .map(|(gap, v)| {
+                    id += gap;
+                    (id, v)
+                })
+                .collect();
+            let frame = encode_entry_frame(&entries);
+            proptest::prop_assert_eq!(frame.is_empty(), entries.is_empty());
+            proptest::prop_assert_eq!(decode_entry_frame::<usize, u32>(&frame), entries.clone());
+            // Delta ids and values at no more than their own width: a
+            // frame never costs more than the raw tuples it replaces.
+            proptest::prop_assert!(
+                frame.len() as u64 <= dmsim::bytes_of::<(u32, usize)>(entries.len()),
+                "frame is {} bytes for {} entries", frame.len(), entries.len()
+            );
+        }
     }
 
     fn random_dense(n: usize, seed: u64) -> Vec<usize> {
@@ -1812,10 +1753,10 @@ mod tests {
 
     #[test]
     fn planner_and_precombiner_match_a_btreemap_oracle() {
-        // n below p (ranks owning nothing), not divisible by p, and large
-        // enough that a duplicated list crosses
-        // DEDUP_CHARGE_SPLIT; empty, all-duplicate, random-with-repeats and
-        // reverse-sorted lists; both index widths.
+        // n below p (ranks owning nothing), not divisible by p, and well
+        // below the length of the longest list; empty, all-duplicate,
+        // random-with-repeats, reverse-sorted and duplicate-heavy long
+        // lists; both index widths.
         for p in [1usize, 4, 9] {
             for n in [p - 1, 10 * p + 3, 701] {
                 run_spmd(p, move |c| {
@@ -1825,8 +1766,7 @@ mod tests {
                         lists.push(vec![(c.rank() * 5) % n; 40]);
                         lists.push((0..300).map(|_| rng.random_range(0..n)).collect());
                         lists.push((0..n).rev().collect());
-                        let long = DEDUP_CHARGE_SPLIT + 100;
-                        lists.push((0..long).map(|k| (k * k + c.rank()) % n).collect());
+                        lists.push((0..2148).map(|k| (k * k + c.rank()) % n).collect());
                     }
                     let layout = VecLayout::new(n, Grid2d::square(p));
                     for ids in &lists {

@@ -102,18 +102,18 @@ fn engines_agree_across_wire_layout_and_width() {
 }
 
 /// On a p = 4 RMAT scale-10 run, overlap hides a non-zero amount of
-/// exchange time and narrowing keeps a non-zero number of bytes off the
-/// wire; with its lever off each counter is exactly zero, and neither
-/// lever moves a label or a charged word.
+/// exchange time — exactly zero with the lever off, at the same labels and
+/// the same charged words — and the compact wire ships strictly fewer
+/// bytes than the legacy wire for the same labels.
 #[test]
 fn overlap_hides_time_and_narrowing_saves_bytes_at_equal_words() {
     use lacc_suite::dmsim::{TraceLevel, TraceSink};
     let g = rmat(10, 16, RmatParams::graph500(), 23);
-    let profile = |overlap: bool, narrow_labels: bool| {
+    let profile = |overlap: bool, wire: Wire| {
         let opts = LaccOpts {
             dist: DistOpts {
                 overlap,
-                narrow_labels,
+                wire,
                 ..DistOpts::default()
             },
             ..LaccOpts::default()
@@ -123,19 +123,25 @@ fn overlap_hides_time_and_narrowing_saves_bytes_at_equal_words() {
             .with_opts(opts)
             .with_trace(&sink);
         let run = lacc_suite::lacc::run(&g, &cfg).unwrap();
-        (run.run.labels, sink.report())
+        let bytes: u64 = sink
+            .rank_traces()
+            .iter()
+            .map(|rt| rt.snapshot.bytes_sent)
+            .sum();
+        (run.run.labels, sink.report(), bytes)
     };
-    let (labels, on) = profile(true, true);
-    let (labels_blocking, blocking) = profile(false, true);
-    let (labels_native, native) = profile(true, false);
+    let (labels, on, compact_bytes) = profile(true, Wire::Compact);
+    let (labels_blocking, blocking, _) = profile(false, Wire::Compact);
+    let (labels_legacy, _, legacy_bytes) = profile(true, Wire::Legacy);
     assert!(on.overlap_hidden_s > 0.0, "overlap hid nothing");
     assert_eq!(blocking.overlap_hidden_s, 0.0);
-    assert!(on.narrow_saved_bytes > 0, "narrowing saved no bytes");
-    assert_eq!(native.narrow_saved_bytes, 0);
     assert_eq!(labels_blocking, labels);
-    assert_eq!(labels_native, labels);
     assert_eq!(blocking.rank_words, on.rank_words);
-    assert_eq!(native.rank_words, on.rank_words);
+    assert_eq!(labels_legacy, labels);
+    assert!(
+        compact_bytes < legacy_bytes,
+        "compact wire shipped {compact_bytes} bytes, legacy {legacy_bytes}"
+    );
 }
 
 #[test]

@@ -1,8 +1,8 @@
 //! Golden values of the cost model: one fixed graph per engine at p = 4
 //! and p = 9, pinning the modeled makespan and the summed wire traffic —
 //! under the default options and, for the hooking engines at p = 4, under
-//! `LaccOpts::naive_comm()` (legacy wire, blocking, no narrowing), the
-//! opposite corner of the lever lattice.
+//! `LaccOpts::naive_comm()` (legacy wire, blocking), the opposite corner of
+//! the lever lattice.
 //!
 //! The modeled clock is a function of every `charge_compute` amount and
 //! every message's size and order, so a host-side rewrite that is meant to
@@ -21,30 +21,30 @@ use std::sync::Arc;
 type Row = (EngineSelect, usize, f64, u64, u64);
 
 const GOLDEN: [Row; 6] = [
-    (EngineSelect::Lacc, 4, 0.0013368109333333298, 15297, 92784),
-    (EngineSelect::Lacc, 9, 0.0030025231999999498, 30845, 176060),
-    (EngineSelect::Fastsv, 4, 0.0003646357777777776, 5534, 38534),
-    (EngineSelect::Fastsv, 9, 0.0005779311555555573, 10968, 74645),
+    (EngineSelect::Lacc, 4, 0.0013258324666666629, 11793, 91992),
+    (EngineSelect::Lacc, 9, 0.0029961998222221707, 24174, 174416),
+    (EngineSelect::Fastsv, 4, 0.0003573667111111108, 4817, 38022),
+    (EngineSelect::Fastsv, 9, 0.0005743377333333343, 9526, 73621),
     (
         EngineSelect::LabelProp,
         4,
-        0.00038682955555555576,
-        13140,
-        92560,
+        0.00036560133333333355,
+        11427,
+        91280,
     ),
     (
         EngineSelect::LabelProp,
         9,
-        0.0004495859111111112,
-        24964,
-        174066,
+        0.00043937346666666734,
+        21520,
+        171506,
     ),
 ];
 
 /// The same pins under [`LaccOpts::naive_comm`].
 const GOLDEN_NAIVE_COMM: [Row; 2] = [
-    (EngineSelect::Lacc, 4, 0.001695385755555547, 21753, 173665),
-    (EngineSelect::Fastsv, 4, 0.00036588402222222235, 7174, 57312),
+    (EngineSelect::Lacc, 4, 0.0016952321555555466, 21657, 172897),
+    (EngineSelect::Fastsv, 4, 0.00036578162222222223, 7110, 56800),
 ];
 
 /// Skewed degrees for the hooking engines (duplicate-heavy requests, hot
