@@ -3,8 +3,8 @@
 //!
 //! FastSV (Zhang, Azad & Hu 2020) superseded LACC in LAGraph; the paper's
 //! related-work positioning makes the head-to-head interesting: FastSV
-//! runs fewer, simpler supersteps (no star maintenance) but always-dense
-//! vectors. Expectation: FastSV wins on few-component graphs, LACC's
+//! runs fewer, simpler supersteps (no star maintenance) over vectors that
+//! stay dense until few grandparents change. Expectation: FastSV wins on few-component graphs, LACC's
 //! Lemma-1 retirement wins on many-component graphs as p grows. Both
 //! engines run over the same optimized `gblas::dist` stack through
 //! `lacc::run`, so the comparison isolates the algorithm, not the

@@ -18,7 +18,7 @@ pub const USAGE: &str = "usage:
                 [--wire legacy|compact] [--overlap true|false]
                 [--index-width u32|u64]
                 [--engine lacc|fastsv|labelprop|auto] [--canonical]
-                [--out labels.txt]
+                [--out labels.txt] [--report out.json]
                 [--trace out.json] [--trace-level off|steps|ops|collectives]
   lacc serve    <graph> [--ranks P] [--machine edison|cori] [--batches B]
                 [--batch-size K] [--queries-per-batch Q] [--delete-every D]
@@ -54,6 +54,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
                 "index-width",
                 "engine",
                 "out",
+                "report",
                 "trace",
                 "trace-level",
             ],
@@ -291,10 +292,64 @@ fn cmd_cc_dist(args: &Args) -> Result<(), String> {
         b.shortcut_s * 1e3,
         b.starcheck_s * 1e3
     );
+    // Convergence as data: per round, the `mxv` dispatch taken and the
+    // entries it multiplied, then the four convergence counters (the
+    // fourth is LACC's retired vertices, FastSV's refreshed grandparents).
+    println!("iter  mxv     entries    active      cond    uncond  shortcut    fourth");
+    for it in &run.iters {
+        println!(
+            "{:>4}  {:<6} {:>8}  {:>8}  {:>8}  {:>8}  {:>8}  {:>8}",
+            it.iteration,
+            if it.spmv_dense { "dense" } else { "sparse" },
+            it.mxv_nvals,
+            it.active_before,
+            it.cond_changed,
+            it.uncond_changed,
+            it.shortcut_changed,
+            it.fourth_changed
+        );
+    }
     if let (Some(path), Some(sink)) = (&trace_path, &sink) {
         std::fs::write(path, sink.chrome_trace_json()).map_err(|e| format!("{path}: {e}"))?;
         println!("{}", sink.report().render());
         println!("trace written to {path}");
+    }
+    if let Some(path) = args.options.get("report") {
+        let rounds: Vec<String> = run
+            .iters
+            .iter()
+            .map(|it| {
+                format!(
+                    "    {{\"iteration\": {}, \"spmv_dense\": {}, \"mxv_nvals\": {}, \
+                     \"active_before\": {}, \"converged_after\": {}, \"cond_changed\": {}, \
+                     \"uncond_changed\": {}, \"shortcut_changed\": {}, \"fourth_changed\": {}}}",
+                    it.iteration,
+                    it.spmv_dense,
+                    it.mxv_nvals,
+                    it.active_before,
+                    it.converged_after,
+                    it.cond_changed,
+                    it.uncond_changed,
+                    it.shortcut_changed,
+                    it.fourth_changed
+                )
+            })
+            .collect();
+        let json = format!(
+            "{{\n  \"vertices\": {},\n  \"ranks\": {ranks},\n  \"machine\": \"{}\",\n  \
+             \"engine\": \"{}\",\n  \"components\": {},\n  \"iterations\": {},\n  \
+             \"modeled_total_s\": {:.9},\n  \"wall_s\": {:.6},\n  \"iters\": [\n{}\n  ]\n}}\n",
+            run.labels.len(),
+            machine.name,
+            out.engine,
+            run.num_components(),
+            run.num_iterations(),
+            run.modeled_total_s,
+            run.wall_s,
+            rounds.join(",\n")
+        );
+        std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
+        println!("report written to {path}");
     }
     if let Some(path) = args.options.get("out") {
         // Raw parent labels by default, one `vertex label` line each — the
@@ -857,7 +912,32 @@ mod tests {
                 msg.contains(&format!("invalid ranks: {ranks} ")) && !msg.contains('\n'),
                 "{cmd} --ranks {ranks}: {msg}"
             );
+            // A configuration error, not a rank panic.
+            assert!(!msg.contains("panicked"), "{cmd} --ranks {ranks}: {msg}");
         }
+    }
+
+    #[test]
+    fn cc_dist_report_records_the_dispatch_and_counters_of_every_round() {
+        let dir = std::env::temp_dir().join("lacc-cli-test15");
+        std::fs::create_dir_all(&dir).unwrap();
+        let g = dir.join("g.mtx").display().to_string();
+        let report = dir.join("cc.json").display().to_string();
+        dispatch(&argv(&["generate", "mesh3d", "--n", "512", "--out", &g])).unwrap();
+        dispatch(&argv(&[
+            "cc-dist", &g, "--ranks", "4", "--engine", "fastsv", "--report", &report,
+        ]))
+        .unwrap();
+        let json = std::fs::read_to_string(&report).unwrap();
+        for key in ["\"iterations\"", "\"mxv_nvals\"", "\"fourth_changed\""] {
+            assert!(json.contains(key), "{key} missing from {json}");
+        }
+        // FastSV multiplies everything first and only what changed last.
+        assert!(json.contains("\"iteration\": 1, \"spmv_dense\": true, \"mxv_nvals\": 512"));
+        assert!(
+            json.contains("\"spmv_dense\": false, \"mxv_nvals\": 0"),
+            "{json}"
+        );
     }
 
     #[test]

@@ -23,8 +23,8 @@ use crate::engine::{self, EngineCtx, EngineRun, Fastsv, LabelProp, Lacc};
 use crate::options::{IndexWidth, LaccOpts};
 use crate::stats::{IterStats, LaccRun, StepBreakdown};
 use dmsim::{
-    run_spmd_traced, Comm, DmsimError, EngineKind, MachineModel, RerunReason, SpanKind, TraceSink,
-    WireWord,
+    run_spmd_traced, Comm, DmsimError, EngineKind, ErrorKind, MachineModel, RerunReason, SpanKind,
+    TraceSink, WireWord,
 };
 use gblas::dist::NarrowVal;
 use lacc_graph::permute::Permutation;
@@ -142,7 +142,7 @@ fn run_engine_width<I: Idx + WireWord + NarrowVal>(
     match kind {
         EngineKind::Lacc => drive(Lacc::new(&ctx), &mut ctx),
         EngineKind::Fastsv => drive(Fastsv::new(&ctx), &mut ctx),
-        EngineKind::LabelProp => drive(LabelProp, &mut ctx),
+        EngineKind::LabelProp => drive(LabelProp::new(&ctx), &mut ctx),
     }
     .map_err(|bound| format!("engine {kind} did not converge within its bound of {bound} rounds"))
 }
@@ -155,12 +155,10 @@ pub fn check_ranks(ranks: usize) -> Result<(), DmsimError> {
     if ranks > 0 && ranks.isqrt().pow(2) == ranks {
         return Ok(());
     }
-    Err(DmsimError {
-        rank: 0,
-        payload: Box::new(format!(
-            "invalid ranks: {ranks} is not a positive perfect square (1, 4, 9, 16, ...)"
-        )),
-    })
+    Err(DmsimError::new(
+        ErrorKind::InvalidConfig,
+        format!("invalid ranks: {ranks} is not a positive perfect square (1, 4, 9, 16, ...)"),
+    ))
 }
 
 /// Runs the configured engine on `cfg.ranks` simulated ranks.
@@ -187,10 +185,7 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
     // a silent truncation inside the SPMD body.
     if opts.index_width == IndexWidth::U32 {
         if let Err(e) = ensure_fits::<u32>(n, "vertices") {
-            return Err(DmsimError {
-                rank: 0,
-                payload: Box::new(e.to_string()),
-            });
+            return Err(DmsimError::new(ErrorKind::InvalidConfig, e.to_string()));
         }
     }
     let rerun = cfg.rerun;
@@ -229,10 +224,7 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
     let mut outs = run_spmd_traced(p, cfg.model, cfg.trace.as_ref(), spmd)?
         .into_iter()
         .collect::<Result<Vec<RankResult>, String>>()
-        .map_err(|unconverged| DmsimError {
-            rank: 0,
-            payload: Box::new(unconverged),
-        })?;
+        .map_err(|unconverged| DmsimError::new(ErrorKind::NotConverged, unconverged))?;
     let wall_s = wall_start.elapsed().as_secs_f64();
     // Surface the resolved engine (and the Auto dispatcher's reasoning)
     // as run-level trace metadata so Chrome-trace viewers show *why* this
@@ -268,9 +260,11 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
                 active_before: r0.active_before,
                 converged_after: r0.converged_after,
                 spmv_dense: r0.spmv_dense,
+                mxv_nvals: r0.mxv_nvals,
                 cond_changed: r0.cond_changed as usize,
                 uncond_changed: r0.uncond_changed as usize,
                 shortcut_changed: r0.shortcut_changed as usize,
+                fourth_changed: r0.fourth_changed as usize,
                 modeled: StepBreakdown {
                     cond_s: max_over(|b| b.cond_s),
                     uncond_s: max_over(|b| b.uncond_s),
@@ -404,6 +398,8 @@ mod tests {
             err.message(),
             "engine lacc did not converge within its bound of 1 rounds"
         );
+        assert_eq!(err.kind, ErrorKind::NotConverged);
+        assert_eq!(err.to_string(), err.message());
         // FastSV's bound is its own 8·⌈log₂ n⌉ + 32; `max_iters` is LACC's.
         let out = one_round(EngineSelect::Fastsv).unwrap();
         assert_eq!(out.num_components(), 1);
@@ -582,6 +578,9 @@ mod tests {
                 "{}",
                 err.message()
             );
+            // A refused configuration, reported as one: no rank ever ran.
+            assert_eq!(err.kind, ErrorKind::InvalidConfig);
+            assert_eq!(err.to_string(), err.message());
         }
         for ranks in [1usize, 4, 9, 16] {
             assert!(check_ranks(ranks).is_ok(), "{ranks}");

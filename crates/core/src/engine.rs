@@ -40,10 +40,11 @@ use crate::options::{LaccOpts, OptsError};
 use crate::stats::StepBreakdown;
 use crate::Vid;
 use dmsim::{Comm, CommHandle, EngineKind, Grid2d, SpanKind, WireWord};
-use driver::{overlapped, posted, Rules};
+use driver::{fixpoint, overlapped, posted, Rules};
 use gblas::dist::{
-    dist_assign, dist_extract, dist_extract_planned, dist_mxv, dist_mxv_dense, plan_requests,
-    DistMask, DistMat, DistOpts, DistSpVec, DistVec, FusedExtract, NarrowVal, VecLayout,
+    dist_assign, dist_extract, dist_extract_planned, dist_mxv, dist_mxv_dense, dist_mxv_sparse,
+    plan_requests, DistMask, DistMat, DistOpts, DistSpVec, DistVec, FusedExtract, NarrowVal,
+    VecLayout,
 };
 use gblas::{AndBool, MinMaxUsize, MinUsize};
 use lacc_graph::permute::Permutation;
@@ -110,12 +111,18 @@ pub struct EngineIter {
     pub converged_after: usize,
     /// Whether the main `mxv` took the dense (SpMV) path.
     pub spmv_dense: bool,
+    /// Global entry count of the vector the main `mxv` multiplied: `n` when
+    /// dense, else the active (LACC) or changed (other engines) entries.
+    pub mxv_nvals: usize,
     /// Updates applied in the "conditional hooking" bucket.
     pub cond_changed: u64,
     /// Updates applied in the "unconditional hooking" bucket.
     pub uncond_changed: u64,
     /// Updates applied in the "shortcutting" bucket.
     pub shortcut_changed: u64,
+    /// The fourth convergence counter (LACC: vertices retired; FastSV:
+    /// grandparents refreshed).
+    pub fourth_changed: u64,
     /// Modeled per-step seconds (thin view over trace spans).
     pub modeled: StepBreakdown,
     /// Extract requests this rank received during the iteration.
@@ -356,18 +363,80 @@ fn connect<I: Idx + WireWord + NarrowVal>(
     dist_assign(comm, f, &edges, MinUsize, dopts).0 as u64
 }
 
-/// `f[u] ← min(f[u], m[u])` over the local entries of `m`. Returns the
-/// number of labels lowered.
-fn lower<I: Idx>(comm: &mut Comm, f: &mut DistVec<I>, m: &DistSpVec<I, I>) -> u64 {
+/// `f[u] ← min(f[u], m)` for every local entry `(u, m)`. Returns the
+/// entries that lowered theirs.
+fn lower<I: Idx>(comm: &mut Comm, f: &mut DistVec<I>, entries: &[(I, I)]) -> Vec<(I, I)> {
+    let mut lowered = Vec::with_capacity(entries.len());
+    for &(u, m) in entries {
+        let o = f.local_offset(u.idx());
+        if m < f.local()[o] {
+            f.local_mut()[o] = m;
+            lowered.push((u, m));
+        }
+    }
+    comm.charge_compute(entries.len() as u64 + 1);
+    lowered
+}
+
+/// `f ← min(f, m)` elementwise over the local chunk. Returns the number of
+/// labels lowered.
+fn lower_all<I: Idx>(comm: &mut Comm, f: &mut DistVec<I>, m: &DistVec<I>) -> u64 {
     let mut lowered = 0u64;
-    for &(u, m) in m.entries() {
-        if m < f.get_local(u.idx()) {
-            f.set_local(u.idx(), m);
+    for (fu, &mu) in f.local_mut().iter_mut().zip(m.local()) {
+        if mu < *fu {
+            *fu = mu;
             lowered += 1;
         }
     }
-    comm.charge_compute(m.local_nvals() as u64 + 1);
+    comm.charge_compute(m.local().len() as u64 + 1);
     lowered
+}
+
+/// The running minimum `mn ← min(mn, A ⊗ x)` of the delta-driven engines
+/// (Snippet 3's `mngf`) for an input `x` that never rises: a neighbour
+/// whose `x` did not change last round already has its value in `mn`, so a
+/// round multiplies only the entries that did.
+struct RunningMin<I: Idx> {
+    /// The least `x[v]` any neighbour `v` of `u` has held; `I::max_value()`
+    /// until one contributes.
+    mn: DistVec<I>,
+    /// The local entries of `x` that changed last round.
+    changed: Vec<(I, I)>,
+    /// `changed`'s length over all ranks, handed back by [`Rules::settle`];
+    /// `usize::MAX` before the first round, which multiplies all of `x`.
+    changed_global: usize,
+}
+
+impl<I: Idx + WireWord + NarrowVal> RunningMin<I> {
+    /// Nothing absorbed yet.
+    fn new(cx: &EngineCtx<'_, I>) -> Self {
+        RunningMin {
+            mn: DistVec::from_fn(cx.layout, cx.rank, |_| I::max_value()),
+            changed: Vec::new(),
+            changed_global: usize::MAX,
+        }
+    }
+
+    /// One round's `mn ← min(mn, A ⊗ x)`: SpMV over all of `x` when at
+    /// least [`DistOpts::spmv_threshold`] of it changed last round, SpMSpV
+    /// over the changed entries otherwise — the round's one dispatch
+    /// decision. Consumes `changed`; returns the entries of `mn` it lowered.
+    fn absorb(&mut self, cx: &mut EngineCtx<'_, I>, x: &DistVec<I>) -> Vec<(I, I)> {
+        let (n, dopts) = (cx.n(), &cx.opts.dist);
+        let dense = self.changed_global as f64 >= dopts.spmv_threshold * n as f64;
+        cx.round.spmv_dense = dense;
+        cx.round.mxv_nvals = if dense { n } else { self.changed_global };
+        let comm = &mut *cx.comm;
+        let y = if dense {
+            self.changed.clear();
+            dist_mxv_dense(comm, &cx.a, x, DistMask::None, MinUsize, dopts)
+        } else {
+            let changed = std::mem::take(&mut self.changed);
+            let x = DistSpVec::from_local_entries(cx.layout, cx.rank, changed);
+            dist_mxv_sparse(comm, &cx.a, &x, DistMask::None, MinUsize, dopts)
+        };
+        lower(comm, &mut self.mn, y.entries())
+    }
 }
 
 // --------------------------------------------------------------------------
@@ -534,6 +603,7 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Lacc {
         };
         let spmv_dense = density >= cx.opts.dense_threshold;
         (cx.round.active_before, cx.round.spmv_dense) = (self.active_global, spmv_dense);
+        cx.round.mxv_nvals = if spmv_dense { n } else { self.active_global };
 
         // Step 1 — conditional hooking, fused with the convergence
         // detector: q = A ⊗ f on the (min, max) monoid over the active
@@ -636,12 +706,18 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Lacc {
 // FastSV
 // --------------------------------------------------------------------------
 
-/// FastSV (Zhang, Azad & Hu) as a first-class engine over the optimized
-/// `gblas::dist` primitives: the min-semiring `mxv` computes each
-/// vertex's minimum neighbor-grandparent, stochastic hooks route through
-/// the combining `dist_assign`, and the grandparent refresh is a planned
-/// extract (dedup + in-flight combining apply). Labels converge to
-/// component minima.
+/// FastSV (Zhang, Azad & Hu) over the optimized `gblas::dist` primitives:
+/// the min-semiring `mxv` keeps each vertex's minimum neighbor-grandparent
+/// as a running minimum over the grandparents that changed
+/// ([`RunningMin`]), stochastic hooks route through the combining
+/// `dist_assign`, and the grandparent refresh is a planned extract. Labels
+/// converge to component minima.
+///
+/// Delta-driven and exact: `gf` never rises (`f[x] ≤ x` is invariant and
+/// shortcutting sets `f[u] ≤ gf[u]`), so `mngf` equals the full product;
+/// and an entry `u` that `mngf` did not lower has `f[u] ≤ mngf[u]` from
+/// last round's aggressive hook, so its proposal `(f[u], f[u])` cannot
+/// lower `f[f[u]] ≤ f[u]` — only the lowered entries hook stochastically.
 ///
 /// Step-bucket mapping (Figure-8 schema reinterpreted): `cond` = the
 /// `mxv` + stochastic hooking, `uncond` = aggressive hooking, `shortcut`
@@ -651,13 +727,16 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Lacc {
 pub(crate) struct Fastsv<I: Idx> {
     /// Grandparents `f[f[u]]` as of the end of the previous round.
     gf: DistVec<I>,
+    /// `mngf`, and the entries of `gf` the last refresh changed.
+    mngf: RunningMin<I>,
 }
 
-impl<I: Idx> Fastsv<I> {
+impl<I: Idx + WireWord + NarrowVal> Fastsv<I> {
     /// Every vertex its own grandparent.
     pub(crate) fn new(cx: &EngineCtx<'_, I>) -> Self {
         Fastsv {
             gf: DistVec::from_fn(cx.layout, cx.rank, I::from_usize),
+            mngf: RunningMin::new(cx),
         }
     }
 }
@@ -668,40 +747,26 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Fastsv<I> {
     }
 
     fn round(&mut self, cx: &mut EngineCtx<'_, I>, f: &mut DistVec<I>) -> [u64; 4] {
-        let gf = &mut self.gf;
-        // fn[u] = min over neighbors v of gf[v], then stochastic hooking
-        // f[f[u]] ← min(f[u], fn[u]). The grandparent refresh at the end
-        // of the round pipelines behind the two local loops in between:
-        // both are elementwise over f, so the refresh requests for early
-        // elements stream while later elements still compute.
-        let (fnb, cond, win) = cx.step(SpanKind::CondHook, |cx| {
-            let (comm, dopts) = (&mut *cx.comm, &cx.opts.dist);
-            let fnb: DistSpVec<I, I> =
-                dist_mxv_dense(comm, &cx.a, gf, DistMask::None, MinUsize, dopts);
-            let edges = fnb
-                .entries()
-                .iter()
-                .map(|&(u, m)| (u, m.min(f.get_local(u.idx()))))
-                .collect();
-            let cond = connect(comm, f, edges, dopts);
-            (fnb, cond, comm.overlap_window())
-        });
-        // Aggressive hooking: f[u] ← min(f[u], fn[u]) (local).
-        let uncond = cx.step(SpanKind::UncondHook, |cx| lower(cx.comm, f, &fnb));
-        // Shortcutting: f[u] ← min(f[u], gf[u]) (local).
-        let shortcut = cx.step(SpanKind::Shortcut, |cx| {
-            let mut moved = 0u64;
-            for (fu, &gfu) in f.local_mut().iter_mut().zip(gf.local()) {
-                if gfu < *fu {
-                    *fu = gfu;
-                    moved += 1;
-                }
+        let (gf, mngf) = (&mut self.gf, &mut self.mngf);
+        // mngf[u] ← min(mngf[u], min over neighbors v of gf[v]), then
+        // stochastic hooking f[f[u]] ← min(f[u], mngf[u]) where mngf
+        // dropped. The refresh at the end of the round pipelines behind the
+        // two elementwise loops in between (`win`).
+        let (cond, win) = cx.step(SpanKind::CondHook, |cx| {
+            let mut edges = mngf.absorb(cx, gf);
+            for (u, m) in &mut edges {
+                *m = (*m).min(f.get_local(u.idx()));
             }
-            cx.comm.charge_compute(gf.local().len() as u64 + 1);
-            moved
+            let cond = connect(cx.comm, f, edges, &cx.opts.dist);
+            (cond, cx.comm.overlap_window())
         });
-        // Grandparent maintenance: gf[u] ← f[f[u]] via a planned extract
-        // (requests dedup + combine like every other gather).
+        // Aggressive hooking f ← min(f, mngf) and shortcutting
+        // f ← min(f, gf), local and over every vertex: the assign above
+        // overwrites, so a hook can lift a non-root until these lower it.
+        let uncond = cx.step(SpanKind::UncondHook, |cx| lower_all(cx.comm, f, &mngf.mn));
+        let shortcut = cx.step(SpanKind::Shortcut, |cx| lower_all(cx.comm, f, gf));
+        // Grandparent maintenance: gf[u] ← f[f[u]] via a planned extract,
+        // noting the entries it changes for the next round's multiply.
         let refreshed = cx.step(SpanKind::Starcheck, |cx| {
             let (comm, dopts) = (&mut *cx.comm, &cx.opts.dist);
             let plan = plan_requests(comm, f.layout(), f.local(), dopts);
@@ -709,17 +774,22 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Fastsv<I> {
                 dist_extract_planned(c, f, &plan, dopts)
             });
             cx.round.extract_received += st.received_requests;
-            let mut refreshed = 0u64;
-            for (old, &new) in gf.local_mut().iter_mut().zip(&new_gf) {
+            let origin = gf.range().0;
+            for (o, (old, &new)) in gf.local_mut().iter_mut().zip(&new_gf).enumerate() {
                 if *old != new {
                     *old = new;
-                    refreshed += 1;
+                    mngf.changed.push((I::from_usize(origin + o), new));
                 }
             }
             comm.charge_compute(new_gf.len() as u64 + 1);
-            refreshed
+            mngf.changed.len() as u64
         });
         [cond, uncond, shortcut, refreshed]
+    }
+
+    fn settle(&mut self, n: usize, changed: &[u64; 4]) -> (bool, usize) {
+        self.mngf.changed_global = changed[3] as usize;
+        fixpoint(n, changed)
     }
 }
 
@@ -733,12 +803,23 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Fastsv<I> {
 /// eccentricity-of-the-minimum rounds — O(diameter) — with no pointer
 /// forest, no hooks, and exactly one exchange per round, which makes it
 /// the cheapest engine on low-diameter graphs and hopeless on paths.
+/// Delta-driven and exact like [`Fastsv`]: labels never rise, so the
+/// running minimum over the changed labels equals the full product, and a
+/// vertex whose minimum did not drop already holds a label at or below it.
 ///
 /// All work lands in the `cond` step bucket (one phase per round), and
-/// the convergence payload is the one changed count.
-pub(crate) struct LabelProp;
+/// the convergence payload is the one changed count. The state is each
+/// vertex's minimum neighbor label and the labels the last round lowered.
+pub(crate) struct LabelProp<I: Idx>(RunningMin<I>);
 
-impl<I: Idx + WireWord + NarrowVal> Rules<I, 1> for LabelProp {
+impl<I: Idx + WireWord + NarrowVal> LabelProp<I> {
+    /// No label seen yet.
+    pub(crate) fn new(cx: &EngineCtx<'_, I>) -> Self {
+        LabelProp(RunningMin::new(cx))
+    }
+}
+
+impl<I: Idx + WireWord + NarrowVal> Rules<I, 1> for LabelProp<I> {
     /// The true bound is the diameter (< n); `max_iters` is sized for
     /// LACC's O(log n) trajectory and does not apply.
     fn max_rounds(n: usize, _opts: &LaccOpts) -> usize {
@@ -746,12 +827,19 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 1> for LabelProp {
     }
 
     fn round(&mut self, cx: &mut EngineCtx<'_, I>, f: &mut DistVec<I>) -> [u64; 4] {
-        // f[u] ← min(f[u], min over neighbors v of f[v]).
+        // mnf[u] ← min(mnf[u], min over neighbors v of f[v]), then
+        // f[u] ← min(f[u], mnf[u]) where mnf dropped.
         let changed = cx.step(SpanKind::CondHook, |cx| {
-            let fnb = dist_mxv_dense(cx.comm, &cx.a, f, DistMask::None, MinUsize, &cx.opts.dist);
-            lower(cx.comm, f, &fnb)
+            let low = self.0.absorb(cx, f);
+            self.0.changed = lower(cx.comm, f, &low);
+            self.0.changed.len() as u64
         });
         [changed, 0, 0, 0]
+    }
+
+    fn settle(&mut self, n: usize, changed: &[u64; 4]) -> (bool, usize) {
+        self.0.changed_global = changed[0] as usize;
+        fixpoint(n, changed)
     }
 }
 
@@ -773,28 +861,6 @@ mod tests {
         let err = "dijkstra".parse::<EngineSelect>().unwrap_err();
         assert_eq!(err.field(), "engine");
         assert_eq!(EngineSelect::default(), EngineSelect::Lacc);
-    }
-
-    #[test]
-    fn only_engines_that_run_spmspv_hold_the_block_column_major() {
-        // FastSV's every `mxv` is dense, so no rank ever transposes its
-        // block; LACC retires converged communities and finishes on SpMSpV.
-        let g = lacc_graph::generators::community_graph(600, 30, 3.0, 1.4, 1);
-        let opts = LaccOpts::default();
-        let built = |lacc: bool| {
-            dmsim::run_spmd(4, |c| {
-                let mut ctx = EngineCtx::<u32>::new(c, &g, None, &opts);
-                if lacc {
-                    driver::drive(Lacc::new(&ctx), &mut ctx).unwrap();
-                } else {
-                    driver::drive(Fastsv::new(&ctx), &mut ctx).unwrap();
-                }
-                ctx.a.has_column_major()
-            })
-            .unwrap()
-        };
-        assert_eq!(built(false), vec![false; 4]);
-        assert_eq!(built(true), vec![true; 4]);
     }
 
     #[test]

@@ -25,18 +25,22 @@ pub(crate) trait Rules<I: Idx, const W: usize> {
     /// Returns this rank's applied updates: conditional hooks,
     /// unconditional hooks, shortcuts, and the engine's fourth convergence
     /// counter (LACC: vertices newly retired; FastSV: grandparents
-    /// refreshed). What else the round's record should say goes into
-    /// `cx.round`, preset for an engine that keeps every vertex active and
-    /// every `mxv` dense.
+    /// refreshed). What else the round's record should say — the `mxv`
+    /// dispatch taken and the entries it multiplied, the active count —
+    /// goes into `cx.round`, preset for an engine that keeps every vertex
+    /// active and every `mxv` dense.
     fn round(&mut self, cx: &mut EngineCtx<'_, I>, f: &mut DistVec<I>) -> [u64; 4];
 
     /// Folds the round's globally summed counters into the engine's state
-    /// and returns `(converged, vertices known converged so far)`. By
-    /// default a round that changed nothing anywhere is the fixpoint.
-    fn settle(&mut self, n: usize, changed: &[u64; 4]) -> (bool, usize) {
-        let done = changed.iter().sum::<u64>() == 0;
-        (done, if done { n } else { 0 })
-    }
+    /// and returns `(converged, vertices known converged so far)`.
+    fn settle(&mut self, n: usize, changed: &[u64; 4]) -> (bool, usize);
+}
+
+/// The [`Rules::settle`] verdict of an engine without retirement: a round
+/// that changed nothing anywhere is the fixpoint.
+pub(crate) fn fixpoint(n: usize, changed: &[u64; 4]) -> (bool, usize) {
+    let done = changed.iter().sum::<u64>() == 0;
+    (done, if done { n } else { 0 })
 }
 
 impl<I: Idx> EngineCtx<'_, I> {
@@ -110,6 +114,7 @@ where
         cx.round = EngineIter {
             active_before: n,
             spmv_dense: true,
+            mxv_nvals: n,
             ..EngineIter::default()
         };
         let local = rules.round(cx, &mut f);
@@ -127,6 +132,7 @@ where
             cond_changed: changed[0],
             uncond_changed: changed[1],
             shortcut_changed: changed[2],
+            fourth_changed: changed[3],
             ..std::mem::take(&mut cx.round)
         });
         if done {

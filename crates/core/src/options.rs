@@ -199,8 +199,10 @@ impl LaccOptsBuilder {
     }
 
     /// Measured-fill fraction at or above which `mxv` runs its SpMV-style
-    /// local kernel. Must be a finite value in `0.0..=1.5` (above `1.0`
-    /// means "never"; `1.5` is the conventional sentinel for that).
+    /// local kernel — for FastSV and label propagation, the fraction of
+    /// the input that changed last round at or above which a round
+    /// multiplies all of it. Must be a finite value in `0.0..=1.5` (above
+    /// `1.0` means "never"; `1.5` is the conventional sentinel for that).
     pub fn spmv_threshold(mut self, t: f64) -> Result<Self, OptsError> {
         if !t.is_finite() || !(0.0..=1.5).contains(&t) {
             return Err(OptsError::new(

@@ -57,12 +57,19 @@ pub struct IterStats {
     pub converged_after: usize,
     /// Whether the conditional-hooking `mxv` took the dense (SpMV) path.
     pub spmv_dense: bool,
+    /// Entries, over all ranks, of the vector that `mxv` multiplied: `n`
+    /// on the dense path, the active (LACC) or changed (FastSV, label
+    /// propagation) entries on the sparse one.
+    pub mxv_nvals: usize,
     /// Parent updates applied by conditional hooking.
     pub cond_changed: usize,
     /// Parent updates applied by unconditional hooking.
     pub uncond_changed: usize,
     /// Parent updates applied by shortcutting.
     pub shortcut_changed: usize,
+    /// The engine's fourth convergence counter: vertices retired by Lemma 1
+    /// (LACC), grandparents refreshed (FastSV), zero for label propagation.
+    pub fourth_changed: usize,
     /// Modeled per-step times (zeros for serial runs).
     pub modeled: StepBreakdown,
     /// Extract requests received per rank during this iteration's

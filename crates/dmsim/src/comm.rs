@@ -133,18 +133,45 @@ impl<T: Send + 'static + std::fmt::Debug> std::fmt::Debug for PooledBuf<T> {
     }
 }
 
-/// Error returned when one or more ranks of an SPMD program panicked.
+/// What a [`DmsimError`] reports.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ErrorKind {
+    /// A rank of the SPMD program panicked.
+    RankPanic,
+    /// The run was refused before any rank started: a rank count that is
+    /// not a square grid, a graph too large for the index width.
+    InvalidConfig,
+    /// Every rank ran to its round bound without converging.
+    NotConverged,
+}
+
+/// Error returned when an SPMD run fails: one or more ranks panicked, or —
+/// raised by the layers above the launcher — the run was misconfigured or
+/// did not converge.
 ///
-/// Carries the lowest failing rank and that rank's panic payload (the
-/// value passed to `panic!`, usually a `String` or `&str`).
+/// For a rank panic, carries the lowest failing rank and that rank's panic
+/// payload (the value passed to `panic!`, usually a `String` or `&str`);
+/// for the other kinds, rank 0 and the message.
 pub struct DmsimError {
+    /// What failed; [`Display`](std::fmt::Display) says "panicked" only for
+    /// [`ErrorKind::RankPanic`].
+    pub kind: ErrorKind,
     /// The (lowest-numbered) rank that panicked.
     pub rank: usize,
-    /// That rank's panic payload.
+    /// That rank's panic payload, or the message as a `String`.
     pub payload: Box<dyn Any + Send + 'static>,
 }
 
 impl DmsimError {
+    /// An error of a kind other than a rank panic, carrying `message`.
+    pub fn new(kind: ErrorKind, message: String) -> Self {
+        DmsimError {
+            kind,
+            rank: 0,
+            payload: Box::new(message),
+        }
+    }
+
     /// The panic message, if the payload was a string (the common case);
     /// `"<non-string panic payload>"` otherwise.
     pub fn message(&self) -> &str {
@@ -163,6 +190,7 @@ impl DmsimError {
 impl std::fmt::Debug for DmsimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DmsimError")
+            .field("kind", &self.kind)
             .field("rank", &self.rank)
             .field("message", &self.message())
             .finish()
@@ -171,7 +199,10 @@ impl std::fmt::Debug for DmsimError {
 
 impl std::fmt::Display for DmsimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "rank {} panicked: {}", self.rank, self.message())
+        match self.kind {
+            ErrorKind::RankPanic => write!(f, "rank {} panicked: {}", self.rank, self.message()),
+            ErrorKind::InvalidConfig | ErrorKind::NotConverged => f.write_str(self.message()),
+        }
     }
 }
 
@@ -819,7 +850,11 @@ where
         for (rank, h) in handles.into_iter().enumerate() {
             match h.join() {
                 Ok(r) => results[rank] = Some(r),
-                Err(payload) => errs.push(DmsimError { rank, payload }),
+                Err(payload) => errs.push(DmsimError {
+                    kind: ErrorKind::RankPanic,
+                    rank,
+                    payload,
+                }),
             }
         }
     });
@@ -982,6 +1017,7 @@ mod tests {
         assert_eq!(err.rank, 1);
         assert!(err.message().contains("expected"), "got: {}", err.message());
         assert!(err.to_string().contains("rank 1 panicked"));
+        assert_eq!(err.kind, ErrorKind::RankPanic);
     }
 
     #[test]

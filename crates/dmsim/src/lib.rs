@@ -64,7 +64,7 @@ pub mod wire;
 pub use collectives::{AllToAll, CombineRoute};
 pub use comm::{
     bytes_of, run_spmd, run_spmd_traced, run_spmd_with_model, words_of, BufferPool, Comm,
-    CommHandle, DmsimError, Group, OverlapWindow, PooledBuf,
+    CommHandle, DmsimError, ErrorKind, Group, OverlapWindow, PooledBuf,
 };
 pub use cost::{CostSnapshot, Machine, MachineModel, CORI_KNL, EDISON};
 pub use topology::Grid2d;

@@ -1,23 +1,19 @@
 //! 2D-distributed pattern matrices.
 
 use super::dvec::block_range;
-use crate::serial::{CsrMirror, Dcsc};
+use crate::serial::CsrMirror;
 use crate::Vid;
 use dmsim::Grid2d;
 use lacc_graph::permute::Permutation;
 use lacc_graph::{CsrGraph, Idx};
-use std::cell::OnceCell;
 
 /// The local view of an `n × n` symmetric pattern matrix distributed on a
 /// square process grid: rank `(i, j)` holds block `A_ij` (rows in row
 /// block `i`, columns in column block `j`) with block-local indices.
 ///
-/// The block is stored **row-major, once** — all the dense multiply reads.
-/// The DCSC that SpMSpV looks columns up in is derived state:
-/// [`local`](Self::local) transposes the stored rows on its first call, so
-/// a run that never dispatches to SpMSpV (every FastSV run) never builds
-/// or holds a second copy of its block.
-///
+/// The block is stored **row-major, once**, and nothing is derived from
+/// it: the dense multiply pulls along its rows and SpMSpV pushes along
+/// them, since stored row `v` of block `(i, j)` is column `v` of `(j, i)`.
 /// Block indices are stored at width `I`; the narrowing — like the
 /// load-balancing relabeling — happens per rank while slicing, so no
 /// globally narrowed or permuted copy of the graph is ever materialized.
@@ -29,7 +25,6 @@ pub struct DistMat<I: Idx = Vid> {
     row_range: (usize, usize),
     col_range: (usize, usize),
     rows: CsrMirror<I>,
-    cols: OnceCell<Dcsc<I>>,
 }
 
 impl<I: Idx> DistMat<I> {
@@ -38,9 +33,8 @@ impl<I: Idx> DistMat<I> {
     /// [`from_graph_permuted`](Self::from_graph_permuted), which is the
     /// entry point for a load-balanced run.
     ///
-    /// In a real distributed setting the graph would arrive pre-partitioned
-    /// from disk; in the simulation every rank slices its block from the
-    /// shared, borrowed input.
+    /// A real run would read pre-partitioned input from disk; here every
+    /// rank slices its block from the shared, borrowed graph.
     pub fn from_graph(g: &CsrGraph, grid: Grid2d, rank: usize) -> Self {
         Self::build(g.num_vertices(), grid, rank, |r| g.neighbors(r), |v| v)
     }
@@ -106,7 +100,6 @@ impl<I: Idx> DistMat<I> {
             row_range,
             col_range,
             rows: CsrMirror::from_parts(nrows, ncols, rowptr, colidx),
-            cols: OnceCell::new(),
         }
     }
 
@@ -128,18 +121,6 @@ impl<I: Idx> DistMat<I> {
     /// Global column range of the local block.
     pub fn col_range(&self) -> (usize, usize) {
         self.col_range
-    }
-
-    /// The local block as a DCSC (block-local indices, each column's rows
-    /// ascending): one counting transpose of the stored rows on the first
-    /// call, kept. Only SpMSpV asks for it.
-    pub fn local(&self) -> &Dcsc<I> {
-        self.cols.get_or_init(|| self.rows.to_dcsc())
-    }
-
-    /// Whether [`local`](Self::local) has run: the block is held twice.
-    pub fn has_column_major(&self) -> bool {
-        self.cols.get().is_some()
     }
 
     /// The stored row-major block (block-local indices). A row's columns
@@ -164,6 +145,17 @@ mod tests {
     use lacc_graph::generators::{erdos_renyi_gnm, path_graph};
     use lacc_graph::EdgeList;
 
+    /// The block's entries as global `(row, column)` pairs, sorted.
+    fn entries<I: Idx>(blk: &DistMat<I>) -> Vec<(usize, usize)> {
+        let (rs, cs) = (blk.row_range().0, blk.col_range().0);
+        let rows = blk.row_mirror();
+        let mut out: Vec<(usize, usize)> = (0..rows.nrows())
+            .flat_map(|lr| rows.row(lr).iter().map(move |lc| (rs + lr, cs + lc.idx())))
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
     #[test]
     fn blocks_partition_all_edges() {
         let g = erdos_renyi_gnm(50, 200, 3);
@@ -181,14 +173,17 @@ mod tests {
     fn block_entries_match_global_graph() {
         let g = path_graph(11);
         let grid = Grid2d::square(4);
+        let mut seen = 0;
         for r in 0..4 {
             let blk = DistMat::<Vid>::from_graph(&g, grid, r);
-            let (rs, _) = blk.row_range();
-            let (cs, _) = blk.col_range();
-            for (lr, lc) in blk.local().pairs() {
-                assert!(g.has_edge(rs + lr, cs + lc));
+            let ((rs, re), (cs, ce)) = (blk.row_range(), blk.col_range());
+            for (u, v) in entries(&blk) {
+                assert!(g.has_edge(u, v));
+                assert!((rs..re).contains(&u) && (cs..ce).contains(&v));
+                seen += 1;
             }
         }
+        assert_eq!(seen, g.num_directed_edges());
     }
 
     #[test]
@@ -199,13 +194,38 @@ mod tests {
             let wide = DistMat::<Vid>::from_graph(&g, grid, r);
             let narrow = DistMat::<u32>::from_graph(&g, grid, r);
             assert_eq!(wide.local_nnz(), narrow.local_nnz());
-            let w: Vec<(usize, usize)> = wide.local().pairs().collect();
-            let n: Vec<(usize, usize)> = narrow
-                .local()
-                .pairs()
-                .map(|(a, b)| (a.idx(), b.idx()))
-                .collect();
-            assert_eq!(w, n, "rank {r}");
+            assert_eq!(entries(&wide), entries(&narrow), "rank {r}");
+        }
+    }
+
+    #[test]
+    fn block_is_the_transpose_of_its_mirror_block() {
+        // What SpMSpV relies on: stored row v of block (i, j) lists the
+        // columns of block (j, i) that hold v — with and without the
+        // load-balancing relabeling, n not divisible by sqrt(p).
+        let g = erdos_renyi_gnm(50, 200, 3);
+        let perm = Permutation::random(50, 19);
+        for p in [1usize, 4, 9, 16] {
+            let grid = Grid2d::square(p);
+            for permuted in [false, true] {
+                let block = |r| match permuted {
+                    true => DistMat::<u32>::from_graph_permuted(&g, &perm, grid, r),
+                    false => DistMat::<u32>::from_graph(&g, grid, r),
+                };
+                for r in 0..p {
+                    let (i, j) = grid.coords_of(r);
+                    let mut flipped: Vec<(usize, usize)> = entries(&block(grid.rank_of(j, i)))
+                        .into_iter()
+                        .map(|(u, v)| (v, u))
+                        .collect();
+                    flipped.sort_unstable();
+                    assert_eq!(
+                        entries(&block(r)),
+                        flipped,
+                        "p={p} permuted={permuted} ({i},{j})"
+                    );
+                }
+            }
         }
     }
 
@@ -221,24 +241,21 @@ mod tests {
                     let fused = DistMat::<I>::from_graph_permuted(g, &perm, grid, r);
                     let sliced = DistMat::<I>::from_graph(&permuted, grid, r);
                     let at = format!("{} n={n} p={p} rank={r}", I::NAME);
-                    assert_eq!(fused.local(), sliced.local(), "{at}");
                     // Stored rows keep source order, which the relabeling
                     // changes: the two builds agree row by row as sets.
                     let (fr, sr) = (fused.row_mirror(), sliced.row_mirror());
-                    assert_eq!(fr.nrows(), sr.nrows(), "{at}");
-                    for i in 0..fr.nrows() {
-                        let (mut f, mut s) = (fr.row(i).to_vec(), sr.row(i).to_vec());
-                        f.sort_unstable();
-                        s.sort_unstable();
-                        assert_eq!(f, s, "{at} row {i}");
-                    }
+                    assert_eq!((fr.nrows(), fr.ncols()), (sr.nrows(), sr.ncols()), "{at}");
+                    assert_eq!(entries(&fused), entries(&sliced), "{at}");
                     assert_eq!(fused.row_range(), sliced.row_range(), "{at}");
                     assert_eq!(fused.col_range(), sliced.col_range(), "{at}");
-                    // And the block is what the sort-based constructor
-                    // makes of the same entries.
-                    let pairs: Vec<(I, I)> = sliced.local().pairs().collect();
-                    let (nr, nc) = (sliced.local().nrows(), sliced.local().ncols());
-                    assert_eq!(sliced.local(), &Dcsc::from_pairs(nr, nc, pairs), "{at}");
+                    // And the block is the permuted graph's edges in its
+                    // row and column ranges.
+                    let ((rs, re), (cs, ce)) = (sliced.row_range(), sliced.col_range());
+                    let want: Vec<(usize, usize)> = permuted
+                        .edges()
+                        .filter(|(u, v)| (rs..re).contains(u) && (cs..ce).contains(v))
+                        .collect();
+                    assert_eq!(entries(&sliced), want, "{at}");
                 }
             }
         }
@@ -252,25 +269,6 @@ mod tests {
         for (k, g) in graphs.iter().enumerate() {
             check::<u32>(g, 11 + k as u64);
             check::<Vid>(g, 11 + k as u64);
-        }
-    }
-
-    #[test]
-    fn column_major_block_is_built_on_first_use_and_cloned_with_the_matrix() {
-        let g = erdos_renyi_gnm(50, 200, 3);
-        let grid = Grid2d::square(4);
-        for r in 0..4 {
-            let blk = DistMat::<u32>::from_graph(&g, grid, r);
-            assert_eq!(blk.local_nnz(), blk.row_mirror().nnz());
-            assert!(!blk.has_column_major(), "local_nnz() must not transpose");
-            assert!(!blk.clone().has_column_major());
-            let first: *const Dcsc<u32> = blk.local();
-            assert!(blk.has_column_major());
-            assert_eq!(blk.local().nnz(), blk.local_nnz());
-            assert!(std::ptr::eq(first, blk.local()), "transposed twice");
-            let copy = blk.clone();
-            assert!(copy.has_column_major());
-            assert_eq!(copy.local(), blk.local());
         }
     }
 

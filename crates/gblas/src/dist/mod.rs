@@ -1,13 +1,15 @@
 //! Distributed GraphBLAS layer over [`dmsim`] — the CombBLAS role.
 //!
 //! * Matrices are 2D-partitioned on a square `√p × √p` grid
-//!   ([`DistMat`]), with each local block stored row-major and its DCSC
-//!   derived the first time SpMSpV asks for it.
+//!   ([`DistMat`]), with each local block stored row-major, once: the
+//!   matrix is symmetric, so SpMSpV pushes along the same rows the dense
+//!   multiply pulls along.
 //! * Vectors ([`DistVec`], [`DistSpVec`]) are block-distributed in
 //!   *column-major chunk order* so that the chunks owned by processor
 //!   column `j` concatenate into exactly the vector segment matching the
 //!   matrix's column block `j` — the alignment CombBLAS guarantees so that
-//!   the allgather phase of `mxv` stays inside processor columns.
+//!   the allgather phase of `mxv` stays inside processor columns (SpMSpV
+//!   mirrors it into processor rows).
 //! * [`ops`] implements the distributed primitives: `mxv` (SpMV/SpMSpV),
 //!   `extract`, `assign`, each matching its serial counterpart
 //!   bit-for-bit, with the paper's §V-B communication optimizations.

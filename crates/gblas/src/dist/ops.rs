@@ -5,9 +5,11 @@
 //! * [`dist_mxv_dense`] (SpMV) — allgather of vector chunks within
 //!   processor columns → local block multiply → reduce-scatter within
 //!   processor rows → transpose exchange to restore vector alignment.
-//! * [`dist_mxv_sparse`] (SpMSpV) — sparse allgather within columns →
-//!   local multiply → irregular all-to-all within rows + local merge
-//!   (the paper's description verbatim) → transpose exchange.
+//! * [`dist_mxv_sparse`] (SpMSpV) — the same phases mirrored, because `A`
+//!   is symmetric and stored row-major only: transpose exchange → sparse
+//!   allgather within processor rows → push through the stored rows →
+//!   irregular all-to-all within columns + local merge, which lands on the
+//!   layout owner.
 //! * [`dist_extract`] / [`dist_assign`] — request/reply through a global
 //!   all-to-all, with the §V-B mitigations: selectable all-to-all
 //!   algorithm (pairwise / hypercube / sparse) and the hot-rank broadcast
@@ -20,12 +22,13 @@ use super::compact::NarrowVal;
 use super::dense::{group_fold, RankBitmap};
 use super::dmat::DistMat;
 use super::dvec::{block_range, DistSpVec, DistVec, VecLayout};
-use crate::serial::{CsrMirror, Dcsc};
+use crate::serial::CsrMirror;
 use crate::types::Monoid;
 use crate::Vid;
 use dmsim::wire::{decode_keys_for, encode_keys_for, push_varint, read_varint};
 use dmsim::{
-    words_of, AllToAll, CombineRoute, Comm, CommHandle, Group, PooledBuf, SpanKind, WireWord,
+    words_of, AllToAll, CombineRoute, Comm, CommHandle, Grid2d, Group, PooledBuf, SpanKind,
+    WireWord,
 };
 use lacc_graph::Idx;
 
@@ -324,16 +327,17 @@ where
     (acc, touched, ops)
 }
 
-/// Phase-2 local multiply for the SpMSpV-style paths: per-entry scatter of
-/// the gathered input through DCSC column lookups, each resumed from the
-/// last ([`Dcsc::cursor`]): the gathered entries ascend by column.
-///
-/// Returns `(acc, touched rows in first-touch order, op count)`; callers
-/// sort the touched list.
-fn local_multiply_entries<T, M, I>(
-    local: &Dcsc<I>,
-    cs: usize,
-    gathered: &[(I, T)],
+/// The local multiply of SpMSpV: pushes every gathered `(v, x_v)`, `v` in
+/// the block's rows from global row `rs` on, through stored row `v − rs`
+/// into an accumulator over the block's columns. `A` is a symmetric
+/// pattern matrix, so that row *is* column `v` of the mirror block
+/// `(j, i)`: this computes the block's share of `Aᵀ x = A x` with no
+/// column-major copy of anything. Returns `(acc, touched columns in
+/// first-touch order, op count)`.
+fn local_multiply_push<T, M, I>(
+    rows: &CsrMirror<I>,
+    rs: usize,
+    gathered: impl Iterator<Item = (I, T)>,
     monoid: M,
 ) -> (Vec<T>, Vec<Vid>, u64)
 where
@@ -341,108 +345,113 @@ where
     M: Monoid<T>,
     I: Idx,
 {
-    let h = local.nrows();
+    let w = rows.ncols();
     let mut ops: u64 = 1;
-    let mut acc = vec![monoid.identity(); h];
-    let mut is_touched = vec![false; h];
+    let mut acc = vec![monoid.identity(); w];
+    let mut is_touched = vec![false; w];
     let mut touched: Vec<Vid> = Vec::new();
-    let mut cols = local.cursor();
-    for &(gc, xv) in gathered {
-        let rows = cols.seek(gc.idx() - cs);
-        for &lr in rows {
-            let lr = lr.idx();
-            if !is_touched[lr] {
-                is_touched[lr] = true;
-                touched.push(lr);
+    for (gv, xv) in gathered {
+        let cols = rows.row(gv.idx() - rs);
+        for lc in cols.iter().map(|lc| lc.idx()) {
+            if !is_touched[lc] {
+                is_touched[lc] = true;
+                touched.push(lc);
             }
-            acc[lr] = monoid.combine(acc[lr], xv);
+            acc[lc] = monoid.combine(acc[lc], xv);
         }
-        ops += rows.len() as u64 + 1;
+        ops += cols.len() as u64 + 1;
     }
     (acc, touched, ops)
 }
 
-/// Phases 3–4 shared by the SpMSpV-style paths ([`dist_mxv_sparse`] and
-/// the dense-execution branch of [`dist_mxv`]): route the touched partial
-/// results to their subchunk owners within the processor row (irregular
-/// all-to-all + monoid merge), then the transpose exchange to the layout
-/// owner, applying the mask owner-side.
+/// The transpose exchange: rank `(i, j)` hands `data` to rank `(j, i)` and
+/// returns what `(j, i)` handed it; diagonal ranks keep theirs. Chunk
+/// `i·pc + j` belongs to rank `(j, i)`, so this moves a chunk between the
+/// rank a processor-row collective leaves it on and its layout owner.
+fn transpose_exchange<D: Send + 'static>(comm: &mut Comm, grid: Grid2d, data: Vec<D>) -> Vec<D> {
+    let (i, j) = grid.coords_of(comm.rank());
+    if i == j {
+        return data;
+    }
+    let partner = grid.rank_of(j, i);
+    comm.send_vec(partner, data);
+    comm.recv(partner)
+}
+
+/// The sparse reduce both SpMSpV-style paths end on. `acc[t]` is this
+/// rank's partial result for the `t`-th index of vector block `b`
+/// (chunks `b·q ..= b·q + q − 1`), `touched` the offsets it wrote: they are
+/// bucketed by subchunk, exchanged within `group` — member `k` takes chunk
+/// `b·q + k`, one entry frame per bucket under [`Wire::Compact`] — and
+/// folded through the monoid. Returns the entries of the chunk this rank
+/// took, ascending.
 #[allow(clippy::too_many_arguments)] // internal seam between two mxv phases
-fn spmspv_reduce_and_transpose<T, M, I>(
+fn reduce_touched_in_group<T, M, I>(
     comm: &mut Comm,
-    a: &DistMat<I>,
+    group: &Group,
     layout: VecLayout,
+    b: usize,
     acc: &[T],
     mut touched: Vec<Vid>,
-    mask: DistMask<'_>,
     monoid: M,
     opts: &DistOpts,
-) -> DistSpVec<T, I>
+) -> Vec<(I, T)>
 where
     T: NarrowVal,
     M: Monoid<T>,
     I: Idx + WireWord,
 {
-    let me = comm.rank();
-    let grid = a.grid();
-    let (i, j) = grid.coords_of(me);
-    let pc = grid.cols();
-    let (rs, _re) = a.row_range();
-    let row_group = grid.row_group(comm);
-    let mut buckets: Vec<PooledBuf<(I, T)>> = (0..pc).map(|_| comm.pooled_buf()).collect();
+    let (n, p, q) = (layout.len(), layout.grid().size(), group.size());
+    let mut buckets: Vec<PooledBuf<(I, T)>> = (0..q).map(|_| comm.pooled_buf()).collect();
     touched.sort_unstable();
-    // Subchunk k of this row block is global chunk i·pc + k; the rows are
-    // ascending, so the subchunk boundaries are walked, not searched.
-    let (n, p) = (layout.len(), grid.size());
-    let ends: Vec<usize> = (0..pc).map(|k| block_range(n, p, i * pc + k).1).collect();
+    // The offsets ascend: subchunk boundaries are walked, not searched.
+    let ends: Vec<usize> = (0..q).map(|k| block_range(n, p, b * q + k).1).collect();
+    let start = block_range(n, p, b * q).0;
     let mut k = 0usize;
-    for &lr in &touched {
-        let g = rs + lr;
+    for &t in &touched {
+        let g = start + t;
         while g >= ends[k] {
             k += 1;
         }
-        buckets[k].push((I::from_usize(g), acc[lr]));
+        buckets[k].push((I::from_usize(g), acc[t]));
     }
     let buckets: Vec<Vec<(I, T)>> = buckets.into_iter().map(PooledBuf::detach).collect();
     let parts: Vec<PooledBuf<(I, T)>> = match opts.wire {
         // Each bucket's ids were pushed in sorted `touched` order, so it
-        // ships as one entry frame. (The later transpose exchange stays a
-        // raw tuple vector.)
+        // ships as one entry frame.
         Wire::Compact => {
             let frames: Vec<Vec<u8>> = buckets.iter().map(|b| encode_entry_frame(b)).collect();
-            comm.charge_compute(buckets.iter().map(|b| b.len() as u64).sum::<u64>() + 1);
-            comm.alltoallv(&row_group, frames, opts.alltoall)
+            comm.charge_compute(touched.len() as u64 + 1);
+            comm.alltoallv(group, frames, opts.alltoall)
                 .into_iter()
                 .map(|bytes| comm.adopt_buf(decode_entry_frame(&bytes)))
                 .collect()
         }
         Wire::Legacy => comm
-            .alltoallv(&row_group, buckets, opts.alltoall)
+            .alltoallv(group, buckets, opts.alltoall)
             .into_iter()
             .map(|part| comm.adopt_buf(part))
             .collect(),
     };
     comm.charge_compute(parts.iter().map(|part| part.len() as u64).sum());
+    // Every arrival lies in the subchunk this rank takes.
+    fold_chunk_arrivals(block_range(n, p, b * q + group.my_index()), &parts, monoid)
+}
 
-    // Every arrival lies in the subchunk this rank holds for its row.
-    let held_chunk = i * pc + j;
-    let to_send: Vec<(I, T)> = fold_chunk_arrivals(block_range(n, p, held_chunk), &parts, monoid);
-    let owner = layout.rank_of_chunk(held_chunk);
-    let my_chunk = layout.chunk_of_rank(me);
-    let holder = grid.rank_of(my_chunk / pc, my_chunk % pc);
-    let mine: Vec<(I, T)> = if owner == me {
-        to_send
-    } else {
-        comm.send_vec(owner, to_send);
-        comm.recv(holder)
-    };
-
-    let entries: Vec<(I, T)> = mine
-        .into_iter()
-        .filter(|&(g, _)| mask.allows(g.idx()))
-        .collect();
+/// The owner-side end of every `mxv`: keeps the entries the mask allows.
+fn masked_output<T, I>(
+    comm: &mut Comm,
+    layout: VecLayout,
+    mine: impl Iterator<Item = (I, T)>,
+    mask: DistMask<'_>,
+) -> DistSpVec<T, I>
+where
+    T: Copy + Send + 'static,
+    I: Idx,
+{
+    let entries: Vec<(I, T)> = mine.filter(|&(g, _)| mask.allows(g.idx())).collect();
     comm.charge_compute(entries.len() as u64);
-    DistSpVec::from_local_entries(layout, me, entries)
+    DistSpVec::from_local_entries(layout, comm.rank(), entries)
 }
 
 /// Distributed SpMV: `y = A ⊕.2nd x` with dense input `x`, masked output.
@@ -464,8 +473,8 @@ where
     let layout = x.layout();
     assert_eq!(layout.len(), a.n(), "matrix/vector dimension mismatch");
     let me = comm.rank();
-    let (i, j) = grid.coords_of(me);
-    let (pr, pc, p) = (grid.rows(), grid.cols(), grid.size());
+    let (i, _) = grid.coords_of(me);
+    let (pc, p) = (grid.cols(), grid.size());
 
     // Phase 1: assemble the column-block segment of x within the processor
     // column (group index within col_group equals grid row, so blocks
@@ -504,32 +513,13 @@ where
     });
 
     // Phase 4: transpose exchange — the reduced chunk i·pc + j belongs to
-    // rank (j, i) under the column-major vector layout.
-    let held_chunk = i * pc + j;
-    let owner = layout.rank_of_chunk(held_chunk);
-    let my_chunk = layout.chunk_of_rank(me);
-    let holder = grid.rank_of(my_chunk / pc, my_chunk % pc);
-    let mine: Vec<(T, bool)> = if owner == me {
-        debug_assert_eq!(holder, me);
-        reduced
-    } else {
-        comm.send_vec(owner, reduced);
-        comm.recv(holder)
-    };
-    let _ = pr;
-
-    // Owner-side: keep touched entries passing the mask.
+    // rank (j, i) under the column-major vector layout. Owner-side: keep
+    // the touched entries passing the mask.
+    let mine: Vec<(T, bool)> = transpose_exchange(comm, grid, reduced);
     let (s, _e) = layout.range_of_rank(me);
-    let entries: Vec<(I, T)> = mine
-        .into_iter()
-        .enumerate()
-        .filter(|(_, (_, t))| *t)
-        .map(|(off, (v, _))| (s + off, v))
-        .filter(|&(g, _)| mask.allows(g))
-        .map(|(g, v)| (I::from_usize(g), v))
-        .collect();
-    comm.charge_compute(entries.len() as u64);
-    let out = DistSpVec::from_local_entries(layout, me, entries);
+    let touched = mine.into_iter().enumerate().filter(|(_, (_, t))| *t);
+    let entries = touched.map(|(off, (v, _))| (I::from_usize(s + off), v));
+    let out = masked_output(comm, layout, entries, mask);
     comm.span_close(span);
     out
 }
@@ -570,23 +560,34 @@ where
     let grid = a.grid();
     let layout = x.layout();
     assert_eq!(layout.len(), a.n(), "matrix/vector dimension mismatch");
+    let (_, j) = grid.coords_of(comm.rank());
 
-    // Phase 1: sparse allgather of x entries within the processor column,
-    // posted non-blocking so the per-entry multiply streams behind it.
-    let col_group = grid.col_group(comm);
-    let gh = allgather_entries(comm, &col_group, x.entries().to_vec(), opts);
-    let gathered: Vec<(I, T)> = gh.peek().iter().flatten().copied().collect();
+    // `A` is symmetric, so `y = A x = Aᵀ x` and the stored rows of block
+    // (i, j) are the columns of block (j, i): the multiply wants `x` over
+    // this rank's *row* block. Phase 1: the transpose partner holds this
+    // rank's share of it (chunk i·pc + j belongs to rank (j, i)).
+    let share = transpose_exchange(comm, grid, x.entries().to_vec());
 
-    // Phase 2: local multiply through the DCSC block — transposed out of
-    // the stored rows on this rank's first SpMSpV.
-    let (cs, _ce) = a.col_range();
-    let (acc, touched, ops) = local_multiply_entries(a.local(), cs, &gathered, monoid);
+    // Phase 2: sparse allgather within the processor row — member k brings
+    // chunk i·pc + k, so the parts cover the row block in order — posted
+    // non-blocking so the per-entry push streams behind it.
+    let row_group = grid.row_group(comm);
+    let gh = allgather_entries(comm, &row_group, share, opts);
+
+    // Phase 3: push the gathered entries through the stored rows into an
+    // accumulator over the column block.
+    let gathered = gh.peek().iter().flatten().copied();
+    let (acc, touched, ops) =
+        local_multiply_push(a.row_mirror(), a.row_range().0, gathered, monoid);
     comm.charge_compute(ops);
     gh.wait(comm);
 
-    // Phases 3–4: row-wise reduce + transpose exchange (the paper's SpMSpV
-    // reduce phase).
-    spmspv_reduce_and_transpose(comm, a, layout, &acc, touched, mask, monoid, opts)
+    // Phase 4: sparse reduce within the processor column. Chunk j·pc + k
+    // of the column block belongs to column-group member k, so the fold
+    // lands on the layout owner: there is no transpose hop on the way out.
+    let col_group = grid.col_group(comm);
+    let mine = reduce_touched_in_group(comm, &col_group, layout, j, &acc, touched, monoid, opts);
+    masked_output(comm, layout, mine.into_iter(), mask)
 }
 
 /// Adaptive distributed `mxv` over a sparse input: measures the input's
@@ -595,17 +596,18 @@ where
 /// of the local multiply, mirroring the internal dispatch of the paper's
 /// `GrB_mxv` (§V-A).
 ///
-/// * fill ≥ [`DistOpts::spmv_threshold`] — the gathered entries are
-///   densified into the column-block segment plus a presence bitmap, and
-///   the local multiply is the dense row gather over the stored block
-///   instead of a DCSC column lookup per input entry.
-/// * fill below the threshold — [`dist_mxv_sparse`]'s per-entry kernel.
+/// * fill ≥ [`DistOpts::spmv_threshold`] — the entries are gathered within
+///   the processor column and densified into the column-block segment plus
+///   a presence bitmap, and the local multiply is the dense row gather
+///   (a pull) over the stored block; the touched rows then take the same
+///   sparse reduce as SpMSpV, within the processor row, and the transpose
+///   hop of [`dist_mxv_dense`].
+/// * fill below the threshold — [`dist_mxv_sparse`]'s per-entry push.
 ///
-/// Both branches produce **bit-identical** results (same gather, same
-/// reduce/transpose phases; the per-row combine order differs, which a
-/// commutative, associative [`Monoid`] over [`NarrowVal`] values cannot
-/// show), so the dispatch is purely a performance choice; the proptests
-/// pin this down.
+/// Both branches produce **bit-identical** results (the combine order
+/// differs, which a commutative, associative [`Monoid`] over [`NarrowVal`]
+/// values cannot show), so the dispatch is purely a performance choice;
+/// the proptests pin this down.
 pub fn dist_mxv<T, M, I>(
     comm: &mut Comm,
     a: &DistMat<I>,
@@ -653,31 +655,35 @@ where
         return mxv_sparse_impl(comm, a, x, mask, monoid, opts);
     }
 
-    // SpMV-style execution: same sparse allgather (posted, so the densify
-    // and block multiply stream behind the transfer), then densify.
+    // SpMV-style execution: sparse allgather within the processor column
+    // (posted, so the densify and block multiply stream behind the
+    // transfer), then densify.
     let grid = a.grid();
     let col_group = grid.col_group(comm);
     let gh = allgather_entries(comm, &col_group, x.entries().to_vec(), opts);
-    let gathered: Vec<(I, T)> = gh.peek().iter().flatten().copied().collect();
     let (cs, ce) = a.col_range();
     let w = ce - cs;
     let mut x_block = vec![monoid.identity(); w];
     let mut present = vec![false; w];
-    for &(g, v) in &gathered {
+    let mut gathered = 0u64;
+    for &(g, v) in gh.peek().iter().flatten() {
         x_block[g.idx() - cs] = v;
         present[g.idx() - cs] = true;
+        gathered += 1;
     }
     let (acc, touched_flags, ops) =
         local_multiply_block(a.row_mirror(), &x_block, Some(&present), monoid);
-    comm.charge_compute(ops + w as u64 + gathered.len() as u64);
+    comm.charge_compute(ops + w as u64 + gathered);
     gh.wait(comm);
-    let touched: Vec<Vid> = touched_flags
-        .iter()
-        .enumerate()
-        .filter(|&(_, &t)| t)
-        .map(|(lr, _)| lr)
+    let touched: Vec<Vid> = (0..touched_flags.len())
+        .filter(|&lr| touched_flags[lr])
         .collect();
-    spmspv_reduce_and_transpose(comm, a, layout, &acc, touched, mask, monoid, opts)
+    // Row-wise sparse reduce, then the transpose hop to the layout owner.
+    let row_group = grid.row_group(comm);
+    let (i, _) = grid.coords_of(comm.rank());
+    let held = reduce_touched_in_group(comm, &row_group, layout, i, &acc, touched, monoid, opts);
+    let mine = transpose_exchange(comm, grid, held);
+    masked_output(comm, layout, mine.into_iter(), mask)
 }
 
 /// The owner-bucketing of one extract request list, computed once by
@@ -1388,49 +1394,46 @@ mod tests {
         }
     }
 
-    /// The dense kernel this crate used to run: a sweep of the DCSC's
+    /// The block column by column, each column's rows ascending.
+    fn columns_of(rows: &CsrMirror<u32>) -> Vec<Vec<usize>> {
+        let mut cols = vec![Vec::new(); rows.ncols()];
+        for r in 0..rows.nrows() {
+            for c in rows.row(r) {
+                cols[c.idx()].push(r);
+            }
+        }
+        cols
+    }
+
+    /// The dense kernel this crate used to run: a sweep of the block's
     /// nonempty columns, scattering into `acc`.
     fn column_sweep_oracle<T: Copy, M: Monoid<T>>(
-        local: &Dcsc<u32>,
+        rows: &CsrMirror<u32>,
         x_block: &[T],
         present: Option<&[bool]>,
         monoid: M,
     ) -> (Vec<T>, Vec<bool>, u64) {
-        let mut acc = vec![monoid.identity(); local.nrows()];
-        let mut touched = vec![false; local.nrows()];
+        let mut acc = vec![monoid.identity(); rows.nrows()];
+        let mut touched = vec![false; rows.nrows()];
         let mut ops = 0u64;
-        for (lc, rows) in local.nonempty_cols() {
+        for (lc, col) in columns_of(rows).iter().enumerate() {
             if present.is_some_and(|pr| !pr[lc]) {
                 continue;
             }
-            for &lr in rows {
-                acc[lr.idx()] = monoid.combine(acc[lr.idx()], x_block[lc]);
-                touched[lr.idx()] = true;
+            for &lr in col {
+                acc[lr] = monoid.combine(acc[lr], x_block[lc]);
+                touched[lr] = true;
             }
-            ops += rows.len() as u64;
+            ops += col.len() as u64;
         }
         (acc, touched, ops)
     }
 
-    #[test]
-    fn row_gather_matches_the_column_sweep_oracle() {
-        fn check<T, M>(rows: &CsrMirror<u32>, present: &[bool], monoid: M, val: impl Fn(u64) -> T)
-        where
-            T: Copy + PartialEq + std::fmt::Debug,
-            M: Monoid<T>,
-        {
-            let local = rows.to_dcsc();
-            let x: Vec<T> = (0..rows.ncols() as u64).map(val).collect();
-            for pr in [None, Some(present)] {
-                let expected = column_sweep_oracle(&local, &x, pr, monoid);
-                let got = local_multiply_block(rows, &x, pr, monoid);
-                assert_eq!(got, expected, "present={}", pr.is_some());
-            }
-        }
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
+    /// Random rectangular blocks — rows in random column order, empty rows,
+    /// empty columns, down to 0 × 0 — and blocks as the build leaves them,
+    /// permuted and not, n = 50 not divisible by sqrt(p) = 3.
+    fn sample_blocks(rng: &mut rand_chacha::ChaCha8Rng) -> Vec<CsrMirror<u32>> {
         let mut blocks: Vec<CsrMirror<u32>> = Vec::new();
-        // Random rectangular blocks: rows in random column order, empty
-        // rows, empty columns, down to 0 × 0.
         for (nrows, ncols, density) in [(0, 0, 0.0), (1, 7, 0.5), (13, 9, 0.3), (40, 64, 0.05)] {
             let mut rowptr = vec![0usize];
             let mut colidx: Vec<u32> = Vec::new();
@@ -1446,8 +1449,6 @@ mod tests {
             }
             blocks.push(CsrMirror::from_parts(nrows, ncols, rowptr, colidx));
         }
-        // Blocks as the build leaves them, permuted and not, n = 50 not
-        // divisible by sqrt(p) = 3.
         let g = erdos_renyi_gnm(50, 160, 31);
         let perm = lacc_graph::permute::Permutation::random(50, 37);
         for r in 0..9 {
@@ -1456,43 +1457,78 @@ mod tests {
             let permuted = DistMat::<u32>::from_graph_permuted(&g, &perm, grid, r);
             blocks.push(permuted.row_mirror().clone());
         }
-        for rows in &blocks {
+        blocks
+    }
+
+    fn word(j: u64) -> usize {
+        (j.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize
+    }
+
+    #[test]
+    fn row_gather_matches_the_column_sweep_oracle() {
+        fn check<T, M>(rows: &CsrMirror<u32>, present: &[bool], monoid: M, val: impl Fn(u64) -> T)
+        where
+            T: Copy + PartialEq + std::fmt::Debug,
+            M: Monoid<T>,
+        {
+            let x: Vec<T> = (0..rows.ncols() as u64).map(val).collect();
+            for pr in [None, Some(present)] {
+                let expected = column_sweep_oracle(rows, &x, pr, monoid);
+                let got = local_multiply_block(rows, &x, pr, monoid);
+                assert_eq!(got, expected, "present={}", pr.is_some());
+            }
+        }
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
+        for rows in &sample_blocks(&mut rng) {
             let present: Vec<bool> = (0..rows.ncols()).map(|_| rng.random_bool(0.6)).collect();
-            let word = |j: u64| (j.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as usize;
             check(rows, &present, MinUsize, word);
             check(rows, &present, MaxUsize, word);
             check(rows, &present, AddUsize, word);
             check(rows, &present, MinMaxUsize, |j| (word(j), word(j + 1)));
-            check(rows, &present, AndBool, |j| word(j) % 3 != 0);
-            check(rows, &present, OrBool, |j| word(j) % 3 == 0);
+            check(rows, &present, AndBool, |j| !word(j).is_multiple_of(3));
+            check(rows, &present, OrBool, |j| word(j).is_multiple_of(3));
         }
     }
 
     #[test]
-    fn only_spmspv_builds_the_column_major_block() {
-        let g = erdos_renyi_gnm(60, 150, 41);
-        let n = g.num_vertices();
-        let built = run_spmd(4, |c| {
-            let grid = Grid2d::square(4);
-            let layout = VecLayout::new(n, grid);
-            let a = DistMat::<u32>::from_graph(&g, grid, c.rank());
-            let x: DistVec<u32> = DistVec::from_fn(layout, c.rank(), |v| v as u32);
-            let (s, e) = layout.range_of_rank(c.rank());
-            let xs = DistSpVec::from_local_entries(
-                layout,
-                c.rank(),
-                (s..e).map(|v| (v as u32, v as u32)).collect(),
-            );
-            // Dense input, and a full sparse input dispatched dense.
-            let opts = DistOpts::default();
-            dist_mxv_dense(c, &a, &x, DistMask::None, MinUsize, &opts);
-            dist_mxv(c, &a, &xs, DistMask::None, MinUsize, &opts);
-            let after_dense = a.has_column_major();
-            dist_mxv_sparse(c, &a, &xs, DistMask::None, MinUsize, &opts);
-            (after_dense, a.has_column_major())
-        })
-        .unwrap();
-        assert_eq!(built, vec![(false, true); 4]);
+    fn push_folds_each_column_over_its_present_rows() {
+        fn check<T, M>(rows: &CsrMirror<u32>, present: &[bool], monoid: M, val: impl Fn(u64) -> T)
+        where
+            T: Copy + PartialEq + std::fmt::Debug,
+            M: Monoid<T>,
+        {
+            // Entries over the block's rows, offset as if the block began
+            // at global row 100.
+            let x: Vec<(u32, T)> = (0..rows.nrows())
+                .filter(|&r| present[r])
+                .map(|r| (100 + r as u32, val(r as u64)))
+                .collect();
+            let (acc, mut touched, ops) = local_multiply_push(rows, 100, x.iter().copied(), monoid);
+            touched.sort_unstable();
+            let cols = columns_of(rows);
+            let hit = |lc: usize| cols[lc].iter().filter(|&&r| present[r]);
+            let want_touched: Vec<usize> = (0..cols.len())
+                .filter(|&lc| hit(lc).next().is_some())
+                .collect();
+            assert_eq!(touched, want_touched);
+            for (lc, &got) in acc.iter().enumerate() {
+                let fold = |v, &r| monoid.combine(v, val(r as u64));
+                assert_eq!(got, hit(lc).fold(monoid.identity(), fold), "column {lc}");
+            }
+            // One op per entry and per nonzero it meets, plus one.
+            let met: usize = x.iter().map(|&(g, _)| rows.row(g.idx() - 100).len()).sum();
+            assert_eq!(ops, (1 + x.len() + met) as u64);
+        }
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(43);
+        for rows in &sample_blocks(&mut rng) {
+            for fill in [0.0, 0.3, 1.0] {
+                let present: Vec<bool> = (0..rows.nrows()).map(|_| rng.random_bool(fill)).collect();
+                check(rows, &present, MinUsize, word);
+                check(rows, &present, AddUsize, word);
+                check(rows, &present, MinMaxUsize, |j| (word(j), word(j + 1)));
+                check(rows, &present, OrBool, |j| word(j).is_multiple_of(3));
+            }
+        }
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! masks, semirings) and implements those primitives on CombBLAS'
 //! 2D-distributed sparse matrices. This crate rebuilds both layers:
 //!
-//! * [`serial`] — a complete single-address-space implementation: CSC and
-//!   DCSC sparse matrices, dense/sparse vectors, masked `mxv` (SpMV and
-//!   SpMSpV), element-wise multiply, extract, assign, reduce, apply, and an
-//!   SpGEMM (needed by the Markov-clustering example). This layer plays
+//! * [`serial`] — a complete single-address-space implementation: CSC
+//!   sparse matrices and their row-major mirror, dense/sparse vectors,
+//!   masked `mxv` (SpMV and SpMSpV), element-wise multiply, extract,
+//!   assign, reduce, apply, and an SpGEMM (needed by the
+//!   Markov-clustering example). This layer plays
 //!   the role of SuiteSparse:GraphBLAS in the paper — the correctness
 //!   reference.
 //! * [`dist`] — the CombBLAS role: matrices distributed on a √p×√p

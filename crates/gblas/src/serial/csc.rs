@@ -1,6 +1,5 @@
 //! Compressed sparse column matrices.
 
-use super::dcsc::Dcsc;
 use crate::Vid;
 use lacc_graph::{CsrGraph, Idx};
 
@@ -187,13 +186,6 @@ impl<I: Idx> CsrMirror<I> {
         }
     }
 
-    /// The same block column-major: a counting transpose
-    /// ([`Dcsc::from_row_major`]), so every column's rows come out
-    /// ascending whatever order the rows here hold their columns in.
-    pub fn to_dcsc(&self) -> Dcsc<I> {
-        Dcsc::from_row_major(self.nrows, self.ncols, &self.rowptr, &self.colidx)
-    }
-
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -291,10 +283,8 @@ mod tests {
         assert_eq!(m.row(1), &[] as &[u32]);
         assert_eq!(m.row(3), &[6]);
         assert_eq!(m.colidx.capacity(), m.colidx.len());
-        let pairs = vec![(0, 6), (0, 2), (0, 0), (2, 2), (2, 7), (3, 6)];
-        assert_eq!(m.to_dcsc(), Dcsc::from_pairs(4, 9, pairs));
         let empty = CsrMirror::<u32>::from_parts(0, 0, vec![0], Vec::new());
-        assert_eq!((empty.nnz(), empty.to_dcsc().nnz()), (0, 0));
+        assert_eq!((empty.nrows(), empty.ncols(), empty.nnz()), (0, 0, 0));
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! results against these functions.
 
 mod csc;
-mod dcsc;
 mod ewise_add;
 mod matrix_ops;
 mod ops;
@@ -14,7 +13,6 @@ mod spgemm;
 mod vector;
 
 pub use csc::{Csc, CsrMirror, Pattern};
-pub use dcsc::{ColCursor, Dcsc};
 pub use ewise_add::ewise_add;
 pub use matrix_ops::{column_reduce, map_values, max_abs_diff, normalize_columns, transpose};
 pub use ops::{

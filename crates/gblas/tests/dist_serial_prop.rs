@@ -7,7 +7,7 @@ use gblas::dist::{
     DistOpts, DistSpVec, DistVec, VecLayout, Wire,
 };
 use gblas::serial::{self, Pattern, SparseVec};
-use gblas::{Mask, MinUsize};
+use gblas::{Mask, MinMaxUsize, MinUsize};
 use lacc_graph::{CsrGraph, EdgeList};
 use proptest::prelude::*;
 
@@ -72,6 +72,69 @@ proptest! {
         .unwrap();
         for got in out {
             prop_assert_eq!(&got, &expect);
+        }
+    }
+
+    /// The push-by-symmetry SpMSpV against the serial kernel: arbitrary
+    /// symmetric graphs (n rarely divisible by √p), every grid, both wires,
+    /// every mask form, the `(min, max)` pair monoid beside `min`, and
+    /// inputs from empty through "all of `x` on one rank" to full.
+    #[test]
+    fn push_spmspv_eq_serial(
+        g in arb_graph(),
+        p in arb_grid(),
+        shape in 0usize..4,
+        mask_form in 0usize..3,
+        seed in 0usize..1000,
+    ) {
+        let n = g.num_vertices();
+        let layout = VecLayout::new(n, Grid2d::square(p));
+        let ids: Vec<usize> = match shape {
+            0 => Vec::new(),
+            1 => (0..n).filter(|&v| layout.owner_of(v) == seed % p).collect(),
+            2 => (0..n).filter(|v| (v * 7 + seed) % 3 == 0).collect(),
+            _ => (0..n).collect(),
+        };
+        let entries: Vec<(usize, usize)> = ids.iter().map(|&v| (v, (v * 31 + seed) % 97)).collect();
+        let pairs: Vec<(usize, (usize, usize))> = entries.iter().map(|&(v, x)| (v, (x, x))).collect();
+        let mask_global: Vec<bool> = (0..n).map(|v| (v + seed) % 4 != 1).collect();
+        let serial_mask = match mask_form {
+            0 => Mask::None,
+            1 => Mask::Keep(&mask_global),
+            _ => Mask::Complement(&mask_global),
+        };
+        let a_serial = Pattern::from_graph(&g);
+        let expect = serial::mxv_sparse(
+            &a_serial, &SparseVec::from_entries(n, entries.clone()), serial_mask, MinUsize,
+        );
+        let expect_pairs = serial::mxv_sparse(
+            &a_serial, &SparseVec::from_entries(n, pairs.clone()), serial_mask, MinMaxUsize,
+        );
+        let (gref, er, pr, mr) = (&g, &entries, &pairs, &mask_global);
+        for wire in [Wire::Legacy, Wire::Compact] {
+            let opts = DistOpts { wire, ..DistOpts::default() };
+            let out = run_spmd(p, move |c| {
+                let a = DistMat::from_graph(gref, layout.grid(), c.rank());
+                let m = DistVec::from_global(layout, c.rank(), mr);
+                let mask = match mask_form {
+                    0 => DistMask::None,
+                    1 => DistMask::Keep(&m),
+                    _ => DistMask::Complement(&m),
+                };
+                let mine = |g: usize| layout.owner_of(g) == c.rank();
+                let local = er.iter().copied().filter(|&(g, _)| mine(g)).collect();
+                let x = DistSpVec::from_local_entries(layout, c.rank(), local);
+                let local = pr.iter().copied().filter(|&(g, _)| mine(g)).collect();
+                let xp = DistSpVec::from_local_entries(layout, c.rank(), local);
+                let y = dist_mxv_sparse(c, &a, &x, mask, MinUsize, &opts).to_serial(c);
+                let yp = dist_mxv_sparse(c, &a, &xp, mask, MinMaxUsize, &opts).to_serial(c);
+                (y, yp)
+            })
+            .unwrap();
+            for (y, yp) in out {
+                prop_assert_eq!(&y, &expect, "{:?}", wire);
+                prop_assert_eq!(&yp, &expect_pairs, "{:?}", wire);
+            }
         }
     }
 

@@ -22,29 +22,29 @@ type Row = (EngineSelect, usize, f64, u64, u64);
 
 const GOLDEN: [Row; 6] = [
     (EngineSelect::Lacc, 4, 0.0013258324666666629, 11793, 91992),
-    (EngineSelect::Lacc, 9, 0.0029961998222221707, 24174, 174416),
-    (EngineSelect::Fastsv, 4, 0.0003573667111111108, 4817, 38022),
-    (EngineSelect::Fastsv, 9, 0.0005743377333333343, 9526, 73621),
+    (EngineSelect::Lacc, 9, 0.002996273555555505, 24174, 174416),
+    (EngineSelect::Fastsv, 4, 0.0003301344222222223, 3970, 31356),
+    (EngineSelect::Fastsv, 9, 0.0005628786222222237, 8040, 61780),
     (
         EngineSelect::LabelProp,
         4,
-        0.00036560133333333355,
-        11427,
-        91280,
+        0.0002853006222222225,
+        5076,
+        40389,
     ),
     (
         EngineSelect::LabelProp,
         9,
-        0.00043937346666666734,
-        21520,
-        171506,
+        0.0004249619777777791,
+        9884,
+        78058,
     ),
 ];
 
 /// The same pins under [`LaccOpts::naive_comm`].
 const GOLDEN_NAIVE_COMM: [Row; 2] = [
     (EngineSelect::Lacc, 4, 0.0016952321555555466, 21657, 172897),
-    (EngineSelect::Fastsv, 4, 0.00036578162222222223, 7110, 56800),
+    (EngineSelect::Fastsv, 4, 0.0003313214666666669, 5557, 44376),
 ];
 
 /// Skewed degrees for the hooking engines (duplicate-heavy requests, hot
