@@ -50,6 +50,16 @@ impl Args {
         }
     }
 
+    /// Option value parsed as `T`, with a default; a rejected value is
+    /// reported in the parser's own words (which name the accepted ones).
+    pub fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let parse = |s: &String| s.parse().map_err(|e: T::Err| e.to_string());
+        self.options.get(key).map_or(Ok(default), parse)
+    }
+
     /// Whether a bare flag is present.
     pub fn has_flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)

@@ -7,9 +7,43 @@ use lacc_baselines as baselines;
 use lacc_graph::generators::{self, suite};
 use lacc_graph::stats::graph_stats;
 use lacc_graph::{io, CsrGraph, EdgeList};
+use std::io::Write;
 use std::path::Path;
 
-/// Usage text shown on errors.
+/// Why a command stopped early.
+#[derive(Debug)]
+pub enum CliError {
+    /// The command line is wrong (unknown subcommand, flag or value):
+    /// reported with the usage text.
+    Usage(String),
+    /// The command line was fine and the work failed (I/O, a run error).
+    Failed(String),
+    /// The reader of our output went away; there is nobody left to tell.
+    BrokenPipe,
+}
+
+/// Argument parsing reports in `String`s, and only argument parsing does.
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError::Usage(msg)
+    }
+}
+
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        match e.kind() {
+            std::io::ErrorKind::BrokenPipe => CliError::BrokenPipe,
+            _ => CliError::Failed(e.to_string()),
+        }
+    }
+}
+
+/// A failure of the work itself, in the words of whatever failed.
+fn failed(e: impl std::fmt::Display) -> CliError {
+    CliError::Failed(e.to_string())
+}
+
+/// Usage text shown on argument errors.
 pub const USAGE: &str = "usage:
   lacc stats    <graph>
   lacc cc       <graph> [--algo lacc|unionfind|bfs|sv|labelprop|fastsv|multistep] [--out labels.txt]
@@ -17,12 +51,12 @@ pub const USAGE: &str = "usage:
                 [--spmv-threshold F]
                 [--wire legacy|compact] [--overlap true|false]
                 [--index-width u32|u64]
-                [--engine lacc|fastsv|labelprop|auto] [--canonical]
+                [--engine lacc|fastsv|labelprop] [--canonical]
                 [--out labels.txt] [--report out.json]
                 [--trace out.json] [--trace-level off|steps|ops|collectives]
   lacc serve    <graph> [--ranks P] [--machine edison|cori] [--batches B]
                 [--batch-size K] [--queries-per-batch Q] [--delete-every D]
-                [--staleness F] [--engine lacc|fastsv|labelprop|auto]
+                [--staleness F] [--engine lacc|fastsv|labelprop]
                 [--seed S] [--report out.json]
                 [--trace out.json] [--trace-level off|steps|ops|collectives]
   lacc generate <community|metagenome|rmat|mesh3d|er|suite:NAME> --n N [--seed S] --out <graph>
@@ -30,8 +64,8 @@ pub const USAGE: &str = "usage:
 
 graph formats by extension: .mtx (Matrix Market), .bin (lacc binary), otherwise edge list";
 
-/// Dispatches to a subcommand.
-pub fn dispatch(argv: &[String]) -> Result<(), String> {
+/// Dispatches to a subcommand, which writes its report to `out`.
+pub fn dispatch(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let args = parse(argv);
     let cmd = args
         .positional
@@ -39,7 +73,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         .ok_or_else(|| "no subcommand given".to_string())?;
     // Per-subcommand allow-lists (value-taking options, bare flags):
     // anything else is an error rather than a silently ignored token.
-    type Cmd = fn(&Args) -> Result<(), String>;
+    type Cmd = fn(&Args, &mut dyn Write) -> Result<(), CliError>;
     let (run, options, flags): (Cmd, &[&str], &[&str]) = match cmd.as_str() {
         "stats" => (cmd_stats, &[], &[]),
         "cc" => (cmd_cc, &["algo", "out"], &[]),
@@ -93,10 +127,10 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
             &[],
         ),
         "convert" => (cmd_convert, &[], &[]),
-        other => return Err(format!("unknown subcommand: {other}")),
+        other => return Err(format!("unknown subcommand: {other}").into()),
     };
     args.expect_only(options, flags)?;
-    run(&args)
+    run(&args, out)
 }
 
 /// Loads an edge list from a path, choosing the format by extension.
@@ -133,29 +167,68 @@ pub fn save_edges(path: &Path, el: &EdgeList) -> Result<(), String> {
     }
 }
 
-fn load_graph(args: &Args) -> Result<CsrGraph, String> {
+fn load_graph(args: &Args) -> Result<CsrGraph, CliError> {
     let path = args
         .positional
         .get(1)
         .ok_or_else(|| "missing graph path".to_string())?;
-    Ok(CsrGraph::from_edges(load_edges(Path::new(path))?))
+    let edges = load_edges(Path::new(path)).map_err(failed)?;
+    Ok(CsrGraph::from_edges(edges))
 }
 
-fn cmd_stats(args: &Args) -> Result<(), String> {
+/// The `--machine` profile (Edison unless told otherwise).
+fn machine(args: &Args) -> Result<dmsim::Machine, CliError> {
+    match args.options.get("machine").map_or("edison", |s| s.as_str()) {
+        "edison" => Ok(dmsim::EDISON),
+        "cori" => Ok(dmsim::CORI_KNL),
+        other => Err(format!("unknown machine: {other}").into()),
+    }
+}
+
+/// `--trace <path>` with the sink to record into, at `--trace-level`
+/// (`default` when absent); `None` without a path or at level `off`.
+fn trace_sink(
+    args: &Args,
+    default: TraceLevel,
+) -> Result<Option<(String, std::sync::Arc<TraceSink>)>, CliError> {
+    let level = args.parse_or("trace-level", default)?;
+    let path = args
+        .options
+        .get("trace")
+        .filter(|_| level != TraceLevel::Off);
+    Ok(path.map(|path| (path.clone(), TraceSink::new(level))))
+}
+
+/// Writes a whole output file, naming it on failure.
+fn write_file(path: &str, contents: String) -> Result<(), CliError> {
+    std::fs::write(path, contents).map_err(|e| failed(format!("{path}: {e}")))
+}
+
+/// Writes one `vertex label` line per vertex to `path`.
+fn write_labels(path: &str, labels: &[lacc::Vid]) -> Result<(), CliError> {
+    let file = std::fs::File::create(path).map_err(|e| failed(format!("{path}: {e}")))?;
+    let mut f = std::io::BufWriter::new(file);
+    for (v, l) in labels.iter().enumerate() {
+        writeln!(f, "{v} {l}")?;
+    }
+    Ok(f.flush()?)
+}
+
+fn cmd_stats(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let g = load_graph(args)?;
     let s = graph_stats(&g);
-    println!("vertices            {}", s.vertices);
-    println!("directed edges      {}", s.directed_edges);
-    println!("undirected edges    {}", s.directed_edges / 2);
-    println!("components          {}", s.components);
-    println!("largest component   {}", s.largest_component);
-    println!("isolated vertices   {}", s.isolated_vertices);
-    println!("average degree      {:.2}", s.avg_degree);
-    println!("max degree          {}", s.max_degree);
+    writeln!(out, "vertices            {}", s.vertices)?;
+    writeln!(out, "directed edges      {}", s.directed_edges)?;
+    writeln!(out, "undirected edges    {}", s.directed_edges / 2)?;
+    writeln!(out, "components          {}", s.components)?;
+    writeln!(out, "largest component   {}", s.largest_component)?;
+    writeln!(out, "isolated vertices   {}", s.isolated_vertices)?;
+    writeln!(out, "average degree      {:.2}", s.avg_degree)?;
+    writeln!(out, "max degree          {}", s.max_degree)?;
     Ok(())
 }
 
-fn cmd_cc(args: &Args) -> Result<(), String> {
+fn cmd_cc(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let g = load_graph(args)?;
     let algo = args
         .options
@@ -171,41 +244,28 @@ fn cmd_cc(args: &Args) -> Result<(), String> {
         "labelprop" => baselines::label_propagation_cc(&g),
         "fastsv" => baselines::fastsv_cc(&g),
         "multistep" => baselines::multistep_cc(&g),
-        other => return Err(format!("unknown algorithm: {other}")),
+        other => return Err(format!("unknown algorithm: {other}").into()),
     };
     let elapsed = t.elapsed().as_secs_f64();
-    lacc::verify_labels(&g, &labels).map_err(|e| format!("internal error: {e}"))?;
+    lacc::verify_labels(&g, &labels).map_err(|e| failed(format!("internal error: {e}")))?;
     let canon = lacc_graph::unionfind::canonicalize_labels(&labels);
     let ncomp = lacc_graph::unionfind::count_components(&canon);
-    println!(
+    writeln!(
+        out,
         "{ncomp} components via {algo} in {:.1} ms (verified)",
         elapsed * 1e3
-    );
-    if let Some(out) = args.options.get("out") {
-        use std::io::Write;
-        let mut f =
-            std::io::BufWriter::new(std::fs::File::create(out).map_err(|e| format!("{out}: {e}"))?);
-        for (v, l) in canon.iter().enumerate() {
-            writeln!(f, "{v} {l}").map_err(|e| e.to_string())?;
-        }
-        println!("labels written to {out}");
+    )?;
+    if let Some(path) = args.options.get("out") {
+        write_labels(path, &canon)?;
+        writeln!(out, "labels written to {path}")?;
     }
     Ok(())
 }
 
-fn cmd_cc_dist(args: &Args) -> Result<(), String> {
+fn cmd_cc_dist(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let g = load_graph(args)?;
     let ranks: usize = args.get_or("ranks", 4)?;
-    let machine = match args
-        .options
-        .get("machine")
-        .map(|s| s.as_str())
-        .unwrap_or("edison")
-    {
-        "edison" => dmsim::EDISON,
-        "cori" => dmsim::CORI_KNL,
-        other => return Err(format!("unknown machine: {other}")),
-    };
+    let machine = machine(args)?;
     let model = if args.has_flag("flat") {
         machine.flat_model()
     } else {
@@ -220,84 +280,59 @@ fn cmd_cc_dist(args: &Args) -> Result<(), String> {
         .map_err(|e| e.to_string())?
         // Wire format of every exchange: compact (default) or the
         // unoptimized legacy format — bit-identical labels.
-        .wire(
-            args.options
-                .get("wire")
-                .map(|s| s.parse())
-                .transpose()?
-                .unwrap_or(defaults.dist.wire),
-        )
+        .wire(args.parse_or("wire", defaults.dist.wire)?)
         // Non-blocking hot-path exchanges with compute/comm overlap credit
         // (bit-identical labels and traffic either way).
         .overlap(args.get_or("overlap", defaults.dist.overlap)?)
         // Index/label storage width: u32 (default) halves index memory and
         // wire bytes, u64 lifts the 2^32-vertex limit.
-        .index_width(
-            args.options
-                .get("index-width")
-                .map(|s| s.parse())
-                .transpose()
-                .map_err(|e: lacc::OptsError| e.to_string())?
-                .unwrap_or(defaults.index_width),
-        )
-        // Which connected-components engine runs (auto selects from a
-        // sampled-BFS prepass; see `lacc::engine`).
-        .engine(
-            args.options
-                .get("engine")
-                .map(|s| s.parse())
-                .transpose()
-                .map_err(|e: lacc::OptsError| e.to_string())?
-                .unwrap_or(defaults.engine),
-        )
+        .index_width(args.parse_or("index-width", defaults.index_width)?)
+        // Which connected-components engine runs (see `lacc::engine`).
+        .engine(args.parse_or("engine", defaults.engine)?)
         .build();
     // Span tracing: --trace <path> emits Chrome-trace JSON (load it in
     // chrome://tracing or Perfetto) plus an aggregate per-rank report;
     // --trace-level picks the detail (default collectives, the most
     // verbose).
-    let trace_path = args.options.get("trace").cloned();
-    let level: TraceLevel = args
-        .options
-        .get("trace-level")
-        .map(|s| s.parse())
-        .transpose()?
-        .unwrap_or(TraceLevel::Collectives);
-    let sink = match (&trace_path, level) {
-        (Some(_), l) if l != TraceLevel::Off => Some(TraceSink::new(l)),
-        _ => None,
-    };
+    let trace = trace_sink(args, TraceLevel::Collectives)?;
     let cfg = RunConfig::new(ranks, model)
         .with_opts(opts)
-        .with_trace_opt(sink.as_ref());
-    let out = lacc::run(&g, &cfg).map_err(|e| e.to_string())?;
-    let run = &out.run;
-    println!(
+        .with_trace_opt(trace.as_ref().map(|(_, sink)| sink));
+    let run = lacc::run(&g, &cfg).map_err(failed)?.run;
+    writeln!(
+        out,
         "{} components via {} engine on {} ranks ({})",
         run.num_components(),
-        out.engine,
+        opts.engine,
         ranks,
         machine.name
-    );
-    if let Some(why) = &out.rationale {
-        println!("engine rationale    {why}");
-    }
-    println!("iterations          {}", run.num_iterations());
-    println!("modeled time        {:.3} ms", run.modeled_total_s * 1e3);
-    println!("simulation wall     {:.1} ms", run.wall_s * 1e3);
+    )?;
+    writeln!(out, "iterations          {}", run.num_iterations())?;
+    writeln!(
+        out,
+        "modeled time        {:.3} ms",
+        run.modeled_total_s * 1e3
+    )?;
+    writeln!(out, "simulation wall     {:.1} ms", run.wall_s * 1e3)?;
     let b = run.breakdown();
-    println!(
+    writeln!(
+        out,
         "step breakdown      cond {:.2}ms | uncond {:.2}ms | shortcut {:.2}ms | starcheck {:.2}ms",
         b.cond_s * 1e3,
         b.uncond_s * 1e3,
         b.shortcut_s * 1e3,
         b.starcheck_s * 1e3
-    );
+    )?;
     // Convergence as data: per round, the `mxv` dispatch taken and the
     // entries it multiplied, then the four convergence counters (the
     // fourth is LACC's retired vertices, FastSV's refreshed grandparents).
-    println!("iter  mxv     entries    active      cond    uncond  shortcut    fourth");
+    writeln!(
+        out,
+        "iter  mxv     entries    active      cond    uncond  shortcut    fourth"
+    )?;
     for it in &run.iters {
-        println!(
+        writeln!(
+            out,
             "{:>4}  {:<6} {:>8}  {:>8}  {:>8}  {:>8}  {:>8}  {:>8}",
             it.iteration,
             if it.spmv_dense { "dense" } else { "sparse" },
@@ -307,12 +342,12 @@ fn cmd_cc_dist(args: &Args) -> Result<(), String> {
             it.uncond_changed,
             it.shortcut_changed,
             it.fourth_changed
-        );
+        )?;
     }
-    if let (Some(path), Some(sink)) = (&trace_path, &sink) {
-        std::fs::write(path, sink.chrome_trace_json()).map_err(|e| format!("{path}: {e}"))?;
-        println!("{}", sink.report().render());
-        println!("trace written to {path}");
+    if let Some((path, sink)) = &trace {
+        write_file(path, sink.chrome_trace_json())?;
+        writeln!(out, "{}", sink.report().render())?;
+        writeln!(out, "trace written to {path}")?;
     }
     if let Some(path) = args.options.get("report") {
         let rounds: Vec<String> = run
@@ -341,15 +376,15 @@ fn cmd_cc_dist(args: &Args) -> Result<(), String> {
              \"modeled_total_s\": {:.9},\n  \"wall_s\": {:.6},\n  \"iters\": [\n{}\n  ]\n}}\n",
             run.labels.len(),
             machine.name,
-            out.engine,
+            opts.engine,
             run.num_components(),
             run.num_iterations(),
             run.modeled_total_s,
             run.wall_s,
             rounds.join(",\n")
         );
-        std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
-        println!("report written to {path}");
+        write_file(path, json)?;
+        writeln!(out, "report written to {path}")?;
     }
     if let Some(path) = args.options.get("out") {
         // Raw parent labels by default, one `vertex label` line each — the
@@ -358,49 +393,28 @@ fn cmd_cc_dist(args: &Args) -> Result<(), String> {
         // LACC labels are tree-root ids while FastSV/labelprop converge to
         // component minima, so only canonical labels byte-diff *across*
         // engines.
-        use std::io::Write;
         let labels = if args.has_flag("canonical") {
             lacc_graph::unionfind::canonicalize_labels(&run.labels)
         } else {
-            run.labels.clone()
+            run.labels
         };
-        let mut f = std::io::BufWriter::new(
-            std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?,
-        );
-        for (v, l) in labels.iter().enumerate() {
-            writeln!(f, "{v} {l}").map_err(|e| e.to_string())?;
-        }
-        println!("labels written to {path}");
+        write_labels(path, &labels)?;
+        writeln!(out, "labels written to {path}")?;
     }
     Ok(())
 }
 
-fn cmd_serve(args: &Args) -> Result<(), String> {
+fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     use lacc_serving::{CcService, RerunPolicy, ServeOpts, WorkloadCfg};
 
     let g = load_graph(args)?;
     let ranks: usize = args.get_or("ranks", 4)?;
-    let machine = match args
-        .options
-        .get("machine")
-        .map(|s| s.as_str())
-        .unwrap_or("edison")
-    {
-        "edison" => dmsim::EDISON,
-        "cori" => dmsim::CORI_KNL,
-        other => return Err(format!("unknown machine: {other}")),
-    };
+    let machine = machine(args)?;
     let staleness: f64 = args.get_or("staleness", 0.25)?;
     if staleness < 0.0 || staleness.is_nan() {
-        return Err(format!("staleness must be nonnegative, got {staleness}"));
+        return Err(format!("staleness must be nonnegative, got {staleness}").into());
     }
-    let engine: EngineSelect = args
-        .options
-        .get("engine")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e: lacc::OptsError| e.to_string())?
-        .unwrap_or_default();
+    let engine = args.parse_or("engine", EngineSelect::default())?;
     let cfg = WorkloadCfg {
         batches: args.get_or("batches", 20)?,
         batch_size: args.get_or("batch-size", 64)?,
@@ -414,97 +428,81 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         policy: RerunPolicy::staleness(staleness).with_engine(engine),
         ..Default::default()
     };
-    let trace_path = args.options.get("trace").cloned();
-    let level: TraceLevel = args
-        .options
-        .get("trace-level")
-        .map(|s| s.parse())
-        .transpose()?
-        .unwrap_or(TraceLevel::Steps);
-    let sink = match (&trace_path, level) {
-        (Some(_), l) if l != TraceLevel::Off => Some(TraceSink::new(l)),
-        _ => None,
-    };
+    let trace = trace_sink(args, TraceLevel::Steps)?;
 
     let mut svc =
-        CcService::from_graph_traced(&g, opts, sink.clone()).map_err(|e| e.to_string())?;
-    let rep = lacc_serving::run_workload(&mut svc, &cfg).map_err(|e| e.to_string())?;
+        CcService::from_graph_traced(&g, opts, trace.as_ref().map(|(_, sink)| sink.clone()))
+            .map_err(failed)?;
+    let rep = lacc_serving::run_workload(&mut svc, &cfg).map_err(failed)?;
     let s = &rep.stats;
 
-    println!(
+    writeln!(
+        out,
         "served {} batches over {} vertices on {} label shards ({})",
         cfg.batches,
         svc.num_vertices(),
         ranks,
         machine.name
-    );
-    println!("final epoch         {}", rep.final_epoch);
-    println!("components          {}", rep.final_components);
-    println!(
+    )?;
+    writeln!(out, "final epoch         {}", rep.final_epoch)?;
+    writeln!(out, "components          {}", rep.final_components)?;
+    writeln!(
+        out,
         "updates             {} inserts ({} no-op) + {} deletes, {} hooks",
         s.inserts, s.noop_inserts, s.deletes, s.hooks
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "reruns              {} ({} deletion, {} staleness), {:.3} ms modeled",
         s.reruns,
         s.deletion_reruns,
         s.staleness_reruns,
         s.rerun_modeled_s * 1e3
-    );
-    if let Some(k) = svc.last_engine() {
-        println!("rebuild engine      {k} (policy: {engine})");
-    }
-    if let Some(why) = svc.last_engine_rationale() {
-        println!("engine rationale    {why}");
-    }
-    println!(
+    )?;
+    writeln!(out, "rebuild engine      {engine}")?;
+    writeln!(
+        out,
         "update throughput   {:.0} updates/s ({:.1} ms wall)",
         rep.updates_per_s(),
         rep.update_wall_s * 1e3
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "query throughput    {:.0} queries/s ({} queries)",
         rep.queries_per_s(),
         rep.queries
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "modeled query lat.  p50 {:.2} us | p99 {:.2} us",
         rep.latency_percentile_s(50.0) * 1e6,
         rep.latency_percentile_s(99.0) * 1e6
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "answers consistent  {}",
         if rep.answers_consistent { "yes" } else { "NO" }
-    );
+    )?;
     if !rep.answers_consistent {
-        return Err("serving answers diverged from the brute-force oracle".into());
+        return Err(failed(
+            "serving answers diverged from the brute-force oracle",
+        ));
     }
-    if let (Some(path), Some(sink)) = (&trace_path, &sink) {
-        std::fs::write(path, sink.chrome_trace_json()).map_err(|e| format!("{path}: {e}"))?;
-        println!("{}", sink.report().render());
-        println!("trace written to {path}");
+    if let Some((path, sink)) = &trace {
+        write_file(path, sink.chrome_trace_json())?;
+        writeln!(out, "{}", sink.report().render())?;
+        writeln!(out, "trace written to {path}")?;
     }
-    if let Some(out) = args.options.get("report") {
+    if let Some(path) = args.options.get("report") {
         // `--staleness inf` (never rebuild) must stay valid JSON.
         let staleness_json = if staleness.is_finite() {
             format!("{staleness}")
         } else {
             "null".to_string()
         };
-        // The engine the policy requested, the one the last rebuild used
-        // (they differ under `auto`), and auto's rationale if any.
-        let rebuild_engine = match svc.last_engine() {
-            Some(k) => format!("\"{k}\""),
-            None => "null".to_string(),
-        };
-        let rationale_json = match svc.last_engine_rationale() {
-            Some(r) => format!("\"{}\"", r.replace('\\', "\\\\").replace('"', "\\\"")),
-            None => "null".to_string(),
-        };
         let json = format!(
             "{{\n  \"vertices\": {},\n  \"ranks\": {},\n  \"machine\": \"{}\",\n  \
-             \"engine\": \"{engine}\",\n  \"rebuild_engine\": {rebuild_engine},\n  \
-             \"engine_rationale\": {rationale_json},\n  \
+             \"engine\": \"{engine}\",\n  \
              \"batches\": {},\n  \"batch_size\": {},\n  \"queries_per_batch\": {},\n  \
              \"delete_every\": {},\n  \"staleness_threshold\": {},\n  \"seed\": {},\n  \
              \"final_epoch\": {},\n  \"components\": {},\n  \"edges\": {},\n  \
@@ -541,18 +539,18 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             rep.latency_percentile_s(99.0),
             rep.answers_consistent
         );
-        std::fs::write(out, json).map_err(|e| format!("{out}: {e}"))?;
-        println!("report written to {out}");
+        write_file(path, json)?;
+        writeln!(out, "report written to {path}")?;
     }
     Ok(())
 }
 
-fn cmd_generate(args: &Args) -> Result<(), String> {
+fn cmd_generate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let family = args
         .positional
         .get(1)
         .ok_or_else(|| "missing generator family".to_string())?;
-    let out = args.require("out")?.to_string();
+    let path = args.require("out")?.to_string();
     let n: usize = args.get_or("n", 10_000)?;
     let seed: u64 = args.get_or("seed", 1)?;
     let g = if let Some(name) = family.strip_prefix("suite:") {
@@ -580,25 +578,36 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
                 let m: usize = args.get_or("m", n * 4)?;
                 generators::erdos_renyi_gnm(n, m, seed)
             }
-            other => return Err(format!("unknown family: {other}")),
+            other => return Err(format!("unknown family: {other}").into()),
         }
     };
-    save_edges(Path::new(&out), &g.to_edgelist())?;
-    println!(
-        "wrote {}: {} vertices, {} undirected edges",
+    save_edges(Path::new(&path), &g.to_edgelist()).map_err(failed)?;
+    writeln!(
         out,
+        "wrote {}: {} vertices, {} undirected edges",
+        path,
         g.num_vertices(),
         g.num_undirected_edges()
-    );
+    )?;
     Ok(())
 }
 
-fn cmd_convert(args: &Args) -> Result<(), String> {
-    let input = args.positional.get(1).ok_or("missing input path")?;
-    let output = args.positional.get(2).ok_or("missing output path")?;
-    let el = load_edges(Path::new(input))?;
-    save_edges(Path::new(output), &el)?;
-    println!("converted {input} -> {output} ({} edge entries)", el.len());
+fn cmd_convert(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
+    let input = args
+        .positional
+        .get(1)
+        .ok_or("missing input path".to_string())?;
+    let output = args
+        .positional
+        .get(2)
+        .ok_or("missing output path".to_string())?;
+    let el = load_edges(Path::new(input)).map_err(failed)?;
+    save_edges(Path::new(output), &el).map_err(failed)?;
+    writeln!(
+        out,
+        "converted {input} -> {output} ({} edge entries)",
+        el.len()
+    )?;
     Ok(())
 }
 
@@ -608,6 +617,15 @@ mod tests {
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()
+    }
+
+    /// [`super::dispatch`] with the report discarded and the error reduced
+    /// to its message.
+    fn dispatch(argv: &[String]) -> Result<(), String> {
+        super::dispatch(argv, &mut std::io::sink()).map_err(|e| match e {
+            CliError::Usage(msg) | CliError::Failed(msg) => msg,
+            CliError::BrokenPipe => unreachable!("a sink never closes"),
+        })
     }
 
     #[test]
@@ -789,14 +807,14 @@ mod tests {
 
     #[test]
     fn cc_dist_canonical_labels_identical_across_engines() {
-        // `--engine` end to end: every engine (and auto) must produce
-        // byte-identical --canonical label files.
+        // `--engine` end to end: every engine must produce byte-identical
+        // --canonical label files.
         let dir = std::env::temp_dir().join("lacc-cli-test10");
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("t.el").display().to_string();
         std::fs::write(&p, "0 1\n1 2\n3 4\n5 6\n6 7\n8 9\n").unwrap();
         let mut files = Vec::new();
-        for eng in ["lacc", "fastsv", "labelprop", "auto"] {
+        for eng in ["lacc", "fastsv", "labelprop"] {
             let out = dir.join(format!("{eng}.txt")).display().to_string();
             dispatch(&argv(&[
                 "cc-dist",
@@ -869,7 +887,7 @@ mod tests {
             "--delete-every",
             "3",
             "--engine",
-            "auto",
+            "fastsv",
             "--report",
             &report,
             "--trace",
@@ -879,13 +897,14 @@ mod tests {
         let json = std::fs::read_to_string(&report).unwrap();
         assert!(json.contains("\"answers_consistent\": true"));
         assert!(json.contains("\"modeled_query_p99_s\""));
-        assert!(json.contains("\"engine\": \"auto\""));
-        assert!(json.contains("\"rebuild_engine\": \""));
-        assert!(!json.contains("\"engine_rationale\": null"));
-        // The bootstrap and the deletion rebuilds appear as tagged spans.
+        assert_eq!(json.matches("engine").count(), 1, "one engine key");
+        assert!(json.contains("\"engine\": \"fastsv\""));
+        // The bootstrap and the deletion rebuilds appear as tagged spans,
+        // run by the engine the report names.
         let tr = std::fs::read_to_string(&trace).unwrap();
         assert!(tr.contains("rerun(bootstrap)"));
         assert!(tr.contains("rerun(deletion)"));
+        assert!(tr.contains("engine(fastsv)") && !tr.contains("engine(lacc)"));
     }
 
     #[test]
@@ -914,6 +933,14 @@ mod tests {
             );
             // A configuration error, not a rank panic.
             assert!(!msg.contains("panicked"), "{cmd} --ranks {ranks}: {msg}");
+        }
+        // The selector is gone and left no alias behind: one line naming
+        // the engines there are.
+        for cmd in ["cc-dist", "serve"] {
+            assert_eq!(
+                dispatch(&argv(&[cmd, &p, "--engine", "auto"])).unwrap_err(),
+                "invalid engine: \"auto\" is not one of lacc, fastsv, labelprop"
+            );
         }
     }
 

@@ -18,16 +18,23 @@
 mod args;
 mod commands;
 
+use commands::CliError;
+use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match commands::dispatch(&argv) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+    let mut out = std::io::stdout().lock();
+    let done = commands::dispatch(&argv, &mut out).and_then(|()| Ok(out.flush()?));
+    match done {
+        // A reader that stopped listening (`| head`) has what it wanted.
+        Ok(()) | Err(CliError::BrokenPipe) => ExitCode::SUCCESS,
+        Err(CliError::Usage(msg)) => {
+            eprintln!("error: {msg}\n\n{}", commands::USAGE);
+            ExitCode::FAILURE
+        }
+        Err(CliError::Failed(msg)) => {
             eprintln!("error: {msg}");
-            eprintln!();
-            eprintln!("{}", commands::USAGE);
             ExitCode::FAILURE
         }
     }

@@ -1,12 +1,11 @@
 //! Distributed connected components over the simulated machine — the
 //! unified entry point for the whole engine portfolio.
 //!
-//! [`run`] executes one SPMD program on `p` simulated ranks: it resolves
-//! the configured [`crate::engine::EngineSelect`] (running the distributed `Auto`
-//! pre-pass when asked), wraps the run in an engine-tagged trace span,
-//! and runs the chosen engine's rule set under the iteration driver
-//! ([`crate::engine`]). Everything a run can vary — options, trace sink,
-//! serving-rerun tagging — lives in [`RunConfig`].
+//! [`run`] executes one SPMD program on `p` simulated ranks: it wraps the
+//! run in a trace span tagged with the configured
+//! [`crate::engine::EngineSelect`] and runs that engine's rule set under
+//! the iteration driver ([`crate::engine`]). Everything a run can vary —
+//! options, trace sink, serving-rerun tagging — lives in [`RunConfig`].
 //!
 //! The caller thread does no per-edge work: it draws the load-balancing
 //! [`Permutation`] (O(n)) and every rank builds its own matrix block
@@ -19,12 +18,12 @@
 //! communication layer.
 
 use crate::engine::driver::drive;
-use crate::engine::{self, EngineCtx, EngineRun, Fastsv, LabelProp, Lacc};
+use crate::engine::{EngineCtx, EngineRun, EngineSelect, Fastsv, LabelProp, Lacc};
 use crate::options::{IndexWidth, LaccOpts};
 use crate::stats::{IterStats, LaccRun, StepBreakdown};
 use dmsim::{
-    run_spmd_traced, Comm, DmsimError, EngineKind, ErrorKind, MachineModel, RerunReason, SpanKind,
-    TraceSink, WireWord,
+    run_spmd_traced, Comm, DmsimError, ErrorKind, MachineModel, RerunReason, SpanKind, TraceSink,
+    WireWord,
 };
 use gblas::dist::NarrowVal;
 use lacc_graph::permute::Permutation;
@@ -101,7 +100,7 @@ impl RunConfig {
 }
 
 /// The result of a unified [`run`]: the familiar [`LaccRun`] statistics
-/// plus which engine actually executed and (for `Auto`) why.
+/// plus the engine that produced them.
 ///
 /// Derefs to [`LaccRun`], so existing call sites keep reading
 /// `out.labels`, `out.num_components()`, etc.
@@ -109,12 +108,8 @@ impl RunConfig {
 pub struct RunOutput {
     /// Labels and per-iteration statistics.
     pub run: LaccRun,
-    /// The engine that executed (the resolved
-    /// [`crate::engine::EngineSelect`]).
-    pub engine: EngineKind,
-    /// The `Auto` dispatcher's selection rationale (`None` for a fixed
-    /// engine choice).
-    pub rationale: Option<String>,
+    /// The engine that executed (the run's `opts.engine`).
+    pub engine: EngineSelect,
 }
 
 impl std::ops::Deref for RunOutput {
@@ -124,27 +119,20 @@ impl std::ops::Deref for RunOutput {
     }
 }
 
-/// What each rank returns from the SPMD program.
-struct RankResult {
-    out: EngineRun,
-    kind: EngineKind,
-    rationale: Option<String>,
-}
-
 fn run_engine_width<I: Idx + WireWord + NarrowVal>(
-    kind: EngineKind,
     comm: &mut Comm,
     g: &CsrGraph,
     perm: Option<&Permutation>,
     opts: &LaccOpts,
 ) -> Result<EngineRun, String> {
+    let engine = opts.engine;
     let mut ctx = EngineCtx::<I>::new(comm, g, perm, opts);
-    match kind {
-        EngineKind::Lacc => drive(Lacc::new(&ctx), &mut ctx),
-        EngineKind::Fastsv => drive(Fastsv::new(&ctx), &mut ctx),
-        EngineKind::LabelProp => drive(LabelProp::new(&ctx), &mut ctx),
+    match engine {
+        EngineSelect::Lacc => drive(Lacc::new(&ctx), &mut ctx),
+        EngineSelect::Fastsv => drive(Fastsv::new(&ctx), &mut ctx),
+        EngineSelect::LabelProp => drive(LabelProp::new(&ctx), &mut ctx),
     }
-    .map_err(|bound| format!("engine {kind} did not converge within its bound of {bound} rounds"))
+    .map_err(|bound| format!("engine {engine} did not converge within its bound of {bound} rounds"))
 }
 
 /// Checks that `ranks` simulated ranks form the square process grid every
@@ -200,59 +188,44 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
             }
             comm.span_open(SpanKind::Rerun(reason))
         });
-        // Resolve the engine (the Auto pre-pass is deterministic and
-        // max-merged, so every rank agrees), then wrap the run in an
-        // engine-tagged span for trace attribution.
-        let (kind, rationale) = engine::resolve_engine(comm, g, perm, opts.engine);
-        let engine_span = comm.span_open(SpanKind::Engine(kind));
+        // The engine-tagged span attributes everything under it in traces.
+        let engine_span = comm.span_open(SpanKind::Engine(opts.engine));
         let out = match opts.index_width {
-            IndexWidth::U32 => run_engine_width::<u32>(kind, comm, g, perm, opts),
-            IndexWidth::U64 => run_engine_width::<usize>(kind, comm, g, perm, opts),
+            IndexWidth::U32 => run_engine_width::<u32>(comm, g, perm, opts),
+            IndexWidth::U64 => run_engine_width::<usize>(comm, g, perm, opts),
         };
         comm.span_close(engine_span);
         if let Some(span) = rerun_span {
             comm.span_close(span);
         }
-        out.map(|out| RankResult {
-            out,
-            kind,
-            rationale,
-        })
+        out
     };
     // Every rank counts the same rounds, so an exhausted round bound
     // fails all of them together; rank 0 is the lowest.
     let mut outs = run_spmd_traced(p, cfg.model, cfg.trace.as_ref(), spmd)?
         .into_iter()
-        .collect::<Result<Vec<RankResult>, String>>()
+        .collect::<Result<Vec<EngineRun>, String>>()
         .map_err(|unconverged| DmsimError::new(ErrorKind::NotConverged, unconverged))?;
     let wall_s = wall_start.elapsed().as_secs_f64();
-    // Surface the resolved engine (and the Auto dispatcher's reasoning)
-    // as run-level trace metadata so Chrome-trace viewers show *why* this
-    // run looks the way it does, not just its spans.
+    // The engine as run-level trace metadata, for Chrome-trace viewers.
     if let Some(sink) = &cfg.trace {
-        sink.add_metadata("engine", outs[0].kind.name());
-        if let Some(rationale) = &outs[0].rationale {
-            sink.add_metadata("engine_rationale", rationale);
-        }
+        sink.add_metadata("engine", opts.engine.name());
     }
 
-    let labels = outs[0].out.labels.take().expect("rank 0 returns labels");
+    let labels = outs[0].labels.take().expect("rank 0 returns labels");
     let labels = match perm {
         Some(perm) => perm.unpermute_labels(&labels),
         None => labels,
     };
-    let modeled_total_s = outs
-        .iter()
-        .map(|o| o.out.final_clock_s)
-        .fold(0.0f64, f64::max);
-    let niters = outs[0].out.iters.len();
-    debug_assert!(outs.iter().all(|o| o.out.iters.len() == niters));
+    let modeled_total_s = outs.iter().map(|o| o.final_clock_s).fold(0.0f64, f64::max);
+    let niters = outs[0].iters.len();
+    debug_assert!(outs.iter().all(|o| o.iters.len() == niters));
     let iters: Vec<IterStats> = (0..niters)
         .map(|k| {
-            let r0 = &outs[0].out.iters[k];
+            let r0 = &outs[0].iters[k];
             let max_over = |sel: fn(&StepBreakdown) -> f64| {
                 outs.iter()
-                    .map(|o| sel(&o.out.iters[k].modeled))
+                    .map(|o| sel(&o.iters[k].modeled))
                     .fold(0.0f64, f64::max)
             };
             IterStats {
@@ -271,10 +244,7 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
                     shortcut_s: max_over(|b| b.shortcut_s),
                     starcheck_s: max_over(|b| b.starcheck_s),
                 },
-                extract_received: outs
-                    .iter()
-                    .map(|o| o.out.iters[k].extract_received)
-                    .collect(),
+                extract_received: outs.iter().map(|o| o.iters[k].extract_received).collect(),
             }
         })
         .collect();
@@ -287,20 +257,24 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
             modeled_total_s,
             wall_s,
         },
-        engine: outs[0].kind,
-        rationale: outs[0].rationale.take(),
+        engine: opts.engine,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineSelect;
     use crate::serial::lacc_serial;
     use dmsim::EDISON;
     use lacc_graph::generators::*;
     use lacc_graph::stats::ground_truth_labels;
     use lacc_graph::unionfind::canonicalize_labels;
+
+    const ENGINES: [EngineSelect; 3] = [
+        EngineSelect::Lacc,
+        EngineSelect::Fastsv,
+        EngineSelect::LabelProp,
+    ];
 
     fn model() -> MachineModel {
         EDISON.lacc_model()
@@ -601,7 +575,7 @@ mod tests {
             ..LaccOpts::default()
         };
         let out = run_with(&g, 4, &opts);
-        assert_eq!(out.engine, EngineKind::Fastsv);
+        assert_eq!(out.engine, EngineSelect::Fastsv);
         assert_eq!(out.labels, serial);
     }
 
@@ -664,14 +638,9 @@ mod tests {
             ("metagenome", metagenome_graph(500, 6, 0.01, 9)),
         ] {
             let truth = ground_truth_labels(&g);
-            for select in [
-                EngineSelect::Lacc,
-                EngineSelect::Fastsv,
-                EngineSelect::LabelProp,
-                EngineSelect::Auto,
-            ] {
+            for select in ENGINES {
                 // Label propagation on a long path is O(diameter) rounds —
-                // legal but slow; Auto never picks it there.
+                // legal but slow.
                 if name == "path" && select == EngineSelect::LabelProp {
                     continue;
                 }
@@ -685,11 +654,6 @@ mod tests {
                     truth,
                     "engine={select} graph={name}"
                 );
-                if select == EngineSelect::Auto {
-                    assert!(out.rationale.is_some(), "Auto must explain itself");
-                } else {
-                    assert!(out.rationale.is_none());
-                }
             }
         }
     }
@@ -698,10 +662,7 @@ mod tests {
     fn engine_spans_tag_the_run() {
         use dmsim::TraceLevel;
         let g = rmat(8, 4, RmatParams::graph500(), 17);
-        for (select, span) in [
-            (EngineSelect::Fastsv, "engine(fastsv)"),
-            (EngineSelect::LabelProp, "engine(labelprop)"),
-        ] {
+        for select in ENGINES {
             let sink = TraceSink::new(TraceLevel::Steps);
             let opts = LaccOpts {
                 engine: select,
@@ -717,29 +678,31 @@ mod tests {
                 ground_truth_labels(&g),
                 "{select}"
             );
+            assert_eq!(out.engine, select);
             let report = sink.report();
-            assert!(report.kind_time_s(span) > 0.0, "missing {span}");
-            assert_eq!(report.kind_time_s("engine(lacc)"), 0.0);
+            for other in ENGINES {
+                let span = SpanKind::Engine(other).name();
+                assert_eq!(report.kind_time_s(span) > 0.0, other == select, "{span}");
+            }
+            // The engine is known before a rank spawns: nothing runs ahead
+            // of the engine span, which is each rank's one top-level span,
+            // and the engine is all the run has to say about itself.
+            for rt in sink.rank_traces() {
+                let top = rt.spans.iter().filter(|s| s.depth == 0);
+                let top: Vec<SpanKind> = top.map(|s| s.kind).collect();
+                assert_eq!(top, [SpanKind::Engine(select)], "rank {}", rt.rank);
+            }
+            assert_eq!(
+                sink.metadata(),
+                [("engine".to_string(), select.to_string())]
+            );
         }
-        // Auto additionally records its pre-pass span.
-        let sink = TraceSink::new(TraceLevel::Steps);
-        let opts = LaccOpts {
-            engine: EngineSelect::Auto,
-            ..LaccOpts::default()
-        };
-        run(
-            &g,
-            &RunConfig::new(4, model()).with_opts(opts).with_trace(&sink),
-        )
-        .unwrap();
-        assert!(sink.report().kind_time_s("engine_select") > 0.0);
     }
 
     #[test]
     fn engine_metadata_recorded_in_trace() {
         use dmsim::TraceLevel;
         let g = rmat(8, 4, RmatParams::graph500(), 17);
-        // A fixed engine records its name but no rationale.
         let sink = TraceSink::new(TraceLevel::Steps);
         let opts = LaccOpts {
             engine: EngineSelect::Fastsv,
@@ -750,27 +713,10 @@ mod tests {
             &RunConfig::new(4, model()).with_opts(opts).with_trace(&sink),
         )
         .unwrap();
+        // The engine's name surfaces as a Chrome metadata event.
         let meta = sink.metadata();
         assert!(meta.contains(&("engine".to_string(), "fastsv".to_string())));
-        assert!(meta.iter().all(|(k, _)| k != "engine_rationale"));
-        // Auto additionally records its rationale, and both surface as
-        // Chrome metadata events.
-        let sink = TraceSink::new(TraceLevel::Steps);
-        let opts = LaccOpts {
-            engine: EngineSelect::Auto,
-            ..LaccOpts::default()
-        };
-        let out = run(
-            &g,
-            &RunConfig::new(4, model()).with_opts(opts).with_trace(&sink),
-        )
-        .unwrap();
-        let rationale = out.rationale.clone().expect("Auto explains itself");
-        let meta = sink.metadata();
-        assert!(meta.contains(&("engine".to_string(), out.engine.name().to_string())));
-        assert!(meta.contains(&("engine_rationale".to_string(), rationale)));
         let json = sink.chrome_trace_json();
-        assert!(json.contains("\"engine_rationale\""));
         assert!(json.contains("\"ph\":\"M\""));
     }
 
@@ -830,21 +776,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn auto_routes_by_family() {
-        // A fragmented many-component graph goes to LACC; a single
-        // dominant deep component goes to FastSV.
-        let frag = community_graph(800, 40, 3.0, 1.4, 2);
-        let opts = LaccOpts {
-            engine: EngineSelect::Auto,
-            ..LaccOpts::default()
-        };
-        let out = run_with(&frag, 4, &opts);
-        assert_eq!(out.engine, EngineKind::Lacc, "{:?}", out.rationale);
-        let deep = path_graph(600);
-        let out = run_with(&deep, 4, &opts);
-        assert_eq!(out.engine, EngineKind::Fastsv, "{:?}", out.rationale);
     }
 }

@@ -13,20 +13,18 @@
 //! narrow `Idx` indices — for free:
 //!
 //! * `Lacc` — the paper's Awerbuch–Shiloach formulation with Lemma-1
-//!   converged-component retirement; fastest when the graph has many
-//!   components to retire.
+//!   converged-component retirement; the default, and the slowest of the
+//!   three on every measured family.
 //! * `Fastsv` — FastSV (Zhang, Azad & Hu): stochastic hooking,
 //!   aggressive hooking, and shortcutting on a grandparent vector; no
-//!   star machinery, so fewer and cheaper supersteps per round on graphs
-//!   dominated by one giant component.
+//!   star machinery, so fewer and cheaper supersteps per round.
 //! * `LabelProp` — one closed-neighborhood min per round; converges in
-//!   O(diameter) rounds, unbeatable on low-diameter graphs.
+//!   O(diameter) rounds, ahead of FastSV where components are many and
+//!   small, hopeless on paths.
 //!
-//! [`EngineSelect::Auto`] picks between them from a cheap pre-pass
-//! ([`lacc_graph::stats::PrepassStats`]) computed *distributed* in one
-//! allreduce: deterministic BFS seeds are split round-robin across ranks
-//! and the partial eccentricity/reach maxima merge by max, so every rank
-//! agrees on the choice without a coordinator.
+//! The caller names the engine; nothing selects one (EXPERIMENTS.md,
+//! "Regret of the engine selector": a constant `fastsv` beat the selector
+//! this module used to carry in every measured cell).
 //!
 //! Engines converge to different (equally valid) representatives: LACC
 //! labels are tree-root ids, FastSV and label propagation converge to
@@ -36,10 +34,10 @@
 
 pub(crate) mod driver;
 
-use crate::options::{LaccOpts, OptsError};
+use crate::options::LaccOpts;
 use crate::stats::StepBreakdown;
 use crate::Vid;
-use dmsim::{Comm, CommHandle, EngineKind, Grid2d, SpanKind, WireWord};
+use dmsim::{Comm, CommHandle, Grid2d, SpanKind, WireWord};
 use driver::{fixpoint, overlapped, posted, Rules};
 use gblas::dist::{
     dist_assign, dist_extract, dist_extract_planned, dist_mxv, dist_mxv_dense, dist_mxv_sparse,
@@ -48,54 +46,12 @@ use gblas::dist::{
 };
 use gblas::{AndBool, MinMaxUsize, MinUsize};
 use lacc_graph::permute::Permutation;
-use lacc_graph::stats::{bfs_eccentricity, degree_skew, prepass_seeds, PrepassStats};
 use lacc_graph::{CsrGraph, Idx};
 
-/// Which engine a run should use — the `--engine` CLI vocabulary.
-///
-/// The default is [`EngineSelect::Lacc`], preserving the bit-identity
-/// guarantees every existing caller relies on; `Auto` defers the choice
-/// to [`choose_engine`] over a sampled pre-pass.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EngineSelect {
-    /// Always run LACC (Awerbuch–Shiloach with Lemma-1 retirement).
-    #[default]
-    Lacc,
-    /// Always run FastSV.
-    Fastsv,
-    /// Always run min-label propagation.
-    LabelProp,
-    /// Pick from graph statistics (see [`choose_engine`]).
-    Auto,
-}
-
-impl std::fmt::Display for EngineSelect {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            EngineSelect::Lacc => "lacc",
-            EngineSelect::Fastsv => "fastsv",
-            EngineSelect::LabelProp => "labelprop",
-            EngineSelect::Auto => "auto",
-        })
-    }
-}
-
-impl std::str::FromStr for EngineSelect {
-    type Err = OptsError;
-
-    fn from_str(s: &str) -> Result<Self, OptsError> {
-        match s {
-            "lacc" => Ok(EngineSelect::Lacc),
-            "fastsv" => Ok(EngineSelect::Fastsv),
-            "labelprop" => Ok(EngineSelect::LabelProp),
-            "auto" => Ok(EngineSelect::Auto),
-            other => Err(OptsError::new(
-                "engine",
-                format!("{other:?} is not one of lacc, fastsv, labelprop, auto"),
-            )),
-        }
-    }
-}
+/// Which engine a run uses — the `--engine` vocabulary. The enum is
+/// [`dmsim::EngineKind`], which also tags the run's trace span; the default
+/// is LACC, bit-identical to [`crate::serial`].
+pub use dmsim::EngineKind as EngineSelect;
 
 /// Per-rank, per-iteration record produced inside an engine's SPMD body.
 ///
@@ -142,15 +98,12 @@ pub struct EngineRun {
 
 /// The shared SPMD context every engine runs over: one rank's view of the
 /// distributed matrix, the vector layout, and the run options. Built once
-/// per rank by the unified [`crate::dist::run`] entry and handed to
-/// whichever engine the dispatcher picked.
+/// per rank by the unified [`crate::dist::run`] entry and handed to the
+/// run's engine. The input graph is read once, to cut out the rank's block:
+/// no engine sees more of it than a real rank would hold.
 pub struct EngineCtx<'a, I: Idx> {
     /// The rank's communicator (cost model, collectives, trace spans).
     pub comm: &'a mut Comm,
-    /// The input graph in the caller's numbering, borrowed and shared by
-    /// every rank. Engines compute on [`a`](Self::a), the rank's block of
-    /// the (optionally relabeled) matrix, and never on this.
-    pub graph: &'a CsrGraph,
     /// Run options; engines read `dist`, `max_iters`, and their own knobs.
     pub opts: &'a LaccOpts,
     /// The 2D process grid.
@@ -173,7 +126,7 @@ impl<'a, I: Idx> EngineCtx<'a, I> {
     /// load-balances, built straight from `graph` either way.
     pub fn new(
         comm: &'a mut Comm,
-        graph: &'a CsrGraph,
+        graph: &CsrGraph,
         perm: Option<&Permutation>,
         opts: &'a LaccOpts,
     ) -> Self {
@@ -188,7 +141,6 @@ impl<'a, I: Idx> EngineCtx<'a, I> {
         };
         EngineCtx {
             comm,
-            graph,
             opts,
             grid,
             layout,
@@ -200,147 +152,7 @@ impl<'a, I: Idx> EngineCtx<'a, I> {
 
     /// Number of vertices.
     pub fn n(&self) -> usize {
-        self.graph.num_vertices()
-    }
-}
-
-// --------------------------------------------------------------------------
-// Auto selection
-// --------------------------------------------------------------------------
-
-/// BFS seeds sampled by the `Auto` pre-pass.
-pub const AUTO_SAMPLES: usize = 8;
-/// Seed for the deterministic pre-pass sample.
-pub const AUTO_SEED: u64 = 0x005E_EDCC;
-/// Sampled diameter at or below which label propagation is considered.
-pub const AUTO_LABELPROP_MAX_DIAMETER: usize = 8;
-/// Sampled reach fraction above which one giant component is assumed to
-/// dominate (few components → Lemma-1 retirement buys little).
-pub const AUTO_GIANT_FRACTION: f64 = 0.45;
-
-/// The `Auto` policy: maps pre-pass statistics to an engine, with a
-/// human-readable rationale for reports and traces.
-///
-/// * Low sampled diameter **and** a dominant component → label
-///   propagation (O(diameter) cheap rounds, no pointer forest at all).
-/// * Dominant component but non-trivial diameter → FastSV (fewer,
-///   cheaper supersteps than LACC; nothing to retire anyway).
-/// * Otherwise (reach is fragmented → many components) → LACC, whose
-///   Lemma-1 retirement shrinks the active set every iteration.
-pub fn choose_engine(stats: &PrepassStats) -> (EngineKind, String) {
-    if stats.diameter_estimate <= AUTO_LABELPROP_MAX_DIAMETER
-        && stats.reached_fraction >= AUTO_GIANT_FRACTION
-    {
-        (
-            EngineKind::LabelProp,
-            format!(
-                "sampled diameter {} <= {} with a dominant component ({:.0}% reached): \
-                 label propagation converges in O(diameter) cheap rounds",
-                stats.diameter_estimate,
-                AUTO_LABELPROP_MAX_DIAMETER,
-                stats.reached_fraction * 100.0
-            ),
-        )
-    } else if stats.reached_fraction >= AUTO_GIANT_FRACTION {
-        (
-            EngineKind::Fastsv,
-            format!(
-                "one component dominates ({:.0}% reached, sampled diameter {}): \
-                 FastSV's hooking beats star maintenance when there is little to retire",
-                stats.reached_fraction * 100.0,
-                stats.diameter_estimate
-            ),
-        )
-    } else {
-        (
-            EngineKind::Lacc,
-            format!(
-                "sampled reach only {:.0}% (many components likely, degree skew {:.1}): \
-                 LACC retires converged components via Lemma 1",
-                stats.reached_fraction * 100.0,
-                stats.degree_skew
-            ),
-        )
-    }
-}
-
-/// The `Auto` pre-pass, computed distributed in **one** exchange: every
-/// rank derives the same deterministic seed list, BFSes its round-robin
-/// share, and a single max-allreduce merges the partial eccentricity and
-/// reach maxima. Degree statistics are computed locally (the graph is
-/// shared, so they are identical on every rank and cost no
-/// communication).
-///
-/// The seeds are ids in the numbering the engines run in, so under a
-/// load-balancing `perm` each is mapped back through the inverse and the
-/// BFS runs on the unpermuted `g` — eccentricity, reach and degrees are
-/// relabeling-invariant. The result is bit-identical to the serial
-/// [`lacc_graph::stats::prepass_stats`] of the permuted graph with the
-/// same `samples`/`seed`.
-pub fn distributed_prepass(
-    comm: &mut Comm,
-    g: &CsrGraph,
-    perm: Option<&Permutation>,
-    samples: usize,
-    seed: u64,
-) -> PrepassStats {
-    let n = g.num_vertices();
-    let p = comm.size();
-    let rank = comm.rank();
-    let seeds = prepass_seeds(n, samples, seed);
-    let mut ecc = 0usize;
-    let mut reached_max = 0usize;
-    let avg_degree = g.average_degree();
-    for (i, &s) in seeds.iter().enumerate() {
-        if i % p != rank {
-            continue;
-        }
-        let (e, r) = bfs_eccentricity(g, perm.map_or(s, |perm| perm.invert(s)));
-        ecc = ecc.max(e);
-        reached_max = reached_max.max(r);
-        comm.charge_compute((r as f64 * (1.0 + avg_degree)) as u64 + 1);
-    }
-    let world = comm.world();
-    let merged = comm.allreduce(&world, [ecc as u64, reached_max as u64], |a, b| {
-        [a[0].max(b[0]), a[1].max(b[1])]
-    });
-    let skew = degree_skew(g);
-    comm.charge_compute(n as u64 + 1);
-    PrepassStats {
-        samples: seeds.len(),
-        diameter_estimate: merged[0] as usize,
-        reached_fraction: if n == 0 {
-            1.0
-        } else {
-            merged[1] as f64 / n as f64
-        },
-        degree_skew: skew,
-        avg_degree,
-    }
-}
-
-/// Resolves an [`EngineSelect`] to a concrete engine inside the SPMD
-/// body. `Auto` runs the distributed pre-pass under an `engine_select`
-/// trace span and returns the selection rationale; fixed choices are
-/// free. All ranks resolve identically (the pre-pass is deterministic
-/// and max-merged), so no rank ever disagrees on the engine.
-pub fn resolve_engine(
-    comm: &mut Comm,
-    g: &CsrGraph,
-    perm: Option<&Permutation>,
-    select: EngineSelect,
-) -> (EngineKind, Option<String>) {
-    match select {
-        EngineSelect::Lacc => (EngineKind::Lacc, None),
-        EngineSelect::Fastsv => (EngineKind::Fastsv, None),
-        EngineSelect::LabelProp => (EngineKind::LabelProp, None),
-        EngineSelect::Auto => {
-            let span = comm.span_open(SpanKind::EngineSelect);
-            let stats = distributed_prepass(comm, g, perm, AUTO_SAMPLES, AUTO_SEED);
-            comm.span_close(span);
-            let (kind, why) = choose_engine(&stats);
-            (kind, Some(why))
-        }
+        self.layout.len()
     }
 }
 
@@ -596,12 +408,9 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Lacc {
     fn round(&mut self, cx: &mut EngineCtx<'_, I>, f: &mut DistVec<I>) -> [u64; 4] {
         let (star, active) = (&mut self.star, &mut self.active);
         let (layout, rank, n) = (cx.layout, cx.rank, cx.n());
-        let density = if n == 0 {
-            0.0
-        } else {
-            self.active_global as f64 / n as f64
-        };
-        let spmv_dense = density >= cx.opts.dense_threshold;
+        // The cond-hook's one dispatch decision (§V-A), taken from the active
+        // count the convergence allreduce already delivered.
+        let spmv_dense = self.active_global as f64 >= cx.opts.dist.spmv_threshold * n as f64;
         (cx.round.active_before, cx.round.spmv_dense) = (self.active_global, spmv_dense);
         cx.round.mxv_nvals = if spmv_dense { n } else { self.active_global };
 
@@ -613,9 +422,7 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Lacc {
             let mask = DistMask::Keep(&active_stars(star, active));
             // The mxv is *posted*: it runs now with identical messages and
             // charges, and the handle refunds its hideable exchange time
-            // against the Lemma-1 planning done before the wait. Below
-            // `dense_threshold` the input is sparse and its measured fill
-            // picks SpMV- or SpMSpV-style execution (§V-A).
+            // against the Lemma-1 planning done before the wait.
             let qh = if spmv_dense {
                 let x = DistVec::from_fn(layout, rank, |g| (f.get_local(g), f.get_local(g)));
                 posted(comm, dopts, |c| {
@@ -628,7 +435,7 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Lacc {
                     .collect();
                 let x = DistSpVec::from_local_entries(layout, rank, entries);
                 posted(comm, dopts, |c| {
-                    dist_mxv(c, a, &x, mask, MinMaxUsize, dopts)
+                    dist_mxv_sparse(c, a, &x, mask, MinMaxUsize, dopts)
                 })
             };
             let (q, retired, received) = if cx.opts.use_sparsity {
@@ -663,6 +470,8 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Lacc {
             let x = DistSpVec::from_local_entries(layout, rank, entries);
             let mask = active_stars(star, active);
             comm.charge_compute(2 * active.len() as u64 + 1);
+            // Nobody holds the global nonstar count, so this `mxv` measures
+            // its input's fill itself (one world allreduce) to dispatch.
             let fnb = overlapped(comm, win, dopts, |c| {
                 dist_mxv(c, a, &x, DistMask::Keep(&mask), MinUsize, dopts)
             });
@@ -853,69 +662,18 @@ mod tests {
             ("lacc", EngineSelect::Lacc),
             ("fastsv", EngineSelect::Fastsv),
             ("labelprop", EngineSelect::LabelProp),
-            ("auto", EngineSelect::Auto),
         ] {
             assert_eq!(s.parse::<EngineSelect>().unwrap(), e);
             assert_eq!(e.to_string(), s);
         }
-        let err = "dijkstra".parse::<EngineSelect>().unwrap_err();
-        assert_eq!(err.field(), "engine");
-        assert_eq!(EngineSelect::default(), EngineSelect::Lacc);
-    }
-
-    #[test]
-    fn choose_engine_covers_the_space() {
-        // Low diameter + giant component → label propagation.
-        let lp = PrepassStats {
-            samples: 8,
-            diameter_estimate: 4,
-            reached_fraction: 0.9,
-            degree_skew: 20.0,
-            avg_degree: 16.0,
-        };
-        let (kind, why) = choose_engine(&lp);
-        assert_eq!(kind, EngineKind::LabelProp);
-        assert!(why.contains("diameter"));
-        // Giant component but deep → FastSV.
-        let sv = PrepassStats {
-            diameter_estimate: 200,
-            ..lp
-        };
-        let (kind, why) = choose_engine(&sv);
-        assert_eq!(kind, EngineKind::Fastsv);
-        assert!(why.contains("dominates"));
-        // Fragmented reach → LACC.
-        let frag = PrepassStats {
-            diameter_estimate: 3,
-            reached_fraction: 0.02,
-            ..lp
-        };
-        let (kind, why) = choose_engine(&frag);
-        assert_eq!(kind, EngineKind::Lacc);
-        assert!(why.contains("Lemma 1"));
-    }
-
-    #[test]
-    fn choose_engine_is_total_over_arbitrary_stats() {
-        // Any stats map to one of the three engines with a rationale.
-        for d in [0usize, 1, 8, 9, 100, usize::MAX / 2] {
-            for r in [0.0, 0.1, 0.449, 0.45, 0.9, 1.0] {
-                for skew in [0.0, 1.0, 1e6] {
-                    let s = PrepassStats {
-                        samples: 8,
-                        diameter_estimate: d,
-                        reached_fraction: r,
-                        degree_skew: skew,
-                        avg_degree: 1.0,
-                    };
-                    let (kind, why) = choose_engine(&s);
-                    assert!(matches!(
-                        kind,
-                        EngineKind::Lacc | EngineKind::Fastsv | EngineKind::LabelProp
-                    ));
-                    assert!(!why.is_empty());
-                }
-            }
+        // The selector is gone: `auto` is rejected like any other word, and
+        // the error names exactly the three engines.
+        for word in ["dijkstra", "auto"] {
+            assert_eq!(
+                word.parse::<EngineSelect>().unwrap_err(),
+                format!("invalid engine: {word:?} is not one of lacc, fastsv, labelprop")
+            );
         }
+        assert_eq!(EngineSelect::default(), EngineSelect::Lacc);
     }
 }

@@ -43,8 +43,7 @@ pub mod stats;
 pub mod verify;
 
 pub use dist::{check_ranks, run, RunConfig, RunOutput};
-pub use dmsim::EngineKind;
-pub use engine::{choose_engine, EngineCtx, EngineIter, EngineRun, EngineSelect};
+pub use engine::{EngineCtx, EngineIter, EngineRun, EngineSelect};
 pub use gblas::dist::Wire;
 pub use options::{IndexWidth, LaccOpts, LaccOptsBuilder, OptsError};
 pub use serial::lacc_serial;

@@ -58,10 +58,6 @@ pub struct LaccOpts {
     /// off yields the "naive translation" dense-AS variant §IV-B warns
     /// about.
     pub use_sparsity: bool,
-    /// When the active fraction is at least this, `mxv` takes the SpMV
-    /// (dense-vector) path; below it, SpMSpV. Mirrors the internal dispatch
-    /// of the paper's `GrB_mxv`.
-    pub dense_threshold: f64,
     /// Communication options for the distributed primitives (§V-B).
     pub dist: DistOpts,
     /// Apply a random symmetric permutation before distributing the matrix
@@ -77,9 +73,8 @@ pub struct LaccOpts {
     /// Storage width of indices and labels (see [`IndexWidth`]).
     pub index_width: IndexWidth,
     /// Which connected-components engine runs (see
-    /// [`crate::engine::EngineSelect`]; `Auto` picks from a sampled
-    /// pre-pass). Defaults to LACC, preserving bit-identity with the
-    /// serial reference.
+    /// [`crate::engine::EngineSelect`]). Defaults to LACC, preserving
+    /// bit-identity with the serial reference.
     pub engine: EngineSelect,
 }
 
@@ -87,7 +82,6 @@ impl Default for LaccOpts {
     fn default() -> Self {
         LaccOpts {
             use_sparsity: true,
-            dense_threshold: 0.5,
             dist: DistOpts::default(),
             permute: true,
             permute_seed: 0xC0_FFEE,
@@ -119,12 +113,11 @@ impl LaccOpts {
     }
 
     /// The dense Awerbuch–Shiloach ablation: no converged-component
-    /// tracking, always-dense vectors (what a direct translation of
-    /// Algorithm 1 to linear algebra would do).
+    /// tracking, so nothing retires and every vector stays full (what a
+    /// direct translation of Algorithm 1 to linear algebra would do).
     pub fn dense_as() -> Self {
         LaccOpts {
             use_sparsity: false,
-            dense_threshold: 0.0,
             ..Default::default()
         }
     }
@@ -184,24 +177,11 @@ impl LaccOptsBuilder {
         self
     }
 
-    /// Active fraction at or above which conditional hooking takes the
-    /// dense-vector `mxv` path. Must be a finite value in `0.0..=1.0`
-    /// (`0.0` forces dense, anything above `1.0` could never trigger).
-    pub fn dense_threshold(mut self, t: f64) -> Result<Self, OptsError> {
-        if !t.is_finite() || !(0.0..=1.0).contains(&t) {
-            return Err(OptsError::new(
-                "dense-threshold",
-                format!("{t} is not in 0.0..=1.0"),
-            ));
-        }
-        self.opts.dense_threshold = t;
-        Ok(self)
-    }
-
-    /// Measured-fill fraction at or above which `mxv` runs its SpMV-style
-    /// local kernel — for FastSV and label propagation, the fraction of
-    /// the input that changed last round at or above which a round
-    /// multiplies all of it. Must be a finite value in `0.0..=1.5` (above
+    /// Input fill at or above which `mxv` runs its SpMV-style local kernel
+    /// (§V-A): the active fraction for LACC's conditional hooking, the
+    /// measured fill for its unconditional hooking, and for FastSV and
+    /// label propagation the fraction of the input that changed last
+    /// round. Must be a finite value in `0.0..=1.5` (above
     /// `1.0` means "never"; `1.5` is the conventional sentinel for that).
     pub fn spmv_threshold(mut self, t: f64) -> Result<Self, OptsError> {
         if !t.is_finite() || !(0.0..=1.5).contains(&t) {
@@ -264,7 +244,7 @@ impl LaccOptsBuilder {
         self
     }
 
-    /// Selects the connected-components engine (or `Auto` selection).
+    /// Selects the connected-components engine.
     pub fn engine(mut self, e: EngineSelect) -> Self {
         self.opts.engine = e;
         self
@@ -310,7 +290,6 @@ mod tests {
     fn dense_as_disables_sparsity() {
         let o = LaccOpts::dense_as();
         assert!(!o.use_sparsity);
-        assert_eq!(o.dense_threshold, 0.0);
     }
 
     #[test]
@@ -324,8 +303,6 @@ mod tests {
     fn builder_accepts_in_range_values() {
         let o = LaccOpts::builder()
             .use_sparsity(false)
-            .dense_threshold(0.25)
-            .unwrap()
             .spmv_threshold(1.5)
             .unwrap()
             .max_iters(10)
@@ -340,7 +317,6 @@ mod tests {
             .overlap(false)
             .build();
         assert!(!o.use_sparsity);
-        assert_eq!(o.dense_threshold, 0.25);
         assert_eq!(o.dist.spmv_threshold, 1.5);
         assert_eq!(o.max_iters, 10);
         assert_eq!(o.dist.hot_threshold, 2.0);
@@ -360,7 +336,6 @@ mod tests {
         );
         assert!(LaccOpts::builder().spmv_threshold(-0.1).is_err());
         assert!(LaccOpts::builder().spmv_threshold(f64::NAN).is_err());
-        assert!(LaccOpts::builder().dense_threshold(1.01).is_err());
         assert!(LaccOpts::builder().max_iters(0).is_err());
         assert!(LaccOpts::builder().hot_threshold(0.0).is_err());
         assert!(LaccOpts::builder().hot_threshold(f64::NAN).is_err());

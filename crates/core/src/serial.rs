@@ -78,12 +78,7 @@ pub fn lacc_serial(g: &CsrGraph, opts: &LaccOpts) -> LaccRun {
         // the flag has no false positives and conditional hooking stays
         // safe; newly formed stars are picked up one iteration later.
         let mask: Vec<bool> = (0..n).map(|v| star[v] && active[v]).collect();
-        let density = if n == 0 {
-            0.0
-        } else {
-            active_count as f64 / n as f64
-        };
-        let use_dense = density >= opts.dense_threshold;
+        let use_dense = active_count as f64 >= opts.dist.spmv_threshold * n as f64;
         let q = if use_dense {
             let pairs: Vec<(Vid, Vid)> = f.iter().map(|&x| (x, x)).collect();
             serial::mxv_dense(&a, &pairs, Mask::Keep(&mask), gblas::MinMaxUsize)

@@ -70,14 +70,14 @@ pub enum RerunReason {
     Staleness,
 }
 
-/// Which connected-components engine a run executed. Tags the
-/// [`SpanKind::Engine`] span wrapping every distributed run, so trace
-/// consumers can attribute spans (and the aggregate report rows) to the
-/// algorithm that produced them — essential now that the engine portfolio
-/// makes the algorithm a runtime choice.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// Which connected-components engine a run executes — the `--engine`
+/// vocabulary. Tags the [`SpanKind::Engine`] span wrapping every
+/// distributed run, so trace consumers can attribute spans (and the
+/// aggregate report rows) to the algorithm that produced them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum EngineKind {
     /// LACC: Awerbuch–Shiloach in GraphBLAS, with Lemma-1 retirement.
+    #[default]
     Lacc,
     /// FastSV: stochastic + aggressive hooking, no star machinery.
     Fastsv,
@@ -103,6 +103,17 @@ impl std::fmt::Display for EngineKind {
     }
 }
 
+impl std::str::FromStr for EngineKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        [EngineKind::Lacc, EngineKind::Fastsv, EngineKind::LabelProp]
+            .into_iter()
+            .find(|e| e.name() == s)
+            .ok_or_else(|| format!("invalid engine: {s:?} is not one of lacc, fastsv, labelprop"))
+    }
+}
+
 /// The typed span vocabulary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SpanKind {
@@ -112,9 +123,6 @@ pub enum SpanKind {
     /// Whole-run span tagged with the engine that executed it
     /// (step-level, wraps every iteration of one distributed run).
     Engine(EngineKind),
-    /// The `Auto` dispatcher's sampled-BFS pre-pass (step-level; its one
-    /// allreduce nests underneath).
-    EngineSelect,
     /// LACC conditional hooking (step).
     CondHook,
     /// LACC unconditional hooking (step).
@@ -158,8 +166,9 @@ impl SpanKind {
     pub fn level(self) -> TraceLevel {
         use SpanKind::*;
         match self {
-            Rerun(_) | Engine(_) | EngineSelect | CondHook | UncondHook | Shortcut | Starcheck
-            | Overlap => TraceLevel::Steps,
+            Rerun(_) | Engine(_) | CondHook | UncondHook | Shortcut | Starcheck | Overlap => {
+                TraceLevel::Steps
+            }
             Mxv | Assign | Extract => TraceLevel::Ops,
             _ => TraceLevel::Collectives,
         }
@@ -175,7 +184,6 @@ impl SpanKind {
             Engine(EngineKind::Lacc) => "engine(lacc)",
             Engine(EngineKind::Fastsv) => "engine(fastsv)",
             Engine(EngineKind::LabelProp) => "engine(labelprop)",
-            EngineSelect => "engine_select",
             CondHook => "cond_hook",
             UncondHook => "uncond_hook",
             Shortcut => "shortcut",
@@ -366,9 +374,8 @@ impl TraceSink {
     }
 
     /// Attaches a run-level key/value annotation, exported as a Chrome
-    /// trace metadata (`ph:"M"`) event — how the engine portfolio makes
-    /// the chosen engine and the `Auto` dispatcher's rationale visible in
-    /// trace viewers.
+    /// trace metadata (`ph:"M"`) event — how a run's engine shows in trace
+    /// viewers.
     pub fn add_metadata(&self, key: &str, value: &str) {
         self.metadata
             .lock()

@@ -57,118 +57,6 @@ pub fn ground_truth_labels(g: &CsrGraph) -> Vec<Vid> {
     ds.canonical_labels()
 }
 
-/// Cheap pre-pass statistics for adaptive engine selection: a sampled-BFS
-/// diameter estimate plus degree-shape measures. Designed so a distributed
-/// caller can split the BFS seeds across ranks and merge partial results
-/// with a single max-allreduce — see `lacc::engine`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PrepassStats {
-    /// BFS seeds actually sampled (≤ requested, capped at `n`).
-    pub samples: usize,
-    /// Maximum BFS eccentricity observed over the sampled seeds — a lower
-    /// bound on the true diameter, tight on low-diameter graphs.
-    pub diameter_estimate: usize,
-    /// Largest fraction of all vertices reached by any single sampled BFS
-    /// (≈ largest-component share when a seed lands in it).
-    pub reached_fraction: f64,
-    /// Degree skew: `max_degree / avg_degree` (1.0 for regular graphs,
-    /// large for power-law graphs; 0.0 for edgeless graphs).
-    pub degree_skew: f64,
-    /// Average degree (2m/n; 0.0 for the empty graph).
-    pub avg_degree: f64,
-}
-
-/// Deterministic BFS seed list: `samples` distinct vertices spread over
-/// the id space by a splitmix64-style hash of `seed`, deduplicated. Every
-/// rank computes the identical list, so a distributed pre-pass can
-/// round-robin the seeds without any coordination.
-pub fn prepass_seeds(n: usize, samples: usize, seed: u64) -> Vec<Vid> {
-    if n == 0 || samples == 0 {
-        return Vec::new();
-    }
-    let mut out = Vec::with_capacity(samples.min(n));
-    let mut x = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    while out.len() < samples.min(n) {
-        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let v = (z % n as u64) as Vid;
-        if !out.contains(&v) {
-            out.push(v);
-        }
-    }
-    out
-}
-
-/// BFS from `source`: returns `(eccentricity, vertices reached)` within
-/// the source's component (the eccentricity of an isolated vertex is 0,
-/// reaching 1 vertex).
-pub fn bfs_eccentricity(g: &CsrGraph, source: Vid) -> (usize, usize) {
-    let n = g.num_vertices();
-    let mut dist = vec![usize::MAX; n];
-    dist[source] = 0;
-    let mut frontier = vec![source];
-    let mut ecc = 0usize;
-    let mut reached = 1usize;
-    while !frontier.is_empty() {
-        let mut next = Vec::new();
-        for &u in &frontier {
-            for &v in g.neighbors(u) {
-                if dist[v] == usize::MAX {
-                    dist[v] = dist[u] + 1;
-                    ecc = ecc.max(dist[v]);
-                    reached += 1;
-                    next.push(v);
-                }
-            }
-        }
-        frontier = next;
-    }
-    (ecc, reached)
-}
-
-/// Degree skew `max_degree / avg_degree` (0.0 for edgeless graphs).
-pub fn degree_skew(g: &CsrGraph) -> f64 {
-    let avg = g.average_degree();
-    if avg == 0.0 {
-        return 0.0;
-    }
-    let max = (0..g.num_vertices())
-        .map(|v| g.degree(v))
-        .max()
-        .unwrap_or(0);
-    max as f64 / avg
-}
-
-/// Serial reference for the engine-selection pre-pass: BFS from
-/// [`prepass_seeds`] merging eccentricities and reach by max. A
-/// distributed caller that splits the same seed list across ranks and
-/// max-merges partials computes the identical result.
-pub fn prepass_stats(g: &CsrGraph, samples: usize, seed: u64) -> PrepassStats {
-    let n = g.num_vertices();
-    let seeds = prepass_seeds(n, samples, seed);
-    let mut ecc = 0usize;
-    let mut reached = 0usize;
-    for &s in &seeds {
-        let (e, r) = bfs_eccentricity(g, s);
-        ecc = ecc.max(e);
-        reached = reached.max(r);
-    }
-    PrepassStats {
-        samples: seeds.len(),
-        diameter_estimate: ecc,
-        reached_fraction: if n == 0 {
-            1.0
-        } else {
-            reached as f64 / n as f64
-        },
-        degree_skew: degree_skew(g),
-        avg_degree: g.average_degree(),
-    }
-}
-
 /// Histogram of component sizes (`size → count`), sorted by size.
 pub fn component_size_histogram(g: &CsrGraph) -> Vec<(usize, usize)> {
     let labels = ground_truth_labels(g);
@@ -221,52 +109,6 @@ mod tests {
             assert_eq!(labels[u], labels[v]);
         }
         assert_eq!(crate::unionfind::count_components(&labels), 10);
-    }
-
-    #[test]
-    fn prepass_seeds_are_deterministic_and_distinct() {
-        let a = prepass_seeds(100, 8, 42);
-        let b = prepass_seeds(100, 8, 42);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 8);
-        let mut uniq = a.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), 8, "seeds must be distinct");
-        assert!(a.iter().all(|&v| v < 100));
-        // More samples than vertices clamps to n; degenerate inputs are empty.
-        assert_eq!(prepass_seeds(3, 10, 1).len(), 3);
-        assert!(prepass_seeds(0, 4, 1).is_empty());
-        assert!(prepass_seeds(10, 0, 1).is_empty());
-    }
-
-    #[test]
-    fn bfs_eccentricity_on_path_and_star() {
-        let path = path_graph(10);
-        assert_eq!(bfs_eccentricity(&path, 0), (9, 10));
-        assert_eq!(bfs_eccentricity(&path, 5), (5, 10));
-        let star = star_graph(8);
-        assert_eq!(bfs_eccentricity(&star, 0), (1, 8));
-        assert_eq!(bfs_eccentricity(&star, 3), (2, 8));
-    }
-
-    #[test]
-    fn prepass_stats_shapes() {
-        // Star: diameter ≤ 2, one component, heavy hub skew.
-        let s = prepass_stats(&star_graph(64), 8, 7);
-        assert!(s.diameter_estimate <= 2);
-        assert!((s.reached_fraction - 1.0).abs() < 1e-12);
-        assert!(s.degree_skew > 10.0, "hub skew {}", s.degree_skew);
-        // Forest of small trees: no single BFS reaches much of the graph.
-        let f = prepass_stats(&random_forest(400, 40, 3), 8, 7);
-        assert!(f.reached_fraction < 0.3, "reached {}", f.reached_fraction);
-        // Path: a sampled eccentricity is a decent diameter lower bound.
-        let p = prepass_stats(&path_graph(128), 8, 7);
-        assert!(p.diameter_estimate >= 64, "got {}", p.diameter_estimate);
-        // Empty graph is well-defined.
-        let e = prepass_stats(&CsrGraph::from_edges(EdgeList::new(0)), 4, 7);
-        assert_eq!(e.samples, 0);
-        assert_eq!(e.reached_fraction, 1.0);
     }
 
     #[test]

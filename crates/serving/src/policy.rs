@@ -14,8 +14,7 @@ pub struct RerunPolicy {
     /// `0.0` rebuilds after any batch that hooked at least once;
     /// `f64::INFINITY` never rebuilds for staleness.
     pub staleness_threshold: f64,
-    /// Which engine rebuilds run ([`EngineSelect::Auto`] re-selects from
-    /// prepass statistics on every rebuild, tracking the evolving graph).
+    /// Which engine rebuilds run.
     pub engine: EngineSelect,
 }
 
@@ -89,8 +88,8 @@ mod tests {
     fn engine_defaults_and_override() {
         assert_eq!(RerunPolicy::default().engine, EngineSelect::Lacc);
         assert_eq!(RerunPolicy::never().engine, EngineSelect::Lacc);
-        let p = RerunPolicy::staleness(0.5).with_engine(EngineSelect::Auto);
-        assert_eq!(p.engine, EngineSelect::Auto);
+        let p = RerunPolicy::staleness(0.5).with_engine(EngineSelect::Fastsv);
+        assert_eq!(p.engine, EngineSelect::Fastsv);
         assert_eq!(p.staleness_threshold, 0.5);
     }
 }

@@ -86,8 +86,6 @@ pub struct CcService {
     sink: Option<Arc<TraceSink>>,
     hooks_since_rebuild: usize,
     stats: ServiceStats,
-    last_engine: Option<lacc::EngineKind>,
-    last_rationale: Option<String>,
 }
 
 impl CcService {
@@ -100,8 +98,6 @@ impl CcService {
             sink: None,
             hooks_since_rebuild: 0,
             stats: ServiceStats::default(),
-            last_engine: None,
-            last_rationale: None,
         }
     }
 
@@ -176,17 +172,6 @@ impl CcService {
     /// Merges applied since the last full rebuild (the staleness input).
     pub fn hooks_since_rebuild(&self) -> usize {
         self.hooks_since_rebuild
-    }
-
-    /// Engine that ran the most recent rebuild (`None` before any rebuild).
-    pub fn last_engine(&self) -> Option<lacc::EngineKind> {
-        self.last_engine
-    }
-
-    /// Why [`Self::last_engine`] was chosen, when the policy's
-    /// [`EngineSelect::Auto`](lacc::EngineSelect::Auto) made the call.
-    pub fn last_engine_rationale(&self) -> Option<&str> {
-        self.last_rationale.as_deref()
     }
 
     /// Applies one batch and publishes a new epoch.
@@ -274,10 +259,7 @@ impl CcService {
             .with_opts(opts)
             .with_trace_opt(self.sink.as_ref())
             .with_rerun(reason);
-        let out = lacc::run(g, &cfg)?;
-        self.last_engine = Some(out.engine);
-        self.last_rationale = out.rationale.clone();
-        let run = &out.run;
+        let run = lacc::run(g, &cfg)?.run;
         self.store.install_labels(&run.labels);
         self.hooks_since_rebuild = 0;
         self.stats.reruns += 1;
@@ -453,22 +435,17 @@ mod tests {
     #[test]
     fn policy_engine_routes_rebuilds() {
         let g = lacc_graph::generators::path_graph(16);
+        let sink = TraceSink::new(dmsim::TraceLevel::Steps);
         let opts = ServeOpts {
             policy: RerunPolicy::always().with_engine(lacc::EngineSelect::Fastsv),
             ..Default::default()
         };
-        let svc = CcService::from_graph(&g, opts).unwrap();
-        assert_eq!(svc.last_engine(), Some(lacc::EngineKind::Fastsv));
-        assert_eq!(svc.last_engine_rationale(), None); // fixed choice: no rationale
-
-        let auto = ServeOpts {
-            policy: RerunPolicy::always().with_engine(lacc::EngineSelect::Auto),
-            ..Default::default()
-        };
-        let mut svc = CcService::from_graph(&g, auto).unwrap();
-        assert!(svc.last_engine().is_some());
-        assert!(svc.last_engine_rationale().is_some());
+        let mut svc = CcService::from_graph_traced(&g, opts, Some(sink.clone())).unwrap();
         assert!(svc.same_component(0, 15));
+        // The bootstrap ran under the policy's engine, not the default.
+        let report = sink.report();
+        assert!(report.kind_time_s("engine(fastsv)") > 0.0);
+        assert_eq!(report.kind_time_s("engine(lacc)"), 0.0);
     }
 
     #[test]

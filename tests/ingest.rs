@@ -6,11 +6,11 @@
 //! agree on everything a run reports: labels, iteration trajectory, the
 //! modeled clock and every rank's traffic.
 
-use lacc_suite::dmsim::{EngineKind, TraceLevel, TraceSink, EDISON};
+use lacc_suite::dmsim::{TraceLevel, TraceSink, EDISON};
 use lacc_suite::graph::generators::*;
 use lacc_suite::graph::permute::Permutation;
 use lacc_suite::graph::{CsrGraph, EdgeList};
-use lacc_suite::lacc::{EngineSelect, IndexWidth, LaccOpts, RunConfig, RunOutput};
+use lacc_suite::lacc::{IndexWidth, LaccOpts, RunConfig, RunOutput};
 use std::sync::Arc;
 
 /// One traced run: the output plus each rank's `(words, bytes)` sent.
@@ -71,66 +71,6 @@ fn fused_ingest_matches_running_on_a_prepermuted_graph() {
                     assert_eq!(a.extract_received, b.extract_received, "{at}");
                 }
             }
-        }
-    }
-}
-
-#[test]
-fn auto_selection_is_pinned_with_and_without_permutation() {
-    // The pre-pass samples the unpermuted graph from inverse-mapped seeds;
-    // engine and rationale must be exactly what sampling the materialized
-    // permuted graph gives (the strings below were recorded that way).
-    const LABELPROP: &str = "sampled diameter 6 <= 8 with a dominant component (79% reached): \
-        label propagation converges in O(diameter) cheap rounds";
-    const LACC: &str = "sampled reach only 16% (many components likely, degree skew 2.9): \
-        LACC retires converged components via Lemma 1";
-    const FASTSV_233: &str = "one component dominates (100% reached, sampled diameter 233): \
-        FastSV's hooking beats star maintenance when there is little to retire";
-    const FASTSV_285: &str = "one component dominates (100% reached, sampled diameter 285): \
-        FastSV's hooking beats star maintenance when there is little to retire";
-    let cases = [
-        (
-            "rmat",
-            rmat(8, 4, RmatParams::graph500(), 21),
-            [
-                (true, EngineKind::LabelProp, LABELPROP),
-                (false, EngineKind::LabelProp, LABELPROP),
-            ],
-        ),
-        (
-            "community",
-            community_graph(600, 30, 3.0, 1.4, 4),
-            [
-                (true, EngineKind::Lacc, LACC),
-                (false, EngineKind::Lacc, LACC),
-            ],
-        ),
-        // The path tells the two seed lists apart: a seed used as drawn
-        // instead of inverse-mapped would report 285 under permutation.
-        (
-            "path",
-            path_graph(300),
-            [
-                (true, EngineKind::Fastsv, FASTSV_233),
-                (false, EngineKind::Fastsv, FASTSV_285),
-            ],
-        ),
-    ];
-    for (name, g, expect) in &cases {
-        for &(permute, engine, rationale) in expect {
-            let opts = LaccOpts {
-                engine: EngineSelect::Auto,
-                permute,
-                ..LaccOpts::default()
-            };
-            let cfg = RunConfig::new(4, EDISON.lacc_model()).with_opts(opts);
-            let out = lacc_suite::lacc::run(g, &cfg).unwrap();
-            assert_eq!(out.engine, engine, "{name} permute={permute}");
-            assert_eq!(
-                out.rationale.as_deref(),
-                Some(rationale),
-                "{name} permute={permute}"
-            );
         }
     }
 }
