@@ -7,9 +7,9 @@
 //! 2. **All-to-all algorithm**: pairwise-exchange vs hypercube vs sparse.
 //! 3. **Hot-rank broadcast**: on vs off, plus a sweep of the threshold h.
 //!
-//! The comm-layer extension on top — the compact wire format — is ablated
-//! the same way: one row runs the otherwise-default stack on the legacy
-//! wire.
+//! The comm-layer extensions on top — the compact wire format and overlap —
+//! are ablated the same way: one row each runs the otherwise-default stack
+//! on the legacy wire and with every overlap refund off.
 
 use dmsim::{AllToAll, EDISON};
 use gblas::dist::{DistOpts, Wire};
@@ -111,7 +111,19 @@ fn main() {
         },
     );
 
-    // 5. Index width at the fully optimized point: the modeled time is
+    // 5. Overlap: the default stack on a strictly blocking clock.
+    run_cfg(
+        "overlap = off",
+        LaccOpts {
+            dist: DistOpts {
+                overlap: false,
+                ..DistOpts::default()
+            },
+            ..LaccOpts::default()
+        },
+    );
+
+    // 6. Index width at the fully optimized point: the modeled time is
     // word-based and so identical; the rows make the iteration/label
     // equivalence visible next to every other knob.
     for (name, width) in [

@@ -275,7 +275,7 @@ fn cmd_cc_dist(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // Range validation lives in the core builder (`lacc::options`), not
     // here: the CLI just forwards the raw values and surfaces OptsError.
     let opts = LaccOpts::builder()
-        // Input fill fraction above which mxv runs its SpMV-style kernel.
+        // Input fill at or above which the engine calls SpMV, not SpMSpV.
         .spmv_threshold(args.get_or("spmv-threshold", defaults.dist.spmv_threshold)?)
         .map_err(|e| e.to_string())?
         // Wire format of every exchange: compact (default) or the

@@ -416,7 +416,16 @@ mod tests {
     fn index_widths_produce_identical_labels() {
         // The tentpole guarantee of the narrow layout: storage width is
         // invisible in the results — u32 and u64 runs agree bit for bit
-        // (after widening) on every comm config.
+        // (after widening) on every comm config, and only the narrow one
+        // ships fewer bytes.
+        let traced = |g: &CsrGraph, p: usize, opts: LaccOpts| {
+            let sink = TraceSink::new(dmsim::TraceLevel::Steps);
+            let cfg = RunConfig::new(p, model()).with_opts(opts).with_trace(&sink);
+            let out = run(g, &cfg).unwrap();
+            let traces = sink.rank_traces();
+            let sent = traces.iter().map(|rt| rt.snapshot.bytes_sent);
+            (out, sent.sum::<u64>())
+        };
         for seed in 0..2 {
             let g = community_graph(500, 25, 3.0, 1.4, seed);
             for base in [LaccOpts::default(), LaccOpts::naive_comm()] {
@@ -429,10 +438,14 @@ mod tests {
                     ..base
                 };
                 for p in [4, 9] {
-                    let a = run_with(&g, p, &narrow);
-                    let b = run_with(&g, p, &wide);
+                    let (a, a_bytes) = traced(&g, p, narrow);
+                    let (b, b_bytes) = traced(&g, p, wide);
                     assert_eq!(a.labels, b.labels, "seed={seed} p={p}");
                     assert_eq!(a.num_iterations(), b.num_iterations(), "seed={seed} p={p}");
+                    assert!(
+                        a_bytes < b_bytes,
+                        "seed={seed} p={p}: {a_bytes} >= {b_bytes}"
+                    );
                 }
             }
         }
@@ -696,6 +709,52 @@ mod tests {
                 sink.metadata(),
                 [("engine".to_string(), select.to_string())]
             );
+        }
+    }
+
+    #[test]
+    fn no_mxv_asks_the_world_and_each_lacc_hook_runs_one() {
+        // No primitive measures its input: SpMV or SpMSpV is the caller's
+        // choice, from a count it already holds, so no `allreduce` opens
+        // while an `mxv` span is open — and each of LACC's two hooking
+        // steps runs exactly one `mxv`. (Nesting in open order, not clock
+        // comparison: an overlap credit rewinds the clock under later spans.)
+        use dmsim::{SpanRecord, TraceLevel};
+        fn under(spans: &[SpanRecord], i: usize) -> impl Iterator<Item = &SpanRecord> {
+            let inside = move |s: &&SpanRecord| s.depth > spans[i].depth;
+            spans[i + 1..].iter().take_while(inside)
+        }
+        let g = rmat(9, 6, RmatParams::graph500(), 5);
+        for select in ENGINES {
+            let sink = TraceSink::new(TraceLevel::Collectives);
+            let opts = LaccOpts {
+                engine: select,
+                ..LaccOpts::default()
+            };
+            let cfg = RunConfig::new(4, model()).with_opts(opts).with_trace(&sink);
+            let rounds = run(&g, &cfg).unwrap().num_iterations();
+            for rt in sink.rank_traces() {
+                let mut mxvs = 0;
+                for (i, s) in rt.spans.iter().enumerate() {
+                    let mut inner = under(&rt.spans, i);
+                    match s.kind {
+                        SpanKind::Mxv => {
+                            mxvs += 1;
+                            let asked = inner.any(|c| c.kind == SpanKind::Allreduce);
+                            assert!(!asked, "{select} rank {}: allreduce in an mxv", rt.rank);
+                        }
+                        SpanKind::CondHook | SpanKind::UncondHook
+                            if select == EngineSelect::Lacc =>
+                        {
+                            let n = inner.filter(|c| c.kind == SpanKind::Mxv).count();
+                            assert_eq!(n, 1, "rank {}: mxv spans in {:?}", rt.rank, s.kind);
+                        }
+                        _ => {}
+                    }
+                }
+                let per_round = if select == EngineSelect::Lacc { 2 } else { 1 };
+                assert_eq!(mxvs, per_round * rounds, "{select} rank {}", rt.rank);
+            }
         }
     }
 

@@ -40,7 +40,7 @@ use crate::Vid;
 use dmsim::{Comm, CommHandle, Grid2d, SpanKind, WireWord};
 use driver::{fixpoint, overlapped, posted, Rules};
 use gblas::dist::{
-    dist_assign, dist_extract, dist_extract_planned, dist_mxv, dist_mxv_dense, dist_mxv_sparse,
+    dist_assign, dist_extract, dist_extract_planned, dist_mxv_dense, dist_mxv_sparse,
     plan_requests, DistMask, DistMat, DistOpts, DistSpVec, DistVec, FusedExtract, NarrowVal,
     VecLayout,
 };
@@ -459,7 +459,8 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Lacc {
 
         // Step 2 — unconditional hooking: f[f[v]] ← the minimum parent
         // among v's *nonstar* neighbors, for v in a star, whatever the id
-        // order.
+        // order. The input is the nonstar subset (Table I, Lemma 2), so
+        // the `mxv` is SpMSpV at any fill, as in `crate::serial`.
         let uncond = cx.step(SpanKind::UncondHook, |cx| {
             let (comm, a, dopts) = (&mut *cx.comm, &cx.a, &cx.opts.dist);
             let win = comm.overlap_window();
@@ -470,10 +471,8 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Lacc {
             let x = DistSpVec::from_local_entries(layout, rank, entries);
             let mask = active_stars(star, active);
             comm.charge_compute(2 * active.len() as u64 + 1);
-            // Nobody holds the global nonstar count, so this `mxv` measures
-            // its input's fill itself (one world allreduce) to dispatch.
             let fnb = overlapped(comm, win, dopts, |c| {
-                dist_mxv(c, a, &x, DistMask::Keep(&mask), MinUsize, dopts)
+                dist_mxv_sparse(c, a, &x, DistMask::Keep(&mask), MinUsize, dopts)
             });
             connect(comm, f, fnb.entries().to_vec(), dopts)
         });

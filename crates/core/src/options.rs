@@ -177,12 +177,14 @@ impl LaccOptsBuilder {
         self
     }
 
-    /// Input fill at or above which `mxv` runs its SpMV-style local kernel
-    /// (§V-A): the active fraction for LACC's conditional hooking, the
-    /// measured fill for its unconditional hooking, and for FastSV and
-    /// label propagation the fraction of the input that changed last
-    /// round. Must be a finite value in `0.0..=1.5` (above
-    /// `1.0` means "never"; `1.5` is the conventional sentinel for that).
+    /// Input fill at or above which a caller that holds the count runs
+    /// SpMV instead of SpMSpV (§V-A): the active fraction for LACC's
+    /// conditional hooking (distributed and `lacc_serial`), and for FastSV
+    /// and label propagation the fraction of the input that changed last
+    /// round. No primitive reads it, and LACC's unconditional hooking —
+    /// whose input is the nonstar subset (Table I) — is always SpMSpV.
+    /// Must be a finite value in `0.0..=1.5` (above `1.0` means "never";
+    /// `1.5` is the conventional sentinel for that).
     pub fn spmv_threshold(mut self, t: f64) -> Result<Self, OptsError> {
         if !t.is_finite() || !(0.0..=1.5).contains(&t) {
             return Err(OptsError::new(

@@ -25,6 +25,6 @@ pub use dense::{OwnerLocator, RankBitmap};
 pub use dmat::DistMat;
 pub use dvec::{DistSpVec, DistVec, VecLayout};
 pub use ops::{
-    dist_assign, dist_extract, dist_extract_planned, dist_mxv, dist_mxv_dense, dist_mxv_sparse,
+    dist_assign, dist_extract, dist_extract_planned, dist_mxv_dense, dist_mxv_sparse,
     plan_requests, AssignStats, DistMask, DistOpts, ExtractStats, FusedExtract, RequestPlan, Wire,
 };

@@ -80,10 +80,11 @@ pub struct DistOpts {
     /// system-dependent `h`). `f64::INFINITY` turns the fallback off and
     /// skips the request-count allreduce that detects hot ranks.
     pub hot_threshold: f64,
-    /// [`dist_mxv`] takes the SpMV-style (dense, column-scan) local kernel
-    /// when the input's measured global fill `nvals/n` is at least this;
-    /// below it, the SpMSpV per-entry kernel. Mirrors the internal dispatch
-    /// of the paper's `GrB_mxv`.
+    /// The paper's one adaptive decision (§V-A), taken by the *caller* that
+    /// already holds the global entry count of its `mxv` input: at
+    /// `count / n` at least this it calls [`dist_mxv_dense`], below it
+    /// [`dist_mxv_sparse`]. No primitive in this module reads it — none
+    /// measures its input.
     pub spmv_threshold: f64,
     /// Wire format of every exchange (see [`Wire`]).
     pub wire: Wire,
@@ -290,18 +291,15 @@ where
         .collect()
 }
 
-/// Phase-2 local multiply for the SpMV-style paths: a row gather over the
-/// stored row-major block. Row `r` folds `x_block[j]` over its columns `j`
-/// — one random read per nonzero, `acc[r]` and `touched[r]` written once.
-/// Rows hold their columns in source order; [`Monoid`] is commutative and
-/// [`NarrowVal`] admits no floats, so that order cannot show in `acc`.
-/// With `present`, only columns flagged there contribute (the
-/// densified-sparse-input case of [`dist_mxv`]) and only they count toward
-/// `ops`, the nonzeros folded.
+/// Phase-2 local multiply of SpMV: a row gather over the stored row-major
+/// block. Row `r` folds `x_block[j]` over its columns `j` — one random read
+/// per nonzero, `acc[r]` and `touched[r]` written once. Rows hold their
+/// columns in source order; [`Monoid`] is commutative and [`NarrowVal`]
+/// admits no floats, so that order cannot show in `acc`. Returns `(acc,
+/// touched, nonzeros folded)`.
 fn local_multiply_block<T, M, I>(
     rows: &CsrMirror<I>,
     x_block: &[T],
-    present: Option<&[bool]>,
     monoid: M,
 ) -> (Vec<T>, Vec<bool>, u64)
 where
@@ -314,15 +312,10 @@ where
     let mut touched = vec![false; h];
     let mut ops = 0u64;
     for (r, (a_slot, t_slot)) in acc.iter_mut().zip(&mut touched).enumerate() {
-        let (mut v, mut hits) = (*a_slot, 0u64);
-        for j in rows.row(r).iter().map(|j| j.idx()) {
-            if present.is_none_or(|pr| pr[j]) {
-                v = monoid.combine(v, x_block[j]);
-                hits += 1;
-            }
-        }
-        (*a_slot, *t_slot) = (v, hits > 0);
-        ops += hits;
+        let cols = rows.row(r);
+        let fold = |v, j: &I| monoid.combine(v, x_block[j.idx()]);
+        (*a_slot, *t_slot) = (cols.iter().fold(*a_slot, fold), !cols.is_empty());
+        ops += cols.len() as u64;
     }
     (acc, touched, ops)
 }
@@ -378,19 +371,16 @@ fn transpose_exchange<D: Send + 'static>(comm: &mut Comm, grid: Grid2d, data: Ve
     comm.recv(partner)
 }
 
-/// The sparse reduce both SpMSpV-style paths end on. `acc[t]` is this
-/// rank's partial result for the `t`-th index of vector block `b`
-/// (chunks `b·q ..= b·q + q − 1`), `touched` the offsets it wrote: they are
-/// bucketed by subchunk, exchanged within `group` — member `k` takes chunk
-/// `b·q + k`, one entry frame per bucket under [`Wire::Compact`] — and
-/// folded through the monoid. Returns the entries of the chunk this rank
-/// took, ascending.
-#[allow(clippy::too_many_arguments)] // internal seam between two mxv phases
-fn reduce_touched_in_group<T, M, I>(
+/// The sparse reduce SpMSpV ends on, within the processor column. `acc[t]`
+/// is this rank's partial result for the `t`-th index of its column block
+/// `j` (chunks `j·q ..= j·q + q − 1`), `touched` the offsets it wrote: they
+/// are bucketed by subchunk, exchanged within the column group — member `k`
+/// takes chunk `j·q + k`, which it owns, one entry frame per bucket under
+/// [`Wire::Compact`] — and folded through the monoid. Returns the entries
+/// of this rank's own chunk, ascending.
+fn reduce_touched_in_column<T, M, I>(
     comm: &mut Comm,
-    group: &Group,
     layout: VecLayout,
-    b: usize,
     acc: &[T],
     mut touched: Vec<Vid>,
     monoid: M,
@@ -401,7 +391,9 @@ where
     M: Monoid<T>,
     I: Idx + WireWord,
 {
-    let (n, p, q) = (layout.len(), layout.grid().size(), group.size());
+    let grid = layout.grid();
+    let (group, b) = (grid.col_group(comm), grid.coords_of(comm.rank()).1);
+    let (n, p, q) = (layout.len(), grid.size(), group.size());
     let mut buckets: Vec<PooledBuf<(I, T)>> = (0..q).map(|_| comm.pooled_buf()).collect();
     touched.sort_unstable();
     // The offsets ascend: subchunk boundaries are walked, not searched.
@@ -422,13 +414,13 @@ where
         Wire::Compact => {
             let frames: Vec<Vec<u8>> = buckets.iter().map(|b| encode_entry_frame(b)).collect();
             comm.charge_compute(touched.len() as u64 + 1);
-            comm.alltoallv(group, frames, opts.alltoall)
+            comm.alltoallv(&group, frames, opts.alltoall)
                 .into_iter()
                 .map(|bytes| comm.adopt_buf(decode_entry_frame(&bytes)))
                 .collect()
         }
         Wire::Legacy => comm
-            .alltoallv(group, buckets, opts.alltoall)
+            .alltoallv(&group, buckets, opts.alltoall)
             .into_iter()
             .map(|part| comm.adopt_buf(part))
             .collect(),
@@ -489,7 +481,7 @@ where
     // Phase 2: row gather over the local block into a row-block
     // accumulator.
     let (rs, _re) = a.row_range();
-    let (acc, touched, ops) = local_multiply_block(a.row_mirror(), &x_block, None, monoid);
+    let (acc, touched, ops) = local_multiply_block(a.row_mirror(), &x_block, monoid);
     comm.charge_compute(ops + x_block.len() as u64);
     gh.wait(comm);
 
@@ -539,28 +531,9 @@ where
     I: Idx + WireWord,
 {
     let span = comm.span_open(SpanKind::Mxv);
-    let out = mxv_sparse_impl(comm, a, x, mask, monoid, opts);
-    comm.span_close(span);
-    out
-}
-
-fn mxv_sparse_impl<T, M, I>(
-    comm: &mut Comm,
-    a: &DistMat<I>,
-    x: &DistSpVec<T, I>,
-    mask: DistMask<'_>,
-    monoid: M,
-    opts: &DistOpts,
-) -> DistSpVec<T, I>
-where
-    T: NarrowVal,
-    M: Monoid<T>,
-    I: Idx + WireWord,
-{
     let grid = a.grid();
     let layout = x.layout();
     assert_eq!(layout.len(), a.n(), "matrix/vector dimension mismatch");
-    let (_, j) = grid.coords_of(comm.rank());
 
     // `A` is symmetric, so `y = A x = Aᵀ x` and the stored rows of block
     // (i, j) are the columns of block (j, i): the multiply wants `x` over
@@ -585,105 +558,10 @@ where
     // Phase 4: sparse reduce within the processor column. Chunk j·pc + k
     // of the column block belongs to column-group member k, so the fold
     // lands on the layout owner: there is no transpose hop on the way out.
-    let col_group = grid.col_group(comm);
-    let mine = reduce_touched_in_group(comm, &col_group, layout, j, &acc, touched, monoid, opts);
-    masked_output(comm, layout, mine.into_iter(), mask)
-}
-
-/// Adaptive distributed `mxv` over a sparse input: measures the input's
-/// global fill (`nvals/n`, one allreduce — every rank takes the same
-/// branch) and dispatches between SpMV-style and SpMSpV-style *execution*
-/// of the local multiply, mirroring the internal dispatch of the paper's
-/// `GrB_mxv` (§V-A).
-///
-/// * fill ≥ [`DistOpts::spmv_threshold`] — the entries are gathered within
-///   the processor column and densified into the column-block segment plus
-///   a presence bitmap, and the local multiply is the dense row gather
-///   (a pull) over the stored block; the touched rows then take the same
-///   sparse reduce as SpMSpV, within the processor row, and the transpose
-///   hop of [`dist_mxv_dense`].
-/// * fill below the threshold — [`dist_mxv_sparse`]'s per-entry push.
-///
-/// Both branches produce **bit-identical** results (the combine order
-/// differs, which a commutative, associative [`Monoid`] over [`NarrowVal`]
-/// values cannot show), so the dispatch is purely a performance choice;
-/// the proptests pin this down.
-pub fn dist_mxv<T, M, I>(
-    comm: &mut Comm,
-    a: &DistMat<I>,
-    x: &DistSpVec<T, I>,
-    mask: DistMask<'_>,
-    monoid: M,
-    opts: &DistOpts,
-) -> DistSpVec<T, I>
-where
-    T: NarrowVal,
-    M: Monoid<T>,
-    I: Idx + WireWord,
-{
-    // One Mxv span covers whichever execution branch runs (the sparse
-    // branch goes through `mxv_sparse_impl` directly, not the public
-    // wrapper, so the span is never doubled).
-    let span = comm.span_open(SpanKind::Mxv);
-    let out = mxv_adaptive_impl(comm, a, x, mask, monoid, opts);
+    let mine = reduce_touched_in_column(comm, layout, &acc, touched, monoid, opts);
+    let out = masked_output(comm, layout, mine.into_iter(), mask);
     comm.span_close(span);
     out
-}
-
-fn mxv_adaptive_impl<T, M, I>(
-    comm: &mut Comm,
-    a: &DistMat<I>,
-    x: &DistSpVec<T, I>,
-    mask: DistMask<'_>,
-    monoid: M,
-    opts: &DistOpts,
-) -> DistSpVec<T, I>
-where
-    T: NarrowVal,
-    M: Monoid<T>,
-    I: Idx + WireWord,
-{
-    let layout = x.layout();
-    assert_eq!(layout.len(), a.n(), "matrix/vector dimension mismatch");
-    let n = a.n();
-    let fill = if n == 0 {
-        0.0
-    } else {
-        x.global_nvals(comm) as f64 / n as f64
-    };
-    if fill < opts.spmv_threshold {
-        return mxv_sparse_impl(comm, a, x, mask, monoid, opts);
-    }
-
-    // SpMV-style execution: sparse allgather within the processor column
-    // (posted, so the densify and block multiply stream behind the
-    // transfer), then densify.
-    let grid = a.grid();
-    let col_group = grid.col_group(comm);
-    let gh = allgather_entries(comm, &col_group, x.entries().to_vec(), opts);
-    let (cs, ce) = a.col_range();
-    let w = ce - cs;
-    let mut x_block = vec![monoid.identity(); w];
-    let mut present = vec![false; w];
-    let mut gathered = 0u64;
-    for &(g, v) in gh.peek().iter().flatten() {
-        x_block[g.idx() - cs] = v;
-        present[g.idx() - cs] = true;
-        gathered += 1;
-    }
-    let (acc, touched_flags, ops) =
-        local_multiply_block(a.row_mirror(), &x_block, Some(&present), monoid);
-    comm.charge_compute(ops + w as u64 + gathered);
-    gh.wait(comm);
-    let touched: Vec<Vid> = (0..touched_flags.len())
-        .filter(|&lr| touched_flags[lr])
-        .collect();
-    // Row-wise sparse reduce, then the transpose hop to the layout owner.
-    let row_group = grid.row_group(comm);
-    let (i, _) = grid.coords_of(comm.rank());
-    let held = reduce_touched_in_group(comm, &row_group, layout, i, &acc, touched, monoid, opts);
-    let mine = transpose_exchange(comm, grid, held);
-    masked_output(comm, layout, mine.into_iter(), mask)
 }
 
 /// The owner-bucketing of one extract request list, computed once by
@@ -1348,52 +1226,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn adaptive_mxv_both_branches_match_sparse_bitwise() {
-        // A ~60% fill input: threshold 0.9 forces the SpMSpV branch,
-        // threshold 0.1 forces the SpMV-style branch. Both must equal the
-        // pure sparse path bit-for-bit.
-        let g = erdos_renyi_gnm(48, 140, 17);
-        let n = g.num_vertices();
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(19);
-        let mut entries: Vec<(usize, usize)> = Vec::new();
-        for i in 0..n {
-            if rng.random_bool(0.6) {
-                entries.push((i, rng.random_range(0..n)));
-            }
-        }
-        let x_serial = SparseVec::from_entries(n, entries);
-        let a_serial = Pattern::from_graph(&g);
-        let expected = serial::mxv_sparse(&a_serial, &x_serial, Mask::None, MinUsize);
-        for p in [1usize, 4, 9] {
-            for threshold in [0.1f64, 0.9] {
-                let opts = DistOpts {
-                    spmv_threshold: threshold,
-                    ..DistOpts::default()
-                };
-                let out = run_spmd(p, |c| {
-                    let grid = Grid2d::square(p);
-                    let layout = VecLayout::new(n, grid);
-                    let a = DistMat::from_graph(&g, grid, c.rank());
-                    let (s, e) = layout.range_of_rank(c.rank());
-                    let local: Vec<(usize, usize)> = x_serial
-                        .entries()
-                        .iter()
-                        .copied()
-                        .filter(|&(g, _)| g >= s && g < e)
-                        .collect();
-                    let x = DistSpVec::from_local_entries(layout, c.rank(), local);
-                    let y = dist_mxv(c, &a, &x, DistMask::None, MinUsize, &opts);
-                    y.to_serial(c)
-                })
-                .unwrap();
-                for y in out {
-                    assert_eq!(y, expected, "p={p} threshold={threshold}");
-                }
-            }
-        }
-    }
-
     /// The block column by column, each column's rows ascending.
     fn columns_of(rows: &CsrMirror<u32>) -> Vec<Vec<usize>> {
         let mut cols = vec![Vec::new(); rows.ncols()];
@@ -1410,16 +1242,12 @@ mod tests {
     fn column_sweep_oracle<T: Copy, M: Monoid<T>>(
         rows: &CsrMirror<u32>,
         x_block: &[T],
-        present: Option<&[bool]>,
         monoid: M,
     ) -> (Vec<T>, Vec<bool>, u64) {
         let mut acc = vec![monoid.identity(); rows.nrows()];
         let mut touched = vec![false; rows.nrows()];
         let mut ops = 0u64;
         for (lc, col) in columns_of(rows).iter().enumerate() {
-            if present.is_some_and(|pr| !pr[lc]) {
-                continue;
-            }
             for &lr in col {
                 acc[lr] = monoid.combine(acc[lr], x_block[lc]);
                 touched[lr] = true;
@@ -1466,27 +1294,23 @@ mod tests {
 
     #[test]
     fn row_gather_matches_the_column_sweep_oracle() {
-        fn check<T, M>(rows: &CsrMirror<u32>, present: &[bool], monoid: M, val: impl Fn(u64) -> T)
+        fn check<T, M>(rows: &CsrMirror<u32>, monoid: M, val: impl Fn(u64) -> T)
         where
             T: Copy + PartialEq + std::fmt::Debug,
             M: Monoid<T>,
         {
             let x: Vec<T> = (0..rows.ncols() as u64).map(val).collect();
-            for pr in [None, Some(present)] {
-                let expected = column_sweep_oracle(rows, &x, pr, monoid);
-                let got = local_multiply_block(rows, &x, pr, monoid);
-                assert_eq!(got, expected, "present={}", pr.is_some());
-            }
+            let expected = column_sweep_oracle(rows, &x, monoid);
+            assert_eq!(local_multiply_block(rows, &x, monoid), expected);
         }
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
         for rows in &sample_blocks(&mut rng) {
-            let present: Vec<bool> = (0..rows.ncols()).map(|_| rng.random_bool(0.6)).collect();
-            check(rows, &present, MinUsize, word);
-            check(rows, &present, MaxUsize, word);
-            check(rows, &present, AddUsize, word);
-            check(rows, &present, MinMaxUsize, |j| (word(j), word(j + 1)));
-            check(rows, &present, AndBool, |j| !word(j).is_multiple_of(3));
-            check(rows, &present, OrBool, |j| word(j).is_multiple_of(3));
+            check(rows, MinUsize, word);
+            check(rows, MaxUsize, word);
+            check(rows, AddUsize, word);
+            check(rows, MinMaxUsize, |j| (word(j), word(j + 1)));
+            check(rows, AndBool, |j| !word(j).is_multiple_of(3));
+            check(rows, OrBool, |j| word(j).is_multiple_of(3));
         }
     }
 
@@ -1860,9 +1684,9 @@ mod tests {
                     overlap,
                     ..DistOpts::default()
                 };
-                let blocking = dist_mxv(c, &a, &x, DistMask::None, MinUsize, &opts);
+                let blocking = dist_mxv_sparse(c, &a, &x, DistMask::None, MinUsize, &opts);
                 let h = c.post(overlap, |c| {
-                    dist_mxv(c, &a, &x, DistMask::None, MinUsize, &opts)
+                    dist_mxv_sparse(c, &a, &x, DistMask::None, MinUsize, &opts)
                 });
                 c.charge_compute(10_000_000);
                 let posted = h.wait(c);

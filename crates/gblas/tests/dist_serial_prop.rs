@@ -3,8 +3,8 @@
 
 use dmsim::{run_spmd, AllToAll, Grid2d};
 use gblas::dist::{
-    dist_assign, dist_extract, dist_mxv, dist_mxv_dense, dist_mxv_sparse, DistMask, DistMat,
-    DistOpts, DistSpVec, DistVec, VecLayout, Wire,
+    dist_assign, dist_extract, dist_mxv_dense, dist_mxv_sparse, DistMask, DistMat, DistOpts,
+    DistSpVec, DistVec, VecLayout, Wire,
 };
 use gblas::serial::{self, Pattern, SparseVec};
 use gblas::{Mask, MinMaxUsize, MinUsize};
@@ -166,16 +166,14 @@ proptest! {
     }
 
     #[test]
-    fn mxv_adaptive_eq_serial(
+    fn mxv_dense_and_sparse_eq_serial(
         g in arb_graph(),
         p in arb_grid(),
-        threshold in prop_oneof![Just(0.0f64), Just(0.5), Just(1.1)],
         stride in 1usize..4,
         masked in proptest::bool::ANY,
     ) {
-        // Dense SpMV, SpMSpV, and the adaptive dispatcher must all be
-        // bit-identical to serial for every dispatch threshold (0.0 forces
-        // the dense-style branch, 1.1 the sparse branch).
+        // The two `mxv` executions back to back on one communicator, under
+        // one mask: each bit-identical to its serial kernel.
         let n = g.num_vertices();
         let x_global: Vec<usize> = (0..n).map(|v| v.wrapping_mul(31) % n).collect();
         let entries: Vec<(usize, usize)> = (0..n).step_by(stride).map(|v| (v, v % 23)).collect();
@@ -186,10 +184,7 @@ proptest! {
             serial::mxv_dense(&a_serial, &x_global, Mask::Keep(&mask_global), MinUsize);
         let expect_sparse =
             serial::mxv_sparse(&a_serial, &x_serial, Mask::Keep(&mask_global), MinUsize);
-        let opts = DistOpts {
-            spmv_threshold: threshold,
-            ..DistOpts::default()
-        };
+        let opts = DistOpts::default();
         let (gref, xr, er, mr) = (&g, &x_global, &entries, &mask_global);
         let out = run_spmd(p, move |c| {
             let grid = Grid2d::square(p);
@@ -202,19 +197,15 @@ proptest! {
             let (s, e) = layout.range_of_rank(c.rank());
             let local: Vec<(usize, usize)> =
                 er.iter().copied().filter(|&(g, _)| g >= s && g < e).collect();
-            let xs = DistSpVec::from_local_entries(layout, c.rank(), local.clone());
+            let xs = DistSpVec::from_local_entries(layout, c.rank(), local);
             let sparse =
                 dist_mxv_sparse(c, &a, &xs, DistMask::Keep(&m), MinUsize, &opts).to_serial(c);
-            let xs2 = DistSpVec::from_local_entries(layout, c.rank(), local);
-            let adaptive =
-                dist_mxv(c, &a, &xs2, DistMask::Keep(&m), MinUsize, &opts).to_serial(c);
-            (dense, sparse, adaptive)
+            (dense, sparse)
         })
         .unwrap();
-        for (dense, sparse, adaptive) in out {
+        for (dense, sparse) in out {
             prop_assert_eq!(&dense, &expect_dense);
             prop_assert_eq!(&sparse, &expect_sparse);
-            prop_assert_eq!(&adaptive, &expect_sparse);
         }
     }
 
