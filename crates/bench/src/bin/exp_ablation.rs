@@ -63,7 +63,6 @@ fn main() {
     for (name, algo) in [
         ("alltoall = pairwise", AllToAll::Pairwise),
         ("alltoall = hypercube", AllToAll::Hypercube),
-        ("alltoall = direct", AllToAll::Direct),
         ("alltoall = sparse", AllToAll::Sparse),
     ] {
         let opts = LaccOpts {

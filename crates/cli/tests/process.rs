@@ -53,3 +53,93 @@ fn closed_stdout_is_quiet_and_only_argument_errors_print_usage() {
         assert!(err.contains("usage:") && !err.contains("auto]"), "{err}");
     }
 }
+
+#[test]
+fn a_binary_header_claiming_more_edges_than_the_file_holds_is_one_error_line() {
+    // n = 1, m = 2^60 and no edge bytes: `m · 16` wraps to 0.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let g = dir.join("process-evil.bin");
+    let mut bytes = 0x4C41_4343u32.to_le_bytes().to_vec();
+    bytes.extend_from_slice(&1u64.to_le_bytes());
+    bytes.extend_from_slice(&(1u64 << 60).to_le_bytes());
+    std::fs::write(&g, bytes).unwrap();
+
+    let out = lacc(&["stats", &g.display().to_string()]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
+    let err = stderr_of(&out);
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.starts_with("error: "), "{err}");
+    assert!(err.contains("truncated edge section"), "{err}");
+}
+
+/// The value of a top-level `"key": value` line of a one-key-per-line JSON
+/// report.
+fn report_field<'a>(json: &'a str, key: &str) -> &'a str {
+    let tag = format!("\"{key}\": ");
+    json.lines()
+        .find_map(|l| l.trim().strip_prefix(tag.as_str()))
+        .unwrap_or_else(|| panic!("report has no {key}: {json}"))
+        .trim_end_matches(',')
+}
+
+#[test]
+fn serving_a_scripted_workload_with_deletions_stays_oracle_consistent() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let path = |name: &str| dir.join(name).display().to_string();
+    let (g, report, trace) = (
+        path("serve-smoke.mtx"),
+        path("serve-report.json"),
+        path("serve-trace.json"),
+    );
+    let generate = lacc(&[
+        "generate", "rmat", "--scale", "10", "--seed", "13", "--out", &g,
+    ])
+    .output()
+    .unwrap();
+    assert_eq!(generate.status.code(), Some(0), "{}", stderr_of(&generate));
+
+    #[rustfmt::skip]
+    let out = lacc(&[
+        "serve", &g, "--ranks", "4", "--batches", "8", "--batch-size", "32",
+        "--queries-per-batch", "64", "--delete-every", "3",
+        "--report", &report, "--trace", &trace,
+    ])
+    .output()
+    .unwrap();
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+
+    let json = std::fs::read_to_string(&report).unwrap();
+    let number = |key: &str| -> f64 {
+        let v = report_field(&json, key);
+        v.parse()
+            .unwrap_or_else(|_| panic!("{key} = {v} is not a number"))
+    };
+    for key in [
+        "updates_per_s",
+        "queries_per_s",
+        "modeled_query_p50_s",
+        "modeled_query_p99_s",
+        "reruns",
+        "deletion_reruns",
+        "staleness_reruns",
+    ] {
+        number(key);
+    }
+    assert_eq!(report_field(&json, "answers_consistent"), "true", "{json}");
+    assert!(
+        number("reruns") >= 1.0,
+        "deletions never triggered a rebuild"
+    );
+    assert!(number("modeled_query_p99_s") >= number("modeled_query_p50_s"));
+    assert_eq!(
+        report_field(&json, "engine"),
+        "\"lacc\"",
+        "the default rebuild engine moved"
+    );
+
+    let spans = std::fs::read_to_string(&trace).unwrap();
+    assert!(
+        spans.contains("\"rerun(deletion)\""),
+        "no tagged rerun spans"
+    );
+}

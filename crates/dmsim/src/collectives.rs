@@ -30,15 +30,13 @@
 
 #![allow(clippy::needless_range_loop)] // index loops double as rank ids here
 
-use crate::comm::{bytes_of, words_of, Comm, Group, PooledBuf};
+use crate::comm::{bytes_of, words_of, Comm, Group};
 use crate::trace::SpanKind;
 use crate::wire::{self, WireWord};
 
 /// Algorithm choice for [`Comm::alltoallv`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AllToAll {
-    /// Every pair exchanges directly in one shot.
-    Direct,
     /// MPI's pairwise-exchange: `q − 1` rounds, `α(q−1)` latency — the
     /// algorithm whose poor scaling beyond 1024 ranks motivated the
     /// paper's replacement (§V-B).
@@ -119,18 +117,10 @@ impl Comm {
             }
         }
         // Send to larger children first (deeper subtrees) as binomial
-        // broadcast does. Copies go out through pooled buffers so repeated
-        // broadcasts reuse capacity instead of allocating per child.
+        // broadcast does.
         for &c in children.iter().rev() {
             let dest = g.member((c + root_idx) % q);
-            let mut copy: PooledBuf<T> = self.pooled_buf();
-            copy.extend_from_slice(&data);
-            self.send_counted_bytes(
-                dest,
-                copy.detach(),
-                words_of::<T>(data.len()),
-                bytes_of::<T>(data.len()),
-            );
+            self.send_vec(dest, data.clone());
         }
         self.span_close(span);
         data
@@ -160,26 +150,21 @@ impl Comm {
         let mut result: Vec<Option<Vec<T>>> = (0..q).map(|_| None).collect();
         let right = g.member((me + 1) % q);
         let left = g.member((me + q - 1) % q);
-        // The ring forwards a copy of each incoming block; draw the copies
-        // from the buffer pool so steady-state supersteps allocate nothing.
-        // Each pooled carry is detached when sent; the last (unsent) one
-        // returns to the pool when it drops at the end of the loop.
-        let mut carry: PooledBuf<T> = self.pooled_buf();
-        carry.extend_from_slice(&mine);
+        // The ring forwards a copy of each incoming block, except on the
+        // last step.
+        let mut carry = mine.clone();
         result[me] = Some(mine);
         for step in 1..q {
-            let w = words_of::<T>(carry.len());
-            let b = bytes_of::<T>(carry.len());
-            self.send_counted_bytes(right, carry.detach(), w, b);
+            self.send_vec(right, carry);
             let incoming: Vec<T> = self.recv(left);
             let origin = (me + q - step) % q;
-            carry = self.pooled_buf();
-            if step + 1 < q {
-                carry.extend_from_slice(&incoming);
-            }
+            carry = if step + 1 < q {
+                incoming.clone()
+            } else {
+                Vec::new()
+            };
             result[origin] = Some(incoming);
         }
-        drop(carry);
         self.span_close(span);
         result
             .into_iter()
@@ -287,17 +272,10 @@ impl Comm {
             match &mut acc {
                 None => acc = Some(raw),
                 Some(acc) => {
-                    // Adopt the contribution so its allocation recycles
-                    // into the pool when it drops after the fold.
-                    let contribution = self.adopt_buf(raw);
-                    assert_eq!(
-                        acc.len(),
-                        contribution.len(),
-                        "reduce_scatter length mismatch"
-                    );
-                    self.charge_compute(contribution.len() as u64);
-                    for (a, c) in acc.iter_mut().zip(contribution.iter()) {
-                        op(a, c.clone());
+                    assert_eq!(acc.len(), raw.len(), "reduce_scatter length mismatch");
+                    self.charge_compute(raw.len() as u64);
+                    for (a, c) in acc.iter_mut().zip(raw) {
+                        op(a, c);
                     }
                 }
             }
@@ -327,7 +305,6 @@ impl Comm {
         };
         let span = self.span_open(SpanKind::Alltoallv(effective));
         let out = match effective {
-            AllToAll::Direct => self.alltoallv_direct(g, bufs),
             AllToAll::Pairwise => self.alltoallv_pairwise(g, bufs),
             AllToAll::Hypercube => self.alltoallv_hypercube(g, bufs),
             AllToAll::Sparse => {
@@ -345,30 +322,6 @@ impl Comm {
         };
         self.span_close(span);
         out
-    }
-
-    fn alltoallv_direct<T: Send + 'static>(
-        &mut self,
-        g: &Group,
-        mut bufs: Vec<Vec<T>>,
-    ) -> Vec<Vec<T>> {
-        let q = g.size();
-        let me = g.my_index();
-        for k in 0..q {
-            if k != me {
-                let bucket = std::mem::take(&mut bufs[k]);
-                self.send_vec(g.member(k), bucket);
-            }
-        }
-        (0..q)
-            .map(|k| {
-                if k == me {
-                    std::mem::take(&mut bufs[me])
-                } else {
-                    self.recv::<Vec<T>>(g.member(k))
-                }
-            })
-            .collect()
     }
 
     fn alltoallv_pairwise<T: Send + 'static>(
@@ -451,16 +404,8 @@ impl Comm {
         let me = g.my_index();
         // Phase 1: exchange per-destination item counts so each member
         // learns who will contact it. The count matrix transpose is itself
-        // a tiny all-to-all, run with the caller-chosen `count_algo`. Count
-        // vectors come from the buffer pool — this phase runs every
-        // superstep, so avoiding its `q` tiny allocations matters.
-        let counts: Vec<Vec<u64>> = (0..q)
-            .map(|k| {
-                let mut c: PooledBuf<u64> = self.pooled_buf();
-                c.push(bufs[k].len() as u64);
-                c.detach()
-            })
-            .collect();
+        // a tiny all-to-all, run with the caller-chosen `count_algo`.
+        let counts: Vec<Vec<u64>> = bufs.iter().map(|b| vec![b.len() as u64]).collect();
         let incoming_counts = self.alltoallv(g, counts, count_algo);
         // Phase 2: only nonempty pairs exchange.
         for k in 0..q {
@@ -469,7 +414,7 @@ impl Comm {
                 self.send_vec(g.member(k), bucket);
             }
         }
-        let out = (0..q)
+        (0..q)
             .map(|k| {
                 if k == me {
                     std::mem::take(&mut bufs[me])
@@ -479,12 +424,7 @@ impl Comm {
                     Vec::new()
                 }
             })
-            .collect();
-        // Recycle the count vectors' allocations into the pool.
-        for c in incoming_counts {
-            drop(self.adopt_buf(c));
-        }
-        out
+            .collect()
     }
 
     /// Gather to group index `root_idx`: root returns all contributions
@@ -1286,12 +1226,7 @@ mod tests {
     #[test]
     fn alltoallv_all_algorithms_agree() {
         for p in [1, 2, 3, 4, 5, 8] {
-            for algo in [
-                AllToAll::Direct,
-                AllToAll::Pairwise,
-                AllToAll::Hypercube,
-                AllToAll::Sparse,
-            ] {
+            for algo in [AllToAll::Pairwise, AllToAll::Hypercube, AllToAll::Sparse] {
                 let out = run_spmd(p, move |c| {
                     let w = c.world();
                     c.alltoallv(&w, alltoall_inputs(p, c.rank()), algo)
@@ -1306,12 +1241,7 @@ mod tests {
 
     #[test]
     fn alltoallv_with_empty_buckets() {
-        for algo in [
-            AllToAll::Direct,
-            AllToAll::Pairwise,
-            AllToAll::Hypercube,
-            AllToAll::Sparse,
-        ] {
+        for algo in [AllToAll::Pairwise, AllToAll::Hypercube, AllToAll::Sparse] {
             let out = run_spmd(4, move |c| {
                 let w = c.world();
                 // Only rank 0 sends anything, and only to rank 3.

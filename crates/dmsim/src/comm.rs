@@ -1,9 +1,9 @@
 //! The SPMD launcher, point-to-point messaging, and rank groups.
 //!
-//! Ranks are OS threads; each rank owns a single MPMC inbox. Messages are
-//! typed (`Box<dyn Any + Send>`) and matched by *source rank* with
-//! per-source FIFO ordering, which is exactly the guarantee MPI gives for
-//! a single communicator and tag.
+//! Ranks are OS threads; each rank owns a single `std::sync::mpsc` (MPSC)
+//! inbox. Messages are typed (`Box<dyn Any + Send>`) and matched by
+//! *source rank* with per-source FIFO ordering, which is exactly the
+//! guarantee MPI gives for a single communicator and tag.
 //!
 //! Every envelope carries the sender's simulated clock at completion of the
 //! send, so a receive advances the receiver's simulated clock to at least
@@ -19,119 +19,12 @@
 
 use crate::cost::{CostSnapshot, MachineModel};
 use crate::trace::{RankTrace, Span, SpanKind, TraceLevel, TraceLocal, TraceSink};
-use std::any::{Any, TypeId};
-use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
-use std::ops::{Deref, DerefMut};
-use std::rc::Rc;
+use std::any::Any;
+use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 type Payload = Box<dyn Any + Send>;
-
-/// Per-rank recycling pool for scratch `Vec`s.
-///
-/// Collectives and distributed kernels run the same exchange shapes every
-/// superstep; without pooling each round allocates (and drops) a fresh
-/// `Vec` per peer. The pool keeps returned buffers keyed by element type
-/// so the next round's [`BufferPool::take`] is an O(1) pop + `clear()`
-/// instead of a heap allocation. Buffers keep their capacity, so steady
-/// state reaches zero allocations per superstep.
-///
-/// User code does not touch the pool directly: [`Comm::pooled_buf`] hands
-/// out RAII [`PooledBuf`] guards that return themselves here on drop.
-#[derive(Default)]
-pub struct BufferPool {
-    by_type: HashMap<TypeId, Vec<Box<dyn Any + Send>>>,
-}
-
-impl BufferPool {
-    /// Takes an empty `Vec<T>` from the pool (allocating only if the pool
-    /// has none of this type). The vector is empty but retains whatever
-    /// capacity it had when returned.
-    pub fn take<T: Send + 'static>(&mut self) -> Vec<T> {
-        match self
-            .by_type
-            .get_mut(&TypeId::of::<Vec<T>>())
-            .and_then(Vec::pop)
-        {
-            Some(boxed) => {
-                let mut v = *boxed.downcast::<Vec<T>>().expect("pool keyed by TypeId");
-                v.clear();
-                v
-            }
-            None => Vec::new(),
-        }
-    }
-
-    /// Returns a buffer to the pool for reuse by a later [`BufferPool::take`].
-    pub fn put<T: Send + 'static>(&mut self, buf: Vec<T>) {
-        // Keeping zero-capacity vectors would just grow the free list.
-        if buf.capacity() == 0 {
-            return;
-        }
-        self.by_type
-            .entry(TypeId::of::<Vec<T>>())
-            .or_default()
-            .push(Box::new(buf));
-    }
-
-    /// Number of pooled buffers of element type `T`.
-    pub fn pooled<T: Send + 'static>(&self) -> usize {
-        self.by_type
-            .get(&TypeId::of::<Vec<T>>())
-            .map_or(0, Vec::len)
-    }
-}
-
-/// RAII guard over a pooled scratch `Vec<T>`: derefs to the vector and
-/// returns it to the rank's [`BufferPool`] on drop, so take/put pairing
-/// can no longer leak on early returns.
-///
-/// Obtain one via [`Comm::pooled_buf`] (empty, capacity recycled) or
-/// [`Comm::adopt_buf`] (wraps an existing vector, e.g. one received from a
-/// peer, so its allocation is recycled after use). To move the underlying
-/// vector out — typically to send it — call [`PooledBuf::detach`].
-pub struct PooledBuf<T: Send + 'static> {
-    buf: Option<Vec<T>>,
-    pool: Rc<RefCell<BufferPool>>,
-}
-
-impl<T: Send + 'static> PooledBuf<T> {
-    /// Detaches the underlying vector, consuming the guard without
-    /// returning the buffer to the pool (the receiver of the vector now
-    /// owns the allocation).
-    pub fn detach(mut self) -> Vec<T> {
-        self.buf.take().expect("buffer present until drop")
-    }
-}
-
-impl<T: Send + 'static> Deref for PooledBuf<T> {
-    type Target = Vec<T>;
-    fn deref(&self) -> &Vec<T> {
-        self.buf.as_ref().expect("buffer present until drop")
-    }
-}
-
-impl<T: Send + 'static> DerefMut for PooledBuf<T> {
-    fn deref_mut(&mut self) -> &mut Vec<T> {
-        self.buf.as_mut().expect("buffer present until drop")
-    }
-}
-
-impl<T: Send + 'static> Drop for PooledBuf<T> {
-    fn drop(&mut self) {
-        if let Some(buf) = self.buf.take() {
-            self.pool.borrow_mut().put(buf);
-        }
-    }
-}
-
-impl<T: Send + 'static + std::fmt::Debug> std::fmt::Debug for PooledBuf<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("PooledBuf").field(&**self).finish()
-    }
-}
 
 /// What a [`DmsimError`] reports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -370,7 +263,6 @@ pub struct Comm {
     /// Raw count of local operations charged (denominator-free companion
     /// to `snap.compute_s`; reported in trace spans).
     ops_charged: u64,
-    pool: Rc<RefCell<BufferPool>>,
     trace: TraceLocal,
     sink: Option<Arc<TraceSink>>,
 }
@@ -463,31 +355,6 @@ impl Comm {
     /// exactly once.
     pub fn note_rerun(&mut self) {
         self.snap.reruns += 1;
-    }
-
-    /// Takes a recycled scratch buffer (empty `Vec<T>`, capacity
-    /// preserved) from this rank's [`BufferPool`]. The guard returns the
-    /// buffer to the pool when dropped; [`PooledBuf::detach`] moves the
-    /// vector out instead (e.g. to send it).
-    pub fn pooled_buf<T: Send + 'static>(&self) -> PooledBuf<T> {
-        PooledBuf {
-            buf: Some(self.pool.borrow_mut().take()),
-            pool: Rc::clone(&self.pool),
-        }
-    }
-
-    /// Wraps an existing vector (typically one received from a peer) in a
-    /// [`PooledBuf`] guard so its allocation is recycled when dropped.
-    pub fn adopt_buf<T: Send + 'static>(&self, buf: Vec<T>) -> PooledBuf<T> {
-        PooledBuf {
-            buf: Some(buf),
-            pool: Rc::clone(&self.pool),
-        }
-    }
-
-    /// Number of idle pooled buffers of element type `T` (for tests).
-    pub fn pooled_count<T: Send + 'static>(&self) -> usize {
-        self.pool.borrow().pooled::<T>()
     }
 
     /// Current accounting snapshot (clock, breakdowns, traffic counters).
@@ -836,7 +703,6 @@ where
                         model,
                         snap: CostSnapshot::default(),
                         ops_charged: 0,
-                        pool: Rc::new(RefCell::new(BufferPool::default())),
                         trace: TraceLocal::new(level),
                         sink,
                     };
@@ -1095,41 +961,6 @@ mod tests {
         assert!((out[0].comm_s - model.beta * 1e6).abs() < 1e-12);
         assert_eq!(out[0].words_sent, 1_000_000);
         assert_eq!(out[0].messages_sent, 0, "no simulated message involved");
-    }
-
-    #[test]
-    fn pooled_buf_recycles_capacity_on_drop() {
-        run_spmd(1, |c| {
-            let mut v: PooledBuf<u64> = c.pooled_buf();
-            assert_eq!(v.capacity(), 0, "fresh pool allocates nothing");
-            v.extend(0..100);
-            let cap = v.capacity();
-            let ptr = v.as_ptr();
-            drop(v);
-            assert_eq!(c.pooled_count::<u64>(), 1);
-            let w: PooledBuf<u64> = c.pooled_buf();
-            assert!(w.is_empty());
-            assert_eq!(w.capacity(), cap, "capacity survives recycling");
-            assert_eq!(w.as_ptr(), ptr, "same allocation handed back");
-            drop(w);
-            // Distinct element types are pooled independently.
-            drop(c.adopt_buf(vec![1u32; 4]));
-            assert_eq!(c.pooled_count::<u64>(), 1);
-            assert_eq!(c.pooled_count::<u32>(), 1);
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn detach_keeps_buffer_out_of_pool() {
-        run_spmd(1, |c| {
-            let mut v: PooledBuf<u64> = c.pooled_buf();
-            v.push(42);
-            let owned = v.detach();
-            assert_eq!(owned, vec![42]);
-            assert_eq!(c.pooled_count::<u64>(), 0, "detached buffers not pooled");
-        })
-        .unwrap();
     }
 
     #[test]

@@ -63,8 +63,8 @@ pub mod wire;
 
 pub use collectives::{AllToAll, CombineRoute};
 pub use comm::{
-    bytes_of, run_spmd, run_spmd_traced, run_spmd_with_model, words_of, BufferPool, Comm,
-    CommHandle, DmsimError, ErrorKind, Group, OverlapWindow, PooledBuf,
+    bytes_of, run_spmd, run_spmd_traced, run_spmd_with_model, words_of, Comm, CommHandle,
+    DmsimError, ErrorKind, Group, OverlapWindow,
 };
 pub use cost::{CostSnapshot, Machine, MachineModel, CORI_KNL, EDISON};
 pub use topology::Grid2d;

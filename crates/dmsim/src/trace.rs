@@ -198,7 +198,6 @@ impl SpanKind {
             Allreduce => "allreduce",
             ReduceScatter => "reduce_scatter",
             Gatherv => "gatherv",
-            Alltoallv(AllToAll::Direct) => "alltoallv(direct)",
             Alltoallv(AllToAll::Pairwise) => "alltoallv(pairwise)",
             Alltoallv(AllToAll::Hypercube) => "alltoallv(hypercube)",
             Alltoallv(AllToAll::Sparse) => "alltoallv(sparse)",

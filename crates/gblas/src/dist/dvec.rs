@@ -11,7 +11,7 @@
 use super::dense::OwnerLocator;
 use crate::serial::SparseVec;
 use crate::Vid;
-use dmsim::{Comm, Grid2d, PooledBuf};
+use dmsim::{Comm, Grid2d};
 use lacc_graph::Idx;
 
 /// Even split of `0..n` into `parts` contiguous blocks; block `k` is
@@ -111,18 +111,15 @@ impl VecLayout {
         self.rank_of_chunk(self.chunk_containing(g))
     }
 
-    /// Buckets `(global id, payload)` items by owning rank in one pass,
-    /// into RAII-pooled buffers (they recycle on drop). The shared first
-    /// step of extract request planning, `dist_assign` routing, and the
-    /// `mxv` reduce scatter. Ids stay at their native index width `I` so
-    /// narrow layouts charge narrow wire words downstream.
-    pub fn bucket_by_owner<I: Idx, P: Copy + Send + 'static>(
+    /// Buckets `(global id, payload)` items by owning rank in one pass:
+    /// the legacy-wire routing of extract request planning and
+    /// `dist_assign`. Ids stay at their native index width `I` so narrow
+    /// layouts charge narrow wire words downstream.
+    pub fn bucket_by_owner<I: Idx, P>(
         &self,
-        comm: &Comm,
         items: impl Iterator<Item = (I, P)>,
-    ) -> Vec<PooledBuf<(I, P)>> {
-        let mut buckets: Vec<PooledBuf<(I, P)>> =
-            (0..self.grid.size()).map(|_| comm.pooled_buf()).collect();
+    ) -> Vec<Vec<(I, P)>> {
+        let mut buckets: Vec<Vec<(I, P)>> = (0..self.grid.size()).map(|_| Vec::new()).collect();
         let locator = self.locator();
         for (g, it) in items {
             buckets[locator.locate(g.idx()).0].push((g, it));

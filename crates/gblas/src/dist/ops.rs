@@ -27,8 +27,7 @@ use crate::types::Monoid;
 use crate::Vid;
 use dmsim::wire::{decode_keys_for, encode_keys_for, push_varint, read_varint};
 use dmsim::{
-    words_of, AllToAll, CombineRoute, Comm, CommHandle, Grid2d, Group, PooledBuf, SpanKind,
-    WireWord,
+    words_of, AllToAll, CombineRoute, Comm, CommHandle, Grid2d, Group, SpanKind, WireWord,
 };
 use lacc_graph::Idx;
 
@@ -270,7 +269,7 @@ pub struct AssignStats {
 /// distinct id, ascending. An id outside the chunk panics.
 fn fold_chunk_arrivals<T, M, I>(
     (lo, hi): (usize, usize),
-    parts: &[PooledBuf<(I, T)>],
+    parts: &[Vec<(I, T)>],
     monoid: M,
 ) -> Vec<(I, T)>
 where
@@ -394,7 +393,7 @@ where
     let grid = layout.grid();
     let (group, b) = (grid.col_group(comm), grid.coords_of(comm.rank()).1);
     let (n, p, q) = (layout.len(), grid.size(), group.size());
-    let mut buckets: Vec<PooledBuf<(I, T)>> = (0..q).map(|_| comm.pooled_buf()).collect();
+    let mut buckets: Vec<Vec<(I, T)>> = vec![Vec::new(); q];
     touched.sort_unstable();
     // The offsets ascend: subchunk boundaries are walked, not searched.
     let ends: Vec<usize> = (0..q).map(|k| block_range(n, p, b * q + k).1).collect();
@@ -407,8 +406,7 @@ where
         }
         buckets[k].push((I::from_usize(g), acc[t]));
     }
-    let buckets: Vec<Vec<(I, T)>> = buckets.into_iter().map(PooledBuf::detach).collect();
-    let parts: Vec<PooledBuf<(I, T)>> = match opts.wire {
+    let parts: Vec<Vec<(I, T)>> = match opts.wire {
         // Each bucket's ids were pushed in sorted `touched` order, so it
         // ships as one entry frame.
         Wire::Compact => {
@@ -416,14 +414,10 @@ where
             comm.charge_compute(touched.len() as u64 + 1);
             comm.alltoallv(&group, frames, opts.alltoall)
                 .into_iter()
-                .map(|bytes| comm.adopt_buf(decode_entry_frame(&bytes)))
+                .map(|bytes| decode_entry_frame(&bytes))
                 .collect()
         }
-        Wire::Legacy => comm
-            .alltoallv(&group, buckets, opts.alltoall)
-            .into_iter()
-            .map(|part| comm.adopt_buf(part))
-            .collect(),
+        Wire::Legacy => comm.alltoallv(&group, buckets, opts.alltoall),
     };
     comm.charge_compute(parts.iter().map(|part| part.len() as u64).sum());
     // Every arrival lies in the subchunk this rank takes.
@@ -650,10 +644,8 @@ pub fn plan_requests<I: Idx>(
     let plan = match opts.wire {
         Wire::Legacy => {
             // Request order on the wire, sequential slots.
-            let buckets = layout.bucket_by_owner(
-                comm,
-                requests.iter().enumerate().map(|(k, &g)| (g, k as u32)),
-            );
+            let buckets =
+                layout.bucket_by_owner(requests.iter().enumerate().map(|(k, &g)| (g, k as u32)));
             let mut slot = vec![0u32; requests.len()];
             let mut next = 0u32;
             for c in 0..p {
@@ -848,9 +840,6 @@ where
             let served: Vec<Vec<T>> = incoming
                 .into_iter()
                 .map(|ids| {
-                    // Adopt the id list so its allocation recycles after
-                    // the reply is built.
-                    let ids = comm.adopt_buf(ids);
                     stats.received_requests += ids.len() as u64;
                     ids.iter().map(|&g| src.get_local(g.idx())).collect()
                 })
@@ -1018,11 +1007,7 @@ where
     let mut stats = AssignStats::default();
     let mut ops = 1u64;
     let buckets: Vec<Vec<(I, T)>> = match opts.wire {
-        Wire::Legacy => layout
-            .bucket_by_owner(comm, updates.iter().copied())
-            .into_iter()
-            .map(PooledBuf::detach)
-            .collect(),
+        Wire::Legacy => layout.bucket_by_owner(updates.iter().copied()),
         Wire::Compact => {
             let (buckets, before) = precombine_updates(layout, updates, monoid);
             for (b, before) in buckets.iter().zip(before) {
@@ -1052,11 +1037,7 @@ where
         }
         // Every update crosses the all-to-all; the owner folds.
         Wire::Legacy => {
-            let parts: Vec<PooledBuf<(I, T)>> = comm
-                .alltoallv(&world, buckets, opts.alltoall)
-                .into_iter()
-                .map(|part| comm.adopt_buf(part))
-                .collect();
+            let parts = comm.alltoallv(&world, buckets, opts.alltoall);
             stats.received_updates = parts.iter().map(|part| part.len() as u64).sum();
             fold_chunk_arrivals(layout.range_of_rank(comm.rank()), &parts, monoid)
         }
@@ -1209,12 +1190,7 @@ mod tests {
             }
         }
         let x = SparseVec::from_entries(50, entries);
-        for algo in [
-            AllToAll::Direct,
-            AllToAll::Pairwise,
-            AllToAll::Hypercube,
-            AllToAll::Sparse,
-        ] {
+        for algo in [AllToAll::Pairwise, AllToAll::Hypercube, AllToAll::Sparse] {
             check_mxv_sparse(
                 &g,
                 &x,

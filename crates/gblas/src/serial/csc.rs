@@ -107,15 +107,10 @@ impl<I: Idx> Pattern<I> {
 
 /// Row-major storage of a pattern: for each row, its column indices.
 ///
-/// Two producers, two orderings. [`CsrMirror::from_csc`] transposes a CSC
-/// and leaves every row's columns **ascending** — the order the serial
-/// column sweep combines them in, which is what keeps the row-split
-/// [`crate::serial::mxv_dense_par`] bit-identical to
-/// [`crate::serial::mxv_dense`] for any associative monoid, `AddF64`
-/// included. [`CsrMirror::from_parts`] adopts rows **in the order given**:
-/// the distributed block build stores its filter output as is, and the
-/// kernels that read it rely on [`crate::Monoid`] being commutative as
-/// well as associative instead of on a column order.
+/// [`CsrMirror::from_parts`] adopts rows **in the order given**: the
+/// distributed block build stores its filter output as is, and the kernels
+/// that read it rely on [`crate::Monoid`] being commutative as well as
+/// associative instead of on a column order.
 ///
 /// Built once per matrix (`O(nnz)`) and reused across iterations; the
 /// matrix is static for the lifetime of a connected-components run.
@@ -128,32 +123,6 @@ pub struct CsrMirror<I: Idx = Vid> {
 }
 
 impl<I: Idx> CsrMirror<I> {
-    /// Transposes the index structure of `a` into row-major form.
-    pub fn from_csc<T: Copy>(a: &Csc<T, I>) -> CsrMirror<I> {
-        let mut rowptr = vec![0usize; a.nrows + 1];
-        for &i in &a.rowidx {
-            rowptr[i.idx() + 1] += 1;
-        }
-        for i in 0..a.nrows {
-            rowptr[i + 1] += rowptr[i];
-        }
-        let mut colidx = vec![I::zero(); a.rowidx.len()];
-        let mut cursor = rowptr.clone();
-        // Ascending-j column sweep ⇒ each row's colidx fills in ascending j.
-        for j in 0..a.ncols {
-            for &i in &a.rowidx[a.colptr[j]..a.colptr[j + 1]] {
-                colidx[cursor[i.idx()]] = I::from_usize(j);
-                cursor[i.idx()] += 1;
-            }
-        }
-        CsrMirror {
-            nrows: a.nrows,
-            ncols: a.ncols,
-            rowptr,
-            colidx,
-        }
-    }
-
     /// Adopts a block already laid out row by row: the column ids of row
     /// `i` are `colidx[rowptr[i]..rowptr[i + 1]]`, in any order and without
     /// duplicates. Nothing is copied or reordered; `colidx` is trimmed to
@@ -201,17 +170,9 @@ impl<I: Idx> CsrMirror<I> {
         self.colidx.len()
     }
 
-    /// Column indices of row `i` (ascending if built by
-    /// [`from_csc`](Self::from_csc), as given otherwise).
+    /// Column indices of row `i`, in the order given.
     pub fn row(&self, i: usize) -> &[I] {
         &self.colidx[self.rowptr[i]..self.rowptr[i + 1]]
-    }
-}
-
-impl<T: Copy, I: Idx> Csc<T, I> {
-    /// Builds the row-major mirror of this matrix's pattern.
-    pub fn csr_mirror(&self) -> CsrMirror<I> {
-        CsrMirror::from_csc(self)
     }
 }
 
@@ -261,18 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn csr_mirror_rows_ascending() {
-        // Asymmetric pattern: rows and columns genuinely differ.
-        let m: Pattern =
-            Csc::from_triples(3, 4, vec![(0, 1, ()), (2, 1, ()), (1, 3, ()), (0, 3, ())]);
-        let r = m.csr_mirror();
-        assert_eq!((r.nrows(), r.ncols(), r.nnz()), (3, 4, 4));
-        assert_eq!(r.row(0), &[1, 3]);
-        assert_eq!(r.row(1), &[3]);
-        assert_eq!(r.row(2), &[1]);
-    }
-
-    #[test]
     fn from_parts_keeps_row_order_and_drops_growth_slack() {
         // Unsorted row, empty row, empty columns; a vector with slack.
         let mut colidx: Vec<u32> = Vec::with_capacity(64);
@@ -297,16 +246,6 @@ mod tests {
     #[should_panic(expected = "rowptr decreases")]
     fn from_parts_rejects_decreasing_rowptr() {
         let _ = CsrMirror::<u32>::from_parts(2, 4, vec![0, 3, 2], vec![0, 1]);
-    }
-
-    #[test]
-    fn csr_mirror_of_symmetric_graph_matches_csc() {
-        let g = path_graph(5);
-        let a = Pattern::from_graph(&g);
-        let r = a.csr_mirror();
-        for v in 0..5 {
-            assert_eq!(r.row(v), a.col(v), "symmetric matrix: row {v} == col {v}");
-        }
     }
 
     #[test]

@@ -1,15 +1,9 @@
-//! Matrix-level operations on [`Csc`]: transpose, value maps, column
-//! reductions, and column normalization (the Markov-clustering helpers).
+//! Matrix-level operations on [`Csc`]: value maps, column reductions, and
+//! column normalization (the Markov-clustering helpers).
 
 use super::csc::Csc;
 use crate::types::Monoid;
 use crate::Vid;
-
-/// Transposes a matrix (`GrB_transpose`).
-pub fn transpose<T: Copy>(m: &Csc<T>) -> Csc<T> {
-    let triples: Vec<(Vid, Vid, T)> = m.triples().map(|(i, j, v)| (j, i, v)).collect();
-    Csc::from_triples(m.ncols(), m.nrows(), triples)
-}
 
 /// Maps a function over stored values (`GrB_apply` on matrices).
 pub fn map_values<T, W, F>(m: &Csc<T>, f: F) -> Csc<W>
@@ -75,16 +69,6 @@ mod tests {
 
     fn sample() -> Csc<f64> {
         Csc::from_triples(3, 2, vec![(0, 0, 1.0), (2, 0, 3.0), (1, 1, 2.0)])
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let m = sample();
-        let t = transpose(&m);
-        assert_eq!((t.nrows(), t.ncols()), (2, 3));
-        assert_eq!(transpose(&t), m);
-        let entries: Vec<_> = t.triples().collect();
-        assert!(entries.contains(&(0, 2, 3.0)));
     }
 
     #[test]

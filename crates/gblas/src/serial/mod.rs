@@ -6,18 +6,16 @@
 //! results against these functions.
 
 mod csc;
-mod ewise_add;
 mod matrix_ops;
 mod ops;
 mod spgemm;
 mod vector;
 
 pub use csc::{Csc, CsrMirror, Pattern};
-pub use ewise_add::ewise_add;
-pub use matrix_ops::{column_reduce, map_values, max_abs_diff, normalize_columns, transpose};
+pub use matrix_ops::{column_reduce, map_values, max_abs_diff, normalize_columns};
 pub use ops::{
-    apply, apply_par, assign, assign_par, ewise_mult, ewise_mult_dense, extract, extract_par,
-    mxv_dense, mxv_dense_par, mxv_sparse, mxv_sparse_par, reduce, select,
+    apply, assign, ewise_mult, ewise_mult_dense, extract, mxv_dense, mxv_sparse, mxv_sparse_par,
+    reduce, select,
 };
 pub use spgemm::{spgemm, Prune};
 pub use vector::SparseVec;

@@ -30,23 +30,17 @@
 //! identical. The non-idempotent-monoid test
 //! `mask_semantics_identical_across_paths` pins this equivalence down.
 //!
-//! # Parallel variants
+//! # Parallel variant
 //!
-//! [`mxv_dense_par`], [`mxv_sparse_par`], [`assign_par`], [`extract_par`]
-//! and [`apply_par`] run the same kernels on a shared `rayon` worker pool
+//! [`mxv_sparse_par`] runs [`mxv_sparse`] on a `rayon` worker pool
 //! ([`rayon::ThreadPoolBuilder`] keyed by thread count; `threads <= 1`
-//! executes inline). [`mxv_dense_par`] splits *output rows*; the other
-//! chunked kernels split the input into contiguous chunks whose partial
-//! results combine **in chunk order**, so every monoid fold sees its
-//! contributions in exactly the serial order (segmented associatively).
-//! [`mxv_sparse_par`] uses a merge-free owner-partitioned accumulator (see
+//! executes inline) with a merge-free owner-partitioned accumulator (see
 //! its docs): each worker owns a disjoint slice of the output index space
-//! and folds only its own rows, again in serial contribution order. All
-//! parallel kernels are bit-identical to their serial counterparts for any
-//! associative monoid with a strict identity, which every monoid in
-//! [`crate::types`] is.
+//! and folds only its own rows, in serial contribution order. It is
+//! bit-identical to [`mxv_sparse`] for any associative monoid with a
+//! strict identity, which every monoid in [`crate::types`] is.
 
-use super::csc::{CsrMirror, Pattern};
+use super::csc::Pattern;
 use super::vector::SparseVec;
 use crate::types::{Mask, Monoid};
 use crate::Vid;
@@ -252,62 +246,6 @@ where
     SparseVec::from_entries(u.len(), entries)
 }
 
-/// Parallel SpMV: row-split [`mxv_dense`] over the matrix's row-major
-/// mirror.
-///
-/// Each worker owns a contiguous row range, so accumulator slots are
-/// disjoint and every row folds its contributions in ascending-`j` order —
-/// exactly the order the serial column sweep combines them in. The result
-/// is therefore bit-identical to `mxv_dense(a, x, mask, monoid)` where
-/// `rows == a.csr_mirror()`, for any associative monoid.
-pub fn mxv_dense_par<T, M, I>(
-    rows: &CsrMirror<I>,
-    x: &[T],
-    mask: Mask<'_>,
-    monoid: M,
-    threads: usize,
-) -> SparseVec<T, I>
-where
-    T: Copy + Send + Sync,
-    M: Monoid<T>,
-    I: Idx,
-{
-    let n = rows.nrows();
-    assert_eq!(x.len(), rows.ncols(), "vector length mismatch");
-    let pool = kernel_pool(threads);
-    let chunk = n.div_ceil(pool.current_num_threads()).max(1);
-    let nchunks = if n == 0 { 0 } else { n.div_ceil(chunk) };
-    let mut parts: Vec<Vec<(I, T)>> = vec![Vec::new(); nchunks];
-    pool.scope(|s| {
-        for (k, slot) in parts.iter_mut().enumerate() {
-            let lo = k * chunk;
-            let hi = ((k + 1) * chunk).min(n);
-            s.spawn(move || {
-                let mut out = Vec::new();
-                for i in lo..hi {
-                    let cols = rows.row(i);
-                    // `touched` in the serial kernel ⇔ the row has entries.
-                    if cols.is_empty() || !mask.allows(i) {
-                        continue;
-                    }
-                    let mut acc = monoid.identity();
-                    for &j in cols {
-                        acc = monoid.combine(acc, x[j.idx()]);
-                    }
-                    out.push((I::from_usize(i), acc));
-                }
-                *slot = out;
-            });
-        }
-    });
-    let entries = if parts.len() == 1 {
-        parts.pop().unwrap()
-    } else {
-        parts.concat()
-    };
-    SparseVec::from_entries(n, entries)
-}
-
 /// Parallel SpMSpV with a merge-free **owner-partitioned accumulator**.
 ///
 /// The old scheme chunked the input entries and gave every worker a
@@ -414,93 +352,6 @@ where
         entries.extend(touched_k.iter().map(|&i| (i, acc[i.idx()])));
     }
     SparseVec::from_entries(n, entries)
-}
-
-/// Parallel [`assign`]: per-worker duplicate combination over contiguous
-/// update chunks, merged in chunk order (= update order, segmented), then
-/// a serial overwrite pass. Returns the changed-element count, identical
-/// to the serial kernel's.
-pub fn assign_par<T, M>(w: &mut [T], updates: &[(Vid, T)], monoid: M, threads: usize) -> usize
-where
-    T: Copy + PartialEq + Send + Sync,
-    M: Monoid<T>,
-{
-    let pool = kernel_pool(threads);
-    if pool.current_num_threads() <= 1 || updates.len() < 2 {
-        return assign(w, updates, monoid);
-    }
-    let chunk = updates.len().div_ceil(pool.current_num_threads()).max(1);
-    let mut parts: Vec<std::collections::HashMap<Vid, T>> =
-        vec![std::collections::HashMap::new(); updates.chunks(chunk).len()];
-    pool.scope(|s| {
-        for (slot, upd) in parts.iter_mut().zip(updates.chunks(chunk)) {
-            s.spawn(move || {
-                for &(i, v) in upd {
-                    slot.entry(i)
-                        .and_modify(|acc| *acc = monoid.combine(*acc, v))
-                        .or_insert(v);
-                }
-            });
-        }
-    });
-    let mut combined: std::collections::HashMap<Vid, T> = std::collections::HashMap::new();
-    for part in parts {
-        for (i, v) in part {
-            combined
-                .entry(i)
-                .and_modify(|acc| *acc = monoid.combine(*acc, v))
-                .or_insert(v);
-        }
-    }
-    let mut changed = 0;
-    for (i, v) in combined {
-        if w[i] != v {
-            w[i] = v;
-            changed += 1;
-        }
-    }
-    changed
-}
-
-/// Parallel [`extract`]: the index list is split into contiguous chunks
-/// gathered concurrently, concatenated in chunk order.
-pub fn extract_par<T: Copy + Send + Sync>(src: &[T], indices: &[Vid], threads: usize) -> Vec<T> {
-    let pool = kernel_pool(threads);
-    if pool.current_num_threads() <= 1 || indices.len() < 2 {
-        return extract(src, indices);
-    }
-    let chunk = indices.len().div_ceil(pool.current_num_threads()).max(1);
-    let mut parts: Vec<Vec<T>> = vec![Vec::new(); indices.chunks(chunk).len()];
-    pool.scope(|s| {
-        for (slot, idx) in parts.iter_mut().zip(indices.chunks(chunk)) {
-            s.spawn(move || *slot = idx.iter().map(|&i| src[i]).collect());
-        }
-    });
-    parts.concat()
-}
-
-/// Parallel [`apply`]: stored entries mapped in contiguous chunks.
-pub fn apply_par<T, W, F, I>(u: &SparseVec<T, I>, f: F, threads: usize) -> SparseVec<W, I>
-where
-    T: Copy + Sync,
-    W: Copy + Send,
-    F: Fn(T) -> W + Sync,
-    I: Idx,
-{
-    let pool = kernel_pool(threads);
-    let ue = u.entries();
-    if pool.current_num_threads() <= 1 || ue.len() < 2 {
-        return apply(u, f);
-    }
-    let chunk = ue.len().div_ceil(pool.current_num_threads()).max(1);
-    let mut parts: Vec<Vec<(I, W)>> = vec![Vec::new(); ue.chunks(chunk).len()];
-    let f = &f;
-    pool.scope(|s| {
-        for (slot, es) in parts.iter_mut().zip(ue.chunks(chunk)) {
-            s.spawn(move || *slot = es.iter().map(|&(i, v)| (i, f(v))).collect());
-        }
-    });
-    SparseVec::from_entries(u.len(), parts.concat())
 }
 
 #[cfg(test)]
@@ -631,9 +482,7 @@ mod tests {
                 let yd = mxv_dense(&a, &x, mask, AddUsize);
                 let ys = mxv_sparse(&a, &xs, mask, AddUsize);
                 assert_eq!(yd, ys, "dense vs sparse mask semantics diverge");
-                let rows = a.csr_mirror();
                 for t in [1, 2, 4] {
-                    assert_eq!(yd, mxv_dense_par(&rows, &x, mask, AddUsize, t));
                     assert_eq!(ys, mxv_sparse_par(&a, &xs, mask, AddUsize, t));
                 }
             }
@@ -644,7 +493,6 @@ mod tests {
     fn parallel_mxv_matches_serial_bitwise() {
         for g in [path_graph(33), star_graph(17)] {
             let a = Pattern::from_graph(&g);
-            let rows = a.csr_mirror();
             let n = a.nrows();
             let x: Vec<usize> = (0..n).map(|v| (v * 7 + 3) % 11).collect();
             let flags: Vec<bool> = (0..n).map(|v| v % 3 != 0).collect();
@@ -654,14 +502,8 @@ mod tests {
                 (0..n).filter(|v| v % 2 == 0).map(|v| (v, x[v])).collect(),
             );
             for mask in [Mask::None, Mask::Keep(&flags), Mask::Complement(&flags)] {
-                let yd = mxv_dense(&a, &x, mask, MinUsize);
                 let ys = mxv_sparse(&a, &xs, mask, AddUsize);
                 for t in [1, 2, 4] {
-                    assert_eq!(
-                        yd,
-                        mxv_dense_par(&rows, &x, mask, MinUsize, t),
-                        "threads={t}"
-                    );
                     assert_eq!(
                         ys,
                         mxv_sparse_par(&a, &xs, mask, AddUsize, t),
@@ -669,31 +511,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn parallel_assign_extract_apply_match_serial() {
-        let updates: Vec<(Vid, usize)> =
-            (0..40).map(|k| ((k * 13) % 16, (k * 5 + 2) % 9)).collect();
-        for t in [1, 2, 4] {
-            let mut w1 = vec![100usize; 16];
-            let mut w2 = vec![100usize; 16];
-            let c1 = assign(&mut w1, &updates, MinUsize);
-            let c2 = assign_par(&mut w2, &updates, MinUsize, t);
-            assert_eq!((c1, &w1), (c2, &w2), "threads={t}");
-
-            let src: Vec<usize> = (0..32).map(|v| v * v).collect();
-            let idx: Vec<Vid> = (0..50).map(|k| (k * 17) % 32).collect();
-            assert_eq!(
-                extract(&src, &idx),
-                extract_par(&src, &idx, t),
-                "threads={t}"
-            );
-
-            let u = SparseVec::from_entries(64, (0..64).step_by(3).map(|i| (i, i + 1)).collect());
-            let f = |v: usize| v * 2 + 1;
-            assert_eq!(apply(&u, f), apply_par(&u, f, t), "threads={t}");
         }
     }
 
@@ -725,13 +542,7 @@ mod tests {
         let g: lacc_graph::CsrGraph =
             lacc_graph::CsrGraph::from_edges(lacc_graph::EdgeList::new(4));
         let a = Pattern::from_graph(&g);
-        let rows = a.csr_mirror();
-        let x = vec![1usize; 4];
-        assert_eq!(mxv_dense_par(&rows, &x, Mask::None, MinUsize, 4).nvals(), 0);
         let xs: SparseVec<usize> = SparseVec::empty(4);
         assert_eq!(mxv_sparse_par(&a, &xs, Mask::None, MinUsize, 4).nvals(), 0);
-        let mut w: Vec<usize> = vec![7; 4];
-        assert_eq!(assign_par(&mut w, &[], MinUsize, 4), 0);
-        assert_eq!(extract_par(&w, &[], 4), Vec::<usize>::new());
     }
 }

@@ -215,8 +215,9 @@ pub fn from_binary(bytes: impl AsRef<[u8]>) -> Result<EdgeList, IoError> {
     }
     let mut pos = 4;
     let n = get_u64_le(bytes, &mut pos) as usize;
-    let m = get_u64_le(bytes, &mut pos) as usize;
-    if bytes.len() - pos < m * 16 {
+    let m = get_u64_le(bytes, &mut pos);
+    // Divide rather than multiply: `m · 16` overflows for a hostile `m`.
+    if (((bytes.len() - pos) / 16) as u64) < m {
         return Err(IoError::Parse("truncated edge section".into()));
     }
     let mut el = EdgeList::new(n);
@@ -310,6 +311,31 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] ^= 0xFF;
         assert!(from_binary(bad).is_err());
+    }
+
+    #[test]
+    fn binary_rejects_edge_counts_past_the_file() {
+        let with_header = |m: u64, edges: &[(u64, u64)]| {
+            let mut bytes = BINARY_MAGIC.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&1u64.to_le_bytes());
+            bytes.extend_from_slice(&m.to_le_bytes());
+            for &(u, v) in edges {
+                bytes.extend_from_slice(&u.to_le_bytes());
+                bytes.extend_from_slice(&v.to_le_bytes());
+            }
+            bytes
+        };
+        // `m · 16` wraps to 0, to 16 and to 2^64 − 16 for these counts.
+        for bytes in [
+            with_header(1 << 60, &[]),
+            with_header((1 << 60) + 1, &[(0, 0)]),
+            with_header(u64::MAX, &[]),
+        ] {
+            match from_binary(bytes) {
+                Err(IoError::Parse(msg)) => assert_eq!(msg, "truncated edge section"),
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

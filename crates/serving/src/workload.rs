@@ -1,7 +1,6 @@
 //! A scripted mixed update/query workload over a [`CcService`].
 //!
-//! Shared by the CLI `serve` subcommand and the `bench_serving` harness so
-//! both drive the service the same way: batches of uniform-random edge
+//! Driven by the CLI `serve` subcommand: batches of uniform-random edge
 //! insertions (optionally spiked with deletions of existing edges), each
 //! followed by a burst of mixed queries against the freshly published
 //! epoch. The report carries wall-clock throughput for the host-side data

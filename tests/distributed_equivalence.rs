@@ -34,12 +34,7 @@ fn bit_identical_across_comm_configs() {
     };
     let serial = lacc_serial(&g, &base);
     for p in [1, 4, 9, 16, 25] {
-        for algo in [
-            AllToAll::Direct,
-            AllToAll::Pairwise,
-            AllToAll::Hypercube,
-            AllToAll::Sparse,
-        ] {
+        for algo in [AllToAll::Pairwise, AllToAll::Hypercube, AllToAll::Sparse] {
             for hot_threshold in [f64::INFINITY, 2.0] {
                 let opts = LaccOpts {
                     dist: DistOpts {
