@@ -9,7 +9,8 @@
 //!
 //! The comm-layer extensions on top — the compact wire format and overlap —
 //! are ablated the same way: one row each runs the otherwise-default stack
-//! on the legacy wire and with every overlap refund off.
+//! on the legacy wire and with every overlap refund off. Two more rows pin
+//! the §V-A SpMV/SpMSpV dispatch at either end of its threshold.
 
 use dmsim::{AllToAll, EDISON};
 use gblas::dist::{DistOpts, Wire};
@@ -122,18 +123,14 @@ fn main() {
         },
     );
 
-    // 6. Index width at the fully optimized point: the modeled time is
-    // word-based and so identical; the rows make the iteration/label
-    // equivalence visible next to every other knob.
-    for (name, width) in [
-        ("index width = u32", lacc::IndexWidth::U32),
-        ("index width = u64", lacc::IndexWidth::U64),
+    // 6. The SpMV/SpMSpV dispatch (§V-A), forced to one side: every fill
+    // is at least 0, and none reaches 1.5.
+    for (name, t) in [
+        ("spmv threshold = 0 (always SpMV)", 0.0),
+        ("spmv threshold = 1.5 (never SpMV)", 1.5),
     ] {
-        let opts = LaccOpts {
-            index_width: width,
-            ..LaccOpts::default()
-        };
-        run_cfg(name, opts);
+        let opts = LaccOpts::builder().spmv_threshold(t).expect("in range");
+        run_cfg(name, opts.build());
     }
 
     // Fully naive stack for reference.

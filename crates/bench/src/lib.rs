@@ -74,7 +74,7 @@ pub struct ScalePoint {
     pub nodes: usize,
     /// Ranks actually simulated.
     pub ranks: usize,
-    /// True when the rank count was clamped by [`RANK_CAP`].
+    /// True when the rank count was clamped by [`rank_cap()`].
     pub clamped: bool,
     /// Modeled seconds (the figure's y-axis).
     pub modeled_s: f64,

@@ -50,7 +50,6 @@ pub const USAGE: &str = "usage:
   lacc cc-dist  <graph> --ranks P [--machine edison|cori] [--flat]
                 [--spmv-threshold F]
                 [--wire legacy|compact] [--overlap true|false]
-                [--index-width u32|u64]
                 [--engine lacc|fastsv|labelprop] [--canonical]
                 [--out labels.txt] [--report out.json]
                 [--trace out.json] [--trace-level off|steps|ops|collectives]
@@ -60,9 +59,75 @@ pub const USAGE: &str = "usage:
                 [--seed S] [--report out.json]
                 [--trace out.json] [--trace-level off|steps|ops|collectives]
   lacc generate <community|metagenome|rmat|mesh3d|er|suite:NAME> --n N [--seed S] --out <graph>
+                [--components C] [--degree D]   (community)
+                [--scale S] [--edge-factor E]   (rmat)
+                [--m M]                         (er)
   lacc convert  <in> <out>
 
 graph formats by extension: .mtx (Matrix Market), .bin (lacc binary), otherwise edge list";
+
+/// A subcommand: it writes its report to the given writer.
+type Cmd = fn(&Args, &mut dyn Write) -> Result<(), CliError>;
+
+/// Every subcommand, in [`USAGE`]'s order, with its allow-lists
+/// (value-taking options, bare flags): anything else is an error rather
+/// than a silently ignored token.
+const COMMANDS: [(&str, Cmd, &[&str], &[&str]); 6] = [
+    ("stats", cmd_stats, &[], &[]),
+    ("cc", cmd_cc, &["algo", "out"], &[]),
+    (
+        "cc-dist",
+        cmd_cc_dist,
+        &[
+            "ranks",
+            "machine",
+            "spmv-threshold",
+            "wire",
+            "overlap",
+            "engine",
+            "out",
+            "report",
+            "trace",
+            "trace-level",
+        ],
+        &["flat", "canonical"],
+    ),
+    (
+        "serve",
+        cmd_serve,
+        &[
+            "ranks",
+            "machine",
+            "batches",
+            "batch-size",
+            "queries-per-batch",
+            "delete-every",
+            "staleness",
+            "engine",
+            "seed",
+            "report",
+            "trace",
+            "trace-level",
+        ],
+        &[],
+    ),
+    (
+        "generate",
+        cmd_generate,
+        &[
+            "n",
+            "seed",
+            "out",
+            "components",
+            "degree",
+            "scale",
+            "edge-factor",
+            "m",
+        ],
+        &[],
+    ),
+    ("convert", cmd_convert, &[], &[]),
+];
 
 /// Dispatches to a subcommand, which writes its report to `out`.
 pub fn dispatch(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
@@ -71,63 +136,8 @@ pub fn dispatch(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         .positional
         .first()
         .ok_or_else(|| "no subcommand given".to_string())?;
-    // Per-subcommand allow-lists (value-taking options, bare flags):
-    // anything else is an error rather than a silently ignored token.
-    type Cmd = fn(&Args, &mut dyn Write) -> Result<(), CliError>;
-    let (run, options, flags): (Cmd, &[&str], &[&str]) = match cmd.as_str() {
-        "stats" => (cmd_stats, &[], &[]),
-        "cc" => (cmd_cc, &["algo", "out"], &[]),
-        "cc-dist" => (
-            cmd_cc_dist,
-            &[
-                "ranks",
-                "machine",
-                "spmv-threshold",
-                "wire",
-                "overlap",
-                "index-width",
-                "engine",
-                "out",
-                "report",
-                "trace",
-                "trace-level",
-            ],
-            &["flat", "canonical"],
-        ),
-        "serve" => (
-            cmd_serve,
-            &[
-                "ranks",
-                "machine",
-                "batches",
-                "batch-size",
-                "queries-per-batch",
-                "delete-every",
-                "staleness",
-                "engine",
-                "seed",
-                "report",
-                "trace",
-                "trace-level",
-            ],
-            &[],
-        ),
-        "generate" => (
-            cmd_generate,
-            &[
-                "n",
-                "seed",
-                "out",
-                "components",
-                "degree",
-                "scale",
-                "edge-factor",
-                "m",
-            ],
-            &[],
-        ),
-        "convert" => (cmd_convert, &[], &[]),
-        other => return Err(format!("unknown subcommand: {other}").into()),
+    let Some(&(_, run, options, flags)) = COMMANDS.iter().find(|c| c.0 == cmd) else {
+        return Err(format!("unknown subcommand: {cmd}").into());
     };
     args.expect_only(options, flags)?;
     run(&args, out)
@@ -284,9 +294,6 @@ fn cmd_cc_dist(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         // Non-blocking hot-path exchanges with compute/comm overlap credit
         // (bit-identical labels and traffic either way).
         .overlap(args.get_or("overlap", defaults.dist.overlap)?)
-        // Index/label storage width: u32 (default) halves index memory and
-        // wire bytes, u64 lifts the 2^32-vertex limit.
-        .index_width(args.parse_or("index-width", defaults.index_width)?)
         // Which connected-components engine runs (see `lacc::engine`).
         .engine(args.parse_or("engine", defaults.engine)?)
         .build();
@@ -684,44 +691,6 @@ mod tests {
         assert!(dispatch(&argv(&["cc-dist", &p, "--spmv-threshold", "7.0"])).is_err());
         assert!(dispatch(&argv(&["cc-dist", &p, "--trace-level", "verbose"])).is_err());
         assert!(dispatch(&argv(&["cc-dist", &p, "--wire", "zip"])).is_err());
-        assert!(dispatch(&argv(&["cc-dist", &p, "--index-width", "u16"])).is_err());
-    }
-
-    #[test]
-    fn cc_dist_labels_identical_across_index_widths() {
-        let dir = std::env::temp_dir().join("lacc-cli-test9");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("t.el").display().to_string();
-        std::fs::write(&p, "0 1\n1 2\n3 4\n5 6\n6 7\n").unwrap();
-        let narrow = dir.join("narrow.txt").display().to_string();
-        let wide = dir.join("wide.txt").display().to_string();
-        dispatch(&argv(&[
-            "cc-dist",
-            &p,
-            "--ranks",
-            "4",
-            "--index-width",
-            "u32",
-            "--out",
-            &narrow,
-        ]))
-        .unwrap();
-        dispatch(&argv(&[
-            "cc-dist",
-            &p,
-            "--ranks",
-            "4",
-            "--index-width",
-            "u64",
-            "--out",
-            &wide,
-        ]))
-        .unwrap();
-        assert_eq!(
-            std::fs::read(&narrow).unwrap(),
-            std::fs::read(&wide).unwrap(),
-            "index width changed the labels"
-        );
     }
 
     #[test]
@@ -737,6 +706,8 @@ mod tests {
         assert!(err.contains("--kernel-threads"), "{err}");
         let err = dispatch(&argv(&["cc-dist", &p, "--narrow-labels", "true"])).unwrap_err();
         assert!(err.contains("--narrow-labels"), "{err}");
+        let err = dispatch(&argv(&["cc-dist", &p, "--index-width", "u64"])).unwrap_err();
+        assert!(err.contains("--index-width"), "{err}");
         // A typo of a live flag, with and without a value.
         let err = dispatch(&argv(&["cc-dist", &p, "--rank", "4"])).unwrap_err();
         assert!(err.contains("--rank"), "{err}");
@@ -745,6 +716,34 @@ mod tests {
         // Other subcommands check too.
         assert!(dispatch(&argv(&["cc", &p, "--algos", "lacc"])).is_err());
         assert!(dispatch(&argv(&["stats", &p, "--verbose"])).is_err());
+    }
+
+    #[test]
+    fn usage_names_exactly_the_allow_listed_options_of_every_subcommand() {
+        // A subcommand's block is its `lacc NAME` line and the indented
+        // lines under it.
+        let mut blocks: Vec<(&str, String)> = Vec::new();
+        for line in USAGE.lines() {
+            match line.trim_start().strip_prefix("lacc ") {
+                Some(rest) => blocks.push((rest.split(' ').next().unwrap(), rest.to_string())),
+                None if line.starts_with(' ') => blocks.last_mut().unwrap().1 += line,
+                None => {}
+            }
+        }
+        let names: Vec<&str> = blocks.iter().map(|b| b.0).collect();
+        assert_eq!(names, COMMANDS.map(|c| c.0));
+        for ((name, text), (_, _, options, flags)) in blocks.iter().zip(COMMANDS) {
+            let not_in_name = |c: char| !(c.is_ascii_alphanumeric() || c == '-');
+            let after_dashes = text.split("--").skip(1);
+            let mut shown: Vec<&str> = after_dashes
+                .map(|w| w.split(not_in_name).next().unwrap())
+                .collect();
+            shown.sort_unstable();
+            shown.dedup();
+            let mut allowed: Vec<&str> = options.iter().chain(flags).copied().collect();
+            allowed.sort_unstable();
+            assert_eq!(shown, allowed, "USAGE of lacc {name}");
+        }
     }
 
     #[test]

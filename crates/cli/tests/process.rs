@@ -72,6 +72,29 @@ fn a_binary_header_claiming_more_edges_than_the_file_holds_is_one_error_line() {
     assert!(err.contains("truncated edge section"), "{err}");
 }
 
+#[test]
+fn a_vertex_count_past_u32_is_one_error_line_not_an_abort() {
+    // A header with n = u64::MAX and m = 0 (`n + 1` wraps), and one edge
+    // whose `max id + 1` wraps to 0.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let bin = dir.join("process-huge-n.bin");
+    let mut bytes = 0x4C41_4343u32.to_le_bytes().to_vec();
+    bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+    bytes.extend_from_slice(&0u64.to_le_bytes());
+    std::fs::write(&bin, bytes).unwrap();
+    let text = dir.join("process-huge-id.el");
+    std::fs::write(&text, "0 18446744073709551615\n").unwrap();
+
+    for g in [bin, text] {
+        let out = lacc(&["stats", &g.display().to_string()]).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
+        let err = stderr_of(&out);
+        assert_eq!(err.lines().count(), 1, "{err}");
+        assert!(err.starts_with("error: "), "{err}");
+        assert!(err.contains("vertex ids as u32"), "{err}");
+    }
+}
+
 /// The value of a top-level `"key": value` line of a one-key-per-line JSON
 /// report.
 fn report_field<'a>(json: &'a str, key: &str) -> &'a str {

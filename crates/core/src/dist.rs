@@ -19,15 +19,13 @@
 
 use crate::engine::driver::drive;
 use crate::engine::{EngineCtx, EngineRun, EngineSelect, Fastsv, LabelProp, Lacc};
-use crate::options::{IndexWidth, LaccOpts};
+use crate::options::LaccOpts;
 use crate::stats::{IterStats, LaccRun, StepBreakdown};
 use dmsim::{
     run_spmd_traced, Comm, DmsimError, ErrorKind, MachineModel, RerunReason, SpanKind, TraceSink,
-    WireWord,
 };
-use gblas::dist::NarrowVal;
 use lacc_graph::permute::Permutation;
-use lacc_graph::{ensure_fits, CsrGraph, Idx};
+use lacc_graph::{ensure_fits, CsrGraph};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -51,7 +49,7 @@ pub struct RunConfig {
     pub ranks: usize,
     /// The α-β machine model.
     pub model: MachineModel,
-    /// Run options (engine, comm stack, layout, width, …).
+    /// Run options (engine, comm stack, permutation, …).
     pub opts: LaccOpts,
     /// When set, every rank records trace spans into this sink.
     pub trace: Option<Arc<TraceSink>>,
@@ -119,14 +117,16 @@ impl std::ops::Deref for RunOutput {
     }
 }
 
-fn run_engine_width<I: Idx + WireWord + NarrowVal>(
+/// One rank's share of [`run`]: vertex ids and labels are `u32` in every
+/// block, vector and wire payload.
+fn run_engine(
     comm: &mut Comm,
     g: &CsrGraph,
     perm: Option<&Permutation>,
     opts: &LaccOpts,
 ) -> Result<EngineRun, String> {
     let engine = opts.engine;
-    let mut ctx = EngineCtx::<I>::new(comm, g, perm, opts);
+    let mut ctx = EngineCtx::<u32>::new(comm, g, perm, opts);
     match engine {
         EngineSelect::Lacc => drive(Lacc::new(&ctx), &mut ctx),
         EngineSelect::Fastsv => drive(Fastsv::new(&ctx), &mut ctx),
@@ -153,7 +153,8 @@ pub fn check_ranks(ranks: usize) -> Result<(), DmsimError> {
 ///
 /// Returns labels in the *original* vertex numbering even when
 /// `opts.permute` applies a load-balancing relabeling internally. Errs
-/// if `ranks` is not a positive perfect square ([`check_ranks`]), with the
+/// if `ranks` is not a positive perfect square ([`check_ranks`]) or the
+/// graph has more vertices than `u32` ids can name, with the
 /// failing rank and panic payload if any rank panics, and with the engine
 /// and its round bound if the engine runs out of rounds before converging
 /// (LACC: `opts.max_iters`) — never `Ok` with unconverged labels.
@@ -165,17 +166,13 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
     let n = g.num_vertices();
     let p = cfg.ranks;
     check_ranks(p)?;
+    // Ids are `u32` inside the SPMD body: a graph too large for them is a
+    // typed error here, before any rank spawns, never a silent truncation.
+    ensure_fits::<u32>(n, "vertices")
+        .map_err(|e| DmsimError::new(ErrorKind::InvalidConfig, e.to_string()))?;
     let opts = &cfg.opts;
     let perm = (opts.permute && n > 1).then(|| Permutation::random(n, opts.permute_seed));
     let perm = perm.as_ref();
-    // The narrow layout is validated up front against the actual graph:
-    // a too-large graph is a descriptive error on the caller thread, never
-    // a silent truncation inside the SPMD body.
-    if opts.index_width == IndexWidth::U32 {
-        if let Err(e) = ensure_fits::<u32>(n, "vertices") {
-            return Err(DmsimError::new(ErrorKind::InvalidConfig, e.to_string()));
-        }
-    }
     let rerun = cfg.rerun;
     let wall_start = Instant::now();
     let spmd = |comm: &mut Comm| {
@@ -190,10 +187,7 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
         });
         // The engine-tagged span attributes everything under it in traces.
         let engine_span = comm.span_open(SpanKind::Engine(opts.engine));
-        let out = match opts.index_width {
-            IndexWidth::U32 => run_engine_width::<u32>(comm, g, perm, opts),
-            IndexWidth::U64 => run_engine_width::<usize>(comm, g, perm, opts),
-        };
+        let out = run_engine(comm, g, perm, opts);
         comm.span_close(engine_span);
         if let Some(span) = rerun_span {
             comm.span_close(span);
@@ -410,58 +404,6 @@ mod tests {
     fn more_ranks_than_vertices() {
         let g = path_graph(7);
         check(&g, 16, &LaccOpts::default());
-    }
-
-    #[test]
-    fn index_widths_produce_identical_labels() {
-        // The tentpole guarantee of the narrow layout: storage width is
-        // invisible in the results — u32 and u64 runs agree bit for bit
-        // (after widening) on every comm config, and only the narrow one
-        // ships fewer bytes.
-        let traced = |g: &CsrGraph, p: usize, opts: LaccOpts| {
-            let sink = TraceSink::new(dmsim::TraceLevel::Steps);
-            let cfg = RunConfig::new(p, model()).with_opts(opts).with_trace(&sink);
-            let out = run(g, &cfg).unwrap();
-            let traces = sink.rank_traces();
-            let sent = traces.iter().map(|rt| rt.snapshot.bytes_sent);
-            (out, sent.sum::<u64>())
-        };
-        for seed in 0..2 {
-            let g = community_graph(500, 25, 3.0, 1.4, seed);
-            for base in [LaccOpts::default(), LaccOpts::naive_comm()] {
-                let narrow = LaccOpts {
-                    index_width: IndexWidth::U32,
-                    ..base
-                };
-                let wide = LaccOpts {
-                    index_width: IndexWidth::U64,
-                    ..base
-                };
-                for p in [4, 9] {
-                    let (a, a_bytes) = traced(&g, p, narrow);
-                    let (b, b_bytes) = traced(&g, p, wide);
-                    assert_eq!(a.labels, b.labels, "seed={seed} p={p}");
-                    assert_eq!(a.num_iterations(), b.num_iterations(), "seed={seed} p={p}");
-                    assert!(
-                        a_bytes < b_bytes,
-                        "seed={seed} p={p}: {a_bytes} >= {b_bytes}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn narrow_width_matches_serial_bitwise() {
-        let opts = LaccOpts {
-            permute: false,
-            index_width: IndexWidth::U32,
-            ..LaccOpts::default()
-        };
-        let g = community_graph(600, 30, 3.0, 1.4, 1);
-        let serial = lacc_serial(&g, &opts);
-        let dist = run_with(&g, 4, &opts);
-        assert_eq!(dist.labels, serial.labels);
     }
 
     #[test]
@@ -814,26 +756,15 @@ mod tests {
         let g = community_graph(400, 20, 3.0, 1.4, 6);
         let truth = ground_truth_labels(&g);
         for select in [EngineSelect::Fastsv, EngineSelect::LabelProp] {
-            let base = LaccOpts {
+            let opts = LaccOpts {
                 permute: false,
                 engine: select,
                 ..LaccOpts::default()
             };
-            let mut labels: Option<Vec<crate::Vid>> = None;
-            for width in [IndexWidth::U32, IndexWidth::U64] {
-                let opts = LaccOpts {
-                    index_width: width,
-                    ..base
-                };
-                let out = run_with(&g, 4, &opts);
-                assert_eq!(canonicalize_labels(&out.labels), truth, "{select}");
-                // Min-monotone engines are bit-identical across widths
-                // (labels are component minima).
-                match &labels {
-                    Some(prev) => assert_eq!(&out.run.labels, prev, "{select}"),
-                    None => labels = Some(out.run.labels.clone()),
-                }
-            }
+            // Min-monotone engines converge to component minima, so the
+            // unpermuted raw labels are already the canonical ones.
+            let out = run_with(&g, 4, &opts);
+            assert_eq!(out.run.labels, truth, "{select}");
         }
     }
 }

@@ -140,8 +140,7 @@ where
         }
     }
 
-    // Widen back to `Vid` at the boundary: callers always see full-width
-    // labels regardless of the in-run storage width.
+    // Callers see `Vid` labels, whatever width the run stored them at.
     let labels = f.to_global(cx.comm).into_iter().map(|l| l.idx()).collect();
     Ok(EngineRun {
         labels: (cx.rank == 0).then_some(labels),

@@ -45,7 +45,7 @@ pub mod verify;
 pub use dist::{check_ranks, run, RunConfig, RunOutput};
 pub use engine::{EngineCtx, EngineIter, EngineRun, EngineSelect};
 pub use gblas::dist::Wire;
-pub use options::{IndexWidth, LaccOpts, LaccOptsBuilder, OptsError};
+pub use options::{LaccOpts, LaccOptsBuilder, OptsError};
 pub use serial::lacc_serial;
 pub use stats::{IterStats, LaccRun, StepBreakdown};
 pub use verify::{verify_labels, CcOracle, LabelError};

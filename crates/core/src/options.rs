@@ -10,46 +10,6 @@ use crate::engine::EngineSelect;
 use dmsim::AllToAll;
 use gblas::dist::{DistOpts, Wire};
 
-/// Storage width for vertex indices and parent labels across the
-/// distributed stack: graph blocks, parent/star vectors, and every wire
-/// payload that carries an id or a label.
-///
-/// The narrow layout halves index memory traffic and wire bytes; it
-/// requires the graph to fit in `u32` (checked up front — a too-large
-/// graph is a descriptive error, never a silent truncation).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum IndexWidth {
-    /// 32-bit indices and labels (graphs up to `u32::MAX` vertices).
-    #[default]
-    U32,
-    /// 64-bit indices and labels (no practical size limit).
-    U64,
-}
-
-impl std::fmt::Display for IndexWidth {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            IndexWidth::U32 => "u32",
-            IndexWidth::U64 => "u64",
-        })
-    }
-}
-
-impl std::str::FromStr for IndexWidth {
-    type Err = OptsError;
-
-    fn from_str(s: &str) -> Result<Self, OptsError> {
-        match s {
-            "u32" | "32" => Ok(IndexWidth::U32),
-            "u64" | "64" => Ok(IndexWidth::U64),
-            other => Err(OptsError::new(
-                "index-width",
-                format!("{other:?} is not one of u32, u64"),
-            )),
-        }
-    }
-}
-
 /// Options controlling a LACC run.
 #[derive(Clone, Copy, Debug)]
 pub struct LaccOpts {
@@ -70,8 +30,6 @@ pub struct LaccOpts {
     /// bound; FastSV and label propagation carry their own bounds
     /// (`8·⌈log₂ n⌉ + 32` and `n + 2`) and ignore this one.
     pub max_iters: usize,
-    /// Storage width of indices and labels (see [`IndexWidth`]).
-    pub index_width: IndexWidth,
     /// Which connected-components engine runs (see
     /// [`crate::engine::EngineSelect`]). Defaults to LACC, preserving
     /// bit-identity with the serial reference.
@@ -86,7 +44,6 @@ impl Default for LaccOpts {
             permute: true,
             permute_seed: 0xC0_FFEE,
             max_iters: 200,
-            index_width: IndexWidth::default(),
             engine: EngineSelect::default(),
         }
     }
@@ -238,14 +195,6 @@ impl LaccOptsBuilder {
         self
     }
 
-    /// Selects the index/label storage width. Width validation happens at
-    /// run time against the actual graph (`u32` rejects graphs with more
-    /// than `u32::MAX` vertices with a descriptive error).
-    pub fn index_width(mut self, w: IndexWidth) -> Self {
-        self.opts.index_width = w;
-        self
-    }
-
     /// Selects the connected-components engine.
     pub fn engine(mut self, e: EngineSelect) -> Self {
         self.opts.engine = e;
@@ -286,6 +235,15 @@ mod tests {
         assert!(o.use_sparsity);
         assert_eq!(o.dist.wire, Wire::Compact);
         assert!(o.dist.hot_threshold.is_finite());
+        // The six run options, spelled out: a seventh fails to compile here.
+        let LaccOpts {
+            use_sparsity: _,
+            dist: _,
+            permute: _,
+            permute_seed: _,
+            max_iters: _,
+            engine: _,
+        } = o;
     }
 
     #[test]
@@ -345,19 +303,6 @@ mod tests {
         assert!(LaccOpts::builder().hot_threshold(f64::INFINITY).is_ok());
         let err = LaccOpts::builder().max_iters(0).unwrap_err();
         assert_eq!(err.to_string(), "invalid max-iters: must be at least 1");
-    }
-
-    #[test]
-    fn index_width_parses_and_displays() {
-        assert_eq!("u32".parse::<IndexWidth>().unwrap(), IndexWidth::U32);
-        assert_eq!("64".parse::<IndexWidth>().unwrap(), IndexWidth::U64);
-        assert_eq!(IndexWidth::U32.to_string(), "u32");
-        assert_eq!(IndexWidth::U64.to_string(), "u64");
-        let err = "u16".parse::<IndexWidth>().unwrap_err();
-        assert_eq!(err.field(), "index-width");
-        assert_eq!(LaccOpts::default().index_width, IndexWidth::U32);
-        let o = LaccOpts::builder().index_width(IndexWidth::U64).build();
-        assert_eq!(o.index_width, IndexWidth::U64);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! not, and there the compact wire must also be strictly the smaller one.
 
 use dmsim::{TraceLevel, TraceSink};
-use lacc::{run, EngineSelect, IndexWidth, LaccOpts, RunConfig};
+use lacc::{run, EngineSelect, LaccOpts, RunConfig};
 use lacc_baselines::union_find_cc;
 use lacc_graph::generators::community_graph;
 use lacc_graph::unionfind::canonicalize_labels;
@@ -36,12 +36,10 @@ fn profile(
     g: &CsrGraph,
     base: LaccOpts,
     engine: EngineSelect,
-    index_width: IndexWidth,
     permute: bool,
 ) -> (Vec<usize>, usize, u64) {
     let opts = LaccOpts {
         engine,
-        index_width,
         permute,
         ..base
     };
@@ -63,19 +61,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn compact_and_legacy_wires_agree_across_the_matrix(
-        g in arb_graph(),
-        wide in proptest::bool::ANY,
-    ) {
-        let width = if wide { IndexWidth::U64 } else { IndexWidth::U32 };
+    fn compact_and_legacy_wires_agree_across_the_matrix(g in arb_graph()) {
         let truth = union_find_cc(&g);
         for engine in ENGINES {
-            let compact = profile(&g, LaccOpts::default(), engine, width, true);
-            let legacy = profile(&g, LaccOpts::naive_comm(), engine, width, true);
+            let compact = profile(&g, LaccOpts::default(), engine, true);
+            let legacy = profile(&g, LaccOpts::naive_comm(), engine, true);
             prop_assert_eq!(
                 &compact.0, &legacy.0,
-                "labels diverged (engine {}, width {})",
-                engine, width
+                "labels diverged (engine {})",
+                engine
             );
             prop_assert_eq!(
                 compact.1, legacy.1,
@@ -101,8 +95,8 @@ fn streams_mixing_u16_and_wide_chunks_agree_and_ship_fewer_bytes() {
     assert!(g.num_vertices() > 1 << 16);
     let truth = union_find_cc(&g);
     for engine in ENGINES {
-        let compact = profile(&g, LaccOpts::default(), engine, IndexWidth::U32, false);
-        let legacy = profile(&g, LaccOpts::naive_comm(), engine, IndexWidth::U32, false);
+        let compact = profile(&g, LaccOpts::default(), engine, false);
+        let legacy = profile(&g, LaccOpts::naive_comm(), engine, false);
         assert_eq!(compact.0, legacy.0, "labels diverged (engine {engine})");
         assert_eq!(compact.1, legacy.1, "iterations diverged (engine {engine})");
         assert_eq!(canonicalize_labels(&compact.0), truth, "engine {engine}");

@@ -32,7 +32,7 @@ pub enum ErrorKind {
     /// A rank of the SPMD program panicked.
     RankPanic,
     /// The run was refused before any rank started: a rank count that is
-    /// not a square grid, a graph too large for the index width.
+    /// not a square grid, a graph too large for `u32` vertex ids.
     InvalidConfig,
     /// Every rank ran to its round bound without converging.
     NotConverged,

@@ -8,9 +8,10 @@
 //! matrices (Table III counts directed edges for the same reason).
 //!
 //! The target array is generic over the index word width [`Idx`]: the
-//! default `CsrGraph` stores `usize` targets (the legacy [`Vid`] layout),
-//! while `CsrGraph<u32>` halves adjacency memory traffic for graphs under
-//! 2^32 vertices. Narrowing conversions are checked — see
+//! default `CsrGraph` stores `usize` targets ([`Vid`], what the readers,
+//! generators and serial algorithms build), while `CsrGraph<u32>` stores
+//! the 4-byte words the distributed stack's matrix blocks hold, halving
+//! adjacency memory traffic. Narrowing conversions are checked — see
 //! [`CsrGraph::try_from_edges`] and [`CsrGraph::try_narrow`].
 
 use crate::idx::{ensure_fits, Idx, IdxOverflow};
@@ -37,8 +38,8 @@ impl<I: Idx> CsrGraph<I> {
         }
     }
 
-    /// [`from_edges`](Self::from_edges) with a checked index-width
-    /// conversion.
+    /// [`from_edges`](Self::from_edges) with a checked conversion to the
+    /// index width `I`.
     pub fn try_from_edges(el: EdgeList) -> Result<Self, IdxOverflow> {
         Self::try_from_pairs(el.num_vertices(), el.edges())
     }
@@ -407,7 +408,7 @@ mod tests {
         assert_eq!(err.required(), u32::MAX as usize + 10);
         let msg = err.to_string();
         assert!(
-            msg.contains("u32") && msg.contains("--index-width u64"),
+            msg.contains("u32") && msg.contains("stores vertex ids as u32"),
             "{msg}"
         );
 

@@ -1,28 +1,26 @@
 //! Generic vertex-index word width.
 //!
 //! The paper's test problems top out at ~68M vertices — comfortably inside
-//! 32 bits — yet the workspace historically stored every vertex id and
-//! label as `usize` (8 bytes on the simulated machines). [`Idx`] makes the
-//! index word width a type parameter of the whole stack: graphs, the
-//! GraphBLAS kernels, the distributed vectors, and the serving label store
-//! all narrow from 8-byte to 4-byte words when instantiated at `u32`,
-//! halving both kernel memory traffic and the wire words the α-β cost
-//! model charges.
+//! 32 bits. [`Idx`] makes the index word width a type parameter of graphs,
+//! the GraphBLAS kernels and the distributed vectors. The distributed
+//! stack (`lacc::run`) instantiates them at `u32` and at nothing else:
+//! 4-byte words instead of the 8-byte [`crate::Vid`] halve both kernel
+//! memory traffic and the wire words the α-β cost model charges.
 //!
-//! `u32` is the runtime default (`lacc::IndexWidth`); `u64` is the opt-in
-//! wide layout for graphs beyond the 32-bit range. Conversions *into* a
-//! narrow width are always checked: [`ensure_fits`] (and the fallible
-//! constructors built on it, e.g. `CsrGraph::try_narrow`) return a
-//! descriptive [`IdxOverflow`] instead of ever truncating silently.
+//! Conversions *into* a narrow width are always checked: [`ensure_fits`]
+//! (and the fallible constructors built on it, e.g. `CsrGraph::try_narrow`)
+//! return a descriptive [`IdxOverflow`] instead of ever truncating
+//! silently, and the graph readers ([`crate::io`]) refuse a file whose
+//! vertex count `u32` cannot hold before building anything sized by it.
 
 use std::fmt;
 use std::hash::Hash;
 
 /// A vertex-index word: the storage type for vertex ids and labels.
 ///
-/// Implemented for `u32` (narrow, the default), `u64` (wide), and `usize`
-/// (the legacy [`crate::Vid`] width, so existing monomorphic call sites
-/// keep compiling through default type parameters).
+/// Implemented for `u32` (the distributed stack's width), `u64`, and
+/// `usize` ([`crate::Vid`], the width of serial code and of the default
+/// type parameters).
 ///
 /// The contract mirrors how LACC uses indices: values are always in
 /// `0..n` for a checked `n` (see [`ensure_fits`]), and `Self::max_value()`
@@ -113,9 +111,9 @@ impl_idx!(u32, "u32");
 impl_idx!(u64, "u64");
 impl_idx!(usize, "usize");
 
-/// The error returned when a vertex universe does not fit the configured
-/// index width. Carries everything needed for an actionable message; never
-/// produced by a silent truncation path.
+/// The error returned when a vertex universe does not fit an index width.
+/// Carries everything needed for an actionable message; never produced by
+/// a silent truncation path.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IdxOverflow {
     what: String,
@@ -141,7 +139,7 @@ impl fmt::Display for IdxOverflow {
         write!(
             f,
             "{} needs {} distinct vertex indices, but the {} index width holds at most {}; \
-             rerun with the wide index layout (--index-width u64)",
+             the distributed stack stores vertex ids as u32",
             self.what, self.required, self.width, self.max
         )
     }
@@ -197,7 +195,7 @@ mod tests {
         assert_eq!(err.required(), too_big);
         let msg = err.to_string();
         assert!(msg.contains("u32"), "{msg}");
-        assert!(msg.contains("--index-width u64"), "{msg}");
+        assert!(msg.contains("stores vertex ids as u32"), "{msg}");
         assert!(ensure_fits::<u64>(too_big, "test graph").is_ok());
         assert!(ensure_fits::<u32>(u32::MAX as usize, "edge graph").is_ok());
     }

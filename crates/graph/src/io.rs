@@ -8,7 +8,12 @@
 //! * **Plain edge lists** — whitespace-separated `u v` pairs, `#` comments.
 //! * **Binary** — a compact little-endian format (magic, n, m, pairs) for
 //!   fast reload of generated stand-ins.
+//!
+//! Every reader refuses a vertex count that `u32` — the width of the
+//! distributed stack's ids — cannot hold, before building anything sized
+//! by it.
 
+use crate::idx::ensure_fits;
 use crate::{EdgeList, Vid};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -38,6 +43,12 @@ impl std::fmt::Display for IoError {
 }
 
 impl std::error::Error for IoError {}
+
+/// `n`, if `u32` ids can name `0..n`; a parse error otherwise.
+fn vertex_count(n: usize) -> Result<usize, IoError> {
+    ensure_fits::<u32>(n, "the graph").map_err(|e| IoError::Parse(e.to_string()))?;
+    Ok(n)
+}
 
 /// Reads a Matrix Market coordinate file as an undirected graph.
 ///
@@ -70,7 +81,7 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<EdgeList, IoError> {
     let rows: usize = parse_tok(it.next(), "rows")?;
     let cols: usize = parse_tok(it.next(), "cols")?;
     let nnz: usize = parse_tok(it.next(), "nnz")?;
-    let n = rows.max(cols);
+    let n = vertex_count(rows.max(cols))?;
 
     let mut el = EdgeList::new(n);
     let mut seen = 0usize;
@@ -155,15 +166,11 @@ pub fn read_edge_list<R: Read>(reader: R, n: Option<usize>) -> Result<EdgeList, 
             }
             n
         }
-        None => {
-            if pairs.is_empty() {
-                0
-            } else {
-                max_id + 1
-            }
-        }
+        None if pairs.is_empty() => 0,
+        // Saturating, so an id of `usize::MAX` is refused, not wrapped to 0.
+        None => max_id.saturating_add(1),
     };
-    Ok(EdgeList::from_pairs(n, pairs))
+    Ok(EdgeList::from_pairs(vertex_count(n)?, pairs))
 }
 
 /// Writes a plain edge list.
@@ -214,7 +221,7 @@ pub fn from_binary(bytes: impl AsRef<[u8]>) -> Result<EdgeList, IoError> {
         return Err(IoError::Parse("bad magic".into()));
     }
     let mut pos = 4;
-    let n = get_u64_le(bytes, &mut pos) as usize;
+    let n = vertex_count(get_u64_le(bytes, &mut pos) as usize)?;
     let m = get_u64_le(bytes, &mut pos);
     // Divide rather than multiply: `m · 16` overflows for a hostile `m`.
     if (((bytes.len() - pos) / 16) as u64) < m {
@@ -336,6 +343,37 @@ mod tests {
                 other => panic!("expected a parse error, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn vertex_counts_past_u32_are_refused_before_anything_is_built() {
+        let bin = |n: u64| {
+            let mut bytes = BINARY_MAGIC.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&n.to_le_bytes());
+            bytes.extend_from_slice(&0u64.to_le_bytes());
+            bytes
+        };
+        let refused = |read: Result<EdgeList, IoError>| match read {
+            Err(IoError::Parse(msg)) => assert!(msg.contains("vertex ids as u32"), "{msg}"),
+            other => panic!("expected a parse error, got {other:?}"),
+        };
+        refused(from_binary(bin(1 << 40)));
+        refused(from_binary(bin(u64::MAX)));
+        let mtx = "%%MatrixMarket matrix coordinate pattern general\n\
+                   1099511627776 1099511627776 0\n";
+        refused(read_matrix_market(mtx.as_bytes()));
+        // `max id + 1` would wrap to 0 for the first and need 2^32 + 1
+        // vertices for the second; an id of u32::MAX needs 2^32.
+        for line in ["0 18446744073709551615", "0 4294967296", "0 4294967295"] {
+            refused(read_edge_list(line.as_bytes(), None));
+        }
+        refused(read_edge_list("".as_bytes(), Some(1 << 40)));
+        // The largest count u32 holds still loads: an edge list is not sized
+        // by its vertex count.
+        let most = u32::MAX as usize;
+        assert_eq!(from_binary(bin(most as u64)).unwrap().num_vertices(), most);
+        let el = read_edge_list("0 4294967294".as_bytes(), None).unwrap();
+        assert_eq!(el.num_vertices(), most);
     }
 
     #[test]

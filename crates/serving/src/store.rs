@@ -16,7 +16,6 @@ use std::sync::Arc;
 
 use dmsim::{Grid2d, MachineModel};
 use gblas::dist::VecLayout;
-use lacc_graph::{ensure_fits, Idx};
 
 use crate::Vid;
 
@@ -28,38 +27,25 @@ use crate::Vid;
 /// * `sizes[r]` is the vertex count of `r`'s component for every root `r`
 ///   (non-root entries are stale and never read).
 /// * `components` is the number of roots.
-///
-/// The parent shards store labels at width `I` (default [`Vid`]); the
-/// public API speaks full-width [`Vid`] either way, so a service can
-/// halve its resident label memory with `LabelStore<u32>` without any
-/// caller change. Construction panics with a descriptive message if `n`
-/// exceeds `I`'s range — never a silent truncation.
 #[derive(Clone, Debug)]
-pub struct LabelStore<I: Idx = Vid> {
+pub struct LabelStore {
     layout: VecLayout,
-    parents: Vec<Arc<Vec<I>>>,
+    parents: Vec<Arc<Vec<Vid>>>,
     sizes: Vec<Arc<Vec<usize>>>,
     epoch: u64,
     components: usize,
 }
 
-impl<I: Idx> LabelStore<I> {
+impl LabelStore {
     /// A store of `n` singleton components sharded over `ranks` owners
     /// (must be a perfect square, matching [`Grid2d::square`]). Epoch 0.
     pub fn new_singletons(n: usize, ranks: usize) -> Self {
-        if let Err(e) = ensure_fits::<I>(n, "vertices") {
-            panic!("{e}");
-        }
         let layout = VecLayout::new(n, Grid2d::square(ranks));
         let mut parents = Vec::with_capacity(ranks);
         let mut sizes = Vec::with_capacity(ranks);
         for r in 0..ranks {
             let len = layout.local_len(r);
-            parents.push(Arc::new(
-                (0..len)
-                    .map(|o| I::from_usize(layout.global_of(r, o)))
-                    .collect(),
-            ));
+            parents.push(Arc::new((0..len).map(|o| layout.global_of(r, o)).collect()));
             sizes.push(Arc::new(vec![1usize; len]));
         }
         LabelStore {
@@ -95,13 +81,13 @@ impl<I: Idx> LabelStore<I> {
     /// Parent pointer of `v`.
     pub fn parent(&self, v: Vid) -> Vid {
         let r = self.layout.owner_of(v);
-        self.parents[r][self.layout.offset_of(r, v)].idx()
+        self.parents[r][self.layout.offset_of(r, v)]
     }
 
     fn set_parent(&mut self, v: Vid, p: Vid) {
         let r = self.layout.owner_of(v);
         let o = self.layout.offset_of(r, v);
-        Arc::make_mut(&mut self.parents[r])[o] = I::from_usize(p);
+        Arc::make_mut(&mut self.parents[r])[o] = p;
     }
 
     /// Component size recorded at root `r` (meaningful only for roots).
@@ -159,8 +145,8 @@ impl<I: Idx> LabelStore<I> {
         }
         for r in 0..self.parents.len() {
             let len = self.layout.local_len(r);
-            let parents: Vec<I> = (0..len)
-                .map(|o| I::from_usize(labels[self.layout.global_of(r, o)]))
+            let parents: Vec<Vid> = (0..len)
+                .map(|o| labels[self.layout.global_of(r, o)])
                 .collect();
             let sizes: Vec<usize> = (0..len)
                 .map(|o| counts[self.layout.global_of(r, o)])
@@ -181,7 +167,7 @@ impl<I: Idx> LabelStore<I> {
 
     /// An immutable view of the current epoch. O(p) `Arc` clones; later
     /// mutations copy-on-write and never disturb the snapshot.
-    pub fn snapshot(&self) -> EpochSnapshot<I> {
+    pub fn snapshot(&self) -> EpochSnapshot {
         EpochSnapshot {
             layout: self.layout,
             parents: self.parents.clone(),
@@ -197,15 +183,15 @@ impl<I: Idx> LabelStore<I> {
 /// All queries answer against the state captured at snapshot time, no
 /// matter what the owning service does afterwards.
 #[derive(Clone, Debug)]
-pub struct EpochSnapshot<I: Idx = Vid> {
+pub struct EpochSnapshot {
     layout: VecLayout,
-    parents: Vec<Arc<Vec<I>>>,
+    parents: Vec<Arc<Vec<Vid>>>,
     sizes: Vec<Arc<Vec<usize>>>,
     epoch: u64,
     components: usize,
 }
 
-impl<I: Idx> EpochSnapshot<I> {
+impl EpochSnapshot {
     /// The epoch this snapshot captured.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -223,7 +209,7 @@ impl<I: Idx> EpochSnapshot<I> {
 
     fn parent(&self, v: Vid) -> Vid {
         let r = self.layout.owner_of(v);
-        self.parents[r][self.layout.offset_of(r, v)].idx()
+        self.parents[r][self.layout.offset_of(r, v)]
     }
 
     /// Component representative (root) of `v`.
@@ -288,7 +274,7 @@ mod tests {
 
     #[test]
     fn singletons_then_union() {
-        let mut st: LabelStore = LabelStore::new_singletons(10, 4);
+        let mut st = LabelStore::new_singletons(10, 4);
         assert_eq!(st.epoch(), 0);
         assert_eq!(st.num_components(), 10);
         for v in 0..10 {
@@ -308,7 +294,7 @@ mod tests {
 
     #[test]
     fn snapshot_is_isolated_from_later_writes() {
-        let mut st: LabelStore = LabelStore::new_singletons(8, 4);
+        let mut st = LabelStore::new_singletons(8, 4);
         st.union_roots(0, 5);
         st.publish();
         let snap = st.snapshot();
@@ -336,7 +322,7 @@ mod tests {
 
     #[test]
     fn install_labels_recomputes_sizes_and_components() {
-        let mut st: LabelStore = LabelStore::new_singletons(6, 4);
+        let mut st = LabelStore::new_singletons(6, 4);
         st.install_labels(&[0, 0, 0, 3, 3, 5]);
         assert_eq!(st.num_components(), 3);
         assert_eq!(st.size_of_root(0), 3);
@@ -348,41 +334,8 @@ mod tests {
     }
 
     #[test]
-    fn narrow_store_matches_default_width() {
-        // Same mutation sequence against a u32-sharded and a default
-        // (usize) store: every observable agrees, epoch by epoch.
-        let mut wide = LabelStore::<Vid>::new_singletons(12, 4);
-        let mut narrow = LabelStore::<u32>::new_singletons(12, 4);
-        for (a, b) in [(2usize, 7usize), (2, 9), (0, 5)] {
-            wide.union_roots(a, b);
-            narrow.union_roots(a, b);
-        }
-        assert_eq!(wide.find_compress(9), narrow.find_compress(9));
-        wide.install_labels(&[0, 0, 2, 2, 4, 4, 6, 6, 8, 8, 10, 10]);
-        narrow.install_labels(&[0, 0, 2, 2, 4, 4, 6, 6, 8, 8, 10, 10]);
-        assert_eq!(wide.num_components(), narrow.num_components());
-        assert_eq!(wide.epoch(), narrow.epoch());
-        assert_eq!(wide.snapshot().labels(), narrow.snapshot().labels());
-        for v in 0..12 {
-            assert_eq!(wide.parent(v), narrow.parent(v));
-            assert_eq!(
-                wide.snapshot().component_size(v),
-                narrow.snapshot().component_size(v)
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "u32")]
-    fn narrow_store_rejects_oversized_n() {
-        // u32 can't index beyond u32::MAX vertices; the constructor must
-        // fail loudly (the layout is never allocated, so this is cheap).
-        let _ = LabelStore::<u32>::new_singletons(u32::MAX as usize + 2, 4);
-    }
-
-    #[test]
     fn hops_and_crossings_feed_the_latency_model() {
-        let mut st: LabelStore = LabelStore::new_singletons(16, 4);
+        let mut st = LabelStore::new_singletons(16, 4);
         // Build a chain 15 -> 8 -> 0 without compression: shards of 16
         // elements over 4 ranks are 4-element blocks, so both links cross
         // shard boundaries.

@@ -1,9 +1,10 @@
 //! Offline stand-in for the `proptest` crate.
 //!
-//! Implements the API subset this workspace uses: the [`Strategy`] trait
-//! with `prop_map`/`prop_flat_map`, integer-range and tuple strategies,
-//! `collection::vec`, `bool::ANY`, [`strategy::Just`], the `proptest!`,
-//! `prop_oneof!` and `prop_assert*` macros, and `ProptestConfig`.
+//! Implements the API subset this workspace uses: the
+//! [`strategy::Strategy`] trait with `prop_map`/`prop_flat_map`,
+//! integer-range and tuple strategies, `collection::vec`, `bool::ANY`,
+//! [`strategy::Just`], the `proptest!`, `prop_oneof!` and `prop_assert*`
+//! macros, and `ProptestConfig`.
 //!
 //! Differences from upstream, deliberate for an offline shim:
 //! - cases are generated from a fixed per-case ChaCha8 seed, so runs are
@@ -180,7 +181,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// Anything usable as the size argument of [`vec`]: an exact `usize`
+    /// Anything usable as the size argument of [`vec()`]: an exact `usize`
     /// or a half-open `Range<usize>`.
     pub trait IntoSizeRange {
         /// Picks a length for this draw.

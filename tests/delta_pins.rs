@@ -2,7 +2,7 @@
 //! the delta-driven rules (PR 21) and reproduced exactly by them: the
 //! per-round `[cond, uncond, shortcut, fourth]` series, the round count and
 //! the raw labels on five fixed graphs, in every cell of p ∈ {1, 4, 9} ×
-//! index width × default / `naive_comm()` options.
+//! default / `naive_comm()` options.
 //!
 //! A row holds the round count and an FNV-1a digest of the whole series
 //! (label propagation takes a thousand rounds on the paths); the raw labels are pinned by `lacc_baselines::fastsv_cc`, whose
@@ -18,7 +18,7 @@ use lacc_suite::graph::generators::{community_graph, mesh_3d, path_graph, rmat, 
 use lacc_suite::graph::permute::Permutation;
 use lacc_suite::graph::{CsrGraph, EdgeList};
 use lacc_suite::lacc::EngineSelect::{self, Fastsv, LabelProp};
-use lacc_suite::lacc::{self, IndexWidth, LaccOpts, RunConfig};
+use lacc_suite::lacc::{self, LaccOpts, RunConfig};
 
 /// `(engine, graph, rounds, digest of the series)`.
 type Row = (EngineSelect, &'static str, usize, u64);
@@ -82,25 +82,22 @@ fn per_round_counters_and_labels_match_the_pre_delta_pins() {
         let truth = fastsv_cc(&g);
         let mut first: Option<Vec<[u64; 4]>> = None;
         for ranks in [1usize, 4, 9] {
-            for index_width in [IndexWidth::U32, IndexWidth::U64] {
-                for base in [LaccOpts::default(), LaccOpts::naive_comm()] {
-                    let opts = LaccOpts {
-                        engine,
-                        index_width,
-                        permute: false,
-                        ..base
-                    };
-                    let cfg = RunConfig::new(ranks, EDISON.lacc_model()).with_opts(opts);
-                    let out = lacc::run(&g, &cfg).expect("no rank panicked");
-                    let at = format!("{engine} on {name}, p = {ranks}, {index_width}");
-                    assert_eq!(out.labels, truth, "raw labels: {at}");
-                    let series = series_of(&out);
-                    let first = first.get_or_insert_with(|| series.clone());
-                    assert_eq!(&series, first, "the series depends on the cell: {at}");
-                }
+            for base in [LaccOpts::default(), LaccOpts::naive_comm()] {
+                let opts = LaccOpts {
+                    engine,
+                    permute: false,
+                    ..base
+                };
+                let cfg = RunConfig::new(ranks, EDISON.lacc_model()).with_opts(opts);
+                let out = lacc::run(&g, &cfg).expect("no rank panicked");
+                let at = format!("{engine} on {name}, p = {ranks}");
+                assert_eq!(out.labels, truth, "raw labels: {at}");
+                let series = series_of(&out);
+                let first = first.get_or_insert_with(|| series.clone());
+                assert_eq!(&series, first, "the series depends on the cell: {at}");
             }
         }
-        let series = first.expect("twelve cells ran");
+        let series = first.expect("six cells ran");
         measured.push(((engine, name, series.len(), digest_of(&series)), series));
     }
     println!("PINS:");

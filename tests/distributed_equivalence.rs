@@ -12,7 +12,7 @@ use lacc_suite::dmsim::{CORI_KNL, EDISON};
 use lacc_suite::graph::generators::*;
 use lacc_suite::graph::unionfind::canonicalize_labels;
 use lacc_suite::graph::CsrGraph;
-use lacc_suite::lacc::{lacc_serial, EngineSelect, IndexWidth, LaccOpts, RunConfig, RunOutput};
+use lacc_suite::lacc::{lacc_serial, EngineSelect, LaccOpts, RunConfig, RunOutput};
 
 /// `lacc::run` in the positional shape the configuration matrix below
 /// reads naturally in.
@@ -54,9 +54,9 @@ fn bit_identical_across_comm_configs() {
     }
 }
 
-/// The lever lattice, closed: every engine on both wire formats and both
-/// index widths finds the union-find partition, and LACC's parent vector
-/// is bit-identical to serial LACC throughout.
+/// The lever lattice, closed: every engine on both wire formats finds the
+/// union-find partition, and LACC's parent vector is bit-identical to
+/// serial LACC throughout.
 #[test]
 fn engines_agree_across_wire_layout_and_width() {
     let g = community_graph(600, 30, 3.0, 1.4, 5);
@@ -74,23 +74,20 @@ fn engines_agree_across_wire_layout_and_width() {
         EngineSelect::LabelProp,
     ] {
         for wire in [Wire::Legacy, Wire::Compact] {
-            for index_width in [IndexWidth::U32, IndexWidth::U64] {
-                let opts = LaccOpts {
-                    engine,
-                    index_width,
-                    permute: false,
-                    dist: DistOpts {
-                        wire,
-                        ..DistOpts::default()
-                    },
-                    ..LaccOpts::default()
-                };
-                let run = run_with(&g, 4, EDISON.lacc_model(), &opts).unwrap();
-                let at = format!("{engine} {wire:?} {index_width}");
-                assert_eq!(canonicalize_labels(&run.labels), truth, "{at}");
-                if engine == EngineSelect::Lacc {
-                    assert_eq!(run.labels, serial.labels, "{at}");
-                }
+            let opts = LaccOpts {
+                engine,
+                permute: false,
+                dist: DistOpts {
+                    wire,
+                    ..DistOpts::default()
+                },
+                ..LaccOpts::default()
+            };
+            let run = run_with(&g, 4, EDISON.lacc_model(), &opts).unwrap();
+            let at = format!("{engine} {wire:?}");
+            assert_eq!(canonicalize_labels(&run.labels), truth, "{at}");
+            if engine == EngineSelect::Lacc {
+                assert_eq!(run.labels, serial.labels, "{at}");
             }
         }
     }

@@ -2,8 +2,8 @@
 //! partition through every configuration of the distributed stack.
 //!
 //! For each generated graph, runs all three engines (LACC, FastSV, label
-//! propagation) across naive vs optimized communication and u32 vs u64
-//! index width, and requires identical *canonical* labels everywhere
+//! propagation) across naive vs optimized communication, and requires
+//! identical *canonical* labels everywhere
 //! (LACC's raw labels are tree-root ids while FastSV/labelprop converge to
 //! component minima, so raw bit-equality across engines is not expected —
 //! canonical equality is the cross-engine contract).
@@ -13,7 +13,7 @@ use lacc_suite::gblas::dist::DistOpts;
 use lacc_suite::graph::generators::*;
 use lacc_suite::graph::unionfind::canonicalize_labels;
 use lacc_suite::graph::{CsrGraph, EdgeList};
-use lacc_suite::lacc::{self, EngineSelect, IndexWidth, LaccOpts};
+use lacc_suite::lacc::{self, EngineSelect, LaccOpts};
 use proptest::prelude::*;
 
 fn run_engine(g: &CsrGraph, opts: LaccOpts) -> lacc::RunOutput {
@@ -21,7 +21,7 @@ fn run_engine(g: &CsrGraph, opts: LaccOpts) -> lacc::RunOutput {
     lacc::run(g, &cfg).expect("engine rank panicked")
 }
 
-/// The full engine × comm × width sweep on one graph: every cell's
+/// The full engine × comm sweep on one graph: every cell's
 /// canonical labels must equal serial union-find's.
 fn assert_matrix_agrees(name: &str, g: &CsrGraph) {
     let truth = b::union_find_cc(g);
@@ -31,24 +31,21 @@ fn assert_matrix_agrees(name: &str, g: &CsrGraph) {
         EngineSelect::LabelProp,
     ] {
         for naive in [false, true] {
-            for width in [IndexWidth::U32, IndexWidth::U64] {
-                let opts = LaccOpts {
-                    engine,
-                    index_width: width,
-                    dist: if naive {
-                        DistOpts::naive()
-                    } else {
-                        DistOpts::default()
-                    },
-                    ..LaccOpts::default()
-                };
-                let out = run_engine(g, opts);
-                assert_eq!(
-                    canonicalize_labels(&out.labels),
-                    truth,
-                    "{engine} naive={naive} {width} on {name}"
-                );
-            }
+            let opts = LaccOpts {
+                engine,
+                dist: if naive {
+                    DistOpts::naive()
+                } else {
+                    DistOpts::default()
+                },
+                ..LaccOpts::default()
+            };
+            let out = run_engine(g, opts);
+            assert_eq!(
+                canonicalize_labels(&out.labels),
+                truth,
+                "{engine} naive={naive} on {name}"
+            );
         }
     }
 }

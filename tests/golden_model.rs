@@ -14,7 +14,7 @@
 use lacc_suite::dmsim::{TraceLevel, TraceSink, EDISON};
 use lacc_suite::graph::generators::{community_graph, rmat, RmatParams};
 use lacc_suite::graph::CsrGraph;
-use lacc_suite::lacc::{self, EngineSelect, IndexWidth, LaccOpts, RunConfig};
+use lacc_suite::lacc::{self, EngineSelect, LaccOpts, RunConfig};
 use std::sync::Arc;
 
 /// `(engine, ranks, modeled_total_s, Σ words_sent, Σ bytes_sent)`.
@@ -59,12 +59,7 @@ fn graph_for(engine: EngineSelect) -> CsrGraph {
 fn measure(base: LaccOpts, engine: EngineSelect, ranks: usize) -> Row {
     let sink: Arc<TraceSink> = TraceSink::new(TraceLevel::Steps);
     let cfg = RunConfig::new(ranks, EDISON.lacc_model())
-        .with_opts(LaccOpts {
-            engine,
-            // Pinned: the table holds u32-width numbers.
-            index_width: IndexWidth::U32,
-            ..base
-        })
+        .with_opts(LaccOpts { engine, ..base })
         .with_trace(&sink);
     let out = lacc::run(&graph_for(engine), &cfg).expect("no rank panicked");
     let traces = sink.rank_traces();

@@ -10,7 +10,7 @@ use lacc_suite::dmsim::{TraceLevel, TraceSink, EDISON};
 use lacc_suite::graph::generators::*;
 use lacc_suite::graph::permute::Permutation;
 use lacc_suite::graph::{CsrGraph, EdgeList};
-use lacc_suite::lacc::{IndexWidth, LaccOpts, RunConfig, RunOutput};
+use lacc_suite::lacc::{LaccOpts, RunConfig, RunOutput};
 use std::sync::Arc;
 
 /// One traced run: the output plus each rank's `(words, bytes)` sent.
@@ -42,34 +42,30 @@ fn fused_ingest_matches_running_on_a_prepermuted_graph() {
     for g in &graphs {
         let n = g.num_vertices();
         for p in [1usize, 4, 9, 16] {
-            for index_width in [IndexWidth::U32, IndexWidth::U64] {
-                let fused_opts = LaccOpts {
-                    index_width,
-                    permute: true,
-                    permute_seed: 0xFEED + p as u64,
-                    ..LaccOpts::default()
-                };
-                let perm = Permutation::random(n, fused_opts.permute_seed);
-                let reference_opts = LaccOpts {
-                    permute: false,
-                    ..fused_opts
-                };
-                let (fused, fused_traffic) = traced(g, p, fused_opts);
-                let (reference, reference_traffic) =
-                    traced(&perm.permute_graph(g), p, reference_opts);
-                let at = format!("n={n} p={p} {index_width:?}");
-                assert_eq!(
-                    fused.labels,
-                    perm.unpermute_labels(&reference.labels),
-                    "{at}"
-                );
-                assert_eq!(fused.num_iterations(), reference.num_iterations(), "{at}");
-                assert_eq!(fused.modeled_total_s, reference.modeled_total_s, "{at}");
-                assert_eq!(fused_traffic, reference_traffic, "{at}");
-                for (a, b) in fused.iters.iter().zip(&reference.iters) {
-                    assert_eq!(a.modeled, b.modeled, "{at}");
-                    assert_eq!(a.extract_received, b.extract_received, "{at}");
-                }
+            let fused_opts = LaccOpts {
+                permute: true,
+                permute_seed: 0xFEED + p as u64,
+                ..LaccOpts::default()
+            };
+            let perm = Permutation::random(n, fused_opts.permute_seed);
+            let reference_opts = LaccOpts {
+                permute: false,
+                ..fused_opts
+            };
+            let (fused, fused_traffic) = traced(g, p, fused_opts);
+            let (reference, reference_traffic) = traced(&perm.permute_graph(g), p, reference_opts);
+            let at = format!("n={n} p={p}");
+            assert_eq!(
+                fused.labels,
+                perm.unpermute_labels(&reference.labels),
+                "{at}"
+            );
+            assert_eq!(fused.num_iterations(), reference.num_iterations(), "{at}");
+            assert_eq!(fused.modeled_total_s, reference.modeled_total_s, "{at}");
+            assert_eq!(fused_traffic, reference_traffic, "{at}");
+            for (a, b) in fused.iters.iter().zip(&reference.iters) {
+                assert_eq!(a.modeled, b.modeled, "{at}");
+                assert_eq!(a.extract_received, b.extract_received, "{at}");
             }
         }
     }

@@ -95,30 +95,6 @@ proptest! {
     }
 
     #[test]
-    fn index_widths_agree_distributed(
-        g in arb_graph(80, 200),
-        naive in prop_oneof![Just(false), Just(true)],
-    ) {
-        // The index width is a storage/wire layout knob: for any comm
-        // stack (optimized or naive), the u32 run must match the u64 run
-        // in labels and iteration count.
-        use lacc_suite::gblas::dist::DistOpts;
-        use lacc_suite::lacc::IndexWidth;
-        let base = LaccOpts {
-            permute: false,
-            dist: if naive { DistOpts::naive() } else { DistOpts::default() },
-            ..LaccOpts::default()
-        };
-        let model = lacc_suite::dmsim::EDISON.lacc_model();
-        let narrow = run_with(
-            &g, 4, model, &LaccOpts { index_width: IndexWidth::U32, ..base }).unwrap();
-        let wide = run_with(
-            &g, 4, model, &LaccOpts { index_width: IndexWidth::U64, ..base }).unwrap();
-        prop_assert_eq!(&narrow.labels, &wide.labels);
-        prop_assert_eq!(narrow.num_iterations(), wide.num_iterations());
-    }
-
-    #[test]
     fn overlap_is_invisible_in_results_and_traffic(
         g in arb_graph(80, 200),
         engine in prop_oneof![
@@ -126,20 +102,17 @@ proptest! {
             Just(lacc::EngineSelect::Fastsv),
             Just(lacc::EngineSelect::LabelProp),
         ],
-        narrow in prop_oneof![Just(false), Just(true)],
     ) {
         // Non-blocking execution is a pure scheduling change: for every
-        // engine and index width, overlap on and off must produce
+        // engine, overlap on and off must produce
         // bit-identical labels, the same iteration trajectory, and move
         // exactly the same words per rank — only the modeled clock (and
         // the hidden-seconds counter) may differ.
         use lacc_suite::dmsim::{TraceLevel, TraceSink};
-        use lacc_suite::lacc::IndexWidth;
         let model = lacc_suite::dmsim::EDISON.lacc_model();
         let base = LaccOpts {
             permute: false,
             engine,
-            index_width: if narrow { IndexWidth::U32 } else { IndexWidth::U64 },
             ..LaccOpts::default()
         };
         let run_traced = |overlap: bool| {
