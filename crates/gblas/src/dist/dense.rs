@@ -6,7 +6,9 @@
 //! or search: a [`RankBitmap`] over `0..n` records which ids are present,
 //! the prefix popcount of an id is its index in the sorted, deduplicated
 //! list, and an [`OwnerLocator`] cuts that list at the chunk boundaries —
-//! `O(k + n/64)` for `k` ids, in two sequential passes.
+//! `O(k + n/64)` for `k` ids, in two sequential passes. The same words
+//! carry a dense `mxv`'s mask to the ranks that fold its rows
+//! (`pack_bits` / `set_bits`).
 
 use super::dvec::VecLayout;
 use crate::types::Monoid;
@@ -174,18 +176,34 @@ impl RankBitmap {
 
     /// The present positions, ascending.
     pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
-        self.bits.iter().enumerate().flat_map(|(w, &word)| {
-            let mut rest = word;
-            std::iter::from_fn(move || {
-                if rest == 0 {
-                    return None;
-                }
-                let b = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                Some(w * 64 + b)
-            })
-        })
+        set_bits(&self.bits)
     }
+}
+
+/// Packs `len` flags into words, bit `o % 64` of word `o / 64` holding
+/// flag `o`.
+pub(crate) fn pack_bits(len: usize, flag: impl Fn(usize) -> bool) -> Vec<u64> {
+    let mut words = vec![0u64; len.div_ceil(64)];
+    for o in (0..len).filter(|&o| flag(o)) {
+        words[o / 64] |= 1 << (o % 64);
+    }
+    words
+}
+
+/// The positions of the set bits of `words`, ascending, found with
+/// `trailing_zeros` — one step per set bit plus one per word.
+pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let b = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            Some(w * 64 + b)
+        })
+    })
 }
 
 /// `(position, value)` items grouped by position: what a `BTreeMap`
@@ -273,6 +291,17 @@ mod tests {
         assert_eq!((full.rank(64), full.rank(128)), (64, 128));
         let empty = RankBitmap::from_positions(0, std::iter::empty());
         assert_eq!((empty.count(), empty.rank(0)), (0, 0));
+    }
+
+    #[test]
+    fn packed_flags_come_back_as_their_set_positions() {
+        for len in [0usize, 1, 63, 64, 65, 200] {
+            let flag = |o: usize| o % 3 == 1 || o == 63;
+            let words = pack_bits(len, flag);
+            assert_eq!(words.len(), len.div_ceil(64));
+            let want = (0..len).filter(|&o| flag(o));
+            assert!(set_bits(&words).eq(want), "len {len}");
+        }
     }
 
     #[test]

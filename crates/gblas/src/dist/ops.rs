@@ -19,7 +19,7 @@
 //! [`crate::serial`]; the test module checks this across grid sizes.
 
 use super::compact::NarrowVal;
-use super::dense::{group_fold, RankBitmap};
+use super::dense::{group_fold, pack_bits, set_bits, RankBitmap};
 use super::dmat::DistMat;
 use super::dvec::{block_range, DistSpVec, DistVec, VecLayout};
 use crate::serial::CsrMirror;
@@ -229,12 +229,26 @@ pub enum DistMask<'a> {
     Complement(&'a DistVec<bool>),
 }
 
-impl DistMask<'_> {
-    fn allows(&self, g: Vid) -> bool {
+impl<'a> DistMask<'a> {
+    /// The mask vector and the flag value that keeps an entry; `None` when
+    /// nothing is masked.
+    fn keeps(self) -> Option<(&'a DistVec<bool>, bool)> {
         match self {
-            DistMask::None => true,
-            DistMask::Keep(m) => m.get_local(g),
-            DistMask::Complement(m) => !m.get_local(g),
+            DistMask::None => None,
+            DistMask::Keep(m) => Some((m, true)),
+            DistMask::Complement(m) => Some((m, false)),
+        }
+    }
+
+    fn allows(self, g: Vid) -> bool {
+        self.keeps().is_none_or(|(m, keep)| m.get_local(g) == keep)
+    }
+
+    /// A mask on another layout than the vector it masks would keep or
+    /// drop the wrong rows without a trace, so this always checks.
+    fn assert_layout(self, layout: VecLayout) {
+        if let Some((m, _)) = self.keeps() {
+            assert_eq!(m.layout(), layout, "mask built for a different layout");
         }
     }
 }
@@ -291,32 +305,33 @@ where
 }
 
 /// Phase-2 local multiply of SpMV: a row gather over the stored row-major
-/// block. Row `r` folds `x_block[j]` over its columns `j` — one random read
-/// per nonzero, `acc[r]` and `touched[r]` written once. Rows hold their
-/// columns in source order; [`Monoid`] is commutative and [`NarrowVal`]
-/// admits no floats, so that order cannot show in `acc`. Returns `(acc,
-/// touched, nonzeros folded)`.
+/// block, for the block-local rows `kept` yields. Row `r` folds
+/// `x_block[j]` over its columns `j` — one random read per nonzero, one
+/// `(value, touched)` pair written. Rows hold their columns in source
+/// order; [`Monoid`] is commutative and [`NarrowVal`] admits no floats, so
+/// that order cannot show in a value. Returns the pairs in `kept`'s order
+/// and the nonzeros folded.
 fn local_multiply_block<T, M, I>(
     rows: &CsrMirror<I>,
     x_block: &[T],
+    kept: impl Iterator<Item = usize>,
     monoid: M,
-) -> (Vec<T>, Vec<bool>, u64)
+) -> (Vec<(T, bool)>, u64)
 where
     T: Copy,
     M: Monoid<T>,
     I: Idx,
 {
-    let h = rows.nrows();
-    let mut acc = vec![monoid.identity(); h];
-    let mut touched = vec![false; h];
     let mut ops = 0u64;
-    for (r, (a_slot, t_slot)) in acc.iter_mut().zip(&mut touched).enumerate() {
-        let cols = rows.row(r);
-        let fold = |v, j: &I| monoid.combine(v, x_block[j.idx()]);
-        (*a_slot, *t_slot) = (cols.iter().fold(*a_slot, fold), !cols.is_empty());
-        ops += cols.len() as u64;
-    }
-    (acc, touched, ops)
+    let pairs = kept
+        .map(|r| {
+            let cols = rows.row(r);
+            ops += cols.len() as u64;
+            let fold = |v, j: &I| monoid.combine(v, x_block[j.idx()]);
+            (cols.iter().fold(monoid.identity(), fold), !cols.is_empty())
+        })
+        .collect();
+    (pairs, ops)
 }
 
 /// The local multiply of SpMSpV: pushes every gathered `(v, x_v)`, `v` in
@@ -424,7 +439,7 @@ where
     fold_chunk_arrivals(block_range(n, p, b * q + group.my_index()), &parts, monoid)
 }
 
-/// The owner-side end of every `mxv`: keeps the entries the mask allows.
+/// The owner-side end of SpMSpV: keeps the entries the mask allows.
 fn masked_output<T, I>(
     comm: &mut Comm,
     layout: VecLayout,
@@ -440,7 +455,55 @@ where
     DistSpVec::from_local_entries(layout, comm.rank(), entries)
 }
 
+/// A `Keep` / `Complement` mask of SpMV as packed bits, set where a row is
+/// kept, on both sides of the exchange.
+struct RowBlockMask {
+    /// This rank's own vector chunk, packed by this rank.
+    own: Vec<u64>,
+    /// The row block this rank multiplies: per subchunk `k` (global chunk
+    /// `i·pc + k`), the words its owner packed.
+    block: Vec<Vec<u64>>,
+}
+
+/// Steps 1–2 of a masked SpMV: the owner packs its mask chunk (charged
+/// per flag), and a transpose hop plus an allgatherv within the processor
+/// row — phases 3–4's route run backwards — deliver row block `i`'s words
+/// to the ranks that multiply it. The words ride raw on either wire,
+/// charged as shipped.
+fn deliver_row_block_mask(
+    comm: &mut Comm,
+    grid: Grid2d,
+    row_group: &Group,
+    mask: &DistVec<bool>,
+    keep: bool,
+) -> RowBlockMask {
+    let flags = mask.local();
+    let own = pack_bits(flags.len(), |o| flags[o] == keep);
+    comm.charge_compute(flags.len() as u64);
+    let share = transpose_exchange(comm, grid, own.clone());
+    let block = comm.allgatherv(row_group, share);
+    RowBlockMask { own, block }
+}
+
+/// The owner's entries of a reduced SpMV chunk: `mine[k]` is the row at
+/// local offset `offsets[k]`, and the rows no block touched are dropped.
+fn touched_entries<T, I: Idx>(
+    start: usize,
+    offsets: impl Iterator<Item = usize>,
+    mine: Vec<(T, bool)>,
+) -> Vec<(I, T)> {
+    offsets
+        .zip(mine)
+        .filter_map(|(o, (v, touched))| touched.then_some((I::from_usize(start + o), v)))
+        .collect()
+}
+
 /// Distributed SpMV: `y = A ⊕.2nd x` with dense input `x`, masked output.
+///
+/// A `Keep` / `Complement` mask is applied before the fold: its bits reach
+/// the ranks that multiply each row block (`deliver_row_block_mask`), so
+/// only kept rows are folded and charged, and only their `(value,
+/// touched)` pairs cross the reduce-scatter and the transpose hop.
 pub fn dist_mxv_dense<T, M, I>(
     comm: &mut Comm,
     a: &DistMat<I>,
@@ -458,9 +521,14 @@ where
     let grid = a.grid();
     let layout = x.layout();
     assert_eq!(layout.len(), a.n(), "matrix/vector dimension mismatch");
+    mask.assert_layout(layout);
     let me = comm.rank();
     let (i, _) = grid.coords_of(me);
     let (pc, p) = (grid.cols(), grid.size());
+    let row_group = grid.row_group(comm);
+    let kept = mask
+        .keeps()
+        .map(|(m, keep)| deliver_row_block_mask(comm, grid, &row_group, m, keep));
 
     // Phase 1: assemble the column-block segment of x within the processor
     // column (group index within col_group equals grid row, so blocks
@@ -472,22 +540,32 @@ where
     let x_block: Vec<T> = gh.peek().concat();
     debug_assert_eq!(x_block.len(), a.col_range().1 - a.col_range().0);
 
-    // Phase 2: row gather over the local block into a row-block
-    // accumulator.
-    let (rs, _re) = a.row_range();
-    let (acc, touched, ops) = local_multiply_block(a.row_mirror(), &x_block, monoid);
-    comm.charge_compute(ops + x_block.len() as u64);
-    gh.wait(comm);
-
-    // Phase 3: reduce-scatter within the processor row. Subchunk k of this
-    // row block is global chunk i·pc + k, destined for row-group member k.
-    let row_group = grid.row_group(comm);
+    // Phase 2: row gather over the local block, one part per subchunk k of
+    // the row block — global chunk i·pc + k, destined for row-group member
+    // k — holding its rows' (value, touched) pairs. Under a mask only the
+    // kept rows are folded, found by scanning the subchunk's words.
+    let rs = a.row_range().0;
+    let mut ops = x_block.len() as u64;
     let parts: Vec<Vec<(T, bool)>> = (0..pc)
         .map(|k| {
             let (s, e) = block_range(a.n(), p, i * pc + k);
-            (s..e).map(|g| (acc[g - rs], touched[g - rs])).collect()
+            let (part, folded) = match &kept {
+                None => local_multiply_block(a.row_mirror(), &x_block, s - rs..e - rs, monoid),
+                Some(m) => {
+                    ops += m.block[k].len() as u64;
+                    let rows = set_bits(&m.block[k]).map(|o| s - rs + o);
+                    local_multiply_block(a.row_mirror(), &x_block, rows, monoid)
+                }
+            };
+            ops += folded;
+            part
         })
         .collect();
+    comm.charge_compute(ops);
+    gh.wait(comm);
+
+    // Phase 3: reduce-scatter within the processor row. Every member of
+    // the row holds the same bits, so the parts it folds line up.
     let reduced = comm.reduce_scatter(&row_group, parts, |aa: &mut (T, bool), bb: (T, bool)| {
         if bb.1 {
             if aa.1 {
@@ -499,13 +577,20 @@ where
     });
 
     // Phase 4: transpose exchange — the reduced chunk i·pc + j belongs to
-    // rank (j, i) under the column-major vector layout. Owner-side: keep
-    // the touched entries passing the mask.
+    // rank (j, i) under the column-major vector layout, which packed its
+    // bits: the owner places the arrivals at its kept offsets and keeps
+    // the touched ones.
     let mine: Vec<(T, bool)> = transpose_exchange(comm, grid, reduced);
-    let (s, _e) = layout.range_of_rank(me);
-    let touched = mine.into_iter().enumerate().filter(|(_, (_, t))| *t);
-    let entries = touched.map(|(off, (v, _))| (I::from_usize(s + off), v));
-    let out = masked_output(comm, layout, entries, mask);
+    let s = layout.range_of_rank(me).0;
+    let (entries, scanned): (Vec<(I, T)>, usize) = match &kept {
+        None => (touched_entries(s, 0.., mine), 0),
+        Some(m) => {
+            debug_assert_eq!(set_bits(&m.own).count(), mine.len(), "one per kept row");
+            (touched_entries(s, set_bits(&m.own), mine), m.own.len())
+        }
+    };
+    comm.charge_compute((entries.len() + scanned) as u64);
+    let out = DistSpVec::from_local_entries(layout, me, entries);
     comm.span_close(span);
     out
 }
@@ -528,6 +613,7 @@ where
     let grid = a.grid();
     let layout = x.layout();
     assert_eq!(layout.len(), a.n(), "matrix/vector dimension mismatch");
+    mask.assert_layout(layout);
 
     // `A` is symmetric, so `y = A x = Aᵀ x` and the stored rows of block
     // (i, j) are the columns of block (j, i): the multiply wants `x` over
@@ -1152,6 +1238,114 @@ mod tests {
         check_mxv_dense(&g, &x, None);
     }
 
+    /// Per rank, for one masked SpMV of `g` traced at collective level:
+    /// `(ops charged, reduce-scatter words, words of the raw transpose
+    /// hops, the kept rows' nonzeros, output entries)`.
+    fn traced_masked_mxv(g: &CsrGraph, p: usize, mask_global: &[bool]) -> Vec<[u64; 5]> {
+        let n = g.num_vertices();
+        let x_global = random_dense(n, 19);
+        let sink = dmsim::TraceSink::new(dmsim::TraceLevel::Collectives);
+        let model = dmsim::MachineModel::free();
+        let out = dmsim::run_spmd_traced(p, model, Some(&sink), |c| {
+            let grid = Grid2d::square(p);
+            let layout = VecLayout::new(n, grid);
+            let a = DistMat::<u32>::from_graph(g, grid, c.rank());
+            let x = DistVec::from_global(layout, c.rank(), &x_global);
+            let m = DistVec::from_global(layout, c.rank(), mask_global);
+            let mask = DistMask::Keep(&m);
+            let y = dist_mxv_dense(c, &a, &x, mask, MinUsize, &DistOpts::default());
+            let (rs, rows) = (a.row_range().0, a.row_mirror());
+            let kept = (0..rows.nrows()).filter(|&r| mask_global[rs + r]);
+            let nnz: usize = kept.map(|r| rows.row(r).len()).sum();
+            (nnz as u64, y.local_nvals() as u64)
+        })
+        .unwrap();
+        let traces = sink.rank_traces();
+        let words = |rt: &dmsim::RankTrace, kind: SpanKind| -> u64 {
+            let spans = rt.spans.iter().filter(|s| s.kind == kind);
+            spans.map(|s| s.words).sum()
+        };
+        out.iter()
+            .zip(&traces)
+            .map(|(&(nnz, nvals), rt)| {
+                let mxv = rt.spans.iter().find(|s| s.kind == SpanKind::Mxv).unwrap();
+                let rs = words(rt, SpanKind::ReduceScatter);
+                let raw = mxv.words - rs - words(rt, SpanKind::Allgatherv);
+                [mxv.ops, rs, raw, nnz, nvals]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_dense_mask_skips_the_fold_and_the_row_payload_of_dropped_rows() {
+        // Under an all-false mask the multiply charges no nonzero — the
+        // call's op count equals the edgeless graph's — and neither the
+        // reduce-scatter nor the transpose hop carries a row: the only raw
+        // words are the mask bits' own transpose hop. Under a partial mask
+        // the graph adds exactly the kept rows' nonzeros plus the entries
+        // it outputs.
+        let g = rmat(7, 6, RmatParams::graph500(), 17);
+        let n = g.num_vertices();
+        let edgeless = CsrGraph::from_edges(lacc_graph::EdgeList::new(n));
+        let none = vec![false; n];
+        let partial: Vec<bool> = (0..n).map(|v| v % 3 != 0).collect();
+        for p in GRIDS {
+            let grid = Grid2d::square(p);
+            let layout = VecLayout::new(n, grid);
+            let dropped = traced_masked_mxv(&g, p, &none);
+            let empty = traced_masked_mxv(&edgeless, p, &none);
+            for (r, (got, base)) in dropped.iter().zip(&empty).enumerate() {
+                let [ops, rs, raw, _, nvals] = *got;
+                assert_eq!((ops, nvals), (base[0], 0), "p={p} rank {r}: ops");
+                let (i, j) = grid.coords_of(r);
+                let bits = |rank| layout.local_len(rank).div_ceil(64) as u64;
+                let partner = grid.rank_of(j, i);
+                let hop = if i == j { 0 } else { bits(r) + bits(partner) };
+                assert_eq!((rs, raw), (0, hop), "p={p} rank {r}: row payload");
+            }
+            let kept = traced_masked_mxv(&g, p, &partial);
+            let empty = traced_masked_mxv(&edgeless, p, &partial);
+            assert!(kept.iter().any(|k| k[3] > 0), "p={p}: nothing kept");
+            for (r, (got, base)) in kept.iter().zip(&empty).enumerate() {
+                let [ops, _, _, nnz, nvals] = *got;
+                assert_eq!(ops - base[0], nnz + nvals, "p={p} rank {r}: ops");
+            }
+        }
+    }
+
+    /// An `mxv` whose mask has `x`'s length but another grid's chunks.
+    fn mxv_under_a_foreign_mask(dense: bool) {
+        let g = path_graph(12);
+        run_spmd(4, |c| {
+            let grid = Grid2d::square(4);
+            let layout = VecLayout::new(12, grid);
+            let a = DistMat::<u32>::from_graph(&g, grid, c.rank());
+            let foreign = VecLayout::new(12, Grid2d::new(1, 4));
+            let m = DistVec::from_fn(foreign, c.rank(), |v| v % 2 == 0);
+            let (mask, opts) = (DistMask::Keep(&m), DistOpts::default());
+            if dense {
+                let x = DistVec::from_fn(layout, c.rank(), |v| v);
+                dist_mxv_dense(c, &a, &x, mask, MinUsize, &opts);
+            } else {
+                let x = DistSpVec::<usize, u32>::empty(layout, c.rank());
+                dist_mxv_sparse(c, &a, &x, mask, MinUsize, &opts);
+            }
+        })
+        .unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "mask built for a different layout")]
+    fn dense_mxv_refuses_a_mask_on_another_layout() {
+        mxv_under_a_foreign_mask(true);
+    }
+
+    #[test]
+    #[should_panic(expected = "mask built for a different layout")]
+    fn sparse_mxv_refuses_a_mask_on_another_layout() {
+        mxv_under_a_foreign_mask(false);
+    }
+
     fn check_mxv_sparse(g: &CsrGraph, x_serial: &SparseVec<usize>, opts: DistOpts) {
         let a_serial = Pattern::from_graph(g);
         let n = g.num_vertices();
@@ -1214,23 +1408,19 @@ mod tests {
     }
 
     /// The dense kernel this crate used to run: a sweep of the block's
-    /// nonempty columns, scattering into `acc`.
+    /// nonempty columns, scattering into `(acc, touched)` over every row.
     fn column_sweep_oracle<T: Copy, M: Monoid<T>>(
         rows: &CsrMirror<u32>,
         x_block: &[T],
         monoid: M,
-    ) -> (Vec<T>, Vec<bool>, u64) {
-        let mut acc = vec![monoid.identity(); rows.nrows()];
-        let mut touched = vec![false; rows.nrows()];
-        let mut ops = 0u64;
+    ) -> Vec<(T, bool)> {
+        let mut out = vec![(monoid.identity(), false); rows.nrows()];
         for (lc, col) in columns_of(rows).iter().enumerate() {
             for &lr in col {
-                acc[lr] = monoid.combine(acc[lr], x_block[lc]);
-                touched[lr] = true;
+                out[lr] = (monoid.combine(out[lr].0, x_block[lc]), true);
             }
-            ops += col.len() as u64;
         }
-        (acc, touched, ops)
+        out
     }
 
     /// Random rectangular blocks — rows in random column order, empty rows,
@@ -1270,23 +1460,32 @@ mod tests {
 
     #[test]
     fn row_gather_matches_the_column_sweep_oracle() {
-        fn check<T, M>(rows: &CsrMirror<u32>, monoid: M, val: impl Fn(u64) -> T)
+        // Over every row, and over the rows a mask keeps: their pairs in
+        // order, and only their nonzeros counted.
+        fn check<T, M>(rows: &CsrMirror<u32>, kept: &[usize], monoid: M, val: impl Fn(u64) -> T)
         where
             T: Copy + PartialEq + std::fmt::Debug,
             M: Monoid<T>,
         {
             let x: Vec<T> = (0..rows.ncols() as u64).map(val).collect();
-            let expected = column_sweep_oracle(rows, &x, monoid);
-            assert_eq!(local_multiply_block(rows, &x, monoid), expected);
+            let all = column_sweep_oracle(rows, &x, monoid);
+            let pairs: Vec<(T, bool)> = kept.iter().map(|&r| all[r]).collect();
+            let nnz: usize = kept.iter().map(|&r| rows.row(r).len()).sum();
+            let got = local_multiply_block(rows, &x, kept.iter().copied(), monoid);
+            assert_eq!(got, (pairs, nnz as u64));
         }
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
         for rows in &sample_blocks(&mut rng) {
-            check(rows, MinUsize, word);
-            check(rows, MaxUsize, word);
-            check(rows, AddUsize, word);
-            check(rows, MinMaxUsize, |j| (word(j), word(j + 1)));
-            check(rows, AndBool, |j| !word(j).is_multiple_of(3));
-            check(rows, OrBool, |j| word(j).is_multiple_of(3));
+            let every: Vec<usize> = (0..rows.nrows()).collect();
+            let some: Vec<usize> = (0..rows.nrows()).filter(|_| rng.random_bool(0.4)).collect();
+            for kept in [&every, &some] {
+                check(rows, kept, MinUsize, word);
+                check(rows, kept, MaxUsize, word);
+                check(rows, kept, AddUsize, word);
+                check(rows, kept, MinMaxUsize, |j| (word(j), word(j + 1)));
+                check(rows, kept, AndBool, |j| !word(j).is_multiple_of(3));
+                check(rows, kept, OrBool, |j| word(j).is_multiple_of(3));
+            }
         }
     }
 

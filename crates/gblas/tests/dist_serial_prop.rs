@@ -25,28 +25,59 @@ fn arb_grid() -> impl Strategy<Value = usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// The pull SpMV, which applies a mask before the fold, against the
+    /// serial kernel on the push test's axes: arbitrary symmetric graphs,
+    /// every grid, both wires, every mask form at densities from all-false
+    /// through "one rank's chunk only" and ~2/3 to all-true, and the
+    /// `(min, max)` pair monoid beside `min`.
     #[test]
-    fn mxv_dense_dist_eq_serial(g in arb_graph(), p in arb_grid(), seed in 0u64..1000) {
+    fn mxv_dense_dist_eq_serial(
+        g in arb_graph(),
+        p in arb_grid(),
+        density in 0usize..4,
+        mask_form in 0usize..3,
+        seed in 0usize..1000,
+    ) {
         let n = g.num_vertices();
-        let x_global: Vec<usize> = (0..n).map(|v| (v.wrapping_mul(seed as usize + 7)) % n).collect();
-        let mask_global: Vec<bool> = (0..n).map(|v| !(v + seed as usize).is_multiple_of(3)).collect();
+        let layout = VecLayout::new(n, Grid2d::square(p));
+        let x_global: Vec<usize> = (0..n).map(|v| v.wrapping_mul(seed + 7) % n).collect();
+        let pairs: Vec<(usize, usize)> = x_global.iter().map(|&x| (x, (x + seed) % n)).collect();
+        let mask_global: Vec<bool> = match density {
+            0 => vec![false; n],
+            1 => (0..n).map(|v| layout.owner_of(v) == seed % p).collect(),
+            2 => (0..n).map(|v| (v * 7 + seed) % 3 != 0).collect(),
+            _ => vec![true; n],
+        };
+        let serial_mask = match mask_form {
+            0 => Mask::None,
+            1 => Mask::Keep(&mask_global),
+            _ => Mask::Complement(&mask_global),
+        };
         let a_serial = Pattern::from_graph(&g);
-        let expect = serial::mxv_dense(&a_serial, &x_global, Mask::Keep(&mask_global), MinUsize);
-        let gref = &g;
-        let xr = &x_global;
-        let mr = &mask_global;
-        let out = run_spmd(p, move |c| {
-            let grid = Grid2d::square(p);
-            let layout = VecLayout::new(n, grid);
-            let a = DistMat::from_graph(gref, grid, c.rank());
-            let x = DistVec::from_global(layout, c.rank(), xr);
-            let m = DistVec::from_global(layout, c.rank(), mr);
-            dist_mxv_dense(c, &a, &x, DistMask::Keep(&m), MinUsize, &DistOpts::default())
-                .to_serial(c)
-        })
-        .unwrap();
-        for got in out {
-            prop_assert_eq!(&got, &expect);
+        let expect = serial::mxv_dense(&a_serial, &x_global, serial_mask, MinUsize);
+        let expect_pairs = serial::mxv_dense(&a_serial, &pairs, serial_mask, MinMaxUsize);
+        let (gref, xr, pr, mr) = (&g, &x_global, &pairs, &mask_global);
+        for wire in [Wire::Legacy, Wire::Compact] {
+            let opts = DistOpts { wire, ..DistOpts::default() };
+            let out = run_spmd(p, move |c| {
+                let a = DistMat::from_graph(gref, layout.grid(), c.rank());
+                let m = DistVec::from_global(layout, c.rank(), mr);
+                let mask = match mask_form {
+                    0 => DistMask::None,
+                    1 => DistMask::Keep(&m),
+                    _ => DistMask::Complement(&m),
+                };
+                let x = DistVec::from_global(layout, c.rank(), xr);
+                let xp = DistVec::from_global(layout, c.rank(), pr);
+                let y = dist_mxv_dense(c, &a, &x, mask, MinUsize, &opts).to_serial(c);
+                let yp = dist_mxv_dense(c, &a, &xp, mask, MinMaxUsize, &opts).to_serial(c);
+                (y, yp)
+            })
+            .unwrap();
+            for (y, yp) in out {
+                prop_assert_eq!(&y, &expect, "{:?}", wire);
+                prop_assert_eq!(&yp, &expect_pairs, "{:?}", wire);
+            }
         }
     }
 

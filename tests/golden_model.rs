@@ -21,8 +21,8 @@ use std::sync::Arc;
 type Row = (EngineSelect, usize, f64, u64, u64);
 
 const GOLDEN: [Row; 6] = [
-    (EngineSelect::Lacc, 4, 0.001280648711111109, 11683, 91112),
-    (EngineSelect::Lacc, 9, 0.0029066458444443975, 23996, 172992),
+    (EngineSelect::Lacc, 4, 0.001267470355555554, 7900, 60824),
+    (EngineSelect::Lacc, 9, 0.002935620622222175, 17264, 119484),
     (EngineSelect::Fastsv, 4, 0.0003301344222222223, 3970, 31356),
     (EngineSelect::Fastsv, 9, 0.0005628786222222237, 8040, 61780),
     (
@@ -43,7 +43,7 @@ const GOLDEN: [Row; 6] = [
 
 /// The same pins under [`LaccOpts::naive_comm`].
 const GOLDEN_NAIVE_COMM: [Row; 2] = [
-    (EngineSelect::Lacc, 4, 0.0016477618222222132, 21547, 172017),
+    (EngineSelect::Lacc, 4, 0.001628492755555546, 17764, 141729),
     (EngineSelect::Fastsv, 4, 0.0003313214666666669, 5557, 44376),
 ];
 
