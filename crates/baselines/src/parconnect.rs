@@ -158,7 +158,7 @@ fn spmd(comm: &mut Comm, g: &CsrGraph, seed: Vid) -> RankOut {
         // current label (the published system realizes this as global
         // sorts of the tuple set; the data volume is the same).
         let reqs: Vec<Vid> = tuples.iter().map(|&(_, v)| v).collect();
-        let (fv_vals, _) = dist_extract(comm, &f, &reqs, &opts);
+        let fv_vals = dist_extract(comm, &f, &reqs, &opts);
 
         // SV hooking: roots adopt smaller neighbor labels (min-combined).
         let hooks: Vec<(Vid, Vid)> = tuples
@@ -168,7 +168,7 @@ fn spmd(comm: &mut Comm, g: &CsrGraph, seed: Vid) -> RankOut {
             .map(|(&(u, _), &fv)| (f.get_local(u), fv))
             .collect();
         comm.charge_compute(tuples.len() as u64 + 1);
-        changed += dist_assign(comm, &mut f, &hooks, MinUsize, &opts).0 as u64;
+        changed += dist_assign(comm, &mut f, &hooks, MinUsize, &opts) as u64;
 
         // Aggressive side: vertices adopt the smaller label directly.
         for (&(u, _), &fv) in tuples.iter().zip(&fv_vals) {
@@ -180,7 +180,7 @@ fn spmd(comm: &mut Comm, g: &CsrGraph, seed: Vid) -> RankOut {
 
         // Pointer jumping over the full vertex array (no sparsity).
         let jump_reqs: Vec<Vid> = f.local().to_vec();
-        let (gfs, _) = dist_extract(comm, &f, &jump_reqs, &opts);
+        let gfs = dist_extract(comm, &f, &jump_reqs, &opts);
         for (o, &gf) in gfs.iter().enumerate() {
             if gf < f.local()[o] {
                 f.local_mut()[o] = gf;

@@ -22,7 +22,8 @@ use crate::engine::{EngineCtx, EngineRun, EngineSelect, Fastsv, LabelProp, Lacc}
 use crate::options::LaccOpts;
 use crate::stats::{IterStats, LaccRun, StepBreakdown};
 use dmsim::{
-    run_spmd_traced, Comm, DmsimError, ErrorKind, MachineModel, RerunReason, SpanKind, TraceSink,
+    run_spmd_traced, Comm, Counter, DmsimError, ErrorKind, MachineModel, RerunReason, SpanKind,
+    TraceSink,
 };
 use lacc_graph::permute::Permutation;
 use lacc_graph::{ensure_fits, CsrGraph};
@@ -54,8 +55,8 @@ pub struct RunConfig {
     /// When set, every rank records trace spans into this sink.
     pub trace: Option<Arc<TraceSink>>,
     /// When set, the run is a serving-layer epoch rebuild: it is wrapped
-    /// in a reason-tagged `rerun(...)` span and noted in rank 0's cost
-    /// snapshot.
+    /// in a reason-tagged `rerun(...)` span and counted as
+    /// [`Counter::Reruns`] on rank 0.
     pub rerun: Option<RerunReason>,
 }
 
@@ -181,7 +182,7 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
         // body in a reason-tagged span; both are observational.
         let rerun_span = rerun.map(|reason| {
             if comm.rank() == 0 {
-                comm.note_rerun();
+                comm.count(Counter::Reruns, 1);
             }
             comm.span_open(SpanKind::Rerun(reason))
         });
@@ -387,6 +388,73 @@ mod tests {
     }
 
     #[test]
+    fn extract_received_series_is_pinned_per_round_and_rank() {
+        // Figure 3's series, read off the counter registry: each extract
+        // notes the requests it answers where it answers them. A noting
+        // site missed or counted twice moves a number here. The combining
+        // route counts its delivered ids once for starcheck's two phases;
+        // the legacy wire counts every arrival, phase by phase.
+        let g = rmat(8, 4, RmatParams::graph500(), 11);
+        let pins: [(EngineSelect, LaccOpts, &[[u64; 4]]); 4] = [
+            (
+                EngineSelect::Lacc,
+                LaccOpts::default(),
+                &[
+                    [175, 92, 122, 73],
+                    [45, 0, 4, 0],
+                    [4, 0, 0, 0],
+                    [8, 0, 0, 0],
+                    [2, 0, 0, 0],
+                    [1, 0, 0, 0],
+                ],
+            ),
+            (
+                EngineSelect::Lacc,
+                LaccOpts::naive_comm(),
+                &[
+                    [829, 143, 229, 89],
+                    [1025, 0, 11, 0],
+                    [828, 0, 0, 0],
+                    [1242, 0, 0, 0],
+                    [828, 0, 0, 0],
+                    [207, 0, 0, 0],
+                ],
+            ),
+            (
+                EngineSelect::Fastsv,
+                LaccOpts::default(),
+                &[
+                    [55, 25, 42, 12],
+                    [23, 15, 14, 9],
+                    [13, 15, 13, 9],
+                    [13, 15, 13, 9],
+                ],
+            ),
+            (
+                EngineSelect::Fastsv,
+                LaccOpts::naive_comm(),
+                &[
+                    [156, 32, 54, 14],
+                    [218, 15, 14, 9],
+                    [219, 15, 13, 9],
+                    [219, 15, 13, 9],
+                ],
+            ),
+        ];
+        for (engine, base, want) in pins {
+            let opts = LaccOpts { engine, ..base };
+            let out = run_with(&g, 4, &opts);
+            let got: Vec<&[u64]> = out
+                .iters
+                .iter()
+                .map(|it| &it.extract_received[..])
+                .collect();
+            let want: Vec<&[u64]> = want.iter().map(|r| &r[..]).collect();
+            assert_eq!(got, want, "{engine} {:?}", opts.dist.wire);
+        }
+    }
+
+    #[test]
     fn single_vertex_and_empty() {
         check(
             &CsrGraph::from_edges(lacc_graph::EdgeList::new(1)),
@@ -470,7 +538,7 @@ mod tests {
         assert_eq!(plain.labels, rerun.labels);
         assert_eq!(plain.modeled_total_s, rerun.modeled_total_s);
         let report = sink.report();
-        assert_eq!(report.reruns, 1);
+        assert_eq!(report.counter(Counter::Reruns), 1);
         assert!(report.kind_time_s("rerun(deletion)") > 0.0);
         assert_eq!(report.kind_time_s("rerun(staleness)"), 0.0);
         // Two reruns into the same sink accumulate, and the max-over-ranks
@@ -484,7 +552,7 @@ mod tests {
         )
         .unwrap();
         let report = sink.report();
-        assert_eq!(report.reruns, 2);
+        assert_eq!(report.counter(Counter::Reruns), 2);
         assert!(report.kind_time_s("rerun(staleness)") > 0.0);
     }
 
@@ -737,7 +805,7 @@ mod tests {
                     .with_trace(&sink),
             )
             .unwrap();
-            sink.report().words_saved
+            sink.report().counter(Counter::WordsSaved)
         };
         let optimized = LaccOpts {
             engine: EngineSelect::Fastsv,

@@ -38,7 +38,7 @@ use crate::options::LaccOpts;
 use crate::stats::StepBreakdown;
 use crate::Vid;
 use dmsim::{Comm, CommHandle, Grid2d, SpanKind, WireWord};
-use driver::{fixpoint, overlapped, posted, Rules};
+use driver::{fixpoint, Rules};
 use gblas::dist::{
     dist_assign, dist_extract, dist_extract_planned, dist_mxv_dense, dist_mxv_sparse,
     plan_requests, DistMask, DistMat, DistOpts, DistSpVec, DistVec, FusedExtract, NarrowVal,
@@ -81,7 +81,8 @@ pub struct EngineIter {
     pub fourth_changed: u64,
     /// Modeled per-step seconds (thin view over trace spans).
     pub modeled: StepBreakdown,
-    /// Extract requests this rank received during the iteration.
+    /// Extract requests this rank received during the iteration: the
+    /// round's [`dmsim::Counter::RequestsReceived`] delta.
     pub extract_received: u64,
 }
 
@@ -172,7 +173,7 @@ fn connect<I: Idx + WireWord + NarrowVal>(
     for (v, _) in &mut edges {
         *v = f.get_local(v.idx());
     }
-    dist_assign(comm, f, &edges, MinUsize, dopts).0 as u64
+    dist_assign(comm, f, &edges, MinUsize, dopts) as u64
 }
 
 /// `f[u] ← min(f[u], m)` for every local entry `(u, m)`. Returns the
@@ -305,15 +306,13 @@ fn active_where(active: &[bool], star: &DistVec<bool>, want_star: bool) -> Vec<u
 /// Star recomputation (Algorithm 6) over the active vertices:
 /// `star[v] ← (f[v] = f[f[v]]) ∧ star[f[v]]`, with the grandparents of
 /// non-star vertices demoted in between.
-///
-/// Returns the number of extract requests this rank received (Figure 3).
 fn starcheck<I: Idx + WireWord + NarrowVal>(
     comm: &mut Comm,
     f: &DistVec<I>,
     star: &mut DistVec<bool>,
     active: &[bool],
     dopts: &DistOpts,
-) -> u64 {
+) {
     // The active scan, star reset and request build produce the
     // grandparent extract's inputs elementwise, so the first exchange is
     // window-credited for streaming behind them.
@@ -329,8 +328,8 @@ fn starcheck<I: Idx + WireWord + NarrowVal>(
     // is paid for once.
     let reqs: Vec<I> = local_active.iter().map(|&o| f.local()[o]).collect();
     let plan = plan_requests(comm, f.layout(), &reqs, dopts);
-    let (mut fx, gfs) = overlapped(comm, win, dopts, |c| {
-        let mut fx = FusedExtract::begin(c, &plan, dopts);
+    let (fx, gfs) = comm.overlap_from(win, dopts.overlap, |c| {
+        let fx = FusedExtract::begin(c, &plan, dopts);
         let gfs = fx.extract(c, f);
         (fx, gfs)
     });
@@ -349,7 +348,6 @@ fn starcheck<I: Idx + WireWord + NarrowVal>(
         star.local_mut()[o] = star.local()[o] && ps;
     }
     comm.charge_compute(local_active.len() as u64 + 1);
-    fx.received()
 }
 
 /// Lemma 1, strengthened (same rule as `crate::serial`, evaluated on the
@@ -361,8 +359,8 @@ fn starcheck<I: Idx + WireWord + NarrowVal>(
 /// the candidate scan and the plan of the extract that will ask the
 /// candidates' roots whether they stayed quiet read only start-of-round
 /// state, so they run (and are charged) while the sweep is in flight.
-/// Clears `active` on the converged stars and returns `q`, the number of
-/// vertices retired and the extract requests this rank received.
+/// Clears `active` on the converged stars and returns `q` and the number of
+/// vertices retired.
 fn lemma1_retire<I: Idx + WireWord + NarrowVal>(
     comm: &mut Comm,
     f: &DistVec<I>,
@@ -370,7 +368,7 @@ fn lemma1_retire<I: Idx + WireWord + NarrowVal>(
     active: &mut [bool],
     qh: CommHandle<DistSpVec<(I, I), I>>,
     dopts: &DistOpts,
-) -> (DistSpVec<(I, I), I>, u64, u64) {
+) -> (DistSpVec<(I, I), I>, u64) {
     let candidates = active_where(active, star, true);
     let reqs: Vec<I> = candidates.iter().map(|&o| f.local()[o]).collect();
     comm.charge_compute(active.len() as u64 + 1);
@@ -388,7 +386,7 @@ fn lemma1_retire<I: Idx + WireWord + NarrowVal>(
         .map(|&(v, _)| (f.get_local(v.idx()), false))
         .collect();
     dist_assign(comm, &mut root_quiet, &noisy, AndBool, dopts);
-    let (quiet, st) = dist_extract_planned(comm, &root_quiet, &plan, dopts);
+    let quiet = dist_extract_planned(comm, &root_quiet, &plan, dopts);
     let mut retired = 0u64;
     for (&o, &quiet) in candidates.iter().zip(&quiet) {
         if quiet {
@@ -397,7 +395,7 @@ fn lemma1_retire<I: Idx + WireWord + NarrowVal>(
         }
     }
     comm.charge_compute(active.len() as u64 + 1);
-    (q, retired, st.received_requests)
+    (q, retired)
 }
 
 impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Lacc {
@@ -425,7 +423,7 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Lacc {
             // against the Lemma-1 planning done before the wait.
             let qh = if spmv_dense {
                 let x = DistVec::from_fn(layout, rank, |g| (f.get_local(g), f.get_local(g)));
-                posted(comm, dopts, |c| {
+                comm.post(dopts.overlap, |c| {
                     dist_mxv_dense(c, a, &x, mask, MinMaxUsize, dopts)
                 })
             } else {
@@ -434,16 +432,15 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Lacc {
                     .map(|o| (I::from_usize(f.global_of(o)), (f.local()[o], f.local()[o])))
                     .collect();
                 let x = DistSpVec::from_local_entries(layout, rank, entries);
-                posted(comm, dopts, |c| {
+                comm.post(dopts.overlap, |c| {
                     dist_mxv_sparse(c, a, &x, mask, MinMaxUsize, dopts)
                 })
             };
-            let (q, retired, received) = if cx.opts.use_sparsity {
+            let (q, retired) = if cx.opts.use_sparsity {
                 lemma1_retire(comm, f, star, active, qh, dopts)
             } else {
-                (qh.wait(comm), 0, 0)
+                (qh.wait(comm), 0)
             };
-            cx.round.extract_received += received;
             // Hooks of just-retired vertices would be no-ops; skip them.
             let edges = q
                 .entries()
@@ -454,7 +451,7 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Lacc {
             (connect(comm, f, edges, dopts), retired)
         });
         cx.step(SpanKind::Starcheck, |cx| {
-            cx.round.extract_received += starcheck(cx.comm, f, star, active, &cx.opts.dist);
+            starcheck(cx.comm, f, star, active, &cx.opts.dist)
         });
 
         // Step 2 — unconditional hooking: f[f[v]] ← the minimum parent
@@ -471,13 +468,13 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Lacc {
             let x = DistSpVec::from_local_entries(layout, rank, entries);
             let mask = active_stars(star, active);
             comm.charge_compute(2 * active.len() as u64 + 1);
-            let fnb = overlapped(comm, win, dopts, |c| {
+            let fnb = comm.overlap_from(win, dopts.overlap, |c| {
                 dist_mxv_sparse(c, a, &x, DistMask::Keep(&mask), MinUsize, dopts)
             });
             connect(comm, f, fnb.entries().to_vec(), dopts)
         });
         cx.step(SpanKind::Starcheck, |cx| {
-            cx.round.extract_received += starcheck(cx.comm, f, star, active, &cx.opts.dist);
+            starcheck(cx.comm, f, star, active, &cx.opts.dist)
         });
 
         // Step 3 — shortcutting: f[v] ← f[f[v]] on the active nonstars.
@@ -487,8 +484,7 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Lacc {
             let targets = active_where(active, star, false);
             let reqs: Vec<I> = targets.iter().map(|&o| f.local()[o]).collect();
             comm.charge_compute(active.len() as u64 + 1);
-            let (gfs, st) = overlapped(comm, win, dopts, |c| dist_extract(c, f, &reqs, dopts));
-            cx.round.extract_received += st.received_requests;
+            let gfs = comm.overlap_from(win, dopts.overlap, |c| dist_extract(c, f, &reqs, dopts));
             let mut moved = 0u64;
             for (&o, &gf) in targets.iter().zip(&gfs) {
                 if f.local()[o] != gf {
@@ -578,10 +574,9 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Fastsv<I> {
         let refreshed = cx.step(SpanKind::Starcheck, |cx| {
             let (comm, dopts) = (&mut *cx.comm, &cx.opts.dist);
             let plan = plan_requests(comm, f.layout(), f.local(), dopts);
-            let (new_gf, st) = overlapped(comm, win, dopts, |c| {
+            let new_gf = comm.overlap_from(win, dopts.overlap, |c| {
                 dist_extract_planned(c, f, &plan, dopts)
             });
-            cx.round.extract_received += st.received_requests;
             let origin = gf.range().0;
             for (o, (old, &new)) in gf.local_mut().iter_mut().zip(&new_gf).enumerate() {
                 if *old != new {

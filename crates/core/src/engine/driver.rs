@@ -4,13 +4,14 @@
 //! `gblas::dist` primitive calls; [`drive`] owns everything the rounds
 //! share: the identity labeling, the single convergence allreduce, the
 //! per-step spans and their `StepBreakdown` buckets ([`EngineCtx::step`]),
-//! the [`EngineIter`] record, the round bound and the final gather of the
-//! labels into an [`EngineRun`].
+//! the [`EngineIter`] record with the round's extract requests read off the
+//! counter registry, the round bound and the final gather of the labels
+//! into an [`EngineRun`].
 
 use super::{EngineCtx, EngineIter, EngineRun};
 use crate::options::LaccOpts;
-use dmsim::{Comm, CommHandle, OverlapWindow, SpanKind, WireWord};
-use gblas::dist::{DistOpts, DistVec, NarrowVal};
+use dmsim::{Counter, SpanKind, WireWord};
+use gblas::dist::{DistVec, NarrowVal};
 use lacc_graph::Idx;
 
 /// An engine as the driver sees it: state plus one round of primitive
@@ -63,32 +64,6 @@ impl<I: Idx> EngineCtx<'_, I> {
     }
 }
 
-/// Runs an exchange whose inputs were produced elementwise since `win`
-/// opened: a real implementation streams the sends while that loop runs,
-/// so the exchange's hideable time is credited against the window when
-/// [`DistOpts::overlap`] is on. Messages and charges are the same either
-/// way.
-pub(crate) fn overlapped<T>(
-    comm: &mut Comm,
-    win: OverlapWindow,
-    dopts: &DistOpts,
-    exchange: impl FnOnce(&mut Comm) -> T,
-) -> T {
-    comm.overlap_from(win, dopts.overlap, exchange)
-}
-
-/// Posts `op` as a non-blocking operation: it runs now, with the messages
-/// and charges of the blocking call, and local compute charged before
-/// [`CommHandle::wait`] is refunded against the operation's hideable
-/// exchange time when [`DistOpts::overlap`] is on.
-pub(crate) fn posted<T>(
-    comm: &mut Comm,
-    dopts: &DistOpts,
-    op: impl FnOnce(&mut Comm) -> T,
-) -> CommHandle<T> {
-    comm.post(dopts.overlap, op)
-}
-
 /// Runs `rules` to convergence on one rank of the SPMD program. All ranks
 /// take the same number of rounds (they agree through the allreduce) and
 /// rank 0 returns the gathered labels, widened to [`crate::Vid`]. `Err`
@@ -117,7 +92,9 @@ where
             mxv_nvals: n,
             ..EngineIter::default()
         };
+        let before = cx.comm.snapshot();
         let local = rules.round(cx, &mut f);
+        let round = cx.comm.snapshot().since(&before);
 
         // The convergence test: the change counters, summed over ranks.
         let payload: [u64; W] = std::array::from_fn(|k| local[k]);
@@ -133,6 +110,7 @@ where
             uncond_changed: changed[1],
             shortcut_changed: changed[2],
             fourth_changed: changed[3],
+            extract_received: round.counter(Counter::RequestsReceived),
             ..std::mem::take(&mut cx.round)
         });
         if done {

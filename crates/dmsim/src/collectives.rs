@@ -31,6 +31,7 @@
 #![allow(clippy::needless_range_loop)] // index loops double as rank ids here
 
 use crate::comm::{bytes_of, words_of, Comm, Group};
+use crate::cost::Counter;
 use crate::trace::SpanKind;
 use crate::wire::{self, WireWord};
 
@@ -676,9 +677,9 @@ impl Comm {
     /// key). Non-power-of-two groups fall back to a pairwise exchange with
     /// a destination-side fold — same result, no in-flight savings.
     ///
-    /// Words merged away after the first receive are credited to
-    /// [`crate::cost::CostSnapshot::combined_words`] (observational: the
-    /// clock already reflects the smaller forwarded payloads).
+    /// Words merged away after the first receive are counted as
+    /// [`Counter::CombinedWords`] (observational: the clock already
+    /// reflects the smaller forwarded payloads).
     pub fn reduce_scatter_by_key<K, T, M>(
         &mut self,
         g: &Group,
@@ -718,8 +719,8 @@ impl Comm {
                 .filter(|(k, _)| *k != me)
                 .flat_map(|(k, b)| b.into_iter().map(move |(key, p)| (k as u32, key, p)))
                 .collect();
-            // Sender-side pre-merge (same-origin duplicates; not credited
-            // to combined_words, which counts cross-origin merges only).
+            // Sender-side pre-merge (same-origin duplicates; not counted
+            // as CombinedWords, which are cross-origin merges only).
             merge_pool(&mut pool, merge);
             self.charge_compute(pool.len() as u64 + 1);
             let mut saved = 0u64;
@@ -757,7 +758,8 @@ impl Comm {
                 pool = keep;
                 let incoming: Vec<(u32, Vec<u8>, Vec<P>)> = self.recv(partner);
                 for (dest, bytes, ps) in incoming {
-                    let keys = wire::decode_keys_for::<K>(&bytes);
+                    // The partner encoded this stream with `encode_keys_for`.
+                    let keys = wire::decode_keys_for::<K>(&bytes).expect("a peer's key stream");
                     debug_assert_eq!(keys.len(), ps.len());
                     if dest as usize == me {
                         mine.extend(keys.into_iter().zip(ps));
@@ -770,7 +772,7 @@ impl Comm {
                 self.charge_compute(pool.len() as u64 + 1);
             }
             debug_assert!(pool.is_empty(), "all entries routed after log q rounds");
-            self.note_combined_words(saved);
+            self.count(Counter::CombinedWords, saved);
         } else if q > 1 {
             // Non-power-of-two fallback: merge each bucket sender-side,
             // exchange pairwise, fold at the destination. Cross-sender
@@ -870,7 +872,8 @@ impl Comm {
                 let mut delivered_round: Vec<K> = Vec::new();
                 let mut from_partner: Vec<(u32, K)> = Vec::new();
                 for (dest, bytes) in incoming {
-                    let keys = wire::decode_keys_for::<K>(&bytes);
+                    // The partner encoded this stream with `encode_keys_for`.
+                    let keys = wire::decode_keys_for::<K>(&bytes).expect("a peer's key stream");
                     if dest as usize == me {
                         delivered_round = keys;
                     } else {
@@ -914,7 +917,7 @@ impl Comm {
                 });
             }
             debug_assert!(pool.is_empty(), "all requests routed after log q rounds");
-            self.note_combined_words(saved);
+            self.count(Counter::CombinedWords, saved);
         } else if q > 1 {
             arrivals.extend(self.alltoallv(g, my_keys.clone(), AllToAll::Pairwise));
         }
@@ -1023,12 +1026,10 @@ impl Comm {
                 fork(hop.below..cur.len(), &mut vals);
                 self.send_vec(partner, wire::encode_words_for(&vals));
                 let bytes: Vec<u8> = self.recv(partner);
-                let incoming: Vec<T> = wire::decode_words_for(&bytes);
-                assert_eq!(
-                    incoming.len(),
-                    hop.sent,
-                    "reply stream aligns with the forward route"
-                );
+                // The partner encoded one reply per entry it sent this
+                // rank in forward round i, and the decode checks the count.
+                let incoming: Vec<T> = wire::decode_words_for(&bytes, hop.sent)
+                    .expect("reply stream aligns with the forward route");
                 // Undo the forward round's split: the pool it started from
                 // was one (destination, key)-sorted list whose destination
                 // runs went whole to the partner or stayed, so the two
@@ -1065,11 +1066,14 @@ impl Comm {
                 .iter()
                 .map(|at| wire::encode_words_for(&served(at)))
                 .collect();
+            // Source `d` encoded one reply per key of `my_keys[d]`.
             out = self
                 .alltoallv(g, enc, AllToAll::Pairwise)
                 .into_iter()
-                .map(|bytes| wire::decode_words_for(&bytes))
-                .collect();
+                .zip(&route.my_keys)
+                .map(|(bytes, keys)| wire::decode_words_for(&bytes, keys.len()))
+                .collect::<Result<_, _>>()
+                .expect("replies cover exactly the original requests");
         } else {
             out[0] = served(&route.self_at);
         }
@@ -1339,7 +1343,7 @@ mod tests {
                 let merged = c.reduce_scatter_by_key(&w, inputs(c.rank()), |_: &mut u64, _| {
                     panic!("no merge may fire on unique keys")
                 });
-                (merged, c.snapshot().combined_words)
+                (merged, c.snapshot().counter(Counter::CombinedWords))
             })
             .unwrap();
             let plain = run_spmd(p, move |c| {
@@ -1525,7 +1529,7 @@ mod tests {
                 let route = c.combining_requests(&w, bufs);
                 let values: Vec<u64> = route.delivered_keys().to_vec();
                 c.combining_replies(&w, &route, &values);
-                c.snapshot().combined_words
+                c.snapshot().counter(Counter::CombinedWords)
             })
             .unwrap();
             out.iter().sum::<u64>()

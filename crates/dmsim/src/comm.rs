@@ -17,7 +17,7 @@
 //! forever, and the error names the rank that failed first. Tracing (see
 //! [`crate::trace`]) hangs off the same launchers via [`run_spmd_traced`].
 
-use crate::cost::{CostSnapshot, MachineModel};
+use crate::cost::{CostSnapshot, Counter, MachineModel};
 use crate::trace::{RankTrace, Span, SpanKind, TraceLevel, TraceLocal, TraceSink};
 use std::any::Any;
 use std::collections::VecDeque;
@@ -201,12 +201,6 @@ pub struct CommHandle<T> {
 }
 
 impl<T> CommHandle<T> {
-    /// The hideable exchange seconds recorded at post time (0 when the
-    /// operation was posted with overlap disabled).
-    pub fn hideable_s(&self) -> f64 {
-        self.hideable_s
-    }
-
     /// Borrows the operation's (eagerly computed) result without
     /// completing it. This models *streaming consumption*: a real
     /// non-blocking implementation hands received fragments to the
@@ -330,31 +324,10 @@ impl Comm {
         self.snap.bytes_sent += words * 8;
     }
 
-    /// Records `words` of communication volume that sender-side compaction
-    /// (request dedup, monoid pre-combining) kept off the wire. Purely observational: it feeds [`CostSnapshot::words_saved`]
-    /// and the trace report, never the clock — the savings themselves are
-    /// already realized by the smaller payloads actually sent.
-    pub fn note_words_saved(&mut self, words: u64) {
-        self.snap.words_saved += words;
-    }
-
-    /// Records `words` of communication volume eliminated *in flight* by a
-    /// combining collective: entries from different origins that merged at
-    /// a store-and-forward hop on this rank before being forwarded. Like
-    /// [`Comm::note_words_saved`], purely observational — it feeds
-    /// [`CostSnapshot::combined_words`] and the trace report, never the
-    /// clock, which already reflects the smaller forwarded payloads.
-    pub fn note_combined_words(&mut self, words: u64) {
-        self.snap.combined_words += words;
-    }
-
-    /// Records a full LACC recompute (a serving-layer epoch rebuild).
-    /// Purely observational — it feeds [`CostSnapshot::reruns`] and the
-    /// trace report, never the clock. Callers note each rebuild on one
-    /// rank only (rank 0), so summing snapshots counts each p-rank rerun
-    /// exactly once.
-    pub fn note_rerun(&mut self) {
-        self.snap.reruns += 1;
+    /// Adds `n` to this rank's `counter` in [`CostSnapshot::counters`].
+    /// Observational only: the clock never reads a counter.
+    pub fn count(&mut self, counter: Counter, n: u64) {
+        self.snap.counters[counter as usize] += n;
     }
 
     /// Current accounting snapshot (clock, breakdowns, traffic counters).
@@ -1035,8 +1008,8 @@ mod tests {
         // A posted op that only computes has nothing hideable; a posted
         // empty-payload send hides nothing past its α charge.
         run_spmd_with_model(1, EDISON.lacc_model(), |c| {
+            // Compute cannot hide behind compute.
             let h = c.post(true, |c| c.charge_compute(1_000_000));
-            assert_eq!(h.hideable_s(), 0.0, "compute cannot hide behind compute");
             c.charge_compute(1_000_000);
             h.wait(c);
             assert_eq!(c.snapshot().overlap_hidden_s, 0.0);

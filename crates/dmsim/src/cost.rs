@@ -122,6 +122,47 @@ impl MachineModel {
     }
 }
 
+/// Declares [`Counter`] from one entry per counter: its documentation, its
+/// variant and the label the trace report prints before its total. The
+/// variants, [`Counter::ALL`] and [`Counter::label`] cannot disagree.
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])+ $variant:ident => $label:literal,)+) => {
+        /// What a run counts besides its clock and its traffic. Each
+        /// primitive notes its entry on the rank where the event happens
+        /// ([`crate::Comm::count`]), into [`CostSnapshot::counters`]; the
+        /// trace report sums them over ranks. No counter feeds the clock.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Counter {
+            $($(#[doc = $doc])+ $variant,)+
+        }
+
+        impl Counter {
+            /// Every counter, in declaration order.
+            pub const ALL: [Counter; [$($label),+].len()] = [$(Counter::$variant),+];
+
+            /// What the trace report prints before a nonzero total.
+            pub fn label(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => $label,)+
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    /// 8-byte words request dedup and monoid pre-combining kept off the wire.
+    WordsSaved => "words kept off the wire by sender-side compaction",
+    /// 8-byte words that different origins merged at a combining hop here.
+    CombinedWords => "words merged in flight at combining hops",
+    /// Serving-layer epoch rebuilds, noted on rank 0 only: sums count each once.
+    Reruns => "full LACC reruns (causes in the rerun(...) span rows)",
+    /// Extract requests this rank answered point-to-point (Figure 3).
+    RequestsReceived => "extract requests answered point-to-point",
+    /// Hot-rank broadcasts this rank made instead of answering requests.
+    HotBroadcasts => "hot-rank broadcasts",
+}
+
 /// Per-rank accounting: the simulated clock plus local breakdowns.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CostSnapshot {
@@ -144,31 +185,23 @@ pub struct CostSnapshot {
     pub bytes_sent: u64,
     /// Exact payload bytes this rank received.
     pub bytes_received: u64,
-    /// 8-byte words this rank *avoided* sending through sender-side
-    /// compaction (request dedup, monoid pre-combining).
-    /// Observational only — never contributes to the clock.
-    pub words_saved: u64,
-    /// 8-byte words eliminated *in flight* by combining collectives:
-    /// entries from different origins that merged at a hypercube hop on
-    /// this rank before being forwarded. Observational only — the clock
-    /// already reflects the smaller forwarded payloads.
-    pub combined_words: u64,
-    /// Full LACC recomputes noted on this rank (the serving layer's epoch
-    /// rebuilds; see [`crate::trace::RerunReason`]). The rerun entry point
-    /// notes each rebuild on rank 0 only, so summing snapshots over ranks
-    /// — and over multiple runs collected in one sink — counts each
-    /// p-rank rebuild exactly once. Observational only.
-    pub reruns: u64,
     /// Seconds of exchange time hidden behind overlapped local compute by
-    /// non-blocking collective handles (see [`crate::CommHandle`]). Unlike
-    /// the other auxiliary counters this one is *not* purely
-    /// observational: every second accumulated here was also subtracted
-    /// from [`CostSnapshot::clock_s`] when the overlap credit was applied
-    /// at completion.
+    /// non-blocking collective handles (see [`crate::CommHandle`]). A clock
+    /// term, not an observation: every second accumulated here was also
+    /// subtracted from [`CostSnapshot::clock_s`] when the overlap credit
+    /// was applied at completion.
     pub overlap_hidden_s: f64,
+    /// The counter registry: entry `c as usize` is [`Counter`] `c`'s total
+    /// on this rank (read it with [`CostSnapshot::counter`]).
+    pub counters: [u64; Counter::ALL.len()],
 }
 
 impl CostSnapshot {
+    /// This rank's total for one counter.
+    pub fn counter(&self, c: Counter) -> u64 {
+        self.counters[c as usize]
+    }
+
     /// Componentwise difference `self - earlier` (for phase timing).
     pub fn since(&self, earlier: &CostSnapshot) -> CostSnapshot {
         CostSnapshot {
@@ -180,10 +213,8 @@ impl CostSnapshot {
             words_received: self.words_received - earlier.words_received,
             bytes_sent: self.bytes_sent - earlier.bytes_sent,
             bytes_received: self.bytes_received - earlier.bytes_received,
-            words_saved: self.words_saved - earlier.words_saved,
-            combined_words: self.combined_words - earlier.combined_words,
-            reruns: self.reruns - earlier.reruns,
             overlap_hidden_s: self.overlap_hidden_s - earlier.overlap_hidden_s,
+            counters: std::array::from_fn(|k| self.counters[k] - earlier.counters[k]),
         }
     }
 }
@@ -231,10 +262,8 @@ mod tests {
             words_received: 50,
             bytes_sent: 800,
             bytes_received: 400,
-            words_saved: 0,
-            combined_words: 1,
-            reruns: 1,
             overlap_hidden_s: 0.25,
+            counters: [0, 1, 1, 0, 0],
         };
         let b = CostSnapshot {
             clock_s: 3.0,
@@ -245,18 +274,15 @@ mod tests {
             words_received: 250,
             bytes_sent: 3000,
             bytes_received: 1800,
-            words_saved: 7,
-            combined_words: 4,
-            reruns: 3,
             overlap_hidden_s: 1.0,
+            counters: [7, 4, 3, 9, 1],
         };
         let d = b.since(&a);
         assert_eq!(d.messages_sent, 20);
         assert_eq!(d.bytes_sent, 2200);
         assert_eq!(d.bytes_received, 1400);
-        assert_eq!(d.words_saved, 7);
-        assert_eq!(d.combined_words, 3);
-        assert_eq!(d.reruns, 2);
+        assert_eq!(d.counters, [7, 3, 2, 9, 1]);
+        assert_eq!(d.counter(Counter::Reruns), 2);
         assert!((d.clock_s - 2.0).abs() < 1e-12);
         assert!((d.overlap_hidden_s - 0.75).abs() < 1e-12);
     }

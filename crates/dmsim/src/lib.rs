@@ -23,7 +23,8 @@
 //! A third layer, [`trace`], records what the simulation did: typed spans
 //! (steps, distributed ops, collectives) on the modeled clock, exported as
 //! Chrome-trace JSON or an aggregated per-rank report. See
-//! [`run_spmd_traced`].
+//! [`run_spmd_traced`]. Everything else a run counts goes through one
+//! registry: a primitive calls [`Comm::count`] with a [`Counter`].
 //!
 //! [`wire`] holds the stream codecs a caller uses to ship an encoded
 //! vector: the result is a `Vec<u8>` that goes through the ordinary
@@ -66,7 +67,7 @@ pub use comm::{
     bytes_of, run_spmd, run_spmd_traced, run_spmd_with_model, words_of, Comm, CommHandle,
     DmsimError, ErrorKind, Group, OverlapWindow,
 };
-pub use cost::{CostSnapshot, Machine, MachineModel, CORI_KNL, EDISON};
+pub use cost::{CostSnapshot, Counter, Machine, MachineModel, CORI_KNL, EDISON};
 pub use topology::Grid2d;
 pub use trace::{
     EngineKind, RankTrace, RerunReason, Span, SpanKind, SpanRecord, TraceLevel, TraceReport,

@@ -22,7 +22,7 @@
 //! off (property-tested in `tests/trace.rs`).
 
 use crate::collectives::AllToAll;
-use crate::cost::CostSnapshot;
+use crate::cost::{CostSnapshot, Counter};
 use std::sync::{Arc, Mutex};
 
 /// How much detail to record. Each level includes everything the previous
@@ -452,16 +452,14 @@ impl TraceSink {
         let mut per_kind: Vec<KindTotals> = Vec::new();
         let mut rank_time_s = vec![0.0f64; p];
         let mut rank_words = vec![0u64; p];
-        let mut words_saved = 0u64;
-        let mut combined_words = 0u64;
-        let mut reruns = 0u64;
+        let mut counters = [0u64; Counter::ALL.len()];
         let mut overlap_hidden_s = 0.0f64;
         for (i, rt) in ranks.iter().enumerate() {
             rank_time_s[i] = rt.snapshot.clock_s;
             rank_words[i] = rt.snapshot.words_sent + rt.snapshot.words_received;
-            words_saved += rt.snapshot.words_saved;
-            combined_words += rt.snapshot.combined_words;
-            reruns += rt.snapshot.reruns;
+            for (total, n) in counters.iter_mut().zip(rt.snapshot.counters) {
+                *total += n;
+            }
             overlap_hidden_s += rt.snapshot.overlap_hidden_s;
             for sp in &rt.spans {
                 let name = sp.kind.name();
@@ -496,9 +494,7 @@ impl TraceSink {
             per_kind,
             rank_time_s,
             rank_words,
-            words_saved,
-            combined_words,
-            reruns,
+            counters,
             overlap_hidden_s,
             load_imbalance: if mean_t > 0.0 { max_t / mean_t } else { 1.0 },
         }
@@ -555,17 +551,9 @@ pub struct TraceReport {
     pub rank_time_s: Vec<f64>,
     /// Words sent + received per rank (the comm-volume histogram).
     pub rank_words: Vec<u64>,
-    /// Total words kept off the wire by sender-side compaction, summed
-    /// over all ranks (see [`CostSnapshot::words_saved`]).
-    pub words_saved: u64,
-    /// Total words eliminated in flight by combining collectives, summed
-    /// over all ranks (see [`CostSnapshot::combined_words`]).
-    pub combined_words: u64,
-    /// Full LACC recomputes observed (summed over snapshots; each rebuild
-    /// is noted on rank 0 only, so a p-rank rebuild counts once — see
-    /// [`CostSnapshot::reruns`]). The per-cause split is visible in the
-    /// `rerun(...)` span kinds.
-    pub reruns: u64,
+    /// Every [`Counter`]'s total over all ranks, indexed like
+    /// [`CostSnapshot::counters`] (read one with [`TraceReport::counter`]).
+    pub counters: [u64; Counter::ALL.len()],
     /// Exchange seconds hidden behind overlapped local compute, summed
     /// over all ranks (see [`CostSnapshot::overlap_hidden_s`]; already
     /// subtracted from the per-rank clocks).
@@ -583,6 +571,11 @@ impl TraceReport {
             .map_or(0.0, |k| k.time_s)
     }
 
+    /// One counter's total over all ranks.
+    pub fn counter(&self, c: Counter) -> u64 {
+        self.counters[c as usize]
+    }
+
     /// Renders the report as a human-readable text block.
     pub fn render(&self) -> String {
         use std::fmt::Write;
@@ -595,26 +588,10 @@ impl TraceReport {
             max_t * 1e3,
             self.load_imbalance
         );
-        if self.words_saved > 0 {
-            let _ = writeln!(
-                s,
-                "  sender-side compaction kept {} words off the wire",
-                self.words_saved
-            );
-        }
-        if self.combined_words > 0 {
-            let _ = writeln!(
-                s,
-                "  in-flight combining merged {} words at hypercube hops",
-                self.combined_words
-            );
-        }
-        if self.reruns > 0 {
-            let _ = writeln!(
-                s,
-                "  full LACC reruns: {} (causes in the rerun(...) span rows)",
-                self.reruns
-            );
+        for c in Counter::ALL {
+            if self.counter(c) > 0 {
+                let _ = writeln!(s, "  {}: {}", c.label(), self.counter(c));
+            }
         }
         if self.overlap_hidden_s > 0.0 {
             let _ = writeln!(
@@ -713,10 +690,9 @@ mod tests {
                 snapshot: CostSnapshot {
                     clock_s: 1.0 + rank as f64,
                     words_sent: 10,
-                    combined_words: 5,
                     // Rebuilds are noted on rank 0 only; the sum still
                     // reports both of them.
-                    reruns: if rank == 0 { 2 } else { 0 },
+                    counters: [0, 5, if rank == 0 { 2 } else { 0 }, 0, 0],
                     ..Default::default()
                 },
             });
@@ -728,11 +704,14 @@ mod tests {
         assert!((rep.per_kind[0].time_s - 3.0).abs() < 1e-12);
         // max 2.0 / mean 1.5
         assert!((rep.load_imbalance - 4.0 / 3.0).abs() < 1e-12);
-        assert_eq!(rep.combined_words, 10);
-        assert_eq!(rep.reruns, 2);
-        assert!(rep.render().contains("bcast"));
-        assert!(rep.render().contains("in-flight combining merged 10 words"));
-        assert!(rep.render().contains("full LACC reruns: 2"));
+        assert_eq!(rep.counter(Counter::CombinedWords), 10);
+        assert_eq!(rep.counter(Counter::Reruns), 2);
+        let text = rep.render();
+        assert!(text.contains("bcast"));
+        assert!(text.contains("words merged in flight at combining hops: 10"));
+        assert!(text.contains("full LACC reruns (causes in the rerun(...) span rows): 2"));
+        // A counter that stayed at zero prints no line.
+        assert!(!text.contains("off the wire"), "{text}");
         sink.clear();
         assert!(sink.rank_traces().is_empty());
     }

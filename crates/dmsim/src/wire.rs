@@ -19,6 +19,9 @@
 //!   fits 16 bits.
 //! * [`WireWord`] — the fixed word representation a value type must have
 //!   to ride an encoded value stream.
+//!
+//! Every decoder returns a [`DecodeError`] on a stream no encoder writes,
+//! and nothing it allocates is sized by a count read off the stream.
 
 /// Appends `x` to `out` as a LEB128 varint (7 bits per byte, high bit =
 /// continuation).
@@ -34,19 +37,50 @@ pub fn push_varint(out: &mut Vec<u8>, mut x: u64) {
     }
 }
 
-/// Reads the varint at `bytes[*pos]`, advancing `pos` past it.
-pub fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
-    let mut x = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = bytes[*pos];
-        *pos += 1;
-        x |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return x;
+/// Why a stream could not be decoded. The decoders never allocate by a
+/// count read off the stream, so a hostile stream costs at most its own
+/// length before it is refused.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DecodeError {
+    /// The stream ends inside a field.
+    Truncated,
+    /// A varint or a key does not fit its type.
+    Overflow,
+    /// A mode byte no encoder writes.
+    BadMode(u8),
+    /// A count, run or length disagrees with the stream or the caller.
+    BadCount,
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DecodeError::Truncated => f.write_str("stream ends inside a field"),
+            DecodeError::Overflow => f.write_str("value does not fit its type"),
+            DecodeError::BadMode(m) => write!(f, "bad word-stream mode {m}"),
+            DecodeError::BadCount => f.write_str("count disagrees with the stream"),
         }
-        shift += 7;
     }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// Reads the varint at `bytes[*pos]`, advancing `pos` past it.
+pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
+    let mut x = 0u64;
+    for shift in (0..64).step_by(7) {
+        let b = *bytes.get(*pos).ok_or(DecodeError::Truncated)?;
+        *pos += 1;
+        let part = u64::from(b & 0x7f);
+        if (part << shift) >> shift != part {
+            return Err(DecodeError::Overflow);
+        }
+        x |= part << shift;
+        if b & 0x80 == 0 {
+            return Ok(x);
+        }
+    }
+    Err(DecodeError::Overflow)
 }
 
 /// Encodes a sorted (non-decreasing) key list as count + first key +
@@ -70,19 +104,30 @@ pub fn encode_keys_for<K: WireWord>(keys: &[K]) -> Vec<u8> {
     out
 }
 
-/// Decodes a stream produced by [`encode_keys_for`] at the same `K`.
-pub fn decode_keys_for<K: WireWord>(bytes: &[u8]) -> Vec<K> {
+/// Decodes a stream produced by [`encode_keys_for`] at the same `K`. Every
+/// key takes at least one byte, so a count past the bytes left is refused
+/// before anything is allocated.
+pub fn decode_keys_for<K: WireWord>(bytes: &[u8]) -> Result<Vec<K>, DecodeError> {
     let mut pos = 0usize;
-    let n = read_varint(bytes, &mut pos) as usize;
-    let mut out = Vec::with_capacity(n);
-    let mut cur = 0u64;
-    for i in 0..n {
-        let d = read_varint(bytes, &mut pos);
-        cur = if i == 0 { d } else { cur + d };
-        out.push(K::from_word(cur));
+    let n = read_varint(bytes, &mut pos)?;
+    if n > (bytes.len() - pos) as u64 {
+        return Err(DecodeError::BadCount);
     }
-    debug_assert_eq!(pos, bytes.len(), "trailing bytes in key stream");
-    out
+    let mut out = Vec::with_capacity(n as usize);
+    let mut cur = 0u64;
+    for _ in 0..n {
+        cur = cur
+            .checked_add(read_varint(bytes, &mut pos)?)
+            .ok_or(DecodeError::Overflow)?;
+        let k = K::from_word(cur);
+        if k.to_word() != cur {
+            return Err(DecodeError::Overflow);
+        }
+        out.push(k);
+    }
+    (pos == bytes.len())
+        .then_some(out)
+        .ok_or(DecodeError::BadCount)
 }
 
 const MODE_RAW: u8 = 0;
@@ -155,41 +200,54 @@ pub fn encode_words_for<T: WireWord>(vals: &[T]) -> Vec<u8> {
     rle
 }
 
-/// Decodes a stream produced by [`encode_words_for`] at the same `T`; the
-/// mode byte says which candidate the encoder shipped.
-///
-/// # Panics
-/// On a mode byte no encoder writes.
-pub fn decode_words_for<T: WireWord>(bytes: &[u8]) -> Vec<T> {
-    match bytes[0] {
-        MODE_RAW => bytes[1..]
-            .chunks_exact(T::BYTES)
+/// Decodes a stream produced by [`encode_words_for`] at the same `T`,
+/// holding the `len` values the caller expects; the mode byte says which
+/// candidate the encoder shipped. The output is sized by `len`, never by a
+/// count read off the stream.
+pub fn decode_words_for<T: WireWord>(bytes: &[u8], len: usize) -> Result<Vec<T>, DecodeError> {
+    let (&mode, body) = bytes.split_first().ok_or(DecodeError::Truncated)?;
+    let width = match mode {
+        MODE_RAW => T::BYTES,
+        MODE_RAW16 => 2,
+        MODE_RLE => {
+            // The count, then `(value, run)` pairs whose runs add up to it.
+            let mut pos = 1usize;
+            if read_varint(bytes, &mut pos)? != len as u64 {
+                return Err(DecodeError::BadCount);
+            }
+            let mut out = Vec::with_capacity(len);
+            while out.len() < len {
+                let v = T::from_word(read_varint(bytes, &mut pos)?);
+                match read_varint(bytes, &mut pos)? {
+                    1 => out.push(v),
+                    run if run == 0 || run > (len - out.len()) as u64 => {
+                        return Err(DecodeError::BadCount)
+                    }
+                    run => out.extend(std::iter::repeat_n(v, run as usize)),
+                }
+            }
+            return (pos == bytes.len())
+                .then_some(out)
+                .ok_or(DecodeError::BadCount);
+        }
+        other => return Err(DecodeError::BadMode(other)),
+    };
+    if body.len() != len * width {
+        return Err(DecodeError::BadCount);
+    }
+    Ok(if mode == MODE_RAW16 {
+        body.chunks_exact(2)
+            .map(|c| T::from_word(u64::from(u16::from_le_bytes([c[0], c[1]]))))
+            .collect()
+    } else {
+        body.chunks_exact(T::BYTES)
             .map(|c| {
                 let mut buf = [0u8; 8];
                 buf[..T::BYTES].copy_from_slice(c);
                 T::from_word(u64::from_le_bytes(buf))
             })
-            .collect(),
-        MODE_RAW16 => bytes[1..]
-            .chunks_exact(2)
-            .map(|c| T::from_word(u64::from(u16::from_le_bytes([c[0], c[1]]))))
-            .collect(),
-        MODE_RLE => {
-            let mut pos = 1usize;
-            let n = read_varint(bytes, &mut pos) as usize;
-            let mut out = Vec::with_capacity(n);
-            while out.len() < n {
-                let v = T::from_word(read_varint(bytes, &mut pos));
-                match read_varint(bytes, &mut pos) as usize {
-                    1 => out.push(v),
-                    run => out.extend(std::iter::repeat_n(v, run)),
-                }
-            }
-            debug_assert_eq!(pos, bytes.len(), "trailing bytes in word stream");
-            out
-        }
-        other => panic!("bad word-stream mode {other}"),
-    }
+            .collect()
+    })
 }
 
 /// A value type with a fixed 64-bit word representation, required to ride
@@ -280,7 +338,8 @@ mod tests {
         // Truncate each word to what `T` can hold.
         let vals: Vec<T> = words.iter().map(|&w| T::from_word(w)).collect();
         let enc = encode_words_for(&vals);
-        prop_assert_eq!(&decode_words_for::<T>(&enc), &vals);
+        prop_assert_eq!(&decode_words_for::<T>(&enc, vals.len()).unwrap(), &vals);
+        prop_assert!(decode_words_for::<T>(&enc, vals.len() + 1).is_err());
         prop_assert!(enc.len() <= 1 + T::BYTES * vals.len());
         prop_assert!([MODE_RAW, MODE_RLE, MODE_RAW16].contains(&enc[0]));
         if enc[0] == MODE_RAW16 {
@@ -302,6 +361,38 @@ mod tests {
             check_codec::<usize>(&words)?;
             check_codec::<bool>(&words)?;
         }
+
+        #[test]
+        fn arbitrary_bytes_decode_or_are_refused(
+            raw in proptest::collection::vec(0u16..256, 0..24),
+            len in 0usize..40,
+        ) {
+            // Any byte string is a value or a typed error, never a panic.
+            let bytes: Vec<u8> = raw.iter().map(|&b| b as u8).collect();
+            let _ = decode_keys_for::<u32>(&bytes);
+            let _ = decode_words_for::<u64>(&bytes, len);
+            let _ = decode_words_for::<u16>(&bytes, len);
+        }
+    }
+
+    #[test]
+    fn hostile_streams_are_refused_before_anything_is_sized_by_them() {
+        // A count of 2^40 read off the stream: six bytes of varint.
+        let mut huge = Vec::new();
+        push_varint(&mut huge, 1 << 40);
+        assert_eq!(huge.len(), 6);
+        // A key stream claiming 2^40 keys in no bytes.
+        assert_eq!(decode_keys_for::<u32>(&huge), Err(DecodeError::BadCount));
+        // A run-length word stream claiming 2^40 values.
+        let rle = [&[MODE_RLE][..], &huge].concat();
+        assert_eq!(rle.len(), 7);
+        assert_eq!(decode_words_for::<u64>(&rle, 3), Err(DecodeError::BadCount));
+        // No mode byte at all, and a mode byte no encoder writes.
+        assert_eq!(decode_words_for::<u64>(&[], 3), Err(DecodeError::Truncated));
+        assert_eq!(
+            decode_words_for::<u64>(&[9, 0, 0], 3),
+            Err(DecodeError::BadMode(9))
+        );
     }
 
     #[test]
@@ -320,7 +411,7 @@ mod tests {
             push_varint(&mut buf, x);
             assert_eq!(buf.len(), varint_len(x));
             let mut pos = 0;
-            assert_eq!(read_varint(&buf, &mut pos), x);
+            assert_eq!(read_varint(&buf, &mut pos), Ok(x));
             assert_eq!(pos, buf.len());
         }
     }
@@ -334,7 +425,10 @@ mod tests {
             vec![0, 1, 2, 3, 1_000_000],
             (0..500).map(|k| k * 7).collect::<Vec<_>>(),
         ] {
-            assert_eq!(decode_keys_for::<u64>(&encode_keys_for(&keys)), keys);
+            assert_eq!(
+                decode_keys_for::<u64>(&encode_keys_for(&keys)).unwrap(),
+                keys
+            );
         }
     }
 
@@ -355,7 +449,10 @@ mod tests {
             vec![u64::MAX; 3],
             (0..64).map(|k| k % 4).collect::<Vec<_>>(),
         ] {
-            assert_eq!(decode_words_for::<u64>(&encode_words_for(&words)), words);
+            assert_eq!(
+                decode_words_for::<u64>(&encode_words_for(&words), words.len()).unwrap(),
+                words
+            );
         }
     }
 
@@ -377,7 +474,7 @@ mod tests {
         let words: Vec<u64> = (0..100).map(|k| u64::MAX - k * 12345).collect();
         let enc = encode_words_for(&words);
         assert_eq!((enc[0], enc.len()), (MODE_RAW, 1 + 8 * words.len()));
-        assert_eq!(decode_words_for::<u64>(&enc), words);
+        assert_eq!(decode_words_for::<u64>(&enc, words.len()).unwrap(), words);
     }
 
     #[test]
@@ -390,8 +487,14 @@ mod tests {
         let (enc_narrow, enc_wide) = (encode_words_for(&narrow), encode_words_for(&wide));
         assert_eq!(enc_narrow.len(), 1 + 4 * narrow.len());
         assert!(enc_narrow.len() < enc_wide.len());
-        assert_eq!(decode_words_for::<u64>(&enc_wide), wide);
-        assert_eq!(decode_words_for::<u32>(&enc_narrow), narrow);
+        assert_eq!(
+            decode_words_for::<u64>(&enc_wide, wide.len()).unwrap(),
+            wide
+        );
+        assert_eq!(
+            decode_words_for::<u32>(&enc_narrow, narrow.len()).unwrap(),
+            narrow
+        );
     }
 
     #[test]
@@ -402,7 +505,7 @@ mod tests {
         let narrow: Vec<u32> = wide.iter().map(|&k| k as u32).collect();
         let enc = encode_keys_for::<u32>(&narrow);
         assert_eq!(enc, encode_keys_for::<u64>(&wide));
-        assert_eq!(decode_keys_for::<u32>(&enc), narrow);
+        assert_eq!(decode_keys_for::<u32>(&enc).unwrap(), narrow);
     }
 
     #[test]
@@ -422,12 +525,12 @@ mod tests {
         let words: Vec<u32> = (0..300).map(|k| (k * 199) % 65536).collect();
         let enc = encode_words_for(&words);
         assert_eq!((enc[0], enc.len()), (MODE_RAW16, 1 + 2 * words.len()));
-        assert_eq!(decode_words_for::<u32>(&enc), words);
+        assert_eq!(decode_words_for::<u32>(&enc, words.len()).unwrap(), words);
         // A type that is two bytes wide already has nothing to narrow to.
         let short: Vec<u16> = words.iter().map(|&w| w as u16).collect();
         let enc = encode_words_for(&short);
         assert_eq!((enc[0], enc.len()), (MODE_RAW, 1 + 2 * short.len()));
-        assert_eq!(decode_words_for::<u16>(&enc), short);
+        assert_eq!(decode_words_for::<u16>(&enc, short.len()).unwrap(), short);
     }
 
     #[test]
@@ -439,6 +542,6 @@ mod tests {
         let enc = encode_words_for(&words);
         assert_ne!(enc[0], MODE_RAW16);
         assert!(enc.len() > 1 + 2 * words.len() && enc.len() <= 1 + 4 * words.len());
-        assert_eq!(decode_words_for::<u32>(&enc), words);
+        assert_eq!(decode_words_for::<u32>(&enc, words.len()).unwrap(), words);
     }
 }

@@ -26,5 +26,5 @@ pub use dmat::DistMat;
 pub use dvec::{DistSpVec, DistVec, VecLayout};
 pub use ops::{
     dist_assign, dist_extract, dist_extract_planned, dist_mxv_dense, dist_mxv_sparse,
-    plan_requests, AssignStats, DistMask, DistOpts, ExtractStats, FusedExtract, RequestPlan, Wire,
+    plan_requests, DistMask, DistOpts, FusedExtract, RequestPlan, Wire,
 };

@@ -25,9 +25,9 @@ use super::dvec::{block_range, DistSpVec, DistVec, VecLayout};
 use crate::serial::CsrMirror;
 use crate::types::Monoid;
 use crate::Vid;
-use dmsim::wire::{decode_keys_for, encode_keys_for, push_varint, read_varint};
+use dmsim::wire::{decode_keys_for, encode_keys_for, push_varint, read_varint, DecodeError};
 use dmsim::{
-    words_of, AllToAll, CombineRoute, Comm, CommHandle, Grid2d, Group, SpanKind, WireWord,
+    words_of, AllToAll, CombineRoute, Comm, CommHandle, Counter, Grid2d, Group, SpanKind, WireWord,
 };
 use lacc_graph::Idx;
 
@@ -129,7 +129,7 @@ impl DistOpts {
     }
 }
 
-/// Allgathers each rank's value chunk. Under [`Wire::Compact`] a chunk
+/// Allgathers each rank's chunk of `x`. Under [`Wire::Compact`] a chunk
 /// rides the ordinary ring as one [`NarrowVal`] frame, charged as shipped,
 /// and is decoded inside the posted operation, so the handle yields
 /// per-rank chunks at either wire level; [`Wire::Legacy`] ships the raw
@@ -137,19 +137,25 @@ impl DistOpts {
 fn allgather_chunks<T>(
     comm: &mut Comm,
     group: &Group,
-    local: Vec<T>,
+    x: &DistVec<T>,
     opts: &DistOpts,
 ) -> CommHandle<Vec<Vec<T>>>
 where
     T: NarrowVal,
 {
-    let wire = opts.wire;
+    let (wire, layout, local) = (opts.wire, x.layout(), x.local().to_vec());
     comm.post(opts.overlap, move |c| match wire {
         Wire::Legacy => c.allgatherv(group, local),
         Wire::Compact => {
             c.charge_compute(local.len() as u64 + 1);
             let gathered = c.allgatherv(group, T::encode_chunk(&local));
-            gathered.iter().map(|b| T::decode_chunk(b)).collect()
+            // Member k encoded its own chunk, whose length the layout gives.
+            let lens = group.members().iter().map(|&r| layout.local_len(r));
+            gathered
+                .iter()
+                .zip(lens)
+                .map(|(b, len)| T::decode_chunk(b, len).expect("a peer's chunk frame"))
+                .collect()
         }
     })
 }
@@ -173,7 +179,11 @@ where
         Wire::Compact => {
             c.charge_compute(entries.len() as u64 + 1);
             let gathered = c.allgatherv(group, encode_entry_frame(&entries));
-            gathered.iter().map(|b| decode_entry_frame(b)).collect()
+            // Every member encoded its share with `encode_entry_frame`.
+            gathered
+                .iter()
+                .map(|b| decode_entry_frame(b).expect("a peer's entry frame"))
+                .collect()
         }
     })
 }
@@ -201,21 +211,24 @@ where
     frame
 }
 
-/// Decodes a frame produced by [`encode_entry_frame`].
-fn decode_entry_frame<T, I>(bytes: &[u8]) -> Vec<(I, T)>
+/// Decodes a frame produced by [`encode_entry_frame`]: the value chunk
+/// holds one value per id.
+fn decode_entry_frame<T, I>(bytes: &[u8]) -> Result<Vec<(I, T)>, DecodeError>
 where
     T: NarrowVal,
     I: Idx + WireWord,
 {
     if bytes.is_empty() {
-        return Vec::new();
+        return Ok(Vec::new());
     }
     let mut pos = 0usize;
-    let id_len = read_varint(bytes, &mut pos) as usize;
-    let ids = decode_keys_for::<I>(&bytes[pos..pos + id_len]);
-    let vals = T::decode_chunk(&bytes[pos + id_len..]);
-    debug_assert_eq!(ids.len(), vals.len(), "id/value frame halves misaligned");
-    ids.into_iter().zip(vals).collect()
+    let id_len = read_varint(bytes, &mut pos)? as usize;
+    let (id_bytes, val_bytes) = bytes[pos..]
+        .split_at_checked(id_len)
+        .ok_or(DecodeError::Truncated)?;
+    let ids = decode_keys_for::<I>(id_bytes)?;
+    let vals = T::decode_chunk(val_bytes, ids.len())?;
+    Ok(ids.into_iter().zip(vals).collect())
 }
 
 /// A mask aligned with the output vector's distribution.
@@ -251,31 +264,6 @@ impl<'a> DistMask<'a> {
             assert_eq!(m.layout(), layout, "mask built for a different layout");
         }
     }
-}
-
-/// Statistics from one [`dist_extract`] call (Figure 3's data).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ExtractStats {
-    /// Requests this rank received and answered point-to-point (after
-    /// senders deduped, under [`Wire::Compact`]).
-    pub received_requests: u64,
-    /// Whether this rank took the broadcast fallback.
-    pub did_broadcast: bool,
-    /// 8-byte words this rank kept off the wire by request dedup (ids out
-    /// plus replies back, relative to the legacy all-to-all; hot-broadcast
-    /// buckets excluded). Zero under [`Wire::Legacy`].
-    pub dedup_saved_words: u64,
-}
-
-/// Statistics from one [`dist_assign`] call.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AssignStats {
-    /// Updates this rank received (after senders pre-combined and routes
-    /// merged, under [`Wire::Compact`]).
-    pub received_updates: u64,
-    /// 8-byte words this rank kept off the wire by monoid pre-combining.
-    /// Zero under [`Wire::Legacy`].
-    pub combine_saved_words: u64,
 }
 
 /// Folds `(id, value)` arrivals that all fall in the chunk `[lo, hi)`
@@ -427,9 +415,10 @@ where
         Wire::Compact => {
             let frames: Vec<Vec<u8>> = buckets.iter().map(|b| encode_entry_frame(b)).collect();
             comm.charge_compute(touched.len() as u64 + 1);
+            // Every member encoded its buckets with `encode_entry_frame`.
             comm.alltoallv(&group, frames, opts.alltoall)
                 .into_iter()
-                .map(|bytes| decode_entry_frame(&bytes))
+                .map(|bytes| decode_entry_frame(&bytes).expect("a peer's entry frame"))
                 .collect()
         }
         Wire::Legacy => comm.alltoallv(&group, buckets, opts.alltoall),
@@ -536,7 +525,7 @@ where
     // consumes gathered chunks as they stream in, so its charge lands
     // between the post and the wait and hides the transfer tail.
     let col_group = grid.col_group(comm);
-    let gh = allgather_chunks(comm, &col_group, x.local().to_vec(), opts);
+    let gh = allgather_chunks(comm, &col_group, x, opts);
     let x_block: Vec<T> = gh.peek().concat();
     debug_assert_eq!(x_block.len(), a.col_range().1 - a.col_range().0);
 
@@ -683,11 +672,6 @@ impl<I: Idx> RequestPlan<I> {
         self.requests_to[o] - self.wire_ids[o].len()
     }
 
-    /// Total duplicate request ids collapsed by dedup on this rank.
-    pub fn duplicates_removed(&self) -> usize {
-        (0..self.wire_ids.len()).map(|o| self.removed(o)).sum()
-    }
-
     /// Answers every request from the per-owner reply vectors
     /// (`replies[o][w]` answers `wire_ids[o][w]`).
     ///
@@ -786,12 +770,17 @@ pub fn plan_requests<I: Idx>(
 /// chunk size broadcast their chunk instead of answering point-to-point
 /// (then drop out of the all-to-all, which the sparse algorithm exploits).
 /// [`DistOpts::wire`] picks what the remaining requests travel as.
+///
+/// Counts, on the rank where each happens: the requests it answered
+/// point-to-point ([`Counter::RequestsReceived`], Figure 3's data), a hot
+/// owner's broadcast ([`Counter::HotBroadcasts`]) and the words request
+/// dedup kept off the wire ([`Counter::WordsSaved`]).
 pub fn dist_extract<T, I>(
     comm: &mut Comm,
     src: &DistVec<T>,
     requests: &[I],
     opts: &DistOpts,
-) -> (Vec<T>, ExtractStats)
+) -> Vec<T>
 where
     T: Copy + Send + WireWord + 'static,
     I: Idx + WireWord,
@@ -811,7 +800,7 @@ pub fn dist_extract_planned<T, I>(
     src: &DistVec<T>,
     plan: &RequestPlan<I>,
     opts: &DistOpts,
-) -> (Vec<T>, ExtractStats)
+) -> Vec<T>
 where
     T: Copy + Send + WireWord + 'static,
     I: Idx + WireWord,
@@ -827,7 +816,7 @@ fn extract_impl<T, I>(
     src: &DistVec<T>,
     plan: &RequestPlan<I>,
     opts: &DistOpts,
-) -> (Vec<T>, ExtractStats)
+) -> Vec<T>
 where
     T: Copy + Send + WireWord + 'static,
     I: Idx + WireWord,
@@ -840,7 +829,6 @@ where
 
     // Per owner, the values answering `plan.wire_ids[o]`, in order.
     let mut replies: Vec<Vec<T>> = vec![Vec::new(); p];
-    let mut stats = ExtractStats::default();
 
     // Detect hot owners by global request totals — counted post-dedup,
     // i.e. by the traffic actually offered to each owner.
@@ -863,7 +851,7 @@ where
         }
         let chunk = comm.bcast_vec(&world, o, (me == o).then(|| src.local().to_vec()));
         if me == o {
-            stats.did_broadcast = true;
+            comm.count(Counter::HotBroadcasts, 1);
         }
         replies[o] = plan.wire_ids[o]
             .iter()
@@ -875,13 +863,11 @@ where
     // Dedup savings relative to the legacy exchange: every collapsed
     // duplicate would have crossed the wire twice (id out, reply back) —
     // charged at the narrow id width actually on the wire.
-    for (o, &is_hot) in hot.iter().enumerate() {
-        if is_hot {
-            continue;
-        }
-        let removed = plan.removed(o);
-        stats.dedup_saved_words += words_of::<I>(removed) + words_of::<T>(removed);
-    }
+    let saved: u64 = (0..p)
+        .filter(|&o| !hot[o])
+        .map(|o| words_of::<I>(plan.removed(o)) + words_of::<T>(plan.removed(o)))
+        .sum();
+    comm.count(Counter::WordsSaved, saved);
 
     // Remaining requests go to their owners; hot owners keep the broadcast
     // fallback and contribute empty buckets.
@@ -903,14 +889,13 @@ where
         // fallbacks and reply tuples are charged at `I`'s true size.
         Wire::Compact => {
             let route = comm.combining_requests(&world, send);
-            stats.received_requests = route.delivered_keys().len() as u64;
             let values: Vec<T> = route
                 .delivered_keys()
                 .iter()
                 .map(|&k| src.get_local(k.idx()))
                 .collect();
-            comm.charge_compute(stats.received_requests + 1);
-            comm.note_words_saved(stats.dedup_saved_words);
+            comm.count(Counter::RequestsReceived, values.len() as u64);
+            comm.charge_compute(values.len() as u64 + 1);
             let reply = comm.combining_replies(&world, &route, &values);
             for (o, vals) in reply.into_iter().enumerate() {
                 if hot[o] {
@@ -923,14 +908,13 @@ where
         // Raw id words out through the all-to-all, raw values back.
         Wire::Legacy => {
             let incoming = comm.alltoallv(&world, send, opts.alltoall);
+            let received: u64 = incoming.iter().map(|ids| ids.len() as u64).sum();
             let served: Vec<Vec<T>> = incoming
                 .into_iter()
-                .map(|ids| {
-                    stats.received_requests += ids.len() as u64;
-                    ids.iter().map(|&g| src.get_local(g.idx())).collect()
-                })
+                .map(|ids| ids.iter().map(|&g| src.get_local(g.idx())).collect())
                 .collect();
-            comm.charge_compute(stats.received_requests + 1);
+            comm.count(Counter::RequestsReceived, received);
+            comm.charge_compute(received + 1);
             let reply_back = comm.alltoallv(&world, served, opts.alltoall);
             for (o, vals) in reply_back.into_iter().enumerate() {
                 if !hot[o] {
@@ -939,7 +923,7 @@ where
             }
         }
     }
-    (plan.scatter(&replies), stats)
+    plan.scatter(&replies)
 }
 
 /// Several extract phases against one request plan — starcheck's two
@@ -955,12 +939,13 @@ where
 /// collapses the duplicate traffic that made owners hot. Keys stay at the
 /// plan's index width `I`. Under [`Wire::Legacy`] there is no route to
 /// share: `begin` sends nothing and every phase is one
-/// [`dist_extract_planned`].
+/// [`dist_extract_planned`]. So [`Counter::RequestsReceived`] counts the
+/// route's delivered ids once, whatever the number of phases, and the
+/// legacy phases' arrivals phase by phase.
 pub struct FusedExtract<'a, I: Idx = Vid> {
     plan: &'a RequestPlan<I>,
     opts: &'a DistOpts,
     route: Option<CombineRoute<I>>,
-    received: u64,
 }
 
 impl<'a, I: Idx + WireWord> FusedExtract<'a, I> {
@@ -970,35 +955,24 @@ impl<'a, I: Idx + WireWord> FusedExtract<'a, I> {
     pub fn begin(comm: &mut Comm, plan: &'a RequestPlan<I>, opts: &'a DistOpts) -> Self {
         let route = (opts.wire == Wire::Compact).then(|| {
             let world = comm.world();
-            comm.combining_requests(&world, plan.wire_ids.to_vec())
+            let route = comm.combining_requests(&world, plan.wire_ids.to_vec());
+            comm.count(
+                Counter::RequestsReceived,
+                route.delivered_keys().len() as u64,
+            );
+            route
         });
-        FusedExtract {
-            plan,
-            opts,
-            received: route
-                .as_ref()
-                .map_or(0, |r| r.delivered_keys().len() as u64),
-            route,
-        }
-    }
-
-    /// Requests this rank has been sent so far: the route's unique
-    /// delivered ids (they arrive once, whatever the number of phases), or
-    /// the sum over the phases run under [`Wire::Legacy`].
-    pub fn received(&self) -> u64 {
-        self.received
+        FusedExtract { plan, opts, route }
     }
 
     /// One reply phase: serves the requested ids from `src` as of *now*
     /// and returns `src[requests[k]]` for each planned request, in order.
-    pub fn extract<T>(&mut self, comm: &mut Comm, src: &DistVec<T>) -> Vec<T>
+    pub fn extract<T>(&self, comm: &mut Comm, src: &DistVec<T>) -> Vec<T>
     where
         T: Copy + Send + WireWord + 'static,
     {
         let Some(route) = &self.route else {
-            let (values, stats) = dist_extract_planned(comm, src, self.plan, self.opts);
-            self.received += stats.received_requests;
-            return values;
+            return dist_extract_planned(comm, src, self.plan, self.opts);
         };
         let span = comm.span_open(SpanKind::Extract);
         let world = comm.world();
@@ -1027,15 +1001,15 @@ impl<'a, I: Idx + WireWord> FusedExtract<'a, I> {
 /// monoid, mirroring [`crate::serial::assign`].
 ///
 /// Returns the number of *locally owned* elements whose value changed
-/// (callers allreduce this for the global convergence test) and the
-/// per-rank [`AssignStats`].
+/// (callers allreduce this for the global convergence test). The words
+/// monoid pre-combining kept off the wire count as [`Counter::WordsSaved`].
 pub fn dist_assign<T, M, I>(
     comm: &mut Comm,
     dst: &mut DistVec<T>,
     updates: &[(I, T)],
     monoid: M,
     opts: &DistOpts,
-) -> (usize, AssignStats)
+) -> usize
 where
     T: Copy + Send + PartialEq + WireWord + 'static,
     M: Monoid<T>,
@@ -1082,7 +1056,7 @@ fn assign_impl<T, M, I>(
     updates: &[(I, T)],
     monoid: M,
     opts: &DistOpts,
-) -> (usize, AssignStats)
+) -> usize
 where
     T: Copy + Send + PartialEq + WireWord + 'static,
     M: Monoid<T>,
@@ -1090,16 +1064,17 @@ where
 {
     let layout = dst.layout();
     let world = comm.world();
-    let mut stats = AssignStats::default();
     let mut ops = 1u64;
     let buckets: Vec<Vec<(I, T)>> = match opts.wire {
         Wire::Legacy => layout.bucket_by_owner(updates.iter().copied()),
         Wire::Compact => {
             let (buckets, before) = precombine_updates(layout, updates, monoid);
+            let mut saved = 0u64;
             for (b, before) in buckets.iter().zip(before) {
                 ops += (before + b.len()) as u64;
-                stats.combine_saved_words += words_of::<(I, T)>(before - b.len());
+                saved += words_of::<(I, T)>(before - b.len());
             }
+            comm.count(Counter::WordsSaved, saved);
             buckets
         }
     };
@@ -1118,18 +1093,17 @@ where
             let merged = comm.reduce_scatter_by_key(&world, buckets, |acc: &mut T, v| {
                 *acc = monoid.combine(*acc, v)
             });
-            stats.received_updates = merged.len() as u64;
+            comm.charge_compute(merged.len() as u64 + 1);
             merged
         }
         // Every update crosses the all-to-all; the owner folds.
         Wire::Legacy => {
             let parts = comm.alltoallv(&world, buckets, opts.alltoall);
-            stats.received_updates = parts.iter().map(|part| part.len() as u64).sum();
+            let received: u64 = parts.iter().map(|part| part.len() as u64).sum();
+            comm.charge_compute(received + 1);
             fold_chunk_arrivals(layout.range_of_rank(comm.rank()), &parts, monoid)
         }
     };
-    comm.charge_compute(stats.received_updates + 1);
-    comm.note_words_saved(stats.combine_saved_words);
     let mut changed = 0;
     for (k, v) in merged {
         let g = k.idx();
@@ -1138,7 +1112,7 @@ where
             changed += 1;
         }
     }
-    (changed, stats)
+    changed
 }
 
 #[cfg(test)]
@@ -1171,7 +1145,7 @@ mod tests {
                 .collect();
             let frame = encode_entry_frame(&entries);
             proptest::prop_assert_eq!(frame.is_empty(), entries.is_empty());
-            proptest::prop_assert_eq!(decode_entry_frame::<usize, u32>(&frame), entries.clone());
+            proptest::prop_assert_eq!(decode_entry_frame::<usize, u32>(&frame), Ok(entries.clone()));
             // Delta ids and values at no more than their own width: a
             // frame never costs more than the raw tuples it replaces.
             proptest::prop_assert!(
@@ -1559,8 +1533,7 @@ mod tests {
                 let out = run_spmd(p, |c| {
                     let layout = VecLayout::new(n, Grid2d::square(p));
                     let src = DistVec::from_global(layout, c.rank(), &src_global);
-                    let (vals, _) = dist_extract(c, &src, &all_requests[c.rank()], &opts);
-                    vals
+                    dist_extract(c, &src, &all_requests[c.rank()], &opts)
                 })
                 .unwrap();
                 for (r, vals) in out.iter().enumerate() {
@@ -1585,17 +1558,22 @@ mod tests {
                 hot_threshold: 2.0,
                 ..DistOpts::default()
             };
-            let (vals, stats) = dist_extract(c, &src, &reqs, &opts);
+            let vals = dist_extract(c, &src, &reqs, &opts);
             assert!(vals.iter().all(|&v| v == 0));
-            stats
+            let snap = c.snapshot();
+            let count = |k| snap.counter(k);
+            (
+                count(Counter::HotBroadcasts),
+                count(Counter::RequestsReceived),
+            )
         })
         .unwrap();
-        let owner0 = out.iter().filter(|s| s.did_broadcast).count();
-        assert_eq!(owner0, 1, "exactly the owner of index 0 broadcasts");
+        let broadcasts: Vec<u64> = out.iter().map(|&(b, _)| b).collect();
+        let mut want = vec![0; p];
+        want[VecLayout::new(n, Grid2d::square(p)).owner_of(0)] = 1;
+        assert_eq!(broadcasts, want, "exactly the owner of index 0 broadcasts");
         // The broadcasting owner answers no point-to-point requests.
-        assert!(out
-            .iter()
-            .all(|s| !s.did_broadcast || s.received_requests == 0));
+        assert!(out.iter().all(|&(b, received)| b == 0 || received == 0));
     }
 
     #[test]
@@ -1650,9 +1628,10 @@ mod tests {
     }
 
     /// Issues `copies` duplicates of every request/update on each rank and
-    /// returns the per-rank (extract stats, assign stats, snapshot
-    /// words_saved, snapshot combined_words) under the given options.
-    fn wire_savings(copies: usize, opts: DistOpts) -> Vec<(ExtractStats, AssignStats, u64, u64)> {
+    /// returns the per-rank counts (words saved by the extract, words saved
+    /// by the assign, words combined in flight by both) under the given
+    /// options.
+    fn wire_savings(copies: usize, opts: DistOpts) -> Vec<(u64, u64, u64)> {
         let n = 64;
         let p = 4;
         run_spmd(p, move |c| {
@@ -1670,21 +1649,22 @@ mod tests {
                 hot_threshold: f64::INFINITY,
                 ..opts
             };
-            let (_, es) = dist_extract(c, &src, &reqs, &opts);
+            let saved = |c: &Comm| c.snapshot().counter(Counter::WordsSaved);
+            dist_extract(c, &src, &reqs, &opts);
+            let by_extract = saved(c);
             let mut dst = DistVec::from_fn(layout, c.rank(), |_| usize::MAX);
-            let (_, asgn) = dist_assign(c, &mut dst, &upds, MinUsize, &opts);
-            let snap = c.snapshot();
-            (es, asgn, snap.words_saved, snap.combined_words)
+            dist_assign(c, &mut dst, &upds, MinUsize, &opts);
+            let combined = c.snapshot().counter(Counter::CombinedWords);
+            (by_extract, saved(c) - by_extract, combined)
         })
         .unwrap()
     }
 
     #[test]
     fn legacy_wire_reports_no_savings() {
-        for (es, asgn, noted, combined) in wire_savings(4, DistOpts::naive()) {
-            assert_eq!(es.dedup_saved_words, 0);
-            assert_eq!(asgn.combine_saved_words, 0);
-            assert_eq!(noted, 0);
+        for (by_extract, by_assign, combined) in wire_savings(4, DistOpts::naive()) {
+            assert_eq!(by_extract, 0);
+            assert_eq!(by_assign, 0);
             assert_eq!(combined, 0, "the legacy wire never combines in flight");
         }
     }
@@ -1698,23 +1678,17 @@ mod tests {
         let once = wire_savings(1, DistOpts::default());
         let twice = wire_savings(2, DistOpts::default());
         let eight = wire_savings(8, DistOpts::default());
-        for (rank, (_, _, _, combined)) in once.iter().enumerate() {
+        for (rank, &(_, _, combined)) in once.iter().enumerate() {
             assert!(
-                *combined > 0,
+                combined > 0,
                 "rank {rank}: identical cross-rank requests merge"
             );
         }
-        for ((es2, as2, noted2, _), (es8, as8, noted8, _)) in twice.iter().zip(&eight) {
-            assert!(es2.dedup_saved_words > 0, "dedup saves on duplicates");
-            assert!(as2.combine_saved_words > 0, "combine collapses updates");
-            assert_eq!(
-                *noted2,
-                es2.dedup_saved_words + as2.combine_saved_words,
-                "comm counter matches the per-op stats"
-            );
-            assert!(es8.dedup_saved_words >= es2.dedup_saved_words);
-            assert!(as8.combine_saved_words >= as2.combine_saved_words);
-            assert!(noted8 >= noted2, "savings are monotone in duplication");
+        for (&(ex2, as2, _), &(ex8, as8, _)) in twice.iter().zip(&eight) {
+            assert!(ex2 > 0, "dedup saves on duplicates");
+            assert!(as2 > 0, "combine collapses updates");
+            assert!(ex8 >= ex2, "dedup savings are monotone in duplication");
+            assert!(as8 >= as2, "combine savings are monotone in duplication");
         }
     }
 
@@ -1768,7 +1742,8 @@ mod tests {
             assert_eq!(plan.wire_ids[o], want, "{ctx}: wire ids of owner {o}");
         }
         let unique: usize = oracle.iter().map(BTreeMap::len).sum();
-        assert_eq!(plan.duplicates_removed(), reqs.len() - unique, "{ctx}");
+        let removed: usize = (0..p).map(|o| plan.removed(o)).sum();
+        assert_eq!(removed, reqs.len() - unique, "{ctx}");
         let value_of = |g: I| g.idx() * 3 + 1;
         let replies: Vec<Vec<usize>> = plan
             .wire_ids
@@ -1839,7 +1814,7 @@ mod tests {
     }
 
     #[test]
-    fn posted_mxv_matches_blocking_and_refunds_only_under_overlap() {
+    fn mxv_posted_matches_blocking_and_refunds_only_under_overlap() {
         // A posted mxv runs eagerly: bit-identical results to the blocking
         // call; with overlap on, the compute charged between post and wait
         // earns a positive clock refund, with it off none.
@@ -1892,10 +1867,10 @@ mod tests {
                     let b = DistVec::from_fn(layout, c.rank(), |g| (g % 7 == 0) as usize);
                     let reqs = &all_requests[c.rank()];
                     let plan = plan_requests(c, a.layout(), reqs, &opts);
-                    let (pa, _) = dist_extract_planned(c, &a, &plan, &opts);
-                    let (pb, _) = dist_extract_planned(c, &b, &plan, &opts);
-                    let (ua, _) = dist_extract(c, &a, reqs, &opts);
-                    let (ub, _) = dist_extract(c, &b, reqs, &opts);
+                    let pa = dist_extract_planned(c, &a, &plan, &opts);
+                    let pb = dist_extract_planned(c, &b, &plan, &opts);
+                    let ua = dist_extract(c, &a, reqs, &opts);
+                    let ub = dist_extract(c, &b, reqs, &opts);
                     (pa, pb, ua, ub)
                 })
                 .unwrap();

@@ -12,7 +12,7 @@
 //!   the fused route replay) must not change a single output bit against
 //!   the legacy wire across power-of-two / fallback group sizes.
 
-use dmsim::{run_spmd, AllToAll, Grid2d};
+use dmsim::{run_spmd, AllToAll, Counter, Grid2d};
 use gblas::dist::{
     dist_assign, dist_extract, plan_requests, DistOpts, DistVec, FusedExtract, VecLayout, Wire,
 };
@@ -62,7 +62,7 @@ proptest! {
             pw.sort_unstable();
             hc.sort_unstable();
             cmb.sort_unstable();
-            (pw, hc, cmb, c.snapshot().combined_words)
+            (pw, hc, cmb, c.snapshot().counter(Counter::CombinedWords))
         })
         .unwrap();
         for (pw, hc, cmb, combined_words) in out {
@@ -143,32 +143,36 @@ proptest! {
                 .iter()
                 .map(|&(i, v)| ((i + c.rank()) % n, v))
                 .collect();
-            let (base_vals, _) = dist_extract(c, &src, &requests, &naive);
-            let (vals, _) = dist_extract(c, &src, &requests, &combining);
+            let base_vals = dist_extract(c, &src, &requests, &naive);
+            let vals = dist_extract(c, &src, &requests, &combining);
             let mut base_dst = DistVec::from_fn(layout, c.rank(), |_| usize::MAX);
-            let (base_chg, _) = dist_assign(c, &mut base_dst, &updates, MinUsize, &naive);
+            let base_chg = dist_assign(c, &mut base_dst, &updates, MinUsize, &naive);
             let mut dst = DistVec::from_fn(layout, c.rank(), |_| usize::MAX);
-            let (chg, _) = dist_assign(c, &mut dst, &updates, MinUsize, &combining);
+            let chg = dist_assign(c, &mut dst, &updates, MinUsize, &combining);
 
             // Fused phases: a usize phase, then — after an interleaved
             // assign, as in starcheck — a bool phase; one replayed request
             // route on the compact wire, two planned extracts on the
             // legacy one.
             let mut fused = Vec::new();
+            let received = |c: &dmsim::Comm| c.snapshot().counter(Counter::RequestsReceived);
             for opts in [&combining, &naive] {
                 let plan = plan_requests(c, layout, &requests, opts);
-                let mut fx = FusedExtract::begin(c, &plan, opts);
+                let before = received(c);
+                let fx = FusedExtract::begin(c, &plan, opts);
                 let fused_vals = fx.extract(c, &src);
                 let mut star = DistVec::from_fn(layout, c.rank(), |_| true);
                 let demote: Vec<(usize, bool)> =
                     requests.iter().map(|&g| (g, g % 3 != 0)).collect();
                 dist_assign(c, &mut star, &demote, AndBool, &naive);
                 let fused_star = fx.extract(c, &star);
-                let (base_star, st) = dist_extract(c, &star, &requests, opts);
+                let fused_received = received(c) - before;
+                let base_star = dist_extract(c, &star, &requests, opts);
                 // The route delivers each id once; the legacy phases each
                 // receive the full request lists.
                 let phases = if opts.wire == Wire::Compact { 1 } else { 2 };
-                assert_eq!(fx.received(), phases * st.received_requests);
+                let base_received = received(c) - before - fused_received;
+                assert_eq!(fused_received, phases * base_received);
                 fused.push((fused_vals, fused_star, base_star));
             }
 

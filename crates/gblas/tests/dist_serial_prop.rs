@@ -1,7 +1,7 @@
 //! Property tests: every distributed primitive must be bit-identical to
 //! its serial counterpart on arbitrary inputs and grids.
 
-use dmsim::{run_spmd, AllToAll, Grid2d};
+use dmsim::{run_spmd, AllToAll, Counter, Grid2d};
 use gblas::dist::{
     dist_assign, dist_extract, dist_mxv_dense, dist_mxv_sparse, DistMask, DistMat, DistOpts,
     DistSpVec, DistVec, VecLayout, Wire,
@@ -188,7 +188,7 @@ proptest! {
             let src = DistVec::from_global(layout, c.rank(), sr);
             // Every rank issues the same request list; all must get the
             // same answers.
-            dist_extract(c, &src, rr, &opts).0
+            dist_extract(c, &src, rr, &opts)
         })
         .unwrap();
         for got in out {
@@ -307,16 +307,13 @@ proptest! {
                     let out = run_spmd(q, move |c| {
                         let layout = VecLayout::new(n, grid);
                         let src = DistVec::from_global(layout, c.rank(), sr);
-                        let (vals, es) = dist_extract(c, &src, &requests_of(c.rank()), &opts);
+                        let vals = dist_extract(c, &src, &requests_of(c.rank()), &opts);
                         let mut dst = DistVec::from_fn(layout, c.rank(), |_| usize::MAX);
-                        let (_, asgn) =
-                            dist_assign(c, &mut dst, &updates_of(c.rank()), MinUsize, &opts);
+                        dist_assign(c, &mut dst, &updates_of(c.rank()), MinUsize, &opts);
                         let dst = dst.to_global(c);
                         let snap = c.snapshot();
-                        let saved = es.dedup_saved_words
-                            + asgn.combine_saved_words
-                            + snap.words_saved
-                            + snap.combined_words;
+                        let saved = snap.counter(Counter::WordsSaved)
+                            + snap.counter(Counter::CombinedWords);
                         let mxv = square.then(|| {
                             let a = DistMat::from_graph(gref, grid, c.rank());
                             let dense =

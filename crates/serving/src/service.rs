@@ -426,7 +426,7 @@ mod tests {
         assert_eq!(svc.stats().staleness_reruns, 1);
         assert_eq!(svc.num_components(), 1);
         let report = sink.report();
-        assert_eq!(report.reruns, 3);
+        assert_eq!(report.counter(dmsim::Counter::Reruns), 3);
         assert!(report.kind_time_s("rerun(bootstrap)") > 0.0);
         assert!(report.kind_time_s("rerun(deletion)") > 0.0);
         assert!(report.kind_time_s("rerun(staleness)") > 0.0);
