@@ -21,6 +21,7 @@
 //!   unoptimized pairwise all-to-all. See the module docs for the exact
 //!   relationship to the published ParConnect.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bfs;

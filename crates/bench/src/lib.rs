@@ -6,6 +6,7 @@
 //! LACC and ParConnect, aligned-table printing, and CSV output under
 //! `results/`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use dmsim::{Machine, MachineModel, TraceLevel, TraceSink};

@@ -6,7 +6,7 @@ use lacc::{lacc_serial, EngineSelect, LaccOpts, RunConfig};
 use lacc_baselines as baselines;
 use lacc_graph::generators::{self, suite};
 use lacc_graph::stats::graph_stats;
-use lacc_graph::{io, CsrGraph, EdgeList};
+use lacc_graph::{ensure_fits, io, CsrGraph, EdgeList};
 use std::io::Write;
 use std::path::Path;
 
@@ -560,6 +560,8 @@ fn cmd_generate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let path = args.require("out")?.to_string();
     let n: usize = args.get_or("n", 10_000)?;
     let seed: u64 = args.get_or("seed", 1)?;
+    // Refuse a vertex count the readers would refuse, before generating.
+    let fits = |count: usize| ensure_fits::<u32>(count, "the graph").map_err(failed);
     let g = if let Some(name) = family.strip_prefix("suite:") {
         suite::by_name(name)
             .ok_or_else(|| format!("unknown suite graph: {name}"))?
@@ -569,20 +571,35 @@ fn cmd_generate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             "community" => {
                 let comps: usize = args.get_or("components", (n / 50).max(1))?;
                 let degree: f64 = args.get_or("degree", 8.0)?;
+                if comps == 0 {
+                    return Err(failed("components must be at least 1"));
+                }
+                if !(degree.is_finite() && degree >= 0.0) {
+                    return Err(failed(format!(
+                        "degree must be finite and nonnegative, got {degree}"
+                    )));
+                }
+                fits(n)?;
                 generators::community_graph(n, comps, degree, 1.4, seed)
             }
-            "metagenome" => generators::metagenome_graph(n, 7, 0.005, seed),
+            "metagenome" => {
+                fits(n)?;
+                generators::metagenome_graph(n, 7, 0.005, seed)
+            }
             "rmat" => {
                 let scale: u32 = args.get_or("scale", 14)?;
                 let ef: usize = args.get_or("edge-factor", 16)?;
+                fits(2usize.saturating_pow(scale))?;
                 generators::rmat(scale, ef, generators::RmatParams::graph500(), seed)
             }
             "mesh3d" => {
                 let side = (n as f64).cbrt().round().max(2.0) as usize;
+                fits(side.saturating_pow(3))?;
                 generators::mesh_3d(side, side, side)
             }
             "er" => {
-                let m: usize = args.get_or("m", n * 4)?;
+                let m: usize = args.get_or("m", n.saturating_mul(4))?;
+                fits(n)?;
                 generators::erdos_renyi_gnm(n, m, seed)
             }
             other => return Err(format!("unknown family: {other}").into()),

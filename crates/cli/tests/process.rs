@@ -3,6 +3,7 @@
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn lacc(args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_lacc"));
@@ -93,6 +94,103 @@ fn a_vertex_count_past_u32_is_one_error_line_not_an_abort() {
         assert!(err.starts_with("error: "), "{err}");
         assert!(err.contains("vertex ids as u32"), "{err}");
     }
+}
+
+/// Runs `lacc args`, killing it if it has not exited within ten seconds,
+/// so an input that hangs fails its case instead of stalling the suite.
+fn output_within_deadline(args: &[&str]) -> Output {
+    let mut child = lacc(args).spawn().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.try_wait().unwrap().is_none() {
+        if Instant::now() > deadline {
+            child.kill().unwrap();
+            child.wait().unwrap();
+            panic!("lacc {args:?} still running after 10 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().unwrap()
+}
+
+/// `lacc args` exits 1 with one `error:` line containing `needle`.
+fn refused(args: &[&str], needle: &str) {
+    let out = output_within_deadline(args);
+    let err = stderr_of(&out);
+    assert_eq!(out.status.code(), Some(1), "lacc {args:?}: {err}");
+    assert_eq!(err.lines().count(), 1, "lacc {args:?}: {err}");
+    assert!(err.starts_with("error: ") && err.contains(needle), "{err}");
+}
+
+/// `lacc generate <family> <flags> --out <scratch>`, which no refusal may
+/// write.
+fn generate(family: &str, flags: &[&str], needle: &str) {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let g = dir.join(format!("process-refused-{family}-{}.el", flags.join("")));
+    let out = g.display().to_string();
+    refused(
+        &[&["generate", family, "--out", &out], flags].concat(),
+        needle,
+    );
+    assert!(!g.exists(), "a refusal wrote {out}");
+}
+
+#[test]
+fn generate_refuses_zero_components() {
+    generate(
+        "community",
+        &["--n", "10", "--components", "0"],
+        "components",
+    );
+}
+
+#[test]
+fn generate_refuses_a_negative_degree() {
+    generate("community", &["--n", "10", "--degree", "-1"], "degree");
+}
+
+#[test]
+fn generate_refuses_a_nan_degree() {
+    generate("community", &["--n", "10", "--degree", "nan"], "degree");
+}
+
+#[test]
+fn generate_refuses_an_rmat_scale_past_usize() {
+    generate("rmat", &["--scale", "64"], "vertex ids as u32");
+}
+
+#[test]
+fn generate_refuses_an_rmat_scale_past_u32() {
+    generate("rmat", &["--scale", "40"], "vertex ids as u32");
+}
+
+#[test]
+fn generate_refuses_a_mesh_past_u32() {
+    generate("mesh3d", &["--n", "100000000000"], "vertex ids as u32");
+}
+
+/// A Matrix Market file holding `n` vertices and no edge.
+fn edgeless_graph(n: usize) -> String {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let path = dir.join(format!("process-{n}-vertex.mtx"));
+    let header = "%%MatrixMarket matrix coordinate pattern symmetric";
+    std::fs::write(&path, format!("{header}\n{n} {n} 0\n")).unwrap();
+    path.display().to_string()
+}
+
+#[test]
+fn serve_refuses_a_graph_with_no_vertex() {
+    refused(&["serve", &edgeless_graph(0)], "at least one vertex");
+}
+
+#[test]
+fn serve_runs_on_a_single_vertex() {
+    // Every insert is a self loop; the one component survives them all.
+    let out = output_within_deadline(&["serve", &edgeless_graph(1)]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert!(report.contains("answers consistent  yes"), "{report}");
+    let components = report.lines().find(|l| l.starts_with("components"));
+    assert_eq!(components, Some("components          1"), "{report}");
 }
 
 /// The value of a top-level `"key": value` line of a one-key-per-line JSON

@@ -19,7 +19,7 @@
 
 use crate::engine::driver::drive;
 use crate::engine::{EngineCtx, EngineRun, EngineSelect, Fastsv, LabelProp, Lacc};
-use crate::options::LaccOpts;
+use crate::options::{LaccOpts, PERMUTE_SEED};
 use crate::stats::{IterStats, LaccRun, StepBreakdown};
 use dmsim::{
     run_spmd_traced, Comm, Counter, DmsimError, ErrorKind, MachineModel, RerunReason, SpanKind,
@@ -172,7 +172,7 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
     ensure_fits::<u32>(n, "vertices")
         .map_err(|e| DmsimError::new(ErrorKind::InvalidConfig, e.to_string()))?;
     let opts = &cfg.opts;
-    let perm = (opts.permute && n > 1).then(|| Permutation::random(n, opts.permute_seed));
+    let perm = (opts.permute && n > 1).then(|| Permutation::random(n, PERMUTE_SEED));
     let perm = perm.as_ref();
     let rerun = cfg.rerun;
     let wall_start = Instant::now();

@@ -32,6 +32,7 @@
 //! vertices drop out of all subsequent steps, which is what makes LACC fast
 //! on graphs with many components (Figure 7).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod asref;
@@ -45,7 +46,7 @@ pub mod verify;
 pub use dist::{check_ranks, run, RunConfig, RunOutput};
 pub use engine::{EngineCtx, EngineIter, EngineRun, EngineSelect};
 pub use gblas::dist::Wire;
-pub use options::{LaccOpts, LaccOptsBuilder, OptsError};
+pub use options::{LaccOpts, LaccOptsBuilder, OptsError, PERMUTE_SEED};
 pub use serial::lacc_serial;
 pub use stats::{IterStats, LaccRun, StepBreakdown};
 pub use verify::{verify_labels, CcOracle, LabelError};

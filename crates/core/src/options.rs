@@ -10,6 +10,9 @@ use crate::engine::EngineSelect;
 use dmsim::AllToAll;
 use gblas::dist::{DistOpts, Wire};
 
+/// Seed of the load-balancing permutation [`LaccOpts::permute`] applies.
+pub const PERMUTE_SEED: u64 = 0xC0_FFEE;
+
 /// Options controlling a LACC run.
 #[derive(Clone, Copy, Debug)]
 pub struct LaccOpts {
@@ -21,10 +24,8 @@ pub struct LaccOpts {
     /// Communication options for the distributed primitives (§V-B).
     pub dist: DistOpts,
     /// Apply a random symmetric permutation before distributing the matrix
-    /// (CombBLAS' load balancing).
+    /// (CombBLAS' load balancing), seeded with [`PERMUTE_SEED`].
     pub permute: bool,
-    /// Seed for the load-balancing permutation.
-    pub permute_seed: u64,
     /// Bound on LACC rounds (AS converges in ≤ ~2·log₂ n). A run that
     /// has not converged after this many fails with an error naming the
     /// bound; FastSV and label propagation carry their own bounds
@@ -42,7 +43,6 @@ impl Default for LaccOpts {
             use_sparsity: true,
             dist: DistOpts::default(),
             permute: true,
-            permute_seed: 0xC0_FFEE,
             max_iters: 200,
             engine: EngineSelect::default(),
         }
@@ -121,7 +121,7 @@ impl std::error::Error for OptsError {}
 /// Validating builder for [`LaccOpts`] (see [`LaccOpts::builder`]).
 ///
 /// Numeric setters are fallible and return [`OptsError`] on out-of-range
-/// input, so they chain with `?`; boolean and seed setters cannot fail.
+/// input, so they chain with `?`; the other setters cannot fail.
 #[derive(Clone, Debug)]
 pub struct LaccOptsBuilder {
     opts: LaccOpts,
@@ -189,12 +189,6 @@ impl LaccOptsBuilder {
         self
     }
 
-    /// Seed for the load-balancing permutation.
-    pub fn permute_seed(mut self, seed: u64) -> Self {
-        self.opts.permute_seed = seed;
-        self
-    }
-
     /// Selects the connected-components engine.
     pub fn engine(mut self, e: EngineSelect) -> Self {
         self.opts.engine = e;
@@ -235,12 +229,11 @@ mod tests {
         assert!(o.use_sparsity);
         assert_eq!(o.dist.wire, Wire::Compact);
         assert!(o.dist.hot_threshold.is_finite());
-        // The six run options, spelled out: a seventh fails to compile here.
+        // The five run options, spelled out: a sixth fails to compile here.
         let LaccOpts {
             use_sparsity: _,
             dist: _,
             permute: _,
-            permute_seed: _,
             max_iters: _,
             engine: _,
         } = o;
@@ -271,7 +264,6 @@ mod tests {
             .unwrap()
             .alltoall(AllToAll::Pairwise)
             .permute(false)
-            .permute_seed(7)
             .engine(EngineSelect::Fastsv)
             .wire(Wire::Legacy)
             .overlap(false)
@@ -282,7 +274,6 @@ mod tests {
         assert_eq!(o.dist.hot_threshold, 2.0);
         assert_eq!(o.dist.alltoall, AllToAll::Pairwise);
         assert!(!o.permute);
-        assert_eq!(o.permute_seed, 7);
         assert_eq!(o.engine, EngineSelect::Fastsv);
         assert_eq!(o.dist.wire, Wire::Legacy);
         assert!(!o.dist.overlap);

@@ -340,12 +340,6 @@ impl Comm {
         self.snap.clock_s
     }
 
-    /// The trace level this rank records at ([`TraceLevel::Off`] unless
-    /// launched via [`run_spmd_traced`] with a sink).
-    pub fn trace_level(&self) -> TraceLevel {
-        self.trace.level
-    }
-
     /// Opens a typed trace span at the current simulated clock. Cheap
     /// (one enum compare, no allocation) when `kind` is below the active
     /// trace level; never touches the cost accounting either way, so

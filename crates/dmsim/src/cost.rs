@@ -98,11 +98,6 @@ pub struct MachineModel {
 }
 
 impl MachineModel {
-    /// Number of nodes occupied by `p` ranks under this model.
-    pub fn nodes_for_ranks(&self, p: usize) -> usize {
-        p.div_ceil(self.ranks_per_node)
-    }
-
     /// An idealized model with zero communication cost and unit compute
     /// rate; useful in unit tests where only message *counts* matter.
     pub fn free() -> MachineModel {
@@ -241,14 +236,6 @@ mod tests {
     #[allow(clippy::assertions_on_constants)] // pins the machine tables
     fn edison_faster_core_than_knl() {
         assert!(EDISON.core_rate > 3.0 * CORI_KNL.core_rate);
-    }
-
-    #[test]
-    fn nodes_for_ranks_rounds_up() {
-        let m = EDISON.lacc_model();
-        assert_eq!(m.nodes_for_ranks(4), 1);
-        assert_eq!(m.nodes_for_ranks(5), 2);
-        assert_eq!(m.nodes_for_ranks(1024), 256);
     }
 
     #[test]

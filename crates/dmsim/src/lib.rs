@@ -53,6 +53,7 @@
 //! assert_eq!(results, vec![6, 6, 6, 6]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod collectives;

@@ -71,16 +71,6 @@ impl Grid2d {
         let (_, j) = self.coords_of(comm.rank());
         comm.group((0..self.pr).map(|i| self.rank_of(i, j)).collect())
     }
-
-    /// The diagonal group `(i, i)` — vector owners in CombBLAS-style
-    /// distributions. Only meaningful on square grids.
-    pub fn diag_group(&self, comm: &Comm) -> Option<Group> {
-        if self.pr != self.pc {
-            return None;
-        }
-        let (i, j) = self.coords_of(comm.rank());
-        (i == j).then(|| comm.group((0..self.pr).map(|d| self.rank_of(d, d)).collect()))
-    }
 }
 
 #[cfg(test)]
@@ -119,17 +109,6 @@ mod tests {
             let s = c.allreduce(&row, c.rank() as u64, |a, b| a + b);
             let (i, _) = grid.coords_of(c.rank());
             assert_eq!(s, (3 * i * 3 + 3) as u64);
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn diag_group_only_on_diagonal() {
-        run_spmd(4, |c| {
-            let grid = Grid2d::square(4);
-            let d = grid.diag_group(c);
-            let (i, j) = grid.coords_of(c.rank());
-            assert_eq!(d.is_some(), i == j);
         })
         .unwrap();
     }

@@ -5,10 +5,10 @@
 //! masks, semirings) and implements those primitives on CombBLAS'
 //! 2D-distributed sparse matrices. This crate rebuilds both layers:
 //!
-//! * [`serial`] — a complete single-address-space implementation: CSC
-//!   sparse matrices and their row-major mirror, dense/sparse vectors,
-//!   masked `mxv` (SpMV and SpMSpV), element-wise multiply, extract,
-//!   assign, reduce, apply, and an SpGEMM (needed by the
+//! * [`serial`] — a single-address-space implementation of what the
+//!   serial LACC and the examples call: CSC sparse matrices and their
+//!   row-major mirror, dense/sparse vectors, masked `mxv` (SpMV and
+//!   SpMSpV), extract, assign, and an SpGEMM (needed by the
 //!   Markov-clustering example). This layer plays
 //!   the role of SuiteSparse:GraphBLAS in the paper — the correctness
 //!   reference.
@@ -23,6 +23,7 @@
 //! matrices; the multiply therefore passes the vector value straight
 //! through and the add monoid is a type parameter (see [`types::Monoid`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dist;

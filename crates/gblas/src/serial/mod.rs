@@ -13,9 +13,6 @@ mod vector;
 
 pub use csc::{Csc, CsrMirror, Pattern};
 pub use matrix_ops::{column_reduce, map_values, max_abs_diff, normalize_columns};
-pub use ops::{
-    apply, assign, ewise_mult, ewise_mult_dense, extract, mxv_dense, mxv_sparse, mxv_sparse_par,
-    reduce, select,
-};
+pub use ops::{assign, extract, mxv_dense, mxv_sparse, mxv_sparse_par};
 pub use spgemm::{spgemm, Prune};
 pub use vector::SparseVec;

@@ -7,13 +7,11 @@
 //!   value through, the monoid argument accumulates. The two entry points
 //!   mirror the SpMV / SpMSpV dispatch the paper's `GrB_mxv` performs
 //!   internally based on input sparsity.
-//! * [`ewise_mult`] — `GrB_eWiseMult` on the intersection of supports.
 //! * [`extract`] — vector-variant `GrB_extract`: gather `u[indices]`.
 //! * [`assign`] — vector-variant `GrB_assign`: scatter into `w[indices]`.
 //!   Duplicate target indices are resolved with the supplied monoid (the
 //!   PRAM original allows arbitrary CRCW winners; a monoid makes serial
 //!   and distributed runs bit-identical).
-//! * [`reduce`], [`apply`], [`select`] — the obvious GraphBLAS siblings.
 //!
 //! # Mask semantics
 //!
@@ -32,10 +30,10 @@
 //!
 //! # Parallel variant
 //!
-//! [`mxv_sparse_par`] runs [`mxv_sparse`] on a `rayon` worker pool
-//! ([`rayon::ThreadPoolBuilder`] keyed by thread count; `threads <= 1`
-//! executes inline) with a merge-free owner-partitioned accumulator (see
-//! its docs): each worker owns a disjoint slice of the output index space
+//! [`mxv_sparse_par`] runs [`mxv_sparse`] on `threads` scoped threads
+//! (`std::thread::scope`; `threads <= 1` executes inline) with a
+//! merge-free owner-partitioned accumulator (see its docs): each thread
+//! owns a disjoint slice of the output index space
 //! and folds only its own rows, in serial contribution order. It is
 //! bit-identical to [`mxv_sparse`] for any associative monoid with a
 //! strict identity, which every monoid in [`crate::types`] is.
@@ -45,15 +43,7 @@ use super::vector::SparseVec;
 use crate::types::{Mask, Monoid};
 use crate::Vid;
 use lacc_graph::Idx;
-use rayon::{ThreadPool, ThreadPoolBuilder};
-
-/// The shared kernel pool for `threads` workers (`<= 1` ⇒ inline).
-fn kernel_pool(threads: usize) -> ThreadPool {
-    ThreadPoolBuilder::new()
-        .num_threads(threads.max(1))
-        .build()
-        .expect("kernel pool construction cannot fail")
-}
+use std::panic::resume_unwind;
 
 /// `y = A ⊕.2nd x` with a dense input vector (SpMV). Returns the sparse
 /// result restricted by `mask`.
@@ -125,52 +115,6 @@ where
     SparseVec::from_entries(n, entries)
 }
 
-/// Element-wise multiply on the intersection of two sparse supports.
-pub fn ewise_mult<T, U, W, F, I>(u: &SparseVec<T, I>, v: &SparseVec<U, I>, f: F) -> SparseVec<W, I>
-where
-    T: Copy,
-    U: Copy,
-    W: Copy,
-    F: Fn(T, U) -> W,
-    I: Idx,
-{
-    assert_eq!(u.len(), v.len(), "vector length mismatch");
-    let (ue, ve) = (u.entries(), v.entries());
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < ue.len() && j < ve.len() {
-        match ue[i].0.cmp(&ve[j].0) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push((ue[i].0, f(ue[i].1, ve[j].1)));
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    SparseVec::from_entries(u.len(), out)
-}
-
-/// Element-wise multiply of a sparse vector with a dense one: the result
-/// has the sparse operand's support.
-pub fn ewise_mult_dense<T, U, W, F, I>(u: &SparseVec<T, I>, dense: &[U], f: F) -> SparseVec<W, I>
-where
-    T: Copy,
-    U: Copy,
-    W: Copy,
-    F: Fn(T, U) -> W,
-    I: Idx,
-{
-    assert_eq!(u.len(), dense.len(), "vector length mismatch");
-    let entries = u
-        .entries()
-        .iter()
-        .map(|&(i, t)| (i, f(t, dense[i.idx()])))
-        .collect();
-    SparseVec::from_entries(u.len(), entries)
-}
-
 /// Gather: `w[k] = src[indices[k]]` (`GrB_extract` with an index list).
 pub fn extract<T: Copy>(src: &[T], indices: &[Vid]) -> Vec<T> {
     indices.iter().map(|&i| src[i]).collect()
@@ -206,63 +150,46 @@ where
     changed
 }
 
-/// Reduces all stored entries of `u` through the monoid.
-pub fn reduce<T, M, I>(u: &SparseVec<T, I>, monoid: M) -> T
+/// Runs `f` on every item, one scoped thread each; the caller's thread
+/// takes the first item itself. Results come back in item order, and a
+/// panic in any `f` reaches the caller with its own payload once every
+/// thread has finished.
+fn par_map<X, R, F>(items: Vec<X>, f: F) -> Vec<R>
 where
-    T: Copy,
-    M: Monoid<T>,
-    I: Idx,
+    X: Send,
+    R: Send,
+    F: Fn(X) -> R + Sync,
 {
-    u.entries()
-        .iter()
-        .fold(monoid.identity(), |acc, &(_, v)| monoid.combine(acc, v))
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Vec::new();
+    };
+    let f = &f;
+    std::thread::scope(|s| {
+        let rest: Vec<_> = items.map(|x| s.spawn(move || f(x))).collect();
+        let mut out = Vec::with_capacity(rest.len() + 1);
+        out.push(f(first));
+        out.extend(
+            rest.into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| resume_unwind(e))),
+        );
+        out
+    })
 }
 
-/// Maps a function over stored values (`GrB_apply`).
-pub fn apply<T, W, F, I>(u: &SparseVec<T, I>, f: F) -> SparseVec<W, I>
-where
-    T: Copy,
-    W: Copy,
-    F: Fn(T) -> W,
-    I: Idx,
-{
-    let entries = u.entries().iter().map(|&(i, v)| (i, f(v))).collect();
-    SparseVec::from_entries(u.len(), entries)
-}
-
-/// Keeps entries satisfying the predicate (`GrB_select`).
-pub fn select<T, F, I>(u: &SparseVec<T, I>, pred: F) -> SparseVec<T, I>
-where
-    T: Copy,
-    F: Fn(Vid, T) -> bool,
-    I: Idx,
-{
-    let entries = u
-        .entries()
-        .iter()
-        .copied()
-        .filter(|&(i, v)| pred(i.idx(), v))
-        .collect();
-    SparseVec::from_entries(u.len(), entries)
-}
-
-/// Parallel SpMSpV with a merge-free **owner-partitioned accumulator**.
+/// Parallel SpMSpV with a merge-free **owner-partitioned accumulator**,
+/// on `threads` scoped threads (`threads <= 1` runs [`mxv_sparse`]
+/// inline). The *output* index space is what gets partitioned, so no
+/// thread ever holds a full-height accumulator and nothing is merged:
 ///
-/// The old scheme chunked the input entries and gave every worker a
-/// full-height accumulator (`threads × n` identity writes), then folded
-/// the partials together serially — a merge pass that streamed all
-/// `threads` accumulators through one core and left the kernel
-/// bandwidth-bound below 1× speedup. Here the *output* index space is
-/// what gets partitioned:
-///
-/// 1. **Scan/bin** — workers scan contiguous input chunks and, for every
+/// 1. **Scan/bin** — threads scan contiguous input chunks and, for every
 ///    matrix entry the mask admits, push `(row, value)` into the bin of
 ///    the row's owner (owner = `row / ceil(n/threads)`).
-/// 2. **Fold** — each owner folds the bins targeting its disjoint
-///    accumulator slice. No other thread writes those rows, so there is
-///    no cross-thread merge and no second pass over `threads × n` words.
-/// 3. **Collect** — owners' sorted touched lists concatenate in owner
-///    order, which is ascending row order.
+/// 2. **Fold** — each owner folds the bins targeting its disjoint row
+///    range into its own accumulator and returns its touched rows,
+///    sorted, with their values.
+/// 3. **Collect** — owner ranges ascend, so concatenating the owners'
+///    entries in owner order is ascending row order.
 ///
 /// Bit-identity with [`mxv_sparse`]: scanners process contiguous input
 /// ranges and owners drain scanner bins in scanner order, so each row
@@ -284,74 +211,52 @@ where
     let n = a.nrows();
     assert_eq!(x.len(), a.ncols(), "vector length mismatch");
     let xe = x.entries();
-    let pool = kernel_pool(threads);
-    let nt = pool.current_num_threads();
-    if nt <= 1 || xe.len() < 2 || n == 0 {
+    if threads <= 1 || xe.len() < 2 || n == 0 {
         return mxv_sparse(a, x, mask, monoid);
     }
-    let part = n.div_ceil(nt).max(1);
+    let part = n.div_ceil(threads);
     let nparts = n.div_ceil(part);
-    let chunk = xe.len().div_ceil(nt).max(1);
+    let chunk = xe.len().div_ceil(threads);
 
     // Phase 1: scanners bin admitted contributions by owner.
-    let mut bins: Vec<Vec<Vec<(I, T)>>> = Vec::new();
-    bins.resize_with(xe.chunks(chunk).len(), || {
-        let mut owners = Vec::new();
-        owners.resize_with(nparts, Vec::new);
+    let bins: Vec<Vec<Vec<(I, T)>>> = par_map(xe.chunks(chunk).collect(), |xs| {
+        let mut owners = vec![Vec::new(); nparts];
+        for &(j, xv) in xs {
+            for &i in a.col(j.idx()) {
+                if mask.allows(i.idx()) {
+                    owners[i.idx() / part].push((i, xv));
+                }
+            }
+        }
         owners
     });
-    pool.scope(|s| {
-        for (slot, xs) in bins.iter_mut().zip(xe.chunks(chunk)) {
-            s.spawn(move || {
-                for &(j, xv) in xs {
-                    for &i in a.col(j.idx()) {
-                        if !mask.allows(i.idx()) {
-                            continue;
-                        }
-                        slot[i.idx() / part].push((i, xv));
-                    }
-                }
-            });
-        }
-    });
 
-    // Phase 2: owners fold into disjoint accumulator slices — merge-free.
-    let mut acc: Vec<T> = vec![monoid.identity(); n];
-    let mut is_touched: Vec<bool> = vec![false; n];
-    let mut owner_touched: Vec<Vec<I>> = Vec::new();
-    owner_touched.resize_with(nparts, Vec::new);
-    let bins = &bins;
-    pool.scope(|s| {
-        for (k, ((acc_k, ist_k), touched_k)) in acc
-            .chunks_mut(part)
-            .zip(is_touched.chunks_mut(part))
-            .zip(owner_touched.iter_mut())
-            .enumerate()
-        {
-            s.spawn(move || {
-                let lo = k * part;
-                for scanner in bins {
-                    for &(i, xv) in &scanner[k] {
-                        let li = i.idx() - lo;
-                        if !ist_k[li] {
-                            ist_k[li] = true;
-                            touched_k.push(i);
-                        }
-                        acc_k[li] = monoid.combine(acc_k[li], xv);
-                    }
+    // Phase 2: owners fold into disjoint accumulators — merge-free.
+    let owned: Vec<Vec<(I, T)>> = par_map((0..nparts).collect(), |k| {
+        let lo = k * part;
+        let len = part.min(n - lo);
+        let mut acc = vec![monoid.identity(); len];
+        let mut is_touched = vec![false; len];
+        let mut touched: Vec<I> = Vec::new();
+        for scanner in &bins {
+            for &(i, xv) in &scanner[k] {
+                let li = i.idx() - lo;
+                if !is_touched[li] {
+                    is_touched[li] = true;
+                    touched.push(i);
                 }
-                touched_k.sort_unstable();
-            });
+                acc[li] = monoid.combine(acc[li], xv);
+            }
         }
+        touched.sort_unstable();
+        touched
+            .into_iter()
+            .map(|i| (i, acc[i.idx() - lo]))
+            .collect()
     });
 
     // Phase 3: owner ranges ascend, so concatenation is globally sorted.
-    let total: usize = owner_touched.iter().map(Vec::len).sum();
-    let mut entries = Vec::with_capacity(total);
-    for touched_k in &owner_touched {
-        entries.extend(touched_k.iter().map(|&i| (i, acc[i.idx()])));
-    }
-    SparseVec::from_entries(n, entries)
+    SparseVec::from_entries(n, owned.concat())
 }
 
 #[cfg(test)]
@@ -359,6 +264,7 @@ mod tests {
     use super::*;
     use crate::types::{AddUsize, MinUsize};
     use lacc_graph::generators::{path_graph, star_graph};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn mxv_dense_min_neighbor() {
@@ -411,26 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn ewise_mult_intersection() {
-        let u: SparseVec<usize> = SparseVec::from_entries(6, vec![(0, 2), (2, 3), (5, 4)]);
-        let v: SparseVec<usize> = SparseVec::from_entries(6, vec![(2, 10), (4, 20), (5, 30)]);
-        let w = ewise_mult(&u, &v, |a, b| a + b);
-        assert_eq!(w.entries(), &[(2, 13), (5, 34)]);
-    }
-
-    #[test]
-    fn ewise_mult_dense_keeps_sparse_support() {
-        let u: SparseVec<usize> = SparseVec::from_entries(4, vec![(1, 100), (3, 200)]);
-        let d = vec![1usize, 2, 3, 4];
-        // "second" operator: take the dense value (Algorithm 3's f_h).
-        let w = ewise_mult_dense(&u, &d, |_, b| b);
-        assert_eq!(w.entries(), &[(1, 2), (3, 4)]);
-        // "min" operator (Algorithm 3 line 5).
-        let m = ewise_mult_dense(&u, &d, |a, b| a.min(b));
-        assert_eq!(m.entries(), &[(1, 2), (3, 4)]);
-    }
-
-    #[test]
     fn extract_and_assign_roundtrip() {
         let src = vec![10usize, 11, 12, 13];
         assert_eq!(extract(&src, &[3, 0, 0]), vec![13, 10, 10]);
@@ -448,23 +334,6 @@ mod tests {
         let mut w2 = vec![0usize; 3];
         assign(&mut w2, &[(2, 9)], MinUsize);
         assert_eq!(w2[2], 9);
-    }
-
-    #[test]
-    fn reduce_apply_select() {
-        let u: SparseVec<usize> = SparseVec::from_entries(10, vec![(1, 5), (4, 2), (9, 8)]);
-        assert_eq!(reduce(&u, MinUsize), 2);
-        assert_eq!(reduce(&u, AddUsize), 15);
-        let doubled = apply(&u, |v| v * 2);
-        assert_eq!(doubled.get(4), Some(4));
-        let big = select(&u, |_, v| v >= 5);
-        assert_eq!(big.nvals(), 2);
-    }
-
-    #[test]
-    fn reduce_empty_is_identity() {
-        let u: SparseVec<usize> = SparseVec::empty(5);
-        assert_eq!(reduce(&u, MinUsize), usize::MAX);
     }
 
     /// Pins the documented mask contract with a **non-idempotent** monoid
@@ -544,5 +413,36 @@ mod tests {
         let a = Pattern::from_graph(&g);
         let xs: SparseVec<usize> = SparseVec::empty(4);
         assert_eq!(mxv_sparse_par(&a, &xs, Mask::None, MinUsize, 4).nvals(), 0);
+
+        // More threads than input entries and output rows.
+        let a = Pattern::from_graph(&path_graph(3));
+        let xs: SparseVec<usize> = SparseVec::dense(&[4, 9, 2]);
+        let serial = mxv_sparse(&a, &xs, Mask::None, AddUsize);
+        assert_eq!(serial, mxv_sparse_par(&a, &xs, Mask::None, AddUsize, 8));
+
+        // A monoid that panics on row 2's fold, which a spawned owner runs
+        // (the caller folds owner 0): the worker's own panic reaches the
+        // caller.
+        #[derive(Clone, Copy)]
+        struct PanicsOn99;
+        impl Monoid<usize> for PanicsOn99 {
+            fn identity(&self) -> usize {
+                0
+            }
+            fn combine(&self, a: usize, b: usize) -> usize {
+                assert_ne!(b, 99, "monoid saw 99");
+                a + b
+            }
+        }
+        let g: lacc_graph::CsrGraph =
+            lacc_graph::CsrGraph::from_edges(lacc_graph::EdgeList::from_pairs(3, [(1, 2)]));
+        let a = Pattern::from_graph(&g);
+        let xs: SparseVec<usize> = SparseVec::dense(&[1, 99, 2]);
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            mxv_sparse_par(&a, &xs, Mask::None, PanicsOn99, 8)
+        }))
+        .expect_err("the worker's panic must reach the caller");
+        let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.contains("monoid saw 99"), "payload: {msg:?}");
     }
 }

@@ -79,11 +79,6 @@ impl<T: Copy, I: Idx> SparseVec<T, I> {
         &self.entries
     }
 
-    /// Consumes the vector, returning its entries.
-    pub fn into_entries(self) -> Vec<(I, T)> {
-        self.entries
-    }
-
     /// Value at index `i`, if present (binary search).
     pub fn get(&self, i: usize) -> Option<T> {
         let key = I::try_from_usize(i)?;

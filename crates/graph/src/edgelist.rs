@@ -69,11 +69,6 @@ impl EdgeList {
         &self.edges
     }
 
-    /// Consumes the list, returning the raw edges.
-    pub fn into_edges(self) -> Vec<(Vid, Vid)> {
-        self.edges
-    }
-
     /// Adds the reverse of every stored edge, making the list symmetric.
     pub fn symmetrize(&mut self) {
         let orig = self.edges.len();
@@ -103,12 +98,6 @@ impl EdgeList {
         self.remove_self_loops();
         self.symmetrize();
         self.dedup();
-    }
-
-    /// Appends all edges of `other`, which must be over the same vertex set.
-    pub fn extend_from(&mut self, other: &EdgeList) {
-        assert_eq!(self.n, other.n, "vertex universes differ");
-        self.edges.extend_from_slice(&other.edges);
     }
 
     /// Relabels every endpoint through `perm` (`new_id = perm[old_id]`).
@@ -169,13 +158,5 @@ mod tests {
         let mut el = EdgeList::from_pairs(3, [(0, 1), (1, 2)]);
         el.apply_permutation(&[2, 0, 1]);
         assert_eq!(el.edges(), &[(2, 0), (0, 1)]);
-    }
-
-    #[test]
-    fn extend_from_concatenates() {
-        let mut a = EdgeList::from_pairs(3, [(0, 1)]);
-        let b = EdgeList::from_pairs(3, [(1, 2)]);
-        a.extend_from(&b);
-        assert_eq!(a.edges(), &[(0, 1), (1, 2)]);
     }
 }

@@ -17,6 +17,7 @@
 //! * [`DisjointSets`] — union-find, used both as the serial ground truth
 //!   and inside the generators/stats.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod csr;

@@ -57,27 +57,10 @@ pub fn ground_truth_labels(g: &CsrGraph) -> Vec<Vid> {
     ds.canonical_labels()
 }
 
-/// Histogram of component sizes (`size → count`), sorted by size.
-pub fn component_size_histogram(g: &CsrGraph) -> Vec<(usize, usize)> {
-    let labels = ground_truth_labels(g);
-    let n = labels.len();
-    let mut comp_size = vec![0usize; n];
-    for &l in &labels {
-        comp_size[l] += 1;
-    }
-    let mut hist = std::collections::BTreeMap::new();
-    for v in 0..n {
-        if labels[v] == v {
-            *hist.entry(comp_size[v]).or_insert(0usize) += 1;
-        }
-    }
-    hist.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{path_graph, random_forest, star_graph};
+    use crate::generators::{path_graph, random_forest};
     use crate::EdgeList;
 
     #[test]
@@ -109,22 +92,5 @@ mod tests {
             assert_eq!(labels[u], labels[v]);
         }
         assert_eq!(crate::unionfind::count_components(&labels), 10);
-    }
-
-    #[test]
-    fn histogram_star() {
-        let hist = component_size_histogram(&star_graph(7));
-        assert_eq!(hist, vec![(7, 1)]);
-    }
-
-    #[test]
-    fn histogram_mixed() {
-        let mut el = EdgeList::new(6);
-        el.push(0, 1);
-        el.push(2, 3);
-        el.push(3, 4);
-        let hist = component_size_histogram(&CsrGraph::from_edges(el));
-        // sizes: {0,1}=2, {2,3,4}=3, {5}=1
-        assert_eq!(hist, vec![(1, 1), (2, 1), (3, 1)]);
     }
 }

@@ -62,75 +62,3 @@ impl UpdateBatch {
         self.updates.is_empty()
     }
 }
-
-/// Accumulates updates and emits a full [`UpdateBatch`] every `capacity`
-/// pushes — the ingestion front end of a serving deployment.
-#[derive(Clone, Debug)]
-pub struct UpdateBatcher {
-    capacity: usize,
-    pending: UpdateBatch,
-}
-
-impl UpdateBatcher {
-    /// A batcher emitting batches of `capacity` updates (must be > 0).
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "batch capacity must be positive");
-        UpdateBatcher {
-            capacity,
-            pending: UpdateBatch::new(),
-        }
-    }
-
-    /// Queues an update; returns the completed batch once `capacity`
-    /// updates have accumulated.
-    pub fn push(&mut self, up: Update) -> Option<UpdateBatch> {
-        self.pending.push(up);
-        if self.pending.len() >= self.capacity {
-            Some(std::mem::take(&mut self.pending))
-        } else {
-            None
-        }
-    }
-
-    /// Emits whatever is queued (possibly short), or `None` when empty.
-    pub fn flush(&mut self) -> Option<UpdateBatch> {
-        if self.pending.is_empty() {
-            None
-        } else {
-            Some(std::mem::take(&mut self.pending))
-        }
-    }
-
-    /// Updates currently queued.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn batcher_emits_at_capacity_and_flushes_remainder() {
-        let mut b = UpdateBatcher::new(3);
-        assert_eq!(b.push(Update::Insert(0, 1)), None);
-        assert_eq!(b.push(Update::Delete(0, 1)), None);
-        let full = b.push(Update::Insert(2, 3)).expect("third push fills");
-        assert_eq!(full.len(), 3);
-        assert_eq!(full.updates()[1], Update::Delete(0, 1));
-        assert_eq!(b.pending_len(), 0);
-        assert_eq!(b.flush(), None);
-
-        b.push(Update::Insert(4, 5));
-        let short = b.flush().expect("flush emits the partial batch");
-        assert_eq!(short.len(), 1);
-        assert!(b.flush().is_none());
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_capacity_rejected() {
-        UpdateBatcher::new(0);
-    }
-}

@@ -27,6 +27,7 @@
 //! [`dmsim::RerunReason`], so a trace report shows *why* each epoch was
 //! recomputed and how much modeled time the rebuilds cost.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;
@@ -35,7 +36,7 @@ pub mod service;
 pub mod store;
 pub mod workload;
 
-pub use batch::{Update, UpdateBatch, UpdateBatcher};
+pub use batch::{Update, UpdateBatch};
 pub use policy::RerunPolicy;
 pub use service::{BatchOutcome, CcService, ServeOpts, ServiceStats};
 pub use store::{EpochSnapshot, LabelStore};

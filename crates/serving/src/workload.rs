@@ -11,6 +11,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use dmsim::{DmsimError, ErrorKind};
 use lacc::CcOracle;
 use lacc_graph::unionfind::canonicalize_labels;
 
@@ -98,13 +99,17 @@ impl WorkloadReport {
 
 /// Drives `svc` through `cfg` and reports throughput, modeled latency and
 /// the final consistency verdict. Deterministic given `cfg.seed` and the
-/// service's starting state.
-pub fn run_workload(
-    svc: &mut CcService,
-    cfg: &WorkloadCfg,
-) -> Result<WorkloadReport, dmsim::DmsimError> {
+/// service's starting state. A graph with no vertex is an
+/// [`ErrorKind::InvalidConfig`] error; on one vertex every insert is a
+/// self loop.
+pub fn run_workload(svc: &mut CcService, cfg: &WorkloadCfg) -> Result<WorkloadReport, DmsimError> {
     let n = svc.num_vertices();
-    assert!(n >= 2, "workload needs at least two vertices");
+    if n == 0 {
+        return Err(DmsimError::new(
+            ErrorKind::InvalidConfig,
+            "a serving workload needs at least one vertex".to_string(),
+        ));
+    }
     let model = svc.opts().model;
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let mut latencies = Vec::with_capacity(cfg.batches * cfg.queries_per_batch);

@@ -13,6 +13,8 @@
 //!   can be replayed, not a minimized input;
 //! - integer ranges sample uniformly rather than biasing toward bounds.
 
+#![forbid(unsafe_code)]
+
 pub mod strategy {
     //! Core [`Strategy`] trait and combinators.
 

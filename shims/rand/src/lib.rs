@@ -8,6 +8,7 @@
 //! upstream crate — so a faithful ChaCha core (in the sibling
 //! `rand_chacha` shim) behind these traits is sufficient.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::ops::{Range, RangeInclusive};

@@ -6,6 +6,7 @@
 //! upstream crate's exact word-consumption order — the workspace only
 //! relies on determinism per seed, which this provides.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use rand::{RngCore, SeedableRng};

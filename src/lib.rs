@@ -4,6 +4,7 @@
 //! single dependency. See `README.md` for the project overview and
 //! `DESIGN.md` for the system inventory.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use dmsim;

@@ -10,7 +10,7 @@ use lacc_suite::dmsim::{TraceLevel, TraceSink, EDISON};
 use lacc_suite::graph::generators::*;
 use lacc_suite::graph::permute::Permutation;
 use lacc_suite::graph::{CsrGraph, EdgeList};
-use lacc_suite::lacc::{LaccOpts, RunConfig, RunOutput};
+use lacc_suite::lacc::{LaccOpts, RunConfig, RunOutput, PERMUTE_SEED};
 use std::sync::Arc;
 
 /// One traced run: the output plus each rank's `(words, bytes)` sent.
@@ -44,10 +44,9 @@ fn fused_ingest_matches_running_on_a_prepermuted_graph() {
         for p in [1usize, 4, 9, 16] {
             let fused_opts = LaccOpts {
                 permute: true,
-                permute_seed: 0xFEED + p as u64,
                 ..LaccOpts::default()
             };
-            let perm = Permutation::random(n, fused_opts.permute_seed);
+            let perm = Permutation::random(n, PERMUTE_SEED);
             let reference_opts = LaccOpts {
                 permute: false,
                 ..fused_opts
