@@ -13,7 +13,7 @@
 //!   Slota et al.'s Multistep method).
 //! * [`fastsv`] — serial FastSV (Zhang, Azad & Hu), the LAGraph successor
 //!   algorithm; the correctness oracle for the first-class distributed
-//!   FastSV engine in `lacc::engine` (which replaced the old
+//!   FastSV engine `lacc::run` selects with `EngineSelect::Fastsv` (which replaced the old
 //!   `fastsv_dist` baseline here).
 //! * [`parconnect`] — the distributed baseline of Figures 4–6: a
 //!   BFS + Shiloach–Vishkin hybrid over [`dmsim`] in ParConnect's flat-MPI

@@ -286,7 +286,7 @@ fn cmd_cc_dist(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // here: the CLI just forwards the raw values and surfaces OptsError.
     let opts = LaccOpts::builder()
         // Input fill at or above which the engine calls SpMV, not SpMSpV.
-        .spmv_threshold(args.get_or("spmv-threshold", defaults.dist.spmv_threshold)?)
+        .spmv_threshold(args.get_or("spmv-threshold", defaults.spmv_threshold)?)
         .map_err(|e| e.to_string())?
         // Wire format of every exchange: compact (default) or the
         // unoptimized legacy format — bit-identical labels.
@@ -294,7 +294,7 @@ fn cmd_cc_dist(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         // Non-blocking hot-path exchanges with compute/comm overlap credit
         // (bit-identical labels and traffic either way).
         .overlap(args.get_or("overlap", defaults.dist.overlap)?)
-        // Which connected-components engine runs (see `lacc::engine`).
+        // Which connected-components engine runs (see `lacc::EngineSelect`).
         .engine(args.parse_or("engine", defaults.engine)?)
         .build();
     // Span tracing: --trace <path> emits Chrome-trace JSON (load it in

@@ -183,6 +183,26 @@ fn serve_refuses_a_graph_with_no_vertex() {
 }
 
 #[test]
+fn serve_refuses_a_query_count_past_usize() {
+    // 2 · 2^63 queries: the product overflows before anything is sized by it.
+    #[rustfmt::skip]
+    let args = [
+        "serve", &edgeless_graph(2), "--batches", "2",
+        "--queries-per-batch", "9223372036854775808",
+    ];
+    refused(&args, "overflow the query count");
+}
+
+#[test]
+fn a_non_square_matrix_market_file_is_one_error_line() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let g = dir.join("process-2x3.mtx");
+    let header = "%%MatrixMarket matrix coordinate pattern general";
+    std::fs::write(&g, format!("{header}\n2 3 1\n1 3\n")).unwrap();
+    refused(&["stats", &g.display().to_string()], "2 rows and 3 columns");
+}
+
+#[test]
 fn serve_runs_on_a_single_vertex() {
     // Every insert is a self loop; the one component survives them all.
     let out = output_within_deadline(&["serve", &edgeless_graph(1)]);

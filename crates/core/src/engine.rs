@@ -7,10 +7,10 @@
 //! published pseudocode; the loop around the rounds is written once, in
 //! the `driver` module: label initialization, the convergence allreduce,
 //! per-step spans, the round bound and the final label gather.
-//! Every engine runs over the shared SPMD context ([`EngineCtx`]: vector
-//! layout, distributed matrix, [`LaccOpts`]) and so inherits the whole
-//! `gblas::dist` stack — the compact wire format, overlap, tracing,
-//! narrow `Idx` indices — for free:
+//! Every engine runs over the shared SPMD context (`EngineCtx`: vector
+//! layout, distributed matrix, [`LaccOpts`]) on one id type, `Id`, and so
+//! inherits the whole `gblas::dist` stack — the compact wire format,
+//! overlap, tracing — for free:
 //!
 //! * `Lacc` — the paper's Awerbuch–Shiloach formulation with Lemma-1
 //!   converged-component retirement; the default, and the slowest of the
@@ -35,124 +35,92 @@
 pub(crate) mod driver;
 
 use crate::options::LaccOpts;
-use crate::stats::StepBreakdown;
+use crate::stats::IterStats;
 use crate::Vid;
-use dmsim::{Comm, CommHandle, Grid2d, SpanKind, WireWord};
+use dmsim::{Comm, CommHandle, Grid2d, SpanKind};
 use driver::{fixpoint, Rules};
 use gblas::dist::{
     dist_assign, dist_extract, dist_extract_planned, dist_mxv_dense, dist_mxv_sparse,
-    plan_requests, DistMask, DistMat, DistOpts, DistSpVec, DistVec, FusedExtract, NarrowVal,
-    VecLayout,
+    plan_requests, DistMask, DistMat, DistOpts, DistSpVec, DistVec, FusedExtract, VecLayout,
 };
 use gblas::{AndBool, MinMaxUsize, MinUsize};
 use lacc_graph::permute::Permutation;
-use lacc_graph::{CsrGraph, Idx};
+use lacc_graph::CsrGraph;
 
 /// Which engine a run uses — the `--engine` vocabulary. The enum is
 /// [`dmsim::EngineKind`], which also tags the run's trace span; the default
 /// is LACC, bit-identical to [`crate::serial`].
 pub use dmsim::EngineKind as EngineSelect;
 
-/// Per-rank, per-iteration record produced inside an engine's SPMD body.
-///
-/// The four [`StepBreakdown`] buckets keep the Figure-8 reporting schema
-/// across engines; non-LACC engines map their phases onto the closest
-/// bucket (documented on each engine).
-#[derive(Clone, Debug, Default)]
-pub struct EngineIter {
-    /// Vertices still active at iteration start (always `n` for engines
-    /// without Lemma-1 retirement).
-    pub active_before: usize,
-    /// Cumulative vertices known converged after the iteration.
-    pub converged_after: usize,
-    /// Whether the main `mxv` took the dense (SpMV) path.
-    pub spmv_dense: bool,
-    /// Global entry count of the vector the main `mxv` multiplied: `n` when
-    /// dense, else the active (LACC) or changed (other engines) entries.
-    pub mxv_nvals: usize,
-    /// Updates applied in the "conditional hooking" bucket.
-    pub cond_changed: u64,
-    /// Updates applied in the "unconditional hooking" bucket.
-    pub uncond_changed: u64,
-    /// Updates applied in the "shortcutting" bucket.
-    pub shortcut_changed: u64,
-    /// The fourth convergence counter (LACC: vertices retired; FastSV:
-    /// grandparents refreshed).
-    pub fourth_changed: u64,
-    /// Modeled per-step seconds (thin view over trace spans).
-    pub modeled: StepBreakdown,
-    /// Extract requests this rank received during the iteration: the
-    /// round's [`dmsim::Counter::RequestsReceived`] delta.
-    pub extract_received: u64,
-}
+/// A vertex id or label inside the SPMD body, in every block, vector and
+/// wire payload. `crate::dist::run` refuses a graph with more vertices
+/// than it can name before any rank spawns.
+pub(crate) type Id = u32;
 
 /// What one rank's engine run produced.
-#[derive(Clone, Debug)]
-pub struct EngineRun {
+pub(crate) struct EngineRun {
     /// Full label vector, on rank 0 only (widened to [`Vid`]).
-    pub labels: Option<Vec<Vid>>,
-    /// Per-iteration records.
-    pub iters: Vec<EngineIter>,
+    pub(crate) labels: Option<Vec<Vid>>,
+    /// The rank's record of every round: the global counters all ranks
+    /// agree on, plus its own step seconds and its one `extract_received`
+    /// entry.
+    pub(crate) iters: Vec<IterStats>,
     /// The rank's final modeled clock.
-    pub final_clock_s: f64,
+    pub(crate) final_clock_s: f64,
 }
 
 /// The shared SPMD context every engine runs over: one rank's view of the
 /// distributed matrix, the vector layout, and the run options. Built once
-/// per rank by the unified [`crate::dist::run`] entry and handed to the
-/// run's engine. The input graph is read once, to cut out the rank's block:
-/// no engine sees more of it than a real rank would hold.
-pub struct EngineCtx<'a, I: Idx> {
+/// per rank by `crate::dist::run` and handed to the run's engine. The
+/// input graph is read once, to cut out the rank's block: no engine sees
+/// more of it than a real rank would hold.
+pub(crate) struct EngineCtx<'a> {
     /// The rank's communicator (cost model, collectives, trace spans).
-    pub comm: &'a mut Comm,
-    /// Run options; engines read `dist`, `max_iters`, and their own knobs.
-    pub opts: &'a LaccOpts,
-    /// The 2D process grid.
-    pub grid: Grid2d,
+    pub(crate) comm: &'a mut Comm,
+    /// Run options; engines read `dist`, `spmv_threshold`, `max_iters` and
+    /// their own knobs.
+    pub(crate) opts: &'a LaccOpts,
     /// The layout every vector of the run shares.
-    pub layout: VecLayout,
+    pub(crate) layout: VecLayout,
     /// This rank's id.
-    pub rank: usize,
+    pub(crate) rank: usize,
     /// This rank's block of the adjacency matrix.
-    pub a: DistMat<I>,
-    /// The record of the round in flight: [`EngineCtx::step`] adds each
+    pub(crate) a: DistMat<Id>,
+    /// The record of the round in flight: `EngineCtx::step` adds each
     /// step's modeled seconds, rule sets note what else the round saw,
     /// and the driver completes and files it.
-    pub(crate) round: EngineIter,
+    pub(crate) round: IterStats,
 }
 
-impl<'a, I: Idx> EngineCtx<'a, I> {
+impl<'a> EngineCtx<'a> {
     /// Builds the context for one rank: square grid, vector layout, and
     /// the rank's matrix block — relabeled by `perm` when the run
     /// load-balances, built straight from `graph` either way.
-    pub fn new(
+    pub(crate) fn new(
         comm: &'a mut Comm,
         graph: &CsrGraph,
         perm: Option<&Permutation>,
         opts: &'a LaccOpts,
     ) -> Self {
-        let p = comm.size();
-        let grid = Grid2d::square(p);
-        let n = graph.num_vertices();
-        let layout = VecLayout::new(n, grid);
+        let grid = Grid2d::square(comm.size());
+        let layout = VecLayout::new(graph.num_vertices(), grid);
         let rank = comm.rank();
         let a = match perm {
-            Some(perm) => DistMat::<I>::from_graph_permuted(graph, perm, grid, rank),
-            None => DistMat::<I>::from_graph(graph, grid, rank),
+            Some(perm) => DistMat::from_graph_permuted(graph, perm, grid, rank),
+            None => DistMat::from_graph(graph, grid, rank),
         };
         EngineCtx {
             comm,
             opts,
-            grid,
             layout,
             rank,
             a,
-            round: EngineIter::default(),
+            round: IterStats::default(),
         }
     }
 
     /// Number of vertices.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.layout.len()
     }
 }
@@ -164,24 +132,24 @@ impl<'a, I: Idx> EngineCtx<'a, I> {
 /// The connect rule: `f[f[v]] ← m` for every local edge `(v, m)`,
 /// proposals to one root combining by minimum. Returns the number of local
 /// roots whose parent changed.
-fn connect<I: Idx + WireWord + NarrowVal>(
+fn connect(
     comm: &mut Comm,
-    f: &mut DistVec<I>,
-    mut edges: Vec<(I, I)>,
+    f: &mut DistVec<Id>,
+    mut edges: Vec<(Id, Id)>,
     dopts: &DistOpts,
 ) -> u64 {
     for (v, _) in &mut edges {
-        *v = f.get_local(v.idx());
+        *v = f.get_local(*v as usize);
     }
     dist_assign(comm, f, &edges, MinUsize, dopts) as u64
 }
 
 /// `f[u] ← min(f[u], m)` for every local entry `(u, m)`. Returns the
 /// entries that lowered theirs.
-fn lower<I: Idx>(comm: &mut Comm, f: &mut DistVec<I>, entries: &[(I, I)]) -> Vec<(I, I)> {
+fn lower(comm: &mut Comm, f: &mut DistVec<Id>, entries: &[(Id, Id)]) -> Vec<(Id, Id)> {
     let mut lowered = Vec::with_capacity(entries.len());
     for &(u, m) in entries {
-        let o = f.local_offset(u.idx());
+        let o = f.local_offset(u as usize);
         if m < f.local()[o] {
             f.local_mut()[o] = m;
             lowered.push((u, m));
@@ -193,7 +161,7 @@ fn lower<I: Idx>(comm: &mut Comm, f: &mut DistVec<I>, entries: &[(I, I)]) -> Vec
 
 /// `f ← min(f, m)` elementwise over the local chunk. Returns the number of
 /// labels lowered.
-fn lower_all<I: Idx>(comm: &mut Comm, f: &mut DistVec<I>, m: &DistVec<I>) -> u64 {
+fn lower_all(comm: &mut Comm, f: &mut DistVec<Id>, m: &DistVec<Id>) -> u64 {
     let mut lowered = 0u64;
     for (fu, &mu) in f.local_mut().iter_mut().zip(m.local()) {
         if mu < *fu {
@@ -209,34 +177,34 @@ fn lower_all<I: Idx>(comm: &mut Comm, f: &mut DistVec<I>, m: &DistVec<I>) -> u64
 /// (Snippet 3's `mngf`) for an input `x` that never rises: a neighbour
 /// whose `x` did not change last round already has its value in `mn`, so a
 /// round multiplies only the entries that did.
-struct RunningMin<I: Idx> {
-    /// The least `x[v]` any neighbour `v` of `u` has held; `I::max_value()`
-    /// until one contributes.
-    mn: DistVec<I>,
+struct RunningMin {
+    /// The least `x[v]` any neighbour `v` of `u` has held; `Id::MAX` until
+    /// one contributes.
+    mn: DistVec<Id>,
     /// The local entries of `x` that changed last round.
-    changed: Vec<(I, I)>,
-    /// `changed`'s length over all ranks, handed back by [`Rules::settle`];
+    changed: Vec<(Id, Id)>,
+    /// `changed`'s length over all ranks, handed back by `Rules::settle`;
     /// `usize::MAX` before the first round, which multiplies all of `x`.
     changed_global: usize,
 }
 
-impl<I: Idx + WireWord + NarrowVal> RunningMin<I> {
+impl RunningMin {
     /// Nothing absorbed yet.
-    fn new(cx: &EngineCtx<'_, I>) -> Self {
+    fn new(cx: &EngineCtx<'_>) -> Self {
         RunningMin {
-            mn: DistVec::from_fn(cx.layout, cx.rank, |_| I::max_value()),
+            mn: DistVec::from_fn(cx.layout, cx.rank, |_| Id::MAX),
             changed: Vec::new(),
             changed_global: usize::MAX,
         }
     }
 
     /// One round's `mn ← min(mn, A ⊗ x)`: SpMV over all of `x` when at
-    /// least [`DistOpts::spmv_threshold`] of it changed last round, SpMSpV
+    /// least [`LaccOpts::spmv_threshold`] of it changed last round, SpMSpV
     /// over the changed entries otherwise — the round's one dispatch
     /// decision. Consumes `changed`; returns the entries of `mn` it lowered.
-    fn absorb(&mut self, cx: &mut EngineCtx<'_, I>, x: &DistVec<I>) -> Vec<(I, I)> {
+    fn absorb(&mut self, cx: &mut EngineCtx<'_>, x: &DistVec<Id>) -> Vec<(Id, Id)> {
         let (n, dopts) = (cx.n(), &cx.opts.dist);
-        let dense = self.changed_global as f64 >= dopts.spmv_threshold * n as f64;
+        let dense = self.changed_global as f64 >= cx.opts.spmv_threshold * n as f64;
         cx.round.spmv_dense = dense;
         cx.round.mxv_nvals = if dense { n } else { self.changed_global };
         let comm = &mut *cx.comm;
@@ -275,7 +243,7 @@ pub(crate) struct Lacc {
 
 impl Lacc {
     /// Every vertex an active singleton star.
-    pub(crate) fn new<I: Idx>(cx: &EngineCtx<'_, I>) -> Self {
+    pub(crate) fn new(cx: &EngineCtx<'_>) -> Self {
         let star = DistVec::from_fn(cx.layout, cx.rank, |_| true);
         Lacc {
             active: vec![true; star.local().len()],
@@ -306,9 +274,9 @@ fn active_where(active: &[bool], star: &DistVec<bool>, want_star: bool) -> Vec<u
 /// Star recomputation (Algorithm 6) over the active vertices:
 /// `star[v] ← (f[v] = f[f[v]]) ∧ star[f[v]]`, with the grandparents of
 /// non-star vertices demoted in between.
-fn starcheck<I: Idx + WireWord + NarrowVal>(
+fn starcheck(
     comm: &mut Comm,
-    f: &DistVec<I>,
+    f: &DistVec<Id>,
     star: &mut DistVec<bool>,
     active: &[bool],
     dopts: &DistOpts,
@@ -326,14 +294,14 @@ fn starcheck<I: Idx + WireWord + NarrowVal>(
     // below use the identical request list over same-layout vectors, so
     // the owner bucketing (and, on the compact wire, the request route)
     // is paid for once.
-    let reqs: Vec<I> = local_active.iter().map(|&o| f.local()[o]).collect();
+    let reqs: Vec<Id> = local_active.iter().map(|&o| f.local()[o]).collect();
     let plan = plan_requests(comm, f.layout(), &reqs, dopts);
     let (fx, gfs) = comm.overlap_from(win, dopts.overlap, |c| {
         let fx = FusedExtract::begin(c, &plan, dopts);
         let gfs = fx.extract(c, f);
         (fx, gfs)
     });
-    let mut demote: Vec<(I, bool)> = Vec::new();
+    let mut demote: Vec<(Id, bool)> = Vec::new();
     for (&o, &gf) in local_active.iter().zip(&gfs) {
         if f.local()[o] != gf {
             star.local_mut()[o] = false;
@@ -361,29 +329,29 @@ fn starcheck<I: Idx + WireWord + NarrowVal>(
 /// state, so they run (and are charged) while the sweep is in flight.
 /// Clears `active` on the converged stars and returns `q` and the number of
 /// vertices retired.
-fn lemma1_retire<I: Idx + WireWord + NarrowVal>(
+fn lemma1_retire(
     comm: &mut Comm,
-    f: &DistVec<I>,
+    f: &DistVec<Id>,
     star: &DistVec<bool>,
     active: &mut [bool],
-    qh: CommHandle<DistSpVec<(I, I), I>>,
+    qh: CommHandle<DistSpVec<(Id, Id), Id>>,
     dopts: &DistOpts,
-) -> (DistSpVec<(I, I), I>, u64) {
+) -> (DistSpVec<(Id, Id), Id>, u64) {
     let candidates = active_where(active, star, true);
-    let reqs: Vec<I> = candidates.iter().map(|&o| f.local()[o]).collect();
+    let reqs: Vec<Id> = candidates.iter().map(|&o| f.local()[o]).collect();
     comm.charge_compute(active.len() as u64 + 1);
     let plan = plan_requests(comm, f.layout(), &reqs, dopts);
     let q = qh.wait(comm);
 
     let mut root_quiet: DistVec<bool> = DistVec::from_fn(f.layout(), comm.rank(), |_| true);
-    let noisy: Vec<(I, bool)> = q
+    let noisy: Vec<(Id, bool)> = q
         .entries()
         .iter()
         .filter(|&&(v, (lo, hi))| {
-            let fv = f.get_local(v.idx());
+            let fv = f.get_local(v as usize);
             !(lo == fv && hi == fv)
         })
-        .map(|&(v, _)| (f.get_local(v.idx()), false))
+        .map(|&(v, _)| (f.get_local(v as usize), false))
         .collect();
     dist_assign(comm, &mut root_quiet, &noisy, AndBool, dopts);
     let quiet = dist_extract_planned(comm, &root_quiet, &plan, dopts);
@@ -398,17 +366,17 @@ fn lemma1_retire<I: Idx + WireWord + NarrowVal>(
     (q, retired)
 }
 
-impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Lacc {
+impl Rules<4> for Lacc {
     fn max_rounds(_n: usize, opts: &LaccOpts) -> usize {
         opts.max_iters
     }
 
-    fn round(&mut self, cx: &mut EngineCtx<'_, I>, f: &mut DistVec<I>) -> [u64; 4] {
+    fn round(&mut self, cx: &mut EngineCtx<'_>, f: &mut DistVec<Id>) -> [u64; 4] {
         let (star, active) = (&mut self.star, &mut self.active);
         let (layout, rank, n) = (cx.layout, cx.rank, cx.n());
         // The cond-hook's one dispatch decision (§V-A), taken from the active
         // count the convergence allreduce already delivered.
-        let spmv_dense = self.active_global as f64 >= cx.opts.dist.spmv_threshold * n as f64;
+        let spmv_dense = self.active_global as f64 >= cx.opts.spmv_threshold * n as f64;
         (cx.round.active_before, cx.round.spmv_dense) = (self.active_global, spmv_dense);
         cx.round.mxv_nvals = if spmv_dense { n } else { self.active_global };
 
@@ -429,7 +397,7 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Lacc {
             } else {
                 let entries = (0..active.len())
                     .filter(|&o| active[o])
-                    .map(|o| (I::from_usize(f.global_of(o)), (f.local()[o], f.local()[o])))
+                    .map(|o| (f.global_of(o) as Id, (f.local()[o], f.local()[o])))
                     .collect();
                 let x = DistSpVec::from_local_entries(layout, rank, entries);
                 comm.post(dopts.overlap, |c| {
@@ -445,8 +413,8 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Lacc {
             let edges = q
                 .entries()
                 .iter()
-                .filter(|&&(v, _)| active[f.local_offset(v.idx())])
-                .map(|&(v, (lo, _))| (v, lo.min(f.get_local(v.idx()))))
+                .filter(|&&(v, _)| active[f.local_offset(v as usize)])
+                .map(|&(v, (lo, _))| (v, lo.min(f.get_local(v as usize))))
                 .collect();
             (connect(comm, f, edges, dopts), retired)
         });
@@ -463,7 +431,7 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Lacc {
             let win = comm.overlap_window();
             let entries = active_where(active, star, false)
                 .into_iter()
-                .map(|o| (I::from_usize(f.global_of(o)), f.local()[o]))
+                .map(|o| (f.global_of(o) as Id, f.local()[o]))
                 .collect();
             let x = DistSpVec::from_local_entries(layout, rank, entries);
             let mask = active_stars(star, active);
@@ -482,7 +450,7 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Lacc {
             let (comm, dopts) = (&mut *cx.comm, &cx.opts.dist);
             let win = comm.overlap_window();
             let targets = active_where(active, star, false);
-            let reqs: Vec<I> = targets.iter().map(|&o| f.local()[o]).collect();
+            let reqs: Vec<Id> = targets.iter().map(|&o| f.local()[o]).collect();
             comm.charge_compute(active.len() as u64 + 1);
             let gfs = comm.overlap_from(win, dopts.overlap, |c| dist_extract(c, f, &reqs, dopts));
             let mut moved = 0u64;
@@ -513,7 +481,7 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Lacc {
 /// FastSV (Zhang, Azad & Hu) over the optimized `gblas::dist` primitives:
 /// the min-semiring `mxv` keeps each vertex's minimum neighbor-grandparent
 /// as a running minimum over the grandparents that changed
-/// ([`RunningMin`]), stochastic hooks route through the combining
+/// (`RunningMin`), stochastic hooks route through the combining
 /// `dist_assign`, and the grandparent refresh is a planned extract. Labels
 /// converge to component minima.
 ///
@@ -528,29 +496,29 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Lacc {
 /// = shortcutting, `starcheck` = grandparent maintenance (the structural
 /// analogue of LACC's star upkeep — the state that must be refreshed
 /// after the forest mutates).
-pub(crate) struct Fastsv<I: Idx> {
+pub(crate) struct Fastsv {
     /// Grandparents `f[f[u]]` as of the end of the previous round.
-    gf: DistVec<I>,
+    gf: DistVec<Id>,
     /// `mngf`, and the entries of `gf` the last refresh changed.
-    mngf: RunningMin<I>,
+    mngf: RunningMin,
 }
 
-impl<I: Idx + WireWord + NarrowVal> Fastsv<I> {
+impl Fastsv {
     /// Every vertex its own grandparent.
-    pub(crate) fn new(cx: &EngineCtx<'_, I>) -> Self {
+    pub(crate) fn new(cx: &EngineCtx<'_>) -> Self {
         Fastsv {
-            gf: DistVec::from_fn(cx.layout, cx.rank, I::from_usize),
+            gf: DistVec::from_fn(cx.layout, cx.rank, |g| g as Id),
             mngf: RunningMin::new(cx),
         }
     }
 }
 
-impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Fastsv<I> {
+impl Rules<4> for Fastsv {
     fn max_rounds(n: usize, _opts: &LaccOpts) -> usize {
         8 * (usize::BITS - n.leading_zeros()) as usize + 32
     }
 
-    fn round(&mut self, cx: &mut EngineCtx<'_, I>, f: &mut DistVec<I>) -> [u64; 4] {
+    fn round(&mut self, cx: &mut EngineCtx<'_>, f: &mut DistVec<Id>) -> [u64; 4] {
         let (gf, mngf) = (&mut self.gf, &mut self.mngf);
         // mngf[u] ← min(mngf[u], min over neighbors v of gf[v]), then
         // stochastic hooking f[f[u]] ← min(f[u], mngf[u]) where mngf
@@ -559,7 +527,7 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Fastsv<I> {
         let (cond, win) = cx.step(SpanKind::CondHook, |cx| {
             let mut edges = mngf.absorb(cx, gf);
             for (u, m) in &mut edges {
-                *m = (*m).min(f.get_local(u.idx()));
+                *m = (*m).min(f.get_local(*u as usize));
             }
             let cond = connect(cx.comm, f, edges, &cx.opts.dist);
             (cond, cx.comm.overlap_window())
@@ -581,7 +549,7 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Fastsv<I> {
             for (o, (old, &new)) in gf.local_mut().iter_mut().zip(&new_gf).enumerate() {
                 if *old != new {
                     *old = new;
-                    mngf.changed.push((I::from_usize(origin + o), new));
+                    mngf.changed.push(((origin + o) as Id, new));
                 }
             }
             comm.charge_compute(new_gf.len() as u64 + 1);
@@ -606,30 +574,30 @@ impl<I: Idx + WireWord + NarrowVal> Rules<I, 4> for Fastsv<I> {
 /// eccentricity-of-the-minimum rounds — O(diameter) — with no pointer
 /// forest, no hooks, and exactly one exchange per round, which makes it
 /// the cheapest engine on low-diameter graphs and hopeless on paths.
-/// Delta-driven and exact like [`Fastsv`]: labels never rise, so the
+/// Delta-driven and exact like `Fastsv`: labels never rise, so the
 /// running minimum over the changed labels equals the full product, and a
 /// vertex whose minimum did not drop already holds a label at or below it.
 ///
 /// All work lands in the `cond` step bucket (one phase per round), and
 /// the convergence payload is the one changed count. The state is each
 /// vertex's minimum neighbor label and the labels the last round lowered.
-pub(crate) struct LabelProp<I: Idx>(RunningMin<I>);
+pub(crate) struct LabelProp(RunningMin);
 
-impl<I: Idx + WireWord + NarrowVal> LabelProp<I> {
+impl LabelProp {
     /// No label seen yet.
-    pub(crate) fn new(cx: &EngineCtx<'_, I>) -> Self {
+    pub(crate) fn new(cx: &EngineCtx<'_>) -> Self {
         LabelProp(RunningMin::new(cx))
     }
 }
 
-impl<I: Idx + WireWord + NarrowVal> Rules<I, 1> for LabelProp<I> {
+impl Rules<1> for LabelProp {
     /// The true bound is the diameter (< n); `max_iters` is sized for
     /// LACC's O(log n) trajectory and does not apply.
     fn max_rounds(n: usize, _opts: &LaccOpts) -> usize {
         n + 2
     }
 
-    fn round(&mut self, cx: &mut EngineCtx<'_, I>, f: &mut DistVec<I>) -> [u64; 4] {
+    fn round(&mut self, cx: &mut EngineCtx<'_>, f: &mut DistVec<Id>) -> [u64; 4] {
         // mnf[u] ← min(mnf[u], min over neighbors v of f[v]), then
         // f[u] ← min(f[u], mnf[u]) where mnf dropped.
         let changed = cx.step(SpanKind::CondHook, |cx| {

@@ -1,28 +1,28 @@
 //! The one iteration driver every engine runs under.
 //!
-//! A rule set ([`Rules`]) supplies its state and one `round` of
-//! `gblas::dist` primitive calls; [`drive`] owns everything the rounds
+//! A rule set (`Rules`) supplies its state and one `round` of
+//! `gblas::dist` primitive calls; `drive` owns everything the rounds
 //! share: the identity labeling, the single convergence allreduce, the
-//! per-step spans and their `StepBreakdown` buckets ([`EngineCtx::step`]),
-//! the [`EngineIter`] record with the round's extract requests read off the
-//! counter registry, the round bound and the final gather of the labels
-//! into an [`EngineRun`].
+//! per-step spans and their `StepBreakdown` buckets (`EngineCtx::step`),
+//! the rank's [`IterStats`] record with the round's extract requests read
+//! off the counter registry, the round bound and the final gather of the
+//! labels into an `EngineRun`.
 
-use super::{EngineCtx, EngineIter, EngineRun};
+use super::{EngineCtx, EngineRun, Id};
 use crate::options::LaccOpts;
-use dmsim::{Counter, SpanKind, WireWord};
-use gblas::dist::{DistVec, NarrowVal};
-use lacc_graph::Idx;
+use crate::stats::IterStats;
+use dmsim::{Counter, SpanKind};
+use gblas::dist::DistVec;
 
 /// An engine as the driver sees it: state plus one round of primitive
 /// calls. `W` is the width of the convergence allreduce payload: the
 /// first `W` of the round's four change counters (the engine leaves the
 /// rest zero).
-pub(crate) trait Rules<I: Idx, const W: usize> {
+pub(crate) trait Rules<const W: usize> {
     /// Rounds the engine may take on `n` vertices before the run fails.
     fn max_rounds(n: usize, opts: &LaccOpts) -> usize;
 
-    /// One round over the labels `f`, each step under [`EngineCtx::step`].
+    /// One round over the labels `f`, each step under `EngineCtx::step`.
     /// Returns this rank's applied updates: conditional hooks,
     /// unconditional hooks, shortcuts, and the engine's fourth convergence
     /// counter (LACC: vertices newly retired; FastSV: grandparents
@@ -30,21 +30,21 @@ pub(crate) trait Rules<I: Idx, const W: usize> {
     /// dispatch taken and the entries it multiplied, the active count —
     /// goes into `cx.round`, preset for an engine that keeps every vertex
     /// active and every `mxv` dense.
-    fn round(&mut self, cx: &mut EngineCtx<'_, I>, f: &mut DistVec<I>) -> [u64; 4];
+    fn round(&mut self, cx: &mut EngineCtx<'_>, f: &mut DistVec<Id>) -> [u64; 4];
 
     /// Folds the round's globally summed counters into the engine's state
     /// and returns `(converged, vertices known converged so far)`.
     fn settle(&mut self, n: usize, changed: &[u64; 4]) -> (bool, usize);
 }
 
-/// The [`Rules::settle`] verdict of an engine without retirement: a round
+/// The `Rules::settle` verdict of an engine without retirement: a round
 /// that changed nothing anywhere is the fixpoint.
 pub(crate) fn fixpoint(n: usize, changed: &[u64; 4]) -> (bool, usize) {
     let done = changed.iter().sum::<u64>() == 0;
     (done, if done { n } else { 0 })
 }
 
-impl<I: Idx> EngineCtx<'_, I> {
+impl EngineCtx<'_> {
     /// Runs one step of the round under its trace span and adds the
     /// span's modeled seconds to the step's bucket of the round's record.
     pub(crate) fn step<T>(&mut self, kind: SpanKind, body: impl FnOnce(&mut Self) -> T) -> T {
@@ -69,28 +69,25 @@ impl<I: Idx> EngineCtx<'_, I> {
 /// rank 0 returns the gathered labels, widened to [`crate::Vid`]. `Err`
 /// carries the round bound the engine exhausted without converging: the
 /// labels at that point are not a component labeling.
-pub(crate) fn drive<I, R, const W: usize>(
+pub(crate) fn drive<R: Rules<W>, const W: usize>(
     mut rules: R,
-    cx: &mut EngineCtx<'_, I>,
-) -> Result<EngineRun, usize>
-where
-    I: Idx + WireWord + NarrowVal,
-    R: Rules<I, W>,
-{
+    cx: &mut EngineCtx<'_>,
+) -> Result<EngineRun, usize> {
     let n = cx.n();
     let world = cx.comm.world();
-    let mut f: DistVec<I> = DistVec::from_fn(cx.layout, cx.rank, I::from_usize);
+    let mut f: DistVec<Id> = DistVec::from_fn(cx.layout, cx.rank, |g| g as Id);
     let bound = R::max_rounds(n, cx.opts);
-    let mut iters: Vec<EngineIter> = Vec::new();
+    let mut iters: Vec<IterStats> = Vec::new();
     loop {
         if iters.len() == bound {
             return Err(bound);
         }
-        cx.round = EngineIter {
+        cx.round = IterStats {
+            iteration: iters.len() + 1,
             active_before: n,
             spmv_dense: true,
             mxv_nvals: n,
-            ..EngineIter::default()
+            ..IterStats::default()
         };
         let before = cx.comm.snapshot();
         let local = rules.round(cx, &mut f);
@@ -104,13 +101,13 @@ where
         let mut changed = [0u64; 4];
         changed[..W].copy_from_slice(&merged);
         let (done, converged_after) = rules.settle(n, &changed);
-        iters.push(EngineIter {
+        iters.push(IterStats {
             converged_after,
-            cond_changed: changed[0],
-            uncond_changed: changed[1],
-            shortcut_changed: changed[2],
-            fourth_changed: changed[3],
-            extract_received: round.counter(Counter::RequestsReceived),
+            cond_changed: changed[0] as usize,
+            uncond_changed: changed[1] as usize,
+            shortcut_changed: changed[2] as usize,
+            fourth_changed: changed[3] as usize,
+            extract_received: vec![round.counter(Counter::RequestsReceived)],
             ..std::mem::take(&mut cx.round)
         });
         if done {
@@ -118,8 +115,11 @@ where
         }
     }
 
-    // Callers see `Vid` labels, whatever width the run stored them at.
-    let labels = f.to_global(cx.comm).into_iter().map(|l| l.idx()).collect();
+    let labels = f
+        .to_global(cx.comm)
+        .into_iter()
+        .map(|l| l as usize)
+        .collect();
     Ok(EngineRun {
         labels: (cx.rank == 0).then_some(labels),
         iters,

@@ -37,14 +37,14 @@
 
 pub mod asref;
 pub mod dist;
-pub mod engine;
+mod engine;
 pub mod options;
 pub mod serial;
 pub mod stats;
 pub mod verify;
 
 pub use dist::{check_ranks, run, RunConfig, RunOutput};
-pub use engine::{EngineCtx, EngineIter, EngineRun, EngineSelect};
+pub use engine::EngineSelect;
 pub use gblas::dist::Wire;
 pub use options::{LaccOpts, LaccOptsBuilder, OptsError, PERMUTE_SEED};
 pub use serial::lacc_serial;

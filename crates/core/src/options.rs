@@ -2,12 +2,12 @@
 //! ablation experiment can turn each one off.
 //!
 //! Construct options either directly (struct literal, for the preset
-//! constructors and tests) or through [`LaccOpts::builder`], which
-//! validates every numeric knob so callers such as the CLI cannot smuggle
-//! out-of-range values into a run.
+//! constructors, the ablation rows and tests) or through
+//! [`LaccOpts::builder`], which validates the numeric knobs a caller such
+//! as the CLI takes from its user, so they cannot smuggle out-of-range
+//! values into a run.
 
-use crate::engine::EngineSelect;
-use dmsim::AllToAll;
+use crate::EngineSelect;
 use gblas::dist::{DistOpts, Wire};
 
 /// Seed of the load-balancing permutation [`LaccOpts::permute`] applies.
@@ -21,6 +21,14 @@ pub struct LaccOpts {
     /// off yields the "naive translation" dense-AS variant §IV-B warns
     /// about.
     pub use_sparsity: bool,
+    /// Input fill at or above which an engine runs SpMV instead of SpMSpV
+    /// (§V-A): the active fraction for LACC's conditional hooking
+    /// (distributed and [`crate::lacc_serial`]), and for FastSV and label
+    /// propagation the fraction of the input that changed last round. The
+    /// caller decides from a count it already holds, so no primitive reads
+    /// it, and LACC's unconditional hooking — whose input is the nonstar
+    /// subset (Table I) — is always SpMSpV.
+    pub spmv_threshold: f64,
     /// Communication options for the distributed primitives (§V-B).
     pub dist: DistOpts,
     /// Apply a random symmetric permutation before distributing the matrix
@@ -32,8 +40,8 @@ pub struct LaccOpts {
     /// (`8·⌈log₂ n⌉ + 32` and `n + 2`) and ignore this one.
     pub max_iters: usize,
     /// Which connected-components engine runs (see
-    /// [`crate::engine::EngineSelect`]). Defaults to LACC, preserving
-    /// bit-identity with the serial reference.
+    /// [`crate::EngineSelect`]). Defaults to LACC, preserving bit-identity
+    /// with the serial reference.
     pub engine: EngineSelect,
 }
 
@@ -41,6 +49,7 @@ impl Default for LaccOpts {
     fn default() -> Self {
         LaccOpts {
             use_sparsity: true,
+            spmv_threshold: 0.5,
             dist: DistOpts::default(),
             permute: true,
             max_iters: 200,
@@ -53,14 +62,14 @@ impl LaccOpts {
     /// A validating builder seeded with [`LaccOpts::default`].
     ///
     /// ```
-    /// use lacc::LaccOpts;
+    /// use lacc::{EngineSelect, LaccOpts};
     ///
     /// let opts = LaccOpts::builder()
     ///     .spmv_threshold(0.7)?
     ///     .max_iters(64)?
-    ///     .permute(false)
+    ///     .engine(EngineSelect::Fastsv)
     ///     .build();
-    /// assert_eq!(opts.dist.spmv_threshold, 0.7);
+    /// assert_eq!(opts.spmv_threshold, 0.7);
     /// # Ok::<(), lacc::OptsError>(())
     /// ```
     pub fn builder() -> LaccOptsBuilder {
@@ -118,7 +127,8 @@ impl std::fmt::Display for OptsError {
 
 impl std::error::Error for OptsError {}
 
-/// Validating builder for [`LaccOpts`] (see [`LaccOpts::builder`]).
+/// Validating builder for [`LaccOpts`] (see [`LaccOpts::builder`]): one
+/// setter per knob a caller outside this crate sets.
 ///
 /// Numeric setters are fallible and return [`OptsError`] on out-of-range
 /// input, so they chain with `?`; the other setters cannot fail.
@@ -128,20 +138,9 @@ pub struct LaccOptsBuilder {
 }
 
 impl LaccOptsBuilder {
-    /// Enables or disables the Lemma 1–2 sparsity exploitation.
-    pub fn use_sparsity(mut self, on: bool) -> Self {
-        self.opts.use_sparsity = on;
-        self
-    }
-
-    /// Input fill at or above which a caller that holds the count runs
-    /// SpMV instead of SpMSpV (§V-A): the active fraction for LACC's
-    /// conditional hooking (distributed and `lacc_serial`), and for FastSV
-    /// and label propagation the fraction of the input that changed last
-    /// round. No primitive reads it, and LACC's unconditional hooking —
-    /// whose input is the nonstar subset (Table I) — is always SpMSpV.
-    /// Must be a finite value in `0.0..=1.5` (above `1.0` means "never";
-    /// `1.5` is the conventional sentinel for that).
+    /// Sets [`LaccOpts::spmv_threshold`]. Must be a finite value in
+    /// `0.0..=1.5` (above `1.0` means "never"; `1.5` is the conventional
+    /// sentinel for that).
     pub fn spmv_threshold(mut self, t: f64) -> Result<Self, OptsError> {
         if !t.is_finite() || !(0.0..=1.5).contains(&t) {
             return Err(OptsError::new(
@@ -149,7 +148,7 @@ impl LaccOptsBuilder {
                 format!("{t} is not in 0.0..=1.5"),
             ));
         }
-        self.opts.dist.spmv_threshold = t;
+        self.opts.spmv_threshold = t;
         Ok(self)
     }
 
@@ -161,32 +160,6 @@ impl LaccOptsBuilder {
         }
         self.opts.max_iters = n;
         Ok(self)
-    }
-
-    /// Hot-rank broadcast threshold `h` (requests per chunk entry above
-    /// which a rank broadcasts instead of answering point-to-point). Must
-    /// be positive and not NaN; `f64::INFINITY` disables the fallback.
-    pub fn hot_threshold(mut self, h: f64) -> Result<Self, OptsError> {
-        if h.is_nan() || h <= 0.0 {
-            return Err(OptsError::new(
-                "hot-threshold",
-                format!("{h} is not a positive threshold"),
-            ));
-        }
-        self.opts.dist.hot_threshold = h;
-        Ok(self)
-    }
-
-    /// Selects the all-to-all algorithm for irregular exchanges.
-    pub fn alltoall(mut self, algo: AllToAll) -> Self {
-        self.opts.dist.alltoall = algo;
-        self
-    }
-
-    /// Applies (or skips) the load-balancing random permutation.
-    pub fn permute(mut self, on: bool) -> Self {
-        self.opts.permute = on;
-        self
     }
 
     /// Selects the connected-components engine.
@@ -227,11 +200,13 @@ mod tests {
     fn default_is_fully_optimized() {
         let o = LaccOpts::default();
         assert!(o.use_sparsity);
+        assert_eq!(o.spmv_threshold, 0.5);
         assert_eq!(o.dist.wire, Wire::Compact);
         assert!(o.dist.hot_threshold.is_finite());
-        // The five run options, spelled out: a sixth fails to compile here.
+        // The six run options, spelled out: a seventh fails to compile here.
         let LaccOpts {
             use_sparsity: _,
+            spmv_threshold: _,
             dist: _,
             permute: _,
             max_iters: _,
@@ -255,28 +230,24 @@ mod tests {
     #[test]
     fn builder_accepts_in_range_values() {
         let o = LaccOpts::builder()
-            .use_sparsity(false)
             .spmv_threshold(1.5)
             .unwrap()
             .max_iters(10)
             .unwrap()
-            .hot_threshold(2.0)
-            .unwrap()
-            .alltoall(AllToAll::Pairwise)
-            .permute(false)
             .engine(EngineSelect::Fastsv)
             .wire(Wire::Legacy)
             .overlap(false)
             .build();
-        assert!(!o.use_sparsity);
-        assert_eq!(o.dist.spmv_threshold, 1.5);
+        assert_eq!(o.spmv_threshold, 1.5);
         assert_eq!(o.max_iters, 10);
-        assert_eq!(o.dist.hot_threshold, 2.0);
-        assert_eq!(o.dist.alltoall, AllToAll::Pairwise);
-        assert!(!o.permute);
         assert_eq!(o.engine, EngineSelect::Fastsv);
         assert_eq!(o.dist.wire, Wire::Legacy);
         assert!(!o.dist.overlap);
+        // The setters touch nothing else.
+        let d = LaccOpts::default();
+        assert_eq!((o.use_sparsity, o.permute), (d.use_sparsity, d.permute));
+        assert_eq!(o.dist.alltoall, d.dist.alltoall);
+        assert_eq!(o.dist.hot_threshold, d.dist.hot_threshold);
     }
 
     #[test]
@@ -288,10 +259,6 @@ mod tests {
         assert!(LaccOpts::builder().spmv_threshold(-0.1).is_err());
         assert!(LaccOpts::builder().spmv_threshold(f64::NAN).is_err());
         assert!(LaccOpts::builder().max_iters(0).is_err());
-        assert!(LaccOpts::builder().hot_threshold(0.0).is_err());
-        assert!(LaccOpts::builder().hot_threshold(f64::NAN).is_err());
-        // Infinity explicitly disables the fallback, so it is accepted.
-        assert!(LaccOpts::builder().hot_threshold(f64::INFINITY).is_ok());
         let err = LaccOpts::builder().max_iters(0).unwrap_err();
         assert_eq!(err.to_string(), "invalid max-iters: must be at least 1");
     }
@@ -304,11 +271,10 @@ mod tests {
         let d = LaccOpts::default();
         assert_eq!(d.dist.wire, Wire::Compact, "frames ride the compact wire");
         assert!(d.dist.overlap, "overlap is part of the optimized default");
-        // The five levers, spelled out: a sixth field fails to compile here.
+        // The four levers, spelled out: a fifth field fails to compile here.
         let DistOpts {
             alltoall: _,
             hot_threshold: _,
-            spmv_threshold: _,
             wire: _,
             overlap: _,
         } = d.dist;

@@ -78,7 +78,7 @@ pub fn lacc_serial(g: &CsrGraph, opts: &LaccOpts) -> LaccRun {
         // the flag has no false positives and conditional hooking stays
         // safe; newly formed stars are picked up one iteration later.
         let mask: Vec<bool> = (0..n).map(|v| star[v] && active[v]).collect();
-        let use_dense = active_count as f64 >= opts.dist.spmv_threshold * n as f64;
+        let use_dense = active_count as f64 >= opts.spmv_threshold * n as f64;
         let q = if use_dense {
             let pairs: Vec<(Vid, Vid)> = f.iter().map(|&x| (x, x)).collect();
             serial::mxv_dense(&a, &pairs, Mask::Keep(&mask), gblas::MinMaxUsize)
@@ -170,9 +170,11 @@ pub fn lacc_serial(g: &CsrGraph, opts: &LaccOpts) -> LaccRun {
             active_before,
             converged_after: n - active_count,
             spmv_dense: use_dense,
+            mxv_nvals: if use_dense { n } else { active_before },
             cond_changed,
             uncond_changed,
             shortcut_changed,
+            fourth_changed: active_before - active_count,
             ..Default::default()
         });
         // A zero-change iteration is only a proven fixpoint when it ran

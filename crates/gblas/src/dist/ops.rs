@@ -79,12 +79,6 @@ pub struct DistOpts {
     /// system-dependent `h`). `f64::INFINITY` turns the fallback off and
     /// skips the request-count allreduce that detects hot ranks.
     pub hot_threshold: f64,
-    /// The paper's one adaptive decision (§V-A), taken by the *caller* that
-    /// already holds the global entry count of its `mxv` input: at
-    /// `count / n` at least this it calls [`dist_mxv_dense`], below it
-    /// [`dist_mxv_sparse`]. No primitive in this module reads it — none
-    /// measures its input.
-    pub spmv_threshold: f64,
     /// Wire format of every exchange (see [`Wire`]).
     pub wire: Wire,
     /// Non-blocking execution of the hot-path exchanges. Engines post
@@ -107,7 +101,6 @@ impl Default for DistOpts {
         DistOpts {
             alltoall: AllToAll::Sparse,
             hot_threshold: 4.0,
-            spmv_threshold: 0.5,
             wire: Wire::Compact,
             overlap: true,
         }
@@ -124,7 +117,6 @@ impl DistOpts {
             hot_threshold: f64::INFINITY,
             wire: Wire::Legacy,
             overlap: false,
-            ..DistOpts::default()
         }
     }
 }

@@ -29,10 +29,6 @@ use std::hash::Hash;
 pub trait Idx:
     Copy + Ord + Eq + Hash + fmt::Debug + fmt::Display + Default + Send + Sync + 'static
 {
-    /// Bits in the stored representation.
-    const BITS: u32;
-    /// Bytes each index occupies in memory and on the wire.
-    const BYTES: usize;
     /// Short human-readable name (`"u32"`), used in errors and bench rows.
     const NAME: &'static str;
     /// Largest `usize` value this width can represent.
@@ -44,10 +40,6 @@ pub trait Idx:
     fn try_from_usize(v: usize) -> Option<Self>;
     /// Widens to `usize` (always lossless for the supported widths).
     fn idx(self) -> usize;
-    /// Widens to `u64` (the combining-collective key width).
-    fn to_u64(self) -> u64;
-    /// Converts from a `u64` key; debug-asserts the value fits.
-    fn from_u64(v: u64) -> Self;
     /// The maximum representable value (the min-monoid identity).
     fn max_value() -> Self;
     /// Zero (the max-monoid identity).
@@ -59,8 +51,6 @@ pub trait Idx:
 macro_rules! impl_idx {
     ($ty:ty, $name:literal) => {
         impl Idx for $ty {
-            const BITS: u32 = <$ty>::BITS;
-            const BYTES: usize = std::mem::size_of::<$ty>();
             const NAME: &'static str = $name;
             const MAX_USIZE: usize = {
                 // On 64-bit hosts u64::MAX exceeds nothing; saturate for
@@ -86,17 +76,6 @@ macro_rules! impl_idx {
             #[inline]
             fn idx(self) -> usize {
                 self as usize
-            }
-
-            #[inline]
-            fn to_u64(self) -> u64 {
-                self as u64
-            }
-
-            #[inline]
-            fn from_u64(v: u64) -> Self {
-                debug_assert!(v <= <$ty>::MAX as u64, "key {v} exceeds {}", $name);
-                v as $ty
             }
 
             #[inline]
@@ -169,9 +148,8 @@ mod tests {
 
     #[test]
     fn widths_and_names() {
-        assert_eq!(<u32 as Idx>::BYTES, 4);
-        assert_eq!(<u64 as Idx>::BYTES, 8);
         assert_eq!(<u32 as Idx>::NAME, "u32");
+        assert_eq!(<u32 as Idx>::MAX_USIZE, u32::MAX as usize);
         assert_eq!(<usize as Idx>::MAX_USIZE, usize::MAX);
     }
 
@@ -179,7 +157,7 @@ mod tests {
     fn roundtrips() {
         for v in [0usize, 1, 77, u32::MAX as usize] {
             assert_eq!(<u32 as Idx>::from_usize(v).idx(), v);
-            assert_eq!(<u64 as Idx>::from_u64(v as u64).to_u64(), v as u64);
+            assert_eq!(<u64 as Idx>::from_usize(v).idx(), v);
         }
         assert_eq!(<u32 as Idx>::try_from_usize(u32::MAX as usize + 1), None);
         assert_eq!(<u32 as Idx>::try_from_usize(5), Some(5u32));

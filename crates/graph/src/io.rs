@@ -81,7 +81,12 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<EdgeList, IoError> {
     let rows: usize = parse_tok(it.next(), "rows")?;
     let cols: usize = parse_tok(it.next(), "cols")?;
     let nnz: usize = parse_tok(it.next(), "nnz")?;
-    let n = vertex_count(rows.max(cols))?;
+    if rows != cols {
+        return Err(IoError::Parse(format!(
+            "an adjacency matrix is square, but the size line gives {rows} rows and {cols} columns"
+        )));
+    }
+    let n = vertex_count(rows)?;
 
     let mut el = EdgeList::new(n);
     let mut seen = 0usize;
@@ -283,6 +288,22 @@ mod tests {
         assert!(read_matrix_market(bad_count.as_bytes()).is_err());
         let oob = "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n3 1\n";
         assert!(read_matrix_market(oob.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn matrix_market_refuses_a_non_square_matrix() {
+        for (size, entry) in [("2 3 1", "1 3"), ("3 2 1", "3 1")] {
+            let text =
+                format!("%%MatrixMarket matrix coordinate pattern general\n{size}\n{entry}\n");
+            let (rows, cols) = (&size[..1], &size[2..3]);
+            match read_matrix_market(text.as_bytes()) {
+                Err(IoError::Parse(msg)) => assert!(
+                    msg.ends_with(&format!("gives {rows} rows and {cols} columns")),
+                    "{msg}"
+                ),
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use dmsim::{MachineModel, RerunReason, TraceSink, EDISON};
+use dmsim::{DmsimError, ErrorKind, MachineModel, RerunReason, TraceSink, EDISON};
 use lacc_graph::CsrGraph;
 
 use crate::batch::{Update, UpdateBatch};
@@ -179,14 +179,28 @@ impl CcService {
     /// Insertions hook incrementally (union by minimum root); effective
     /// deletions — and, failing that, the staleness policy — trigger a
     /// full LACC rebuild whose labels replace the forest atomically.
-    pub fn apply_batch(&mut self, batch: &UpdateBatch) -> Result<BatchOutcome, dmsim::DmsimError> {
+    ///
+    /// A batch naming a vertex outside `0..n` is refused whole, as
+    /// [`ErrorKind::InvalidConfig`] naming the first such update, before
+    /// anything is applied: edges, counters, labels and epoch stay as they
+    /// were.
+    pub fn apply_batch(&mut self, batch: &UpdateBatch) -> Result<BatchOutcome, DmsimError> {
         let n = self.num_vertices();
+        let out_of_range = |up: &&Update| {
+            let (Update::Insert(u, v) | Update::Delete(u, v)) = **up;
+            u >= n || v >= n
+        };
+        if let Some(up) = batch.updates().iter().find(out_of_range) {
+            return Err(DmsimError::new(
+                ErrorKind::InvalidConfig,
+                format!("update {up:?} names a vertex outside 0..{n}"),
+            ));
+        }
         let mut hooks = 0usize;
         let mut deletions = 0usize;
         for up in batch.updates() {
             match *up {
                 Update::Insert(u, v) => {
-                    assert!(u < n && v < n, "edge ({u}, {v}) out of range for n = {n}");
                     self.edges.push((u, v));
                     self.stats.inserts += 1;
                     if u == v {
@@ -446,6 +460,27 @@ mod tests {
         let report = sink.report();
         assert!(report.kind_time_s("engine(fastsv)") > 0.0);
         assert_eq!(report.kind_time_s("engine(lacc)"), 0.0);
+    }
+
+    #[test]
+    fn an_out_of_range_update_refuses_the_whole_batch() {
+        let g = lacc_graph::generators::path_graph(8);
+        let mut svc = CcService::from_graph(&g, ServeOpts::default()).unwrap();
+        let state = |svc: &CcService| {
+            let labels = svc.snapshot().labels();
+            (svc.epoch(), svc.edges().to_vec(), *svc.stats(), labels)
+        };
+        let before = state(&svc);
+        for bad in [Update::Insert(0, 8), Update::Delete(8, 0)] {
+            // The valid insert ahead of the bad update must not land either.
+            let mut b = insert_batch(&[(0, 1)]);
+            b.push(bad);
+            let err = svc.apply_batch(&b).unwrap_err();
+            assert_eq!(err.kind, dmsim::ErrorKind::InvalidConfig);
+            let want = format!("update {bad:?} names a vertex outside 0..8");
+            assert_eq!(err.message(), want);
+            assert_eq!(state(&svc), before, "{bad:?} changed the service");
+        }
     }
 
     #[test]

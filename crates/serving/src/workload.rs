@@ -99,20 +99,26 @@ impl WorkloadReport {
 
 /// Drives `svc` through `cfg` and reports throughput, modeled latency and
 /// the final consistency verdict. Deterministic given `cfg.seed` and the
-/// service's starting state. A graph with no vertex is an
+/// service's starting state. A graph with no vertex, or a query count
+/// (`batches × queries_per_batch`) past `usize`, is an
 /// [`ErrorKind::InvalidConfig`] error; on one vertex every insert is a
 /// self loop.
 pub fn run_workload(svc: &mut CcService, cfg: &WorkloadCfg) -> Result<WorkloadReport, DmsimError> {
     let n = svc.num_vertices();
+    let refuse = |why: String| Err(DmsimError::new(ErrorKind::InvalidConfig, why));
     if n == 0 {
-        return Err(DmsimError::new(
-            ErrorKind::InvalidConfig,
-            "a serving workload needs at least one vertex".to_string(),
+        return refuse("a serving workload needs at least one vertex".to_string());
+    }
+    if cfg.batches.checked_mul(cfg.queries_per_batch).is_none() {
+        return refuse(format!(
+            "{} batches of {} queries overflow the query count",
+            cfg.batches, cfg.queries_per_batch
         ));
     }
     let model = svc.opts().model;
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let mut latencies = Vec::with_capacity(cfg.batches * cfg.queries_per_batch);
+    // Grows with the queries answered: the product above is user input.
+    let mut latencies = Vec::new();
     let mut queries = 0u64;
     let mut update_wall = 0.0f64;
     let mut query_wall = 0.0f64;

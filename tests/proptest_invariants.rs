@@ -88,7 +88,7 @@ proptest! {
         // pure performance knob — the parent vector must stay
         // bit-identical to the serial run for any setting of it.
         let mut opts = LaccOpts { permute: false, ..LaccOpts::default() };
-        opts.dist.spmv_threshold = threshold;
+        opts.spmv_threshold = threshold;
         let serial = lacc::lacc_serial(&g, &opts);
         let dist = run_with(&g, 4, lacc_suite::dmsim::EDISON.lacc_model(), &opts).unwrap();
         prop_assert_eq!(&dist.labels, &serial.labels);
