@@ -252,6 +252,7 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
 mod tests {
     use super::*;
     use crate::serial::lacc_serial;
+    use crate::stats::UncondHook;
     use dmsim::EDISON;
     use lacc_graph::generators::*;
     use lacc_graph::stats::ground_truth_labels;
@@ -297,11 +298,12 @@ mod tests {
             ..LaccOpts::default()
         };
         // Every per-round field but the modeled seconds and the per-rank
-        // extract requests, which a serial run does not have.
+        // extract requests, which a serial run does not have: the eight
+        // counters and the unconditional hook's execution.
         let rounds = |run: &LaccRun| -> Vec<_> {
             let record = |it: &IterStats| {
                 let changed = [it.cond_changed, it.uncond_changed, it.shortcut_changed];
-                let dispatch = (it.spmv_dense, it.mxv_nvals);
+                let dispatch = (it.spmv_dense, it.mxv_nvals, it.uncond_hook);
                 let active = (it.active_before, it.converged_after);
                 (active, dispatch, changed, it.fourth_changed)
             };
@@ -317,6 +319,80 @@ mod tests {
                 assert_eq!(rounds(&dist), rounds(&serial), "seed={seed} p={p}");
             }
         }
+    }
+
+    /// The graphs of the round-shape tests: paths, cycles, stars and
+    /// forests, many small communities, skewed degrees, the Lemma-1
+    /// counterexample, and the degenerate sizes.
+    fn round_shape_graphs() -> Vec<CsrGraph> {
+        let lemma1 = lacc_graph::EdgeList::from_pairs(82, [(77, 80), (80, 79), (79, 81), (81, 78)]);
+        vec![
+            path_graph(257),
+            cycle_graph(100),
+            star_graph(64),
+            random_forest(400, 11, 3),
+            community_graph(3000, 150, 3.0, 1.4, 2),
+            rmat(10, 8, RmatParams::graph500(), 7),
+            CsrGraph::from_edges(lemma1),
+            CsrGraph::from_edges(lacc_graph::EdgeList::new(0)),
+            CsrGraph::from_edges(lacc_graph::EdgeList::new(1)),
+        ]
+    }
+
+    #[test]
+    fn no_lacc_round_is_idle() {
+        // Every round starts from exact stars, so a round that changes no
+        // parent is the fixpoint and the run stops there. Under retirement
+        // that round also retires every vertex still active: no round
+        // after it, and none before it without a change. Retiring nothing,
+        // the run ends on exactly one all-zero round.
+        let counters = |it: &IterStats| {
+            [
+                it.cond_changed,
+                it.uncond_changed,
+                it.shortcut_changed,
+                it.fourth_changed,
+            ]
+        };
+        for g in round_shape_graphs() {
+            let n = g.num_vertices();
+            for opts in [LaccOpts::default(), LaccOpts::dense_as()] {
+                let opts = LaccOpts {
+                    permute: false,
+                    ..opts
+                };
+                let mut runs = vec![("serial".to_string(), lacc_serial(&g, &opts))];
+                for p in [1, 4, 9, 16] {
+                    runs.push((format!("p={p}"), check(&g, p, &opts).run));
+                }
+                for (at, run) in runs {
+                    let what = format!("n={n} {at} sparsity={}", opts.use_sparsity);
+                    let idle: Vec<usize> = (run.iters.iter())
+                        .filter(|it| counters(it) == [0; 4])
+                        .map(|it| it.iteration)
+                        .collect();
+                    let last = run.iters.last().unwrap();
+                    if opts.use_sparsity && n > 0 {
+                        assert_eq!(idle, [0usize; 0], "{what}");
+                        assert_eq!(last.fourth_changed, last.active_before, "{what}");
+                        assert_eq!(last.converged_after, n, "{what}");
+                    } else {
+                        assert_eq!(idle, [run.num_iterations()], "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fresh_stars_save_rounds_on_rmat() {
+        // Reading stars computed before the last shortcut, this graph took
+        // 5 rounds serially and 7 at p = 4 under the default permutation;
+        // from exact stars it takes 4 and 5.
+        let g = rmat(11, 8, RmatParams::graph500(), 7);
+        let serial = lacc_serial(&g, &LaccOpts::default());
+        assert_eq!(serial.num_iterations(), 4);
+        assert_eq!(check(&g, 4, &LaccOpts::default()).num_iterations(), 5);
     }
 
     #[test]
@@ -397,24 +473,20 @@ mod tests {
                 EngineSelect::Lacc,
                 LaccOpts::default(),
                 &[
-                    [175, 92, 122, 73],
-                    [45, 0, 4, 0],
-                    [4, 0, 0, 0],
-                    [8, 0, 0, 0],
+                    [141, 83, 108, 70],
+                    [51, 0, 5, 0],
+                    [14, 0, 0, 0],
                     [2, 0, 0, 0],
-                    [1, 0, 0, 0],
                 ],
             ),
             (
                 EngineSelect::Lacc,
                 LaccOpts::naive_comm(),
                 &[
-                    [829, 143, 229, 89],
-                    [1025, 0, 11, 0],
-                    [828, 0, 0, 0],
-                    [1242, 0, 0, 0],
-                    [828, 0, 0, 0],
-                    [207, 0, 0, 0],
+                    [511, 113, 174, 79],
+                    [1074, 0, 13, 0],
+                    [1194, 0, 0, 0],
+                    [621, 0, 0, 0],
                 ],
             ),
             (
@@ -723,9 +795,11 @@ mod tests {
     fn no_mxv_asks_the_world_and_each_lacc_hook_runs_one() {
         // No primitive measures its input: SpMV or SpMSpV is the caller's
         // choice, from a count it already holds, so no `allreduce` opens
-        // while an `mxv` span is open — and each of LACC's two hooking
-        // steps runs exactly one `mxv`. (Nesting in open order, not clock
-        // comparison: an overlap credit rewinds the clock under later spans.)
+        // while an `mxv` span is open. LACC's cond-hook runs exactly one
+        // `mxv`; its uncond-hook runs one allreduce of the star and nonstar
+        // counts, then one `mxv` if and only if the round's record says the
+        // hook ran. (Nesting in open order, not clock comparison: an
+        // overlap credit rewinds the clock under later spans.)
         use dmsim::{SpanRecord, TraceLevel};
         fn under(spans: &[SpanRecord], i: usize) -> impl Iterator<Item = &SpanRecord> {
             let inside = move |s: &&SpanRecord| s.depth > spans[i].depth;
@@ -739,28 +813,44 @@ mod tests {
                 ..LaccOpts::default()
             };
             let cfg = RunConfig::new(4, model()).with_opts(opts).with_trace(&sink);
-            let rounds = run(&g, &cfg).unwrap().num_iterations();
+            let run = run(&g, &cfg).unwrap().run;
+            let hooks: Vec<UncondHook> = run.iters.iter().map(|it| it.uncond_hook).collect();
+            let ran = hooks.iter().filter(|&&h| h != UncondHook::Skipped).count();
+            if select == EngineSelect::Lacc {
+                assert!(ran > 0 && ran < hooks.len(), "{hooks:?}");
+            } else {
+                assert_eq!(ran, 0, "{select}: {hooks:?}");
+            }
             for rt in sink.rank_traces() {
-                let mut mxvs = 0;
+                let (mut mxvs, mut uncond_hooks) = (0, hooks.iter());
                 for (i, s) in rt.spans.iter().enumerate() {
-                    let mut inner = under(&rt.spans, i);
+                    let count = |kind| under(&rt.spans, i).filter(|c| c.kind == kind).count();
                     match s.kind {
                         SpanKind::Mxv => {
                             mxvs += 1;
-                            let asked = inner.any(|c| c.kind == SpanKind::Allreduce);
+                            let asked = under(&rt.spans, i).any(|c| c.kind == SpanKind::Allreduce);
                             assert!(!asked, "{select} rank {}: allreduce in an mxv", rt.rank);
                         }
-                        SpanKind::CondHook | SpanKind::UncondHook
-                            if select == EngineSelect::Lacc =>
-                        {
-                            let n = inner.filter(|c| c.kind == SpanKind::Mxv).count();
-                            assert_eq!(n, 1, "rank {}: mxv spans in {:?}", rt.rank, s.kind);
+                        SpanKind::CondHook if select == EngineSelect::Lacc => {
+                            let n = count(SpanKind::Mxv);
+                            assert_eq!(n, 1, "rank {}: mxv spans in a cond-hook", rt.rank);
+                        }
+                        SpanKind::UncondHook if select == EngineSelect::Lacc => {
+                            let hook = *uncond_hooks.next().unwrap();
+                            let want = usize::from(hook != UncondHook::Skipped);
+                            let got = (count(SpanKind::Allreduce), count(SpanKind::Mxv));
+                            assert_eq!(got, (1, want), "rank {}: {hook:?}", rt.rank);
                         }
                         _ => {}
                     }
                 }
-                let per_round = if select == EngineSelect::Lacc { 2 } else { 1 };
-                assert_eq!(mxvs, per_round * rounds, "{select} rank {}", rt.rank);
+                let want = if select == EngineSelect::Lacc {
+                    assert_eq!(uncond_hooks.next(), None, "rank {}", rt.rank);
+                    hooks.len() + ran
+                } else {
+                    hooks.len()
+                };
+                assert_eq!(mxvs, want, "{select} rank {}", rt.rank);
             }
         }
     }

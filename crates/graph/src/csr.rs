@@ -16,6 +16,55 @@
 
 use crate::idx::{ensure_fits, Idx, IdxOverflow};
 use crate::{EdgeList, Vid};
+use std::fmt;
+
+/// Why a graph could not be built: its vertex count does not fit the
+/// index width, or the host refused an array sized by it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum BuildError {
+    /// The vertex count does not fit the index width.
+    Overflow(IdxOverflow),
+    /// The host could not allocate an array the graph needs.
+    OutOfMemory {
+        /// What the array holds.
+        what: &'static str,
+        /// Its length in elements.
+        len: usize,
+    },
+}
+
+impl From<IdxOverflow> for BuildError {
+    fn from(e: IdxOverflow) -> Self {
+        BuildError::Overflow(e)
+    }
+}
+
+impl fmt::Display for BuildError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BuildError::Overflow(e) => e.fmt(f),
+            BuildError::OutOfMemory { what, len } => {
+                write!(f, "out of memory allocating {what} of {len} entries")
+            }
+        }
+    }
+}
+
+impl std::error::Error for BuildError {}
+
+/// `len` copies of `value`, or [`BuildError::OutOfMemory`] where
+/// `vec![value; len]` would abort the process.
+pub(crate) fn try_filled<T: Clone>(
+    what: &'static str,
+    len: usize,
+    value: T,
+) -> Result<Vec<T>, BuildError> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len)
+        .map_err(|_| BuildError::OutOfMemory { what, len })?;
+    v.resize(len, value);
+    Ok(v)
+}
 
 /// A symmetric graph in CSR form with `I`-width target indices.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -40,7 +89,7 @@ impl<I: Idx> CsrGraph<I> {
 
     /// [`from_edges`](Self::from_edges) with a checked conversion to the
     /// index width `I`.
-    pub fn try_from_edges(el: EdgeList) -> Result<Self, IdxOverflow> {
+    pub fn try_from_edges(el: EdgeList) -> Result<Self, BuildError> {
         Self::try_from_pairs(el.num_vertices(), el.edges())
     }
 
@@ -53,17 +102,18 @@ impl<I: Idx> CsrGraph<I> {
     /// sorted and deduplicated on its own while the array is compacted in
     /// place — `O(m + Σ d log d)` with no scratch beyond the CSR itself.
     ///
-    /// Errs — before allocating anything — when `n` does not fit `I`.
+    /// Errs — before allocating anything — when `n` does not fit `I`, and
+    /// when the host refuses the row offsets or the target array.
     ///
     /// # Panics
     /// If an endpoint is not in `0..n` (also before allocating).
-    pub fn try_from_pairs(n: usize, pairs: &[(Vid, Vid)]) -> Result<Self, IdxOverflow> {
+    pub fn try_from_pairs(n: usize, pairs: &[(Vid, Vid)]) -> Result<Self, BuildError> {
         ensure_fits::<I>(n, "CSR graph")?;
         if let Some(&(u, v)) = pairs.iter().find(|&&(u, v)| u >= n || v >= n) {
             panic!("edge ({u},{v}) out of range for n={n}");
         }
         // Count: offsets[v] = entries row v will receive, duplicates included.
-        let mut offsets = vec![0usize; n + 1];
+        let mut offsets = try_filled("CSR row offsets", n + 1, 0usize)?;
         for &(u, v) in pairs {
             if u != v {
                 offsets[u] += 1;
@@ -76,7 +126,7 @@ impl<I: Idx> CsrGraph<I> {
         }
         // Scatter both orientations, using offsets[v] as row v's cursor:
         // afterwards it holds the *end* of row v.
-        let mut targets = vec![I::zero(); total];
+        let mut targets = try_filled("CSR targets", total, I::zero())?;
         for &(u, v) in pairs {
             if u != v {
                 targets[offsets[u]] = I::from_usize(v);
@@ -403,7 +453,9 @@ mod tests {
         // for a universe beyond u32 without exhausting memory. The checked
         // constructor must refuse *before* allocating offsets.
         let huge = EdgeList::new(u32::MAX as usize + 10);
-        let err = CsrGraph::<u32>::try_from_edges(huge).unwrap_err();
+        let Err(BuildError::Overflow(err)) = CsrGraph::<u32>::try_from_edges(huge) else {
+            panic!("a u32 graph of 2^32 + 9 vertices was built");
+        };
         assert_eq!(err.width(), "u32");
         assert_eq!(err.required(), u32::MAX as usize + 10);
         let msg = err.to_string();

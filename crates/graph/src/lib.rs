@@ -29,7 +29,7 @@ pub mod permute;
 pub mod stats;
 pub mod unionfind;
 
-pub use csr::CsrGraph;
+pub use csr::{BuildError, CsrGraph};
 pub use edgelist::EdgeList;
 pub use idx::{ensure_fits, Idx, IdxOverflow};
 pub use unionfind::DisjointSets;
