@@ -3,7 +3,7 @@
 //! Generators and file readers produce [`EdgeList`]s; algorithms consume
 //! the immutable [`crate::CsrGraph`] built from them.
 
-use crate::Vid;
+use crate::{BuildError, Vid};
 
 /// An edge list over vertices `0..n`.
 ///
@@ -62,6 +62,18 @@ impl EdgeList {
             self.n
         );
         self.edges.push((u, v));
+    }
+
+    /// Makes room for `additional` more edges, or returns
+    /// [`BuildError::OutOfMemory`] where growing the list would abort the
+    /// process.
+    pub(crate) fn try_reserve(&mut self, additional: usize) -> Result<(), BuildError> {
+        self.edges
+            .try_reserve(additional)
+            .map_err(|_| BuildError::OutOfMemory {
+                what: "the edge list",
+                len: self.edges.len().saturating_add(additional),
+            })
     }
 
     /// The stored edges.

@@ -258,10 +258,11 @@ impl CcService {
     }
 
     /// Full LACC recompute over the current edge multiset; installs the
-    /// converged labels as a new epoch.
+    /// converged labels as a new epoch. A CSR the host cannot allocate is
+    /// refused before any rank starts.
     fn rebuild(&mut self, reason: RerunReason) -> Result<(), dmsim::DmsimError> {
         let g = CsrGraph::try_from_pairs(self.num_vertices(), &self.edges)
-            .expect("every vertex count fits the usize index width");
+            .map_err(|e| DmsimError::new(ErrorKind::InvalidConfig, format!("rebuild: {e}")))?;
         self.rebuild_on(&g, reason)
     }
 
