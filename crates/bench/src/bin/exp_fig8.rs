@@ -67,7 +67,7 @@ fn main() {
         &rows,
     );
     write_csv("fig8_step_breakdown", &header, &rows);
-    println!("\nNote: starcheck aggregates the three per-iteration star refreshes; the convergence detector's time is outside the four buckets but inside 'total'.");
+    println!("\nNote: starcheck aggregates a round's two star refreshes (over every active vertex when the last round moved a parent, then over the hooking stars after the cond-hook); the convergence detector's time is outside the four buckets but inside 'total'.");
     if let Some(t) = &trace {
         t.finish();
     }

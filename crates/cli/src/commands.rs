@@ -588,7 +588,7 @@ fn cmd_generate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             }
             "metagenome" => {
                 fits(n)?;
-                generators::metagenome_graph(n, 7, 0.005, seed)
+                generators::try_metagenome_graph(n, 7, 0.005, seed).map_err(failed)?
             }
             "rmat" => {
                 let scale: u32 = args.get_or("scale", 14)?;
@@ -600,7 +600,7 @@ fn cmd_generate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             "mesh3d" => {
                 let side = (n as f64).cbrt().round().max(2.0) as usize;
                 fits(side.saturating_pow(3))?;
-                generators::mesh_3d(side, side, side)
+                generators::try_mesh_3d(side, side, side).map_err(failed)?
             }
             "er" => {
                 let m: usize = args.get_or("m", n.saturating_mul(4))?;

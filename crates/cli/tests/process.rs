@@ -215,6 +215,22 @@ fn generate_refuses_a_community_the_host_cannot_hold() {
 }
 
 #[test]
+fn generate_refuses_a_mesh_the_host_cannot_hold() {
+    let flags = ["--n", "4000000000"];
+    generate_in_2gb("mesh3d", &flags, "out of memory allocating the edge list");
+}
+
+#[test]
+fn generate_refuses_a_metagenome_the_host_cannot_hold() {
+    let flags = ["--n", "4000000000"];
+    generate_in_2gb(
+        "metagenome",
+        &flags,
+        "out of memory allocating the edge list",
+    );
+}
+
+#[test]
 fn generate_refuses_an_edge_list_the_host_cannot_hold() {
     let flags = ["--n", "1000", "--m", "5000000000"];
     generate_in_2gb("er", &flags, "out of memory allocating the edge list");

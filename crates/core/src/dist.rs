@@ -293,10 +293,29 @@ mod tests {
 
     #[test]
     fn bit_identical_to_serial_without_permutation() {
-        let opts = LaccOpts {
-            permute: false,
-            ..LaccOpts::default()
-        };
+        // The serial oracle runs the full Algorithm 6 at every starcheck;
+        // the distributed engine checks only the trees that can have
+        // changed and reuses the grandparents it fetched. Paths and
+        // caterpillars under shuffled ids grow deep trees, sparse random
+        // graphs hook stars onto stars.
+        let mut graphs = round_shape_graphs();
+        for seed in 0..3 {
+            graphs.push(community_graph(600, 30, 3.0, 1.4, seed));
+        }
+        for seed in 0..6u64 {
+            let n = 300;
+            let path = (0..n - 1).map(|v| (v, v + 1));
+            let chords = (0..n - 2).step_by(3).map(|v| (v, v + 2));
+            let edges = match seed % 2 {
+                0 => lacc_graph::EdgeList::from_pairs(n, path),
+                _ => lacc_graph::EdgeList::from_pairs(n, path.chain(chords)),
+            };
+            let shuffle = lacc_graph::permute::Permutation::random(n, seed);
+            graphs.push(shuffle.permute_graph(&CsrGraph::from_edges(edges)));
+        }
+        for seed in 0..4 {
+            graphs.push(erdos_renyi_gnm(500, 600, seed));
+        }
         // Every per-round field but the modeled seconds and the per-rank
         // extract requests, which a serial run does not have: the eight
         // counters and the unconditional hook's execution.
@@ -309,14 +328,20 @@ mod tests {
             };
             run.iters.iter().map(record).collect()
         };
-        for seed in 0..3 {
-            let g = community_graph(600, 30, 3.0, 1.4, seed);
-            let serial = lacc_serial(&g, &opts);
-            for p in [1, 4, 9, 16] {
-                let dist = run_with(&g, p, &opts);
-                assert_eq!(dist.labels, serial.labels, "seed={seed} p={p}");
-                // Same trajectory too, round by round.
-                assert_eq!(rounds(&dist), rounds(&serial), "seed={seed} p={p}");
+        for (i, g) in graphs.iter().enumerate() {
+            for opts in [LaccOpts::default(), LaccOpts::dense_as()] {
+                let opts = LaccOpts {
+                    permute: false,
+                    ..opts
+                };
+                let serial = lacc_serial(g, &opts);
+                for p in [1, 4, 9, 16] {
+                    let dist = run_with(g, p, &opts);
+                    let at = format!("graph {i} p={p} sparsity={}", opts.use_sparsity);
+                    assert_eq!(dist.labels, serial.labels, "{at}");
+                    // Same trajectory too, round by round.
+                    assert_eq!(rounds(&dist), rounds(&serial), "{at}");
+                }
             }
         }
     }
@@ -472,20 +497,15 @@ mod tests {
             (
                 EngineSelect::Lacc,
                 LaccOpts::default(),
-                &[
-                    [141, 83, 108, 70],
-                    [51, 0, 5, 0],
-                    [14, 0, 0, 0],
-                    [2, 0, 0, 0],
-                ],
+                &[[122, 75, 97, 67], [28, 0, 3, 0], [9, 0, 0, 0], [2, 0, 0, 0]],
             ),
             (
                 EngineSelect::Lacc,
                 LaccOpts::naive_comm(),
                 &[
-                    [511, 113, 174, 79],
-                    [1074, 0, 13, 0],
-                    [1194, 0, 0, 0],
+                    [397, 99, 150, 74],
+                    [563, 0, 7, 0],
+                    [891, 0, 0, 0],
                     [621, 0, 0, 0],
                 ],
             ),
@@ -798,8 +818,11 @@ mod tests {
         // while an `mxv` span is open. LACC's cond-hook runs exactly one
         // `mxv`; its uncond-hook runs one allreduce of the star and nonstar
         // counts, then one `mxv` if and only if the round's record says the
-        // hook ran. (Nesting in open order, not clock comparison: an
-        // overlap credit rewinds the clock under later spans.)
+        // hook ran; the shortcut after it extracts grandparents (for the
+        // stars it hooked) under the same condition, and reads the
+        // nonstars' from the last starcheck otherwise. (Nesting in open
+        // order, not clock comparison: an overlap credit rewinds the clock
+        // under later spans.)
         use dmsim::{SpanRecord, TraceLevel};
         fn under(spans: &[SpanRecord], i: usize) -> impl Iterator<Item = &SpanRecord> {
             let inside = move |s: &&SpanRecord| s.depth > spans[i].depth;
@@ -823,6 +846,7 @@ mod tests {
             }
             for rt in sink.rank_traces() {
                 let (mut mxvs, mut uncond_hooks) = (0, hooks.iter());
+                let mut shortcuts = hooks.iter();
                 for (i, s) in rt.spans.iter().enumerate() {
                     let count = |kind| under(&rt.spans, i).filter(|c| c.kind == kind).count();
                     match s.kind {
@@ -841,11 +865,18 @@ mod tests {
                             let got = (count(SpanKind::Allreduce), count(SpanKind::Mxv));
                             assert_eq!(got, (1, want), "rank {}: {hook:?}", rt.rank);
                         }
+                        SpanKind::Shortcut if select == EngineSelect::Lacc => {
+                            let hook = *shortcuts.next().unwrap();
+                            let want = usize::from(hook == UncondHook::Pull);
+                            let got = count(SpanKind::Extract);
+                            assert_eq!(got, want, "rank {}: shortcut {hook:?}", rt.rank);
+                        }
                         _ => {}
                     }
                 }
                 let want = if select == EngineSelect::Lacc {
                     assert_eq!(uncond_hooks.next(), None, "rank {}", rt.rank);
+                    assert_eq!(shortcuts.next(), None, "rank {}", rt.rank);
                     hooks.len() + ran
                 } else {
                     hooks.len()

@@ -230,16 +230,27 @@ impl RunningMin {
 /// shortcutting, every round starting from the exact stars of the current
 /// forest.
 pub(crate) struct Lacc {
-    /// Star membership (Algorithm 6): exact after the conditional hook's
-    /// starcheck, stale once a later step of the round moves a parent.
+    /// Star membership (Algorithm 6) of the active vertices: exact when the
+    /// conditional hook reads it and again after the starcheck that
+    /// follows the hook. The hook moves only roots of hooking stars, so
+    /// in between only their entries can be wrong, and that starcheck
+    /// recomputes only those; the unconditional hook and the shortcut
+    /// leave it for the next round's refresh.
     star: DistVec<bool>,
+    /// Grandparents `f[f[v]]` of the local active vertices, by local
+    /// offset, as the last starcheck over `v` extracted them. Exact for
+    /// every active nonstar whenever `star` is: no step between a
+    /// starcheck and the shortcut writes a parent inside a nonstar tree,
+    /// so the shortcut reads its nonstars' new parents here.
+    gf: Vec<Id>,
     /// Local vertices not yet retired by Lemma 1.
     active: Vec<bool>,
     /// Global count of active vertices, identical on every rank.
     active_global: usize,
     /// Whether the last round's unconditional hook or shortcut changed a
     /// parent anywhere (read off the convergence allreduce): the next
-    /// round then refreshes `star` before its conditional hook reads it.
+    /// round then refreshes `star` and `gf` over every active vertex
+    /// before its conditional hook reads them.
     stale: bool,
 }
 
@@ -247,9 +258,13 @@ impl Lacc {
     /// Every vertex an active singleton star.
     pub(crate) fn new(cx: &EngineCtx<'_>) -> Self {
         let star = DistVec::from_fn(cx.layout, cx.rank, |_| true);
+        let gf = (0..star.local().len())
+            .map(|o| star.global_of(o) as Id)
+            .collect();
         Lacc {
             active: vec![true; star.local().len()],
             star,
+            gf,
             active_global: cx.n(),
             stale: false,
         }
@@ -273,30 +288,35 @@ fn active_where(active: &[bool], star: &DistVec<bool>, want_star: bool) -> Vec<u
         .collect()
 }
 
-/// Star recomputation (Algorithm 6) over the active vertices:
+/// Star recomputation (Algorithm 6) over the local offsets `targets`:
 /// `star[v] ← (f[v] = f[f[v]]) ∧ star[f[v]]`, with the grandparents of
-/// non-star vertices demoted in between.
+/// non-star vertices demoted in between. Records each target's
+/// grandparent in `gf`.
+///
+/// Exact when `targets` are whole trees and every other active vertex is
+/// a nonstar already marked so: their demotions would land inside their
+/// own trees, on entries that are already `false`.
 fn starcheck(
     comm: &mut Comm,
     f: &DistVec<Id>,
     star: &mut DistVec<bool>,
-    active: &[bool],
+    targets: &[usize],
+    gf: &mut [Id],
     dopts: &DistOpts,
 ) {
-    // The active scan, star reset and request build produce the
+    // The target scan, star reset and request build produce the
     // grandparent extract's inputs elementwise, so the first exchange is
     // window-credited for streaming behind them.
     let win = comm.overlap_window();
-    let local_active: Vec<usize> = (0..active.len()).filter(|&o| active[o]).collect();
-    for &o in &local_active {
+    for &o in targets {
         star.local_mut()[o] = true;
     }
-    comm.charge_compute(local_active.len() as u64 + 1);
-    // Grandparents of active vertices: gf[v] = f[f[v]]. Both extracts
-    // below use the identical request list over same-layout vectors, so
-    // the owner bucketing (and, on the compact wire, the request route)
-    // is paid for once.
-    let reqs: Vec<Id> = local_active.iter().map(|&o| f.local()[o]).collect();
+    comm.charge_compute(targets.len() as u64 + 1);
+    // Grandparents of the targets: gf[v] = f[f[v]]. Both extracts below
+    // use the identical request list over same-layout vectors, so the
+    // owner bucketing (and, on the compact wire, the request route) is
+    // paid for once.
+    let reqs: Vec<Id> = targets.iter().map(|&o| f.local()[o]).collect();
     let plan = plan_requests(comm, f.layout(), &reqs, dopts);
     let (fx, gfs) = comm.overlap_from(win, dopts.overlap, |c| {
         let fx = FusedExtract::begin(c, &plan, dopts);
@@ -304,20 +324,21 @@ fn starcheck(
         (fx, gfs)
     });
     let mut demote: Vec<(Id, bool)> = Vec::new();
-    for (&o, &gf) in local_active.iter().zip(&gfs) {
-        if f.local()[o] != gf {
+    for (&o, &g) in targets.iter().zip(&gfs) {
+        gf[o] = g;
+        if f.local()[o] != g {
             star.local_mut()[o] = false;
-            demote.push((gf, false));
+            demote.push((g, false));
         }
     }
-    comm.charge_compute(local_active.len() as u64 + 1);
+    comm.charge_compute(targets.len() as u64 + 1);
     dist_assign(comm, star, &demote, AndBool, dopts);
     // star[v] ← star[v] ∧ star[f[v]], read *after* the demote assign.
     let parent_star = fx.extract(comm, star);
-    for (&o, &ps) in local_active.iter().zip(&parent_star) {
+    for (&o, &ps) in targets.iter().zip(&parent_star) {
         star.local_mut()[o] = star.local()[o] && ps;
     }
-    comm.charge_compute(local_active.len() as u64 + 1);
+    comm.charge_compute(targets.len() as u64 + 1);
 }
 
 /// Lemma 1, strengthened (same rule as `crate::serial`, evaluated on the
@@ -329,8 +350,9 @@ fn starcheck(
 /// the candidate scan and the plan of the extract that will ask the
 /// candidates' roots whether they stayed quiet read only start-of-round
 /// state, so they run (and are charged) while the sweep is in flight.
-/// Clears `active` on the converged stars and returns `q` and the number of
-/// vertices retired.
+/// Clears `active` on the converged stars and returns `q`, the number of
+/// vertices retired, and the candidates that stayed active: the hooking
+/// stars.
 fn lemma1_retire(
     comm: &mut Comm,
     f: &DistVec<Id>,
@@ -338,8 +360,8 @@ fn lemma1_retire(
     active: &mut [bool],
     qh: CommHandle<DistSpVec<(Id, Id), Id>>,
     dopts: &DistOpts,
-) -> (DistSpVec<(Id, Id), Id>, u64) {
-    let candidates = active_where(active, star, true);
+) -> (DistSpVec<(Id, Id), Id>, u64, Vec<usize>) {
+    let mut candidates = active_where(active, star, true);
     let reqs: Vec<Id> = candidates.iter().map(|&o| f.local()[o]).collect();
     comm.charge_compute(active.len() as u64 + 1);
     let plan = plan_requests(comm, f.layout(), &reqs, dopts);
@@ -364,8 +386,9 @@ fn lemma1_retire(
             retired += 1;
         }
     }
+    candidates.retain(|&o| active[o]);
     comm.charge_compute(active.len() as u64 + 1);
-    (q, retired)
+    (q, retired, candidates)
 }
 
 /// Unconditional hooking (Algorithm 4): `f[f[v]] ←` the minimum parent
@@ -417,7 +440,7 @@ impl Rules<4> for Lacc {
     }
 
     fn round(&mut self, cx: &mut EngineCtx<'_>, f: &mut DistVec<Id>) -> [u64; 4] {
-        let (star, active) = (&mut self.star, &mut self.active);
+        let (star, active, gf) = (&mut self.star, &mut self.active, &mut self.gf);
         let (layout, rank, n) = (cx.layout, cx.rank, cx.n());
         // The cond-hook's one dispatch decision (§V-A), taken from the active
         // count the convergence allreduce already delivered.
@@ -428,14 +451,16 @@ impl Rules<4> for Lacc {
         // Refresh: the last round moved parents after its last starcheck.
         if self.stale {
             cx.step(SpanKind::Starcheck, |cx| {
-                starcheck(cx.comm, f, star, active, &cx.opts.dist)
+                let targets: Vec<usize> = (0..active.len()).filter(|&o| active[o]).collect();
+                starcheck(cx.comm, f, star, &targets, gf, &cx.opts.dist)
             });
         }
 
         // Step 1 — conditional hooking, fused with the convergence
         // detector: q = A ⊗ f on the (min, max) monoid over the active
         // stars (see `crate::serial`), then f[f[v]] ← min(f[v], q[v].min).
-        let (cond, retired) = cx.step(SpanKind::CondHook, |cx| {
+        // Returns the active stars left after retirement: the hooking trees.
+        let (cond, retired, hooking) = cx.step(SpanKind::CondHook, |cx| {
             let (comm, a, dopts) = (&mut *cx.comm, &cx.a, &cx.opts.dist);
             let mask = DistMask::Keep(&active_stars(star, active));
             // The mxv is *posted*: it runs now with identical messages and
@@ -456,10 +481,12 @@ impl Rules<4> for Lacc {
                     dist_mxv_sparse(c, a, &x, mask, MinMaxUsize, dopts)
                 })
             };
-            let (q, retired) = if cx.opts.use_sparsity {
+            let (q, retired, hooking) = if cx.opts.use_sparsity {
                 lemma1_retire(comm, f, star, active, qh, dopts)
             } else {
-                (qh.wait(comm), 0)
+                let hooking = active_where(active, star, true);
+                comm.charge_compute(active.len() as u64 + 1);
+                (qh.wait(comm), 0, hooking)
             };
             // Hooks of just-retired vertices would be no-ops; skip them.
             let edges = q
@@ -468,10 +495,15 @@ impl Rules<4> for Lacc {
                 .filter(|&&(v, _)| active[f.local_offset(v as usize)])
                 .map(|&(v, (lo, _))| (v, lo.min(f.get_local(v as usize))))
                 .collect();
-            (connect(comm, f, edges, dopts), retired)
+            (connect(comm, f, edges, dopts), retired, hooking)
         });
+        // The hook wrote parents only at the roots of hooking stars, so
+        // only their trees can have changed shape: a nonstar tree stays one
+        // whatever hooks onto it, its vertices keep their exact `false`,
+        // and their parents and grandparents — never star roots — keep
+        // their `gf`. Algorithm 6 over the hooking stars alone is exact.
         cx.step(SpanKind::Starcheck, |cx| {
-            starcheck(cx.comm, f, star, active, &cx.opts.dist)
+            starcheck(cx.comm, f, star, &hooking, gf, &cx.opts.dist)
         });
 
         // Step 2 — unconditional hooking, only where it can act.
@@ -481,29 +513,40 @@ impl Rules<4> for Lacc {
         cx.round.uncond_hook = hook;
 
         // Step 3 — shortcutting: f[v] ← f[f[v]] on the active nonstars,
-        // and on the active stars too when the unconditional hook ran (a
-        // hooked star's members now sit at depth 2; an unhooked star's
-        // shortcut changes nothing). No starcheck follows: the next round
-        // refreshes the stars first.
+        // read from `gf` (the unconditional hook, too, writes only star
+        // roots), and on the active stars too when the unconditional hook
+        // ran (a hooked star's members now sit at depth 2; an unhooked
+        // star's shortcut changes nothing). No starcheck follows: the next
+        // round refreshes the stars first.
         let shortcut = cx.step(SpanKind::Shortcut, |cx| {
             let (comm, dopts) = (&mut *cx.comm, &cx.opts.dist);
             let win = comm.overlap_window();
-            let targets: Vec<usize> = if hook == UncondHook::Skipped {
-                active_where(active, star, false)
+            let pull = hook == UncondHook::Pull;
+            let nonstars = active_where(active, star, false);
+            let stars = if pull {
+                active_where(active, star, true)
             } else {
-                (0..active.len()).filter(|&o| active[o]).collect()
+                Vec::new()
             };
-            let reqs: Vec<Id> = targets.iter().map(|&o| f.local()[o]).collect();
+            let reqs: Vec<Id> = stars.iter().map(|&o| f.local()[o]).collect();
             comm.charge_compute(active.len() as u64 + 1);
-            let gfs = comm.overlap_from(win, dopts.overlap, |c| dist_extract(c, f, &reqs, dopts));
+            // The stars' grandparents are read before any nonstar moves: a
+            // hooked root's new parent may be one. `hook` is the same on
+            // every rank, so all of them join the extract or none does.
+            let star_gfs = if pull {
+                comm.overlap_from(win, dopts.overlap, |c| dist_extract(c, f, &reqs, dopts))
+            } else {
+                Vec::new()
+            };
+            let nonstar_gfs = nonstars.iter().map(|&o| (o, gf[o]));
             let mut moved = 0u64;
-            for (&o, &gf) in targets.iter().zip(&gfs) {
-                if f.local()[o] != gf {
-                    f.local_mut()[o] = gf;
+            for (o, g) in nonstar_gfs.chain(stars.into_iter().zip(star_gfs)) {
+                if f.local()[o] != g {
+                    f.local_mut()[o] = g;
                     moved += 1;
                 }
             }
-            comm.charge_compute(targets.len() as u64 + 1);
+            comm.charge_compute((nonstars.len() + reqs.len()) as u64 + 1);
             moved
         });
         [cond, uncond, shortcut, retired]

@@ -69,7 +69,7 @@ impl EdgeList {
     /// process.
     pub(crate) fn try_reserve(&mut self, additional: usize) -> Result<(), BuildError> {
         self.edges
-            .try_reserve(additional)
+            .try_reserve_exact(additional)
             .map_err(|_| BuildError::OutOfMemory {
                 what: "the edge list",
                 len: self.edges.len().saturating_add(additional),

@@ -5,7 +5,7 @@
 //! performing well on denser graphs despite having no vector sparsity to
 //! exploit.
 
-use crate::{CsrGraph, EdgeList, Vid};
+use crate::{BuildError, CsrGraph, EdgeList, Vid};
 
 /// A `rows × cols` 4-neighbor grid.
 pub fn mesh_2d(rows: usize, cols: usize) -> CsrGraph {
@@ -29,8 +29,16 @@ pub fn mesh_2d(rows: usize, cols: usize) -> CsrGraph {
 /// 3×3×3 neighborhood (26-connectivity), giving queen-like average degree
 /// in the tens.
 pub fn mesh_3d(x: usize, y: usize, z: usize) -> CsrGraph {
+    try_mesh_3d(x, y, z).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`mesh_3d`], returning a [`BuildError`] where the host cannot hold the
+/// graph.
+pub fn try_mesh_3d(x: usize, y: usize, z: usize) -> Result<CsrGraph, BuildError> {
     let n = x * y * z;
     let mut el = EdgeList::new(n);
+    // Each vertex has at most 13 forward neighbors.
+    el.try_reserve(n.saturating_mul(13))?;
     let id = |i: usize, j: usize, k: usize| (i * y * z + j * z + k) as Vid;
     for i in 0..x {
         for j in 0..y {
@@ -58,7 +66,7 @@ pub fn mesh_3d(x: usize, y: usize, z: usize) -> CsrGraph {
             }
         }
     }
-    CsrGraph::from_edges(el)
+    CsrGraph::try_from_edges(el)
 }
 
 #[cfg(test)]
@@ -100,6 +108,12 @@ mod tests {
         let interior = 16 + 4 + 1; // vertex (1,1,1)
         assert_eq!(g.degree(interior), 26);
         assert!(g.is_symmetric());
+    }
+
+    #[test]
+    fn a_mesh_past_usize_is_refused() {
+        let e = try_mesh_3d(usize::MAX / 4, 2, 2).unwrap_err();
+        assert!(matches!(e, BuildError::OutOfMemory { .. }), "{e}");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! communication-bound and components converge slowly, so this generator
 //! is the adversarial input in our evaluation too.
 
-use crate::{CsrGraph, EdgeList, Vid};
+use crate::{BuildError, CsrGraph, EdgeList, Vid};
 use rand::Rng;
 
 /// Generates a graph of about `n` vertices consisting of many short paths
@@ -24,10 +24,24 @@ pub fn metagenome_graph(
     repeat_fraction: f64,
     seed: u64,
 ) -> CsrGraph {
+    try_metagenome_graph(n, mean_path_len, repeat_fraction, seed).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`metagenome_graph`], returning a [`BuildError`] where the host cannot
+/// hold the graph.
+pub fn try_metagenome_graph(
+    n: usize,
+    mean_path_len: usize,
+    repeat_fraction: f64,
+    seed: u64,
+) -> Result<CsrGraph, BuildError> {
     assert!(mean_path_len >= 1);
     assert!((0.0..=1.0).contains(&repeat_fraction));
     let mut rng = super::rng(seed);
     let mut el = EdgeList::new(n);
+    // At most n − 1 path edges, then the repeats.
+    let num_repeats = (n as f64 * repeat_fraction) as usize;
+    el.try_reserve(n.saturating_sub(1).saturating_add(num_repeats))?;
     let mut v: Vid = 0;
     while v < n {
         // Geometric-ish path length around the mean, with an occasional
@@ -43,7 +57,6 @@ pub fn metagenome_graph(
         }
         v = end;
     }
-    let num_repeats = (n as f64 * repeat_fraction) as usize;
     if n >= 2 {
         for _ in 0..num_repeats {
             let a = rng.random_range(0..n) as Vid;
@@ -51,7 +64,7 @@ pub fn metagenome_graph(
             el.push(a, b);
         }
     }
-    CsrGraph::from_edges(el)
+    CsrGraph::try_from_edges(el)
 }
 
 #[cfg(test)]
@@ -80,6 +93,12 @@ mod tests {
         // M3-like regime: component count is a sizable fraction of n.
         assert!(comps > 3_000, "components {comps}");
         assert!(g.validate().is_ok());
+    }
+
+    #[test]
+    fn an_edge_count_past_usize_is_refused() {
+        let e = try_metagenome_graph(usize::MAX, 7, 0.5, 1).unwrap_err();
+        assert!(matches!(e, BuildError::OutOfMemory { .. }), "{e}");
     }
 
     #[test]

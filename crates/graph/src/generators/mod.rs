@@ -19,8 +19,8 @@ mod social;
 pub mod suite;
 
 pub use community::{community_graph, try_community_graph};
-pub use mesh::{mesh_2d, mesh_3d};
-pub use metagenome::metagenome_graph;
+pub use mesh::{mesh_2d, mesh_3d, try_mesh_3d};
+pub use metagenome::{metagenome_graph, try_metagenome_graph};
 pub use random::{erdos_renyi_gnm, erdos_renyi_gnp, try_erdos_renyi_gnm};
 pub use rmat::{rmat, try_rmat, RmatParams};
 pub use simple::{complete_graph, cycle_graph, path_graph, random_forest, star_graph};

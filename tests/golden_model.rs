@@ -21,8 +21,8 @@ use std::sync::Arc;
 type Row = (EngineSelect, usize, f64, u64, u64);
 
 const GOLDEN: [Row; 6] = [
-    (EngineSelect::Lacc, 4, 0.0008021191777777799, 6354, 49294),
-    (EngineSelect::Lacc, 9, 0.0018086248666666514, 13750, 98593),
+    (EngineSelect::Lacc, 4, 0.0007175941111111135, 6119, 47574),
+    (EngineSelect::Lacc, 9, 0.0016064428444444332, 13078, 94636),
     (EngineSelect::Fastsv, 4, 0.0003301344222222223, 3970, 31356),
     (EngineSelect::Fastsv, 9, 0.0005628786222222237, 8040, 61780),
     (
@@ -43,7 +43,7 @@ const GOLDEN: [Row; 6] = [
 
 /// The same pins under [`LaccOpts::naive_comm`].
 const GOLDEN_NAIVE_COMM: [Row; 2] = [
-    (EngineSelect::Lacc, 4, 0.001016037444444442, 12199, 97229),
+    (EngineSelect::Lacc, 4, 0.0009219143777777763, 10852, 86503),
     (EngineSelect::Fastsv, 4, 0.0003313214666666669, 5557, 44376),
 ];
 
