@@ -7,10 +7,10 @@
 //! 2. **All-to-all algorithm**: pairwise-exchange vs hypercube vs sparse.
 //! 3. **Hot-rank broadcast**: on vs off, plus a sweep of the threshold h.
 //!
-//! The comm-layer extensions on top — the compact wire format and overlap —
-//! are ablated the same way: one row each runs the otherwise-default stack
-//! on the legacy wire and with every overlap refund off. Two more rows pin
-//! the §V-A SpMV/SpMSpV dispatch at either end of its threshold.
+//! The compact wire format on top is ablated the same way: one row runs
+//! the otherwise-default stack on the legacy wire. Two more rows pin the
+//! §V-A SpMV/SpMSpV dispatch at either end of its threshold. Overlap is
+//! not a row: it is part of the modeled machine, on in every row.
 
 use dmsim::{AllToAll, EDISON};
 use gblas::dist::{DistOpts, Wire};
@@ -111,19 +111,7 @@ fn main() {
         },
     );
 
-    // 5. Overlap: the default stack on a strictly blocking clock.
-    run_cfg(
-        "overlap = off",
-        LaccOpts {
-            dist: DistOpts {
-                overlap: false,
-                ..DistOpts::default()
-            },
-            ..LaccOpts::default()
-        },
-    );
-
-    // 6. The SpMV/SpMSpV dispatch (§V-A), forced to one side: every fill
+    // 5. The SpMV/SpMSpV dispatch (§V-A), forced to one side: every fill
     // is at least 0, and none reaches 1.5.
     for (name, t) in [
         ("spmv threshold = 0 (always SpMV)", 0.0),
@@ -134,7 +122,10 @@ fn main() {
     }
 
     // Fully naive stack for reference.
-    run_cfg("naive comm (pairwise, no bcast)", LaccOpts::naive_comm());
+    run_cfg(
+        "naive comm (pairwise, no bcast, legacy wire)",
+        LaccOpts::naive_comm(),
+    );
 
     // Extension: the first-class distributed FastSV engine (the LAGraph
     // successor) on the same substrate and machine model.

@@ -49,7 +49,7 @@ pub const USAGE: &str = "usage:
   lacc cc       <graph> [--algo lacc|unionfind|bfs|sv|labelprop|fastsv|multistep] [--out labels.txt]
   lacc cc-dist  <graph> --ranks P [--machine edison|cori] [--flat]
                 [--spmv-threshold F]
-                [--wire legacy|compact] [--overlap true|false]
+                [--wire legacy|compact]
                 [--engine lacc|fastsv|labelprop] [--canonical]
                 [--out labels.txt] [--report out.json]
                 [--trace out.json] [--trace-level off|steps|ops|collectives]
@@ -83,7 +83,6 @@ const COMMANDS: [(&str, Cmd, &[&str], &[&str]); 6] = [
             "machine",
             "spmv-threshold",
             "wire",
-            "overlap",
             "engine",
             "out",
             "report",
@@ -291,9 +290,6 @@ fn cmd_cc_dist(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         // Wire format of every exchange: compact (default) or the
         // unoptimized legacy format — bit-identical labels.
         .wire(args.parse_or("wire", defaults.dist.wire)?)
-        // Non-blocking hot-path exchanges with compute/comm overlap credit
-        // (bit-identical labels and traffic either way).
-        .overlap(args.get_or("overlap", defaults.dist.overlap)?)
         // Which connected-components engine runs (see `lacc::EngineSelect`).
         .engine(args.parse_or("engine", defaults.engine)?)
         .build();
@@ -730,6 +726,8 @@ mod tests {
         assert!(err.contains("--narrow-labels"), "{err}");
         let err = dispatch(&argv(&["cc-dist", &p, "--index-width", "u64"])).unwrap_err();
         assert!(err.contains("--index-width"), "{err}");
+        let err = dispatch(&argv(&["cc-dist", &p, "--overlap", "false"])).unwrap_err();
+        assert!(err.contains("--overlap"), "{err}");
         // A typo of a live flag, with and without a value.
         let err = dispatch(&argv(&["cc-dist", &p, "--rank", "4"])).unwrap_err();
         assert!(err.contains("--rank"), "{err}");
@@ -785,45 +783,6 @@ mod tests {
             files.push(std::fs::read(&out).unwrap());
         }
         assert_eq!(files[0], files[1], "the wire format changed the labels");
-    }
-
-    #[test]
-    fn cc_dist_labels_identical_with_overlap_on_and_off() {
-        // Non-blocking execution must not change a single output byte.
-        let dir = std::env::temp_dir().join("lacc-cli-test11");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("t.el").display().to_string();
-        std::fs::write(&p, "0 1\n1 2\n3 4\n5 6\n6 7\n").unwrap();
-        let on = dir.join("on.txt").display().to_string();
-        let off = dir.join("off.txt").display().to_string();
-        dispatch(&argv(&[
-            "cc-dist",
-            &p,
-            "--ranks",
-            "4",
-            "--overlap",
-            "true",
-            "--out",
-            &on,
-        ]))
-        .unwrap();
-        dispatch(&argv(&[
-            "cc-dist",
-            &p,
-            "--ranks",
-            "4",
-            "--overlap",
-            "false",
-            "--out",
-            &off,
-        ]))
-        .unwrap();
-        assert_eq!(
-            std::fs::read(&on).unwrap(),
-            std::fs::read(&off).unwrap(),
-            "overlap changed the labels"
-        );
-        assert!(dispatch(&argv(&["cc-dist", &p, "--overlap", "maybe"])).is_err());
     }
 
     #[test]
@@ -946,7 +905,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("t.el").display().to_string();
         std::fs::write(&p, "0 1\n1 2\n").unwrap();
-        for (cmd, ranks) in [("cc-dist", "3"), ("cc-dist", "0"), ("serve", "5")] {
+        for (cmd, ranks) in [
+            ("cc-dist", "3"),
+            ("cc-dist", "0"),
+            ("serve", "5"),
+            ("cc-dist", "16384"),
+            ("cc-dist", "1000000"),
+            ("serve", "16384"),
+        ] {
             let msg = dispatch(&argv(&[cmd, &p, "--ranks", ranks])).unwrap_err();
             assert!(
                 msg.contains(&format!("invalid ranks: {ranks} ")) && !msg.contains('\n'),

@@ -135,18 +135,25 @@ fn run_engine(
     .map_err(|bound| format!("engine {engine} did not converge within its bound of {bound} rounds"))
 }
 
+/// The most simulated ranks a run may have: a 64 × 64 grid. Every rank
+/// is an OS thread with its own stack, so the host sets this bound, not
+/// the model; it is 16× the largest grid of any committed result.
+const MAX_RANKS: usize = 4096;
+
 /// Checks that `ranks` simulated ranks form the square process grid every
 /// run is laid out on (CombBLAS' restriction, §VI-A): a positive perfect
-/// square. The rank count is user input (`--ranks`), so a bad one is an
-/// error naming the value, not [`dmsim::Grid2d::square`]'s panic.
+/// square of at most 4096 (64 × 64). The rank count is user input
+/// (`--ranks`), so a bad one is an error naming the value, not
+/// [`dmsim::Grid2d::square`]'s panic or a host that runs out of threads.
 pub fn check_ranks(ranks: usize) -> Result<(), DmsimError> {
-    if ranks > 0 && ranks.isqrt().pow(2) == ranks {
+    let message = if ranks == 0 || ranks.isqrt().pow(2) != ranks {
+        format!("invalid ranks: {ranks} is not a positive perfect square (1, 4, 9, 16, ...)")
+    } else if ranks > MAX_RANKS {
+        format!("invalid ranks: {ranks} is more than the {MAX_RANKS} (64 × 64) a run may simulate")
+    } else {
         return Ok(());
-    }
-    Err(DmsimError::new(
-        ErrorKind::InvalidConfig,
-        format!("invalid ranks: {ranks} is not a positive perfect square (1, 4, 9, 16, ...)"),
-    ))
+    };
+    Err(DmsimError::new(ErrorKind::InvalidConfig, message))
 }
 
 /// Runs the configured engine on `cfg.ranks` simulated ranks.
@@ -559,8 +566,18 @@ mod tests {
 
     #[test]
     fn more_ranks_than_vertices() {
-        let g = path_graph(7);
-        check(&g, 16, &LaccOpts::default());
+        // Most ranks own no vertex and no edge, on every engine and both
+        // communication stacks.
+        for n in [1, 2, 7] {
+            let g = path_graph(n);
+            for engine in ENGINES {
+                for base in [LaccOpts::default(), LaccOpts::naive_comm()] {
+                    for p in [16, 64] {
+                        check(&g, p, &LaccOpts { engine, ..base });
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -657,7 +674,8 @@ mod tests {
     #[test]
     fn non_square_or_zero_ranks_is_a_typed_error_naming_the_value() {
         let g = path_graph(10);
-        for ranks in [0usize, 2, 3, 5, 8] {
+        // 65² and 128² are squares, but past what the host may simulate.
+        for ranks in [0usize, 2, 3, 5, 8, 4225, 16384] {
             let err = run(&g, &RunConfig::new(ranks, model())).unwrap_err();
             assert!(
                 err.message().contains(&format!("invalid ranks: {ranks} ")),
@@ -668,7 +686,7 @@ mod tests {
             assert_eq!(err.kind, ErrorKind::InvalidConfig);
             assert_eq!(err.to_string(), err.message());
         }
-        for ranks in [1usize, 4, 9, 16] {
+        for ranks in [1usize, 4, 9, 16, MAX_RANKS] {
             assert!(check_ranks(ranks).is_ok(), "{ranks}");
         }
     }

@@ -318,7 +318,7 @@ fn starcheck(
     // paid for once.
     let reqs: Vec<Id> = targets.iter().map(|&o| f.local()[o]).collect();
     let plan = plan_requests(comm, f.layout(), &reqs, dopts);
-    let (fx, gfs) = comm.overlap_from(win, dopts.overlap, |c| {
+    let (fx, gfs) = comm.overlap_from(win, |c| {
         let fx = FusedExtract::begin(c, &plan, dopts);
         let gfs = fx.extract(c, f);
         (fx, gfs)
@@ -426,7 +426,7 @@ fn uncond_hook(
     for &o in &nonstars {
         x.local_mut()[o] = f.local()[o];
     }
-    let y = comm.overlap_from(win, dopts.overlap, |c| {
+    let y = comm.overlap_from(win, |c| {
         dist_mxv_dense(c, a, &x, DistMask::Keep(&mask), MinUsize, dopts)
     });
     comm.charge_compute(y.entries().len() as u64 + 1);
@@ -468,18 +468,14 @@ impl Rules<4> for Lacc {
             // against the Lemma-1 planning done before the wait.
             let qh = if spmv_dense {
                 let x = DistVec::from_fn(layout, rank, |g| (f.get_local(g), f.get_local(g)));
-                comm.post(dopts.overlap, |c| {
-                    dist_mxv_dense(c, a, &x, mask, MinMaxUsize, dopts)
-                })
+                comm.post(|c| dist_mxv_dense(c, a, &x, mask, MinMaxUsize, dopts))
             } else {
                 let entries = (0..active.len())
                     .filter(|&o| active[o])
                     .map(|o| (f.global_of(o) as Id, (f.local()[o], f.local()[o])))
                     .collect();
                 let x = DistSpVec::from_local_entries(layout, rank, entries);
-                comm.post(dopts.overlap, |c| {
-                    dist_mxv_sparse(c, a, &x, mask, MinMaxUsize, dopts)
-                })
+                comm.post(|c| dist_mxv_sparse(c, a, &x, mask, MinMaxUsize, dopts))
             };
             let (q, retired, hooking) = if cx.opts.use_sparsity {
                 lemma1_retire(comm, f, star, active, qh, dopts)
@@ -534,7 +530,7 @@ impl Rules<4> for Lacc {
             // hooked root's new parent may be one. `hook` is the same on
             // every rank, so all of them join the extract or none does.
             let star_gfs = if pull {
-                comm.overlap_from(win, dopts.overlap, |c| dist_extract(c, f, &reqs, dopts))
+                comm.overlap_from(win, |c| dist_extract(c, f, &reqs, dopts))
             } else {
                 Vec::new()
             };
@@ -630,9 +626,7 @@ impl Rules<4> for Fastsv {
         let refreshed = cx.step(SpanKind::Starcheck, |cx| {
             let (comm, dopts) = (&mut *cx.comm, &cx.opts.dist);
             let plan = plan_requests(comm, f.layout(), f.local(), dopts);
-            let new_gf = comm.overlap_from(win, dopts.overlap, |c| {
-                dist_extract_planned(c, f, &plan, dopts)
-            });
+            let new_gf = comm.overlap_from(win, |c| dist_extract_planned(c, f, &plan, dopts));
             let origin = gf.range().0;
             for (o, (old, &new)) in gf.local_mut().iter_mut().zip(&new_gf).enumerate() {
                 if *old != new {

@@ -90,7 +90,7 @@ impl LaccOpts {
     }
 
     /// LACC with the naive communication stack (pairwise all-to-all, no
-    /// hot-rank broadcast) — isolates the §V-B optimizations.
+    /// hot-rank broadcast, legacy wire) — isolates the §V-B optimizations.
     pub fn naive_comm() -> Self {
         LaccOpts {
             dist: DistOpts::naive(),
@@ -176,16 +176,6 @@ impl LaccOptsBuilder {
         self
     }
 
-    /// Enables or disables compute/communication overlap: hot-path
-    /// exchanges are posted non-blocking and the modeled clock is refunded
-    /// for exchange time hidden behind independent local compute. Results
-    /// and traffic are bit-identical either way (see
-    /// [`gblas::dist::DistOpts::overlap`]).
-    pub fn overlap(mut self, on: bool) -> Self {
-        self.opts.dist.overlap = on;
-        self
-    }
-
     /// Finishes the builder. Infallible: every fallible setter already
     /// validated its value.
     pub fn build(self) -> LaccOpts {
@@ -237,13 +227,11 @@ mod tests {
             .unwrap()
             .engine(EngineSelect::Fastsv)
             .wire(Wire::Legacy)
-            .overlap(false)
             .build();
         assert_eq!(o.spmv_threshold, 1.5);
         assert_eq!(o.max_iters, 10);
         assert_eq!(o.engine, EngineSelect::Fastsv);
         assert_eq!(o.dist.wire, Wire::Legacy);
-        assert!(!o.dist.overlap);
         // The setters touch nothing else.
         let d = LaccOpts::default();
         assert_eq!((o.use_sparsity, o.permute), (d.use_sparsity, d.permute));
@@ -265,19 +253,18 @@ mod tests {
     }
 
     #[test]
-    fn naive_comm_is_legacy_blocking_and_native_width() {
+    fn naive_comm_is_legacy_pairwise_and_native_width() {
         let o = LaccOpts::naive_comm();
         assert_eq!(o.dist.wire, Wire::Legacy);
-        assert!(!o.dist.overlap, "naive baseline runs strictly blocking");
+        assert_eq!(o.dist.alltoall, dmsim::AllToAll::Pairwise);
         let d = LaccOpts::default();
         assert_eq!(d.dist.wire, Wire::Compact, "frames ride the compact wire");
-        assert!(d.dist.overlap, "overlap is part of the optimized default");
-        // The four levers, spelled out: a fifth field fails to compile here.
+        // The three §V-B levers, spelled out: a fourth field fails to
+        // compile here.
         let DistOpts {
             alltoall: _,
             hot_threshold: _,
             wire: _,
-            overlap: _,
         } = d.dist;
     }
 }

@@ -33,7 +33,7 @@ pub enum ErrorKind {
     RankPanic,
     /// The run was refused before any rank started: a rank count that is
     /// not a square grid, a graph too large for `u32` vertex ids or for the
-    /// host's memory.
+    /// host's memory — or the host could not start every rank thread.
     InvalidConfig,
     /// Every rank ran to its round bound without converging.
     NotConverged,
@@ -118,21 +118,25 @@ struct PoisonOnUnwind {
 
 impl Drop for PoisonOnUnwind {
     fn drop(&mut self) {
-        if !std::thread::panicking() {
-            return;
+        if std::thread::panicking() {
+            poison(&self.senders, self.rank);
         }
-        for (dest, tx) in self.senders.iter().enumerate() {
-            if dest != self.rank {
-                // A peer that has already returned dropped its inbox:
-                // there is nobody left to wake.
-                let _ = tx.send(Envelope {
-                    src: self.rank as u32,
-                    arrival: 0.0,
-                    words: 0,
-                    bytes: 0,
-                    payload: Box::new(PeerFailed(self.rank)),
-                });
-            }
+    }
+}
+
+/// Posts "rank `failed` has failed" to every inbox but its own.
+fn poison(senders: &[Sender<Envelope>], failed: usize) {
+    for (dest, tx) in senders.iter().enumerate() {
+        if dest != failed {
+            // A peer that has already returned dropped its inbox: there
+            // is nobody left to wake.
+            let _ = tx.send(Envelope {
+                src: failed as u32,
+                arrival: 0.0,
+                words: 0,
+                bytes: 0,
+                payload: Box::new(PeerFailed(failed)),
+            });
         }
     }
 }
@@ -182,20 +186,20 @@ impl Group {
 ///
 /// The simulator executes the operation *eagerly* at post time — the
 /// message pattern, payloads, and α-β charges are exactly those of the
-/// blocking call, so results and traffic counters cannot depend on the
-/// overlap flag. What the handle defers is the *clock*: it remembers how
-/// much of the operation's charged time was hideable exchange time
-/// (β transfers and synchronization waits; α posts and the operation's
-/// own local compute are not hideable), and [`CommHandle::wait`] credits
-/// back `min(hideable, time elapsed since the post)` — the portion of
-/// the exchange that genuinely ran behind the caller's local work. The
-/// credit is subtracted from the clock and accumulated in
-/// [`CostSnapshot::overlap_hidden_s`]; the clock never rewinds past the
-/// post-time completion point, so causality (message arrival stamps,
-/// downstream receives) is preserved.
+/// blocking call, so results and traffic counters cannot depend on when
+/// the handle is waited on. What the handle defers is the *clock*: it
+/// remembers how much of the operation's charged time was hideable
+/// exchange time (β transfers and synchronization waits; α posts and the
+/// operation's own local compute are not hideable), and
+/// [`CommHandle::wait`] credits back `min(hideable, time elapsed since
+/// the post)` — the portion of the exchange that genuinely ran behind the
+/// caller's local work. The credit is subtracted from the clock and
+/// accumulated in [`CostSnapshot::overlap_hidden_s`]; the clock never
+/// rewinds past the post-time completion point, so causality (message
+/// arrival stamps, downstream receives) is preserved.
 #[must_use = "a posted operation must be completed with wait()"]
 pub struct CommHandle<T> {
-    value: Option<T>,
+    value: T,
     hideable_s: f64,
     /// The rank clock at (eager) completion of the posted operation.
     post_clock_s: f64,
@@ -210,22 +214,17 @@ impl<T> CommHandle<T> {
     /// compute between [`Comm::post`] and [`CommHandle::wait`] and the
     /// wait credits the hidden portion back to the clock.
     pub fn peek(&self) -> &T {
-        self.value
-            .as_ref()
-            .expect("handle holds the result until wait")
+        &self.value
     }
 
     /// Completes the operation: credits `min(hideable, elapsed since
     /// post)` back to the clock (recorded in
     /// [`CostSnapshot::overlap_hidden_s`] and as a
     /// [`SpanKind::Overlap`] span) and returns the operation's result.
-    pub fn wait(mut self, comm: &mut Comm) -> T {
+    pub fn wait(self, comm: &mut Comm) -> T {
         let elapsed = (comm.snap.clock_s - self.post_clock_s).max(0.0);
-        let credit = elapsed.min(self.hideable_s);
-        comm.apply_overlap_credit(credit);
+        comm.apply_overlap_credit(elapsed.min(self.hideable_s));
         self.value
-            .take()
-            .expect("handle holds the result until wait")
     }
 }
 
@@ -491,8 +490,8 @@ impl Comm {
     /// [`CommHandle`] for it.
     ///
     /// The operation runs *eagerly* (identical messages, payloads, and
-    /// α-β charges whether `on` is set or not — results can never depend
-    /// on the overlap flag); the handle records how much of its charged
+    /// α-β charges to calling `op` directly — results can never depend on
+    /// the overlap credit); the handle records how much of its charged
     /// time is hideable exchange time:
     ///
     /// ```text
@@ -502,25 +501,18 @@ impl Comm {
     /// i.e. β transfer time plus synchronization waits, excluding the α
     /// message posts (initiation stays on the critical path) and the
     /// operation's own local compute (compute cannot hide behind
-    /// compute). With `on == false` the hideable time is pinned to zero,
-    /// so [`CommHandle::wait`] is a no-op on the clock — the single code
-    /// path both modes share is what makes bit-identity trivial.
-    pub fn post<T>(&mut self, on: bool, op: impl FnOnce(&mut Comm) -> T) -> CommHandle<T> {
+    /// compute).
+    pub fn post<T>(&mut self, op: impl FnOnce(&mut Comm) -> T) -> CommHandle<T> {
         let clock0 = self.snap.clock_s;
         let compute0 = self.snap.compute_s;
         let msgs0 = self.snap.messages_sent;
         let value = op(self);
-        let hideable_s = if on {
-            let d_clock = self.snap.clock_s - clock0;
-            let d_compute = self.snap.compute_s - compute0;
-            let d_alpha = self.model.alpha * (self.snap.messages_sent - msgs0) as f64;
-            (d_clock - d_compute - d_alpha).max(0.0)
-        } else {
-            0.0
-        };
+        let d_clock = self.snap.clock_s - clock0;
+        let d_compute = self.snap.compute_s - compute0;
+        let d_alpha = self.model.alpha * (self.snap.messages_sent - msgs0) as f64;
         CommHandle {
-            value: Some(value),
-            hideable_s,
+            value,
+            hideable_s: (d_clock - d_compute - d_alpha).max(0.0),
             post_clock_s: self.snap.clock_s,
         }
     }
@@ -534,32 +526,16 @@ impl Comm {
         }
     }
 
-    /// Runs `op` (typically an exchange) and credits its hideable time —
-    /// same `max(0, Δclock − Δcompute − α·Δmessages)` rule as
-    /// [`Comm::post`] — against the time elapsed since `win` was opened:
-    /// `credit = min(hideable, window length)`. The credit is applied
-    /// exactly as in [`CommHandle::wait`] and the clock never rewinds
-    /// past the point where `op` started. With `on == false` the charges
-    /// are identical and the credit is zero.
-    pub fn overlap_from<T>(
-        &mut self,
-        win: OverlapWindow,
-        on: bool,
-        op: impl FnOnce(&mut Comm) -> T,
-    ) -> T {
-        let clock0 = self.snap.clock_s;
-        let compute0 = self.snap.compute_s;
-        let msgs0 = self.snap.messages_sent;
-        let value = op(self);
-        if on {
-            let available = (clock0 - win.start_clock_s).max(0.0);
-            let d_clock = self.snap.clock_s - clock0;
-            let d_compute = self.snap.compute_s - compute0;
-            let d_alpha = self.model.alpha * (self.snap.messages_sent - msgs0) as f64;
-            let hideable = (d_clock - d_compute - d_alpha).max(0.0);
-            self.apply_overlap_credit(available.min(hideable));
-        }
-        value
+    /// Runs `op` (typically an exchange) as [`Comm::post`] does and
+    /// credits its hideable time against the time elapsed since `win` was
+    /// opened: `credit = min(hideable, window length)`. The credit is
+    /// applied exactly as in [`CommHandle::wait`] and the clock never
+    /// rewinds past the point where `op` started.
+    pub fn overlap_from<T>(&mut self, win: OverlapWindow, op: impl FnOnce(&mut Comm) -> T) -> T {
+        let available = (self.snap.clock_s - win.start_clock_s).max(0.0);
+        let h = self.post(op);
+        self.apply_overlap_credit(available.min(h.hideable_s));
+        h.value
     }
 
     /// Applies an overlap credit: subtracts it from the clock, records it
@@ -625,7 +601,9 @@ where
 /// are numerous; large default stacks would exhaust memory at high `p`).
 /// If any rank panics, every rank still waiting on it stops as well, and
 /// after all ranks have been joined the lowest rank that failed on its own
-/// is returned with its payload as a [`DmsimError`].
+/// is returned with its payload as a [`DmsimError`]. A rank thread the
+/// host cannot start stops the ranks already started the same way and is
+/// returned as an [`ErrorKind::InvalidConfig`] error.
 pub fn run_spmd_traced<R, F>(
     p: usize,
     model: MachineModel,
@@ -649,10 +627,11 @@ where
     let level = sink.map_or(TraceLevel::Off, |s| s.level());
     let mut results: Vec<Option<R>> = (0..p).map(|_| None).collect();
     let mut errs: Vec<DmsimError> = Vec::new();
+    let mut spawn_err = None;
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(p);
         for (rank, rx) in rxs.into_iter().enumerate() {
-            let senders = Arc::clone(&senders);
+            let rank_senders = Arc::clone(&senders);
             let sink = sink.cloned();
             let handle = std::thread::Builder::new()
                 .name(format!("dmsim-rank-{rank}"))
@@ -660,12 +639,12 @@ where
                 .spawn_scoped(scope, move || {
                     let _poison = PoisonOnUnwind {
                         rank,
-                        senders: Arc::clone(&senders),
+                        senders: Arc::clone(&rank_senders),
                     };
                     let mut comm = Comm {
                         rank,
                         size: p,
-                        senders,
+                        senders: rank_senders,
                         rx,
                         pending: (0..p).map(|_| VecDeque::new()).collect(),
                         model,
@@ -677,9 +656,20 @@ where
                     let r = f(&mut comm);
                     comm.finish_trace();
                     r
-                })
-                .expect("failed to spawn rank thread");
-            handles.push(handle);
+                });
+            match handle {
+                Ok(h) => handles.push(h),
+                Err(e) => {
+                    // The ranks already running stop as if this one had
+                    // panicked, instead of waiting on it forever.
+                    poison(&senders, rank);
+                    spawn_err = Some(DmsimError::new(
+                        ErrorKind::InvalidConfig,
+                        format!("the host could not start rank {rank} of {p}: {e}"),
+                    ));
+                    break;
+                }
+            }
         }
         for (rank, h) in handles.into_iter().enumerate() {
             match h.join() {
@@ -692,6 +682,9 @@ where
             }
         }
     });
+    if let Some(e) = spawn_err {
+        return Err(e);
+    }
     if errs.is_empty() {
         return Ok(results
             .into_iter()
@@ -931,26 +924,37 @@ mod tests {
         assert_eq!(out[0].messages_sent, 0, "no simulated message involved");
     }
 
+    /// The 4096-word swap between two ranks that the overlap tests post,
+    /// window or call blocking.
+    fn swap(c: &mut Comm) -> Vec<u64> {
+        let peer = 1 - c.rank();
+        c.send_vec(peer, vec![0u64; 4096]);
+        c.recv::<Vec<u64>>(peer)
+    }
+
+    /// "Off" is the same exchange called blocking, the reference a posted
+    /// one is measured against.
     #[test]
     fn overlap_hidden_zero_when_off_and_monotone_when_on() {
         let model = EDISON.lacc_model();
-        let run = |on: bool, ops: u64| {
+        let run = |posted: bool, ops: u64| {
             run_spmd_with_model(2, model, move |c| {
-                let peer = 1 - c.rank();
-                let h = c.post(on, |c| {
-                    c.send_vec(peer, vec![0u64; 4096]);
-                    c.recv::<Vec<u64>>(peer)
-                });
-                c.charge_compute(ops);
-                let _ = h.wait(c);
+                if posted {
+                    let h = c.post(swap);
+                    c.charge_compute(ops);
+                    let _ = h.wait(c);
+                } else {
+                    swap(c);
+                    c.charge_compute(ops);
+                }
                 c.snapshot()
             })
             .unwrap()[0]
         };
-        // Flag off: never any hidden time, regardless of adjacent compute.
+        // The blocking call never hides anything.
         assert_eq!(run(false, 1_000_000).overlap_hidden_s, 0.0);
-        // Flag on: the credit is capped by the compute actually elapsed
-        // between post and wait, and monotone in it.
+        // The credit is capped by the compute actually elapsed between
+        // post and wait, and monotone in it.
         let h0 = run(true, 0).overlap_hidden_s;
         let h1 = run(true, 100).overlap_hidden_s;
         let h2 = run(true, 1_000_000).overlap_hidden_s;
@@ -961,41 +965,41 @@ mod tests {
             "more overlapped compute must hide at least as much"
         );
         // Charges are identical either way; only the clock credit differs.
-        let off = run(false, 1_000_000);
-        let on = run(true, 1_000_000);
-        assert_eq!(on.words_sent, off.words_sent);
-        assert_eq!(on.messages_sent, off.messages_sent);
-        assert_eq!(on.bytes_sent, off.bytes_sent);
+        let blocking = run(false, 1_000_000);
+        let posted = run(true, 1_000_000);
+        assert_eq!(posted.words_sent, blocking.words_sent);
+        assert_eq!(posted.messages_sent, blocking.messages_sent);
+        assert_eq!(posted.bytes_sent, blocking.bytes_sent);
         assert!(
-            on.clock_s < off.clock_s,
+            posted.clock_s < blocking.clock_s,
             "the credit must shorten the clock"
         );
-        assert!((off.clock_s - on.clock_s - on.overlap_hidden_s).abs() < 1e-12);
+        assert!((blocking.clock_s - posted.clock_s - posted.overlap_hidden_s).abs() < 1e-12);
     }
 
     #[test]
     fn overlap_window_credits_preceding_compute() {
         let model = EDISON.lacc_model();
-        let run = |on: bool| {
+        let run = |windowed: bool| {
             run_spmd_with_model(2, model, move |c| {
-                let peer = 1 - c.rank();
                 let win = c.overlap_window();
                 c.charge_compute(1_000_000);
-                c.overlap_from(win, on, |c| {
-                    c.send_vec(peer, vec![0u64; 4096]);
-                    let _ = c.recv::<Vec<u64>>(peer);
-                });
+                if windowed {
+                    c.overlap_from(win, swap);
+                } else {
+                    swap(c);
+                }
                 c.snapshot()
             })
             .unwrap()[0]
         };
-        let off = run(false);
-        let on = run(true);
-        assert_eq!(off.overlap_hidden_s, 0.0);
-        assert!(on.overlap_hidden_s > 0.0);
-        assert_eq!(on.words_sent, off.words_sent);
-        assert_eq!(on.messages_sent, off.messages_sent);
-        assert!((off.clock_s - on.clock_s - on.overlap_hidden_s).abs() < 1e-12);
+        let blocking = run(false);
+        let windowed = run(true);
+        assert_eq!(blocking.overlap_hidden_s, 0.0);
+        assert!(windowed.overlap_hidden_s > 0.0);
+        assert_eq!(windowed.words_sent, blocking.words_sent);
+        assert_eq!(windowed.messages_sent, blocking.messages_sent);
+        assert!((blocking.clock_s - windowed.clock_s - windowed.overlap_hidden_s).abs() < 1e-12);
     }
 
     #[test]
@@ -1004,7 +1008,7 @@ mod tests {
         // empty-payload send hides nothing past its α charge.
         run_spmd_with_model(1, EDISON.lacc_model(), |c| {
             // Compute cannot hide behind compute.
-            let h = c.post(true, |c| c.charge_compute(1_000_000));
+            let h = c.post(|c| c.charge_compute(1_000_000));
             c.charge_compute(1_000_000);
             h.wait(c);
             assert_eq!(c.snapshot().overlap_hidden_s, 0.0);

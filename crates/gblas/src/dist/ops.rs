@@ -81,28 +81,17 @@ pub struct DistOpts {
     pub hot_threshold: f64,
     /// Wire format of every exchange (see [`Wire`]).
     pub wire: Wire,
-    /// Non-blocking execution of the hot-path exchanges. Engines post
-    /// `mxv` through [`dmsim::Comm::post`] and collect the result with
-    /// [`dmsim::CommHandle::wait`], or credit an exchange against a
-    /// preceding compute window ([`dmsim::Comm::overlap_from`]). The
-    /// operation still runs eagerly with an identical message pattern and
-    /// identical charges — this flag only controls whether the modeled
-    /// clock is *refunded* at completion for exchange time that overlapped
-    /// independent local compute — so labels, iteration counts and
-    /// `words_sent` are bit-identical with the flag on or off.
-    pub overlap: bool,
 }
 
 impl Default for DistOpts {
     fn default() -> Self {
         // The optimized LACC configuration: sparse all-to-all (hypercube
-        // metadata exchange), hot-rank broadcasts, the compact wire
-        // format and overlap.
+        // metadata exchange), hot-rank broadcasts and the compact wire
+        // format.
         DistOpts {
             alltoall: AllToAll::Sparse,
             hot_threshold: 4.0,
             wire: Wire::Compact,
-            overlap: true,
         }
     }
 }
@@ -110,13 +99,12 @@ impl Default for DistOpts {
 impl DistOpts {
     /// The unoptimized baseline: MPI_Alltoallv-style pairwise exchange, no
     /// broadcast fallback — what §V-B says stopped scaling past 1024
-    /// ranks — on the legacy wire format, strictly blocking.
+    /// ranks — on the legacy wire format.
     pub fn naive() -> Self {
         DistOpts {
             alltoall: AllToAll::Pairwise,
             hot_threshold: f64::INFINITY,
             wire: Wire::Legacy,
-            overlap: false,
         }
     }
 }
@@ -136,7 +124,7 @@ where
     T: NarrowVal,
 {
     let (wire, layout, local) = (opts.wire, x.layout(), x.local().to_vec());
-    comm.post(opts.overlap, move |c| match wire {
+    comm.post(move |c| match wire {
         Wire::Legacy => c.allgatherv(group, local),
         Wire::Compact => {
             c.charge_compute(local.len() as u64 + 1);
@@ -166,7 +154,7 @@ where
     I: Idx + WireWord,
 {
     let wire = opts.wire;
-    comm.post(opts.overlap, move |c| match wire {
+    comm.post(move |c| match wire {
         Wire::Legacy => c.allgatherv(group, entries),
         Wire::Compact => {
             c.charge_compute(entries.len() as u64 + 1);
@@ -1806,39 +1794,41 @@ mod tests {
     }
 
     #[test]
-    fn mxv_posted_matches_blocking_and_refunds_only_under_overlap() {
-        // A posted mxv runs eagerly: bit-identical results to the blocking
-        // call; with overlap on, the compute charged between post and wait
-        // earns a positive clock refund, with it off none.
+    fn mxv_posted_matches_blocking_and_refunds_overlapped_compute() {
+        // A posted mxv runs eagerly: bit-identical results and traffic to
+        // the blocking call, and the compute charged between post and wait
+        // earns a positive clock refund on top of what the blocking call
+        // hid inside itself.
         let g = erdos_renyi_gnm(48, 140, 23);
         let n = g.num_vertices();
         let p = 4;
-        for overlap in [true, false] {
-            let out = dmsim::run_spmd_with_model(p, dmsim::EDISON.lacc_model(), |c| {
-                let grid = Grid2d::square(p);
-                let layout = VecLayout::new(n, grid);
-                let a = DistMat::from_graph(&g, grid, c.rank());
-                let (s, e) = layout.range_of_rank(c.rank());
-                let local: Vec<(usize, usize)> =
-                    (s..e).filter(|v| v % 2 == 0).map(|v| (v, v)).collect();
-                let x = DistSpVec::from_local_entries(layout, c.rank(), local);
-                let opts = DistOpts {
-                    overlap,
-                    ..DistOpts::default()
-                };
-                let blocking = dist_mxv_sparse(c, &a, &x, DistMask::None, MinUsize, &opts);
-                let h = c.post(overlap, |c| {
-                    dist_mxv_sparse(c, &a, &x, DistMask::None, MinUsize, &opts)
-                });
-                c.charge_compute(10_000_000);
-                let posted = h.wait(c);
-                assert_eq!(posted.entries(), blocking.entries());
-                c.snapshot().overlap_hidden_s
-            })
-            .unwrap();
-            for hidden in out {
-                assert_eq!(hidden > 0.0, overlap, "refund iff the flag is on");
-            }
+        let out = dmsim::run_spmd_with_model(p, dmsim::EDISON.lacc_model(), |c| {
+            let grid = Grid2d::square(p);
+            let layout = VecLayout::new(n, grid);
+            let a = DistMat::from_graph(&g, grid, c.rank());
+            let (s, e) = layout.range_of_rank(c.rank());
+            let local: Vec<(usize, usize)> =
+                (s..e).filter(|v| v % 2 == 0).map(|v| (v, v)).collect();
+            let x = DistSpVec::from_local_entries(layout, c.rank(), local);
+            let opts = DistOpts::default();
+            let before = c.snapshot();
+            let blocking = dist_mxv_sparse(c, &a, &x, DistMask::None, MinUsize, &opts);
+            let mid = c.snapshot();
+            let h = c.post(|c| dist_mxv_sparse(c, &a, &x, DistMask::None, MinUsize, &opts));
+            c.charge_compute(10_000_000);
+            let posted = h.wait(c);
+            assert_eq!(posted.entries(), blocking.entries());
+            let (b, w) = (mid.since(&before), c.snapshot().since(&mid));
+            assert_eq!(w.words_sent, b.words_sent);
+            assert_eq!(w.bytes_sent, b.bytes_sent);
+            w.overlap_hidden_s - b.overlap_hidden_s
+        })
+        .unwrap();
+        for refund in out {
+            assert!(
+                refund > 0.0,
+                "the posted mxv hid nothing behind the compute"
+            );
         }
     }
 

@@ -13,8 +13,8 @@ use crate::Vid;
 /// Configuration of a [`CcService`].
 #[derive(Clone, Copy, Debug)]
 pub struct ServeOpts {
-    /// Simulated ranks for the label shards and for rebuild runs (must be
-    /// a perfect square).
+    /// Simulated ranks for the label shards and for rebuild runs (see
+    /// [`lacc::check_ranks`]).
     pub ranks: usize,
     /// Cost model for rebuild runs and modeled query latencies.
     pub model: MachineModel,

@@ -94,42 +94,40 @@ fn engines_agree_across_wire_layout_and_width() {
 }
 
 /// On a p = 4 RMAT scale-10 run, overlap hides a non-zero amount of
-/// exchange time — exactly zero with the lever off, at the same labels and
-/// the same charged words — and the compact wire ships strictly fewer
-/// bytes than the legacy wire for the same labels.
+/// exchange time under the Edison model at the same labels, rounds and
+/// charged words as a run whose exchanges are free — the clock decides
+/// nothing — and the compact wire ships strictly fewer bytes than the
+/// legacy wire for the same labels.
 #[test]
 fn overlap_hides_time_and_narrowing_saves_bytes_at_equal_words() {
-    use lacc_suite::dmsim::{TraceLevel, TraceSink};
+    use lacc_suite::dmsim::{MachineModel, TraceLevel, TraceSink};
     let g = rmat(10, 16, RmatParams::graph500(), 23);
-    let profile = |overlap: bool, wire: Wire| {
+    let profile = |model: MachineModel, wire: Wire| {
         let opts = LaccOpts {
             dist: DistOpts {
-                overlap,
                 wire,
                 ..DistOpts::default()
             },
             ..LaccOpts::default()
         };
         let sink = TraceSink::new(TraceLevel::Steps);
-        let cfg = RunConfig::new(4, EDISON.lacc_model())
-            .with_opts(opts)
-            .with_trace(&sink);
+        let cfg = RunConfig::new(4, model).with_opts(opts).with_trace(&sink);
         let run = lacc_suite::lacc::run(&g, &cfg).unwrap();
         let bytes: u64 = sink
             .rank_traces()
             .iter()
             .map(|rt| rt.snapshot.bytes_sent)
             .sum();
-        (run.run.labels, sink.report(), bytes)
+        (run.run, sink.report(), bytes)
     };
-    let (labels, on, compact_bytes) = profile(true, Wire::Compact);
-    let (labels_blocking, blocking, _) = profile(false, Wire::Compact);
-    let (labels_legacy, _, legacy_bytes) = profile(true, Wire::Legacy);
-    assert!(on.overlap_hidden_s > 0.0, "overlap hid nothing");
-    assert_eq!(blocking.overlap_hidden_s, 0.0);
-    assert_eq!(labels_blocking, labels);
-    assert_eq!(blocking.rank_words, on.rank_words);
-    assert_eq!(labels_legacy, labels);
+    let (edison, redison, compact_bytes) = profile(EDISON.lacc_model(), Wire::Compact);
+    let (free, rfree, _) = profile(MachineModel::free(), Wire::Compact);
+    let (legacy, _, legacy_bytes) = profile(EDISON.lacc_model(), Wire::Legacy);
+    assert!(redison.overlap_hidden_s > 0.0, "overlap hid nothing");
+    assert_eq!(free.labels, edison.labels);
+    assert_eq!(free.num_iterations(), edison.num_iterations());
+    assert_eq!(rfree.rank_words, redison.rank_words);
+    assert_eq!(legacy.labels, edison.labels);
     assert!(
         compact_bytes < legacy_bytes,
         "compact wire shipped {compact_bytes} bytes, legacy {legacy_bytes}"

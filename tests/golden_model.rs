@@ -1,8 +1,8 @@
 //! Golden values of the cost model: one fixed graph per engine at p = 4
 //! and p = 9, pinning the modeled makespan and the summed wire traffic —
 //! under the default options and, for the hooking engines at p = 4, under
-//! `LaccOpts::naive_comm()` (legacy wire, blocking), the opposite corner of
-//! the lever lattice.
+//! `LaccOpts::naive_comm()` (pairwise all-to-all, no broadcast, legacy
+//! wire), the opposite corner of the lever lattice.
 //!
 //! The modeled clock is a function of every `charge_compute` amount and
 //! every message's size and order, so a host-side rewrite that is meant to
@@ -43,8 +43,8 @@ const GOLDEN: [Row; 6] = [
 
 /// The same pins under [`LaccOpts::naive_comm`].
 const GOLDEN_NAIVE_COMM: [Row; 2] = [
-    (EngineSelect::Lacc, 4, 0.0009219143777777763, 10852, 86503),
-    (EngineSelect::Fastsv, 4, 0.0003313214666666669, 5557, 44376),
+    (EngineSelect::Lacc, 4, 0.0008988816444444432, 10852, 86503),
+    (EngineSelect::Fastsv, 4, 0.00032538328888888894, 5557, 44376),
 ];
 
 /// Skewed degrees for the hooking engines (duplicate-heavy requests, hot
