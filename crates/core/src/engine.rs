@@ -37,10 +37,11 @@ pub(crate) mod driver;
 use crate::options::LaccOpts;
 use crate::stats::{IterStats, UncondHook};
 use crate::Vid;
-use dmsim::{Comm, CommHandle, Grid2d, SpanKind};
-use driver::{fixpoint, Rules};
+use dmsim::{Comm, Grid2d};
+use driver::{fixpoint, Rules, Step};
 use gblas::dist::{
-    dist_assign, dist_extract, dist_extract_planned, dist_mxv_dense, dist_mxv_sparse,
+    dist_apply_at, dist_assign, dist_extract, dist_extract_planned, dist_lower, dist_lower_all,
+    dist_mxv_dense, dist_mxv_pull, dist_mxv_sparse, dist_root_all_quiet, dist_select, dist_set_at,
     plan_requests, DistMask, DistMat, DistOpts, DistSpVec, DistVec, FusedExtract, VecLayout,
 };
 use gblas::{AndBool, MinMaxUsize, MinUsize};
@@ -132,45 +133,11 @@ impl<'a> EngineCtx<'a> {
 /// The connect rule: `f[f[v]] ← m` for every local edge `(v, m)`,
 /// proposals to one root combining by minimum. Returns the number of local
 /// roots whose parent changed.
-fn connect(
-    comm: &mut Comm,
-    f: &mut DistVec<Id>,
-    mut edges: Vec<(Id, Id)>,
-    dopts: &DistOpts,
-) -> u64 {
+fn connect(comm: &mut Comm, f: &mut DistVec<Id>, mut edges: Vec<(Id, Id)>, opts: &DistOpts) -> u64 {
     for (v, _) in &mut edges {
         *v = f.get_local(*v as usize);
     }
-    dist_assign(comm, f, &edges, MinUsize, dopts) as u64
-}
-
-/// `f[u] ← min(f[u], m)` for every local entry `(u, m)`. Returns the
-/// entries that lowered theirs.
-fn lower(comm: &mut Comm, f: &mut DistVec<Id>, entries: &[(Id, Id)]) -> Vec<(Id, Id)> {
-    let mut lowered = Vec::with_capacity(entries.len());
-    for &(u, m) in entries {
-        let o = f.local_offset(u as usize);
-        if m < f.local()[o] {
-            f.local_mut()[o] = m;
-            lowered.push((u, m));
-        }
-    }
-    comm.charge_compute(entries.len() as u64 + 1);
-    lowered
-}
-
-/// `f ← min(f, m)` elementwise over the local chunk. Returns the number of
-/// labels lowered.
-fn lower_all(comm: &mut Comm, f: &mut DistVec<Id>, m: &DistVec<Id>) -> u64 {
-    let mut lowered = 0u64;
-    for (fu, &mu) in f.local_mut().iter_mut().zip(m.local()) {
-        if mu < *fu {
-            *fu = mu;
-            lowered += 1;
-        }
-    }
-    comm.charge_compute(m.local().len() as u64 + 1);
-    lowered
+    dist_assign(comm, f, &edges, MinUsize, opts) as u64
 }
 
 /// The running minimum `mn ← min(mn, A ⊗ x)` of the delta-driven engines
@@ -216,7 +183,7 @@ impl RunningMin {
             let x = DistSpVec::from_local_entries(cx.layout, cx.rank, changed);
             dist_mxv_sparse(comm, &cx.a, &x, DistMask::None, MinUsize, dopts)
         };
-        lower(comm, &mut self.mn, y.entries())
+        dist_lower(comm, &mut self.mn, y.entries())
     }
 }
 
@@ -227,71 +194,41 @@ impl RunningMin {
 /// The paper's engine: Awerbuch–Shiloach in GraphBLAS with sparsity
 /// exploitation (Lemmas 1–2) — conditional hooking fused with the
 /// convergence detector, unconditional hooking where it can act, and
-/// shortcutting, every round starting from the exact stars of the current
-/// forest.
+/// shortcutting, every round from the exact stars of the current forest.
 pub(crate) struct Lacc {
     /// Star membership (Algorithm 6) of the active vertices: exact when the
-    /// conditional hook reads it and again after the starcheck that
-    /// follows the hook. The hook moves only roots of hooking stars, so
-    /// in between only their entries can be wrong, and that starcheck
-    /// recomputes only those; the unconditional hook and the shortcut
-    /// leave it for the next round's refresh.
+    /// conditional hook reads it and after the starcheck that follows the
+    /// hook; stale after the unconditional hook and the shortcut.
     star: DistVec<bool>,
-    /// Grandparents `f[f[v]]` of the local active vertices, by local
-    /// offset, as the last starcheck over `v` extracted them. Exact for
-    /// every active nonstar whenever `star` is: no step between a
-    /// starcheck and the shortcut writes a parent inside a nonstar tree,
-    /// so the shortcut reads its nonstars' new parents here.
-    gf: Vec<Id>,
-    /// Local vertices not yet retired by Lemma 1.
-    active: Vec<bool>,
+    /// Grandparents `f[f[v]]` of the active vertices, as the last
+    /// starcheck over `v` extracted them: exact for every active nonstar
+    /// whenever `star` is, since no step writes inside a nonstar tree.
+    gf: DistVec<Id>,
+    /// Vertices not yet retired by Lemma 1.
+    active: DistVec<bool>,
     /// Global count of active vertices, identical on every rank.
     active_global: usize,
     /// Whether the last round's unconditional hook or shortcut changed a
-    /// parent anywhere (read off the convergence allreduce): the next
-    /// round then refreshes `star` and `gf` over every active vertex
-    /// before its conditional hook reads them.
+    /// parent anywhere: this round then refreshes `star` and `gf` first.
     stale: bool,
 }
 
 impl Lacc {
     /// Every vertex an active singleton star.
     pub(crate) fn new(cx: &EngineCtx<'_>) -> Self {
-        let star = DistVec::from_fn(cx.layout, cx.rank, |_| true);
-        let gf = (0..star.local().len())
-            .map(|o| star.global_of(o) as Id)
-            .collect();
         Lacc {
-            active: vec![true; star.local().len()],
-            star,
-            gf,
+            star: DistVec::from_fn(cx.layout, cx.rank, |_| true),
+            gf: DistVec::from_fn(cx.layout, cx.rank, |g| g as Id),
+            active: DistVec::from_fn(cx.layout, cx.rank, |_| true),
             active_global: cx.n(),
             stale: false,
         }
     }
 }
 
-/// The mask `star ∧ active`: the trees still hooking.
-fn active_stars(star: &DistVec<bool>, active: &[bool]) -> DistVec<bool> {
-    let mut mask = star.clone();
-    for (m, &act) in mask.local_mut().iter_mut().zip(active) {
-        *m = *m && act;
-    }
-    mask
-}
-
-/// The local offsets of the active vertices that are (`want_star`) or are
-/// not in stars.
-fn active_where(active: &[bool], star: &DistVec<bool>, want_star: bool) -> Vec<usize> {
-    (0..active.len())
-        .filter(|&o| active[o] && star.local()[o] == want_star)
-        .collect()
-}
-
 /// Star recomputation (Algorithm 6) over the local offsets `targets`:
 /// `star[v] ← (f[v] = f[f[v]]) ∧ star[f[v]]`, with the grandparents of
-/// non-star vertices demoted in between. Records each target's
-/// grandparent in `gf`.
+/// non-star vertices demoted in between; `gf[v] ← f[f[v]]`.
 ///
 /// Exact when `targets` are whole trees and every other active vertex is
 /// a nonstar already marked so: their demotions would land inside their
@@ -301,22 +238,17 @@ fn starcheck(
     f: &DistVec<Id>,
     star: &mut DistVec<bool>,
     targets: &[usize],
-    gf: &mut [Id],
+    gf: &mut DistVec<Id>,
     dopts: &DistOpts,
 ) {
-    // The target scan, star reset and request build produce the
-    // grandparent extract's inputs elementwise, so the first exchange is
-    // window-credited for streaming behind them.
+    // The reset pass builds the grandparent extract's requests, so the
+    // extract streams behind it (`win`); both extracts share one plan.
     let win = comm.overlap_window();
-    for &o in targets {
-        star.local_mut()[o] = true;
-    }
-    comm.charge_compute(targets.len() as u64 + 1);
-    // Grandparents of the targets: gf[v] = f[f[v]]. Both extracts below
-    // use the identical request list over same-layout vectors, so the
-    // owner bucketing (and, on the compact wire, the request route) is
-    // paid for once.
-    let reqs: Vec<Id> = targets.iter().map(|&o| f.local()[o]).collect();
+    let mut reqs = Vec::with_capacity(targets.len());
+    dist_apply_at(comm, star, targets, |k, s| {
+        *s = true;
+        reqs.push(f.local()[targets[k]]);
+    });
     let plan = plan_requests(comm, f.layout(), &reqs, dopts);
     let (fx, gfs) = comm.overlap_from(win, |c| {
         let fx = FusedExtract::begin(c, &plan, dopts);
@@ -324,114 +256,18 @@ fn starcheck(
         (fx, gfs)
     });
     let mut demote: Vec<(Id, bool)> = Vec::new();
-    for (&o, &g) in targets.iter().zip(&gfs) {
-        gf[o] = g;
+    dist_apply_at(comm, star, targets, |k, s| {
+        let (o, g) = (targets[k], gfs[k]);
+        gf.local_mut()[o] = g;
         if f.local()[o] != g {
-            star.local_mut()[o] = false;
+            *s = false;
             demote.push((g, false));
         }
-    }
-    comm.charge_compute(targets.len() as u64 + 1);
+    });
     dist_assign(comm, star, &demote, AndBool, dopts);
     // star[v] ← star[v] ∧ star[f[v]], read *after* the demote assign.
     let parent_star = fx.extract(comm, star);
-    for (&o, &ps) in targets.iter().zip(&parent_star) {
-        star.local_mut()[o] = star.local()[o] && ps;
-    }
-    comm.charge_compute(targets.len() as u64 + 1);
-}
-
-/// Lemma 1, strengthened (same rule as `crate::serial`, evaluated on the
-/// start-of-round state): a star none of whose vertices saw a label other
-/// than its root's is a converged component, and its vertices retire from
-/// every later step.
-///
-/// Takes the posted fused sweep `qh`, `q[v] = (min, max)` neighbor label:
-/// the candidate scan and the plan of the extract that will ask the
-/// candidates' roots whether they stayed quiet read only start-of-round
-/// state, so they run (and are charged) while the sweep is in flight.
-/// Clears `active` on the converged stars and returns `q`, the number of
-/// vertices retired, and the candidates that stayed active: the hooking
-/// stars.
-fn lemma1_retire(
-    comm: &mut Comm,
-    f: &DistVec<Id>,
-    star: &DistVec<bool>,
-    active: &mut [bool],
-    qh: CommHandle<DistSpVec<(Id, Id), Id>>,
-    dopts: &DistOpts,
-) -> (DistSpVec<(Id, Id), Id>, u64, Vec<usize>) {
-    let mut candidates = active_where(active, star, true);
-    let reqs: Vec<Id> = candidates.iter().map(|&o| f.local()[o]).collect();
-    comm.charge_compute(active.len() as u64 + 1);
-    let plan = plan_requests(comm, f.layout(), &reqs, dopts);
-    let q = qh.wait(comm);
-
-    let mut root_quiet: DistVec<bool> = DistVec::from_fn(f.layout(), comm.rank(), |_| true);
-    let noisy: Vec<(Id, bool)> = q
-        .entries()
-        .iter()
-        .filter(|&&(v, (lo, hi))| {
-            let fv = f.get_local(v as usize);
-            !(lo == fv && hi == fv)
-        })
-        .map(|&(v, _)| (f.get_local(v as usize), false))
-        .collect();
-    dist_assign(comm, &mut root_quiet, &noisy, AndBool, dopts);
-    let quiet = dist_extract_planned(comm, &root_quiet, &plan, dopts);
-    let mut retired = 0u64;
-    for (&o, &quiet) in candidates.iter().zip(&quiet) {
-        if quiet {
-            active[o] = false;
-            retired += 1;
-        }
-    }
-    candidates.retain(|&o| active[o]);
-    comm.charge_compute(active.len() as u64 + 1);
-    (q, retired, candidates)
-}
-
-/// Unconditional hooking (Algorithm 4): `f[f[v]] ←` the minimum parent
-/// among `v`'s *nonstar* neighbors, for `v` in an active star, whatever the
-/// id order (Table I, Lemma 2). One allreduce of the active star and
-/// nonstar counts decides whether it runs, as in `crate::serial`
-/// ([`UncondHook::choose`]): skipped when either is zero, else a pull over
-/// the nonstars' parents padded with the `min` identity that folds only
-/// the star rows. Returns the local roots whose parent changed, and the
-/// execution taken.
-fn uncond_hook(
-    comm: &mut Comm,
-    a: &DistMat<Id>,
-    f: &mut DistVec<Id>,
-    star: &DistVec<bool>,
-    active: &[bool],
-    dopts: &DistOpts,
-) -> (u64, UncondHook) {
-    let (layout, rank) = (f.layout(), comm.rank());
-    let nonstars = active_where(active, star, false);
-    let stars = active.iter().filter(|&&act| act).count() - nonstars.len();
-    comm.charge_compute(active.len() as u64 + 1);
-    let world = comm.world();
-    let counts = [stars as u64, nonstars.len() as u64];
-    let [stars, nonstars_global] =
-        comm.allreduce(&world, counts, |x, y| [x[0] + y[0], x[1] + y[1]]);
-    let hook = UncondHook::choose(stars, nonstars_global);
-    if hook == UncondHook::Skipped {
-        return (0, hook);
-    }
-    let win = comm.overlap_window();
-    let mask = active_stars(star, active);
-    comm.charge_compute(2 * active.len() as u64 + 1);
-    let mut x = DistVec::from_fn(layout, rank, |_| Id::MAX);
-    for &o in &nonstars {
-        x.local_mut()[o] = f.local()[o];
-    }
-    let y = comm.overlap_from(win, |c| {
-        dist_mxv_dense(c, a, &x, DistMask::Keep(&mask), MinUsize, dopts)
-    });
-    comm.charge_compute(y.entries().len() as u64 + 1);
-    let kept = y.entries().iter().filter(|&&(_, m)| m != Id::MAX);
-    (connect(comm, f, kept.copied().collect(), dopts), hook)
+    dist_apply_at(comm, star, targets, |k, s| *s = *s && parent_star[k]);
 }
 
 impl Rules<4> for Lacc {
@@ -440,110 +276,112 @@ impl Rules<4> for Lacc {
     }
 
     fn round(&mut self, cx: &mut EngineCtx<'_>, f: &mut DistVec<Id>) -> [u64; 4] {
-        let (star, active, gf) = (&mut self.star, &mut self.active, &mut self.gf);
+        let (star, gf, active) = (&mut self.star, &mut self.gf, &mut self.active);
         let (layout, rank, n) = (cx.layout, cx.rank, cx.n());
-        // The cond-hook's one dispatch decision (§V-A), taken from the active
-        // count the convergence allreduce already delivered.
+        // The cond-hook's one dispatch (§V-A), on the allreduced active count.
         let spmv_dense = self.active_global as f64 >= cx.opts.spmv_threshold * n as f64;
         (cx.round.active_before, cx.round.spmv_dense) = (self.active_global, spmv_dense);
         cx.round.mxv_nvals = if spmv_dense { n } else { self.active_global };
 
         // Refresh: the last round moved parents after its last starcheck.
         if self.stale {
-            cx.step(SpanKind::Starcheck, |cx| {
-                let targets: Vec<usize> = (0..active.len()).filter(|&o| active[o]).collect();
+            cx.step(Step::Starcheck, |cx| {
+                let targets: Vec<usize> = (0..gf.local().len())
+                    .filter(|&o| active.local()[o])
+                    .collect();
                 starcheck(cx.comm, f, star, &targets, gf, &cx.opts.dist)
             });
         }
 
-        // Step 1 — conditional hooking, fused with the convergence
-        // detector: q = A ⊗ f on the (min, max) monoid over the active
-        // stars (see `crate::serial`), then f[f[v]] ← min(f[v], q[v].min).
-        // Returns the active stars left after retirement: the hooking trees.
-        let (cond, retired, hooking) = cx.step(SpanKind::CondHook, |cx| {
+        // Step 1 — conditional hooking fused with the convergence detector:
+        // q = A ⊗ f on the (min, max) monoid over the active stars (see
+        // `crate::serial`), Lemma 1 retires the stars that saw no other
+        // label, and the rest hook: f[f[v]] ← min(f[v], q[v].min).
+        let (cond, retired, hooking) = cx.step(Step::CondHook, |cx| {
             let (comm, a, dopts) = (&mut *cx.comm, &cx.a, &cx.opts.dist);
-            let mask = DistMask::Keep(&active_stars(star, active));
-            // The mxv is *posted*: it runs now with identical messages and
-            // charges, and the handle refunds its hideable exchange time
-            // against the Lemma-1 planning done before the wait.
+            let active_stars =
+                DistVec::from_fn(layout, rank, |g| star.get_local(g) && active.get_local(g));
+            let mask = DistMask::Keep(&active_stars);
+            // The posted mxv's exchange time hides behind the Lemma-1
+            // select and plan done before the wait.
             let qh = if spmv_dense {
                 let x = DistVec::from_fn(layout, rank, |g| (f.get_local(g), f.get_local(g)));
                 comm.post(|c| dist_mxv_dense(c, a, &x, mask, MinMaxUsize, dopts))
             } else {
-                let entries = (0..active.len())
-                    .filter(|&o| active[o])
+                let entries = (0..f.local().len())
+                    .filter(|&o| active.local()[o])
                     .map(|o| (f.global_of(o) as Id, (f.local()[o], f.local()[o])))
                     .collect();
                 let x = DistSpVec::from_local_entries(layout, rank, entries);
                 comm.post(|c| dist_mxv_sparse(c, a, &x, mask, MinMaxUsize, dopts))
             };
-            let (q, retired, hooking) = if cx.opts.use_sparsity {
-                lemma1_retire(comm, f, star, active, qh, dopts)
-            } else {
-                let hooking = active_where(active, star, true);
-                comm.charge_compute(active.len() as u64 + 1);
-                (qh.wait(comm), 0, hooking)
+            let (stars, roots, _) = dist_select(comm, active, star, f);
+            let lemma1 = cx.opts.use_sparsity;
+            let plan = lemma1.then(|| plan_requests(comm, f.layout(), &roots, dopts));
+            let q = qh.wait(comm);
+            let noisy = q.entries().iter().filter_map(|&(v, (lo, hi))| {
+                let fv = f.get_local(v as usize);
+                (lo != fv || hi != fv).then_some(fv)
+            });
+            let (hooking, retired) = match plan {
+                Some(plan) => dist_root_all_quiet(comm, noisy, &plan, stars, active, dopts),
+                None => (stars, 0),
             };
             // Hooks of just-retired vertices would be no-ops; skip them.
             let edges = q
                 .entries()
                 .iter()
-                .filter(|&&(v, _)| active[f.local_offset(v as usize)])
+                .filter(|&&(v, _)| active.get_local(v as usize))
                 .map(|&(v, (lo, _))| (v, lo.min(f.get_local(v as usize))))
                 .collect();
             (connect(comm, f, edges, dopts), retired, hooking)
         });
-        // The hook wrote parents only at the roots of hooking stars, so
-        // only their trees can have changed shape: a nonstar tree stays one
-        // whatever hooks onto it, its vertices keep their exact `false`,
-        // and their parents and grandparents — never star roots — keep
-        // their `gf`. Algorithm 6 over the hooking stars alone is exact.
-        cx.step(SpanKind::Starcheck, |cx| {
+        // The hook wrote parents only at hooking stars' roots, so only their
+        // trees changed shape: a nonstar tree stays one whatever hooks onto
+        // it, and its vertices keep their exact `false` and `gf` (their
+        // parents are never star roots). So this starcheck is exact.
+        cx.step(Step::Starcheck, |cx| {
             starcheck(cx.comm, f, star, &hooking, gf, &cx.opts.dist)
         });
 
-        // Step 2 — unconditional hooking, only where it can act.
-        let (uncond, hook) = cx.step(SpanKind::UncondHook, |cx| {
-            uncond_hook(cx.comm, &cx.a, f, star, active, &cx.opts.dist)
+        // Step 2 — unconditional hooking (Algorithm 4, Lemma 2): f[f[v]] ←
+        // the least parent among v's *nonstar* neighbors, v in an active
+        // star, as a pull folding only the star rows. The active star and
+        // nonstar counts decide whether it runs ([`UncondHook::choose`]).
+        let (uncond, hook) = cx.step(Step::UncondHook, |cx| {
+            let (comm, dopts) = (&mut *cx.comm, &cx.opts.dist);
+            let (stars, _, nonstars) = dist_select(comm, active, star, f);
+            let world = comm.world();
+            let counts = [stars.len() as u64, nonstars.len() as u64];
+            let [stars, nonstars] =
+                comm.allreduce(&world, counts, |x, y| [x[0] + y[0], x[1] + y[1]]);
+            let hook = UncondHook::choose(stars, nonstars);
+            if hook == UncondHook::Skipped {
+                return (0, hook);
+            }
+            let kept = dist_mxv_pull(comm, &cx.a, active, star, f, MinUsize, dopts);
+            (connect(comm, f, kept, dopts), hook)
         });
         cx.round.uncond_hook = hook;
 
         // Step 3 — shortcutting: f[v] ← f[f[v]] on the active nonstars,
-        // read from `gf` (the unconditional hook, too, writes only star
-        // roots), and on the active stars too when the unconditional hook
-        // ran (a hooked star's members now sit at depth 2; an unhooked
-        // star's shortcut changes nothing). No starcheck follows: the next
-        // round refreshes the stars first.
-        let shortcut = cx.step(SpanKind::Shortcut, |cx| {
+        // read from `gf` (the uncond-hook, too, writes only star roots), and
+        // on the active stars when the uncond-hook ran (a hooked star's
+        // members sit at depth 2). The next round refreshes the stars.
+        let shortcut = cx.step(Step::Shortcut, |cx| {
             let (comm, dopts) = (&mut *cx.comm, &cx.opts.dist);
             let win = comm.overlap_window();
-            let pull = hook == UncondHook::Pull;
-            let nonstars = active_where(active, star, false);
-            let stars = if pull {
-                active_where(active, star, true)
+            let (stars, roots, nonstars) = dist_select(comm, active, star, f);
+            // Read before any nonstar moves: a hooked root's new parent may be
+            // one. Every rank has the same `hook`, so all join or none does.
+            let star_gfs = if hook == UncondHook::Pull {
+                comm.overlap_from(win, |c| dist_extract(c, f, &roots, dopts))
             } else {
                 Vec::new()
             };
-            let reqs: Vec<Id> = stars.iter().map(|&o| f.local()[o]).collect();
-            comm.charge_compute(active.len() as u64 + 1);
-            // The stars' grandparents are read before any nonstar moves: a
-            // hooked root's new parent may be one. `hook` is the same on
-            // every rank, so all of them join the extract or none does.
-            let star_gfs = if pull {
-                comm.overlap_from(win, |c| dist_extract(c, f, &reqs, dopts))
-            } else {
-                Vec::new()
-            };
-            let nonstar_gfs = nonstars.iter().map(|&o| (o, gf[o]));
-            let mut moved = 0u64;
-            for (o, g) in nonstar_gfs.chain(stars.into_iter().zip(star_gfs)) {
-                if f.local()[o] != g {
-                    f.local_mut()[o] = g;
-                    moved += 1;
-                }
-            }
-            comm.charge_compute((nonstars.len() + reqs.len()) as u64 + 1);
-            moved
+            let nonstar_gfs = nonstars.iter().map(|&o| (o, gf.local()[o]));
+            let pairs = nonstar_gfs.chain(stars.into_iter().zip(star_gfs));
+            dist_set_at::<_, Id>(comm, f, pairs).len() as u64
         });
         [cond, uncond, shortcut, retired]
     }
@@ -608,7 +446,7 @@ impl Rules<4> for Fastsv {
         // stochastic hooking f[f[u]] ← min(f[u], mngf[u]) where mngf
         // dropped. The refresh at the end of the round pipelines behind the
         // two elementwise loops in between (`win`).
-        let (cond, win) = cx.step(SpanKind::CondHook, |cx| {
+        let (cond, win) = cx.step(Step::CondHook, |cx| {
             let mut edges = mngf.absorb(cx, gf);
             for (u, m) in &mut edges {
                 *m = (*m).min(f.get_local(*u as usize));
@@ -619,22 +457,15 @@ impl Rules<4> for Fastsv {
         // Aggressive hooking f ← min(f, mngf) and shortcutting
         // f ← min(f, gf), local and over every vertex: the assign above
         // overwrites, so a hook can lift a non-root until these lower it.
-        let uncond = cx.step(SpanKind::UncondHook, |cx| lower_all(cx.comm, f, &mngf.mn));
-        let shortcut = cx.step(SpanKind::Shortcut, |cx| lower_all(cx.comm, f, gf));
+        let uncond = cx.step(Step::UncondHook, |cx| dist_lower_all(cx.comm, f, &mngf.mn));
+        let shortcut = cx.step(Step::Shortcut, |cx| dist_lower_all(cx.comm, f, gf));
         // Grandparent maintenance: gf[u] ← f[f[u]] via a planned extract,
         // noting the entries it changes for the next round's multiply.
-        let refreshed = cx.step(SpanKind::Starcheck, |cx| {
+        let refreshed = cx.step(Step::Starcheck, |cx| {
             let (comm, dopts) = (&mut *cx.comm, &cx.opts.dist);
             let plan = plan_requests(comm, f.layout(), f.local(), dopts);
             let new_gf = comm.overlap_from(win, |c| dist_extract_planned(c, f, &plan, dopts));
-            let origin = gf.range().0;
-            for (o, (old, &new)) in gf.local_mut().iter_mut().zip(&new_gf).enumerate() {
-                if *old != new {
-                    *old = new;
-                    mngf.changed.push(((origin + o) as Id, new));
-                }
-            }
-            comm.charge_compute(new_gf.len() as u64 + 1);
+            mngf.changed = dist_set_at(comm, gf, new_gf.into_iter().enumerate());
             mngf.changed.len() as u64
         });
         [cond, uncond, shortcut, refreshed]
@@ -661,8 +492,7 @@ impl Rules<4> for Fastsv {
 /// vertex whose minimum did not drop already holds a label at or below it.
 ///
 /// All work lands in the `cond` step bucket (one phase per round), and
-/// the convergence payload is the one changed count. The state is each
-/// vertex's minimum neighbor label and the labels the last round lowered.
+/// the convergence payload is the one changed count.
 pub(crate) struct LabelProp(RunningMin);
 
 impl LabelProp {
@@ -682,9 +512,9 @@ impl Rules<1> for LabelProp {
     fn round(&mut self, cx: &mut EngineCtx<'_>, f: &mut DistVec<Id>) -> [u64; 4] {
         // mnf[u] ← min(mnf[u], min over neighbors v of f[v]), then
         // f[u] ← min(f[u], mnf[u]) where mnf dropped.
-        let changed = cx.step(SpanKind::CondHook, |cx| {
+        let changed = cx.step(Step::CondHook, |cx| {
             let low = self.0.absorb(cx, f);
-            self.0.changed = lower(cx.comm, f, &low);
+            self.0.changed = dist_lower(cx.comm, f, &low);
             self.0.changed.len() as u64
         });
         [changed, 0, 0, 0]

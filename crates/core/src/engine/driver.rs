@@ -10,7 +10,7 @@
 
 use super::{EngineCtx, EngineRun, Id};
 use crate::options::LaccOpts;
-use crate::stats::IterStats;
+use crate::stats::{IterStats, StepBreakdown};
 use dmsim::{Counter, SpanKind};
 use gblas::dist::DistVec;
 
@@ -44,22 +44,43 @@ pub(crate) fn fixpoint(n: usize, changed: &[u64; 4]) -> (bool, usize) {
     (done, if done { n } else { 0 })
 }
 
+/// The four engine steps, each with its trace span and its bucket of the
+/// round's [`StepBreakdown`].
+#[derive(Clone, Copy)]
+pub(crate) enum Step {
+    CondHook,
+    UncondHook,
+    Shortcut,
+    Starcheck,
+}
+
+impl Step {
+    fn span(self) -> SpanKind {
+        match self {
+            Step::CondHook => SpanKind::CondHook,
+            Step::UncondHook => SpanKind::UncondHook,
+            Step::Shortcut => SpanKind::Shortcut,
+            Step::Starcheck => SpanKind::Starcheck,
+        }
+    }
+
+    fn bucket(self, b: &mut StepBreakdown) -> &mut f64 {
+        match self {
+            Step::CondHook => &mut b.cond_s,
+            Step::UncondHook => &mut b.uncond_s,
+            Step::Shortcut => &mut b.shortcut_s,
+            Step::Starcheck => &mut b.starcheck_s,
+        }
+    }
+}
+
 impl EngineCtx<'_> {
     /// Runs one step of the round under its trace span and adds the
     /// span's modeled seconds to the step's bucket of the round's record.
-    pub(crate) fn step<T>(&mut self, kind: SpanKind, body: impl FnOnce(&mut Self) -> T) -> T {
-        let span = self.comm.span_open(kind);
+    pub(crate) fn step<T>(&mut self, step: Step, body: impl FnOnce(&mut Self) -> T) -> T {
+        let span = self.comm.span_open(step.span());
         let out = body(self);
-        let modeled_s = self.comm.span_close(span);
-        let buckets = &mut self.round.modeled;
-        let bucket = match kind {
-            SpanKind::CondHook => &mut buckets.cond_s,
-            SpanKind::UncondHook => &mut buckets.uncond_s,
-            SpanKind::Shortcut => &mut buckets.shortcut_s,
-            SpanKind::Starcheck => &mut buckets.starcheck_s,
-            other => unreachable!("{other:?} is not an engine step"),
-        };
-        *bucket += modeled_s;
+        *step.bucket(&mut self.round.modeled) += self.comm.span_close(span);
         out
     }
 }

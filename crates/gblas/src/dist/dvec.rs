@@ -289,11 +289,6 @@ impl<T: Copy + Send + 'static, I: Idx> DistSpVec<T, I> {
         &self.entries
     }
 
-    /// Number of locally stored entries.
-    pub fn local_nvals(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Total stored entries across all ranks (an allreduce).
     pub fn global_nvals(&self, comm: &mut Comm) -> usize {
         let world = comm.world();

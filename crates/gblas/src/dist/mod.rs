@@ -13,17 +13,23 @@
 //! * [`ops`] implements the distributed primitives: `mxv` (SpMV/SpMSpV),
 //!   `extract`, `assign`, each matching its serial counterpart
 //!   bit-for-bit, with the paper's §V-B communication optimizations.
+//! * [`local`] holds the passes between them, each charging `len + 1` ops.
 
 pub mod compact;
 pub mod dense;
 pub mod dmat;
 pub mod dvec;
+pub mod local;
 pub mod ops;
 
 pub use compact::NarrowVal;
 pub use dense::{OwnerLocator, RankBitmap};
 pub use dmat::DistMat;
 pub use dvec::{DistSpVec, DistVec, VecLayout};
+pub use local::{
+    dist_apply_at, dist_lower, dist_lower_all, dist_mxv_pull, dist_root_all_quiet, dist_select,
+    dist_set_at,
+};
 pub use ops::{
     dist_assign, dist_extract, dist_extract_planned, dist_mxv_dense, dist_mxv_sparse,
     plan_requests, DistMask, DistOpts, FusedExtract, RequestPlan, Wire,

@@ -1211,7 +1211,7 @@ mod tests {
             let (rs, rows) = (a.row_range().0, a.row_mirror());
             let kept = (0..rows.nrows()).filter(|&r| mask_global[rs + r]);
             let nnz: usize = kept.map(|r| rows.row(r).len()).sum();
-            (nnz as u64, y.local_nvals() as u64)
+            (nnz as u64, y.entries().len() as u64)
         })
         .unwrap();
         let traces = sink.rank_traces();

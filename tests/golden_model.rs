@@ -2,7 +2,10 @@
 //! and p = 9, pinning the modeled makespan and the summed wire traffic —
 //! under the default options and, for the hooking engines at p = 4, under
 //! `LaccOpts::naive_comm()` (pairwise all-to-all, no broadcast, legacy
-//! wire), the opposite corner of the lever lattice.
+//! wire), the opposite corner of the lever lattice. Two more LACC rows at
+//! p = 4 pin the cond-hook branches the rmat rows never take: the SpMSpV
+//! branch (the community graph's fifth round is sparse) and the
+//! `LaccOpts::dense_as()` branch without Lemma-1 retirement.
 //!
 //! The modeled clock is a function of every `charge_compute` amount and
 //! every message's size and order, so a host-side rewrite that is meant to
@@ -19,6 +22,14 @@ use std::sync::Arc;
 
 /// `(engine, ranks, modeled_total_s, Σ words_sent, Σ bytes_sent)`.
 type Row = (EngineSelect, usize, f64, u64, u64);
+
+/// `(name, options, the graph an engine runs on, rows)`.
+type Table = (
+    &'static str,
+    LaccOpts,
+    fn(EngineSelect) -> CsrGraph,
+    &'static [Row],
+);
 
 const GOLDEN: [Row; 6] = [
     (EngineSelect::Lacc, 4, 0.0007175941111111135, 6119, 47574),
@@ -47,21 +58,35 @@ const GOLDEN_NAIVE_COMM: [Row; 2] = [
     (EngineSelect::Fastsv, 4, 0.00032538328888888894, 5557, 44376),
 ];
 
+/// LACC on the community graph, default options: its SpMSpV round.
+const GOLDEN_LACC_SPARSE: [Row; 1] = [(EngineSelect::Lacc, 4, 0.0009387469333333372, 8431, 65487)];
+
+/// LACC on the rmat graph under [`LaccOpts::dense_as`].
+const GOLDEN_DENSE_AS: [Row; 1] = [(EngineSelect::Lacc, 4, 0.0007330048222222233, 7402, 57881)];
+
+fn rmat_graph() -> CsrGraph {
+    rmat(9, 6, RmatParams::graph500(), 5)
+}
+
+fn community() -> CsrGraph {
+    community_graph(600, 40, 3.0, 1.4, 9)
+}
+
 /// Skewed degrees for the hooking engines (duplicate-heavy requests, hot
 /// owners), many small components for label propagation.
 fn graph_for(engine: EngineSelect) -> CsrGraph {
     match engine {
-        EngineSelect::LabelProp => community_graph(600, 40, 3.0, 1.4, 9),
-        _ => rmat(9, 6, RmatParams::graph500(), 5),
+        EngineSelect::LabelProp => community(),
+        _ => rmat_graph(),
     }
 }
 
-fn measure(base: LaccOpts, engine: EngineSelect, ranks: usize) -> Row {
+fn measure(graph: &CsrGraph, base: LaccOpts, engine: EngineSelect, ranks: usize) -> Row {
     let sink: Arc<TraceSink> = TraceSink::new(TraceLevel::Steps);
     let cfg = RunConfig::new(ranks, EDISON.lacc_model())
         .with_opts(LaccOpts { engine, ..base })
         .with_trace(&sink);
-    let out = lacc::run(&graph_for(engine), &cfg).expect("no rank panicked");
+    let out = lacc::run(graph, &cfg).expect("no rank panicked");
     let traces = sink.rank_traces();
     (
         engine,
@@ -74,17 +99,31 @@ fn measure(base: LaccOpts, engine: EngineSelect, ranks: usize) -> Row {
 
 #[test]
 fn modeled_clock_and_wire_traffic_match_golden_values() {
-    for (name, base, golden) in [
-        ("GOLDEN", LaccOpts::default(), &GOLDEN[..]),
+    let tables: [Table; 4] = [
+        ("GOLDEN", LaccOpts::default(), graph_for, &GOLDEN),
         (
             "GOLDEN_NAIVE_COMM",
             LaccOpts::naive_comm(),
-            &GOLDEN_NAIVE_COMM[..],
+            graph_for,
+            &GOLDEN_NAIVE_COMM,
         ),
-    ] {
+        (
+            "GOLDEN_LACC_SPARSE",
+            LaccOpts::default(),
+            |_| community(),
+            &GOLDEN_LACC_SPARSE,
+        ),
+        (
+            "GOLDEN_DENSE_AS",
+            LaccOpts::dense_as(),
+            |_| rmat_graph(),
+            &GOLDEN_DENSE_AS,
+        ),
+    ];
+    for (name, base, graph, golden) in tables {
         let measured: Vec<Row> = golden
             .iter()
-            .map(|&(engine, ranks, ..)| measure(base, engine, ranks))
+            .map(|&(engine, ranks, ..)| measure(&graph(engine), base, engine, ranks))
             .collect();
         println!("{name}:");
         for (engine, ranks, modeled_s, words, bytes) in &measured {
