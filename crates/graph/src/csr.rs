@@ -19,7 +19,8 @@ use crate::{EdgeList, Vid};
 use std::fmt;
 
 /// Why a graph could not be built: its vertex count does not fit the
-/// index width, or the host refused an array sized by it.
+/// index width (or `usize` itself), or the host refused an array sized by
+/// it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BuildError {
     /// The vertex count does not fit the index width.
@@ -30,6 +31,14 @@ pub enum BuildError {
         what: &'static str,
         /// Its length in elements.
         len: usize,
+    },
+    /// A generator was asked for `2^scale` vertices, which no `usize`
+    /// vertex index can number.
+    ScaleOverflow {
+        /// The generator asked.
+        generator: &'static str,
+        /// Log2 of the vertex count asked for.
+        scale: u32,
     },
 }
 
@@ -46,6 +55,12 @@ impl fmt::Display for BuildError {
             BuildError::OutOfMemory { what, len } => {
                 write!(f, "out of memory allocating {what} of {len} entries")
             }
+            BuildError::ScaleOverflow { generator, scale } => write!(
+                f,
+                "{generator} scale {scale} overflows the {}-bit vertex index \
+                 (2^{scale} vertices)",
+                usize::BITS
+            ),
         }
     }
 }

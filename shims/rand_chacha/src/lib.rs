@@ -5,6 +5,14 @@
 //! quarter-round and state layout), but no attempt is made to match the
 //! upstream crate's exact word-consumption order — the workspace only
 //! relies on determinism per seed, which this provides.
+//!
+//! The stream is counter mode: block `b` is the cipher of counter `b`
+//! (a 64-bit block index in state words 12–13), and word `w` of the
+//! stream is word `w % 16` of block `w / 16`. [`ChaCha8Rng::set_word_pos`]
+//! seeks to any word in constant time. It has upstream's name and word
+//! semantics: after `set_word_pos(w)` the generator reads exactly what a
+//! fresh one reads after `w` calls to `next_u32`, and `next_u64` is two
+//! consecutive words, low word first.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,6 +45,18 @@ fn quarter_round(s: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
 }
 
 impl ChaCha8Rng {
+    /// Positions the generator at word `word_offset` of its stream, in
+    /// 32-bit words from the start (upstream's `set_word_pos`). The stream
+    /// cycles after 2^64 blocks, so bits of the offset past 2^68 are
+    /// ignored.
+    pub fn set_word_pos(&mut self, word_offset: u128) {
+        let block = (word_offset >> 4) as u64;
+        self.state[12] = block as u32;
+        self.state[13] = (block >> 32) as u32;
+        self.refill();
+        self.index = (word_offset & 15) as usize;
+    }
+
     fn refill(&mut self) {
         let mut working = self.state;
         for _ in 0..ROUNDS / 2 {
@@ -75,6 +95,10 @@ impl RngCore for ChaCha8Rng {
     }
 
     fn next_u64(&mut self) -> u64 {
+        if let Some(&[lo, hi]) = self.block.get(self.index..self.index + 2) {
+            self.index += 2;
+            return u64::from(lo) | (u64::from(hi) << 32);
+        }
         let lo = self.next_u32() as u64;
         let hi = self.next_u32() as u64;
         lo | (hi << 32)
@@ -134,5 +158,58 @@ mod tests {
         let first_block: Vec<u32> = (0..16).map(|_| rng.next_u32()).collect();
         let second_block: Vec<u32> = (0..16).map(|_| rng.next_u32()).collect();
         assert_ne!(first_block, second_block);
+    }
+
+    /// The next `k` words of `rng`.
+    fn words(rng: &mut ChaCha8Rng, k: usize) -> Vec<u32> {
+        (0..k).map(|_| rng.next_u32()).collect()
+    }
+
+    #[test]
+    fn set_word_pos_equals_skipping_words() {
+        for w in [0u128, 1, 15, 16, 17, 777] {
+            let mut skipped = ChaCha8Rng::seed_from_u64(42);
+            for _ in 0..w {
+                skipped.next_u32();
+            }
+            let mut sought = ChaCha8Rng::seed_from_u64(42);
+            // Read first, so the seek has to discard a buffered block.
+            sought.next_u64();
+            sought.set_word_pos(w);
+            assert_eq!(words(&mut sought, 40), words(&mut skipped, 40), "w = {w}");
+        }
+    }
+
+    #[test]
+    fn set_word_pos_carries_the_block_index_into_word_13() {
+        // Start three words before block 2^32: reading on crosses the
+        // point where the low counter word wraps.
+        let start = (1u128 << 36) - 3;
+        let mut read_on = ChaCha8Rng::seed_from_u64(9);
+        read_on.set_word_pos(start);
+        let run = words(&mut read_on, 40);
+        for j in 0..40 {
+            let mut sought = ChaCha8Rng::seed_from_u64(9);
+            sought.set_word_pos(start + j as u128);
+            assert_eq!(words(&mut sought, 40 - j), run[j..], "j = {j}");
+        }
+        // A lost carry would replay block 0 at block 2^32.
+        let mut origin = ChaCha8Rng::seed_from_u64(9);
+        assert_ne!(run[3..19], words(&mut origin, 16));
+    }
+
+    #[test]
+    fn next_u64_is_two_words_at_every_offset() {
+        for offset in 0..=16u128 {
+            let mut wide = ChaCha8Rng::seed_from_u64(5);
+            let mut narrow = ChaCha8Rng::seed_from_u64(5);
+            wide.set_word_pos(offset);
+            narrow.set_word_pos(offset);
+            for _ in 0..20 {
+                let lo = u64::from(narrow.next_u32());
+                let hi = u64::from(narrow.next_u32());
+                assert_eq!(wide.next_u64(), lo | (hi << 32), "offset {offset}");
+            }
+        }
     }
 }
