@@ -18,9 +18,9 @@ use crate::idx::{ensure_fits, Idx, IdxOverflow};
 use crate::{EdgeList, Vid};
 use std::fmt;
 
-/// Why a graph could not be built: its vertex count does not fit the
-/// index width (or `usize` itself), or the host refused an array sized by
-/// it.
+/// Why a graph could not be built: a generator's parameters are invalid,
+/// its vertex count does not fit the index width (or `usize` itself), or
+/// the host refused an array sized by it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BuildError {
     /// The vertex count does not fit the index width.
@@ -40,6 +40,9 @@ pub enum BuildError {
         /// Log2 of the vertex count asked for.
         scale: u32,
     },
+    /// A generator's parameters are out of their domain; the text says
+    /// which and why.
+    InvalidParams(String),
 }
 
 impl From<IdxOverflow> for BuildError {
@@ -61,6 +64,7 @@ impl fmt::Display for BuildError {
                  (2^{scale} vertices)",
                 usize::BITS
             ),
+            BuildError::InvalidParams(why) => f.write_str(why),
         }
     }
 }
@@ -116,6 +120,9 @@ impl<I: Idx> CsrGraph<I> {
     /// writes each edge into both endpoint rows, and each row is then
     /// sorted and deduplicated on its own while the array is compacted in
     /// place — `O(m + Σ d log d)` with no scratch beyond the CSR itself.
+    /// Both passes run on up to `available_parallelism()` threads, each
+    /// owning a range of rows; the graph is the same for every thread
+    /// count.
     ///
     /// Errs — before allocating anything — when `n` does not fit `I`, and
     /// when the host refuses the row offsets or the target array.
@@ -123,47 +130,86 @@ impl<I: Idx> CsrGraph<I> {
     /// # Panics
     /// If an endpoint is not in `0..n` (also before allocating).
     pub fn try_from_pairs(n: usize, pairs: &[(Vid, Vid)]) -> Result<Self, BuildError> {
+        let workers = std::thread::available_parallelism()
+            .map_or(1, |t| t.get())
+            .min(pairs.len() / MIN_PAIRS_PER_WORKER)
+            .max(1);
+        Self::from_pairs_on(n, pairs, workers)
+    }
+
+    /// [`try_from_pairs`](Self::try_from_pairs) on `workers` threads (the
+    /// calling thread when 1).
+    ///
+    /// Every worker streams the whole pair list and keeps the endpoints in
+    /// its own rows, so it writes through plain `&mut` slices and nothing
+    /// is shared. The count pass splits the rows into equal vertex ranges;
+    /// the scatter pass re-splits them by entry count, because that is
+    /// what the sort and the writes cost. Each worker compacts its rows to
+    /// the front of its own target range, and one `copy_within` per range
+    /// then closes the gaps, so the result does not depend on `workers`.
+    pub(crate) fn from_pairs_on(
+        n: usize,
+        pairs: &[(Vid, Vid)],
+        workers: usize,
+    ) -> Result<Self, BuildError> {
         ensure_fits::<I>(n, "CSR graph")?;
         if let Some(&(u, v)) = pairs.iter().find(|&&(u, v)| u >= n || v >= n) {
             panic!("edge ({u},{v}) out of range for n={n}");
         }
         // Count: offsets[v] = entries row v will receive, duplicates included.
         let mut offsets = try_filled("CSR row offsets", n + 1, 0usize)?;
-        for &(u, v) in pairs {
-            if u != v {
-                offsets[u] += 1;
-                offsets[v] += 1;
+        let rows = n.div_ceil(workers).max(1);
+        on_ranges(offsets[..n].chunks_mut(rows), |i, counts| {
+            let lo = i * rows;
+            let mut count = |x: Vid| {
+                if let Some(c) = counts.get_mut(x.wrapping_sub(lo)) {
+                    *c += 1;
+                }
+            };
+            for &(u, v) in pairs {
+                if u != v {
+                    count(u);
+                    count(v);
+                }
             }
-        }
+        });
         let mut total = 0usize;
         for o in &mut offsets {
             total += std::mem::replace(o, total);
         }
-        // Scatter both orientations, using offsets[v] as row v's cursor:
-        // afterwards it holds the *end* of row v.
         let mut targets = try_filled("CSR targets", total, I::zero())?;
-        for &(u, v) in pairs {
-            if u != v {
-                targets[offsets[u]] = I::from_usize(v);
-                offsets[u] += 1;
-                targets[offsets[v]] = I::from_usize(u);
-                offsets[v] += 1;
-            }
+        // Re-split by entries: range k starts at the first row that starts
+        // at or past k/workers of them (ranges may be empty), and its slots
+        // are targets[bases[k]..bases[k + 1]].
+        let mut cuts: Vec<usize> = (0..workers)
+            .map(|k| {
+                let goal = (total as u128 * k as u128 / workers as u128) as usize;
+                offsets[..n].partition_point(|&o| o < goal)
+            })
+            .collect();
+        cuts.push(n);
+        let bases: Vec<usize> = cuts.iter().map(|&c| offsets[c]).collect();
+        let mut ranges = Vec::with_capacity(workers);
+        let (mut row_rest, mut slot_rest) = (&mut offsets[..n], &mut targets[..]);
+        for k in 0..workers {
+            let (starts, row_tail) = row_rest.split_at_mut(cuts[k + 1] - cuts[k]);
+            let (slots, slot_tail) = slot_rest.split_at_mut(bases[k + 1] - bases[k]);
+            (row_rest, slot_rest) = (row_tail, slot_tail);
+            ranges.push((cuts[k], bases[k], starts, slots));
         }
-        // Sort and dedup each row, compacting forward (write <= start always
-        // holds, so no row is overwritten before it is read).
-        let (mut start, mut write) = (0usize, 0usize);
-        for row_start in &mut offsets[..n] {
-            let end = std::mem::replace(row_start, write);
-            targets[start..end].sort_unstable();
-            for k in start..end {
-                let t = targets[k];
-                if k == start || t != targets[write - 1] {
-                    targets[write] = t;
-                    write += 1;
-                }
+        let kept = on_ranges(ranges, |_, (lo, base, starts, slots)| {
+            fill_rows(pairs, lo, base, starts, slots)
+        });
+        // Close the gaps between the ranges and rebase their offsets.
+        let mut write = 0usize;
+        for (k, kept) in kept.into_iter().enumerate() {
+            if write != bases[k] {
+                targets.copy_within(bases[k]..bases[k] + kept, write);
             }
-            start = end;
+            for o in &mut offsets[cuts[k]..cuts[k + 1]] {
+                *o += write;
+            }
+            write += kept;
         }
         offsets[n] = write;
         targets.truncate(write);
@@ -343,6 +389,77 @@ impl<I: Idx> CsrGraph<I> {
     }
 }
 
+/// Fewest pairs worth a builder thread of their own: every thread streams
+/// the whole list twice, and a spawn costs tens of microseconds.
+const MIN_PAIRS_PER_WORKER: usize = 1 << 15;
+
+/// Runs `work` on every item, the first on the calling thread and each
+/// other on a scoped thread of its own; returns the results in item
+/// order.
+pub(crate) fn on_ranges<T: Send, R: Send>(
+    items: impl IntoIterator<Item = T>,
+    work: impl Fn(usize, T) -> R + Sync,
+) -> Vec<R> {
+    std::thread::scope(|s| {
+        let mut items = items.into_iter().enumerate();
+        let first = items.next();
+        let work = &work;
+        let spawned: Vec<_> = items
+            .map(|(i, item)| s.spawn(move || work(i, item)))
+            .collect();
+        let mut out: Vec<R> = first.map(|(i, item)| work(i, item)).into_iter().collect();
+        for h in spawned {
+            out.push(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        out
+    })
+}
+
+/// One range of the scatter pass: writes both orientations of every
+/// non-loop pair into the rows `lo..lo + starts.len()` it owns, then
+/// sorts and dedups each row while compacting forward to the front of
+/// `slots` (write <= start always holds, so no row is overwritten before
+/// it is read).
+///
+/// `slots` begins at CSR position `base`, and `starts` holds the rows'
+/// start positions on entry and their compacted starts within `slots` on
+/// return. Returns the number of entries kept.
+fn fill_rows<I: Idx>(
+    pairs: &[(Vid, Vid)],
+    lo: Vid,
+    base: usize,
+    starts: &mut [usize],
+    slots: &mut [I],
+) -> usize {
+    // Use starts[r] as row r's cursor: afterwards it holds the row's end.
+    let mut put = |row: Vid, t: Vid| {
+        if let Some(cursor) = starts.get_mut(row.wrapping_sub(lo)) {
+            slots[*cursor - base] = I::from_usize(t);
+            *cursor += 1;
+        }
+    };
+    for &(u, v) in pairs {
+        if u != v {
+            put(u, v);
+            put(v, u);
+        }
+    }
+    let (mut start, mut write) = (0usize, 0usize);
+    for row_start in starts {
+        let end = std::mem::replace(row_start, write) - base;
+        slots[start..end].sort_unstable();
+        for k in start..end {
+            let t = slots[k];
+            if k == start || t != slots[write - 1] {
+                slots[write] = t;
+                write += 1;
+            }
+        }
+        start = end;
+    }
+    write
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,21 +502,48 @@ mod tests {
 
     #[test]
     fn counting_build_matches_sorting_oracle_on_edge_cases() {
-        let cases: [(usize, &[(Vid, Vid)]); 5] = [
+        // A hub holding every edge fills the first (or the last) balanced
+        // range on its own and leaves the ranges beside it empty.
+        let hub_first: Vec<(Vid, Vid)> = (1..8).flat_map(|k| [(0, k), (k, 0), (0, k)]).collect();
+        let hub_last: Vec<(Vid, Vid)> = (0..7).map(|k| (7, k)).collect();
+        // A multiset with loops and repeats in both orientations, so every
+        // range drops entries and the gaps between ranges must close.
+        let mut x = 12345u64;
+        let mut draw = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) as usize % 300
+        };
+        let noisy: Vec<(Vid, Vid)> = (0..5000).map(|_| (draw(), draw() / 4)).collect();
+        let cases: [(usize, &[(Vid, Vid)]); 11] = [
             (0, &[]),
+            (1, &[]),
+            (1, &[(0, 0), (0, 0)]),
             (5, &[]),
             (3, &[(0, 0), (1, 1), (2, 2), (1, 1)]),
             // Duplicates in both orientations around an isolated vertex 2.
             (5, &[(3, 1), (1, 3), (3, 1), (0, 4), (4, 0), (4, 4), (1, 0)]),
             // A hub whose row shrinks under dedup, shifting every later row.
             (4, &[(0, 1), (0, 1), (1, 0), (0, 2), (2, 3), (3, 2), (0, 3)]),
+            (8, &hub_first),
+            (8, &hub_last),
+            // Fewer vertices than workers.
+            (2, &[(0, 1), (1, 0), (1, 1)]),
+            (300, &noisy),
         ];
         for (n, pairs) in cases {
-            let g = CsrGraph::<Vid>::try_from_pairs(n, pairs).unwrap();
-            assert_eq!(g, oracle(n, pairs), "n={n} {pairs:?}");
-            assert_eq!(g.validate(), Ok(()));
-            let narrow = CsrGraph::<u32>::try_from_pairs(n, pairs).unwrap();
-            assert_eq!(narrow, oracle(n, pairs), "u32 n={n} {pairs:?}");
+            for workers in [1, 2, 3, 4, 7] {
+                let g = CsrGraph::<Vid>::from_pairs_on(n, pairs, workers).unwrap();
+                assert_eq!(g, oracle(n, pairs), "n={n}, {workers} workers, {pairs:?}");
+                assert_eq!(g.validate(), Ok(()));
+                let narrow = CsrGraph::<u32>::from_pairs_on(n, pairs, workers).unwrap();
+                assert_eq!(narrow, oracle(n, pairs), "u32 n={n}, {workers} workers");
+            }
+            assert_eq!(
+                CsrGraph::<Vid>::try_from_pairs(n, pairs).unwrap(),
+                oracle(n, pairs)
+            );
         }
     }
 

@@ -5,7 +5,7 @@
 //! giant components plus a fringe of small ones. The skew is also what
 //! creates the imbalanced all-to-all pattern of Figure 3.
 
-use crate::csr::try_filled;
+use crate::csr::{on_ranges, try_filled};
 use crate::{BuildError, CsrGraph, Vid};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -44,12 +44,26 @@ impl RmatParams {
         }
     }
 
-    fn validate(&self) {
+    /// Quadrant probabilities nonnegative and summing to at most 1, and a
+    /// noise fraction in `[0, 1]` (NaN fails every comparison, so it is
+    /// refused too). That keeps every level's `a ≤ a + b ≤ a + b + c`
+    /// finite, which is what [`quadrant`] relies on.
+    fn validate(&self) -> Result<(), BuildError> {
         let d = 1.0 - self.a - self.b - self.c;
-        assert!(
-            self.a >= 0.0 && self.b >= 0.0 && self.c >= 0.0 && d >= -1e-9,
-            "invalid RMAT quadrant probabilities"
-        );
+        if self.a >= 0.0
+            && self.b >= 0.0
+            && self.c >= 0.0
+            && d >= -1e-9
+            && (0.0..=1.0).contains(&self.noise)
+        {
+            Ok(())
+        } else {
+            Err(BuildError::InvalidParams(format!(
+                "invalid RMAT parameters a={} b={} c={} noise={}: a, b and c \
+                 must be nonnegative with a + b + c <= 1, and noise in [0, 1]",
+                self.a, self.b, self.c, self.noise
+            )))
+        }
     }
 }
 
@@ -63,8 +77,9 @@ pub fn rmat(scale: u32, edge_factor: usize, params: RmatParams, seed: u64) -> Cs
     try_rmat(scale, edge_factor, params, seed).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`rmat`], returning a [`BuildError`] where `usize` cannot number
-/// `2^scale` vertices or the host cannot hold the graph.
+/// [`rmat`], returning a [`BuildError`] where `params` are invalid, where
+/// `usize` cannot number `2^scale` vertices or where the host cannot hold
+/// the graph.
 ///
 /// The edges are sampled on up to `available_parallelism()` threads, each
 /// filling a contiguous range of the edge list from its own seek into the
@@ -75,7 +90,7 @@ pub fn try_rmat(
     params: RmatParams,
     seed: u64,
 ) -> Result<CsrGraph, BuildError> {
-    params.validate();
+    params.validate()?;
     // Fail before sampling anything: 2^scale must fit the vertex index.
     // (Narrower targets get the same guard from `CsrGraph::try_narrow` /
     // `try_from_pairs`, which this feeds into.)
@@ -97,7 +112,7 @@ pub fn try_rmat(
 
 /// Fills `out` with edges `0..out.len()` of the RMAT stream `rng` (a
 /// generator at word 0), split into `workers` contiguous chunks sampled
-/// on their own threads.
+/// on threads of their own (the first on the calling thread).
 ///
 /// Every edge reads the same number of stream words, so edge `k`'s draws
 /// start at word `k · words_per_edge`: each chunk seeks a clone of `rng`
@@ -114,36 +129,35 @@ pub(crate) fn sample_edges(
     // each `f64` is two words.
     let words_per_edge = u128::from(scale) * if params.noise > 0.0 { 8 } else { 2 };
     let chunk = out.len().div_ceil(workers).max(1);
-    std::thread::scope(|s| {
-        for (i, slice) in out.chunks_mut(chunk).enumerate() {
-            let mut rng = rng.clone();
-            rng.set_word_pos((i * chunk) as u128 * words_per_edge);
-            s.spawn(move || {
-                for edge in slice {
-                    *edge = sample_edge(&mut rng, scale, params);
-                }
-            });
+    on_ranges(out.chunks_mut(chunk), |i, slice| {
+        let mut rng = rng.clone();
+        rng.set_word_pos((i * chunk) as u128 * words_per_edge);
+        for edge in slice {
+            *edge = sample_edge(&mut rng, scale, params);
         }
     });
+}
+
+/// The quadrant a draw `r` picks, as its `(u, v)` bits: top-left below
+/// `a`, top-right below `a + b`, bottom-left below `a + b + c`, else
+/// bottom-right. Comparisons instead of branches, because the draw is a
+/// coin flip; with `a, b, c ≥ 0` the three bounds ascend, so this picks
+/// what the `if` chain over the same sums picked.
+pub(crate) fn quadrant(r: f64, a: f64, b: f64, c: f64) -> (usize, usize) {
+    let (ab, abc) = (a + b, a + b + c);
+    let u = r >= ab;
+    let v = ((r >= a) & (r < ab)) | (r >= abc);
+    (usize::from(u), usize::from(v))
 }
 
 /// Draws one edge by descending `scale` levels of the recursive matrix.
 fn sample_edge(rng: &mut ChaCha8Rng, scale: u32, params: &RmatParams) -> (Vid, Vid) {
     let (mut u, mut v) = (0usize, 0usize);
     let (mut a, mut b, mut c) = (params.a, params.b, params.c);
-    for level in 0..scale {
-        let r: f64 = rng.random();
-        let bit = 1usize << (scale - 1 - level);
-        if r < a {
-            // top-left: no bits set
-        } else if r < a + b {
-            v |= bit;
-        } else if r < a + b + c {
-            u |= bit;
-        } else {
-            u |= bit;
-            v |= bit;
-        }
+    for _ in 0..scale {
+        let (du, dv) = quadrant(rng.random(), a, b, c);
+        u = (u << 1) | du;
+        v = (v << 1) | dv;
         // Per-level noise keeps the distribution from being exactly
         // self-similar (standard Graph500 trick).
         if params.noise > 0.0 {
@@ -153,12 +167,11 @@ fn sample_edge(rng: &mut ChaCha8Rng, scale: u32, params: &RmatParams) -> (Vid, V
             b = jitter(b, rng.random());
             c = jitter(c, rng.random());
             let total = a + b + c;
-            if total >= 1.0 {
-                let scale_back = 0.999 / total;
-                a *= scale_back;
-                b *= scale_back;
-                c *= scale_back;
-            }
+            // Multiplying by 1.0 is exact, so the rescale needs no branch.
+            let scale_back = if total >= 1.0 { 0.999 / total } else { 1.0 };
+            a *= scale_back;
+            b *= scale_back;
+            c *= scale_back;
         }
     }
     (u, v)
@@ -257,6 +270,71 @@ mod tests {
             }
             assert_eq!(digest(&rmat(scale, edge_factor, params, seed)), pin);
         }
+    }
+
+    #[test]
+    fn quadrant_agrees_with_the_if_chain_on_boundary_draws() {
+        // The `if` chain `sample_edge` ran before it became branch-free.
+        let chain = |r: f64, a: f64, b: f64, c: f64| {
+            if r < a {
+                (0, 0)
+            } else if r < a + b {
+                (0, 1)
+            } else if r < a + b + c {
+                (1, 0)
+            } else {
+                (1, 1)
+            }
+        };
+        // A jitter at noise 1 drawing 0 clamps to exactly 0.
+        let zeroed = |x: f64| (x * (1.0 - 1.0) + x * 2.0 * 1.0 * 0.0).max(0.0);
+        let g = RmatParams::graph500();
+        let params = [
+            (g.a, g.b, g.c),
+            (g.a, zeroed(g.b), g.c),
+            (g.a, g.b, zeroed(g.c)),
+            (g.a, zeroed(g.b), zeroed(g.c)),
+            (zeroed(g.a), g.b, g.c),
+            (0.25, 0.25, 0.25),
+        ];
+        for (a, b, c) in params {
+            for edge in [0.0, a, a + b, a + b + c] {
+                for r in [edge.next_down(), edge, edge.next_up()] {
+                    assert_eq!(
+                        quadrant(r, a, b, c),
+                        chain(r, a, b, c),
+                        "r={r} a={a} b={b} c={c}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn invalid_params_are_a_typed_error() {
+        let g = RmatParams::graph500();
+        for bad in [
+            RmatParams { a: f64::NAN, ..g },
+            RmatParams { b: -0.01, ..g },
+            RmatParams {
+                a: 0.9,
+                b: 0.9,
+                c: 0.9,
+                ..g
+            },
+            RmatParams {
+                noise: f64::NAN,
+                ..g
+            },
+            RmatParams { noise: 1.5, ..g },
+            RmatParams { noise: -0.1, ..g },
+        ] {
+            let e = try_rmat(4, 2, bad, 1).unwrap_err();
+            assert!(matches!(e, BuildError::InvalidParams(_)), "{bad:?}: {e}");
+            assert!(e.to_string().contains("invalid RMAT"), "{e}");
+        }
+        let flat = RmatParams { noise: 0.0, ..g };
+        assert!(try_rmat(4, 2, flat, 1).is_ok());
     }
 
     #[test]
