@@ -463,6 +463,7 @@ impl Comm {
                 let copy = self.model.beta * words as f64;
                 self.snap.clock_s += copy;
                 self.snap.comm_s += copy;
+                self.snap.messages_received += u64::from(src != self.rank);
                 self.snap.words_received += words;
                 self.snap.bytes_received += bytes;
                 return *payload.downcast::<T>().unwrap_or_else(|_| {
@@ -763,7 +764,8 @@ mod tests {
         let out = run_spmd_with_model(1, EDISON.lacc_model(), |c| {
             c.send_vec(0, vec![1u64, 2, 3]);
             let v = c.recv::<Vec<u64>>(0);
-            (v, c.snapshot().messages_sent, c.clock_s())
+            let snap = c.snapshot();
+            (v, snap.messages_sent + snap.messages_received, c.clock_s())
         })
         .unwrap();
         assert_eq!(out[0].0, vec![1, 2, 3]);
@@ -790,6 +792,8 @@ mod tests {
         let recv = out[1];
         assert_eq!(recv.words_received, 1000);
         assert!(recv.clock_s >= sender.clock_s);
+        assert_eq!((sender.messages_sent, sender.messages_received), (1, 0));
+        assert_eq!((recv.messages_sent, recv.messages_received), (0, 1));
     }
 
     #[test]

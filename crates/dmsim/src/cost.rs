@@ -169,6 +169,8 @@ pub struct CostSnapshot {
     pub comm_s: f64,
     /// Messages this rank sent.
     pub messages_sent: u64,
+    /// Messages this rank received from other ranks.
+    pub messages_received: u64,
     /// 8-byte words this rank sent.
     pub words_sent: u64,
     /// 8-byte words this rank received.
@@ -204,6 +206,7 @@ impl CostSnapshot {
             compute_s: self.compute_s - earlier.compute_s,
             comm_s: self.comm_s - earlier.comm_s,
             messages_sent: self.messages_sent - earlier.messages_sent,
+            messages_received: self.messages_received - earlier.messages_received,
             words_sent: self.words_sent - earlier.words_sent,
             words_received: self.words_received - earlier.words_received,
             bytes_sent: self.bytes_sent - earlier.bytes_sent,
@@ -245,6 +248,7 @@ mod tests {
             compute_s: 0.5,
             comm_s: 0.5,
             messages_sent: 10,
+            messages_received: 8,
             words_sent: 100,
             words_received: 50,
             bytes_sent: 800,
@@ -257,6 +261,7 @@ mod tests {
             compute_s: 1.0,
             comm_s: 2.0,
             messages_sent: 30,
+            messages_received: 12,
             words_sent: 400,
             words_received: 250,
             bytes_sent: 3000,
@@ -266,6 +271,7 @@ mod tests {
         };
         let d = b.since(&a);
         assert_eq!(d.messages_sent, 20);
+        assert_eq!(d.messages_received, 4);
         assert_eq!(d.bytes_sent, 2200);
         assert_eq!(d.bytes_received, 1400);
         assert_eq!(d.counters, [7, 3, 2, 9, 1]);

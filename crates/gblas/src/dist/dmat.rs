@@ -36,7 +36,7 @@ impl<I: Idx> DistMat<I> {
     /// A real run would read pre-partitioned input from disk; here every
     /// rank slices its block from the shared, borrowed graph.
     pub fn from_graph(g: &CsrGraph, grid: Grid2d, rank: usize) -> Self {
-        Self::build(g.num_vertices(), grid, rank, |r| g.neighbors(r), |v| v)
+        Self::build(g, grid, rank, |v| v)
     }
 
     /// Rank `rank`'s block of `g` relabeled by `perm` (the random symmetric
@@ -50,50 +50,61 @@ impl<I: Idx> DistMat<I> {
         grid: Grid2d,
         rank: usize,
     ) -> Self {
-        let n = g.num_vertices();
-        assert_eq!(perm.len(), n, "permutation length mismatch");
-        let row = |r| g.neighbors(perm.invert(r));
-        Self::build(n, grid, rank, row, |v| perm.apply(v))
+        assert_eq!(perm.len(), g.num_vertices(), "permutation length mismatch");
+        Self::build(g, grid, rank, |v| perm.apply(v))
     }
 
-    /// The one build routine: `row(r)` lists the neighbors of relabeled row
-    /// `r` in source ids and `relabel` maps a source id to its relabeled id.
+    /// The one build routine: `relabel` maps a source id to its relabeled
+    /// id, for rows and columns alike.
     ///
-    /// One pass, no sort, no transpose: the block's rows, swept ascending
-    /// and filtered to the column block, *are* the stored structure. A
-    /// row's columns stay in source order ([`row_mirror`](Self::row_mirror)
-    /// says why no reader cares).
-    fn build<'g>(
-        n: usize,
-        grid: Grid2d,
-        rank: usize,
-        row: impl Fn(usize) -> &'g [Vid],
-        relabel: impl Fn(Vid) -> usize,
-    ) -> Self {
+    /// Two sweeps of `g` in source order, no sort, no transpose. The first
+    /// counts each owned row's columns in the column block into `rowptr`;
+    /// the second writes them at their final offsets. Reading the source
+    /// rows in order streams `g`'s target array instead of fetching each
+    /// relabeled row from a random place in it, and the block is allocated
+    /// once, at its exact size plus one spare slot. A row's columns stay
+    /// in source order ([`row_mirror`](Self::row_mirror) says why no
+    /// reader cares).
+    fn build(g: &CsrGraph, grid: Grid2d, rank: usize, relabel: impl Fn(Vid) -> usize) -> Self {
         assert_eq!(grid.rows(), grid.cols(), "LACC requires a square grid");
+        let n = g.num_vertices();
         let (i, j) = grid.coords_of(rank);
         let row_range = block_range(n, grid.rows(), i);
         let col_range = block_range(n, grid.cols(), j);
         let (nrows, ncols) = (row_range.1 - row_range.0, col_range.1 - col_range.0);
-        let mut rowptr = Vec::with_capacity(nrows + 1);
-        rowptr.push(0);
-        // Whether a relabeled neighbor lands in the column block is a coin
-        // flip the branch predictor loses, so keep the filter branch-free:
-        // write every candidate at `len` and advance only past the keepers.
-        let mut colidx: Vec<I> = Vec::new();
-        let mut len = 0usize;
-        for r in row_range.0..row_range.1 {
-            let nbrs = row(r);
-            colidx.resize(len + nbrs.len(), I::zero());
-            for &v in nbrs {
-                let c = relabel(v).wrapping_sub(col_range.0);
-                let keep = c < ncols;
-                colidx[len] = I::from_usize(if keep { c } else { 0 });
-                len += usize::from(keep);
-            }
-            rowptr.push(len);
+        let relabel = &relabel;
+        // Source rows this rank owns, with their block-local row, ascending
+        // in source id.
+        let owned = || {
+            (0..n).filter_map(move |u| {
+                let r = relabel(u).wrapping_sub(row_range.0);
+                (r < nrows).then(|| (r, g.neighbors(u)))
+            })
+        };
+        let col = |v: Vid| relabel(v).wrapping_sub(col_range.0);
+        let mut rowptr = vec![0usize; nrows + 1];
+        for (r, nbrs) in owned() {
+            rowptr[r + 1] = nbrs.iter().map(|&v| usize::from(col(v) < ncols)).sum();
         }
-        colidx.truncate(len);
+        for r in 0..nrows {
+            rowptr[r + 1] += rowptr[r];
+        }
+        // Whether a relabeled neighbor lands in the column block is a coin
+        // flip the branch predictor loses, so the fill is branch-free: a
+        // dropped column goes to the spare slot at `nnz`, where it cannot
+        // reach a neighboring row, and only a keeper advances the cursor.
+        let nnz = rowptr[nrows];
+        let mut colidx: Vec<I> = vec![I::zero(); nnz + 1];
+        for (r, nbrs) in owned() {
+            let mut at = rowptr[r];
+            for &v in nbrs {
+                let c = col(v);
+                let keep = c < ncols;
+                colidx[if keep { at } else { nnz }] = I::from_usize(if keep { c } else { 0 });
+                at += usize::from(keep);
+            }
+        }
+        colidx.truncate(nnz);
         DistMat {
             n,
             grid,
@@ -229,42 +240,87 @@ mod tests {
         }
     }
 
+    /// Row `r` of rank `rank`'s block of `g` relabeled by `perm`: the
+    /// neighbors of source row `perm⁻¹(row0 + r)` whose new ids land in the
+    /// column block, as block-local columns, in source order.
+    fn oracle_rows(g: &CsrGraph, perm: &Permutation, grid: Grid2d, rank: usize) -> Vec<Vec<usize>> {
+        let n = g.num_vertices();
+        let (i, j) = grid.coords_of(rank);
+        let (row0, row1) = block_range(n, grid.rows(), i);
+        let (col0, col1) = block_range(n, grid.cols(), j);
+        (row0..row1)
+            .map(|r| {
+                let nbrs = g.neighbors(perm.invert(r)).iter().map(|&v| perm.apply(v));
+                nbrs.filter(|c| (col0..col1).contains(c))
+                    .map(|c| c - col0)
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn fused_permuted_build_matches_slicing_a_permuted_graph() {
         fn check<I: Idx>(g: &CsrGraph, seed: u64) {
             let n = g.num_vertices();
-            let perm = Permutation::random(n, seed);
-            let permuted = perm.permute_graph(g);
+            let random = Permutation::random(n, seed);
+            let identity = Permutation::identity(n);
+            let permuted = random.permute_graph(g);
             for p in [1usize, 4, 9, 16] {
                 let grid = Grid2d::square(p);
                 for r in 0..p {
-                    let fused = DistMat::<I>::from_graph_permuted(g, &perm, grid, r);
-                    let sliced = DistMat::<I>::from_graph(&permuted, grid, r);
                     let at = format!("{} n={n} p={p} rank={r}", I::NAME);
-                    // Stored rows keep source order, which the relabeling
-                    // changes: the two builds agree row by row as sets.
-                    let (fr, sr) = (fused.row_mirror(), sliced.row_mirror());
-                    assert_eq!((fr.nrows(), fr.ncols()), (sr.nrows(), sr.ncols()), "{at}");
-                    assert_eq!(entries(&fused), entries(&sliced), "{at}");
+                    let blocks = [
+                        (
+                            "random",
+                            DistMat::<I>::from_graph_permuted(g, &random, grid, r),
+                            &random,
+                        ),
+                        (
+                            "identity",
+                            DistMat::<I>::from_graph_permuted(g, &identity, grid, r),
+                            &identity,
+                        ),
+                        (
+                            "unpermuted",
+                            DistMat::<I>::from_graph(g, grid, r),
+                            &identity,
+                        ),
+                    ];
+                    for (name, blk, perm) in blocks {
+                        let want = oracle_rows(g, perm, grid, r);
+                        let rows = blk.row_mirror();
+                        assert_eq!(rows.nrows(), want.len(), "{at} {name}");
+                        let (cs, ce) = blk.col_range();
+                        assert_eq!(rows.ncols(), ce - cs, "{at} {name}");
+                        for (lr, want_row) in want.iter().enumerate() {
+                            let got: Vec<usize> = rows.row(lr).iter().map(|c| c.idx()).collect();
+                            assert_eq!(&got, want_row, "{at} {name} row {lr}");
+                        }
+                    }
+                    // Slicing the materialized permuted graph stores the
+                    // same entries, its rows ascending in the new ids.
+                    let sliced = DistMat::<I>::from_graph(&permuted, grid, r);
+                    let fused = &DistMat::<I>::from_graph_permuted(g, &random, grid, r);
+                    assert_eq!(entries(fused), entries(&sliced), "{at}");
                     assert_eq!(fused.row_range(), sliced.row_range(), "{at}");
                     assert_eq!(fused.col_range(), sliced.col_range(), "{at}");
-                    // And the block is the permuted graph's edges in its
-                    // row and column ranges.
-                    let ((rs, re), (cs, ce)) = (sliced.row_range(), sliced.col_range());
-                    let want: Vec<(usize, usize)> = permuted
-                        .edges()
-                        .filter(|(u, v)| (rs..re).contains(u) && (cs..ce).contains(v))
-                        .collect();
-                    assert_eq!(entries(&sliced), want, "{at}");
                 }
             }
         }
-        // n not divisible by sqrt(p), down to the empty graph.
+        // A star: the hub's row holds half of the stored entries.
+        let star = EdgeList::from_pairs(37, (0..37).filter(|&v| v != 5).map(|v| (5, v)));
+        // Self loops, which the CSR drops, beside isolated vertices.
+        let loops = [(0, 0), (2, 3), (3, 3), (5, 9), (7, 7), (12, 18), (18, 18)];
         let graphs = [
             CsrGraph::from_edges(EdgeList::new(0)),
             CsrGraph::from_edges(EdgeList::new(1)),
+            // n below p.
+            path_graph(3),
+            // n not divisible by sqrt(p).
             path_graph(7),
             erdos_renyi_gnm(50, 200, 3),
+            CsrGraph::from_edges(EdgeList::from_pairs(20, loops)),
+            CsrGraph::from_edges(star),
         ];
         for (k, g) in graphs.iter().enumerate() {
             check::<u32>(g, 11 + k as u64);

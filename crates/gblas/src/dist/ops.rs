@@ -111,9 +111,9 @@ impl DistOpts {
 
 /// Allgathers each rank's chunk of `x`. Under [`Wire::Compact`] a chunk
 /// rides the ordinary ring as one [`NarrowVal`] frame, charged as shipped,
-/// and is decoded inside the posted operation, so the handle yields
-/// per-rank chunks at either wire level; [`Wire::Legacy`] ships the raw
-/// typed vector.
+/// and peers' frames are decoded inside the posted operation, so the
+/// handle yields per-rank chunks at either wire level; [`Wire::Legacy`]
+/// ships the raw typed vector.
 fn allgather_chunks<T>(
     comm: &mut Comm,
     group: &Group,
@@ -128,16 +128,39 @@ where
         Wire::Legacy => c.allgatherv(group, local),
         Wire::Compact => {
             c.charge_compute(local.len() as u64 + 1);
-            let gathered = c.allgatherv(group, T::encode_chunk(&local));
+            // A group of one ships nothing, so it encodes nothing.
+            let frame = if group.size() > 1 {
+                T::encode_chunk(&local)
+            } else {
+                Vec::new()
+            };
+            let gathered = c.allgatherv(group, frame);
             // Member k encoded its own chunk, whose length the layout gives.
-            let lens = group.members().iter().map(|&r| layout.local_len(r));
-            gathered
-                .iter()
-                .zip(lens)
-                .map(|(b, len)| T::decode_chunk(b, len).expect("a peer's chunk frame"))
-                .collect()
+            decode_peers(group.my_index(), gathered, local, |k, b| {
+                let len = layout.local_len(group.member(k));
+                T::decode_chunk(b, len).expect("a peer's chunk frame")
+            })
         }
     })
+}
+
+/// The typed parts of a frame exchange: `frames[k]` decoded for every
+/// member `k` but this rank, `me`, whose part is the `own` it would have
+/// encoded. A rank runs no codec on what it delivers to itself; a frame
+/// it sent itself is never charged, so neither is skipping it.
+fn decode_peers<T>(
+    me: usize,
+    frames: Vec<Vec<u8>>,
+    own: Vec<T>,
+    decode: impl Fn(usize, &[u8]) -> Vec<T>,
+) -> Vec<Vec<T>> {
+    let mut parts: Vec<Vec<T>> = frames
+        .iter()
+        .enumerate()
+        .map(|(k, b)| if k == me { Vec::new() } else { decode(k, b) })
+        .collect();
+    parts[me] = own;
+    parts
 }
 
 /// [`allgather_chunks`] over sorted sparse entries: under
@@ -158,12 +181,16 @@ where
         Wire::Legacy => c.allgatherv(group, entries),
         Wire::Compact => {
             c.charge_compute(entries.len() as u64 + 1);
-            let gathered = c.allgatherv(group, encode_entry_frame(&entries));
+            let frame = if group.size() > 1 {
+                encode_entry_frame(&entries)
+            } else {
+                Vec::new()
+            };
+            let gathered = c.allgatherv(group, frame);
             // Every member encoded its share with `encode_entry_frame`.
-            gathered
-                .iter()
-                .map(|b| decode_entry_frame(b).expect("a peer's entry frame"))
-                .collect()
+            decode_peers(group.my_index(), gathered, entries, |_, b| {
+                decode_entry_frame(b).expect("a peer's entry frame")
+            })
         }
     })
 }
@@ -391,15 +418,22 @@ where
     }
     let parts: Vec<Vec<(I, T)>> = match opts.wire {
         // Each bucket's ids were pushed in sorted `touched` order, so it
-        // ships as one entry frame.
+        // ships as one entry frame; this rank's own bucket never leaves
+        // it, so it is not encoded.
         Wire::Compact => {
-            let frames: Vec<Vec<u8>> = buckets.iter().map(|b| encode_entry_frame(b)).collect();
+            let me = group.my_index();
+            let frames: Vec<Vec<u8>> = (0..q)
+                .map(|k| match k == me {
+                    true => Vec::new(),
+                    false => encode_entry_frame(&buckets[k]),
+                })
+                .collect();
             comm.charge_compute(touched.len() as u64 + 1);
             // Every member encoded its buckets with `encode_entry_frame`.
-            comm.alltoallv(&group, frames, opts.alltoall)
-                .into_iter()
-                .map(|bytes| decode_entry_frame(&bytes).expect("a peer's entry frame"))
-                .collect()
+            let frames = comm.alltoallv(&group, frames, opts.alltoall);
+            decode_peers(me, frames, std::mem::take(&mut buckets[me]), |_, b| {
+                decode_entry_frame(b).expect("a peer's entry frame")
+            })
         }
         Wire::Legacy => comm.alltoallv(&group, buckets, opts.alltoall),
     };
@@ -1862,5 +1896,160 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One rank's cost of one call: `(clock s, ops charged, [messages,
+    /// words, bytes] sent, the same received)`.
+    type CallCost = (f64, u64, [u64; 3], [u64; 3]);
+
+    /// Per rank under Edison's model, the cost of one Compact dense `mxv`,
+    /// one sparse `mxv` and one `reduce_touched_in_column`, each measured
+    /// from its own start.
+    fn compact_call_costs(p: usize) -> Vec<[CallCost; 3]> {
+        let g = rmat(6, 4, RmatParams::graph500(), 3);
+        let n = g.num_vertices();
+        let x_global = random_dense(n, 23);
+        let model = dmsim::EDISON.lacc_model();
+        dmsim::run_spmd_with_model(p, model, |c| {
+            let grid = Grid2d::square(p);
+            let layout = VecLayout::new(n, grid);
+            let a = DistMat::<u32>::from_graph(&g, grid, c.rank());
+            let opts = DistOpts::default();
+            let cost = |c: &mut Comm, op: &dyn Fn(&mut Comm)| -> CallCost {
+                let before = c.snapshot();
+                op(c);
+                let d = c.snapshot().since(&before);
+                let ops = (d.compute_s * c.model().rate).round() as u64;
+                let sent = [d.messages_sent, d.words_sent, d.bytes_sent];
+                let received = [d.messages_received, d.words_received, d.bytes_received];
+                (d.clock_s, ops, sent, received)
+            };
+            let x = DistVec::from_global(layout, c.rank(), &x_global);
+            let dense = cost(c, &|c| {
+                dist_mxv_dense(c, &a, &x, DistMask::None, MinUsize, &opts);
+            });
+            let (s, e) = layout.range_of_rank(c.rank());
+            let local: Vec<(u32, usize)> = (s..e)
+                .filter(|g| g % 3 != 1)
+                .map(|g| (g as u32, x_global[g]))
+                .collect();
+            let xs = DistSpVec::from_local_entries(layout, c.rank(), local);
+            let sparse = cost(c, &|c| {
+                dist_mxv_sparse(c, &a, &xs, DistMask::None, MinUsize, &opts);
+            });
+            // A partial sum at every third column offset, touched in
+            // descending order.
+            let width = a.col_range().1 - a.col_range().0;
+            let acc: Vec<usize> = (0..width).map(|t| (t * 13 + c.rank()) % 97).collect();
+            let touched: Vec<Vid> = (0..width).rev().filter(|t| t % 3 != 2).collect();
+            let reduce = cost(c, &|c| {
+                reduce_touched_in_column::<usize, _, u32>(
+                    c,
+                    layout,
+                    &acc,
+                    touched.clone(),
+                    MinUsize,
+                    &opts,
+                );
+            });
+            [dense, sparse, reduce]
+        })
+        .unwrap()
+    }
+
+    /// [`compact_call_costs`] on the rows of this table, rank by rank.
+    /// Delivering a rank's own chunk or bucket is free in the model, so
+    /// how a rank hands itself its own slot must not move a figure here.
+    const COMPACT_CALL_COSTS: [[CallCost; 3]; 14] = [
+        // p = 1
+        [
+            (6.750000000000001e-6, 486, [0, 0, 0], [0, 0, 0]),
+            (6.430555555555556e-6, 463, [0, 0, 0], [0, 0, 0]),
+            (1.2083333333333333e-6, 87, [0, 0, 0], [0, 0, 0]),
+        ],
+        // p = 4
+        [
+            (9.371466666666667e-6, 228, [2, 37, 289], [2, 36, 288]),
+            (1.7466244444444448e-5, 209, [3, 13, 95], [3, 13, 90]),
+            (6.676200000000006e-6, 45, [2, 8, 60], [2, 8, 60]),
+        ],
+        [
+            (1.2562377777777777e-5, 148, [3, 68, 544], [3, 69, 545]),
+            (1.4151422222222221e-5, 142, [4, 34, 263], [4, 32, 246]),
+            (6.676200000000006e-6, 45, [2, 8, 60], [2, 8, 60]),
+        ],
+        [
+            (1.2562377777777777e-5, 148, [3, 68, 544], [3, 69, 545]),
+            (1.423366666666667e-5, 147, [4, 33, 253], [4, 35, 271]),
+            (6.717866666666672e-6, 45, [2, 8, 60], [2, 8, 60]),
+        ],
+        [
+            (8.2048e-6, 93, [2, 37, 289], [2, 36, 288]),
+            (1.8300666666666666e-5, 77, [3, 12, 86], [3, 12, 90]),
+            (6.884533333333338e-6, 45, [2, 8, 60], [2, 8, 60]),
+        ],
+        // p = 9
+        [
+            (1.44292e-5, 162, [4, 32, 254], [4, 32, 254]),
+            (2.521228888888888e-5, 144, [6, 13, 85], [6, 12, 81]),
+            (1.246466666666667e-5, 30, [4, 7, 49], [4, 8, 52]),
+        ],
+        [
+            (1.6727133333333335e-5, 105, [5, 46, 365], [5, 46, 366]),
+            (2.2518999999999996e-5, 93, [7, 22, 162], [7, 20, 140]),
+            (1.2481755555555557e-5, 30, [4, 7, 49], [4, 8, 52]),
+        ],
+        [
+            (1.7491022222222224e-5, 70, [5, 47, 367], [5, 47, 368]),
+            (2.201586666666666e-5, 65, [7, 21, 159], [7, 20, 144]),
+            (1.2481755555555557e-5, 31, [4, 8, 52], [4, 8, 52]),
+        ],
+        [
+            (1.6727133333333335e-5, 105, [5, 46, 366], [5, 46, 366]),
+            (2.2869488888888883e-5, 99, [7, 21, 144], [7, 21, 153]),
+            (1.2509533333333333e-5, 30, [4, 7, 49], [4, 8, 52]),
+        ],
+        [
+            (1.3095866666666668e-5, 66, [4, 32, 253], [4, 32, 253]),
+            (2.609151111111111e-5, 64, [6, 11, 79], [6, 12, 78]),
+            (1.2540511111111108e-5, 30, [4, 7, 49], [4, 8, 52]),
+        ],
+        [
+            (1.669935555555556e-5, 58, [5, 46, 365], [5, 47, 367]),
+            (2.2804333333333324e-5, 43, [7, 18, 128], [7, 20, 150]),
+            (1.2484955555555558e-5, 31, [4, 8, 52], [4, 8, 52]),
+        ],
+        [
+            (1.750491111111111e-5, 70, [5, 48, 382], [5, 46, 366]),
+            (2.203935555555555e-5, 67, [7, 22, 159], [7, 22, 161]),
+            (1.251702222222222e-5, 27, [4, 8, 52], [4, 6, 46]),
+        ],
+        [
+            (1.6727133333333335e-5, 59, [5, 48, 382], [5, 46, 365]),
+            (2.2536088888888884e-5, 57, [7, 21, 149], [7, 21, 152]),
+            (1.24198e-5, 27, [4, 8, 52], [4, 6, 46]),
+        ],
+        [
+            (1.3170622222222227e-5, 55, [4, 33, 256], [4, 36, 285]),
+            (2.630848888888888e-5, 37, [6, 9, 64], [6, 10, 70]),
+            (1.2509533333333333e-5, 31, [4, 8, 52], [4, 8, 52]),
+        ],
+    ];
+
+    #[test]
+    fn compact_calls_cost_what_they_ship() {
+        let mut pinned = COMPACT_CALL_COSTS.iter();
+        for p in [1usize, 4, 9] {
+            for (rank, got) in compact_call_costs(p).iter().enumerate() {
+                let want = pinned.next().unwrap();
+                for (k, op) in ["dense mxv", "sparse mxv", "column reduce"]
+                    .iter()
+                    .enumerate()
+                {
+                    assert_eq!(got[k], want[k], "p={p} rank={rank} {op}");
+                }
+            }
+        }
+        assert!(pinned.next().is_none());
     }
 }
