@@ -81,26 +81,44 @@ impl Comm {
         root_idx: usize,
         data: Option<Vec<T>>,
     ) -> Vec<T> {
+        self.bcast_with(g, root_idx, data, Comm::send_vec)
+    }
+
+    /// Broadcast of a single cloneable value.
+    pub fn bcast<T: Clone + Send + 'static>(
+        &mut self,
+        g: &Group,
+        root_idx: usize,
+        data: Option<T>,
+    ) -> T {
+        self.bcast_with(g, root_idx, data, Comm::send)
+    }
+
+    /// The binomial tree under [`Comm::bcast_vec`] and [`Comm::bcast`];
+    /// `send` charges one hop.
+    fn bcast_with<T: Clone + Send + 'static>(
+        &mut self,
+        g: &Group,
+        root_idx: usize,
+        data: Option<T>,
+        send: fn(&mut Comm, usize, T),
+    ) -> T {
         let span = self.span_open(SpanKind::Bcast);
         let q = g.size();
         let me = g.my_index();
         // Virtual index with the root shifted to 0.
         let vidx = (me + q - root_idx) % q;
-        let mut payload = if vidx == 0 {
-            Some(data.expect("root must supply the broadcast payload"))
-        } else {
-            debug_assert!(data.is_none(), "non-root supplied broadcast data");
-            None
-        };
         // Binomial tree: a node's parent is itself with the lowest set bit
         // cleared; its children are itself plus 2^j for j below the lowest
         // set bit (all powers of two for the root).
-        if vidx != 0 {
+        let data = if vidx == 0 {
+            // Fires only on a caller bug: the root passed no payload.
+            data.expect("root must supply the broadcast payload")
+        } else {
+            debug_assert!(data.is_none(), "non-root supplied broadcast data");
             let parent = vidx - (1 << vidx.trailing_zeros());
-            let src = g.member((parent + root_idx) % q);
-            payload = Some(self.recv::<Vec<T>>(src));
-        }
-        let data = payload.expect("broadcast payload must exist by now");
+            self.recv::<T>(g.member((parent + root_idx) % q))
+        };
         let mut children = Vec::new();
         if vidx == 0 {
             let mut k = 1usize;
@@ -121,21 +139,10 @@ impl Comm {
         // broadcast does.
         for &c in children.iter().rev() {
             let dest = g.member((c + root_idx) % q);
-            self.send_vec(dest, data.clone());
+            send(self, dest, data.clone());
         }
         self.span_close(span);
         data
-    }
-
-    /// Broadcast of a single cloneable value.
-    pub fn bcast<T: Clone + Send + 'static>(
-        &mut self,
-        g: &Group,
-        root_idx: usize,
-        data: Option<T>,
-    ) -> T {
-        let v = self.bcast_vec(g, root_idx, data.map(|d| vec![d]));
-        v.into_iter().next().expect("bcast payload")
     }
 
     /// Ring allgather: every member contributes a vector; everyone returns
@@ -148,13 +155,13 @@ impl Comm {
         let span = self.span_open(SpanKind::Allgatherv);
         let q = g.size();
         let me = g.my_index();
-        let mut result: Vec<Option<Vec<T>>> = (0..q).map(|_| None).collect();
+        let mut result: Vec<Vec<T>> = (0..q).map(|_| Vec::new()).collect();
         let right = g.member((me + 1) % q);
         let left = g.member((me + q - 1) % q);
         // The ring forwards a copy of each incoming block, except on the
         // last step.
         let mut carry = mine.clone();
-        result[me] = Some(mine);
+        result[me] = mine;
         for step in 1..q {
             self.send_vec(right, carry);
             let incoming: Vec<T> = self.recv(left);
@@ -164,13 +171,10 @@ impl Comm {
             } else {
                 Vec::new()
             };
-            result[origin] = Some(incoming);
+            result[origin] = incoming;
         }
         self.span_close(span);
         result
-            .into_iter()
-            .map(|r| r.expect("ring delivered all blocks"))
-            .collect()
     }
 
     /// Allreduce: recursive doubling (`(α + βw)·log₂ q`) on power-of-two
@@ -197,20 +201,10 @@ impl Comm {
             return val;
         }
         let span = self.span_open(SpanKind::Allreduce);
-        let out = self.allreduce_counted_inner(g, val, words, op);
-        self.span_close(span);
-        out
-    }
-
-    fn allreduce_counted_inner<T, F>(&mut self, g: &Group, val: T, words: u64, op: F) -> T
-    where
-        T: Clone + Send + 'static,
-        F: Fn(T, T) -> T,
-    {
         let q = g.size();
         let me = g.my_index();
+        let mut acc = val;
         if q.is_power_of_two() {
-            let mut acc = val;
             let mut k = 1usize;
             while k < q {
                 let partner = me ^ k;
@@ -223,22 +217,16 @@ impl Comm {
                 };
                 k <<= 1;
             }
-            return acc;
+        } else {
+            // General groups (tests, odd grids): fold at the root in group
+            // order, then broadcast.
+            let folded = self
+                .gatherv(g, 0, vec![acc])
+                .and_then(|all| all.into_iter().flatten().reduce(op));
+            acc = self.bcast(g, 0, folded);
         }
-        // General groups (tests, odd grids): fold at the root in group
-        // order, then broadcast.
-        let gathered = self.gatherv(g, 0, vec![val]);
-        let result = match gathered {
-            Some(all) => {
-                let mut it = all
-                    .into_iter()
-                    .map(|mut v| v.pop().expect("one value per rank"));
-                let first = it.next().expect("nonempty group");
-                Some(it.fold(first, op))
-            }
-            None => None,
-        };
-        self.bcast(g, 0, result)
+        self.span_close(span);
+        acc
     }
 
     /// Reduce-scatter: member `i` passes `parts[k]` destined for member
@@ -258,32 +246,28 @@ impl Comm {
         for k in 0..q {
             if k != me {
                 let buf = std::mem::take(&mut parts[k]);
-                let w = words_of::<T>(buf.len());
-                let b = bytes_of::<T>(buf.len());
-                self.send_counted_bytes(g.member(k), buf, w, b);
+                self.send_vec(g.member(k), buf);
             }
         }
-        let mut acc: Option<Vec<T>> = None;
+        let mut acc: Vec<T> = Vec::new();
         for src_idx in 0..q {
             let raw = if src_idx == me {
                 std::mem::take(&mut parts[me])
             } else {
                 self.recv::<Vec<T>>(g.member(src_idx))
             };
-            match &mut acc {
-                None => acc = Some(raw),
-                Some(acc) => {
-                    assert_eq!(acc.len(), raw.len(), "reduce_scatter length mismatch");
-                    self.charge_compute(raw.len() as u64);
-                    for (a, c) in acc.iter_mut().zip(raw) {
-                        op(a, c);
-                    }
-                }
+            if src_idx == 0 {
+                acc = raw;
+                continue;
+            }
+            assert_eq!(acc.len(), raw.len(), "reduce_scatter length mismatch");
+            self.charge_compute(raw.len() as u64);
+            for (a, c) in acc.iter_mut().zip(raw) {
+                op(a, c);
             }
         }
-        let out = acc.expect("nonempty group");
         self.span_close(span);
-        out
+        acc
     }
 
     /// All-to-all of variable-size buckets: `bufs[k]` goes to member `k`;
@@ -308,18 +292,7 @@ impl Comm {
         let out = match effective {
             AllToAll::Pairwise => self.alltoallv_pairwise(g, bufs),
             AllToAll::Hypercube => self.alltoallv_hypercube(g, bufs),
-            AllToAll::Sparse => {
-                // The count-phase algorithm is chosen here, not inside the
-                // sparse body, so the nested count-exchange span tags what
-                // actually runs (hypercube, or pairwise on non-power-of-two
-                // groups) instead of hiding the fallback.
-                let count_algo = if q.is_power_of_two() {
-                    AllToAll::Hypercube
-                } else {
-                    AllToAll::Pairwise
-                };
-                self.alltoallv_sparse(g, bufs, count_algo)
-            }
+            AllToAll::Sparse => self.alltoallv_sparse(g, bufs),
         };
         self.span_close(span);
         out
@@ -332,19 +305,16 @@ impl Comm {
     ) -> Vec<Vec<T>> {
         let q = g.size();
         let me = g.my_index();
-        let mut result: Vec<Option<Vec<T>>> = (0..q).map(|_| None).collect();
-        result[me] = Some(std::mem::take(&mut bufs[me]));
+        let mut result: Vec<Vec<T>> = (0..q).map(|_| Vec::new()).collect();
+        result[me] = std::mem::take(&mut bufs[me]);
         for round in 1..q {
             let to = (me + round) % q;
             let from = (me + q - round) % q;
             let bucket = std::mem::take(&mut bufs[to]);
             self.send_vec(g.member(to), bucket);
-            result[from] = Some(self.recv::<Vec<T>>(g.member(from)));
+            result[from] = self.recv::<Vec<T>>(g.member(from));
         }
         result
-            .into_iter()
-            .map(|r| r.expect("pairwise covered all"))
-            .collect()
     }
 
     fn alltoallv_hypercube<T: Send + 'static>(
@@ -355,8 +325,8 @@ impl Comm {
         let q = g.size();
         let me = g.my_index();
         debug_assert!(q.is_power_of_two());
-        let mut result: Vec<Option<Vec<T>>> = (0..q).map(|_| None).collect();
-        result[me] = Some(std::mem::take(&mut bufs[me]));
+        let mut result: Vec<Vec<T>> = (0..q).map(|_| Vec::new()).collect();
+        result[me] = std::mem::take(&mut bufs[me]);
         // Pool of in-flight buckets: (origin, destination, bucket).
         let mut pool: Vec<(u32, u32, Vec<T>)> = bufs
             .into_iter()
@@ -384,30 +354,29 @@ impl Comm {
             let incoming: Vec<(u32, u32, Vec<T>)> = self.recv(g.member(partner));
             for (origin, dest, bucket) in incoming {
                 if dest as usize == me {
-                    debug_assert!(result[origin as usize].is_none());
-                    result[origin as usize] = Some(bucket);
+                    result[origin as usize] = bucket;
                 } else {
                     pool.push((origin, dest, bucket));
                 }
             }
         }
         debug_assert!(pool.is_empty(), "all buckets routed after log q rounds");
-        result.into_iter().map(|r| r.unwrap_or_default()).collect()
+        result
     }
 
     fn alltoallv_sparse<T: Send + 'static>(
         &mut self,
         g: &Group,
         mut bufs: Vec<Vec<T>>,
-        count_algo: AllToAll,
     ) -> Vec<Vec<T>> {
         let q = g.size();
         let me = g.my_index();
         // Phase 1: exchange per-destination item counts so each member
         // learns who will contact it. The count matrix transpose is itself
-        // a tiny all-to-all, run with the caller-chosen `count_algo`.
+        // a tiny hypercube all-to-all, whose own span tags the pairwise
+        // fallback on groups that are not a power of two.
         let counts: Vec<Vec<u64>> = bufs.iter().map(|b| vec![b.len() as u64]).collect();
-        let incoming_counts = self.alltoallv(g, counts, count_algo);
+        let incoming_counts = self.alltoallv(g, counts, AllToAll::Hypercube);
         // Phase 2: only nonempty pairs exchange.
         for k in 0..q {
             if k != me && !bufs[k].is_empty() {
@@ -437,35 +406,20 @@ impl Comm {
         mine: Vec<T>,
     ) -> Option<Vec<Vec<T>>> {
         let span = self.span_open(SpanKind::Gatherv);
-        let out = self.gatherv_inner(g, root_idx, mine);
+        let me = g.my_index();
+        let out = if me == root_idx {
+            let mut out: Vec<Vec<T>> = (0..g.size()).map(|_| Vec::new()).collect();
+            out[me] = mine;
+            for k in (0..g.size()).filter(|&k| k != me) {
+                out[k] = self.recv::<Vec<T>>(g.member(k));
+            }
+            Some(out)
+        } else {
+            self.send_vec(g.member(root_idx), mine);
+            None
+        };
         self.span_close(span);
         out
-    }
-
-    fn gatherv_inner<T: Send + 'static>(
-        &mut self,
-        g: &Group,
-        root_idx: usize,
-        mine: Vec<T>,
-    ) -> Option<Vec<Vec<T>>> {
-        let q = g.size();
-        let me = g.my_index();
-        if me != root_idx {
-            let w = words_of::<T>(mine.len());
-            let b = bytes_of::<T>(mine.len());
-            self.send_counted_bytes(g.member(root_idx), mine, w, b);
-            return None;
-        }
-        let mut mine = Some(mine);
-        let mut out: Vec<Vec<T>> = Vec::with_capacity(q);
-        for k in 0..q {
-            if k == me {
-                out.push(mine.take().expect("own contribution consumed once"));
-            } else {
-                out.push(self.recv::<Vec<T>>(g.member(k)));
-            }
-        }
-        Some(out)
     }
 }
 
@@ -639,28 +593,6 @@ where
     before - b.len()
 }
 
-/// [`merge_bucket`] over an in-flight pool keyed by (destination, key).
-fn merge_pool<K, P, M>(pool: &mut Vec<(u32, K, P)>, merge: &mut M) -> usize
-where
-    K: Ord + Copy,
-    M: FnMut(&mut P, P),
-{
-    if pool.len() <= 1 {
-        return 0;
-    }
-    pool.sort_by_key(|&(d, k, _)| (d, k));
-    let before = pool.len();
-    let mut out: Vec<(u32, K, P)> = Vec::with_capacity(pool.len());
-    for (d, k, p) in pool.drain(..) {
-        match out.last_mut() {
-            Some(last) if last.0 == d && last.1 == k => merge(&mut last.2, p),
-            _ => out.push((d, k, p)),
-        }
-    }
-    *pool = out;
-    before - pool.len()
-}
-
 impl Comm {
     /// Reduce-scatter over explicit (key, value) pairs — an all-to-all
     /// with in-flight reduce-by-key: `bufs[k]` goes to member `k`, and at
@@ -713,15 +645,16 @@ impl Comm {
         let me = g.my_index();
         let mut mine: Vec<(K, P)> = std::mem::take(&mut bufs[me]);
         if q > 1 && q.is_power_of_two() {
-            let mut pool: Vec<(u32, K, P)> = bufs
+            // In flight, keyed by (destination, key).
+            let mut pool: Vec<((u32, K), P)> = bufs
                 .into_iter()
                 .enumerate()
                 .filter(|(k, _)| *k != me)
-                .flat_map(|(k, b)| b.into_iter().map(move |(key, p)| (k as u32, key, p)))
+                .flat_map(|(k, b)| b.into_iter().map(move |(key, p)| ((k as u32, key), p)))
                 .collect();
             // Sender-side pre-merge (same-origin duplicates; not counted
             // as CombinedWords, which are cross-origin merges only).
-            merge_pool(&mut pool, merge);
+            merge_bucket(&mut pool, merge);
             self.charge_compute(pool.len() as u64 + 1);
             let mut saved = 0u64;
             let rounds = q.trailing_zeros();
@@ -730,11 +663,11 @@ impl Comm {
                 let partner = g.member(me ^ bit);
                 let (send_pool, keep): (Vec<_>, Vec<_>) = pool
                     .into_iter()
-                    .partition(|&(dest, _, _)| (dest as usize) & bit != me & bit);
+                    .partition(|&((dest, _), _)| (dest as usize) & bit != me & bit);
                 // Per-destination wire buckets: delta-varint key stream +
                 // the payloads aligned with it.
                 let mut buckets: Vec<(u32, Vec<K>, Vec<P>)> = Vec::new();
-                for (dest, key, p) in send_pool {
+                for ((dest, key), p) in send_pool {
                     match buckets.last_mut() {
                         Some(b) if b.0 == dest => {
                             b.1.push(key);
@@ -758,16 +691,17 @@ impl Comm {
                 pool = keep;
                 let incoming: Vec<(u32, Vec<u8>, Vec<P>)> = self.recv(partner);
                 for (dest, bytes, ps) in incoming {
-                    // The partner encoded this stream with `encode_keys_for`.
+                    // Cannot fire: the partner encoded this stream with
+                    // `encode_keys_for`.
                     let keys = wire::decode_keys_for::<K>(&bytes).expect("a peer's key stream");
                     debug_assert_eq!(keys.len(), ps.len());
                     if dest as usize == me {
                         mine.extend(keys.into_iter().zip(ps));
                     } else {
-                        pool.extend(keys.into_iter().zip(ps).map(|(k, p)| (dest, k, p)));
+                        pool.extend(keys.into_iter().zip(ps).map(|(k, p)| ((dest, k), p)));
                     }
                 }
-                let removed = merge_pool(&mut pool, merge);
+                let removed = merge_bucket(&mut pool, merge);
                 saved += removed as u64 + words_of::<P>(removed);
                 self.charge_compute(pool.len() as u64 + 1);
             }
@@ -817,9 +751,9 @@ impl Comm {
             }
         }
         let my_keys = bufs;
-        // Everything delivered here, one sorted unique list per arrival
-        // (own requests first, then one per round or per source).
-        let mut arrivals: Vec<Vec<K>> = vec![my_keys[me].clone()];
+        // Everything delivered here from other ranks, one sorted unique
+        // list per round or per source.
+        let mut arrivals: Vec<Vec<K>> = Vec::new();
         // `delivered_at` is filled in once `delivered_keys` is final.
         let mut hops: Vec<CombineHop> = Vec::new();
         let hypercube = q > 1 && q.is_power_of_two();
@@ -872,7 +806,8 @@ impl Comm {
                 let mut delivered_round: Vec<K> = Vec::new();
                 let mut from_partner: Vec<(u32, K)> = Vec::new();
                 for (dest, bytes) in incoming {
-                    // The partner encoded this stream with `encode_keys_for`.
+                    // Cannot fire: the partner encoded this stream with
+                    // `encode_keys_for`.
                     let keys = wire::decode_keys_for::<K>(&bytes).expect("a peer's key stream");
                     if dest as usize == me {
                         delivered_round = keys;
@@ -919,25 +854,31 @@ impl Comm {
             debug_assert!(pool.is_empty(), "all requests routed after log q rounds");
             self.count(Counter::CombinedWords, saved);
         } else if q > 1 {
-            arrivals.extend(self.alltoallv(g, my_keys.clone(), AllToAll::Pairwise));
+            // The own bucket stays home: `self_at` answers it.
+            let bufs = (0..q)
+                .map(|k| {
+                    if k == me {
+                        Vec::new()
+                    } else {
+                        my_keys[k].clone()
+                    }
+                })
+                .collect();
+            arrivals.extend(self.alltoallv(g, bufs, AllToAll::Pairwise));
         }
-        let delivered_keys = merge_all_dedup(&arrivals);
+        let delivered_keys = merge_dedup(&my_keys[me], &merge_all_dedup(&arrivals));
         assert!(
             delivered_keys.len() <= u32::MAX as usize,
             "too many delivered keys for the route's u32 indices"
         );
         self.charge_compute(delivered_keys.len() as u64 + 1);
         self.span_close(span);
-        let mut at: Vec<Vec<u32>> = arrivals
-            .iter()
-            .map(|keys| indices_in(&delivered_keys, keys))
-            .collect();
-        let incoming_at = at.split_off(1 + hops.len());
-        let mut at = at.into_iter();
-        let self_at = at.next().expect("own requests are the first arrival");
-        for (hop, delivered_at) in hops.iter_mut().zip(at) {
-            hop.delivered_at = delivered_at;
+        let at = |keys: &Vec<K>| indices_in(&delivered_keys, keys);
+        let self_at = at(&my_keys[me]);
+        for (hop, keys) in hops.iter_mut().zip(&arrivals) {
+            hop.delivered_at = at(keys);
         }
+        let incoming_at = arrivals[hops.len()..].iter().map(at).collect();
         CombineRoute {
             q,
             hypercube,
@@ -1026,8 +967,8 @@ impl Comm {
                 fork(hop.below..cur.len(), &mut vals);
                 self.send_vec(partner, wire::encode_words_for(&vals));
                 let bytes: Vec<u8> = self.recv(partner);
-                // The partner encoded one reply per entry it sent this
-                // rank in forward round i, and the decode checks the count.
+                // Cannot fire: the partner encoded one reply per entry it
+                // sent this rank in forward round i, which `hop.sent` counts.
                 let incoming: Vec<T> = wire::decode_words_for(&bytes, hop.sent)
                     .expect("reply stream aligns with the forward route");
                 // Undo the forward round's split: the pool it started from
@@ -1059,24 +1000,25 @@ impl Comm {
                 self.charge_compute(next.len() as u64 + 1);
                 cur = next;
             }
-            out[me] = served(&route.self_at);
         } else if q > 1 {
-            let enc: Vec<Vec<u8>> = route
-                .incoming_at
-                .iter()
-                .map(|at| wire::encode_words_for(&served(at)))
+            let enc: Vec<Vec<u8>> = (0..q)
+                .map(|k| {
+                    if k == me {
+                        Vec::new()
+                    } else {
+                        wire::encode_words_for(&served(&route.incoming_at[k]))
+                    }
+                })
                 .collect();
-            // Source `d` encoded one reply per key of `my_keys[d]`.
-            out = self
-                .alltoallv(g, enc, AllToAll::Pairwise)
-                .into_iter()
-                .zip(&route.my_keys)
-                .map(|(bytes, keys)| wire::decode_words_for(&bytes, keys.len()))
-                .collect::<Result<_, _>>()
-                .expect("replies cover exactly the original requests");
-        } else {
-            out[0] = served(&route.self_at);
+            let incoming = self.alltoallv(g, enc, AllToAll::Pairwise);
+            for (k, bytes) in incoming.into_iter().enumerate().filter(|&(k, _)| k != me) {
+                // Cannot fire: source `k` encoded one reply per key of
+                // `my_keys[k]`, which the route recorded.
+                out[k] = wire::decode_words_for(&bytes, route.my_keys[k].len())
+                    .expect("replies cover exactly the original requests");
+            }
         }
+        out[me] = served(&route.self_at);
         self.span_close(span);
         for (d, vals) in out.iter().enumerate() {
             assert_eq!(

@@ -12,10 +12,11 @@
 //!
 //! Rank panics are captured: [`run_spmd`] and friends return
 //! `Result<Vec<R>, DmsimError>` where the error carries the failing rank
-//! and its panic payload. A rank that unwinds leaves a poison envelope in
-//! every other inbox, so peers blocked on it stop too instead of waiting
-//! forever, and the error names the rank that failed first. Tracing (see
-//! [`crate::trace`]) hangs off the same launchers via [`run_spmd_traced`].
+//! and its panic payload. A rank's stream closes when its [`Comm`] drops —
+//! its body returned or unwound — so a peer still waiting on it fails
+//! instead of waiting forever, and the error names the rank that failed
+//! first. Tracing (see [`crate::trace`]) hangs off the same launchers via
+//! [`run_spmd_traced`].
 
 use crate::cost::{CostSnapshot, Counter, MachineModel};
 use crate::trace::{RankTrace, Span, SpanKind, TraceLevel, TraceLocal, TraceSink};
@@ -102,42 +103,29 @@ impl std::fmt::Display for DmsimError {
 
 impl std::error::Error for DmsimError {}
 
-/// "The rank named here has failed": the payload of the poison envelope a
-/// rank posts to every other inbox when it unwinds ([`PoisonOnUnwind`]), and
-/// the panic payload of each rank that stops on receiving one. The launcher
-/// reports the named rank's own panic, not these echoes of it.
-struct PeerFailed(usize);
+/// The panic payload of a rank whose peer closed before sending what it
+/// waited for, or whose message found the peer's inbox gone. The launcher
+/// reports the rank that failed on its own, not these echoes of it.
+struct PeerFailed;
 
-/// Held by a rank thread for the length of its body. Every surviving rank
-/// keeps all senders alive, so a blocked [`Comm::recv`] can never see a
-/// disconnect; a rank that panics therefore says so explicitly.
-struct PoisonOnUnwind {
-    rank: usize,
-    senders: Arc<Vec<Sender<Envelope>>>,
-}
+/// The payload a closed stream ends with: [`Comm`]'s `Drop` queues one
+/// behind the rank's last message to every peer, and the launcher queues
+/// them for the ranks it could not start.
+struct Closed;
 
-impl Drop for PoisonOnUnwind {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            poison(&self.senders, self.rank);
-        }
-    }
-}
-
-/// Posts "rank `failed` has failed" to every inbox but its own.
-fn poison(senders: &[Sender<Envelope>], failed: usize) {
-    for (dest, tx) in senders.iter().enumerate() {
-        if dest != failed {
-            // A peer that has already returned dropped its inbox: there
-            // is nobody left to wake.
-            let _ = tx.send(Envelope {
-                src: failed as u32,
-                arrival: 0.0,
-                words: 0,
-                bytes: 0,
-                payload: Box::new(PeerFailed(failed)),
-            });
-        }
+/// Queues `src`'s [`Closed`] marker in the inbox of every rank in `dests`
+/// but `src` itself.
+fn close(senders: &[Sender<Envelope>], src: usize, dests: std::ops::Range<usize>) {
+    for dest in dests.filter(|&d| d != src) {
+        // A peer that has already returned dropped its inbox: there is
+        // nobody left to tell.
+        let _ = senders[dest].send(Envelope {
+            src: src as u32,
+            arrival: 0.0,
+            words: 0,
+            bytes: 0,
+            payload: Box::new(Closed),
+        });
     }
 }
 
@@ -425,10 +413,10 @@ impl Comm {
             bytes,
             payload: Box::new(msg),
         };
-        // An inbox is gone only when its rank's thread has ended, and in a
-        // correct program that is a rank that failed.
+        // An inbox is gone only when its rank has closed, and a correct
+        // program sends nothing to a rank that is done.
         if self.senders[dest].send(env).is_err() {
-            std::panic::panic_any(PeerFailed(dest));
+            std::panic::panic_any(PeerFailed);
         }
     }
 
@@ -454,11 +442,14 @@ impl Comm {
     /// # Panics
     /// If the next message from `src` has a different payload type — that
     /// is a protocol bug in the SPMD program (surfaced to the caller as a
-    /// [`DmsimError`] by the launcher) — and on the first poison envelope
-    /// dequeued while waiting, whichever rank posted it.
+    /// [`DmsimError`] by the launcher) — or if `src` closed before sending
+    /// it.
     pub fn recv<T: Send + 'static>(&mut self, src: usize) -> T {
         loop {
             if let Some((arrival, words, bytes, payload)) = self.pending[src].pop_front() {
+                if payload.is::<Closed>() {
+                    std::panic::panic_any(PeerFailed);
+                }
                 self.snap.clock_s = self.snap.clock_s.max(arrival);
                 let copy = self.model.beta * words as f64;
                 self.snap.clock_s += copy;
@@ -466,6 +457,7 @@ impl Comm {
                 self.snap.messages_received += u64::from(src != self.rank);
                 self.snap.words_received += words;
                 self.snap.bytes_received += bytes;
+                // Fires only on a protocol bug: the sender's type is not `T`.
                 return *payload.downcast::<T>().unwrap_or_else(|_| {
                     panic!(
                         "rank {} expected {} from rank {src}, got a different type",
@@ -474,10 +466,8 @@ impl Comm {
                     )
                 });
             }
-            let env = self.rx.recv().expect("all senders dropped while receiving");
-            if let Some(&PeerFailed(rank)) = env.payload.downcast_ref() {
-                std::panic::panic_any(PeerFailed(rank));
-            }
+            // Cannot fire: this rank's own sender keeps its inbox open.
+            let env = self.rx.recv().expect("a rank's inbox outlives its Comm");
             self.pending[env.src as usize].push_back((
                 env.arrival,
                 env.words,
@@ -561,6 +551,14 @@ impl Comm {
     }
 }
 
+impl Drop for Comm {
+    /// Closes this rank's stream behind its last message to every peer,
+    /// whether its body returned or unwound.
+    fn drop(&mut self) {
+        close(&self.senders, self.rank, 0..self.size);
+    }
+}
+
 /// Payload size in 8-byte words for a slice of `len` elements of `T`.
 pub fn words_of<T>(len: usize) -> u64 {
     ((len * std::mem::size_of::<T>()) as u64).div_ceil(8)
@@ -600,11 +598,12 @@ where
 ///
 /// Each rank executes `f` on its own OS thread with a 4 MiB stack (ranks
 /// are numerous; large default stacks would exhaust memory at high `p`).
-/// If any rank panics, every rank still waiting on it stops as well, and
+/// A rank's stream closes when its body returns or unwinds, so every rank
+/// still waiting on a message the closed rank never sent fails as well;
 /// after all ranks have been joined the lowest rank that failed on its own
-/// is returned with its payload as a [`DmsimError`]. A rank thread the
-/// host cannot start stops the ranks already started the same way and is
-/// returned as an [`ErrorKind::InvalidConfig`] error.
+/// is returned with its payload as a [`DmsimError`]. A rank thread the host
+/// cannot start closes it and every rank after it, and is returned as an
+/// [`ErrorKind::InvalidConfig`] error.
 pub fn run_spmd_traced<R, F>(
     p: usize,
     model: MachineModel,
@@ -616,20 +615,12 @@ where
     F: Fn(&mut Comm) -> R + Sync,
 {
     assert!(p >= 1, "need at least one rank");
-    let mut txs = Vec::with_capacity(p);
-    let mut rxs = Vec::with_capacity(p);
-    for _ in 0..p {
-        let (tx, rx) = channel::<Envelope>();
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    let senders = Arc::new(txs);
+    let (senders, rxs): (Vec<_>, Vec<_>) = (0..p).map(|_| channel::<Envelope>()).unzip();
+    let senders = Arc::new(senders);
     let f = &f;
     let level = sink.map_or(TraceLevel::Off, |s| s.level());
-    let mut results: Vec<Option<R>> = (0..p).map(|_| None).collect();
-    let mut errs: Vec<DmsimError> = Vec::new();
     let mut spawn_err = None;
-    std::thread::scope(|scope| {
+    let joined: Vec<std::thread::Result<R>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(p);
         for (rank, rx) in rxs.into_iter().enumerate() {
             let rank_senders = Arc::clone(&senders);
@@ -638,10 +629,6 @@ where
                 .name(format!("dmsim-rank-{rank}"))
                 .stack_size(4 << 20)
                 .spawn_scoped(scope, move || {
-                    let _poison = PoisonOnUnwind {
-                        rank,
-                        senders: Arc::clone(&rank_senders),
-                    };
                     let mut comm = Comm {
                         rank,
                         size: p,
@@ -661,9 +648,11 @@ where
             match handle {
                 Ok(h) => handles.push(h),
                 Err(e) => {
-                    // The ranks already running stop as if this one had
-                    // panicked, instead of waiting on it forever.
-                    poison(&senders, rank);
+                    // The ranks already running fail on the ranks that will
+                    // never start instead of waiting on them forever.
+                    for src in rank..p {
+                        close(&senders, src, 0..rank);
+                    }
                     spawn_err = Some(DmsimError::new(
                         ErrorKind::InvalidConfig,
                         format!("the host could not start rank {rank} of {p}: {e}"),
@@ -672,25 +661,25 @@ where
                 }
             }
         }
-        for (rank, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok(r) => results[rank] = Some(r),
-                Err(payload) => errs.push(DmsimError {
-                    kind: ErrorKind::RankPanic,
-                    rank,
-                    payload,
-                }),
-            }
-        }
+        handles.into_iter().map(|h| h.join()).collect()
     });
     if let Some(e) = spawn_err {
         return Err(e);
     }
+    let mut results = Vec::with_capacity(p);
+    let mut errs: Vec<DmsimError> = Vec::new();
+    for (rank, joined) in joined.into_iter().enumerate() {
+        match joined {
+            Ok(r) => results.push(r),
+            Err(payload) => errs.push(DmsimError {
+                kind: ErrorKind::RankPanic,
+                rank,
+                payload,
+            }),
+        }
+    }
     if errs.is_empty() {
-        return Ok(results
-            .into_iter()
-            .map(|r| r.expect("every rank joined without error"))
-            .collect());
+        return Ok(results);
     }
     // The lowest rank that failed on its own, not a peer's echo of it.
     let own = errs.iter().position(|e| !e.payload.is::<PeerFailed>());
@@ -863,17 +852,34 @@ mod tests {
         assert_eq!(err.message(), "boom on rank 2");
     }
 
-    /// Runs `body` on four ranks, on a helper thread so that a rank left
+    /// Runs `body` on `p` ranks, on a helper thread so that a rank left
     /// waiting forever fails the test instead of hanging the suite, and
-    /// expects rank 1's "boom" back within a second.
-    fn rank_1_boom_fails_the_run<R: Send + 'static>(body: fn(&mut Comm) -> R) {
+    /// expects the run's error back within a second.
+    fn fails_within_a_second<R: Send + 'static>(p: usize, body: fn(&mut Comm) -> R) -> DmsimError {
         let (tx, rx) = channel();
-        std::thread::spawn(move || tx.send(run_spmd(4, body).map(drop)));
-        let err = rx
-            .recv_timeout(std::time::Duration::from_secs(1))
+        std::thread::spawn(move || tx.send(run_spmd(p, body).map(drop)));
+        rx.recv_timeout(std::time::Duration::from_secs(1))
             .expect("the run was still blocked after one second")
-            .unwrap_err();
+            .unwrap_err()
+    }
+
+    /// Expects rank 1's "boom" back from `body` on four ranks.
+    fn rank_1_boom_fails_the_run<R: Send + 'static>(body: fn(&mut Comm) -> R) {
+        let err = fails_within_a_second(4, body);
         assert_eq!((err.rank, err.message()), (1, "boom"));
+    }
+
+    #[test]
+    fn rank_that_returns_early_fails_its_waiting_peer_instead_of_hanging_it() {
+        let err = fails_within_a_second(2, |c| {
+            if c.rank() == 1 {
+                c.recv::<u64>(0);
+            }
+        });
+        assert_eq!(
+            (err.rank, err.message()),
+            (1, "a peer rank exited before this rank was done with it")
+        );
     }
 
     #[test]

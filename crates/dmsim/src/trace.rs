@@ -23,7 +23,7 @@
 
 use crate::collectives::AllToAll;
 use crate::cost::{CostSnapshot, Counter};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// How much detail to record. Each level includes everything the previous
 /// levels record: `Steps` ⊂ `Ops` ⊂ `Collectives`.
@@ -353,6 +353,13 @@ pub struct TraceSink {
     metadata: Mutex<Vec<(String, String)>>,
 }
 
+/// Locks one of a sink's lists. Every critical section is a single push,
+/// clear or clone, none of which panics, so even a poisoned lock would
+/// guard a whole list: the guard is taken out of it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl TraceSink {
     /// A new sink recording at `level`.
     pub fn new(level: TraceLevel) -> Arc<TraceSink> {
@@ -369,33 +376,30 @@ impl TraceSink {
     }
 
     pub(crate) fn submit(&self, rt: RankTrace) {
-        self.ranks.lock().expect("trace sink poisoned").push(rt);
+        lock(&self.ranks).push(rt);
     }
 
     /// Attaches a run-level key/value annotation, exported as a Chrome
     /// trace metadata (`ph:"M"`) event — how a run's engine shows in trace
     /// viewers.
     pub fn add_metadata(&self, key: &str, value: &str) {
-        self.metadata
-            .lock()
-            .expect("trace sink poisoned")
-            .push((key.to_string(), value.to_string()));
+        lock(&self.metadata).push((key.to_string(), value.to_string()));
     }
 
     /// All run-level annotations recorded so far, in insertion order.
     pub fn metadata(&self) -> Vec<(String, String)> {
-        self.metadata.lock().expect("trace sink poisoned").clone()
+        lock(&self.metadata).clone()
     }
 
     /// Discards everything collected so far.
     pub fn clear(&self) {
-        self.ranks.lock().expect("trace sink poisoned").clear();
-        self.metadata.lock().expect("trace sink poisoned").clear();
+        lock(&self.ranks).clear();
+        lock(&self.metadata).clear();
     }
 
     /// All collected per-rank traces, sorted by rank.
     pub fn rank_traces(&self) -> Vec<RankTrace> {
-        let mut v = self.ranks.lock().expect("trace sink poisoned").clone();
+        let mut v = lock(&self.ranks).clone();
         v.sort_by_key(|rt| rt.rank);
         v
     }
@@ -463,8 +467,8 @@ impl TraceSink {
             overlap_hidden_s += rt.snapshot.overlap_hidden_s;
             for sp in &rt.spans {
                 let name = sp.kind.name();
-                let entry = match per_kind.iter_mut().find(|k| k.name == name) {
-                    Some(e) => e,
+                let i = match per_kind.iter().position(|k| k.name == name) {
+                    Some(i) => i,
                     None => {
                         per_kind.push(KindTotals {
                             name,
@@ -474,9 +478,10 @@ impl TraceSink {
                             words: 0,
                             ops: 0,
                         });
-                        per_kind.last_mut().expect("just pushed")
+                        per_kind.len() - 1
                     }
                 };
+                let entry = &mut per_kind[i];
                 entry.count += 1;
                 entry.time_s += sp.duration_s();
                 entry.words += sp.words;
