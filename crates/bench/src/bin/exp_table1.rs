@@ -36,10 +36,11 @@ fn main() {
             vec![
                 format!("{}", it.iteration),
                 format!("{}", it.active_before),
-                if it.spmv_dense {
-                    "SpMV".into()
-                } else {
-                    "SpMSpV".into()
+                match (it.spmv_dense, it.mxv_nvals) {
+                    (true, _) => "SpMV".into(),
+                    // The last active tree finishes without a cond-hook.
+                    (false, 0) => "none".into(),
+                    _ => "SpMSpV".into(),
                 },
                 format!("{}", it.cond_changed),
                 format!("{}", it.uncond_changed),

@@ -329,24 +329,32 @@ fn cmd_cc_dist(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     // Convergence as data: per round, the `mxv` dispatch taken and the
     // entries it multiplied, how LACC's unconditional hook ran (skip /
     // pull), then the four convergence counters (the fourth is
-    // LACC's retired vertices, FastSV's refreshed grandparents).
+    // LACC's retired vertices, FastSV's refreshed grandparents) and LACC's
+    // active roots at the round's end.
     writeln!(
         out,
-        "iter  mxv     entries    active  uhook      cond    uncond  shortcut    fourth"
+        "iter  mxv     entries    active  uhook      cond    uncond  shortcut    fourth     roots"
     )?;
     for it in &run.iters {
+        let mxv = match (it.spmv_dense, it.mxv_nvals) {
+            (true, _) => "dense",
+            // LACC's round that only finishes the last active tree.
+            (false, 0) if opts.engine == EngineSelect::Lacc => "none",
+            _ => "sparse",
+        };
         writeln!(
             out,
-            "{:>4}  {:<6} {:>8}  {:>8}  {:<5}  {:>8}  {:>8}  {:>8}  {:>8}",
+            "{:>4}  {:<6} {:>8}  {:>8}  {:<5}  {:>8}  {:>8}  {:>8}  {:>8}  {:>8}",
             it.iteration,
-            if it.spmv_dense { "dense" } else { "sparse" },
+            mxv,
             it.mxv_nvals,
             it.active_before,
             it.uncond_hook.name(),
             it.cond_changed,
             it.uncond_changed,
             it.shortcut_changed,
-            it.fourth_changed
+            it.fourth_changed,
+            it.active_roots
         )?;
     }
     if let Some((path, sink)) = &trace {
@@ -363,7 +371,7 @@ fn cmd_cc_dist(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                     "    {{\"iteration\": {}, \"spmv_dense\": {}, \"mxv_nvals\": {}, \
                      \"active_before\": {}, \"converged_after\": {}, \"uncond_hook\": \"{}\", \
                      \"cond_changed\": {}, \"uncond_changed\": {}, \"shortcut_changed\": {}, \
-                     \"fourth_changed\": {}}}",
+                     \"fourth_changed\": {}, \"active_roots\": {}}}",
                     it.iteration,
                     it.spmv_dense,
                     it.mxv_nvals,
@@ -373,7 +381,8 @@ fn cmd_cc_dist(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                     it.cond_changed,
                     it.uncond_changed,
                     it.shortcut_changed,
-                    it.fourth_changed
+                    it.fourth_changed,
+                    it.active_roots
                 )
             })
             .collect();
@@ -955,6 +964,24 @@ mod tests {
             json.contains("\"spmv_dense\": false, \"mxv_nvals\": 0"),
             "{json}"
         );
+        // LACC on the connected mesh: the round after the one that ends on
+        // one active root runs no `mxv` and retires all 512 vertices.
+        dispatch(&argv(&[
+            "cc-dist", &g, "--ranks", "4", "--engine", "lacc", "--report", &report,
+        ]))
+        .unwrap();
+        let json = std::fs::read_to_string(&report).unwrap();
+        let rounds: Vec<&str> = json
+            .lines()
+            .filter(|l| l.contains("\"iteration\""))
+            .collect();
+        let (last, before) = (rounds[rounds.len() - 1], rounds[rounds.len() - 2]);
+        assert!(before.ends_with("\"active_roots\": 1},"), "{json}");
+        assert!(
+            last.contains("\"spmv_dense\": false, \"mxv_nvals\": 0"),
+            "{json}"
+        );
+        assert!(last.ends_with("\"fourth_changed\": 512, \"active_roots\": 0}"));
     }
 
     #[test]

@@ -324,13 +324,13 @@ mod tests {
             graphs.push(erdos_renyi_gnm(500, 600, seed));
         }
         // Every per-round field but the modeled seconds and the per-rank
-        // extract requests, which a serial run does not have: the eight
+        // extract requests, which a serial run does not have: the nine
         // counters and the unconditional hook's execution.
         let rounds = |run: &LaccRun| -> Vec<_> {
             let record = |it: &IterStats| {
                 let changed = [it.cond_changed, it.uncond_changed, it.shortcut_changed];
                 let dispatch = (it.spmv_dense, it.mxv_nvals, it.uncond_hook);
-                let active = (it.active_before, it.converged_after);
+                let active = (it.active_before, it.converged_after, it.active_roots);
                 (active, dispatch, changed, it.fourth_changed)
             };
             run.iters.iter().map(record).collect()
@@ -412,6 +412,134 @@ mod tests {
                         assert_eq!(idle, [run.num_iterations()], "{what}");
                     }
                 }
+            }
+        }
+    }
+
+    /// LACC under Lemma-1 retirement without the permutation: the serial
+    /// run, then p = 1, 4, 9 and 16, each with union-find's labels and the
+    /// serial run's labels and rounds. Every run keeps the one-tree rule:
+    /// exactly the rounds after one that ended with one active root run no
+    /// `mxv` and no hook, and the others run the conditional hook.
+    fn one_tree_runs(g: &CsrGraph) -> Vec<(String, LaccRun)> {
+        let opts = LaccOpts {
+            permute: false,
+            ..LaccOpts::default()
+        };
+        let serial = lacc_serial(g, &opts);
+        let mut runs = vec![("serial".to_string(), serial.clone())];
+        for p in [1, 4, 9, 16] {
+            let run = check(g, p, &opts).run;
+            assert_eq!(run.labels, serial.labels, "p={p}");
+            let counters = |r: &LaccRun| -> Vec<_> {
+                let c = |it: &IterStats| (it.total_changed(), it.fourth_changed, it.active_roots);
+                r.iters.iter().map(c).collect()
+            };
+            assert_eq!(counters(&run), counters(&serial), "p={p}");
+            runs.push((format!("p={p}"), run));
+        }
+        for (at, run) in &runs {
+            let mut one_root = false;
+            for it in &run.iters {
+                let hooked = (it.spmv_dense, it.mxv_nvals > 0);
+                if one_root {
+                    assert_eq!(hooked, (false, false), "{at} round {}", it.iteration);
+                    assert_eq!(it.cond_changed + it.uncond_changed, 0, "{at}");
+                } else {
+                    assert_ne!(hooked, (false, false), "{at} round {}", it.iteration);
+                }
+                one_root = it.active_roots == 1;
+            }
+        }
+        runs
+    }
+
+    #[test]
+    fn one_tree_rule_shortcuts_a_deep_last_tree_without_an_mxv() {
+        use dmsim::TraceLevel;
+        // Paths leave one deep tree: once it is the only one, rounds of
+        // shortcuts alone flatten it, then one round retires it. In id
+        // order every vertex hooks onto vertex 0 in round 1, leaving nine
+        // such rounds; this shuffle leaves one.
+        let n = 1000;
+        let path = path_graph(n);
+        let shuffled = lacc_graph::permute::Permutation::random(n, 6).permute_graph(&path);
+        for (g, flattening_rounds) in [(path, 9), (shuffled, 1)] {
+            for (at, run) in one_tree_runs(&g) {
+                let first = run.iters.iter().position(|it| it.active_roots == 1);
+                let finishing = &run.iters[first.expect("one tree remains") + 1..];
+                let (last, flattening) = finishing.split_last().unwrap();
+                assert_eq!(flattening.len(), flattening_rounds, "{at}");
+                assert!(flattening.iter().all(|it| it.shortcut_changed > 0), "{at}");
+                assert_eq!((last.shortcut_changed, last.fourth_changed), (0, n), "{at}");
+            }
+        }
+        // The trace agrees: one `mxv` per cond-hook and per pulled hook.
+        let sink = TraceSink::new(TraceLevel::Collectives);
+        let opts = LaccOpts {
+            permute: false,
+            ..LaccOpts::default()
+        };
+        let cfg = RunConfig::new(4, model()).with_opts(opts).with_trace(&sink);
+        let run = run(&path_graph(n), &cfg).unwrap().run;
+        let cond = run.iters.iter().filter(|it| it.mxv_nvals > 0).count();
+        assert_eq!(cond, 1);
+        let pulled = run
+            .iters
+            .iter()
+            .filter(|it| it.uncond_hook == UncondHook::Pull);
+        let want = cond + pulled.count();
+        for rt in sink.rank_traces() {
+            let mxvs = rt.spans.iter().filter(|s| s.kind == SpanKind::Mxv).count();
+            assert_eq!(mxvs, want, "rank {}", rt.rank);
+        }
+    }
+
+    #[test]
+    fn one_tree_rule_retires_a_giant_beside_isolated_vertices() {
+        // Vertices 0..200 form one component; 200..500 are isolated and
+        // retire in round 1, so the giant ends as the last active tree.
+        let edges = (0..199)
+            .map(|v| (v, v + 1))
+            .chain((0..198).map(|v| (v, v + 2)));
+        let g = CsrGraph::from_edges(lacc_graph::EdgeList::from_pairs(500, edges));
+        for (at, run) in one_tree_runs(&g) {
+            assert_eq!(run.iters[0].fourth_changed, 300, "{at}");
+            let last = run.iters.last().unwrap();
+            assert_eq!((last.mxv_nvals, last.fourth_changed), (0, 200), "{at}");
+        }
+    }
+
+    #[test]
+    fn one_tree_rule_never_fires_on_two_equal_components() {
+        // Two copies of one graph, the second offset by its size: they hook in
+        // step and retire together, so a round never ends on one root.
+        let copy = rmat(7, 4, RmatParams::graph500(), 3);
+        let (n, k) = (2 * copy.num_vertices(), copy.num_vertices());
+        let copy_edges: Vec<(usize, usize)> = copy.edges().filter(|&(u, v)| u < v).collect();
+        let edges = copy_edges
+            .iter()
+            .flat_map(|&(u, v)| [(u, v), (u + k, v + k)]);
+        let g = CsrGraph::from_edges(lacc_graph::EdgeList::from_pairs(n, edges));
+        for (at, run) in one_tree_runs(&g) {
+            assert!(run.iters.iter().all(|it| it.active_roots != 1), "{at}");
+            assert!(run.iters.iter().all(|it| it.mxv_nvals > 0), "{at}");
+        }
+    }
+
+    #[test]
+    fn one_tree_rule_on_the_lemma1_counterexample_and_degenerate_sizes() {
+        let lemma1 = lacc_graph::EdgeList::from_pairs(82, [(77, 80), (80, 79), (79, 81), (81, 78)]);
+        for g in [
+            CsrGraph::from_edges(lemma1),
+            CsrGraph::from_edges(lacc_graph::EdgeList::new(0)),
+            CsrGraph::from_edges(lacc_graph::EdgeList::new(1)),
+        ] {
+            let n = g.num_vertices();
+            for (at, run) in one_tree_runs(&g) {
+                let last = run.iters.last().unwrap();
+                assert_eq!(last.converged_after, n, "n={n} {at}");
+                assert_eq!(last.active_roots, 0, "n={n} {at}");
             }
         }
     }
@@ -504,7 +632,7 @@ mod tests {
             (
                 EngineSelect::Lacc,
                 LaccOpts::default(),
-                &[[122, 75, 97, 67], [28, 0, 3, 0], [9, 0, 0, 0], [2, 0, 0, 0]],
+                &[[122, 75, 97, 67], [28, 0, 3, 0], [9, 0, 0, 0], [1, 0, 0, 0]],
             ),
             (
                 EngineSelect::Lacc,
@@ -513,7 +641,7 @@ mod tests {
                     [397, 99, 150, 74],
                     [563, 0, 7, 0],
                     [891, 0, 0, 0],
-                    [621, 0, 0, 0],
+                    [414, 0, 0, 0],
                 ],
             ),
             (
@@ -838,9 +966,11 @@ mod tests {
         // counts, then one `mxv` if and only if the round's record says the
         // hook ran; the shortcut after it extracts grandparents (for the
         // stars it hooked) under the same condition, and reads the
-        // nonstars' from the last starcheck otherwise. (Nesting in open
-        // order, not clock comparison: an overlap credit rewinds the clock
-        // under later spans.)
+        // nonstars' from the last starcheck otherwise. A round that finishes
+        // the last active tree runs neither hook, and its record says so
+        // with no `mxv` entries. (Nesting in open order, not clock
+        // comparison: an overlap credit rewinds the clock under later
+        // spans.)
         use dmsim::{SpanRecord, TraceLevel};
         fn under(spans: &[SpanRecord], i: usize) -> impl Iterator<Item = &SpanRecord> {
             let inside = move |s: &&SpanRecord| s.depth > spans[i].depth;
@@ -857,13 +987,15 @@ mod tests {
             let run = run(&g, &cfg).unwrap().run;
             let hooks: Vec<UncondHook> = run.iters.iter().map(|it| it.uncond_hook).collect();
             let ran = hooks.iter().filter(|&&h| h != UncondHook::Skipped).count();
+            let hooked = run.iters.iter().filter(|it| it.mxv_nvals > 0);
+            let hooked: Vec<UncondHook> = hooked.map(|it| it.uncond_hook).collect();
             if select == EngineSelect::Lacc {
                 assert!(ran > 0 && ran < hooks.len(), "{hooks:?}");
             } else {
                 assert_eq!(ran, 0, "{select}: {hooks:?}");
             }
             for rt in sink.rank_traces() {
-                let (mut mxvs, mut uncond_hooks) = (0, hooks.iter());
+                let (mut mxvs, mut uncond_hooks) = (0, hooked.iter());
                 let mut shortcuts = hooks.iter();
                 for (i, s) in rt.spans.iter().enumerate() {
                     let count = |kind| under(&rt.spans, i).filter(|c| c.kind == kind).count();
@@ -895,7 +1027,7 @@ mod tests {
                 let want = if select == EngineSelect::Lacc {
                     assert_eq!(uncond_hooks.next(), None, "rank {}", rt.rank);
                     assert_eq!(shortcuts.next(), None, "rank {}", rt.rank);
-                    hooks.len() + ran
+                    hooked.len() + ran
                 } else {
                     hooks.len()
                 };

@@ -38,7 +38,7 @@ use crate::options::LaccOpts;
 use crate::stats::{IterStats, UncondHook};
 use crate::Vid;
 use dmsim::{Comm, Grid2d};
-use driver::{fixpoint, Rules, Step};
+use driver::{fixpoint, Rules, Step, Verdict};
 use gblas::dist::{
     dist_apply_at, dist_assign, dist_extract, dist_extract_planned, dist_lower, dist_lower_all,
     dist_mxv_dense, dist_mxv_pull, dist_mxv_sparse, dist_root_all_quiet, dist_select, dist_set_at,
@@ -211,6 +211,10 @@ pub(crate) struct Lacc {
     /// Whether the last round's unconditional hook or shortcut changed a
     /// parent anywhere: this round then refreshes `star` and `gf` first.
     stale: bool,
+    /// Whether the last round ended with exactly one active root. Under
+    /// Lemma-1 retirement its tree is then a whole component (DESIGN.md
+    /// §5), which this round finishes without a conditional hook.
+    one_root: bool,
 }
 
 impl Lacc {
@@ -222,8 +226,30 @@ impl Lacc {
             active: DistVec::from_fn(cx.layout, cx.rank, |_| true),
             active_global: cx.n(),
             stale: false,
+            one_root: false,
         }
     }
+}
+
+/// LACC's fourth convergence lane: the vertices a round retired in the low
+/// 32 bits, the active roots at its end in the high 32. Both count
+/// vertices, and `crate::dist::run` refuses a graph with more than
+/// `u32::MAX` of them, so the lane's sum over ranks never carries from one
+/// half into the other.
+fn pack_lane(retired: u64, roots: u64) -> u64 {
+    debug_assert!(retired <= u64::from(u32::MAX) && roots <= u64::from(u32::MAX));
+    retired | roots << 32
+}
+
+/// [`pack_lane`]'s halves, `(retired, roots)`, of a lane summed over ranks.
+fn unpack_lane(lane: u64) -> (u64, u64) {
+    (lane & u64::from(u32::MAX), lane >> 32)
+}
+
+/// The roots (`f[v] = v`) among the local offsets `of`.
+fn count_roots<'a>(f: &DistVec<Id>, of: impl IntoIterator<Item = &'a usize>) -> u64 {
+    let own = |o: usize| f.global_of(o) as Id;
+    of.into_iter().filter(|&&o| f.local()[o] == own(o)).count() as u64
 }
 
 /// Star recomputation (Algorithm 6) over the local offsets `targets`:
@@ -290,6 +316,24 @@ impl Rules<4> for Lacc {
                     .filter(|&o| active.local()[o])
                     .collect();
                 starcheck(cx.comm, f, star, &targets, gf, &cx.opts.dist)
+            });
+        }
+
+        // The last active tree is a whole component (DESIGN.md §5), so no
+        // hook can change it: it retires once a star and shortcuts until
+        // then. The exact stars above mark one tree all alike, so each rank
+        // reads the verdict off its own vertices, with no message.
+        if self.one_root && cx.opts.use_sparsity {
+            (cx.round.spmv_dense, cx.round.mxv_nvals) = (false, 0);
+            return cx.step(Step::Shortcut, |cx| {
+                let (stars, _, nonstars) = dist_select(cx.comm, active, star, f);
+                debug_assert!(stars.is_empty() || nonstars.is_empty());
+                // A retired star leaves no root; the run ends with it, so
+                // `active` keeps its bits.
+                let roots = count_roots(f, &nonstars);
+                let pairs = nonstars.iter().map(|&o| (o, gf.local()[o]));
+                let shortcut = dist_set_at::<_, Id>(cx.comm, f, pairs).len() as u64;
+                [0, 0, shortcut, pack_lane(stars.len() as u64, roots)]
             });
         }
 
@@ -367,11 +411,13 @@ impl Rules<4> for Lacc {
         // Step 3 — shortcutting: f[v] ← f[f[v]] on the active nonstars,
         // read from `gf` (the uncond-hook, too, writes only star roots), and
         // on the active stars when the uncond-hook ran (a hooked star's
-        // members sit at depth 2). The next round refreshes the stars.
-        let shortcut = cx.step(Step::Shortcut, |cx| {
+        // members sit at depth 2). The next round refreshes the stars. A
+        // shortcut moves no root, so the active roots are counted here.
+        let (shortcut, roots) = cx.step(Step::Shortcut, |cx| {
             let (comm, dopts) = (&mut *cx.comm, &cx.opts.dist);
             let win = comm.overlap_window();
             let (stars, roots, nonstars) = dist_select(comm, active, star, f);
+            let active_roots = count_roots(f, stars.iter().chain(&nonstars));
             // Read before any nonstar moves: a hooked root's new parent may be
             // one. Every rank has the same `hook`, so all join or none does.
             let star_gfs = if hook == UncondHook::Pull {
@@ -381,18 +427,26 @@ impl Rules<4> for Lacc {
             };
             let nonstar_gfs = nonstars.iter().map(|&o| (o, gf.local()[o]));
             let pairs = nonstar_gfs.chain(stars.into_iter().zip(star_gfs));
-            dist_set_at::<_, Id>(comm, f, pairs).len() as u64
+            let shortcut = dist_set_at::<_, Id>(comm, f, pairs).len() as u64;
+            (shortcut, active_roots)
         });
-        [cond, uncond, shortcut, retired]
+        [cond, uncond, shortcut, pack_lane(retired, roots)]
     }
 
-    fn settle(&mut self, n: usize, changed: &[u64; 4]) -> (bool, usize) {
-        self.active_global -= changed[3] as usize;
+    fn settle(&mut self, n: usize, changed: &mut [u64; 4]) -> Verdict {
+        let (retired, roots) = unpack_lane(changed[3]);
+        changed[3] = retired;
+        self.active_global -= retired as usize;
         // Every round read exact stars, so one that changed no parent is a
         // proven fixpoint; one that retired every vertex left nothing to run.
         let done = self.active_global == 0 || changed[..3].iter().sum::<u64>() == 0;
         self.stale = changed[1] + changed[2] > 0;
-        (done, n - self.active_global)
+        self.one_root = roots == 1;
+        Verdict {
+            done,
+            converged_after: n - self.active_global,
+            active_roots: roots as usize,
+        }
     }
 }
 
@@ -471,7 +525,7 @@ impl Rules<4> for Fastsv {
         [cond, uncond, shortcut, refreshed]
     }
 
-    fn settle(&mut self, n: usize, changed: &[u64; 4]) -> (bool, usize) {
+    fn settle(&mut self, n: usize, changed: &mut [u64; 4]) -> Verdict {
         self.mngf.changed_global = changed[3] as usize;
         fixpoint(n, changed)
     }
@@ -520,7 +574,7 @@ impl Rules<1> for LabelProp {
         [changed, 0, 0, 0]
     }
 
-    fn settle(&mut self, n: usize, changed: &[u64; 4]) -> (bool, usize) {
+    fn settle(&mut self, n: usize, changed: &mut [u64; 4]) -> Verdict {
         self.0.changed_global = changed[0] as usize;
         fixpoint(n, changed)
     }
@@ -549,5 +603,20 @@ mod tests {
             );
         }
         assert_eq!(EngineSelect::default(), EngineSelect::Lacc);
+    }
+
+    #[test]
+    fn packed_lane_carries_both_counts_up_to_u32_max() {
+        let max = u64::from(u32::MAX);
+        assert_eq!(unpack_lane(pack_lane(max, max)), (max, max));
+        assert_eq!(unpack_lane(pack_lane(max, 0)), (max, 0));
+        assert_eq!(unpack_lane(pack_lane(0, max)), (0, max));
+        // Summed over ranks, as the convergence allreduce sums it: halves
+        // that reach u32::MAX together carry nothing into each other.
+        let ranks = [(max - 7, 1), (5, max - 3), (2, 2)];
+        let sum: u64 = ranks.iter().map(|&(r, a)| pack_lane(r, a)).sum();
+        assert_eq!(unpack_lane(sum), (max, max));
+        let sum = pack_lane(max, 0) + pack_lane(0, 1);
+        assert_eq!(unpack_lane(sum), (max, 1));
     }
 }

@@ -25,23 +25,39 @@ pub(crate) trait Rules<const W: usize> {
     /// One round over the labels `f`, each step under `EngineCtx::step`.
     /// Returns this rank's applied updates: conditional hooks,
     /// unconditional hooks, shortcuts, and the engine's fourth convergence
-    /// counter (LACC: vertices newly retired; FastSV: grandparents
-    /// refreshed). What else the round's record should say — the `mxv`
+    /// counter (LACC: vertices newly retired, with its active roots in
+    /// the lane's upper half; FastSV: grandparents refreshed). What else the round's record should say — the `mxv`
     /// dispatch taken and the entries it multiplied, the active count —
     /// goes into `cx.round`, preset for an engine that keeps every vertex
     /// active and every `mxv` dense.
     fn round(&mut self, cx: &mut EngineCtx<'_>, f: &mut DistVec<Id>) -> [u64; 4];
 
     /// Folds the round's globally summed counters into the engine's state
-    /// and returns `(converged, vertices known converged so far)`.
-    fn settle(&mut self, n: usize, changed: &[u64; 4]) -> (bool, usize);
+    /// and returns its verdict. An engine that packs two counts into one
+    /// lane (LACC's fourth) splits it here, leaving in `changed` the four
+    /// counters the round's record files.
+    fn settle(&mut self, n: usize, changed: &mut [u64; 4]) -> Verdict;
+}
+
+/// What `Rules::settle` concludes from a round's summed counters.
+pub(crate) struct Verdict {
+    /// The run has converged.
+    pub(crate) done: bool,
+    /// Vertices known converged so far.
+    pub(crate) converged_after: usize,
+    /// Active roots at the round's end (LACC; zero for the others).
+    pub(crate) active_roots: usize,
 }
 
 /// The `Rules::settle` verdict of an engine without retirement: a round
 /// that changed nothing anywhere is the fixpoint.
-pub(crate) fn fixpoint(n: usize, changed: &[u64; 4]) -> (bool, usize) {
+pub(crate) fn fixpoint(n: usize, changed: &[u64; 4]) -> Verdict {
     let done = changed.iter().sum::<u64>() == 0;
-    (done, if done { n } else { 0 })
+    Verdict {
+        done,
+        converged_after: if done { n } else { 0 },
+        active_roots: 0,
+    }
 }
 
 /// The four engine steps, each with its trace span and its bucket of the
@@ -121,9 +137,10 @@ pub(crate) fn drive<R: Rules<W>, const W: usize>(
             .allreduce(&world, payload, |x, y| std::array::from_fn(|k| x[k] + y[k]));
         let mut changed = [0u64; 4];
         changed[..W].copy_from_slice(&merged);
-        let (done, converged_after) = rules.settle(n, &changed);
+        let verdict = rules.settle(n, &mut changed);
         iters.push(IterStats {
-            converged_after,
+            converged_after: verdict.converged_after,
+            active_roots: verdict.active_roots,
             cond_changed: changed[0] as usize,
             uncond_changed: changed[1] as usize,
             shortcut_changed: changed[2] as usize,
@@ -131,7 +148,7 @@ pub(crate) fn drive<R: Rules<W>, const W: usize>(
             extract_received: vec![round.counter(Counter::RequestsReceived)],
             ..std::mem::take(&mut cx.round)
         });
-        if done {
+        if verdict.done {
             break;
         }
     }

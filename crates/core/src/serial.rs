@@ -40,6 +40,21 @@ fn starcheck_active(f: &[Vid], star: &mut [bool], active: &[bool]) {
     }
 }
 
+/// Shortcuts every vertex of `targets` at once, `f[v] ← f[f[v]]` read
+/// before any write, and returns the parents it changed.
+fn shortcut(f: &mut [Vid], targets: &[Vid]) -> usize {
+    let parent_ids: Vec<Vid> = targets.iter().map(|&v| f[v]).collect();
+    let gfs = serial::extract(f, &parent_ids);
+    let mut changed = 0;
+    for (&v, &gf) in targets.iter().zip(&gfs) {
+        if f[v] != gf {
+            f[v] = gf;
+            changed += 1;
+        }
+    }
+    changed
+}
+
 /// Runs serial LACC and returns labels plus per-iteration statistics.
 ///
 /// ```
@@ -63,11 +78,42 @@ pub fn lacc_serial(g: &CsrGraph, opts: &LaccOpts) -> LaccRun {
     // iteration (its unconditional hook or its shortcut): the star vector
     // is then stale and is refreshed before anything reads it.
     let mut stale = false;
+    // Whether the previous iteration ended with exactly one active root.
+    let mut one_root = false;
 
     for iteration in 1..=opts.max_iters {
         let active_before = active_count;
         if stale {
             starcheck_active(&f, &mut star, &active);
+        }
+
+        if one_root && opts.use_sparsity {
+            // The last active tree is a whole component (DESIGN.md §5): no
+            // hook can change it, so it retires once a star and only
+            // shortcuts until then. Its vertices are all stars or all not.
+            let nonstars: Vec<Vid> = (0..n).filter(|&v| active[v] && !star[v]).collect();
+            if nonstars.is_empty() {
+                active.fill(false);
+                active_count = 0;
+            }
+            let shortcut_changed = shortcut(&mut f, &nonstars);
+            let active_roots = (0..n).filter(|&v| active[v] && f[v] == v).count();
+            iters.push(IterStats {
+                iteration,
+                active_before,
+                converged_after: n - active_count,
+                shortcut_changed,
+                fourth_changed: active_before - active_count,
+                active_roots,
+                ..Default::default()
+            });
+            // A nonstar tree has a vertex at depth 2, which the shortcut moved.
+            stale = shortcut_changed > 0;
+            one_root = active_roots == 1;
+            if active_count == 0 {
+                break;
+            }
+            continue;
         }
 
         // --- Step 1: conditional hooking (Algorithm 3), fused with the
@@ -168,15 +214,9 @@ pub fn lacc_serial(g: &CsrGraph, opts: &LaccOpts) -> LaccRun {
         let targets: Vec<Vid> = (0..n)
             .filter(|&v| active[v] && (!star[v] || uncond_hook != UncondHook::Skipped))
             .collect();
-        let parent_ids: Vec<Vid> = targets.iter().map(|&v| f[v]).collect();
-        let gfs = serial::extract(&f, &parent_ids);
-        let mut shortcut_changed = 0;
-        for (&v, &gf) in targets.iter().zip(&gfs) {
-            if f[v] != gf {
-                f[v] = gf;
-                shortcut_changed += 1;
-            }
-        }
+        let shortcut_changed = shortcut(&mut f, &targets);
+        let active_roots = (0..n).filter(|&v| active[v] && f[v] == v).count();
+        one_root = active_roots == 1;
 
         iters.push(IterStats {
             iteration,
@@ -189,6 +229,7 @@ pub fn lacc_serial(g: &CsrGraph, opts: &LaccOpts) -> LaccRun {
             uncond_changed,
             shortcut_changed,
             fourth_changed: active_before - active_count,
+            active_roots,
             ..Default::default()
         });
         // Every iteration read exact stars, so one that changed no parent

@@ -93,7 +93,9 @@ pub struct IterStats {
     pub spmv_dense: bool,
     /// Entries, over all ranks, of the vector that `mxv` multiplied: `n`
     /// on the dense path, the active (LACC) or changed (FastSV, label
-    /// propagation) entries on the sparse one.
+    /// propagation) entries on the sparse one. Zero, with `spmv_dense`
+    /// false, on a LACC round that ran no `mxv`: one that only finished
+    /// the last active tree.
     pub mxv_nvals: usize,
     /// How the unconditional hook ran (LACC only).
     pub uncond_hook: UncondHook,
@@ -106,6 +108,11 @@ pub struct IterStats {
     /// The engine's fourth convergence counter: vertices retired by Lemma 1
     /// (LACC), grandparents refreshed (FastSV), zero for label propagation.
     pub fourth_changed: usize,
+    /// Active roots (active `v` with `f[v] = v`) at the end of the
+    /// iteration (LACC only; zero for the other engines). At 1 the last
+    /// active tree is a whole component, and the next iteration finishes
+    /// it without a conditional hook.
+    pub active_roots: usize,
     /// Modeled per-step times (zeros for serial runs).
     pub modeled: StepBreakdown,
     /// Extract requests received per rank during this iteration's

@@ -152,6 +152,21 @@ impl Comm {
         g: &Group,
         mine: Vec<T>,
     ) -> Vec<Vec<T>> {
+        let own = mine.clone();
+        let mut result = self.allgatherv_peers(g, mine);
+        result[g.my_index()] = own;
+        result
+    }
+
+    /// [`Comm::allgatherv`] for a caller that keeps its own block in
+    /// another form (an encoded frame's typed source): `mine` moves into
+    /// the ring uncopied, and the caller's own slot comes back empty. The
+    /// messages and their charges are the same.
+    pub fn allgatherv_peers<T: Clone + Send + 'static>(
+        &mut self,
+        g: &Group,
+        mine: Vec<T>,
+    ) -> Vec<Vec<T>> {
         let span = self.span_open(SpanKind::Allgatherv);
         let q = g.size();
         let me = g.my_index();
@@ -160,8 +175,7 @@ impl Comm {
         let left = g.member((me + q - 1) % q);
         // The ring forwards a copy of each incoming block, except on the
         // last step.
-        let mut carry = mine.clone();
-        result[me] = mine;
+        let mut carry = mine;
         for step in 1..q {
             self.send_vec(right, carry);
             let incoming: Vec<T> = self.recv(left);
@@ -1105,6 +1119,34 @@ mod tests {
                     let expect: Vec<u64> = (0..src + 1).map(|i| (src * 10 + i) as u64).collect();
                     assert_eq!(block, &expect);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn allgatherv_peers_leaves_only_the_own_slot_empty_and_costs_the_same() {
+        for p in [1, 2, 3, 4, 9] {
+            let out = run_spmd(p, |c| {
+                let w = c.world();
+                let mine = vec![c.rank() as u64; c.rank() + 1];
+                let before = c.snapshot();
+                let full = c.allgatherv(&w, mine.clone());
+                let full_cost = c.snapshot().since(&before);
+                let before = c.snapshot();
+                let peers = c.allgatherv_peers(&w, mine);
+                let peers_cost = c.snapshot().since(&before);
+                (c.rank(), full, peers, full_cost, peers_cost)
+            })
+            .unwrap();
+            for (me, full, peers, full_cost, peers_cost) in out {
+                assert_eq!(peers[me], Vec::<u64>::new(), "p={p}");
+                for k in (0..p).filter(|&k| k != me) {
+                    assert_eq!(peers[k], full[k], "p={p} rank {me} slot {k}");
+                }
+                assert_eq!(full[me], vec![me as u64; me + 1]);
+                let charges =
+                    |s: &crate::CostSnapshot| (s.words_sent, s.bytes_sent, s.messages_sent);
+                assert_eq!(charges(&full_cost), charges(&peers_cost), "p={p}");
             }
         }
     }

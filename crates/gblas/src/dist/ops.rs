@@ -134,7 +134,7 @@ where
             } else {
                 Vec::new()
             };
-            let gathered = c.allgatherv(group, frame);
+            let gathered = c.allgatherv_peers(group, frame);
             // Member k encoded its own chunk, whose length the layout gives.
             decode_peers(group.my_index(), gathered, local, |k, b| {
                 let len = layout.local_len(group.member(k));
@@ -147,7 +147,9 @@ where
 /// The typed parts of a frame exchange: `frames[k]` decoded for every
 /// member `k` but this rank, `me`, whose part is the `own` it would have
 /// encoded. A rank runs no codec on what it delivers to itself; a frame
-/// it sent itself is never charged, so neither is skipping it.
+/// it sent itself is never charged, so neither is skipping it. The
+/// gathers move their frame into the ring ([`Comm::allgatherv_peers`]), so
+/// slot `me` arrives empty.
 fn decode_peers<T>(
     me: usize,
     frames: Vec<Vec<u8>>,
@@ -186,7 +188,7 @@ where
             } else {
                 Vec::new()
             };
-            let gathered = c.allgatherv(group, frame);
+            let gathered = c.allgatherv_peers(group, frame);
             // Every member encoded its share with `encode_entry_frame`.
             decode_peers(group.my_index(), gathered, entries, |_, b| {
                 decode_entry_frame(b).expect("a peer's entry frame")

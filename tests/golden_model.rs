@@ -5,7 +5,10 @@
 //! wire), the opposite corner of the lever lattice. Two more LACC rows at
 //! p = 4 pin the cond-hook branches the rmat rows never take: the SpMSpV
 //! branch (the community graph's fifth round is sparse) and the
-//! `LaccOpts::dense_as()` branch without Lemma-1 retirement.
+//! `LaccOpts::dense_as()` branch without Lemma-1 retirement. Two rows on a
+//! larger community graph, at p = 4 and 16, pin a run whose last round
+//! still holds six active trees: the one-tree rule (DESIGN.md §5) never
+//! fires there, and these rows were recorded before it was built.
 //!
 //! The modeled clock is a function of every `charge_compute` amount and
 //! every message's size and order, so a host-side rewrite that is meant to
@@ -32,8 +35,8 @@ type Table = (
 );
 
 const GOLDEN: [Row; 6] = [
-    (EngineSelect::Lacc, 4, 0.0007175941111111135, 6119, 47574),
-    (EngineSelect::Lacc, 9, 0.0016064428444444332, 13078, 94636),
+    (EngineSelect::Lacc, 4, 0.0006045227555555568, 4973, 38614),
+    (EngineSelect::Lacc, 9, 0.0013403976222222185, 10826, 78246),
     (EngineSelect::Fastsv, 4, 0.0003301344222222223, 3970, 31356),
     (EngineSelect::Fastsv, 9, 0.0005628786222222237, 8040, 61780),
     (
@@ -54,12 +57,27 @@ const GOLDEN: [Row; 6] = [
 
 /// The same pins under [`LaccOpts::naive_comm`].
 const GOLDEN_NAIVE_COMM: [Row; 2] = [
-    (EngineSelect::Lacc, 4, 0.0008988816444444432, 10852, 86503),
+    (EngineSelect::Lacc, 4, 0.0007586244666666661, 9168, 73048),
     (EngineSelect::Fastsv, 4, 0.00032538328888888894, 5557, 44376),
 ];
 
 /// LACC on the community graph, default options: its SpMSpV round.
-const GOLDEN_LACC_SPARSE: [Row; 1] = [(EngineSelect::Lacc, 4, 0.0009387469333333372, 8431, 65487)];
+const GOLDEN_LACC_SPARSE: [Row; 1] = [(EngineSelect::Lacc, 4, 0.0008468561333333361, 8078, 62867)];
+
+/// LACC on a larger community graph at p = 4 and 16, default options: its
+/// last round still starts with six active trees, so the one-tree rule
+/// never fires there and must cost nothing. Recorded before the rule was
+/// built.
+const GOLDEN_LACC_MANY_TREES: [Row; 2] = [
+    (EngineSelect::Lacc, 4, 0.0023084926222222153, 40085, 318550),
+    (
+        EngineSelect::Lacc,
+        16,
+        0.0018777065777777738,
+        130287,
+        1019905,
+    ),
+];
 
 /// LACC on the rmat graph under [`LaccOpts::dense_as`].
 const GOLDEN_DENSE_AS: [Row; 1] = [(EngineSelect::Lacc, 4, 0.0007330048222222233, 7402, 57881)];
@@ -70,6 +88,10 @@ fn rmat_graph() -> CsrGraph {
 
 fn community() -> CsrGraph {
     community_graph(600, 40, 3.0, 1.4, 9)
+}
+
+fn many_trees() -> CsrGraph {
+    community_graph(3000, 150, 3.0, 1.4, 2)
 }
 
 /// Skewed degrees for the hooking engines (duplicate-heavy requests, hot
@@ -99,7 +121,7 @@ fn measure(graph: &CsrGraph, base: LaccOpts, engine: EngineSelect, ranks: usize)
 
 #[test]
 fn modeled_clock_and_wire_traffic_match_golden_values() {
-    let tables: [Table; 4] = [
+    let tables: [Table; 5] = [
         ("GOLDEN", LaccOpts::default(), graph_for, &GOLDEN),
         (
             "GOLDEN_NAIVE_COMM",
@@ -112,6 +134,12 @@ fn modeled_clock_and_wire_traffic_match_golden_values() {
             LaccOpts::default(),
             |_| community(),
             &GOLDEN_LACC_SPARSE,
+        ),
+        (
+            "GOLDEN_LACC_MANY_TREES",
+            LaccOpts::default(),
+            |_| many_trees(),
+            &GOLDEN_LACC_MANY_TREES,
         ),
         (
             "GOLDEN_DENSE_AS",
