@@ -274,6 +274,45 @@ mod tests {
         check(&metagenome_graph(1000, 6, 0.01, 2), 9);
     }
 
+    /// `(graph, p, modeled_total_s, bfs_levels, sv_rounds)` under
+    /// `EDISON.flat_model()`, the configuration of Figures 4–6. When a
+    /// change moves them on purpose, run `cargo test -p lacc-baselines
+    /// parconnect_sim_matches_golden_values -- --nocapture`, check the
+    /// printed table and paste it over `GOLDEN`.
+    const GOLDEN: [(&str, usize, f64, usize, usize); 4] = [
+        ("community", 4, 0.0015551888, 10, 4),
+        ("community", 16, 0.0018071135999999954, 10, 4),
+        ("rmat", 4, 0.0014764717333333318, 4, 2),
+        ("rmat", 16, 0.0013586577333333304, 4, 2),
+    ];
+
+    #[test]
+    fn parconnect_sim_matches_golden_values() {
+        let graph = |name: &str| match name {
+            "community" => community_graph(600, 40, 3.0, 1.4, 9),
+            _ => rmat(9, 6, RmatParams::graph500(), 5),
+        };
+        let measured: Vec<_> = GOLDEN
+            .iter()
+            .map(|&(name, p, ..)| {
+                let run = check(&graph(name), p);
+                (name, p, run.modeled_total_s, run.bfs_levels, run.sv_rounds)
+            })
+            .collect();
+        for row in &measured {
+            println!("        {row:?},");
+        }
+        for (got, want) in measured.iter().zip(&GOLDEN) {
+            assert_eq!(
+                (got.2.to_bits(), got.3, got.4),
+                (want.2.to_bits(), want.3, want.4),
+                "{} at p = {}: measured {got:?}, golden {want:?}",
+                want.0,
+                want.1
+            );
+        }
+    }
+
     #[test]
     fn adversarial_lemma1_ids() {
         let el = lacc_graph::EdgeList::from_pairs(82, [(77, 80), (80, 79), (79, 81), (81, 78)]);

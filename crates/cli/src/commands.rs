@@ -46,7 +46,7 @@ fn failed(e: impl std::fmt::Display) -> CliError {
 /// Usage text shown on argument errors.
 pub const USAGE: &str = "usage:
   lacc stats    <graph>
-  lacc cc       <graph> [--algo lacc|unionfind|bfs|sv|labelprop|fastsv|multistep] [--out labels.txt]
+  lacc cc       <graph> [--algo lacc|unionfind|fastsv] [--out labels.txt]
   lacc cc-dist  <graph> --ranks P [--machine edison|cori] [--flat]
                 [--spmv-threshold F]
                 [--wire legacy|compact]
@@ -238,23 +238,22 @@ fn cmd_stats(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 fn cmd_cc(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let g = load_graph(args)?;
-    let algo = args
-        .options
-        .get("algo")
-        .map(|s| s.as_str())
-        .unwrap_or("lacc");
-    let t = std::time::Instant::now();
-    let labels = match algo {
-        "lacc" => lacc_serial(&g, &LaccOpts::default()).labels,
-        "unionfind" => baselines::union_find_cc(&g),
-        "bfs" => baselines::bfs_cc(&g),
-        "sv" => baselines::shiloach_vishkin_cc(&g),
-        "labelprop" => baselines::label_propagation_cc(&g),
-        "fastsv" => baselines::fastsv_cc(&g),
-        "multistep" => baselines::multistep_cc(&g),
-        other => return Err(format!("unknown algorithm: {other}").into()),
+    let algo = args.options.get("algo").map_or("lacc", |s| s.as_str());
+    // Checked before the graph is read, so a bad name fails at once.
+    let cc: fn(&CsrGraph) -> Vec<lacc::Vid> = match algo {
+        "lacc" => |g| lacc_serial(g, &LaccOpts::default()).labels,
+        "unionfind" => baselines::union_find_cc,
+        "fastsv" => baselines::fastsv_cc,
+        other => {
+            return Err(format!(
+                "invalid algorithm: {other:?} is not one of lacc, unionfind, fastsv"
+            )
+            .into())
+        }
     };
+    let g = load_graph(args)?;
+    let t = std::time::Instant::now();
+    let labels = cc(&g);
     let elapsed = t.elapsed().as_secs_f64();
     lacc::verify_labels(&g, &labels).map_err(|e| failed(format!("internal error: {e}")))?;
     let canon = lacc_graph::unionfind::canonicalize_labels(&labels);
@@ -990,7 +989,17 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let p = dir.join("t.el").display().to_string();
         std::fs::write(&p, "0 1\n1 2\n").unwrap();
-        assert!(dispatch(&argv(&["cc", &p, "--algo", "quantum"])).is_err());
+        // Any other name is refused before the graph is read, so a missing
+        // file does not change the error.
+        let missing = dir.join("missing.el").display().to_string();
+        for algo in ["quantum", "bfs", "sv", "labelprop", "multistep"] {
+            for graph in [&p, &missing] {
+                assert_eq!(
+                    dispatch(&argv(&["cc", graph, "--algo", algo])).unwrap_err(),
+                    format!("invalid algorithm: \"{algo}\" is not one of lacc, unionfind, fastsv")
+                );
+            }
+        }
     }
 
     #[test]

@@ -53,6 +53,12 @@ fn closed_stdout_is_quiet_and_only_argument_errors_print_usage() {
         assert_eq!(err.lines().next(), Some(line), "{err}");
         assert!(err.contains("usage:") && !err.contains("auto]"), "{err}");
     }
+    let out = lacc(&["cc", &g, "--algo", "bfs"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = stderr_of(&out);
+    let line = "error: invalid algorithm: \"bfs\" is not one of lacc, unionfind, fastsv";
+    assert_eq!(err.lines().next(), Some(line), "{err}");
+    assert!(err.contains("usage:") && !err.contains("|bfs"), "{err}");
 }
 
 #[test]

@@ -826,7 +826,7 @@ mod tests {
         // Without permutation both converge to component minima, so the
         // raw labels are equal — not just the partitions.
         let g = community_graph(800, 40, 3.0, 1.4, 12);
-        let serial = baselines_oracle_fastsv(&g);
+        let serial = lacc_baselines::fastsv_cc(&g);
         let opts = LaccOpts {
             permute: false,
             engine: EngineSelect::Fastsv,
@@ -835,56 +835,6 @@ mod tests {
         let out = run_with(&g, 4, &opts);
         assert_eq!(out.engine, EngineSelect::Fastsv);
         assert_eq!(out.labels, serial);
-    }
-
-    // A tiny local FastSV oracle (mirrors `lacc-baselines::fastsv_cc`,
-    // which this crate cannot depend on without a cycle).
-    fn baselines_oracle_fastsv(g: &CsrGraph) -> Vec<crate::Vid> {
-        let n = g.num_vertices();
-        let mut f: Vec<usize> = (0..n).collect();
-        let mut gf = f.clone();
-        loop {
-            let mut changed = 0u64;
-            let fnv: Vec<usize> = (0..n)
-                .map(|u| {
-                    g.neighbors(u)
-                        .iter()
-                        .map(|&v| gf[v])
-                        .min()
-                        .unwrap_or(usize::MAX)
-                })
-                .collect();
-            for u in 0..n {
-                let fu = f[u];
-                if fnv[u] < f[fu] {
-                    f[fu] = fnv[u];
-                    changed += 1;
-                }
-            }
-            for u in 0..n {
-                if fnv[u] < f[u] {
-                    f[u] = fnv[u];
-                    changed += 1;
-                }
-            }
-            for u in 0..n {
-                if gf[u] < f[u] {
-                    f[u] = gf[u];
-                    changed += 1;
-                }
-            }
-            for u in 0..n {
-                let new = f[f[u]];
-                if gf[u] != new {
-                    gf[u] = new;
-                    changed += 1;
-                }
-            }
-            if changed == 0 {
-                break;
-            }
-        }
-        f
     }
 
     #[test]

@@ -223,9 +223,13 @@ impl<T: Copy + Send + 'static> DistVec<T> {
         T: Clone,
     {
         let world = comm.world();
-        let by_rank = comm.allgatherv(&world, self.local.clone());
+        // The own chunk is read in place; only the ring gets a copy.
+        let by_rank = comm.allgatherv_peers(&world, self.local.clone());
         let chunks: Vec<&[T]> = (0..self.layout.grid.size())
-            .map(|c| by_rank[self.layout.rank_of_chunk(c)].as_slice())
+            .map(|c| match self.layout.rank_of_chunk(c) {
+                r if r == self.rank => self.local.as_slice(),
+                r => by_rank[r].as_slice(),
+            })
             .collect();
         let global = chunks.concat();
         assert_eq!(global.len(), self.layout.n, "gathered chunks cover 0..n");
@@ -298,8 +302,12 @@ impl<T: Copy + Send + 'static, I: Idx> DistSpVec<T, I> {
     /// Assembles the full sparse vector on every rank.
     pub fn to_serial(&self, comm: &mut Comm) -> SparseVec<T, I> {
         let world = comm.world();
-        let by_rank = comm.allgatherv(&world, self.entries.clone());
-        let mut all: Vec<(I, T)> = by_rank.into_iter().flatten().collect();
+        // The own entries are read in place; only the ring gets a copy.
+        let by_rank = comm.allgatherv_peers(&world, self.entries.clone());
+        let mut all: Vec<(I, T)> = Vec::new();
+        for (r, block) in by_rank.iter().enumerate() {
+            all.extend_from_slice(if r == self.rank { &self.entries } else { block });
+        }
         all.sort_unstable_by_key(|&(g, _)| g);
         SparseVec::from_entries(self.layout.n, all)
     }

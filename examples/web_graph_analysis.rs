@@ -5,9 +5,9 @@
 //! ```
 //!
 //! Builds a web-crawl-like RMAT graph (skewed degrees, one giant
-//! component plus fringe) and runs every connected-components algorithm in
-//! the workspace on it — serial baselines in wall time, distributed
-//! algorithms in modeled machine time — then checks they all agree.
+//! component plus fringe) and labels it five ways — union-find, serial
+//! FastSV and serial LACC in wall time, distributed LACC and
+//! ParConnect-sim in modeled machine time — then checks they all agree.
 
 use lacc_suite::baselines as b;
 use lacc_suite::dmsim::EDISON;
@@ -44,38 +44,11 @@ fn main() {
         println!("  {name:<34} {elapsed:>9.2} {unit}");
     };
 
-    println!("serial / shared-memory (wall ms):");
+    println!("serial (wall ms):");
     let t = Instant::now();
     let labels = b::union_find_cc(&g);
     check(
         "union-find (serial optimum)",
-        labels,
-        t.elapsed().as_secs_f64() * 1e3,
-        "ms",
-    );
-    let t = Instant::now();
-    let labels = b::bfs_cc(&g);
-    check("BFS", labels, t.elapsed().as_secs_f64() * 1e3, "ms");
-    let t = Instant::now();
-    let labels = b::shiloach_vishkin_cc(&g);
-    check(
-        "Shiloach-Vishkin (threads)",
-        labels,
-        t.elapsed().as_secs_f64() * 1e3,
-        "ms",
-    );
-    let t = Instant::now();
-    let labels = b::label_propagation_cc(&g);
-    check(
-        "label propagation (threads)",
-        labels,
-        t.elapsed().as_secs_f64() * 1e3,
-        "ms",
-    );
-    let t = Instant::now();
-    let labels = b::multistep_cc(&g);
-    check(
-        "Multistep (BFS + label prop)",
         labels,
         t.elapsed().as_secs_f64() * 1e3,
         "ms",

