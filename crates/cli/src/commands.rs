@@ -577,16 +577,8 @@ fn cmd_generate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     } else {
         match family.as_str() {
             "community" => {
-                let comps: usize = args.get_or("components", (n / 50).max(1))?;
+                let comps: usize = args.get_or("components", (n / 50).max(1).min(n))?;
                 let degree: f64 = args.get_or("degree", 8.0)?;
-                if comps == 0 {
-                    return Err(failed("components must be at least 1"));
-                }
-                if !(degree.is_finite() && degree >= 0.0) {
-                    return Err(failed(format!(
-                        "degree must be finite and nonnegative, got {degree}"
-                    )));
-                }
                 fits(n)?;
                 generators::try_community_graph(n, comps, degree, 1.4, seed).map_err(failed)?
             }

@@ -161,6 +161,15 @@ fn generate_refuses_zero_components() {
 }
 
 #[test]
+fn generate_refuses_more_components_than_vertices() {
+    generate(
+        "community",
+        &["--n", "10", "--components", "20"],
+        "20 components cannot split 10 vertices",
+    );
+}
+
+#[test]
 fn generate_refuses_a_negative_degree() {
     generate("community", &["--n", "10", "--degree", "-1"], "degree");
 }

@@ -124,7 +124,7 @@ fn run_engine(
     g: &CsrGraph,
     perm: Option<&Permutation>,
     opts: &LaccOpts,
-) -> Result<EngineRun, String> {
+) -> Result<EngineRun, DmsimError> {
     let engine = opts.engine;
     let mut ctx = EngineCtx::new(comm, g, perm, opts);
     match engine {
@@ -132,7 +132,14 @@ fn run_engine(
         EngineSelect::Fastsv => drive(Fastsv::new(&ctx), &mut ctx),
         EngineSelect::LabelProp => drive(LabelProp::new(&ctx), &mut ctx),
     }
-    .map_err(|bound| format!("engine {engine} did not converge within its bound of {bound} rounds"))
+    .map_err(|bound| not_converged(engine, bound))
+}
+
+/// The error of an engine that ran out of rounds: the labels it holds
+/// then are not a component labeling.
+fn not_converged(engine: EngineSelect, bound: usize) -> DmsimError {
+    let message = format!("engine {engine} did not converge within its bound of {bound} rounds");
+    DmsimError::new(ErrorKind::NotConverged, message)
 }
 
 /// The most simulated ranks a run may have: a 64 × 64 grid. Every rank
@@ -164,7 +171,8 @@ pub fn check_ranks(ranks: usize) -> Result<(), DmsimError> {
 /// graph has more vertices than `u32` ids can name, with the
 /// failing rank and panic payload if any rank panics, and with the engine
 /// and its round bound if the engine runs out of rounds before converging
-/// (LACC: `opts.max_iters`) — never `Ok` with unconverged labels.
+/// (`8·bitlen(n) + 32` for LACC and FastSV, `n + 2` for label
+/// propagation) — never `Ok` with unconverged labels.
 ///
 /// Engine caveat: LACC labels are tree-root ids, while FastSV and label
 /// propagation converge to component *minima* — cross-engine comparisons
@@ -205,8 +213,7 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
     // fails all of them together; rank 0 is the lowest.
     let mut outs = run_spmd_traced(p, cfg.model, cfg.trace.as_ref(), spmd)?
         .into_iter()
-        .collect::<Result<Vec<EngineRun>, String>>()
-        .map_err(|unconverged| DmsimError::new(ErrorKind::NotConverged, unconverged))?;
+        .collect::<Result<Vec<EngineRun>, DmsimError>>()?;
     let wall_s = wall_start.elapsed().as_secs_f64();
     // The engine as run-level trace metadata, for Chrome-trace viewers.
     if let Some(sink) = &cfg.trace {
@@ -261,8 +268,8 @@ mod tests {
     use crate::serial::lacc_serial;
     use crate::stats::UncondHook;
     use dmsim::EDISON;
+    use lacc_baselines::union_find_cc;
     use lacc_graph::generators::*;
-    use lacc_graph::stats::ground_truth_labels;
     use lacc_graph::unionfind::canonicalize_labels;
 
     const ENGINES: [EngineSelect; 3] = [
@@ -283,137 +290,11 @@ mod tests {
         let out = run_with(g, p, opts);
         assert_eq!(
             canonicalize_labels(&out.labels),
-            ground_truth_labels(g),
+            union_find_cc(g),
             "wrong components at p={p} engine={}",
             out.engine
         );
         out
-    }
-
-    #[test]
-    fn correct_across_grid_sizes() {
-        let g = erdos_renyi_gnm(200, 300, 5);
-        for p in [1, 4, 9, 16] {
-            check(&g, p, &LaccOpts::default());
-        }
-    }
-
-    #[test]
-    fn bit_identical_to_serial_without_permutation() {
-        // The serial oracle runs the full Algorithm 6 at every starcheck;
-        // the distributed engine checks only the trees that can have
-        // changed and reuses the grandparents it fetched. Paths and
-        // caterpillars under shuffled ids grow deep trees, sparse random
-        // graphs hook stars onto stars.
-        let mut graphs = round_shape_graphs();
-        for seed in 0..3 {
-            graphs.push(community_graph(600, 30, 3.0, 1.4, seed));
-        }
-        for seed in 0..6u64 {
-            let n = 300;
-            let path = (0..n - 1).map(|v| (v, v + 1));
-            let chords = (0..n - 2).step_by(3).map(|v| (v, v + 2));
-            let edges = match seed % 2 {
-                0 => lacc_graph::EdgeList::from_pairs(n, path),
-                _ => lacc_graph::EdgeList::from_pairs(n, path.chain(chords)),
-            };
-            let shuffle = lacc_graph::permute::Permutation::random(n, seed);
-            graphs.push(shuffle.permute_graph(&CsrGraph::from_edges(edges)));
-        }
-        for seed in 0..4 {
-            graphs.push(erdos_renyi_gnm(500, 600, seed));
-        }
-        // Every per-round field but the modeled seconds and the per-rank
-        // extract requests, which a serial run does not have: the nine
-        // counters and the unconditional hook's execution.
-        let rounds = |run: &LaccRun| -> Vec<_> {
-            let record = |it: &IterStats| {
-                let changed = [it.cond_changed, it.uncond_changed, it.shortcut_changed];
-                let dispatch = (it.spmv_dense, it.mxv_nvals, it.uncond_hook);
-                let active = (it.active_before, it.converged_after, it.active_roots);
-                (active, dispatch, changed, it.fourth_changed)
-            };
-            run.iters.iter().map(record).collect()
-        };
-        for (i, g) in graphs.iter().enumerate() {
-            for opts in [LaccOpts::default(), LaccOpts::dense_as()] {
-                let opts = LaccOpts {
-                    permute: false,
-                    ..opts
-                };
-                let serial = lacc_serial(g, &opts);
-                for p in [1, 4, 9, 16] {
-                    let dist = run_with(g, p, &opts);
-                    let at = format!("graph {i} p={p} sparsity={}", opts.use_sparsity);
-                    assert_eq!(dist.labels, serial.labels, "{at}");
-                    // Same trajectory too, round by round.
-                    assert_eq!(rounds(&dist), rounds(&serial), "{at}");
-                }
-            }
-        }
-    }
-
-    /// The graphs of the round-shape tests: paths, cycles, stars and
-    /// forests, many small communities, skewed degrees, the Lemma-1
-    /// counterexample, and the degenerate sizes.
-    fn round_shape_graphs() -> Vec<CsrGraph> {
-        let lemma1 = lacc_graph::EdgeList::from_pairs(82, [(77, 80), (80, 79), (79, 81), (81, 78)]);
-        vec![
-            path_graph(257),
-            cycle_graph(100),
-            star_graph(64),
-            random_forest(400, 11, 3),
-            community_graph(3000, 150, 3.0, 1.4, 2),
-            rmat(10, 8, RmatParams::graph500(), 7),
-            CsrGraph::from_edges(lemma1),
-            CsrGraph::from_edges(lacc_graph::EdgeList::new(0)),
-            CsrGraph::from_edges(lacc_graph::EdgeList::new(1)),
-        ]
-    }
-
-    #[test]
-    fn no_lacc_round_is_idle() {
-        // Every round starts from exact stars, so a round that changes no
-        // parent is the fixpoint and the run stops there. Under retirement
-        // that round also retires every vertex still active: no round
-        // after it, and none before it without a change. Retiring nothing,
-        // the run ends on exactly one all-zero round.
-        let counters = |it: &IterStats| {
-            [
-                it.cond_changed,
-                it.uncond_changed,
-                it.shortcut_changed,
-                it.fourth_changed,
-            ]
-        };
-        for g in round_shape_graphs() {
-            let n = g.num_vertices();
-            for opts in [LaccOpts::default(), LaccOpts::dense_as()] {
-                let opts = LaccOpts {
-                    permute: false,
-                    ..opts
-                };
-                let mut runs = vec![("serial".to_string(), lacc_serial(&g, &opts))];
-                for p in [1, 4, 9, 16] {
-                    runs.push((format!("p={p}"), check(&g, p, &opts).run));
-                }
-                for (at, run) in runs {
-                    let what = format!("n={n} {at} sparsity={}", opts.use_sparsity);
-                    let idle: Vec<usize> = (run.iters.iter())
-                        .filter(|it| counters(it) == [0; 4])
-                        .map(|it| it.iteration)
-                        .collect();
-                    let last = run.iters.last().unwrap();
-                    if opts.use_sparsity && n > 0 {
-                        assert_eq!(idle, [0usize; 0], "{what}");
-                        assert_eq!(last.fourth_changed, last.active_before, "{what}");
-                        assert_eq!(last.converged_after, n, "{what}");
-                    } else {
-                        assert_eq!(idle, [run.num_iterations()], "{what}");
-                    }
-                }
-            }
-        }
     }
 
     /// LACC under Lemma-1 retirement without the permutation: the serial
@@ -556,56 +437,38 @@ mod tests {
     }
 
     #[test]
-    fn permutation_preserves_partition() {
-        let g = rmat(8, 4, RmatParams::graph500(), 9);
-        let run = check(&g, 4, &LaccOpts::default());
-        assert!(run.num_iterations() > 0);
-    }
-
-    #[test]
-    fn works_with_all_comm_configs() {
-        let g = metagenome_graph(800, 6, 0.01, 3);
-        for opts in [
-            LaccOpts::default(),
-            LaccOpts::naive_comm(),
-            LaccOpts::dense_as(),
-        ] {
-            check(&g, 4, &opts);
-        }
-    }
-
-    #[test]
-    fn path_worst_case_distributed() {
-        let g = path_graph(1000);
-        let run = check(&g, 16, &LaccOpts::default());
-        assert_eq!(run.num_components(), 1);
-        assert!(run.modeled_total_s > 0.0);
-    }
-
-    #[test]
     fn exhausted_round_bound_is_an_error_not_unconverged_labels() {
-        // One LACC round cannot finish a 1000-vertex path; the run must say
-        // so instead of returning the 297 partial trees it has by then.
+        // A rule set that hooks something every round never converges; the
+        // run must say so, on every rank, instead of returning its labels.
+        use crate::engine::driver::{fixpoint, log_round_bound, Rules, Verdict};
+        use gblas::dist::DistVec;
+        struct Restless;
+        impl Rules<1> for Restless {
+            fn max_rounds(n: usize) -> usize {
+                log_round_bound(n)
+            }
+            fn round(&mut self, _: &mut EngineCtx<'_>, _: &mut DistVec<Id>) -> [u64; 4] {
+                [1, 0, 0, 0]
+            }
+            fn settle(&mut self, n: usize, changed: &mut [u64; 4]) -> Verdict {
+                fixpoint(n, changed)
+            }
+        }
         let g = path_graph(1000);
-        let one_round = |engine| {
-            let opts = LaccOpts::builder()
-                .max_iters(1)
-                .unwrap()
-                .engine(engine)
-                .build();
-            run(&g, &RunConfig::new(4, model()).with_opts(opts))
-        };
-        let err = one_round(EngineSelect::Lacc).unwrap_err();
-        assert_eq!(
-            err.message(),
-            "engine lacc did not converge within its bound of 1 rounds"
-        );
-        assert_eq!(err.kind, ErrorKind::NotConverged);
-        assert_eq!(err.to_string(), err.message());
-        // FastSV's bound is its own 8·⌈log₂ n⌉ + 32; `max_iters` is LACC's.
-        let out = one_round(EngineSelect::Fastsv).unwrap();
-        assert_eq!(out.num_components(), 1);
-        assert!(out.num_iterations() > 1);
+        let opts = LaccOpts::default();
+        let outs = dmsim::run_spmd(4, |comm| {
+            let mut cx = EngineCtx::new(comm, &g, None, &opts);
+            drive(Restless, &mut cx).map_err(|bound| not_converged(EngineSelect::Lacc, bound))
+        });
+        // 1000 vertices take 10 bits: 8 · 10 + 32 rounds.
+        assert_eq!(log_round_bound(1000), 112);
+        let message = "engine lacc did not converge within its bound of 112 rounds";
+        for out in outs.unwrap() {
+            let err = out.err().expect("a restless rule set never converges");
+            assert_eq!(err.message(), message);
+            assert_eq!(err.kind, ErrorKind::NotConverged);
+            assert_eq!(err.to_string(), err.message());
+        }
     }
 
     #[test]
@@ -675,36 +538,6 @@ mod tests {
                 .collect();
             let want: Vec<&[u64]> = want.iter().map(|r| &r[..]).collect();
             assert_eq!(got, want, "{engine} {:?}", opts.dist.wire);
-        }
-    }
-
-    #[test]
-    fn single_vertex_and_empty() {
-        check(
-            &CsrGraph::from_edges(lacc_graph::EdgeList::new(1)),
-            4,
-            &LaccOpts::default(),
-        );
-        check(
-            &CsrGraph::from_edges(lacc_graph::EdgeList::new(0)),
-            1,
-            &LaccOpts::default(),
-        );
-    }
-
-    #[test]
-    fn more_ranks_than_vertices() {
-        // Most ranks own no vertex and no edge, on every engine and both
-        // communication stacks.
-        for n in [1, 2, 7] {
-            let g = path_graph(n);
-            for engine in ENGINES {
-                for base in [LaccOpts::default(), LaccOpts::naive_comm()] {
-                    for p in [16, 64] {
-                        check(&g, p, &LaccOpts { engine, ..base });
-                    }
-                }
-            }
         }
     }
 
@@ -822,51 +655,6 @@ mod tests {
     // ---------------- engine portfolio ----------------
 
     #[test]
-    fn fastsv_engine_matches_serial_fastsv_labels() {
-        // Without permutation both converge to component minima, so the
-        // raw labels are equal — not just the partitions.
-        let g = community_graph(800, 40, 3.0, 1.4, 12);
-        let serial = lacc_baselines::fastsv_cc(&g);
-        let opts = LaccOpts {
-            permute: false,
-            engine: EngineSelect::Fastsv,
-            ..LaccOpts::default()
-        };
-        let out = run_with(&g, 4, &opts);
-        assert_eq!(out.engine, EngineSelect::Fastsv);
-        assert_eq!(out.labels, serial);
-    }
-
-    #[test]
-    fn all_engines_agree_canonically() {
-        for (name, g) in [
-            ("rmat", rmat(8, 4, RmatParams::graph500(), 21)),
-            ("community", community_graph(600, 30, 3.0, 1.4, 4)),
-            ("path", path_graph(300)),
-            ("metagenome", metagenome_graph(500, 6, 0.01, 9)),
-        ] {
-            let truth = ground_truth_labels(&g);
-            for select in ENGINES {
-                // Label propagation on a long path is O(diameter) rounds —
-                // legal but slow.
-                if name == "path" && select == EngineSelect::LabelProp {
-                    continue;
-                }
-                let opts = LaccOpts {
-                    engine: select,
-                    ..LaccOpts::default()
-                };
-                let out = run_with(&g, 4, &opts);
-                assert_eq!(
-                    canonicalize_labels(&out.labels),
-                    truth,
-                    "engine={select} graph={name}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn engine_spans_tag_the_run() {
         use dmsim::TraceLevel;
         let g = rmat(8, 4, RmatParams::graph500(), 17);
@@ -883,7 +671,7 @@ mod tests {
             .unwrap();
             assert_eq!(
                 canonicalize_labels(&out.labels),
-                ground_truth_labels(&g),
+                union_find_cc(&g),
                 "{select}"
             );
             assert_eq!(out.engine, select);
@@ -1035,22 +823,5 @@ mod tests {
         };
         assert!(words_saved(&optimized) > 0, "no compaction savings");
         assert_eq!(words_saved(&naive), 0);
-    }
-
-    #[test]
-    fn engines_agree_across_widths_and_layouts() {
-        let g = community_graph(400, 20, 3.0, 1.4, 6);
-        let truth = ground_truth_labels(&g);
-        for select in [EngineSelect::Fastsv, EngineSelect::LabelProp] {
-            let opts = LaccOpts {
-                permute: false,
-                engine: select,
-                ..LaccOpts::default()
-            };
-            // Min-monotone engines converge to component minima, so the
-            // unpermuted raw labels are already the canonical ones.
-            let out = run_with(&g, 4, &opts);
-            assert_eq!(out.run.labels, truth, "{select}");
-        }
     }
 }

@@ -38,7 +38,7 @@ use crate::options::LaccOpts;
 use crate::stats::{IterStats, UncondHook};
 use crate::Vid;
 use dmsim::{Comm, Grid2d};
-use driver::{fixpoint, Rules, Step, Verdict};
+use driver::{fixpoint, log_round_bound, Rules, Step, Verdict};
 use gblas::dist::{
     dist_apply_at, dist_assign, dist_extract, dist_extract_planned, dist_lower, dist_lower_all,
     dist_mxv_dense, dist_mxv_pull, dist_mxv_sparse, dist_root_all_quiet, dist_select, dist_set_at,
@@ -78,8 +78,8 @@ pub(crate) struct EngineRun {
 pub(crate) struct EngineCtx<'a> {
     /// The rank's communicator (cost model, collectives, trace spans).
     pub(crate) comm: &'a mut Comm,
-    /// Run options; engines read `dist`, `spmv_threshold`, `max_iters` and
-    /// their own knobs.
+    /// Run options; engines read `dist`, `spmv_threshold` and their own
+    /// knobs.
     pub(crate) opts: &'a LaccOpts,
     /// The layout every vector of the run shares.
     pub(crate) layout: VecLayout,
@@ -297,8 +297,8 @@ fn starcheck(
 }
 
 impl Rules<4> for Lacc {
-    fn max_rounds(_n: usize, opts: &LaccOpts) -> usize {
-        opts.max_iters
+    fn max_rounds(n: usize) -> usize {
+        log_round_bound(n)
     }
 
     fn round(&mut self, cx: &mut EngineCtx<'_>, f: &mut DistVec<Id>) -> [u64; 4] {
@@ -490,8 +490,8 @@ impl Fastsv {
 }
 
 impl Rules<4> for Fastsv {
-    fn max_rounds(n: usize, _opts: &LaccOpts) -> usize {
-        8 * (usize::BITS - n.leading_zeros()) as usize + 32
+    fn max_rounds(n: usize) -> usize {
+        log_round_bound(n)
     }
 
     fn round(&mut self, cx: &mut EngineCtx<'_>, f: &mut DistVec<Id>) -> [u64; 4] {
@@ -557,9 +557,9 @@ impl LabelProp {
 }
 
 impl Rules<1> for LabelProp {
-    /// The true bound is the diameter (< n); `max_iters` is sized for
-    /// LACC's O(log n) trajectory and does not apply.
-    fn max_rounds(n: usize, _opts: &LaccOpts) -> usize {
+    /// The true bound is the diameter (< n), not the O(log n) of LACC and
+    /// FastSV.
+    fn max_rounds(n: usize) -> usize {
         n + 2
     }
 

@@ -9,7 +9,6 @@
 //! labels into an `EngineRun`.
 
 use super::{EngineCtx, EngineRun, Id};
-use crate::options::LaccOpts;
 use crate::stats::{IterStats, StepBreakdown};
 use dmsim::{Counter, SpanKind};
 use gblas::dist::DistVec;
@@ -20,7 +19,7 @@ use gblas::dist::DistVec;
 /// rest zero).
 pub(crate) trait Rules<const W: usize> {
     /// Rounds the engine may take on `n` vertices before the run fails.
-    fn max_rounds(n: usize, opts: &LaccOpts) -> usize;
+    fn max_rounds(n: usize) -> usize;
 
     /// One round over the labels `f`, each step under `EngineCtx::step`.
     /// Returns this rank's applied updates: conditional hooks,
@@ -37,6 +36,13 @@ pub(crate) trait Rules<const W: usize> {
     /// lane (LACC's fourth) splits it here, leaving in `changed` the four
     /// counters the round's record files.
     fn settle(&mut self, n: usize, changed: &mut [u64; 4]) -> Verdict;
+}
+
+/// The round bound of LACC (both implementations) and FastSV on `n`
+/// vertices: `8·bitlen(n) + 32`, four times the `2·log₂ n` the
+/// Awerbuch–Shiloach analysis gives, plus slack for tiny graphs.
+pub(crate) fn log_round_bound(n: usize) -> usize {
+    8 * (usize::BITS - n.leading_zeros()) as usize + 32
 }
 
 /// What `Rules::settle` concludes from a round's summed counters.
@@ -113,7 +119,7 @@ pub(crate) fn drive<R: Rules<W>, const W: usize>(
     let n = cx.n();
     let world = cx.comm.world();
     let mut f: DistVec<Id> = DistVec::from_fn(cx.layout, cx.rank, |g| g as Id);
-    let bound = R::max_rounds(n, cx.opts);
+    let bound = R::max_rounds(n);
     let mut iters: Vec<IterStats> = Vec::new();
     loop {
         if iters.len() == bound {

@@ -35,11 +35,6 @@ pub struct LaccOpts {
     /// Apply a random symmetric permutation before distributing the matrix
     /// (CombBLAS' load balancing), seeded with [`PERMUTE_SEED`].
     pub permute: bool,
-    /// Bound on LACC rounds (AS converges in ≤ ~2·log₂ n). A run that
-    /// has not converged after this many fails with an error naming the
-    /// bound; FastSV and label propagation carry their own bounds
-    /// (`8·⌈log₂ n⌉ + 32` and `n + 2`) and ignore this one.
-    pub max_iters: usize,
     /// Which connected-components engine runs (see
     /// [`crate::EngineSelect`]). Defaults to LACC, preserving bit-identity
     /// with the serial reference.
@@ -53,7 +48,6 @@ impl Default for LaccOpts {
             spmv_threshold: 0.5,
             dist: DistOpts::default(),
             permute: true,
-            max_iters: 200,
             engine: EngineSelect::default(),
         }
     }
@@ -67,7 +61,6 @@ impl LaccOpts {
     ///
     /// let opts = LaccOpts::builder()
     ///     .spmv_threshold(0.7)?
-    ///     .max_iters(64)?
     ///     .engine(EngineSelect::Fastsv)
     ///     .build();
     /// assert_eq!(opts.spmv_threshold, 0.7);
@@ -153,16 +146,6 @@ impl LaccOptsBuilder {
         Ok(self)
     }
 
-    /// Bound on LACC rounds. Must be at least 1; a run that exhausts it
-    /// fails (see [`LaccOpts::max_iters`]).
-    pub fn max_iters(mut self, n: usize) -> Result<Self, OptsError> {
-        if n == 0 {
-            return Err(OptsError::new("max-iters", "must be at least 1"));
-        }
-        self.opts.max_iters = n;
-        Ok(self)
-    }
-
     /// Selects the connected-components engine.
     pub fn engine(mut self, e: EngineSelect) -> Self {
         self.opts.engine = e;
@@ -194,13 +177,12 @@ mod tests {
         assert_eq!(o.spmv_threshold, 0.5);
         assert_eq!(o.dist.wire, Wire::Compact);
         assert!(o.dist.hot_threshold.is_finite());
-        // The six run options, spelled out: a seventh fails to compile here.
+        // The five run options, spelled out: a sixth fails to compile here.
         let LaccOpts {
             use_sparsity: _,
             spmv_threshold: _,
             dist: _,
             permute: _,
-            max_iters: _,
             engine: _,
         } = o;
     }
@@ -223,13 +205,10 @@ mod tests {
         let o = LaccOpts::builder()
             .spmv_threshold(1.5)
             .unwrap()
-            .max_iters(10)
-            .unwrap()
             .engine(EngineSelect::Fastsv)
             .wire(Wire::Legacy)
             .build();
         assert_eq!(o.spmv_threshold, 1.5);
-        assert_eq!(o.max_iters, 10);
         assert_eq!(o.engine, EngineSelect::Fastsv);
         assert_eq!(o.dist.wire, Wire::Legacy);
         // The setters touch nothing else.
@@ -246,10 +225,11 @@ mod tests {
             "spmv-threshold"
         );
         assert!(LaccOpts::builder().spmv_threshold(-0.1).is_err());
-        assert!(LaccOpts::builder().spmv_threshold(f64::NAN).is_err());
-        assert!(LaccOpts::builder().max_iters(0).is_err());
-        let err = LaccOpts::builder().max_iters(0).unwrap_err();
-        assert_eq!(err.to_string(), "invalid max-iters: must be at least 1");
+        let err = LaccOpts::builder().spmv_threshold(f64::NAN).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid spmv-threshold: NaN is not in 0.0..=1.5"
+        );
     }
 
     #[test]

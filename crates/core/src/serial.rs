@@ -5,6 +5,7 @@
 //! [`crate::dist`], so the two produce bit-identical parent vectors.
 //! Sparsity exploitation (Table I) is driven by [`LaccOpts::use_sparsity`].
 
+use crate::engine::driver::log_round_bound;
 use crate::options::LaccOpts;
 use crate::stats::{IterStats, LaccRun, UncondHook};
 use crate::Vid;
@@ -81,7 +82,8 @@ pub fn lacc_serial(g: &CsrGraph, opts: &LaccOpts) -> LaccRun {
     // Whether the previous iteration ended with exactly one active root.
     let mut one_root = false;
 
-    for iteration in 1..=opts.max_iters {
+    let bound = log_round_bound(n);
+    for iteration in 1..=bound {
         let active_before = active_count;
         if stale {
             starcheck_active(&f, &mut star, &active);
@@ -245,8 +247,7 @@ pub fn lacc_serial(g: &CsrGraph, opts: &LaccOpts) -> LaccRun {
             .last()
             .map(|it| it.total_changed() == 0)
             .unwrap_or(n == 0),
-        "LACC did not converge within {} iterations",
-        opts.max_iters
+        "LACC did not converge within {bound} iterations"
     );
 
     LaccRun {
@@ -262,15 +263,15 @@ pub fn lacc_serial(g: &CsrGraph, opts: &LaccOpts) -> LaccRun {
 mod tests {
     use super::*;
     use crate::asref::awerbuch_shiloach;
+    use lacc_baselines::union_find_cc;
     use lacc_graph::generators::*;
-    use lacc_graph::stats::ground_truth_labels;
     use lacc_graph::unionfind::canonicalize_labels;
 
     fn check(g: &CsrGraph, opts: &LaccOpts) -> LaccRun {
         let run = lacc_serial(g, opts);
         assert_eq!(
             canonicalize_labels(&run.labels),
-            ground_truth_labels(g),
+            union_find_cc(g),
             "wrong components"
         );
         // Final forest must be flat (all stars).

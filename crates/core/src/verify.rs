@@ -207,15 +207,15 @@ pub fn verify_labels(g: &CsrGraph, labels: &[Vid]) -> Result<(), LabelError> {
 mod tests {
     use super::*;
     use crate::{lacc_serial, LaccOpts};
+    use lacc_baselines::union_find_cc;
     use lacc_graph::generators::{community_graph, path_graph};
-    use lacc_graph::stats::ground_truth_labels;
 
     #[test]
     fn accepts_correct_labelings() {
         let g = community_graph(600, 30, 3.0, 1.4, 3);
         let run = lacc_serial(&g, &LaccOpts::default());
         assert_eq!(verify_labels(&g, &run.labels), Ok(()));
-        assert_eq!(verify_labels(&g, &ground_truth_labels(&g)), Ok(()));
+        assert_eq!(verify_labels(&g, &union_find_cc(&g)), Ok(()));
     }
 
     #[test]
@@ -249,7 +249,7 @@ mod tests {
     fn oracle_matches_ground_truth_labels() {
         let g = community_graph(400, 20, 3.0, 1.4, 11);
         let oracle = CcOracle::from_graph(&g);
-        assert_eq!(oracle.labels(), &ground_truth_labels(&g)[..]);
+        assert_eq!(oracle.labels(), &union_find_cc(&g)[..]);
         assert_eq!(
             oracle.num_components(),
             lacc_graph::unionfind::count_components(oracle.labels())

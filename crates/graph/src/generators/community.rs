@@ -29,7 +29,9 @@ pub fn community_graph(
 }
 
 /// [`community_graph`], returning a [`BuildError`] where the host cannot
-/// hold the graph.
+/// hold the graph, and [`BuildError::InvalidParams`] where no graph has
+/// exactly `num_components` communities (more of them than vertices, or
+/// none for a vertex) or `degree` or `alpha` is out of range.
 pub fn try_community_graph(
     n: usize,
     num_components: usize,
@@ -37,8 +39,21 @@ pub fn try_community_graph(
     alpha: f64,
     seed: u64,
 ) -> Result<CsrGraph, BuildError> {
-    assert!(num_components >= 1 || n == 0, "need at least one component");
-    assert!(alpha > 0.0 && degree >= 0.0);
+    let refuse = |why: String| Err(BuildError::InvalidParams(why));
+    if num_components > n || (num_components == 0 && n > 0) {
+        return refuse(format!(
+            "{num_components} components cannot split {n} vertices: \
+             components must be at least 1 and at most the vertex count"
+        ));
+    }
+    if !(degree.is_finite() && degree >= 0.0) {
+        return refuse(format!(
+            "degree must be finite and nonnegative, got {degree}"
+        ));
+    }
+    if !(alpha.is_finite() && alpha > 0.0) {
+        return refuse(format!("alpha must be finite and positive, got {alpha}"));
+    }
     let mut rng = super::rng(seed);
 
     // Draw power-law weights, then scale to sizes summing to n.
@@ -159,6 +174,33 @@ mod tests {
             community_graph(1000, 50, 3.0, 1.5, 77),
             community_graph(1000, 50, 3.0, 1.5, 77)
         );
+    }
+
+    #[test]
+    fn impossible_parameters_are_refused_not_shrunk_or_panicked_on() {
+        let refused = |n, comps, degree, alpha| {
+            let e = try_community_graph(n, comps, degree, alpha, 1).unwrap_err();
+            assert!(matches!(e, BuildError::InvalidParams(_)), "{e}");
+            e.to_string()
+        };
+        let more = refused(10, 20, 8.0, 1.4);
+        assert!(
+            more.starts_with("20 components cannot split 10 vertices"),
+            "{more}"
+        );
+        assert!(refused(10, 0, 8.0, 1.4).contains("components"));
+        for degree in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(refused(10, 2, degree, 1.4).contains("degree"));
+        }
+        for alpha in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(refused(10, 2, 8.0, alpha).contains("alpha"));
+        }
+        // The edge of the contract: n singleton communities, and no vertex.
+        assert_eq!(
+            component_sizes(&community_graph(10, 10, 8.0, 1.4, 1)),
+            [1; 10]
+        );
+        assert_eq!(community_graph(0, 0, 8.0, 1.4, 1).num_vertices(), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Graph census utilities: the data behind Table III and the generator
 //! validation in EXPERIMENTS.md.
 
-use crate::{CsrGraph, DisjointSets, Vid};
+use crate::{CsrGraph, DisjointSets};
 
 /// Summary statistics of a graph.
 #[derive(Clone, Debug, PartialEq)]
@@ -47,20 +47,10 @@ pub fn graph_stats(g: &CsrGraph) -> GraphStats {
     }
 }
 
-/// Ground-truth component labels via union-find, canonicalized so each
-/// vertex carries the smallest id in its component.
-pub fn ground_truth_labels(g: &CsrGraph) -> Vec<Vid> {
-    let mut ds = DisjointSets::new(g.num_vertices());
-    for (u, v) in g.edges() {
-        ds.union(u, v);
-    }
-    ds.canonical_labels()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{path_graph, random_forest};
+    use crate::generators::path_graph;
     use crate::EdgeList;
 
     #[test]
@@ -82,15 +72,5 @@ mod tests {
         assert_eq!(s.components, 4);
         assert_eq!(s.isolated_vertices, 3);
         assert_eq!(s.largest_component, 2);
-    }
-
-    #[test]
-    fn ground_truth_matches_structure() {
-        let g = random_forest(200, 10, 5);
-        let labels = ground_truth_labels(&g);
-        for (u, v) in g.edges() {
-            assert_eq!(labels[u], labels[v]);
-        }
-        assert_eq!(crate::unionfind::count_components(&labels), 10);
     }
 }

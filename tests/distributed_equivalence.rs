@@ -1,97 +1,12 @@
-//! Distributed-vs-serial equivalence across the configuration matrix.
-//!
-//! The strongest correctness statement in the workspace: with the
-//! load-balancing permutation disabled, distributed LACC must produce a
-//! parent vector *bit-identical* to serial LACC — for every grid size,
-//! every all-to-all algorithm, with the hot-rank broadcast on or off, and
-//! on both wire formats.
+//! What the configuration matrix changes besides the labels: modeled time
+//! and bytes. That every cell of the matrix finds the same components, and
+//! that unpermuted LACC equals serial LACC round by round, is the engine
+//! lattice's (`crates/core/tests/lattice.rs`).
 
-use dmsim::AllToAll;
 use gblas::dist::{DistOpts, Wire};
 use lacc_suite::dmsim::{CORI_KNL, EDISON};
 use lacc_suite::graph::generators::*;
-use lacc_suite::graph::unionfind::canonicalize_labels;
-use lacc_suite::graph::CsrGraph;
-use lacc_suite::lacc::{lacc_serial, EngineSelect, LaccOpts, RunConfig, RunOutput};
-
-/// `lacc::run` in the positional shape the configuration matrix below
-/// reads naturally in.
-fn run_with(
-    g: &CsrGraph,
-    p: usize,
-    model: lacc_suite::dmsim::MachineModel,
-    opts: &LaccOpts,
-) -> Result<RunOutput, lacc_suite::dmsim::DmsimError> {
-    lacc_suite::lacc::run(g, &RunConfig::new(p, model).with_opts(*opts))
-}
-
-#[test]
-fn bit_identical_across_comm_configs() {
-    let g = community_graph(900, 45, 3.0, 1.4, 21);
-    let base = LaccOpts {
-        permute: false,
-        ..LaccOpts::default()
-    };
-    let serial = lacc_serial(&g, &base);
-    for p in [1, 4, 9, 16, 25] {
-        for algo in [AllToAll::Pairwise, AllToAll::Hypercube, AllToAll::Sparse] {
-            for hot_threshold in [f64::INFINITY, 2.0] {
-                let opts = LaccOpts {
-                    dist: DistOpts {
-                        alltoall: algo,
-                        hot_threshold,
-                        ..DistOpts::default()
-                    },
-                    ..base
-                };
-                let run = run_with(&g, p, EDISON.lacc_model(), &opts).unwrap();
-                assert_eq!(
-                    run.labels, serial.labels,
-                    "p={p} algo={algo:?} h={hot_threshold}"
-                );
-            }
-        }
-    }
-}
-
-/// The lever lattice, closed: every engine on both wire formats finds the
-/// union-find partition, and LACC's parent vector is bit-identical to
-/// serial LACC throughout.
-#[test]
-fn engines_agree_across_wire_layout_and_width() {
-    let g = community_graph(600, 30, 3.0, 1.4, 5);
-    let truth = canonicalize_labels(&lacc_suite::baselines::union_find_cc(&g));
-    let serial = lacc_serial(
-        &g,
-        &LaccOpts {
-            permute: false,
-            ..LaccOpts::default()
-        },
-    );
-    for engine in [
-        EngineSelect::Lacc,
-        EngineSelect::Fastsv,
-        EngineSelect::LabelProp,
-    ] {
-        for wire in [Wire::Legacy, Wire::Compact] {
-            let opts = LaccOpts {
-                engine,
-                permute: false,
-                dist: DistOpts {
-                    wire,
-                    ..DistOpts::default()
-                },
-                ..LaccOpts::default()
-            };
-            let run = run_with(&g, 4, EDISON.lacc_model(), &opts).unwrap();
-            let at = format!("{engine} {wire:?}");
-            assert_eq!(canonicalize_labels(&run.labels), truth, "{at}");
-            if engine == EngineSelect::Lacc {
-                assert_eq!(run.labels, serial.labels, "{at}");
-            }
-        }
-    }
-}
+use lacc_suite::lacc::{run, LaccOpts, RunConfig};
 
 /// On a p = 4 RMAT scale-10 run, overlap hides a non-zero amount of
 /// exchange time under the Edison model at the same labels, rounds and
@@ -112,7 +27,7 @@ fn overlap_hides_time_and_narrowing_saves_bytes_at_equal_words() {
         };
         let sink = TraceSink::new(TraceLevel::Steps);
         let cfg = RunConfig::new(4, model).with_opts(opts).with_trace(&sink);
-        let run = lacc_suite::lacc::run(&g, &cfg).unwrap();
+        let run = run(&g, &cfg).unwrap();
         let bytes: u64 = sink
             .rank_traces()
             .iter()
@@ -141,71 +56,25 @@ fn machine_model_does_not_change_results() {
         permute: false,
         ..LaccOpts::default()
     };
-    let a = run_with(&g, 9, EDISON.lacc_model(), &opts).unwrap();
-    let b = run_with(&g, 9, CORI_KNL.flat_model(), &opts).unwrap();
+    let on = |model| run(&g, &RunConfig::new(9, model).with_opts(opts)).unwrap();
+    let (a, b) = (on(EDISON.lacc_model()), on(CORI_KNL.flat_model()));
     assert_eq!(a.labels, b.labels);
     // Modeled time must differ (KNL flat is slower per the model).
     assert!(b.modeled_total_s > a.modeled_total_s);
 }
 
 #[test]
-fn permutation_changes_work_not_answer() {
-    let g = metagenome_graph(1500, 6, 0.01, 8);
-    let with = run_with(&g, 16, EDISON.lacc_model(), &LaccOpts::default()).unwrap();
-    let without = run_with(
-        &g,
-        16,
-        EDISON.lacc_model(),
-        &LaccOpts {
-            permute: false,
-            ..LaccOpts::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(
-        canonicalize_labels(&with.labels),
-        canonicalize_labels(&without.labels)
-    );
-}
-
-#[test]
 fn dense_as_and_lacc_agree_distributed() {
-    let g = erdos_renyi_gnm(700, 900, 17);
-    let a = run_with(&g, 4, EDISON.lacc_model(), &LaccOpts::default()).unwrap();
-    let d = run_with(&g, 4, EDISON.lacc_model(), &LaccOpts::dense_as()).unwrap();
-    assert_eq!(
-        canonicalize_labels(&a.labels),
-        canonicalize_labels(&d.labels)
-    );
     // Sparsity must reduce modeled work on a many-component graph. The
     // comparison runs on the legacy wire: the dense active set's extra
     // traffic is so redundant that dedup and combining erase most of the
     // gap, and this assertion is about active-set sparsity.
-    let no_compaction = DistOpts {
-        wire: Wire::Legacy,
-        ..DistOpts::default()
-    };
     let g = community_graph(4000, 200, 3.0, 1.4, 3);
-    let a = run_with(
-        &g,
-        16,
-        EDISON.lacc_model(),
-        &LaccOpts {
-            dist: no_compaction,
-            ..LaccOpts::default()
-        },
-    )
-    .unwrap();
-    let d = run_with(
-        &g,
-        16,
-        EDISON.lacc_model(),
-        &LaccOpts {
-            dist: no_compaction,
-            ..LaccOpts::dense_as()
-        },
-    )
-    .unwrap();
+    let modeled = |mut opts: LaccOpts| {
+        opts.dist.wire = Wire::Legacy;
+        run(&g, &RunConfig::new(16, EDISON.lacc_model()).with_opts(opts)).unwrap()
+    };
+    let (a, d) = (modeled(LaccOpts::default()), modeled(LaccOpts::dense_as()));
     assert!(
         a.modeled_total_s < d.modeled_total_s,
         "sparsity should win: {} vs {}",

@@ -1,9 +1,9 @@
 //! End-to-end pipeline tests: file I/O → permutation → distributed LACC.
 
+use lacc_suite::baselines::union_find_cc;
 use lacc_suite::graph::generators::{community_graph, rmat, RmatParams};
 use lacc_suite::graph::io;
 use lacc_suite::graph::permute::Permutation;
-use lacc_suite::graph::stats::ground_truth_labels;
 use lacc_suite::graph::unionfind::canonicalize_labels;
 use lacc_suite::graph::CsrGraph;
 use lacc_suite::lacc::{LaccOpts, RunConfig, RunOutput};
@@ -34,7 +34,7 @@ fn matrix_market_to_lacc_pipeline() {
         &LaccOpts::default(),
     )
     .unwrap();
-    assert_eq!(canonicalize_labels(&run.labels), ground_truth_labels(&g));
+    assert_eq!(canonicalize_labels(&run.labels), union_find_cc(&g));
 }
 
 #[test]
@@ -60,7 +60,7 @@ fn permuted_pipeline_recovers_original_ids() {
     )
     .unwrap();
     let labels_orig = perm.unpermute_labels(&run.labels);
-    assert_eq!(canonicalize_labels(&labels_orig), ground_truth_labels(&g));
+    assert_eq!(canonicalize_labels(&labels_orig), union_find_cc(&g));
 }
 
 #[test]

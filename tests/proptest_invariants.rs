@@ -3,23 +3,14 @@
 //! Each property runs against arbitrary edge lists (not generator output),
 //! so the shapes proptest shrinks toward are unconstrained — this is the
 //! suite that originally surfaced the Lemma-1 counterexample now kept in
-//! `lacc::serial::tests`.
+//! `lacc::serial::tests`. The distributed runs have their own harness, the
+//! engine lattice in `crates/core/tests/lattice.rs`.
 
 use lacc_suite::baselines as b;
 use lacc_suite::graph::unionfind::canonicalize_labels;
 use lacc_suite::graph::{CsrGraph, EdgeList};
 use lacc_suite::lacc::{self, LaccOpts};
 use proptest::prelude::*;
-
-/// `lacc::run` in the positional shape the properties read naturally in.
-fn run_with(
-    g: &CsrGraph,
-    p: usize,
-    model: lacc_suite::dmsim::MachineModel,
-    opts: &LaccOpts,
-) -> Result<lacc::RunOutput, lacc_suite::dmsim::DmsimError> {
-    lacc::run(g, &lacc::RunConfig::new(p, model).with_opts(*opts))
-}
 
 /// Arbitrary graph: up to `nmax` vertices and `mmax` random edges.
 fn arb_graph(nmax: usize, mmax: usize) -> impl Strategy<Value = CsrGraph> {
@@ -69,65 +60,6 @@ proptest! {
         let bound = 2 * (usize::BITS - n.leading_zeros()) as usize + 4;
         prop_assert!(run.num_iterations() <= bound,
             "{} iterations for n={}", run.num_iterations(), n);
-    }
-
-    #[test]
-    fn distributed_matches_serial_bitwise(g in arb_graph(80, 200)) {
-        let opts = LaccOpts { permute: false, ..LaccOpts::default() };
-        let serial = lacc::lacc_serial(&g, &opts);
-        let dist = run_with(&g, 4, lacc_suite::dmsim::EDISON.lacc_model(), &opts).unwrap();
-        prop_assert_eq!(&dist.labels, &serial.labels);
-    }
-
-    #[test]
-    fn adaptive_dispatch_matches_serial_bitwise(
-        g in arb_graph(80, 200),
-        threshold in prop_oneof![Just(0.0f64), Just(0.5), Just(1.1)],
-    ) {
-        // End-to-end: the adaptive SpMV/SpMSpV dispatch threshold is a
-        // pure performance knob — the parent vector must stay
-        // bit-identical to the serial run for any setting of it.
-        let mut opts = LaccOpts { permute: false, ..LaccOpts::default() };
-        opts.spmv_threshold = threshold;
-        let serial = lacc::lacc_serial(&g, &opts);
-        let dist = run_with(&g, 4, lacc_suite::dmsim::EDISON.lacc_model(), &opts).unwrap();
-        prop_assert_eq!(&dist.labels, &serial.labels);
-    }
-
-    #[test]
-    fn overlap_is_invisible_in_results_and_traffic(
-        g in arb_graph(80, 200),
-        engine in prop_oneof![
-            Just(lacc::EngineSelect::Lacc),
-            Just(lacc::EngineSelect::Fastsv),
-            Just(lacc::EngineSelect::LabelProp),
-        ],
-    ) {
-        // Overlap is a pure clock credit: for every engine, a machine whose
-        // clock runs (and credits overlap) and one whose exchanges are free
-        // must produce bit-identical labels, the same iteration
-        // trajectory, and move exactly the same words per rank — the clock
-        // decides nothing.
-        use lacc_suite::dmsim::{MachineModel, TraceLevel, TraceSink};
-        let opts = LaccOpts {
-            permute: false,
-            engine,
-            ..LaccOpts::default()
-        };
-        let run_traced = |model: MachineModel| {
-            let sink = TraceSink::new(TraceLevel::Steps);
-            let out = lacc::run(
-                &g,
-                &lacc::RunConfig::new(4, model).with_opts(opts).with_trace(&sink),
-            )
-            .unwrap();
-            (out, sink.report())
-        };
-        let (edison, redison) = run_traced(lacc_suite::dmsim::EDISON.lacc_model());
-        let (free, rfree) = run_traced(MachineModel::free());
-        prop_assert_eq!(&edison.labels, &free.labels);
-        prop_assert_eq!(edison.num_iterations(), free.num_iterations());
-        prop_assert_eq!(&redison.rank_words, &rfree.rank_words);
     }
 
     #[test]
