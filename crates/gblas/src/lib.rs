@@ -6,12 +6,10 @@
 //! 2D-distributed sparse matrices. This crate rebuilds both layers:
 //!
 //! * [`serial`] — a single-address-space implementation of what the
-//!   serial LACC and the examples call: CSC sparse matrices and their
-//!   row-major mirror, dense/sparse vectors, masked `mxv` (SpMV and
-//!   SpMSpV), extract, assign, and an SpGEMM (needed by the
-//!   Markov-clustering example). This layer plays
-//!   the role of SuiteSparse:GraphBLAS in the paper — the correctness
-//!   reference.
+//!   serial LACC calls: a CSC pattern matrix and its row-major mirror,
+//!   dense/sparse vectors, masked `mxv` (SpMV and SpMSpV), extract and
+//!   assign. This layer plays the role of SuiteSparse:GraphBLAS in the
+//!   paper — the correctness reference.
 //! * [`dist`] — the CombBLAS role: matrices distributed on a √p×√p
 //!   process grid ([`dmsim::Grid2d`]), block-distributed vectors aligned
 //!   with the grid, two-phase `mxv` (allgather within processor columns,
@@ -30,7 +28,7 @@ pub mod dist;
 pub mod serial;
 pub mod types;
 
-pub use types::{AddF64, AddUsize, AndBool, Mask, MaxUsize, MinMaxUsize, MinUsize, Monoid, OrBool};
+pub use types::{AddUsize, AndBool, Mask, MaxUsize, MinMaxUsize, MinUsize, Monoid, OrBool};
 
 /// Vertex/index type, shared with `lacc-graph`.
 pub type Vid = lacc_graph::Vid;

@@ -1,57 +1,29 @@
-//! Compressed sparse column matrices.
+//! The CSC pattern matrix and its row-major mirror.
 
 use crate::Vid;
 use lacc_graph::{CsrGraph, Idx};
 
-/// A sparse matrix in CSC form with values of type `T` and `I`-width row
-/// indices.
-///
-/// `Pattern` (`T = ()`) is the adjacency-matrix case LACC uses: the
-/// `(Select2nd, min)` semiring never reads edge values.
+/// The adjacency pattern of a graph in CSC form, with `I`-width row
+/// indices and no values: the `(Select2nd, min)` semiring LACC runs on
+/// never reads an edge value.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Csc<T, I: Idx = Vid> {
+pub struct Pattern<I: Idx = Vid> {
     nrows: usize,
     ncols: usize,
     colptr: Vec<usize>,
     rowidx: Vec<I>,
-    values: Vec<T>,
 }
 
-/// Pattern-only sparse matrix (adjacency structure).
-pub type Pattern<I = Vid> = Csc<(), I>;
-
-impl<T: Copy, I: Idx> Csc<T, I> {
-    /// Builds from triples `(row, col, value)`; duplicates are not allowed.
-    pub fn from_triples(nrows: usize, ncols: usize, mut triples: Vec<(Vid, Vid, T)>) -> Self {
-        triples.sort_unstable_by_key(|&(r, c, _)| (c, r));
-        debug_assert!(
-            triples
-                .windows(2)
-                .all(|w| (w[0].0, w[0].1) != (w[1].0, w[1].1)),
-            "duplicate entries in triples"
-        );
-        let mut colptr = vec![0usize; ncols + 1];
-        for &(_, c, _) in &triples {
-            assert!(c < ncols, "column {c} out of range");
-            colptr[c + 1] += 1;
-        }
-        for c in 0..ncols {
-            colptr[c + 1] += colptr[c];
-        }
-        let mut rowidx = Vec::with_capacity(triples.len());
-        let mut values = Vec::with_capacity(triples.len());
-        for (r, c, v) in triples {
-            assert!(r < nrows, "row {r} out of range");
-            let _ = c;
-            rowidx.push(I::from_usize(r));
-            values.push(v);
-        }
-        Csc {
-            nrows,
-            ncols,
-            colptr,
-            rowidx,
-            values,
+impl<I: Idx> Pattern<I> {
+    /// Builds the adjacency pattern of a symmetric graph.
+    pub fn from_graph(g: &CsrGraph<I>) -> Pattern<I> {
+        // CSR of a symmetric graph is also its CSC.
+        let n = g.num_vertices();
+        Pattern {
+            nrows: n,
+            ncols: n,
+            colptr: g.offsets().to_vec(),
+            rowidx: g.targets().to_vec(),
         }
     }
 
@@ -73,35 +45,6 @@ impl<T: Copy, I: Idx> Csc<T, I> {
     /// Row indices of column `c`.
     pub fn col(&self, c: usize) -> &[I] {
         &self.rowidx[self.colptr[c]..self.colptr[c + 1]]
-    }
-
-    /// Row indices and values of column `c`.
-    pub fn col_entries(&self, c: usize) -> impl Iterator<Item = (Vid, T)> + '_ {
-        let range = self.colptr[c]..self.colptr[c + 1];
-        self.rowidx[range.clone()]
-            .iter()
-            .zip(&self.values[range])
-            .map(|(&r, &v)| (r.idx(), v))
-    }
-
-    /// Iterates over all entries as `(row, col, value)` in column order.
-    pub fn triples(&self) -> impl Iterator<Item = (Vid, Vid, T)> + '_ {
-        (0..self.ncols).flat_map(move |c| self.col_entries(c).map(move |(r, v)| (r, c, v)))
-    }
-}
-
-impl<I: Idx> Pattern<I> {
-    /// Builds the adjacency pattern of a symmetric graph.
-    pub fn from_graph(g: &CsrGraph<I>) -> Pattern<I> {
-        // CSR of a symmetric graph is also its CSC.
-        let n = g.num_vertices();
-        Csc {
-            nrows: n,
-            ncols: n,
-            colptr: g.offsets().to_vec(),
-            rowidx: g.targets().to_vec(),
-            values: vec![(); g.num_directed_edges()],
-        }
     }
 }
 
@@ -183,28 +126,10 @@ mod tests {
     use lacc_graph::EdgeList;
 
     #[test]
-    fn from_triples_structure() {
-        let m: Csc<i32> = Csc::from_triples(3, 4, vec![(0, 1, 10), (2, 1, 20), (1, 3, 30)]);
-        assert_eq!((m.nrows(), m.ncols(), m.nnz()), (3, 4, 3));
-        assert_eq!(m.col(0), &[] as &[usize]);
-        assert_eq!(m.col(1), &[0, 2]);
-        let e: Vec<_> = m.col_entries(3).collect();
-        assert_eq!(e, vec![(1, 30)]);
-    }
-
-    #[test]
-    fn triples_roundtrip() {
-        let t = vec![(0, 0, 1), (1, 2, 2), (0, 2, 3)];
-        let m: Csc<i32> = Csc::from_triples(2, 3, t);
-        let back: Vec<_> = m.triples().collect();
-        assert_eq!(back, vec![(0, 0, 1), (0, 2, 3), (1, 2, 2)]);
-    }
-
-    #[test]
     fn pattern_from_graph_matches_adjacency() {
         let g = path_graph(4);
         let a = Pattern::from_graph(&g);
-        assert_eq!(a.nnz(), 6);
+        assert_eq!((a.nrows(), a.ncols(), a.nnz()), (4, 4, 6));
         assert_eq!(a.col(1), &[0, 2]);
         assert_eq!(a.col(0), &[1]);
     }
@@ -216,9 +141,14 @@ mod tests {
         let wide = Pattern::from_graph(&g);
         assert_eq!(narrow.nnz(), wide.nnz());
         assert_eq!(narrow.col(1), &[0u32, 2u32]);
-        let n: Vec<_> = narrow.triples().collect();
-        let w: Vec<_> = wide.triples().collect();
-        assert_eq!(n, w);
+        assert_eq!(
+            (narrow.nrows(), narrow.ncols()),
+            (wide.nrows(), wide.ncols())
+        );
+        for c in 0..wide.ncols() {
+            let n: Vec<usize> = narrow.col(c).iter().map(|r| r.idx()).collect();
+            assert_eq!(n, wide.col(c));
+        }
     }
 
     #[test]

@@ -3,16 +3,14 @@
 //! This plays the role of the paper's SuiteSparse:GraphBLAS implementation
 //! (the "simplified unoptimized serial" LACC committed to LAGraph): every
 //! distributed primitive in [`crate::dist`] is tested for bit-identical
-//! results against these functions.
+//! results against these functions. It holds what the serial LACC reads:
+//! a pattern matrix, sparse vectors and the masked `mxv`, `extract` and
+//! `assign` over them.
 
 mod csc;
-mod matrix_ops;
 mod ops;
-mod spgemm;
 mod vector;
 
-pub use csc::{Csc, CsrMirror, Pattern};
-pub use matrix_ops::{column_reduce, map_values, max_abs_diff, normalize_columns};
+pub use csc::{CsrMirror, Pattern};
 pub use ops::{assign, extract, mxv_dense, mxv_sparse, mxv_sparse_par};
-pub use spgemm::{spgemm, Prune};
 pub use vector::SparseVec;

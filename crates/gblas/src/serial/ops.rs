@@ -291,7 +291,7 @@ mod tests {
     fn mxv_sparse_matches_dense() {
         let a = Pattern::from_graph(&star_graph(6));
         let dense_x = vec![9usize, 4, 2, 7, 5, 1];
-        let sparse_x = SparseVec::dense(&dense_x);
+        let sparse_x = SparseVec::from_entries(6, dense_x.iter().copied().enumerate().collect());
         let yd = mxv_dense(&a, &dense_x, Mask::None, MinUsize);
         let ys = mxv_sparse(&a, &sparse_x, Mask::None, MinUsize);
         assert_eq!(yd, ys);
@@ -345,7 +345,7 @@ mod tests {
         for g in [path_graph(7), star_graph(7)] {
             let a = Pattern::from_graph(&g);
             let x: Vec<usize> = (0..7).map(|v| v * 3 + 1).collect();
-            let xs = SparseVec::dense(&x);
+            let xs = SparseVec::from_entries(7, x.iter().copied().enumerate().collect());
             let flags = [true, false, true, true, false, false, true];
             for mask in [Mask::None, Mask::Keep(&flags), Mask::Complement(&flags)] {
                 let yd = mxv_dense(&a, &x, mask, AddUsize);
@@ -416,7 +416,7 @@ mod tests {
 
         // More threads than input entries and output rows.
         let a = Pattern::from_graph(&path_graph(3));
-        let xs: SparseVec<usize> = SparseVec::dense(&[4, 9, 2]);
+        let xs: SparseVec<usize> = SparseVec::from_entries(3, vec![(0, 4), (1, 9), (2, 2)]);
         let serial = mxv_sparse(&a, &xs, Mask::None, AddUsize);
         assert_eq!(serial, mxv_sparse_par(&a, &xs, Mask::None, AddUsize, 8));
 
@@ -437,7 +437,7 @@ mod tests {
         let g: lacc_graph::CsrGraph =
             lacc_graph::CsrGraph::from_edges(lacc_graph::EdgeList::from_pairs(3, [(1, 2)]));
         let a = Pattern::from_graph(&g);
-        let xs: SparseVec<usize> = SparseVec::dense(&[1, 99, 2]);
+        let xs: SparseVec<usize> = SparseVec::from_entries(3, vec![(0, 1), (1, 99), (2, 2)]);
         let err = catch_unwind(AssertUnwindSafe(|| {
             mxv_sparse_par(&a, &xs, Mask::None, PanicsOn99, 8)
         }))

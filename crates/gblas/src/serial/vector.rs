@@ -9,7 +9,7 @@
 //! 4-byte indices, halving entry traffic for graphs under 2^32 vertices.
 
 use crate::Vid;
-use lacc_graph::{ensure_fits, Idx};
+use lacc_graph::Idx;
 
 /// A sparse vector: sorted, duplicate-free `(index, value)` entries over a
 /// universe of size `n`.
@@ -43,22 +43,6 @@ impl<T: Copy, I: Idx> SparseVec<T, I> {
         SparseVec { n, entries }
     }
 
-    /// A fully dense vector as a `SparseVec` (all indices present).
-    pub fn dense(values: &[T]) -> Self {
-        if let Err(e) = ensure_fits::<I>(values.len(), "dense sparse vector") {
-            panic!("{e}");
-        }
-        SparseVec {
-            n: values.len(),
-            entries: values
-                .iter()
-                .copied()
-                .enumerate()
-                .map(|(i, v)| (I::from_usize(i), v))
-                .collect(),
-        }
-    }
-
     /// Universe size (`GrB_Vector_size`).
     pub fn len(&self) -> usize {
         self.n
@@ -86,15 +70,6 @@ impl<T: Copy, I: Idx> SparseVec<T, I> {
             .binary_search_by_key(&key, |&(j, _)| j)
             .ok()
             .map(|k| self.entries[k].1)
-    }
-
-    /// Density `nvals / n` (the `f` of the paper's SpMSpV analysis).
-    pub fn density(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.entries.len() as f64 / self.n as f64
-        }
     }
 
     /// Scatters into a dense vector, with `fill` elsewhere.
@@ -134,9 +109,8 @@ mod tests {
 
     #[test]
     fn dense_roundtrip() {
-        let v: SparseVec<i32> = SparseVec::dense(&[10, 20, 30]);
+        let v: SparseVec<i32> = SparseVec::from_entries(3, vec![(0, 10), (1, 20), (2, 30)]);
         assert_eq!(v.nvals(), 3);
-        assert!((v.density() - 1.0).abs() < 1e-12);
         assert_eq!(v.to_dense(0), vec![10, 20, 30]);
     }
 
@@ -144,14 +118,14 @@ mod tests {
     fn to_dense_fills_gaps() {
         let v: SparseVec<i32> = SparseVec::from_entries(4, vec![(1, 9)]);
         assert_eq!(v.to_dense(-1), vec![-1, 9, -1, -1]);
-        assert!((v.density() - 0.25).abs() < 1e-12);
+        assert_eq!((v.nvals(), v.get(1), v.get(0)), (1, Some(9), None));
     }
 
     #[test]
     fn empty_vector() {
         let v: SparseVec<u32> = SparseVec::empty(0);
         assert!(v.is_empty());
-        assert_eq!(v.density(), 0.0);
+        assert_eq!(v.nvals(), 0);
     }
 
     #[test]

@@ -55,19 +55,6 @@ impl Monoid<usize> for AddUsize {
     }
 }
 
-/// `+` over `f64` (SpGEMM in the Markov-clustering example).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct AddF64;
-
-impl Monoid<f64> for AddF64 {
-    fn identity(&self) -> f64 {
-        0.0
-    }
-    fn combine(&self, a: f64, b: f64) -> f64 {
-        a + b
-    }
-}
-
 /// Simultaneous `(min, max)` over index-word pairs.
 ///
 /// Used by LACC's convergence detector: one `mxv` on this monoid yields,
@@ -172,7 +159,6 @@ mod tests {
     #[test]
     fn add_monoids() {
         assert_eq!(AddUsize.combine(AddUsize.identity(), 4), 4);
-        assert_eq!(AddF64.combine(1.5, 2.5), 4.0);
         assert_eq!(MaxUsize.combine(MaxUsize.identity(), 0usize), 0);
     }
 

@@ -91,7 +91,7 @@ impl WorkloadReport {
             return 0.0;
         }
         let mut sorted = self.latencies_s.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        sorted.sort_by(f64::total_cmp);
         let i = (pct / 100.0 * (sorted.len() - 1) as f64).round() as usize;
         sorted[i]
     }
@@ -259,5 +259,23 @@ mod tests {
         assert_eq!(ra.latencies_s, rb.latencies_s);
         assert_eq!(ra.final_components, rb.final_components);
         assert_eq!(ra.stats.reruns, rb.stats.reruns);
+    }
+
+    #[test]
+    fn latency_percentiles_survive_a_nan() {
+        let rep = WorkloadReport {
+            stats: ServiceStats::default(),
+            final_epoch: 0,
+            final_components: 0,
+            final_edges: 0,
+            queries: 5,
+            update_wall_s: 0.0,
+            query_wall_s: 0.0,
+            latencies_s: vec![0.3, f64::NAN, 0.1, 0.2, 0.4],
+            answers_consistent: true,
+        };
+        // `total_cmp` sorts a positive NaN above every number.
+        assert_eq!(rep.latency_percentile_s(50.0), 0.3);
+        assert!(rep.latency_percentile_s(99.0).is_nan());
     }
 }
