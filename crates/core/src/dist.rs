@@ -8,9 +8,10 @@
 //! — lives in [`RunConfig`].
 //!
 //! The caller thread does no per-edge work: it draws the load-balancing
-//! [`Permutation`] (O(n)) and every rank builds its own matrix block
-//! inside the SPMD region from the borrowed input graph and that
-//! relabeling — the permuted graph is never materialized.
+//! [`Permutation`] and plants the graph's hubs at the lowest ids (both
+//! O(n), [`Permutation::load_balancing`]), and every rank builds its own
+//! matrix block inside the SPMD region from the borrowed input graph and
+//! that relabeling — the permuted graph is never materialized.
 //!
 //! With the default LACC engine and `permute = false`, a distributed run
 //! produces a parent vector *bit-identical* to [`crate::serial`] (tested
@@ -166,13 +167,15 @@ pub fn check_ranks(ranks: usize) -> Result<(), DmsimError> {
 /// Runs the configured engine on `cfg.ranks` simulated ranks.
 ///
 /// Returns labels in the *original* vertex numbering even when
-/// `opts.permute` applies a load-balancing relabeling internally. Errs
-/// if `ranks` is not a positive perfect square ([`check_ranks`]) or the
-/// graph has more vertices than `u32` ids can name, with the
-/// failing rank and panic payload if any rank panics, and with the engine
-/// and its round bound if the engine runs out of rounds before converging
-/// (`8·bitlen(n) + 32` for LACC and FastSV, `n + 2` for label
-/// propagation) — never `Ok` with unconverged labels.
+/// `opts.permute` applies a load-balancing relabeling internally: a random
+/// permutation with the hubs planted at ids 0, 1, 2, …
+/// ([`Permutation::load_balancing`]). Errs if `ranks` is not a positive
+/// perfect square ([`check_ranks`]) or the graph has more vertices than
+/// `u32` ids can name, with the failing rank and panic payload if any
+/// rank panics, and with the engine and its round bound if the engine
+/// runs out of rounds before converging (`8·bitlen(n) + 32` for LACC and
+/// FastSV, `n + 2` for label propagation) — never `Ok` with unconverged
+/// labels.
 ///
 /// Engine caveat: LACC labels are tree-root ids, while FastSV and label
 /// propagation converge to component *minima* — cross-engine comparisons
@@ -186,7 +189,7 @@ pub fn run(g: &CsrGraph, cfg: &RunConfig) -> Result<RunOutput, DmsimError> {
     ensure_fits::<Id>(n, "vertices")
         .map_err(|e| DmsimError::new(ErrorKind::InvalidConfig, e.to_string()))?;
     let opts = &cfg.opts;
-    let perm = (opts.permute && n > 1).then(|| Permutation::random(n, PERMUTE_SEED));
+    let perm = (opts.permute && n > 1).then(|| Permutation::load_balancing(g, PERMUTE_SEED));
     let perm = perm.as_ref();
     let rerun = cfg.rerun;
     let wall_start = Instant::now();
@@ -428,12 +431,15 @@ mod tests {
     #[test]
     fn fresh_stars_save_rounds_on_rmat() {
         // Reading stars computed before the last shortcut, this graph took
-        // 5 rounds serially and 7 at p = 4 under the default permutation;
-        // from exact stars it takes 4 and 5.
+        // 5 rounds serially and 7 at p = 4 under the random permutation;
+        // from exact stars it takes 4 and 5. The load-balancing permutation
+        // plants its hubs at the lowest ids, so their neighbourhoods hook
+        // onto them in round 1: p = 4 then takes 3 (the serial run is
+        // unpermuted and stays at 4).
         let g = rmat(11, 8, RmatParams::graph500(), 7);
         let serial = lacc_serial(&g, &LaccOpts::default());
         assert_eq!(serial.num_iterations(), 4);
-        assert_eq!(check(&g, 4, &LaccOpts::default()).num_iterations(), 5);
+        assert_eq!(check(&g, 4, &LaccOpts::default()).num_iterations(), 3);
     }
 
     #[test]
@@ -489,30 +495,28 @@ mod tests {
         // notes the requests it answers where it answers them. A noting
         // site missed or counted twice moves a number here. The combining
         // route counts its delivered ids once for starcheck's two phases;
-        // the legacy wire counts every arrival, phase by phase.
+        // the legacy wire counts every arrival, phase by phase. Since the
+        // permutation plants this graph's hubs at ids 0.. (on rank 0), LACC
+        // runs 3 rounds here where it ran 4, and its last round's requests
+        // all reach rank 0.
         let g = rmat(8, 4, RmatParams::graph500(), 11);
         let pins: [(EngineSelect, LaccOpts, &[[u64; 4]]); 4] = [
             (
                 EngineSelect::Lacc,
                 LaccOpts::default(),
-                &[[122, 75, 97, 67], [28, 0, 3, 0], [9, 0, 0, 0], [1, 0, 0, 0]],
+                &[[108, 75, 88, 67], [8, 0, 1, 0], [1, 0, 0, 0]],
             ),
             (
                 EngineSelect::Lacc,
                 LaccOpts::naive_comm(),
-                &[
-                    [397, 99, 150, 74],
-                    [563, 0, 7, 0],
-                    [891, 0, 0, 0],
-                    [414, 0, 0, 0],
-                ],
+                &[[423, 89, 125, 74], [422, 0, 4, 0], [414, 0, 0, 0]],
             ),
             (
                 EngineSelect::Fastsv,
                 LaccOpts::default(),
                 &[
-                    [55, 25, 42, 12],
-                    [23, 15, 14, 9],
+                    [47, 25, 34, 12],
+                    [14, 15, 14, 9],
                     [13, 15, 13, 9],
                     [13, 15, 13, 9],
                 ],
@@ -521,7 +525,7 @@ mod tests {
                 EngineSelect::Fastsv,
                 LaccOpts::naive_comm(),
                 &[
-                    [156, 32, 54, 14],
+                    [173, 27, 42, 14],
                     [218, 15, 14, 9],
                     [219, 15, 13, 9],
                     [219, 15, 13, 9],

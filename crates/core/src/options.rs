@@ -32,8 +32,12 @@ pub struct LaccOpts {
     pub spmv_threshold: f64,
     /// Communication options for the distributed primitives (§V-B).
     pub dist: DistOpts,
-    /// Apply a random symmetric permutation before distributing the matrix
-    /// (CombBLAS' load balancing), seeded with [`PERMUTE_SEED`].
+    /// Relabel the vertices before distributing the matrix: CombBLAS'
+    /// random symmetric permutation, seeded with [`PERMUTE_SEED`], with the
+    /// graph's hubs (up to 16 vertices of at least 8× the mean degree)
+    /// swapped onto ids 0, 1, 2, … so every engine's hooks toward the
+    /// smaller id reach them first
+    /// ([`lacc_graph::permute::Permutation::load_balancing`]).
     pub permute: bool,
     /// Which connected-components engine runs (see
     /// [`crate::EngineSelect`]). Defaults to LACC, preserving bit-identity

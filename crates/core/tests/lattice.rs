@@ -314,6 +314,45 @@ fn engines_and_stacks_agree_on_the_corpus() {
     check(community_graph(600, 30, 3.0, 1.4, 5), &cells);
     let both_ways = lacc().vary(&[16], P).vary(&BOTH, PERMUTE);
     check(metagenome_graph(1500, 6, 0.01, 8), &both_ways);
+    // Shapes for the load-balancing permutation's planted hubs (degree
+    // ≥ 8× the mean); each graph asserts its hubs, so no edit loses them.
+    let planted = on(&ENGINES, true).vary(&[1, 4, 16], P);
+    let hubs = |g: &CsrGraph| {
+        let (n, nnz) = (g.num_vertices(), g.num_directed_edges());
+        (0..n)
+            .filter(|&v| g.degree(v) * n >= 8 * nnz)
+            .collect::<Vec<_>>()
+    };
+    fn plus(n: usize, g: CsrGraph, more: impl Iterator<Item = (usize, usize)>) -> CsrGraph {
+        CsrGraph::from_edges(EdgeList::from_pairs(n, g.edges().chain(more)))
+    }
+    // A hub at the centre of an isolated 60-leaf star, beside a larger
+    // sparse random component on the first 400 ids.
+    let star = (400..460).map(|leaf| (460, leaf));
+    let outside = plus(500, erdos_renyi_gnm(400, 500, 3), star);
+    assert_eq!(hubs(&outside), [460]);
+    check(outside, &planted);
+    // 17 hubs of equal degree, one more than are planted: stars of 10
+    // leaves in two chains, beside isolated vertices.
+    let centres = (0..17).map(|i| 11 * i);
+    let spokes = centres
+        .clone()
+        .flat_map(|c| (c + 1..c + 11).map(move |l| (c, l)));
+    let links = (0..16)
+        .filter(|&i| i != 8)
+        .map(|i| (11 * i + 1, 11 * i + 12));
+    let seventeen = CsrGraph::from_edges(EdgeList::from_pairs(300, spokes.chain(links)));
+    assert_eq!(hubs(&seventeen), centres.collect::<Vec<_>>());
+    check(seventeen, &planted);
+    // The only hub is the last vertex; n = 301 is odd, so no grid side
+    // but p = 1's divides it.
+    let last = plus(
+        301,
+        erdos_renyi_gnm(301, 200, 8),
+        (0..40).map(|v| (300, 7 * v)),
+    );
+    assert_eq!(hubs(&last), [300]);
+    check(last, &planted);
 }
 
 #[test]

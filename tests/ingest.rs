@@ -46,7 +46,7 @@ fn fused_ingest_matches_running_on_a_prepermuted_graph() {
                 permute: true,
                 ..LaccOpts::default()
             };
-            let perm = Permutation::random(n, PERMUTE_SEED);
+            let perm = Permutation::load_balancing(g, PERMUTE_SEED);
             let reference_opts = LaccOpts {
                 permute: false,
                 ..fused_opts
