@@ -27,8 +27,8 @@
 use crate::Vid;
 use dmsim::{run_spmd_with_model, Comm, DmsimError, Grid2d, MachineModel};
 use gblas::dist::{
-    dist_assign, dist_extract, dist_mxv_sparse, DistMask, DistMat, DistOpts, DistSpVec, DistVec,
-    VecLayout,
+    dist_assign, dist_extract, dist_lower, dist_mxv_sparse, dist_set_at, DistMask, DistMat,
+    DistOpts, DistSpVec, DistVec, VecLayout,
 };
 use gblas::MinUsize;
 use lacc_graph::CsrGraph;
@@ -98,7 +98,8 @@ fn spmd(comm: &mut Comm, g: &CsrGraph, seed: Vid) -> RankOut {
             bfs_levels += 1;
             // Sort-merge join of frontier vs tuple array: one full local
             // tuple scan per level, plus the shuffle of the matched
-            // adjacency (one word per matched tuple).
+            // adjacency (one word per matched tuple). A pass over tuples,
+            // which no `DistVec` primitive covers, so it is charged here.
             comm.charge_compute(local_tuple_count + 1);
             let frontier_adjacency: u64 = frontier
                 .entries()
@@ -114,15 +115,19 @@ fn spmd(comm: &mut Comm, g: &CsrGraph, seed: Vid) -> RankOut {
                 MinUsize,
                 &opts,
             );
-            // Mark and label the newly discovered vertices (all owned
-            // locally by construction of mxv output).
-            let entries: Vec<(Vid, Vid)> = next.entries().iter().map(|&(v, _)| (v, seed)).collect();
-            for &(v, label) in &entries {
+            // Label the newly discovered vertices (all owned locally by
+            // construction of mxv output, none labelled `seed` yet) and
+            // mark them visited: the labelling is the level's one pass.
+            let origin = f.range().0;
+            let found: Vec<(Vid, Vid)> = dist_set_at(
+                comm,
+                &mut f,
+                next.entries().iter().map(|&(v, _)| (v - origin, seed)),
+            );
+            for &(v, _) in &found {
                 visited.set_local(v, true);
-                f.set_local(v, label);
             }
-            comm.charge_compute(entries.len() as u64 + 1);
-            frontier = DistSpVec::from_local_entries(layout, rank, entries);
+            frontier = DistSpVec::from_local_entries(layout, rank, found);
         }
     }
 
@@ -142,6 +147,7 @@ fn spmd(comm: &mut Comm, g: &CsrGraph, seed: Vid) -> RankOut {
             tuples.push((u, v));
         }
     }
+    // The tuple build: a pass over tuples, charged here.
     comm.charge_compute(tuples.len() as u64 + 1);
 
     let mut sv_rounds = 0usize;
@@ -167,6 +173,7 @@ fn spmd(comm: &mut Comm, g: &CsrGraph, seed: Vid) -> RankOut {
             .filter(|(&(u, _), &fv)| fv < f.get_local(u))
             .map(|(&(u, _), &fv)| (f.get_local(u), fv))
             .collect();
+        // The hook scan: a pass over tuples, charged here.
         comm.charge_compute(tuples.len() as u64 + 1);
         changed += dist_assign(comm, &mut f, &hooks, MinUsize, &opts) as u64;
 
@@ -181,13 +188,12 @@ fn spmd(comm: &mut Comm, g: &CsrGraph, seed: Vid) -> RankOut {
         // Pointer jumping over the full vertex array (no sparsity).
         let jump_reqs: Vec<Vid> = f.local().to_vec();
         let gfs = dist_extract(comm, &f, &jump_reqs, &opts);
-        for (o, &gf) in gfs.iter().enumerate() {
-            if gf < f.local()[o] {
-                f.local_mut()[o] = gf;
-                changed += 1;
-            }
-        }
-        comm.charge_compute(gfs.len() as u64 + 1);
+        let jumps: Vec<(Vid, Vid)> = gfs
+            .iter()
+            .enumerate()
+            .map(|(o, &gf)| (f.global_of(o), gf))
+            .collect();
+        changed += dist_lower(comm, &mut f, &jumps).len() as u64;
 
         let total = comm.allreduce(&world, changed, |a, b| a + b);
         if total == 0 {

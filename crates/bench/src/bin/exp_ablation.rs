@@ -19,15 +19,10 @@ use lacc_bench::*;
 use lacc_graph::generators::suite::by_name;
 
 fn main() {
-    let shrink = shrink();
     let p = if full_mode() { 256 } else { 64 };
     let model = EDISON.lacc_model();
     let prob = by_name("archaea").expect("known problem");
-    let g = if shrink == 1 {
-        prob.build()
-    } else {
-        prob.build_small(shrink)
-    };
+    let g = prob.build(shrink());
     eprintln!(
         "[ablation] {} at p={p}: n={} m={}",
         prob.name,
@@ -40,7 +35,7 @@ fn main() {
     let mut run_cfg = |label: &str, opts: LaccOpts| {
         // Cleared per configuration: an exported trace covers the last one.
         if let Some(t) = &trace {
-            t.clear();
+            t.sink().clear();
         }
         let cfg = lacc::RunConfig::new(p, model)
             .with_opts(opts)
@@ -60,55 +55,44 @@ fn main() {
     run_cfg("LACC (all optimizations)", LaccOpts::default());
     run_cfg("dense AS (no sparsity)", LaccOpts::dense_as());
 
+    // The default stack with its communication options replaced.
+    let with_dist = |dist| LaccOpts {
+        dist,
+        ..LaccOpts::default()
+    };
+
     // 2. All-to-all algorithms (sparsity on).
-    for (name, algo) in [
+    for (name, alltoall) in [
         ("alltoall = pairwise", AllToAll::Pairwise),
         ("alltoall = hypercube", AllToAll::Hypercube),
         ("alltoall = sparse", AllToAll::Sparse),
     ] {
-        let opts = LaccOpts {
-            dist: DistOpts {
-                alltoall: algo,
+        run_cfg(
+            name,
+            with_dist(DistOpts {
+                alltoall,
                 ..DistOpts::default()
-            },
-            ..LaccOpts::default()
-        };
-        run_cfg(name, opts);
+            }),
+        );
     }
 
     // 3. Hot-rank broadcast.
-    run_cfg(
-        "hot-rank broadcast off",
-        LaccOpts {
-            dist: DistOpts {
-                hot_threshold: f64::INFINITY,
-                ..DistOpts::default()
-            },
-            ..LaccOpts::default()
-        },
-    );
+    let hot = |hot_threshold| {
+        with_dist(DistOpts {
+            hot_threshold,
+            ..DistOpts::default()
+        })
+    };
+    run_cfg("hot-rank broadcast off", hot(f64::INFINITY));
     for h in [1.0, 2.0, 4.0, 16.0] {
-        let opts = LaccOpts {
-            dist: DistOpts {
-                hot_threshold: h,
-                ..DistOpts::default()
-            },
-            ..LaccOpts::default()
-        };
-        run_cfg(&format!("hot threshold h = {h}"), opts);
+        run_cfg(&format!("hot threshold h = {h}"), hot(h));
     }
 
     // 4. Wire format: the default stack on the legacy wire (no request
     // dedup, no pre-combining, no in-flight combining, unfused starcheck).
     run_cfg(
         "wire = legacy",
-        LaccOpts {
-            dist: DistOpts {
-                wire: Wire::Legacy,
-                ..DistOpts::default()
-            },
-            ..LaccOpts::default()
-        },
+        LaccOpts::builder().wire(Wire::Legacy).build(),
     );
 
     // 5. The SpMV/SpMSpV dispatch (§V-A), forced to one side: every fill

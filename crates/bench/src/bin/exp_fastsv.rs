@@ -21,7 +21,6 @@ use lacc_graph::unionfind::canonicalize_labels;
 
 fn main() {
     let nodes = scaling_nodes();
-    let shrink = shrink();
     let names = ["archaea", "M3", "queen_4147", "twitter7"];
     let header = [
         "graph",
@@ -39,12 +38,7 @@ fn main() {
     let mut rows = Vec::new();
     let trace = trace_config();
     for name in names {
-        let prob = by_name(name).expect("known problem");
-        let g = if shrink == 1 {
-            prob.build()
-        } else {
-            prob.build_small(shrink)
-        };
+        let g = by_name(name).expect("known problem").build(shrink());
         eprintln!(
             "[fastsv] {}: n={} m={}",
             name,
@@ -54,7 +48,7 @@ fn main() {
         for &n_nodes in &nodes {
             let (ranks, _) = lacc_ranks_for(n_nodes);
             if let Some(t) = &trace {
-                t.clear();
+                t.sink().clear();
             }
             let cfg = RunConfig::new(ranks, EDISON.lacc_model())
                 .with_trace_opt(trace.as_ref().map(TraceConfig::sink));

@@ -9,6 +9,7 @@
 //! counters of a p=16 run, with the hot-rank broadcast disabled so the raw
 //! skew is visible.
 
+use dmsim::EDISON;
 use lacc::LaccOpts;
 use lacc_bench::*;
 use lacc_graph::generators::{rmat, RmatParams};
@@ -26,7 +27,7 @@ fn main() {
     // shows the problem its §V-B optimizations then fix).
     let opts = LaccOpts::naive_comm();
     let trace = trace_config();
-    let cfg = lacc::RunConfig::new(p, default_model())
+    let cfg = lacc::RunConfig::new(p, EDISON.lacc_model())
         .with_opts(opts)
         .with_trace_opt(trace.as_ref().map(TraceConfig::sink));
     let run = lacc::run(&g, &cfg)

@@ -12,37 +12,26 @@ use lacc_bench::*;
 use lacc_graph::generators::suite::by_name;
 
 fn main() {
-    let shrink = shrink();
     let names = ["archaea", "eukarya", "M3", "iso_m100", "uk-2002"];
-    let mut rows = Vec::new();
-    let mut max_iters = 0usize;
-    let mut series: Vec<(String, Vec<f64>)> = Vec::new();
-    for name in names {
-        let prob = by_name(name).expect("known problem");
-        let g = if shrink == 1 {
-            prob.build()
-        } else {
-            prob.build_small(shrink)
-        };
-        let run = lacc_serial(&g, &LaccOpts::default());
-        let fr = run.converged_fractions();
-        max_iters = max_iters.max(fr.len());
-        series.push((name.to_string(), fr));
-    }
-    for iter in 0..max_iters {
-        let mut row = vec![format!("{}", iter + 1)];
-        for (_, fr) in &series {
-            row.push(match fr.get(iter) {
-                Some(f) => format!("{:.1}%", f * 100.0),
-                None => "100.0%".to_string(),
-            });
-        }
-        rows.push(row);
-    }
-    let mut header: Vec<&str> = vec!["iteration"];
-    for (name, _) in &series {
-        header.push(name);
-    }
+    let series: Vec<Vec<f64>> = names
+        .iter()
+        .map(|name| {
+            let g = by_name(name).expect("known problem").build(shrink());
+            lacc_serial(&g, &LaccOpts::default()).converged_fractions()
+        })
+        .collect();
+    let max_iters = series.iter().map(Vec::len).max().unwrap_or(0);
+    let rows: Vec<Vec<String>> = (0..max_iters)
+        .map(|iter| {
+            let mut row = vec![format!("{}", iter + 1)];
+            for fr in &series {
+                let f = fr.get(iter).copied().unwrap_or(1.0);
+                row.push(format!("{:.1}%", f * 100.0));
+            }
+            row
+        })
+        .collect();
+    let header: Vec<&str> = ["iteration"].into_iter().chain(names).collect();
     print_table(
         "Figure 7: % of vertices in converged components per iteration",
         &header,

@@ -8,14 +8,11 @@
 //! cheap thanks to the adaptive communication.
 
 use dmsim::{CORI_KNL, EDISON};
-use lacc::LaccOpts;
 use lacc_bench::*;
 use lacc_graph::generators::suite::by_name;
 
 fn main() {
     let nodes = scaling_nodes();
-    let shrink = shrink();
-    let opts = LaccOpts::default();
     let trace = trace_config();
     let names = ["eukarya", "sk-2005", "MOLIERE_2016"];
     let header = [
@@ -32,20 +29,11 @@ fn main() {
     let mut rows = Vec::new();
     for (machine, mname) in [(EDISON, "Edison"), (CORI_KNL, "Cori KNL")] {
         for name in names {
-            let prob = by_name(name).expect("known problem");
-            let g = if shrink == 1 {
-                prob.build()
-            } else {
-                prob.build_small(shrink)
-            };
+            let g = by_name(name).expect("known problem").build(shrink());
             eprintln!("[fig8] {mname}/{name}");
-            for (pt, run) in lacc_scaling_traced(
-                &g,
-                &machine,
-                &nodes,
-                &opts,
-                trace.as_ref().map(TraceConfig::sink),
-            ) {
+            for (pt, run) in
+                lacc_scaling(&g, &machine, &nodes, trace.as_ref().map(TraceConfig::sink))
+            {
                 let b = run.breakdown();
                 rows.push(vec![
                     mname.to_string(),

@@ -11,13 +11,8 @@ use lacc_bench::*;
 use lacc_graph::generators::suite::by_name;
 
 fn main() {
-    let shrink = shrink();
     let prob = by_name("eukarya").expect("known problem");
-    let g = if shrink == 1 {
-        prob.build()
-    } else {
-        prob.build_small(shrink)
-    };
+    let g = prob.build(shrink());
     let n = g.num_vertices();
     let run = lacc_serial(&g, &LaccOpts::default());
     let header = [

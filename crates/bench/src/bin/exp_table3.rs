@@ -13,11 +13,7 @@ fn main() {
     let shrink = shrink();
     let mut rows = Vec::new();
     for p in suite_small().into_iter().chain(suite_big()) {
-        let g = if shrink == 1 {
-            p.build()
-        } else {
-            p.build_small(shrink)
-        };
+        let g = p.build(shrink);
         let s = graph_stats(&g);
         rows.push(vec![
             p.name.to_string(),

@@ -2,19 +2,25 @@
 //!
 //! Each `exp_*` binary in `src/bin/` regenerates one table or figure of
 //! the paper (see DESIGN.md §4 for the index). This library holds the
-//! common machinery: node-count → rank-count mapping, scaling sweeps for
-//! LACC and ParConnect, aligned-table printing, and CSV output under
-//! `results/`.
+//! common machinery: node-count → rank-count mapping, the LACC and
+//! ParConnect-sim sweeps, the `--trace` flags, aligned-table printing and
+//! CSV output under `results/`. Figures 4–6 are one harness,
+//! [`scaling_figure`]: each binary names only its problems, machine, node
+//! counts, title and CSV. Every stand-in is built at
+//! `TestProblem::build(shrink())`, and printed paths are relative to the
+//! workspace root, so a generator's stdout does not depend on where the
+//! checkout is.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dmsim::{Machine, MachineModel, TraceLevel, TraceSink};
-use lacc::{LaccOpts, LaccRun};
-use lacc_baselines::parconnect::{parconnect_sim, ParconnectRun};
+use dmsim::{Machine, TraceLevel, TraceSink};
+use lacc::LaccRun;
+use lacc_baselines::parconnect::parconnect_sim;
+use lacc_graph::generators::suite::TestProblem;
 use lacc_graph::CsrGraph;
 use std::io::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// The node counts used by the strong-scaling experiments. With
@@ -30,9 +36,7 @@ pub fn scaling_nodes() -> Vec<usize> {
 
 /// Whether `LACC_FULL=1` is set (larger graphs, more scaling points).
 pub fn full_mode() -> bool {
-    std::env::var("LACC_FULL")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+    std::env::var("LACC_FULL").is_ok_and(|v| v == "1")
 }
 
 /// Shrink factor for stand-in graphs: 1 in full mode, 4 otherwise.
@@ -47,14 +51,7 @@ pub fn shrink() -> usize {
 /// Largest perfect square ≤ `x` (CombBLAS-style grids must be square;
 /// the paper rounds core counts down the same way).
 pub fn largest_square_leq(x: usize) -> usize {
-    let mut s = (x as f64).sqrt() as usize;
-    while (s + 1) * (s + 1) <= x {
-        s += 1;
-    }
-    while s * s > x {
-        s -= 1;
-    }
-    (s * s).max(1)
+    x.max(1).isqrt().pow(2)
 }
 
 /// Cap on simulated ranks: beyond this, thread-per-rank simulation gets
@@ -79,8 +76,6 @@ pub struct ScalePoint {
     pub clamped: bool,
     /// Modeled seconds (the figure's y-axis).
     pub modeled_s: f64,
-    /// Wall-clock seconds of the simulation itself.
-    pub wall_s: f64,
     /// Iterations / rounds until convergence.
     pub iterations: usize,
 }
@@ -90,11 +85,7 @@ pub struct ScalePoint {
 pub fn ranks_for(nodes: usize, ranks_per_node: usize) -> (usize, bool) {
     let raw = largest_square_leq(nodes * ranks_per_node);
     let cap = rank_cap();
-    if raw > cap {
-        (cap, true)
-    } else {
-        (raw, false)
-    }
+    (raw.min(cap), raw > cap)
 }
 
 /// Largest power of four ≤ `x` (grids whose side is a power of two keep
@@ -112,59 +103,37 @@ pub fn largest_pow4_leq(x: usize) -> usize {
 pub fn lacc_ranks_for(nodes: usize) -> (usize, bool) {
     let raw = largest_pow4_leq(nodes * 4);
     let cap = largest_pow4_leq(rank_cap());
-    if raw > cap {
-        (cap, true)
-    } else {
-        (raw, false)
-    }
+    (raw.min(cap), raw > cap)
 }
 
 /// Runs LACC at each node count (paper configuration: 4 ranks per node,
-/// remaining cores as threads).
+/// remaining cores as threads). With a `sink`, each point records into
+/// it, cleared between points so the exported trace covers the last one.
 pub fn lacc_scaling(
     g: &CsrGraph,
     machine: &Machine,
     nodes_list: &[usize],
-    opts: &LaccOpts,
-) -> Vec<(ScalePoint, LaccRun)> {
-    lacc_scaling_traced(g, machine, nodes_list, opts, None)
-}
-
-/// [`lacc_scaling`] with span tracing: when `sink` is `Some`, each point
-/// records into it, cleared between points so the exported trace covers
-/// the largest (last) node count.
-pub fn lacc_scaling_traced(
-    g: &CsrGraph,
-    machine: &Machine,
-    nodes_list: &[usize],
-    opts: &LaccOpts,
     sink: Option<&Arc<TraceSink>>,
 ) -> Vec<(ScalePoint, LaccRun)> {
     nodes_list
         .iter()
         .map(|&nodes| {
             let (ranks, clamped) = lacc_ranks_for(nodes);
-            let model = machine.lacc_model();
             if let Some(s) = sink {
                 s.clear();
             }
-            let cfg = lacc::RunConfig::new(ranks, model)
-                .with_opts(*opts)
-                .with_trace_opt(sink);
+            let cfg = lacc::RunConfig::new(ranks, machine.lacc_model()).with_trace_opt(sink);
             let run = lacc::run(g, &cfg)
                 .expect("distributed LACC rank panicked")
                 .run;
-            (
-                ScalePoint {
-                    nodes,
-                    ranks,
-                    clamped,
-                    modeled_s: run.modeled_total_s,
-                    wall_s: run.wall_s,
-                    iterations: run.num_iterations(),
-                },
-                run,
-            )
+            let point = ScalePoint {
+                nodes,
+                ranks,
+                clamped,
+                modeled_s: run.modeled_total_s,
+                iterations: run.num_iterations(),
+            };
+            (point, run)
         })
         .collect()
 }
@@ -174,26 +143,130 @@ pub fn parconnect_scaling(
     g: &CsrGraph,
     machine: &Machine,
     nodes_list: &[usize],
-) -> Vec<(ScalePoint, ParconnectRun)> {
+) -> Vec<ScalePoint> {
     nodes_list
         .iter()
         .map(|&nodes| {
             let (ranks, clamped) = ranks_for(nodes, machine.cores_per_node);
-            let model = machine.flat_model();
-            let run = parconnect_sim(g, ranks, model).expect("ParConnect rank panicked");
-            (
-                ScalePoint {
-                    nodes,
-                    ranks,
-                    clamped,
-                    modeled_s: run.modeled_total_s,
-                    wall_s: run.wall_s,
-                    iterations: run.bfs_levels + run.sv_rounds,
-                },
-                run,
-            )
+            let run =
+                parconnect_sim(g, ranks, machine.flat_model()).expect("ParConnect rank panicked");
+            ScalePoint {
+                nodes,
+                ranks,
+                clamped,
+                modeled_s: run.modeled_total_s,
+                iterations: run.bfs_levels + run.sv_rounds,
+            }
         })
         .collect()
+}
+
+/// One of the strong-scaling figures (4–6): every problem at every node
+/// count, LACC against ParConnect-sim on `machine`.
+pub struct ScalingFigure {
+    /// The table's title.
+    pub title: &'static str,
+    /// The CSV's name under `results/`; its first `_` field tags progress
+    /// lines on stderr.
+    pub csv: &'static str,
+    /// The simulated machine.
+    pub machine: Machine,
+    /// Node counts of the sweep.
+    pub nodes: Vec<usize>,
+    /// The stand-ins, built at [`shrink()`].
+    pub problems: Vec<TestProblem>,
+    /// Whether rows carry LACC's iterations and ParConnect's rounds.
+    pub iterations: bool,
+}
+
+const SCALING_HEADER: [&str; 9] = [
+    "graph",
+    "nodes",
+    "lacc ranks",
+    "lacc modeled s",
+    "pc ranks",
+    "pc modeled s",
+    "speedup",
+    "lacc iters",
+    "pc rounds",
+];
+
+/// The columns of a scaling figure: the last two only with `iterations`.
+pub fn scaling_header(iterations: bool) -> &'static [&'static str] {
+    &SCALING_HEADER[..if iterations { 9 } else { 7 }]
+}
+
+/// One row per node count for graph `name`: LACC on
+/// [`Machine::lacc_model`] at [`lacc_ranks_for`] against ParConnect-sim on
+/// [`Machine::flat_model`] at [`ranks_for`], a `*` on a clamped rank count
+/// and the speedup `pc/lacc`. LACC runs record into `sink` as
+/// [`lacc_scaling`] says.
+pub fn scaling_rows(
+    name: &str,
+    g: &CsrGraph,
+    machine: &Machine,
+    nodes: &[usize],
+    iterations: bool,
+    sink: Option<&Arc<TraceSink>>,
+) -> Vec<Vec<String>> {
+    let lacc_pts = lacc_scaling(g, machine, nodes, sink);
+    let pc_pts = parconnect_scaling(g, machine, nodes);
+    lacc_pts
+        .iter()
+        .zip(&pc_pts)
+        .map(|((lp, _), pp)| scaling_row(name, lp, pp, iterations))
+        .collect()
+}
+
+fn scaling_row(name: &str, lp: &ScalePoint, pp: &ScalePoint, iterations: bool) -> Vec<String> {
+    let ranks = |p: &ScalePoint| format!("{}{}", p.ranks, if p.clamped { "*" } else { "" });
+    let mut row = vec![
+        name.to_string(),
+        lp.nodes.to_string(),
+        ranks(lp),
+        fmt_s(lp.modeled_s),
+        ranks(pp),
+        fmt_s(pp.modeled_s),
+        format!("{:.1}x", pp.modeled_s / lp.modeled_s.max(1e-12)),
+    ];
+    if iterations {
+        row.extend([lp.iterations.to_string(), pp.iterations.to_string()]);
+    }
+    row
+}
+
+/// Runs a scaling figure: builds each problem, sweeps it with
+/// [`scaling_rows`], then prints the table, writes the CSV, notes the
+/// clamp and finishes the `--trace` output, if any.
+pub fn scaling_figure(fig: &ScalingFigure) {
+    let trace = trace_config();
+    let sink = trace.as_ref().map(TraceConfig::sink);
+    let tag = fig.csv.split('_').next().unwrap_or(fig.csv);
+    let mut rows = Vec::new();
+    for prob in &fig.problems {
+        let g = prob.build(shrink());
+        eprintln!(
+            "[{tag}] {}: n={} m={}",
+            prob.name,
+            g.num_vertices(),
+            g.num_directed_edges()
+        );
+        rows.extend(scaling_rows(
+            prob.name,
+            &g,
+            &fig.machine,
+            &fig.nodes,
+            fig.iterations,
+            sink,
+        ));
+    }
+    let header = scaling_header(fig.iterations);
+    print_table(fig.title, header, &rows);
+    write_csv(fig.csv, header, &rows);
+    println!("  (* rank count clamped at {} simulated ranks)", rank_cap());
+    if let Some(t) = &trace {
+        t.finish();
+    }
 }
 
 /// Trace output requested through the shared `--trace` flags (see
@@ -211,18 +284,12 @@ impl TraceConfig {
         &self.sink
     }
 
-    /// Drops spans recorded so far. Call between runs when only the last
-    /// one should end up in the exported trace.
-    pub fn clear(&self) {
-        self.sink.clear();
-    }
-
     /// Writes the Chrome-trace JSON to the configured path and prints the
     /// aggregated per-rank report.
     pub fn finish(&self) {
         std::fs::write(&self.path, self.sink.chrome_trace_json()).expect("write trace file");
         println!("{}", self.sink.report().render());
-        println!("  [trace written: {}]", self.path.display());
+        println!("  [trace written: {}]", shown(&self.path).display());
     }
 }
 
@@ -257,11 +324,6 @@ pub fn trace_config() -> Option<TraceConfig> {
     })
 }
 
-/// Default machine model for one-off distributed runs in experiments.
-pub fn default_model() -> MachineModel {
-    dmsim::EDISON.lacc_model()
-}
-
 /// Prints a row-aligned table: header then rows, column widths derived
 /// from content.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
@@ -291,9 +353,9 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 }
 
 /// Writes rows as CSV under `results/<name>.csv` (relative to the
-/// workspace root when run via `cargo run`).
+/// workspace root when run from inside the checkout).
 pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) {
-    let dir = results_dir();
+    let dir = workspace_root().map_or_else(|| PathBuf::from("results"), |r| r.join("results"));
     std::fs::create_dir_all(&dir).expect("create results dir");
     let path = dir.join(format!("{name}.csv"));
     let mut f = std::io::BufWriter::new(std::fs::File::create(&path).expect("create csv"));
@@ -302,20 +364,29 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) {
         writeln!(f, "{}", row.join(",")).expect("write row");
     }
     f.flush().expect("flush csv");
-    println!("  [written: {}]", path.display());
+    println!("  [written: {}]", shown(&path).display());
 }
 
-fn results_dir() -> PathBuf {
-    // Walk up from the current dir until a Cargo workspace root is found.
-    let mut dir = std::env::current_dir().expect("cwd");
+/// The nearest ancestor of the current directory that is a Cargo
+/// workspace root.
+fn workspace_root() -> Option<PathBuf> {
+    let mut dir = std::env::current_dir().ok()?;
     loop {
         if dir.join("Cargo.toml").exists() && dir.join("crates").exists() {
-            return dir.join("results");
+            return Some(dir);
         }
         if !dir.pop() {
-            return PathBuf::from("results");
+            return None;
         }
     }
+}
+
+/// `path` relative to the workspace root when it lies under it, so that
+/// printed paths do not depend on where the checkout is.
+fn shown(path: &Path) -> &Path {
+    workspace_root()
+        .and_then(|root| path.strip_prefix(root).ok())
+        .unwrap_or(path)
 }
 
 /// Formats seconds with sensible precision.
@@ -332,6 +403,8 @@ pub fn fmt_s(s: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmsim::EDISON;
+    use lacc_graph::generators::suite::by_name;
 
     #[test]
     fn largest_square() {
@@ -359,6 +432,45 @@ mod tests {
                 "p={p}"
             );
         }
+    }
+
+    #[test]
+    fn scaling_rows_pair_lacc_with_parconnect() {
+        // Edison at 1 node: LACC runs 4 ranks, ParConnect 24 squared down
+        // to 16, and neither is clamped.
+        let g = by_name("archaea").expect("known problem").build(64);
+        let (lp, _) = &lacc_scaling(&g, &EDISON, &[1], None)[0];
+        let pp = &parconnect_scaling(&g, &EDISON, &[1])[0];
+        for iterations in [false, true] {
+            let rows = scaling_rows("archaea", &g, &EDISON, &[1], iterations, None);
+            assert_eq!(rows.len(), 1);
+            let row = &rows[0];
+            assert_eq!(row.len(), if iterations { 9 } else { 7 });
+            assert_eq!(row.len(), scaling_header(iterations).len());
+            assert_eq!(row[..3], ["archaea", "1", "4"]);
+            assert_eq!(row[3], fmt_s(lp.modeled_s));
+            assert_eq!(row[4], "16");
+            assert_eq!(row[5], fmt_s(pp.modeled_s));
+            assert_eq!(row[6], format!("{:.1}x", pp.modeled_s / lp.modeled_s));
+            if iterations {
+                assert_eq!(
+                    row[7..],
+                    [lp.iterations.to_string(), pp.iterations.to_string()]
+                );
+            }
+        }
+        // A clamped rank count carries a `*`, on either side.
+        let clamped = |ranks| ScalePoint {
+            nodes: 256,
+            ranks,
+            clamped: true,
+            modeled_s: 1.0,
+            iterations: 3,
+        };
+        let row = scaling_row("g", &clamped(256), &clamped(576), false);
+        assert_eq!(row[2], "256*");
+        assert_eq!(row[4], "576*");
+        assert_eq!(row[6], "1.0x");
     }
 
     #[test]

@@ -441,7 +441,6 @@ fn cmd_serve(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         ranks,
         model: machine.lacc_model(),
         policy: RerunPolicy::staleness(staleness).with_engine(engine),
-        ..Default::default()
     };
     let trace = trace_sink(args, TraceLevel::Steps)?;
 
@@ -573,7 +572,7 @@ fn cmd_generate(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let g = if let Some(name) = family.strip_prefix("suite:") {
         suite::by_name(name)
             .ok_or_else(|| format!("unknown suite graph: {name}"))?
-            .build()
+            .build(1)
     } else {
         match family.as_str() {
             "community" => {

@@ -72,32 +72,16 @@ pub struct TestProblem {
 }
 
 impl TestProblem {
-    /// Builds the stand-in graph.
-    pub fn build(&self) -> CsrGraph {
-        match self.recipe {
-            Recipe::Community {
-                n,
-                components,
-                degree,
-                alpha,
-            } => community_graph(n, components, degree, alpha, self.seed),
-            Recipe::Mesh3d { x, y, z } => mesh_3d(x, y, z),
-            Recipe::Rmat {
-                scale,
-                edge_factor,
-                params,
-            } => rmat(scale, edge_factor, params, self.seed),
-            Recipe::Metagenome {
-                n,
-                mean_path,
-                repeat_fraction,
-            } => metagenome_graph(n, mean_path, repeat_fraction, self.seed),
-        }
-    }
-
-    /// Builds a reduced-size variant for fast tests: roughly `1/shrink` of
-    /// the default stand-in scale.
-    pub fn build_small(&self, shrink: usize) -> CsrGraph {
+    /// Builds the stand-in graph at roughly `1/shrink` of its recipe's
+    /// scale; `shrink` 1 (or 0) is the full-size stand-in. Vertex counts
+    /// and component counts divide by `shrink`, each mesh side by
+    /// `⌈∛shrink⌉` and the RMAT scale drops by `⌈log₂ shrink⌉`, each
+    /// clamped at 16 vertices, one component, side 2 and scale 4.
+    ///
+    /// At `shrink` 1 every divisor is 1 and no clamp bites, because every
+    /// suite recipe has n ≥ 16, components ≥ 1, mesh sides ≥ 2 and RMAT
+    /// scale ≥ 4: the graph is byte-identical to the recipe's own.
+    pub fn build(&self, shrink: usize) -> CsrGraph {
         let s = shrink.max(1);
         match self.recipe {
             Recipe::Community {
@@ -324,11 +308,25 @@ mod tests {
     }
 
     #[test]
+    fn full_size_recipes_clear_every_clamp() {
+        // `build(1)` is the recipe's own graph only while no clamp bites.
+        for p in suite_small().into_iter().chain(suite_big()) {
+            let ok = match p.recipe {
+                Recipe::Community { n, components, .. } => n >= 16 && components >= 1,
+                Recipe::Mesh3d { x, y, z } => x.min(y).min(z) >= 2,
+                Recipe::Rmat { scale, .. } => scale >= 4,
+                Recipe::Metagenome { n, .. } => n >= 16,
+            };
+            assert!(ok, "{} would be clamped at shrink 1", p.name);
+        }
+    }
+
+    #[test]
     fn small_builds_validate() {
         // Build drastically shrunk variants so the test is fast; the full
         // defaults are exercised by the experiment binaries.
         for p in suite_small() {
-            let g = p.build_small(64);
+            let g = p.build(64);
             assert!(g.validate().is_ok(), "{} invalid", p.name);
             assert!(g.num_vertices() > 0);
         }
@@ -337,9 +335,9 @@ mod tests {
     #[test]
     fn component_regimes_match_paper_classes() {
         // queen-like: single component; archaea-like: many components.
-        let queen = by_name("queen_4147").unwrap().build_small(27);
+        let queen = by_name("queen_4147").unwrap().build(27);
         assert_eq!(components(&queen), 1);
-        let archaea = by_name("archaea").unwrap().build_small(16);
+        let archaea = by_name("archaea").unwrap().build(16);
         assert!(components(&archaea) > 50);
     }
 }

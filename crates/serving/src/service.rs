@@ -18,9 +18,8 @@ pub struct ServeOpts {
     pub ranks: usize,
     /// Cost model for rebuild runs and modeled query latencies.
     pub model: MachineModel,
-    /// LACC options for rebuild runs (default: the full optimized stack).
-    pub lacc: lacc::LaccOpts,
-    /// Staleness policy (deletions always rebuild).
+    /// Staleness policy (deletions always rebuild). Rebuilds run
+    /// [`lacc::LaccOpts::default`] under the policy's engine.
     pub policy: RerunPolicy,
 }
 
@@ -29,7 +28,6 @@ impl Default for ServeOpts {
         ServeOpts {
             ranks: 4,
             model: EDISON.lacc_model(),
-            lacc: lacc::LaccOpts::default(),
             policy: RerunPolicy::default(),
         }
     }
@@ -268,8 +266,9 @@ impl CcService {
 
     /// [`rebuild`](Self::rebuild) given the CSR of the current multiset.
     fn rebuild_on(&mut self, g: &CsrGraph, reason: RerunReason) -> Result<(), dmsim::DmsimError> {
-        let mut opts = self.opts.lacc;
-        opts.engine = self.opts.policy.engine;
+        let opts = lacc::LaccOpts::builder()
+            .engine(self.opts.policy.engine)
+            .build();
         let cfg = lacc::RunConfig::new(self.opts.ranks, self.opts.model)
             .with_opts(opts)
             .with_trace_opt(self.sink.as_ref())

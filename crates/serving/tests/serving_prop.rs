@@ -21,7 +21,7 @@ use proptest::prelude::*;
 fn fresh_labels(n: usize, edges: &[(usize, usize)]) -> Vec<usize> {
     let g = CsrGraph::from_edges(EdgeList::from_pairs(n, edges.iter().copied()));
     let opts = ServeOpts::default();
-    let cfg = lacc::RunConfig::new(opts.ranks, opts.model).with_opts(opts.lacc);
+    let cfg = lacc::RunConfig::new(opts.ranks, opts.model).with_opts(lacc::LaccOpts::default());
     lacc::run(&g, &cfg).expect("distributed run").run.labels
 }
 
