@@ -359,12 +359,26 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) {
     std::fs::create_dir_all(&dir).expect("create results dir");
     let path = dir.join(format!("{name}.csv"));
     let mut f = std::io::BufWriter::new(std::fs::File::create(&path).expect("create csv"));
-    writeln!(f, "{}", header.join(",")).expect("write header");
+    writeln!(f, "{}", csv_line(header)).expect("write header");
     for row in rows {
-        writeln!(f, "{}", row.join(",")).expect("write row");
+        writeln!(f, "{}", csv_line(&row[..])).expect("write row");
     }
     f.flush().expect("flush csv");
     println!("  [written: {}]", shown(&path).display());
+}
+
+/// One CSV record (RFC 4180): a cell that holds a comma, a quote or a line
+/// break is quoted, its quotes doubled; every other cell is written as is.
+fn csv_line<S: AsRef<str>>(cells: &[S]) -> String {
+    let cell = |c: &S| {
+        let c = c.as_ref();
+        if c.contains([',', '"', '\n', '\r']) {
+            format!("\"{}\"", c.replace('"', "\"\""))
+        } else {
+            c.to_string()
+        }
+    };
+    cells.iter().map(cell).collect::<Vec<_>>().join(",")
 }
 
 /// The nearest ancestor of the current directory that is a Cargo
@@ -471,6 +485,18 @@ mod tests {
         assert_eq!(row[2], "256*");
         assert_eq!(row[4], "576*");
         assert_eq!(row[6], "1.0x");
+    }
+
+    #[test]
+    fn csv_cells_with_a_comma_or_quote_are_quoted() {
+        assert_eq!(csv_line(&["a", "1.5ms", ""]), "a,1.5ms,");
+        assert_eq!(
+            csv_line(&["naive comm (pairwise, no bcast)", "2"]),
+            "\"naive comm (pairwise, no bcast)\",2"
+        );
+        assert_eq!(csv_line(&["say \"hi\"", "x"]), "\"say \"\"hi\"\"\",x");
+        assert_eq!(csv_line(&["two\nlines"]), "\"two\nlines\"");
+        assert_eq!(csv_line::<&str>(&[]), "");
     }
 
     #[test]

@@ -38,11 +38,12 @@ use crate::options::LaccOpts;
 use crate::stats::{IterStats, UncondHook};
 use crate::Vid;
 use dmsim::{Comm, Grid2d};
-use driver::{fixpoint, log_round_bound, Rules, Step, Verdict};
+use driver::{fixpoint, log_round_bound, settled, Rules, Step, Verdict};
 use gblas::dist::{
     dist_apply_at, dist_assign, dist_extract, dist_extract_planned, dist_lower, dist_lower_all,
-    dist_mxv_dense, dist_mxv_pull, dist_mxv_sparse, dist_root_all_quiet, dist_select, dist_set_at,
-    plan_requests, DistMask, DistMat, DistOpts, DistSpVec, DistVec, FusedExtract, VecLayout,
+    dist_mxv_dense, dist_mxv_ids, dist_mxv_pull, dist_mxv_sparse, dist_root_all_quiet, dist_select,
+    dist_set_at, plan_requests, DistMask, DistMat, DistOpts, DistSpVec, DistVec, FusedExtract,
+    VecLayout,
 };
 use gblas::{AndBool, MinMaxUsize, MinUsize};
 use lacc_graph::permute::Permutation;
@@ -168,14 +169,19 @@ impl RunningMin {
     /// One round's `mn ← min(mn, A ⊗ x)`: SpMV over all of `x` when at
     /// least [`LaccOpts::spmv_threshold`] of it changed last round, SpMSpV
     /// over the changed entries otherwise — the round's one dispatch
-    /// decision. Consumes `changed`; returns the entries of `mn` it lowered.
+    /// decision. The first call multiplies the identity, which both
+    /// engines' `x` starts as, off the block's row extremes. Consumes
+    /// `changed`; returns the entries of `mn` it lowered.
     fn absorb(&mut self, cx: &mut EngineCtx<'_>, x: &DistVec<Id>) -> Vec<(Id, Id)> {
         let (n, dopts) = (cx.n(), &cx.opts.dist);
         let dense = self.changed_global as f64 >= cx.opts.spmv_threshold * n as f64;
         cx.round.spmv_dense = dense;
         cx.round.mxv_nvals = if dense { n } else { self.changed_global };
         let comm = &mut *cx.comm;
-        let y = if dense {
+        let y = if self.changed_global == usize::MAX {
+            debug_assert!(is_identity(x), "the first multiply's input is the identity");
+            dist_mxv_ids(comm, &cx.a, cx.layout, |g| g as Id, MinUsize)
+        } else if dense {
             self.changed.clear();
             dist_mxv_dense(comm, &cx.a, x, DistMask::None, MinUsize, dopts)
         } else {
@@ -185,6 +191,12 @@ impl RunningMin {
         };
         dist_lower(comm, &mut self.mn, y.entries())
     }
+}
+
+/// Whether this rank's part of `x` is the identity labeling, `x[g] = g`:
+/// what [`dist_mxv_ids`] multiplies in place of `x`.
+fn is_identity(x: &DistVec<Id>) -> bool {
+    (0..x.local().len()).all(|o| x.local()[o] as usize == x.global_of(o))
 }
 
 // --------------------------------------------------------------------------
@@ -343,21 +355,31 @@ impl Rules<4> for Lacc {
         // label, and the rest hook: f[f[v]] ← min(f[v], q[v].min).
         let (cond, retired, hooking) = cx.step(Step::CondHook, |cx| {
             let (comm, a, dopts) = (&mut *cx.comm, &cx.a, &cx.opts.dist);
-            let active_stars =
-                DistVec::from_fn(layout, rank, |g| star.get_local(g) && active.get_local(g));
-            let mask = DistMask::Keep(&active_stars);
             // The posted mxv's exchange time hides behind the Lemma-1
-            // select and plan done before the wait.
-            let qh = if spmv_dense {
-                let x = DistVec::from_fn(layout, rank, |g| (f.get_local(g), f.get_local(g)));
-                comm.post(|c| dist_mxv_dense(c, a, &x, mask, MinMaxUsize, dopts))
+            // select and plan done before the wait. Round 1 starts from
+            // the identity forest, every vertex an active singleton star:
+            // a dense multiply there is over the identity and keeps every
+            // row, so it reads the block's row extremes and needs no mask.
+            let qh = if spmv_dense && cx.round.iteration == 1 {
+                debug_assert!(is_identity(f), "round 1 starts from the identity forest");
+                debug_assert!(star.local().iter().chain(active.local()).all(|&b| b));
+                let id = |g| (g as Id, g as Id);
+                comm.post(|c| dist_mxv_ids(c, a, layout, id, MinMaxUsize))
             } else {
-                let entries = (0..f.local().len())
-                    .filter(|&o| active.local()[o])
-                    .map(|o| (f.global_of(o) as Id, (f.local()[o], f.local()[o])))
-                    .collect();
-                let x = DistSpVec::from_local_entries(layout, rank, entries);
-                comm.post(|c| dist_mxv_sparse(c, a, &x, mask, MinMaxUsize, dopts))
+                let active_stars =
+                    DistVec::from_fn(layout, rank, |g| star.get_local(g) && active.get_local(g));
+                let mask = DistMask::Keep(&active_stars);
+                if spmv_dense {
+                    let x = DistVec::from_fn(layout, rank, |g| (f.get_local(g), f.get_local(g)));
+                    comm.post(|c| dist_mxv_dense(c, a, &x, mask, MinMaxUsize, dopts))
+                } else {
+                    let entries = (0..f.local().len())
+                        .filter(|&o| active.local()[o])
+                        .map(|o| (f.global_of(o) as Id, (f.local()[o], f.local()[o])))
+                        .collect();
+                    let x = DistSpVec::from_local_entries(layout, rank, entries);
+                    comm.post(|c| dist_mxv_sparse(c, a, &x, mask, MinMaxUsize, dopts))
+                }
             };
             let (stars, roots, _) = dist_select(comm, active, star, f);
             let lemma1 = cx.opts.use_sparsity;
@@ -525,9 +547,14 @@ impl Rules<4> for Fastsv {
         [cond, uncond, shortcut, refreshed]
     }
 
+    /// FastSV's own termination: the run ends after the first round whose
+    /// grandparent refresh changed nothing. Its shortcut left `f ≤ gf`, so
+    /// `f ≤ gf = f∘f ≤ f` and every tree is a star; the next round's
+    /// running minimum has no input and `f ≤ mngf` still holds, so that
+    /// round would change nothing (DESIGN.md §9).
     fn settle(&mut self, n: usize, changed: &mut [u64; 4]) -> Verdict {
         self.mngf.changed_global = changed[3] as usize;
-        fixpoint(n, changed)
+        settled(n, changed[3] == 0)
     }
 }
 

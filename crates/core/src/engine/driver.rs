@@ -58,7 +58,13 @@ pub(crate) struct Verdict {
 /// The `Rules::settle` verdict of an engine without retirement: a round
 /// that changed nothing anywhere is the fixpoint.
 pub(crate) fn fixpoint(n: usize, changed: &[u64; 4]) -> Verdict {
-    let done = changed.iter().sum::<u64>() == 0;
+    settled(n, changed.iter().sum::<u64>() == 0)
+}
+
+/// The verdict of an engine without retirement that has decided whether
+/// the run is `done`: then every vertex is converged, before it none is
+/// known to be.
+pub(crate) fn settled(n: usize, done: bool) -> Verdict {
     Verdict {
         done,
         converged_after: if done { n } else { 0 },

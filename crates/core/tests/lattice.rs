@@ -10,7 +10,9 @@
 //!   its component's minimum; FastSV with `fastsv_cc`'s label.
 //! - I4: the naive stack (the default, for a naive cell) gives the same.
 //! - I5: under retirement no LACC round is idle and the last retires the
-//!   rest; without it exactly one all-zero round comes last.
+//!   rest; without it exactly one all-zero round comes last. FastSV's
+//!   last round is the only one whose grandparent refresh changed
+//!   nothing, so an all-zero round, if any, is the last.
 //! - I6: a free machine gives Edison's labels, rounds and rank words.
 //! - I7: LACC and FastSV finish within `2·bitlen(n) + 4` rounds (n ≥ 2).
 //!
@@ -114,7 +116,12 @@ fn rounds_end_well(out: &Outcome, o: LaccOpts, n: usize) -> Result<(), Failure> 
         true => idle.is_empty() && retired_rest,
         false => idle == [rounds.len()],
     };
-    ensure(o.engine != Lacc || ok, "I5", || format!("{rounds:?}"))
+    ensure(o.engine != Lacc || ok, "I5", || format!("{rounds:?}"))?;
+    let fourths = rounds.iter().map(|it| it.fourth_changed);
+    let ok = fourths
+        .enumerate()
+        .all(|(k, c)| (c == 0) == (k + 1 == rounds.len()));
+    ensure(o.engine != Fastsv || ok, "I5", || format!("{rounds:?}"))
 }
 
 /// One graph's runs, keyed by cell (serial runs by their options), so a

@@ -11,9 +11,12 @@ use lacc_graph::{CsrGraph, Idx};
 /// square process grid: rank `(i, j)` holds block `A_ij` (rows in row
 /// block `i`, columns in column block `j`) with block-local indices.
 ///
-/// The block is stored **row-major, once**, and nothing is derived from
-/// it: the dense multiply pulls along its rows and SpMSpV pushes along
-/// them, since stored row `v` of block `(i, j)` is column `v` of `(j, i)`.
+/// The block is stored **row-major, once**: the dense multiply pulls along
+/// its rows and SpMSpV pushes along them, since stored row `v` of block
+/// `(i, j)` is column `v` of `(j, i)`. The one thing derived from it is
+/// each row's least and greatest column, recorded by the same fill pass
+/// ([`row_extremes`](Self::row_extremes)), from which the multiply by the
+/// identity vector reads its whole result.
 /// Block indices are stored at width `I`; the narrowing — like the
 /// load-balancing relabeling — happens per rank while slicing, so no
 /// globally narrowed or permuted copy of the graph is ever materialized.
@@ -25,6 +28,9 @@ pub struct DistMat<I: Idx = Vid> {
     row_range: (usize, usize),
     col_range: (usize, usize),
     rows: CsrMirror<I>,
+    /// Per stored row, its least and greatest block-local column; `(0, 0)`
+    /// for an empty row.
+    extremes: Vec<(I, I)>,
 }
 
 impl<I: Idx> DistMat<I> {
@@ -64,7 +70,7 @@ impl<I: Idx> DistMat<I> {
     /// relabeled row from a random place in it, and the block is allocated
     /// once, at its exact size plus one spare slot. A row's columns stay
     /// in source order ([`row_mirror`](Self::row_mirror) says why no
-    /// reader cares).
+    /// reader cares), so the fill records each row's extremes as it goes.
     fn build(g: &CsrGraph, grid: Grid2d, rank: usize, relabel: impl Fn(Vid) -> usize) -> Self {
         assert_eq!(grid.rows(), grid.cols(), "LACC requires a square grid");
         let n = g.num_vertices();
@@ -92,17 +98,23 @@ impl<I: Idx> DistMat<I> {
         // Whether a relabeled neighbor lands in the column block is a coin
         // flip the branch predictor loses, so the fill is branch-free: a
         // dropped column goes to the spare slot at `nnz`, where it cannot
-        // reach a neighboring row, and only a keeper advances the cursor.
+        // reach a neighboring row, only a keeper advances the cursor, and
+        // a dropped column enters the extremes as the identity of each.
         let nnz = rowptr[nrows];
         let mut colidx: Vec<I> = vec![I::zero(); nnz + 1];
+        let mut extremes: Vec<(I, I)> = vec![(I::zero(), I::zero()); nrows];
         for (r, nbrs) in owned() {
-            let mut at = rowptr[r];
+            let (mut at, mut lo, mut hi) = (rowptr[r], usize::MAX, 0);
             for &v in nbrs {
                 let c = col(v);
                 let keep = c < ncols;
                 colidx[if keep { at } else { nnz }] = I::from_usize(if keep { c } else { 0 });
                 at += usize::from(keep);
+                lo = lo.min(if keep { c } else { usize::MAX });
+                hi = hi.max(if keep { c } else { 0 });
             }
+            // An empty row leaves `lo` above `hi` and records `(0, 0)`.
+            extremes[r] = (I::from_usize(lo.min(hi)), I::from_usize(hi));
         }
         colidx.truncate(nnz);
         DistMat {
@@ -111,6 +123,7 @@ impl<I: Idx> DistMat<I> {
             row_range,
             col_range,
             rows: CsrMirror::from_parts(nrows, ncols, rowptr, colidx),
+            extremes,
         }
     }
 
@@ -141,6 +154,14 @@ impl<I: Idx> DistMat<I> {
     /// them — so no combine order can change a result.
     pub fn row_mirror(&self) -> &CsrMirror<I> {
         &self.rows
+    }
+
+    /// Per stored row, its least and greatest block-local column, as the
+    /// build recorded them: what a sorted block (CombBLAS' DCSC) reads off
+    /// a row's first and last entries. An empty row holds `(0, 0)`; the
+    /// row mirror tells it apart.
+    pub fn row_extremes(&self) -> &[(I, I)] {
+        &self.extremes
     }
 
     /// Local nonzero count.
@@ -325,6 +346,42 @@ mod tests {
         for (k, g) in graphs.iter().enumerate() {
             check::<u32>(g, 11 + k as u64);
             check::<Vid>(g, 11 + k as u64);
+        }
+    }
+
+    #[test]
+    fn recorded_extremes_are_each_rows_least_and_greatest_column() {
+        let graphs = [
+            CsrGraph::from_edges(EdgeList::new(1)),
+            path_graph(3),
+            path_graph(7),
+            erdos_renyi_gnm(50, 200, 3),
+            CsrGraph::from_edges(EdgeList::from_pairs(20, [(0, 0), (2, 3), (5, 9), (12, 18)])),
+        ];
+        for (k, g) in graphs.iter().enumerate() {
+            let perm = Permutation::random(g.num_vertices(), 31 + k as u64);
+            for p in [1usize, 4, 9, 16] {
+                let grid = Grid2d::square(p);
+                for r in 0..p {
+                    let blocks = [
+                        DistMat::<u32>::from_graph(g, grid, r),
+                        DistMat::<u32>::from_graph_permuted(g, &perm, grid, r),
+                    ];
+                    for (permuted, blk) in blocks.iter().enumerate() {
+                        let rows = blk.row_mirror();
+                        assert_eq!(blk.row_extremes().len(), rows.nrows());
+                        for (lr, &(lo, hi)) in blk.row_extremes().iter().enumerate() {
+                            let cols = rows.row(lr).iter().map(|c| c.idx());
+                            let want = match (cols.clone().min(), cols.max()) {
+                                (Some(lo), Some(hi)) => (lo, hi),
+                                _ => (0, 0),
+                            };
+                            let at = format!("graph {k} p={p} rank={r} permuted={permuted}");
+                            assert_eq!((lo.idx(), hi.idx()), want, "{at} row {lr}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -10,7 +10,8 @@
 //!   matrix's column block `j` — the alignment CombBLAS guarantees so that
 //!   the allgather phase of `mxv` stays inside processor columns (SpMSpV
 //!   mirrors it into processor rows).
-//! * [`ops`] implements the distributed primitives: `mxv` (SpMV/SpMSpV),
+//! * [`ops`] implements the distributed primitives: `mxv` (SpMV/SpMSpV,
+//!   and SpMV over the identity vector from each row's column extremes),
 //!   `extract`, `assign`, each matching its serial counterpart
 //!   bit-for-bit, with the paper's §V-B communication optimizations.
 //! * [`local`] holds the passes between them, each charging `len + 1` ops.
@@ -31,6 +32,6 @@ pub use local::{
     dist_set_at,
 };
 pub use ops::{
-    dist_assign, dist_extract, dist_extract_planned, dist_mxv_dense, dist_mxv_sparse,
+    dist_assign, dist_extract, dist_extract_planned, dist_mxv_dense, dist_mxv_ids, dist_mxv_sparse,
     plan_requests, DistMask, DistOpts, FusedExtract, RequestPlan, Wire,
 };

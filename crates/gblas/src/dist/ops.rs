@@ -5,6 +5,8 @@
 //! * [`dist_mxv_dense`] (SpMV) — allgather of vector chunks within
 //!   processor columns → local block multiply → reduce-scatter within
 //!   processor rows → transpose exchange to restore vector alignment.
+//! * [`dist_mxv_ids`] — SpMV over the identity vector, which reads each
+//!   row's fold off its column extremes and gathers nothing.
 //! * [`dist_mxv_sparse`] (SpMSpV) — the same phases mirrored, because `A`
 //!   is symmetric and stored row-major only: transpose exchange → sparse
 //!   allgather within processor rows → push through the stored rows →
@@ -568,10 +570,35 @@ where
         .collect();
     comm.charge_compute(ops);
     gh.wait(comm);
+    let out = reduce_row_parts(comm, layout, &row_group, parts, kept.map(|m| m.own), monoid);
+    comm.span_close(span);
+    out
+}
 
-    // Phase 3: reduce-scatter within the processor row. Every member of
-    // the row holds the same bits, so the parts it folds line up.
-    let reduced = comm.reduce_scatter(&row_group, parts, |aa: &mut (T, bool), bb: (T, bool)| {
+/// Phases 3–4 of SpMV, from the row block's `(value, touched)` parts on:
+/// `parts[k]` holds the rows of subchunk `k` (global chunk `i·pc + k`),
+/// one pair per row `own` keeps (every row when `own` is `None`).
+///
+/// Phase 3 reduce-scatters the parts within the processor row: every
+/// member holds the same rows, so the parts it folds line up. Phase 4 is
+/// the transpose exchange — the reduced chunk `i·pc + j` belongs to rank
+/// `(j, i)` under the column-major vector layout, which packed `own`: the
+/// owner places the arrivals at its kept offsets and keeps the touched
+/// ones.
+fn reduce_row_parts<T, M, I>(
+    comm: &mut Comm,
+    layout: VecLayout,
+    row_group: &Group,
+    parts: Vec<Vec<(T, bool)>>,
+    own: Option<Vec<u64>>,
+    monoid: M,
+) -> DistSpVec<T, I>
+where
+    T: NarrowVal,
+    M: Monoid<T>,
+    I: Idx,
+{
+    let reduced = comm.reduce_scatter(row_group, parts, |aa: &mut (T, bool), bb: (T, bool)| {
         if bb.1 {
             if aa.1 {
                 aa.0 = monoid.combine(aa.0, bb.0);
@@ -580,22 +607,67 @@ where
             }
         }
     });
-
-    // Phase 4: transpose exchange — the reduced chunk i·pc + j belongs to
-    // rank (j, i) under the column-major vector layout, which packed its
-    // bits: the owner places the arrivals at its kept offsets and keeps
-    // the touched ones.
-    let mine: Vec<(T, bool)> = transpose_exchange(comm, grid, reduced);
+    let me = comm.rank();
+    let mine: Vec<(T, bool)> = transpose_exchange(comm, layout.grid(), reduced);
     let s = layout.range_of_rank(me).0;
-    let (entries, scanned): (Vec<(I, T)>, usize) = match &kept {
+    let (entries, scanned): (Vec<(I, T)>, usize) = match own {
         None => (touched_entries(s, 0.., mine), 0),
-        Some(m) => {
-            debug_assert_eq!(set_bits(&m.own).count(), mine.len(), "one per kept row");
-            (touched_entries(s, set_bits(&m.own), mine), m.own.len())
+        Some(own) => {
+            debug_assert_eq!(set_bits(&own).count(), mine.len(), "one per kept row");
+            (touched_entries(s, set_bits(&own), mine), own.len())
         }
     };
     comm.charge_compute((entries.len() + scanned) as u64);
-    let out = DistSpVec::from_local_entries(layout, me, entries);
+    DistSpVec::from_local_entries(layout, me, entries)
+}
+
+/// Distributed SpMV over the identity vector: `y = A ⊕.2nd x` with
+/// `x[g] = id(g)` for every global `g`, unmasked — every engine's first
+/// multiply, whose input is known before the run starts.
+///
+/// For a monoid that picks by order, as `min`, `max` and their pair do,
+/// and an `id` monotone in `g`, a row's fold over its columns is the
+/// combine of its least and greatest column's values, which
+/// [`DistMat::row_extremes`] holds. So no rank gathers any of `x`: phase
+/// 1 is gone, phase 2 reads one pair per row and is charged one op per
+/// row of the row block (a sorted block reads the pair off the row's
+/// first and last entries), and phases 3–4 are [`dist_mxv_dense`]'s.
+/// Its entries are those of [`dist_mxv_dense`] over
+/// `DistVec::from_fn(|g| id(g))` with [`DistMask::None`], on either wire;
+/// only the clock and the words differ.
+pub fn dist_mxv_ids<T, M, I>(
+    comm: &mut Comm,
+    a: &DistMat<I>,
+    layout: VecLayout,
+    id: impl Fn(Vid) -> T,
+    monoid: M,
+) -> DistSpVec<T, I>
+where
+    T: NarrowVal,
+    M: Monoid<T>,
+    I: Idx,
+{
+    let span = comm.span_open(SpanKind::Mxv);
+    let grid = a.grid();
+    assert_eq!(layout.len(), a.n(), "matrix/vector dimension mismatch");
+    assert_eq!(layout.grid(), grid, "matrix/vector grid mismatch");
+    let (i, _) = grid.coords_of(comm.rank());
+    let (pc, p) = (grid.cols(), grid.size());
+    let (rs, cs) = (a.row_range().0, a.col_range().0);
+    let (rows, extremes) = (a.row_mirror(), a.row_extremes());
+    let fold = |r: usize| {
+        let (lo, hi) = extremes[r];
+        let value = monoid.combine(id(cs + lo.idx()), id(cs + hi.idx()));
+        (value, !rows.row(r).is_empty())
+    };
+    let parts: Vec<Vec<(T, bool)>> = (0..pc)
+        .map(|k| {
+            let (s, e) = block_range(a.n(), p, i * pc + k);
+            (s - rs..e - rs).map(fold).collect()
+        })
+        .collect();
+    comm.charge_compute(rows.nrows() as u64);
+    let out = reduce_row_parts(comm, layout, &grid.row_group(comm), parts, None, monoid);
     comm.span_close(span);
     out
 }

@@ -1,13 +1,15 @@
 //! Property tests: every distributed primitive must be bit-identical to
 //! its serial counterpart on arbitrary inputs and grids.
 
-use dmsim::{run_spmd, AllToAll, Counter, Grid2d};
+use dmsim::{run_spmd, run_spmd_with_model, AllToAll, Counter, Grid2d, EDISON};
 use gblas::dist::{
-    dist_assign, dist_extract, dist_mxv_dense, dist_mxv_sparse, DistMask, DistMat, DistOpts,
-    DistSpVec, DistVec, VecLayout, Wire,
+    dist_assign, dist_extract, dist_mxv_dense, dist_mxv_ids, dist_mxv_sparse, DistMask, DistMat,
+    DistOpts, DistSpVec, DistVec, VecLayout, Wire,
 };
 use gblas::serial::{self, Pattern, SparseVec};
 use gblas::{Mask, MinMaxUsize, MinUsize};
+use lacc_graph::generators::{erdos_renyi_gnm, path_graph};
+use lacc_graph::permute::Permutation;
 use lacc_graph::{CsrGraph, EdgeList};
 use proptest::prelude::*;
 
@@ -401,5 +403,106 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// What one `mxv` call produced on every rank, and what the run cost: the
+/// ranks' local entries, the makespan and the words sent over all ranks.
+type Measured<T> = (Vec<Vec<(usize, T)>>, f64, u64);
+
+fn measure_mxv<T: Send>(
+    p: usize,
+    call: impl Fn(&mut dmsim::Comm) -> Vec<(usize, T)> + Sync,
+) -> Measured<T> {
+    let out = run_spmd_with_model(p, EDISON.lacc_model(), |c| {
+        let entries = call(c);
+        let snap = c.snapshot();
+        (entries, snap.clock_s, snap.words_sent)
+    })
+    .unwrap();
+    let makespan = out.iter().map(|o| o.1).fold(0.0, f64::max);
+    let words = out.iter().map(|o| o.2).sum();
+    (out.into_iter().map(|o| o.0).collect(), makespan, words)
+}
+
+/// The identity multiply against the dense one over `DistVec::from_fn(|g|
+/// g)`: the same entries on every rank under `min` and `(min, max)`, at
+/// p ∈ {1, 4, 9, 16}, unpermuted and relabeled, on both wires — and, on
+/// any graph with an edge, a strictly shorter makespan and, once p > 1
+/// gives the column gather something to ship, strictly fewer words.
+#[test]
+fn identity_mxv_reads_the_dense_product_off_the_row_extremes() {
+    fn check<T: gblas::dist::NarrowVal + PartialEq + std::fmt::Debug, M: gblas::Monoid<T>>(
+        g: &CsrGraph,
+        at: &str,
+        monoid: M,
+        id: fn(usize) -> T,
+    ) {
+        let n = g.num_vertices();
+        let perm = Permutation::random(n, 5);
+        for p in [1usize, 4, 9, 16] {
+            let layout = VecLayout::new(n, Grid2d::square(p));
+            for permuted in [false, true] {
+                let block = |c: &dmsim::Comm| match permuted {
+                    true => DistMat::<u32>::from_graph_permuted(g, &perm, layout.grid(), c.rank()),
+                    false => DistMat::<u32>::from_graph(g, layout.grid(), c.rank()),
+                };
+                let local = |y: DistSpVec<T, u32>| {
+                    let of = |&(g, v): &(u32, T)| (g as usize, v);
+                    y.entries().iter().map(of).collect::<Vec<_>>()
+                };
+                let ids = measure_mxv(p, |c| {
+                    let a = block(c);
+                    local(dist_mxv_ids(c, &a, layout, id, monoid))
+                });
+                for wire in [Wire::Legacy, Wire::Compact] {
+                    let opts = DistOpts {
+                        wire,
+                        ..DistOpts::default()
+                    };
+                    let dense = measure_mxv(p, |c| {
+                        let (a, x) = (block(c), DistVec::from_fn(layout, c.rank(), id));
+                        local(dist_mxv_dense(c, &a, &x, DistMask::None, monoid, &opts))
+                    });
+                    let at = format!("{at} p={p} permuted={permuted} {wire:?}");
+                    assert_eq!(ids.0, dense.0, "{at}");
+                    if g.num_directed_edges() > 0 {
+                        assert!(ids.1 < dense.1, "{at}: {} s vs {} s", ids.1, dense.1);
+                        let fewer = if p == 1 {
+                            ids.2 == 0 && dense.2 == 0
+                        } else {
+                            ids.2 < dense.2
+                        };
+                        assert!(fewer, "{at}: {} words vs {}", ids.2, dense.2);
+                    }
+                }
+            }
+        }
+    }
+    let graphs = [
+        ("empty", CsrGraph::from_edges(EdgeList::new(0))),
+        ("one vertex", CsrGraph::from_edges(EdgeList::new(1))),
+        // n below p, and n not divisible by sqrt(p).
+        ("path 3", path_graph(3)),
+        ("path 7", path_graph(7)),
+        // Isolated vertices beside self loops, which the CSR drops: most
+        // block rows are empty at p = 16.
+        (
+            "sparse",
+            CsrGraph::from_edges(EdgeList::from_pairs(
+                20,
+                [(0, 0), (2, 3), (3, 3), (5, 9), (7, 7), (12, 18), (18, 18)],
+            )),
+        ),
+        ("edgeless", CsrGraph::from_edges(EdgeList::new(9))),
+        (
+            "star",
+            CsrGraph::from_edges(EdgeList::from_pairs(37, (1..37).map(|v| (5, v % 37)))),
+        ),
+        ("er", erdos_renyi_gnm(50, 200, 3)),
+    ];
+    for (name, g) in &graphs {
+        check(g, &format!("{name} min"), MinUsize, |g| g);
+        check(g, &format!("{name} minmax"), MinMaxUsize, |g| (g, g));
     }
 }

@@ -8,7 +8,14 @@
 //! (label propagation takes a thousand rounds on the paths); the raw labels are pinned by `lacc_baselines::fastsv_cc`, whose
 //! component minima both engines converge to when the run does not
 //! permute. On a mismatch the test prints the measured series round by
-//! round. When a change moves the series on purpose, run
+//! round.
+//!
+//! FastSV's rows were re-recorded when FastSV began to stop after the
+//! first round whose grandparent refresh changed nothing (DESIGN.md §9):
+//! each new series is the old one without its final all-zero round. The
+//! rmat row did not move: the refresh of its round 2 still changed 39
+//! grandparents, so the all-zero round 3 is the first with a zero fourth
+//! counter. When a change moves the series on purpose, run
 //! `cargo test --test delta_pins -- --nocapture` and paste the printed
 //! table over `PINS`.
 
@@ -25,10 +32,10 @@ type Row = (EngineSelect, &'static str, usize, u64);
 
 const PINS: [Row; 10] = [
     (Fastsv, "rmat", 3, 0x6c1fe4965a478909),
-    (Fastsv, "community", 6, 0xa63779025f9d9577),
-    (Fastsv, "path_reversed", 11, 0xd8e311616add8f6b),
-    (Fastsv, "path_shuffled", 12, 0xb4e831dfec7501c2),
-    (Fastsv, "mesh", 5, 0xc00c8062cc0f495b),
+    (Fastsv, "community", 5, 0xb0382c94bb58d9f7),
+    (Fastsv, "path_reversed", 10, 0x0211deba04a3d9eb),
+    (Fastsv, "path_shuffled", 11, 0x25baf8b6c1c820c2),
+    (Fastsv, "mesh", 4, 0x7db2d5b51e589bdb),
     (LabelProp, "rmat", 4, 0x904132342ec4ea20),
     (LabelProp, "community", 12, 0xabff84b5f2a82712),
     (LabelProp, "path_reversed", 1000, 0xddaeb43bf341c685),

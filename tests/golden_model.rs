@@ -5,16 +5,25 @@
 //! wire), the opposite corner of the lever lattice. Two more LACC rows at
 //! p = 4 pin the cond-hook branches the rmat rows never take: the SpMSpV
 //! branch (the community graph's fifth round is sparse) and the
-//! `LaccOpts::dense_as()` branch without Lemma-1 retirement. Two rows on a
+//! `LaccOpts::dense_as()` branch without Lemma-1 retirement. Two pin a
+//! LACC run whose round 1 is forced sparse. Two rows on a
 //! larger community graph, at p = 4 and 16, pin a run whose last round
 //! still holds six active trees: the one-tree rule (DESIGN.md §5) never
-//! fires there, and these rows were recorded before it was built.
+//! fires there, and building it left these rows unmoved.
 //!
 //! The rmat rows were re-recorded when the load-balancing permutation
 //! began planting hubs at the lowest ids (DESIGN.md §3): the rmat graph
 //! has hubs, so every hooking engine's row on it moved (LACC at p = 4
 //! 604.5 → 406.1 µs). The community graphs have no vertex at 8× the mean
 //! degree, so their rows, label propagation's included, did not move.
+//!
+//! Every row but `GOLDEN_SPARSE_ROUND_ONE`'s was re-recorded when round
+//! one began to multiply the identity off the block's row extremes
+//! (DESIGN.md §3), and FastSV's also when it began to stop after the first
+//! round whose grandparent refresh changed nothing (§9). LACC's rows moved
+//! in time, words and bytes only (at p = 4 on rmat 406.1 → 377.4 µs);
+//! FastSV's dropped a round too (307.9 → 229.4 µs). The SpMSpV row,
+//! `GOLDEN_LACC_SPARSE`, moved with them: its round 1 is dense.
 //!
 //! The modeled clock is a function of every `charge_compute` amount and
 //! every message's size and order, so a host-side rewrite that is meant to
@@ -41,52 +50,60 @@ type Table = (
 );
 
 const GOLDEN: [Row; 6] = [
-    (EngineSelect::Lacc, 4, 0.00040605508888889006, 3050, 23627),
-    (EngineSelect::Lacc, 9, 0.0009395414222222232, 6834, 48735),
-    (EngineSelect::Fastsv, 4, 0.0003079383555555556, 3069, 24127),
-    (EngineSelect::Fastsv, 9, 0.0005611214444444461, 6370, 48378),
+    (EngineSelect::Lacc, 4, 0.0003773635555555567, 2778, 21467),
+    (EngineSelect::Lacc, 9, 0.0009113293555555569, 6288, 44393),
+    (EngineSelect::Fastsv, 4, 0.00022939573333333332, 2838, 22381),
+    (EngineSelect::Fastsv, 9, 0.0004211947555555563, 5889, 45146),
     (
         EngineSelect::LabelProp,
         4,
-        0.0002853006222222225,
-        5076,
-        40389,
+        0.0002741478444444447,
+        4924,
+        39185,
     ),
     (
         EngineSelect::LabelProp,
         9,
-        0.0004249619777777791,
-        9884,
-        78058,
+        0.0004154406000000013,
+        9578,
+        75640,
     ),
 ];
 
 /// The same pins under [`LaccOpts::naive_comm`].
 const GOLDEN_NAIVE_COMM: [Row; 2] = [
-    (EngineSelect::Lacc, 4, 0.0004976198444444453, 5153, 41032),
-    (EngineSelect::Fastsv, 4, 0.0003023022, 4503, 35928),
+    (EngineSelect::Lacc, 4, 0.000467164422222223, 4629, 36840),
+    (EngineSelect::Fastsv, 4, 0.0002231676666666667, 3897, 31104),
 ];
 
 /// LACC on the community graph, default options: its SpMSpV round.
-const GOLDEN_LACC_SPARSE: [Row; 1] = [(EngineSelect::Lacc, 4, 0.0008468561333333361, 8078, 62867)];
+const GOLDEN_LACC_SPARSE: [Row; 1] = [(EngineSelect::Lacc, 4, 0.0008279255777777807, 7756, 60307)];
+
+/// LACC on the community graph with `spmv_threshold` 1.5, which forces
+/// every round sparse, round 1 included: the identity multiply never runs,
+/// so these rows were recorded before it was built and did not move.
+const GOLDEN_SPARSE_ROUND_ONE: [Row; 2] = [
+    (EngineSelect::Lacc, 4, 0.0008461616888888918, 7264, 56345),
+    (EngineSelect::Lacc, 9, 0.001846560399999988, 14742, 106625),
+];
 
 /// LACC on a larger community graph at p = 4 and 16, default options: its
 /// last round still starts with six active trees, so the one-tree rule
-/// never fires there and must cost nothing. Recorded before the rule was
-/// built.
+/// never fires there and must cost nothing: building it left these rows
+/// unmoved.
 const GOLDEN_LACC_MANY_TREES: [Row; 2] = [
-    (EngineSelect::Lacc, 4, 0.0023084926222222153, 40085, 318550),
+    (EngineSelect::Lacc, 4, 0.0022490203999999945, 38509, 305958),
     (
         EngineSelect::Lacc,
         16,
-        0.0018777065777777738,
-        130287,
-        1019905,
+        0.0018438037999999957,
+        125571,
+        982273,
     ),
 ];
 
 /// LACC on the rmat graph under [`LaccOpts::dense_as`].
-const GOLDEN_DENSE_AS: [Row; 1] = [(EngineSelect::Lacc, 4, 0.0005159090666666677, 4950, 38657)];
+const GOLDEN_DENSE_AS: [Row; 1] = [(EngineSelect::Lacc, 4, 0.00048253624444444487, 4678, 36497)];
 
 fn rmat_graph() -> CsrGraph {
     rmat(9, 6, RmatParams::graph500(), 5)
@@ -127,7 +144,7 @@ fn measure(graph: &CsrGraph, base: LaccOpts, engine: EngineSelect, ranks: usize)
 
 #[test]
 fn modeled_clock_and_wire_traffic_match_golden_values() {
-    let tables: [Table; 5] = [
+    let tables: [Table; 6] = [
         ("GOLDEN", LaccOpts::default(), graph_for, &GOLDEN),
         (
             "GOLDEN_NAIVE_COMM",
@@ -140,6 +157,15 @@ fn modeled_clock_and_wire_traffic_match_golden_values() {
             LaccOpts::default(),
             |_| community(),
             &GOLDEN_LACC_SPARSE,
+        ),
+        (
+            "GOLDEN_SPARSE_ROUND_ONE",
+            LaccOpts {
+                spmv_threshold: 1.5,
+                ..LaccOpts::default()
+            },
+            |_| community(),
+            &GOLDEN_SPARSE_ROUND_ONE,
         ),
         (
             "GOLDEN_LACC_MANY_TREES",
